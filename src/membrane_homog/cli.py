@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -63,6 +64,16 @@ SOURCE_PRESETS = {
 }
 
 
+@functools.lru_cache(maxsize=8)
+def _fold_error(amplitude: float) -> str:
+    """Why the bump deformation of this amplitude is rejected ('' if it is not)."""
+    try:
+        BumpMap(amplitude=amplitude)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 @dataclass
 class ExperimentConfig:
     map: str = "identity"
@@ -95,9 +106,21 @@ class ExperimentConfig:
             raise ConfigError(f"m: must satisfy 1 <= m <= n-1, got m={self.m} n={self.n}")
         if self.num_seeds < 1:
             raise ConfigError(f"num_seeds: must be >= 1, got {self.num_seeds}")
+        if self.map == "bernoulli" and not 0 <= self.seed <= 2**64 - self.num_seeds:
+            raise ConfigError(
+                f"seed: seeds {self.seed}..{self.seed + self.num_seeds - 1} must lie "
+                f"in [0, 2^64) for map = bernoulli"
+            )
+        fold = _fold_error(self.amplitude)
+        if fold:
+            raise ConfigError(f"amplitude: {fold}")
         for e in self.eps:
             if not 0.0 < e <= 0.5:
                 raise ConfigError(f"eps: each value must be in (0, 0.5], got {e}")
+            if abs(round(1.0 / e) * e - 1.0) > 1e-12:
+                raise ConfigError(f"eps: 1/eps must be an integer, got {e}")
+        if self.homog_grid < 1:
+            raise ConfigError(f"homog_grid: must be >= 1, got {self.homog_grid}")
         if self.source not in SOURCE_PRESETS:
             raise ConfigError(f"source: unknown preset {self.source!r}")
         if self.instances < 1:
@@ -182,15 +205,16 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
+    """Worker count from --jobs, else MEMBRANE_HOMOG_JOBS, else 1; clamped to
+    [1, os.cpu_count()]."""
+    jobs = args.jobs
     env = os.environ.get("MEMBRANE_HOMOG_JOBS")
-    if env:
+    if jobs is None and env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError as exc:
             raise ConfigError(f"MEMBRANE_HOMOG_JOBS: cannot parse {env!r}") from exc
-    return 1
+    return min(max(1, jobs or 1), os.cpu_count() or 1)
 
 
 def _run_tasks(worker, tasks, jobs):
@@ -287,6 +311,11 @@ def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 
 def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
+    if cfg.num_seeds < 2:
+        raise ConfigError(
+            f"num_seeds: the effective tensor needs >= 2 seeds for a standard error, "
+            f"got {cfg.num_seeds}"
+        )
     factory = cfg.map_factory()
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     runs = corrector_runs(factory, cfg.seeds, cfg.corrector_config(), conductivity)
@@ -405,6 +434,10 @@ def main(argv=None) -> int:
     out = OutputTracker(args.out)
     try:
         COMMANDS[args.command](cfg, out, jobs)
+    except ConfigError as exc:
+        out.cleanup()
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except MembraneHomogError as exc:
         out.cleanup()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

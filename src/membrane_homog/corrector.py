@@ -19,21 +19,13 @@ from .fem import (
     BilinearFormSpec,
     FemSolution,
     assemble,
-    assemble_jump,
-    assemble_mass,
-    assemble_stiffness,
+    edge_jump_energy,
     p1_gradient,
     solve,
     triangle_geometry,
 )
-from .geometry import DeformationMap, IdentityMap, InterfaceSpec
-from .meshing import (
-    MINUS,
-    PLUS,
-    MembraneMesh,
-    build_cell_mesh,
-    build_truncated_mesh,
-)
+from .geometry import DeformationMap, InterfaceSpec
+from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh
 
 
 @dataclass
@@ -75,66 +67,53 @@ class CorrectorSolution:
         reference cell."""
         if m is None:
             m = self.config.m
-        c = self.cells.mean(axis=0) + 0.5  # lattice center of the solve
-        inside = np.all(np.abs(self.cells + 0.5 - c) <= m - 0.5 + 1e-9, axis=1)
+        inside = window_mask(self.cells, m)
         if not inside.any():
             raise ValueError(f"empty window m={m}")
         return (self.flux_plus[inside] + self.flux_minus[inside]).sum(axis=0) / inside.sum()
+
+
+def window_mask(cells: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the lattice cells of Q_m + center, the center being that of
+    all ``cells`` (cell centers within Chebyshev distance m - 1/2)."""
+    c = cells.mean(axis=0) + 0.5
+    return np.abs(cells + 0.5 - c).max(axis=1) <= m - 0.5 + 1e-9
+
+
+def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarray:
+    """Sums per lattice cell (rows of ``mesh.cells``) of per-triangle and/or
+    per-interface-edge values."""
+    out = np.zeros(len(mesh.cells))
+    if tri_values is not None:
+        out += np.bincount(mesh.tri_cell_index, weights=tri_values, minlength=len(out))
+    if edge_values is not None:
+        out += np.bincount(mesh.edge_cell_index, weights=edge_values, minlength=len(out))
+    return out
 
 
 def _per_cell_quantities(
     mesh: MembraneMesh, form: BilinearFormSpec, values: np.ndarray, p: np.ndarray
 ):
     """Per-cell physical fluxes and reference-configuration energies."""
-    cells = np.unique(mesh.tri_cell, axis=0)
-    index = {tuple(k): i for i, k in enumerate(cells)}
-    tri_idx = np.array([index[tuple(k)] for k in mesh.tri_cell])
-
     tensor = form.tensor(mesh)
     areas, _ = triangle_geometry(mesh)
-    g = p1_gradient(mesh, values)
-    flux = np.einsum("tij,tj->ti", tensor, g + p)
-    fp = np.zeros((len(cells), 2))
-    fm = np.zeros((len(cells), 2))
-    for d in range(2):
-        wf = areas * flux[:, d]
-        plus = mesh.tri_region == PLUS
-        np.add.at(fp[:, d], tri_idx[plus], wf[plus])
-        np.add.at(fm[:, d], tri_idx[~plus], wf[~plus])
+    flux = areas[:, None] * np.einsum("tij,tj->ti", tensor, p1_gradient(mesh, values) + p)
+    plus = mesh.tri_region == PLUS
+    fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
+    fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
 
     # reference-configuration energy: same nodal values, lattice coordinates
-    ref = MembraneMesh(
-        vertices=mesh.ref_vertices,
-        triangles=mesh.triangles,
-        tri_region=mesh.tri_region,
-        tri_cell=mesh.tri_cell,
-        interface_pairs=mesh.interface_pairs,
-        boundary_nodes=mesh.boundary_nodes,
-        h=mesh.h,
-    )
-    ref_areas, ref_grads = triangle_geometry(ref)
-    gref = np.einsum("tid,ti->td", ref_grads, values[mesh.triangles])
+    ref_areas, ref_grads = triangle_geometry(mesh, mesh.ref_vertices)
+    u = values[mesh.triangles]
+    gref = np.einsum("tid,ti->td", ref_grads, u)
     e_grad = ref_areas * np.einsum("td,td->t", gref, gref)
-    uc2 = (values[mesh.triangles] ** 2).sum(axis=1) + (
-        values[mesh.triangles].sum(axis=1) ** 2
-    )
+    uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
     e_mass = form.mass_weight * ref_areas * uc2 / 12.0  # exact P1 mass per triangle
-    energy = np.zeros(len(cells))
-    np.add.at(energy, tri_idx, e_grad + e_mass)
-
-    jump2 = np.zeros(len(cells))
-    edges, edge_cells = mesh.interface_edges_with_cells()
-    if len(edges):
-        L = np.linalg.norm(
-            mesh.ref_vertices[edges[:, 1]] - mesh.ref_vertices[edges[:, 0]], axis=1
-        )
-        ja = values[edges[:, 0]] - values[edges[:, 2]]
-        jb = values[edges[:, 1]] - values[edges[:, 3]]
-        e_j = L / 6.0 * (2.0 * ja**2 + 2.0 * ja * jb + 2.0 * jb**2)
-        eidx = np.array([index[tuple(k)] for k in edge_cells])
-        np.add.at(jump2, eidx, e_j)
-    energy += jump2
-    return cells, fp, fm, energy, jump2
+    jump2 = cell_sums(
+        mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
+    )
+    energy = cell_sums(mesh, e_grad + e_mass) + jump2
+    return mesh.cells, fp, fm, energy, jump2
 
 
 def solve_truncated(
@@ -222,13 +201,9 @@ def periodic_cell_solve(
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:
     """E_k for k = 1..n: cumulative reference-configuration energy (gradient,
     delta-mass, interface jump) over the cells of Q_k + center."""
-    n = corr.config.n
-    c = corr.cells.mean(axis=0) + 0.5
-    dist = np.abs(corr.cells + 0.5 - c).max(axis=1)  # cell center Chebyshev dist
-    out = np.zeros(n)
-    for k in range(1, n + 1):
-        out[k - 1] = corr.cell_energy[dist <= k - 0.5 + 1e-9].sum()
-    return out
+    return np.array(
+        [corr.cell_energy[window_mask(corr.cells, k)].sum() for k in range(1, corr.config.n + 1)]
+    )
 
 
 def sublinearity_diagnostic(sols: list[CorrectorSolution]) -> np.ndarray:

@@ -13,11 +13,16 @@ from typing import Callable
 
 import numpy as np
 
-from .corrector import CorrectorConfig, CorrectorSolution, solve_truncated
+from .corrector import (
+    CorrectorConfig,
+    CorrectorSolution,
+    cell_sums,
+    solve_truncated,
+    window_mask,
+)
 from .errors import EllipticityViolation, InsufficientSamples
-from .fem import p1_gradient, triangle_geometry
+from .fem import edge_jump_energy, p1_gradient, triangle_geometry
 from .geometry import DeformationMap, InterfaceSpec, jacobian_phi
-from .meshing import PLUS
 
 
 @dataclass
@@ -150,26 +155,9 @@ def _window_energy(corr: CorrectorSolution, partner: CorrectorSolution, xi) -> f
     areas, _ = triangle_geometry(mesh)
     g = p1_gradient(mesh, values) + xi
     e_tri = areas * np.einsum("ti,tij,tj->t", g, tensor, g)
-
-    cells = corr.cells
-    index = {tuple(k): i for i, k in enumerate(cells)}
-    tri_idx = np.array([index[tuple(k)] for k in mesh.tri_cell])
-    per_cell = np.zeros(len(cells))
-    np.add.at(per_cell, tri_idx, e_tri)
-
-    edges, edge_cells = mesh.interface_edges_with_cells()
-    if len(edges):
-        L = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
-        ja = values[edges[:, 0]] - values[edges[:, 2]]
-        jb = values[edges[:, 1]] - values[edges[:, 3]]
-        e_j = corr.form.jump_weight * L / 6.0 * (2.0 * ja**2 + 2.0 * ja * jb + 2.0 * jb**2)
-        eidx = np.array([index[tuple(k)] for k in edge_cells])
-        np.add.at(per_cell, eidx, e_j)
-
-    m = corr.config.m
-    c = cells.mean(axis=0) + 0.5
-    inside = np.all(np.abs(cells + 0.5 - c) <= m - 0.5 + 1e-9, axis=1)
-    return float(per_cell[inside].sum() / inside.sum())
+    e_jump = corr.form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
+    inside = window_mask(corr.cells, corr.config.m)
+    return float(cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum())
 
 
 def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -> float:

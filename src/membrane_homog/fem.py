@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh
+from .meshing import MINUS, PLUS, MembraneMesh, triangle_geometry
 
 CG_RTOL = 1e-10
 
@@ -97,23 +97,6 @@ class FemSolution:
     iterations: int = 0
 
 
-def triangle_geometry(mesh: MembraneMesh):
-    """Areas (nt,) and P1 basis gradients (nt, 3, 2), physical coordinates."""
-    v = mesh.vertices
-    t = mesh.triangles
-    d1 = v[t[:, 1]] - v[t[:, 0]]
-    d2 = v[t[:, 2]] - v[t[:, 0]]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    areas = 0.5 * det
-    grads = np.zeros((len(t), 3, 2))
-    grads[:, 1, 0] = d2[:, 1] / det
-    grads[:, 1, 1] = -d2[:, 0] / det
-    grads[:, 2, 0] = -d1[:, 1] / det
-    grads[:, 2, 1] = d1[:, 0] / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return areas, grads
-
-
 def assemble_stiffness(mesh: MembraneMesh, tensor: np.ndarray) -> sp.csr_matrix:
     areas, grads = triangle_geometry(mesh)
     Ag = np.einsum("tij,tkj->tki", tensor, grads)
@@ -136,27 +119,35 @@ def assemble_mass(mesh: MembraneMesh) -> sp.csr_matrix:
     return sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
+# jump coupling of the two sides (x) 6 * the P1 edge mass [[2, 1], [1, 2]] / 6,
+# over the dofs (plus_a, plus_b, minus_a, minus_b)
+_JUMP_BASE = np.kron([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
+
+
+def jump_element_matrices(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """P1 matrices (ne, 4, 4) of int_e (u+ - u-)(v+ - v-) ds on each interface
+    edge, over its dofs (plus_a, plus_b, minus_a, minus_b), with the edge
+    length taken from ``vertices`` (exact for P1)."""
+    L = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
+    return (L / 6.0)[:, None, None] * _JUMP_BASE
+
+
+def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """int_e (u+ - u-)^2 ds per interface edge (unweighted)."""
+    u = values[edges]
+    return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), u)
+
+
 def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
     """Unweighted jump form sum_e int_e (u+ - u-)(v+ - v-) ds on the
-    deformed interface polyline (edge mass matrices, exact for P1)."""
+    deformed interface polyline."""
     nv = mesh.num_vertices
-    edges = mesh.interface_edges()
+    edges = mesh.interface_edges
     if len(edges) == 0:
         return sp.csr_matrix((nv, nv))
-    v = mesh.vertices
-    L = np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)
-    base = np.array(
-        [
-            [2.0, 1.0, -2.0, -1.0],
-            [1.0, 2.0, -1.0, -2.0],
-            [-2.0, -1.0, 2.0, 1.0],
-            [-1.0, -2.0, 1.0, 2.0],
-        ]
-    )
-    Ke = (L / 6.0)[:, None, None] * base
-    dofs = edges[:, [0, 1, 2, 3]]
-    rows = np.repeat(dofs, 4, axis=1).ravel()
-    cols = np.tile(dofs, (1, 4)).ravel()
+    Ke = jump_element_matrices(mesh.vertices, edges)
+    rows = np.repeat(edges, 4, axis=1).ravel()
+    cols = np.tile(edges, (1, 4)).ravel()
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 

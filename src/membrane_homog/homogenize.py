@@ -15,6 +15,7 @@ from .fem import (
     FemSolution,
     assemble,
     flux_pairing,
+    identity_field,
     norms,
     solve,
     triangle_geometry,
@@ -57,10 +58,12 @@ def solve_hetero(
         spec = InterfaceSpec()
     cell = build_cell_mesh(spec, h_cell)
     mesh = tile_domain_mesh(cell, dmap, eps, spec, membranes_rule=membranes_rule)
-    form = BilinearFormSpec(jump_weight=1.0 / eps)
-    if conductivity is not None:
-        form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0 / eps)
-    return solve(assemble(mesh, form, f=f))
+    return solve(assemble(mesh, hetero_form(eps, conductivity), f=f))
+
+
+def hetero_form(eps: float, conductivity=None) -> BilinearFormSpec:
+    """The heterogeneous form: conductivity (default identity), jump weight 1/eps."""
+    return BilinearFormSpec(conductivity=conductivity or identity_field, jump_weight=1.0 / eps)
 
 
 def constant_field(A0: np.ndarray):
@@ -72,16 +75,20 @@ def constant_field(A0: np.ndarray):
     return field
 
 
-def solve_homog(A0: np.ndarray, f, m: int = 128) -> FemSolution:
-    """Constant-coefficient Dirichlet solve on the uniform fine grid."""
+def homog_form(A0: np.ndarray) -> BilinearFormSpec:
+    """The constant-coefficient form of A0, ellipticity bounds from its
+    symmetric part."""
     A0 = np.asarray(A0, dtype=float)
     eig = np.linalg.eigvalsh(0.5 * (A0 + A0.T))
-    mesh = build_square_mesh(m)
-    form = BilinearFormSpec(
+    return BilinearFormSpec(
         conductivity=constant_field(A0), lam=float(eig.min()) - 1e-12,
         Lam=float(eig.max()) + 1e-12,
     )
-    return solve(assemble(mesh, form, f=f))
+
+
+def solve_homog(A0: np.ndarray, f, m: int = 128) -> FemSolution:
+    """Constant-coefficient Dirichlet solve on the uniform fine grid."""
+    return solve(assemble(build_square_mesh(m), homog_form(A0), f=f))
 
 
 def grid_interpolate(sol: FemSolution, pts: np.ndarray) -> np.ndarray:
@@ -143,15 +150,8 @@ def error_suite(
     rec = norms(u_eps)
     jump = rec["jump_L2_on_interface"]
 
-    form = BilinearFormSpec(jump_weight=1.0 / eps)
-    if conductivity is not None:
-        form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0 / eps)
-    A0 = np.asarray(A0, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (A0 + A0.T))
-    form0 = BilinearFormSpec(
-        conductivity=constant_field(A0), lam=float(eig.min()) - 1e-12,
-        Lam=float(eig.max()) + 1e-12,
-    )
+    form = hetero_form(eps, conductivity)
+    form0 = homog_form(A0)
     flux_res = np.array(
         [
             abs(flux_pairing(u_eps, form, psi) - flux_pairing(u0, form0, psi))
@@ -160,14 +160,14 @@ def error_suite(
     )
 
     minus = mesh.tri_region == MINUS
+    c0 = u0.mesh.vertices[u0.mesh.triangles].mean(axis=1)
+    a0, _ = triangle_geometry(u0.mesh)
+    u0c = u0.values[u0.mesh.triangles].mean(axis=1)
     u0_pair = []
     ue_pair = []
     for phi in SCALAR_TEST_FIELDS:
         pc = phi(cent)
         ue_pair.append(float(np.sum(areas[minus] * ue_c[minus] * pc[minus])))
-        c0 = u0.mesh.vertices[u0.mesh.triangles].mean(axis=1)
-        a0, _ = triangle_geometry(u0.mesh)
-        u0c = u0.values[u0.mesh.triangles].mean(axis=1)
         u0_pair.append(float(np.sum(a0 * u0c * phi(c0))))
     mass_res = np.abs(np.array(ue_pair) - theta * np.array(u0_pair))
 

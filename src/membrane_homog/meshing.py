@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshQualityFailure, StitchFailure
-from .geometry import DeformationMap, IdentityMap, InterfaceSpec
+from .geometry import DeformationMap, InterfaceSpec
 
 PLUS = 1
 MINUS = -1
@@ -33,6 +33,12 @@ class MembraneMesh:
     reference-lattice coordinates (equal to ``vertices`` for identity maps and
     unscaled meshes).  ``interface_pairs`` rows are (plus node, minus node)
     with coincident coordinates.
+
+    The topology is derived once, at construction: ``cells`` are the distinct
+    lattice cells of ``tri_cell`` in lexicographic order, ``tri_cell_index``
+    gives each triangle's row of ``cells``, ``interface_edges`` holds rows
+    (plus_a, plus_b, minus_a, minus_b) and ``edge_cell_index`` the row of
+    ``cells`` each edge belongs to.
     """
 
     vertices: np.ndarray
@@ -43,10 +49,45 @@ class MembraneMesh:
     boundary_nodes: np.ndarray
     h: float
     ref_vertices: np.ndarray = None
+    cells: np.ndarray = field(init=False, repr=False)
+    tri_cell_index: np.ndarray = field(init=False, repr=False)
+    interface_edges: np.ndarray = field(init=False, repr=False)
+    edge_cell_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ref_vertices is None:
             self.ref_vertices = self.vertices
+        lo = self.tri_cell.min(axis=0, initial=0)
+        k = self.tri_cell - lo
+        ny = k[:, 1].max(initial=0) + 1
+        keys, self.tri_cell_index = np.unique(k[:, 0] * ny + k[:, 1], return_inverse=True)
+        self.cells = np.column_stack([keys // ny, keys % ny]) + lo
+        self.interface_edges, edge_tri = self._interface_edges()
+        self.edge_cell_index = self.tri_cell_index[edge_tri]
+
+    def _interface_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Interface edges and the MINUS triangle each comes from.
+
+        Edges are the boundary edges of the MINUS region (edges of exactly one
+        MINUS triangle) whose ends are both MINUS interface nodes, oriented as
+        traversed by their MINUS triangle (counterclockwise around each
+        membrane, so the MINUS outward normal is the tangent rotated by -90),
+        sorted by their plus nodes.
+        """
+        minus_tri = np.flatnonzero(self.tri_region == MINUS)
+        nv = self.num_vertices
+        t = self.triangles[minus_tri]
+        a = t.reshape(-1)
+        b = t[:, [1, 2, 0]].reshape(-1)
+        _, inverse, count = np.unique(
+            np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True, return_counts=True
+        )
+        m2p = np.full(nv, -1, dtype=np.int64)
+        m2p[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
+        on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
+        rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int64)
+        order = np.lexsort(rows.T[::-1])
+        return rows[order], minus_tri[on // 3][order]
 
     @property
     def num_vertices(self) -> int:
@@ -56,48 +97,9 @@ class MembraneMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def interface_edges(self) -> np.ndarray:
-        """Interface edges as rows (plus_a, plus_b, minus_a, minus_b).
-
-        Edges are recovered as boundary edges of the MINUS region, oriented as
-        traversed by their MINUS triangle (counterclockwise around each
-        membrane, so the MINUS outward normal is the tangent rotated by -90).
-        """
-        return self.interface_edges_with_cells()[0]
-
     def interface_edges_with_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Interface edges plus the lattice cell each edge belongs to."""
-        if len(self.interface_pairs) == 0:
-            return np.zeros((0, 4), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
-        minus_iface = set(self.interface_pairs[:, 1].tolist())
-        m2p = {int(m): int(p) for p, m in self.interface_pairs}
-        edge_count: dict[tuple[int, int], int] = {}
-        oriented: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        for t, (tri, reg) in enumerate(zip(self.triangles, self.tri_region)):
-            if reg != MINUS:
-                continue
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                a, b = int(a), int(b)
-                key = (min(a, b), max(a, b))
-                edge_count[key] = edge_count.get(key, 0) + 1
-                oriented[key] = (a, b, int(self.tri_cell[t, 0]), int(self.tri_cell[t, 1]))
-        rows = []
-        for key, cnt in edge_count.items():
-            if cnt != 1:
-                continue
-            ma, mb, ckx, cky = oriented[key]
-            if ma in minus_iface and mb in minus_iface:
-                rows.append((m2p[ma], m2p[mb], ma, mb, ckx, cky))
-        rows.sort()
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
-        return arr[:, :4], arr[:, 4:6]
-
-    def triangle_areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self.interface_edges, self.cells[self.edge_cell_index]
 
     def min_angle_deg(self) -> float:
         v = self.vertices
@@ -114,6 +116,24 @@ class MembraneMesh:
             )
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
         return float(np.min(angles))
+
+
+def triangle_geometry(mesh: MembraneMesh, vertices: np.ndarray = None):
+    """Areas (nt,) and P1 basis gradients (nt, 3, 2) of the mesh triangles,
+    at ``vertices`` (default: the physical coordinates ``mesh.vertices``)."""
+    v = mesh.vertices if vertices is None else vertices
+    t = mesh.triangles
+    d1 = v[t[:, 1]] - v[t[:, 0]]
+    d2 = v[t[:, 2]] - v[t[:, 0]]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    areas = 0.5 * det
+    grads = np.zeros((len(t), 3, 2))
+    grads[:, 1, 0] = d2[:, 1] / det
+    grads[:, 1, 1] = -d2[:, 0] / det
+    grads[:, 2, 0] = -d1[:, 1] / det
+    grads[:, 2, 1] = d1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return areas, grads
 
 
 def _reflect_quadrants(first: np.ndarray, n: int) -> np.ndarray:
@@ -307,88 +327,81 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     return mesh
 
 
+def _lattice(xs, ys) -> np.ndarray:
+    """Integer cells (kx, ky) for kx in xs, ky in ys, kx varying slowest."""
+    kx, ky = np.meshgrid(np.asarray(xs), np.asarray(ys), indexing="ij")
+    return np.column_stack([kx.ravel(), ky.ravel()]).astype(np.int64)
+
+
 def _assemble_tiles(
     cell: MembraneMesh,
     dmap: DeformationMap,
-    cells: list[tuple[int, int]],
-    membrane: dict[tuple[int, int], bool],
+    cells: np.ndarray,
+    membrane: np.ndarray,
     scale: float,
 ) -> MembraneMesh:
-    """Deform the cell template into each lattice cell and stitch shared
-    boundary nodes (bitwise-coincident because maps fix cell boundaries)."""
-    nv = cell.num_vertices
-    is_boundary = np.zeros(nv, dtype=bool)
-    is_boundary[cell.boundary_nodes] = True
-    minus_nodes = np.zeros(nv, dtype=bool)
-    minus_nodes[cell.interface_pairs[:, 1]] = True
-    m2p_local = {int(m): int(p) for p, m in cell.interface_pairs}
+    """Deform the cell template into each lattice cell (rows of ``cells``,
+    ``membrane`` flags those keeping their membrane) and stitch shared
+    boundary nodes (bitwise-coincident because maps fix cell boundaries).
 
-    verts: list[np.ndarray] = []
-    ref_verts: list[np.ndarray] = []
-    shared: dict[tuple[int, int], int] = {}
-    tris = []
-    regions = []
-    tri_cells = []
-    pairs = []
+    Nodes are numbered in order of first appearance, cell by cell; a shared
+    boundary node belongs to the first cell that carries it.  Cells without a
+    membrane merge each MINUS interface node into its PLUS copy.
+    """
+    nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
+    plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
+    ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
+    phys = scale * dmap.apply(ref)
 
-    for k in cells:
-        ref = cell.vertices + np.array(k, dtype=float)
-        phys = scale * dmap.apply(ref)
-        has_membrane = membrane[k]
-        gid = np.full(nv, -1, dtype=np.int64)
-        for v in range(nv):
-            if not has_membrane and minus_nodes[v]:
-                continue  # merged into the plus copy below
-            if is_boundary[v]:
-                key = (int(round(phys[v, 0] * 1e10)), int(round(phys[v, 1] * 1e10)))
-                idx = shared.get(key)
-                if idx is not None:
-                    if np.abs(verts[idx] - phys[v]).max() > STITCH_TOL:
-                        raise StitchFailure(
-                            f"boundary node mismatch at cell {k}: "
-                            f"{verts[idx]} vs {phys[v]}"
-                        )
-                    gid[v] = idx
-                    continue
-                shared[key] = len(verts)
-            gid[v] = len(verts)
-            verts.append(phys[v])
-            ref_verts.append(ref[v])
-        if not has_membrane:
-            for m, p in m2p_local.items():
-                gid[m] = gid[p]
-        for tri, reg in zip(cell.triangles, cell.tri_region):
-            tris.append((gid[tri[0]], gid[tri[1]], gid[tri[2]]))
-            regions.append(reg if has_membrane else PLUS)
-            tri_cells.append(k)
-        if has_membrane:
-            for p, m in cell.interface_pairs:
-                pairs.append((gid[p], gid[m]))
+    # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
+    keep = np.ones((nc, nv), dtype=bool)
+    keep[np.ix_(~membrane, minus)] = False
+    on_boundary = np.zeros(nv, dtype=bool)
+    on_boundary[cell.boundary_nodes] = True
+    shared = np.flatnonzero(keep & on_boundary)
+    keys = np.round(phys[shared] * 1e10).astype(np.int64)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    owner = shared[first][group.reshape(-1)]
+    mismatch = np.flatnonzero(np.abs(phys[owner] - phys[shared]).max(axis=1) > STITCH_TOL)
+    if len(mismatch):
+        i = mismatch[0]
+        k = tuple(int(x) for x in cells[shared[i] // nv])
+        raise StitchFailure(
+            f"boundary node mismatch at cell {k}: {phys[owner[i]]} vs {phys[shared[i]]}"
+        )
 
+    new = keep.reshape(-1)  # entries that start a node: all but non-owner shared ones
+    new[shared] = owner == shared
+    gid = np.full(nc * nv, -1, dtype=np.int64)
+    gid[new] = np.arange(np.count_nonzero(new))
+    gid[shared] = gid[owner]
+    gid = gid.reshape(nc, nv)
+    gid[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
+
+    pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
     return MembraneMesh(
-        vertices=np.array(verts),
-        triangles=np.array(tris, dtype=np.int64),
-        tri_region=np.array(regions, dtype=np.int8),
-        tri_cell=np.array(tri_cells, dtype=np.int64),
-        interface_pairs=(
-            np.array(pairs, dtype=np.int64) if pairs else np.zeros((0, 2), dtype=np.int64)
-        ),
+        vertices=phys[new],
+        triangles=gid[:, cell.triangles].reshape(-1, 3),
+        tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
+        tri_cell=np.repeat(cells, nt, axis=0),
+        interface_pairs=pairs.reshape(-1, 2),
         boundary_nodes=np.zeros(0, dtype=np.int64),  # set by the caller
         h=cell.h * scale,
-        ref_vertices=np.array(ref_verts),
+        ref_vertices=ref[new],
     )
+
+
+def _carries_membrane(cells: np.ndarray, n: int, beta: float) -> np.ndarray:
+    """Mask of the cells of the n x n grid at reference distance >= beta from
+    the boundary of [0,n]^2."""
+    return np.minimum(cells, n - 1 - cells).min(axis=1) >= beta
 
 
 def membrane_cells(n: int, beta: float) -> list[tuple[int, int]]:
     """Lattice cells of the n x n grid at reference distance >= beta from the
     boundary of [0,n]^2; these carry membranes."""
-    kept = []
-    for kx in range(n):
-        for ky in range(n):
-            dist = min(kx, ky, n - 1 - kx, n - 1 - ky)
-            if dist >= beta:
-                kept.append((kx, ky))
-    return kept
+    cells = _lattice(range(n), range(n))
+    return [tuple(k) for k in cells[_carries_membrane(cells, n, beta)].tolist()]
 
 
 def tile_domain_mesh(
@@ -406,14 +419,13 @@ def tile_domain_mesh(
     n = round(1.0 / eps)
     if abs(n * eps - 1.0) > 1e-12:
         raise ValueError(f"1/eps must be an integer, got eps={eps}")
-    cells = [(kx, ky) for kx in range(n) for ky in range(n)]
+    cells = _lattice(range(n), range(n))
     if membranes_rule == "off":
-        carriers: set[tuple[int, int]] = set()
+        membrane = np.zeros(len(cells), dtype=bool)
     elif membranes_rule == "on":
-        carriers = set(membrane_cells(n, spec.beta))
+        membrane = _carries_membrane(cells, n, spec.beta)
     else:
         raise ValueError(f"unknown membranes_rule {membranes_rule!r}")
-    membrane = {k: (k in carriers) for k in cells}
     mesh = _assemble_tiles(cell, dmap, cells, membrane, scale=eps)
     v = mesh.vertices
     on_bd = (
@@ -439,8 +451,8 @@ def build_truncated_mesh(
     if n < 1:
         raise ValueError("half-width n must be >= 1")
     cx, cy = center
-    cells = [(kx, ky) for kx in range(cx - n, cx + n) for ky in range(cy - n, cy + n)]
-    membrane = {k: membranes for k in cells}
+    cells = _lattice(range(cx - n, cx + n), range(cy - n, cy + n))
+    membrane = np.full(len(cells), bool(membranes))
     mesh = _assemble_tiles(cell, dmap, cells, membrane, scale=1.0)
     v = mesh.ref_vertices
     on_bd = (
@@ -458,18 +470,10 @@ def build_square_mesh(m: int) -> MembraneMesh:
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
-
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            a, b = vid(i, j), vid(i + 1, j)
-            c_, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c_))
-            tris.append((a, c_, d))
-    triangles = np.array(tris, dtype=np.int64)
+    # square (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+    a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    b, c, d = a + m + 1, a + m + 2, a + 1
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
     on_bd = (
         (verts[:, 0] == 0.0) | (verts[:, 0] == 1.0) | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0)
     )
@@ -509,7 +513,7 @@ def mesh_report(mesh: MembraneMesh) -> MeshReport:
         raise ValueError("empty mesh")
     issues: list[str] = []
 
-    areas = mesh.triangle_areas()
+    areas, _ = triangle_geometry(mesh)
     positive = bool(areas.min() > 0.0)
     if not positive:
         issues.append(f"nonpositive triangle area {areas.min():.3e}")

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from membrane_homog.cli import ExperimentConfig, main, parse_config
+import membrane_homog.cli as cli
+from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
 from membrane_homog.errors import ConfigError
 
 QUICK_CFG = """\
@@ -130,3 +132,44 @@ class TestDeterminism:
         plan = json.loads(capsys.readouterr().out)
         assert plan["config"]["seed"] == 5
         assert plan["config_hash"] != parse_config(cfg_path).hash()
+
+
+class TestInputErrors:
+    """Input the program cannot run exits 2 with a message naming the key."""
+
+    @pytest.mark.parametrize(
+        "extra, command, key",
+        [
+            ("eps = 0.3\n", ["homogenize"], "eps"),
+            ("homog_grid = 0\n", ["homogenize"], "homog_grid"),
+            ("map = bernoulli\n", ["effective", "--seed", "-1"], "seed"),
+            ("map = bump\namplitude = 5\n", ["effective"], "amplitude"),
+        ],
+        ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
+             "folding_bump_amplitude"],
+    )
+    def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG + extra)
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(p), "--out", str(out)]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["effective", "homogenize"])
+    def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
+        def no_solves(*args, **kwargs):
+            raise AssertionError("corrector solves started")
+
+        monkeypatch.setattr(cli, "corrector_runs", no_solves)
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("num_seeds = 2", "num_seeds = 1"))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: num_seeds:" in capsys.readouterr().err
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("MEMBRANE_HOMOG_JOBS", raising=False)
+        cpus = os.cpu_count() or 1
+        assert resolve_jobs(argparse.Namespace(jobs=100000)) == cpus
+        assert resolve_jobs(argparse.Namespace(jobs=0)) == 1
+        monkeypatch.setenv("MEMBRANE_HOMOG_JOBS", "100000")
+        assert resolve_jobs(argparse.Namespace(jobs=None)) == cpus

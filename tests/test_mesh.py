@@ -17,9 +17,92 @@ from membrane_homog.meshing import (
     membrane_cells,
     mesh_report,
     tile_domain_mesh,
+    triangle_geometry,
 )
 
 SPEC = InterfaceSpec()
+
+
+def scanned_topology(mesh):
+    """Reference topology by a plain scan over the triangles: sorted distinct
+    cells, each triangle's cell row, and the interface edges (boundary edges
+    of the MINUS region between MINUS interface nodes, oriented by their MINUS
+    triangle, sorted) with their cells."""
+    cells = sorted(set(map(tuple, mesh.tri_cell.tolist())))
+    row = {k: i for i, k in enumerate(cells)}
+    tri_index = [row[tuple(k)] for k in mesh.tri_cell.tolist()]
+    m2p = {m: p for p, m in mesh.interface_pairs.tolist()}
+    count, oriented = {}, {}
+    for tri, reg, k in zip(mesh.triangles.tolist(), mesh.tri_region, mesh.tri_cell.tolist()):
+        if reg != MINUS:
+            continue
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            count[key] = count.get(key, 0) + 1
+            oriented[key] = (a, b, k)
+    rows = sorted(
+        (m2p[a], m2p[b], a, b, *k)
+        for key, (a, b, k) in oriented.items()
+        if count[key] == 1 and a in m2p and b in m2p
+    )
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    return np.array(cells).reshape(-1, 2), np.array(tri_index), rows[:, :4], rows[:, 4:]
+
+
+def looped_tiling(cell, dmap, cells, membrane, scale):
+    """Reference tiling by a loop over the nodes of each cell: nodes numbered
+    in order of first appearance, shared boundary nodes matched by rounded
+    coordinates, MINUS nodes of membrane-less cells merged into their PLUS
+    copies."""
+    boundary = set(cell.boundary_nodes.tolist())
+    m2p = {m: p for p, m in cell.interface_pairs.tolist()}
+    verts, refs, shared, tris, regions, tri_cells, pairs = [], [], {}, [], [], [], []
+    for k, has in zip(cells, membrane):
+        ref = cell.vertices + np.array(k, dtype=float)
+        phys = scale * dmap.apply(ref)
+        gid = {}
+        for v in range(cell.num_vertices):
+            if not has and v in m2p:
+                continue
+            if v in boundary:
+                key = (int(round(phys[v, 0] * 1e10)), int(round(phys[v, 1] * 1e10)))
+                if key in shared:
+                    gid[v] = shared[key]
+                    continue
+                shared[key] = len(verts)
+            gid[v] = len(verts)
+            verts.append(phys[v])
+            refs.append(ref[v])
+        for m, p in m2p.items():
+            gid.setdefault(m, gid[p])
+        for tri, reg in zip(cell.triangles.tolist(), cell.tri_region.tolist()):
+            tris.append([gid[a] for a in tri])
+            regions.append(reg if has else PLUS)
+            tri_cells.append(k)
+        if has:
+            pairs += [(gid[p], gid[m]) for p, m in cell.interface_pairs.tolist()]
+    return {
+        "vertices": np.array(verts), "ref_vertices": np.array(refs),
+        "triangles": np.array(tris), "tri_region": np.array(regions),
+        "tri_cell": np.array(tri_cells), "interface_pairs": np.array(pairs).reshape(-1, 2),
+    }
+
+
+def assert_tiling_matches_loop(mesh, reference):
+    for name, want in reference.items():
+        got = getattr(mesh, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def assert_topology_matches_scan(mesh):
+    cells, tri_index, edges, edge_cells = scanned_topology(mesh)
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.tri_cell_index, tri_index)
+    assert np.array_equal(mesh.interface_edges, edges)
+    stored_edges, stored_cells = mesh.interface_edges_with_cells()
+    assert np.array_equal(stored_edges, edges)
+    assert np.array_equal(stored_cells, edge_cells)
+    assert np.array_equal(mesh.cells[mesh.edge_cell_index], edge_cells)
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +122,15 @@ class TestCellMesh:
     @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
     def test_total_area_is_one(self, h):
         mesh = build_cell_mesh(SPEC, h)
-        assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-12
+        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
 
     def test_minus_area_approximates_disk(self):
         mesh = build_cell_mesh(SPEC, 0.05)
-        a_minus = mesh.triangle_areas()[mesh.tri_region == MINUS].sum()
+        a_minus = triangle_geometry(mesh)[0][mesh.tri_region == MINUS].sum()
         assert abs(a_minus - np.pi * SPEC.radius**2) < 2e-3
 
     def test_interface_edge_count_matches_node_count(self, cell_h01):
-        edges = cell_h01.interface_edges()
+        edges = cell_h01.interface_edges
         assert len(edges) == len(cell_h01.interface_pairs)
         # closed polyline: each minus node appears once as source, once as target
         assert sorted(edges[:, 2]) == sorted(edges[:, 3])
@@ -110,7 +193,7 @@ class TestTiledDomain:
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC)
         rep = mesh_report(mesh)
         assert rep.ok, rep.issues
-        assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-12
+        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
         cells = set(map(tuple, mesh.tri_cell[mesh.tri_region == MINUS].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
         n_if = len(cell_h01.interface_pairs)
@@ -120,14 +203,14 @@ class TestTiledDomain:
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.5, SPEC)
         assert len(mesh.interface_pairs) == 0
         assert (mesh.tri_region == PLUS).all()
-        assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-12
+        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
 
     def test_deformed_tiling_conforms(self, cell_h01):
         dmap = BernoulliCellwiseMap(seed=42)
         mesh = tile_domain_mesh(cell_h01, dmap, 0.125, SPEC)
         rep = mesh_report(mesh)
         assert rep.ok, rep.issues
-        assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-10
+        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-10
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes_rule="off")
@@ -176,12 +259,12 @@ class TestTruncatedMesh:
         cells = set(map(tuple, mesh.tri_cell.tolist()))
         assert cells == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
         assert len(mesh.interface_pairs) == 4 * len(cell_h01.interface_pairs)
-        assert abs(mesh.triangle_areas().sum() - 4.0) < 1e-12
+        assert abs(triangle_geometry(mesh)[0].sum() - 4.0) < 1e-12
 
     def test_deformed_area_preserved(self, cell_h01):
         """Each cell maps onto itself, so mesh area equals the cube area."""
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=7), 4)
-        assert abs(mesh.triangle_areas().sum() - 64.0) < 1e-10
+        assert abs(triangle_geometry(mesh)[0].sum() - 64.0) < 1e-10
         assert mesh_report(mesh).ok
 
     def test_all_cells_carry_membranes(self, cell_h01):
@@ -209,9 +292,55 @@ class TestSquareMesh:
         mesh = build_square_mesh(8)
         assert mesh.num_triangles == 128
         assert mesh.num_vertices == 81
-        assert abs(mesh.triangle_areas().sum() - 1.0) < 1e-14
+        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
         assert mesh_report(mesh).ok
+
+
+class TestTilingMatchesLoop:
+    """The vectorized tiling gives bitwise the mesh of a per-node loop."""
+
+    def test_tiled_domain_with_cushion_cells(self, cell_h01):
+        dmap = BernoulliCellwiseMap(seed=8)
+        carriers = set(membrane_cells(8, SPEC.beta))
+        cells = [(kx, ky) for kx in range(8) for ky in range(8)]
+        reference = looped_tiling(cell_h01, dmap, cells, [k in carriers for k in cells], 0.125)
+        assert_tiling_matches_loop(tile_domain_mesh(cell_h01, dmap, 0.125, SPEC), reference)
+
+    def test_truncated_cube_without_membranes(self, cell_h01):
+        dmap = BernoulliCellwiseMap(seed=2)
+        cells = [(kx, ky) for kx in range(-1, 3) for ky in range(-3, 1)]
+        reference = looped_tiling(cell_h01, dmap, cells, [False] * len(cells), 1.0)
+        mesh = build_truncated_mesh(cell_h01, dmap, 2, center=(1, -1), membranes=False)
+        assert_tiling_matches_loop(mesh, reference)
+
+
+class TestStoredTopology:
+    """The topology computed at construction equals a plain triangle scan."""
+
+    def test_bernoulli_truncated_cube(self, cell_h01):
+        mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=4), 2, center=(1, -1))
+        assert len(mesh.interface_edges) == 16 * len(cell_h01.interface_pairs)
+        assert_topology_matches_scan(mesh)
+
+    def test_tiled_domain_with_cushion_cells(self, cell_h01):
+        mesh = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=8), 0.125, SPEC)
+        assert len(mesh.cells) == 64
+        assert len(mesh.interface_edges) == 36 * len(cell_h01.interface_pairs)
+        assert_topology_matches_scan(mesh)
+
+    def test_membranes_off(self, cell_h01):
+        mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes_rule="off")
+        assert mesh.interface_edges.shape == (0, 4)
+        assert_topology_matches_scan(mesh)
+
+    def test_export_import_round_trip(self, cell_h01, tmp_path):
+        mesh = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=6), 0.25, SPEC)
+        export_mesh(mesh, tmp_path / "m.txt")
+        again = import_mesh(tmp_path / "m.txt")
+        assert_topology_matches_scan(again)
+        for name in ("cells", "tri_cell_index", "interface_edges", "edge_cell_index"):
+            assert np.array_equal(getattr(mesh, name), getattr(again, name))
 
 
 class TestExportImport:
