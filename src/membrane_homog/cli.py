@@ -13,16 +13,17 @@ import concurrent.futures
 import functools
 import hashlib
 import json
+import math
+import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .corrector import (
     CorrectorConfig,
     energy_profile,
-    solve_truncated,
     write_energy_csv,
     write_flux_csv,
 )
@@ -64,6 +65,33 @@ SOURCE_PRESETS = {
 }
 
 
+# The keys that determine A0; effective.json records their hash (see cmd_homogenize).
+A0_KEYS = ("map", "radius", "amplitude", "conductivity", "h", "delta", "n", "m", "seed",
+           "num_seeds")
+_KINDS = {str: (str, "a string"), int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a finite number")}
+
+
+def _typed(key: str, value, default):
+    """``value`` as the type of ``default`` (a list of finite numbers, an integer,
+    a finite number or a string), else ConfigError naming ``key``; bools are not numbers."""
+    if isinstance(default, list):
+        if isinstance(value, list):
+            return [_typed(key, v, 0.0) for v in value]
+        raise ConfigError(f"{key}: expected a list of numbers, got {value!r}")
+    kind = type(default)
+    base, expected = _KINDS[kind]
+    if isinstance(value, base) and not isinstance(value, bool):
+        try:
+            value = kind(value)
+        except OverflowError:
+            pass
+        else:
+            if kind is not float or math.isfinite(value):
+                return value
+    raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+
+
 @functools.lru_cache(maxsize=8)
 def _fold_error(amplitude: float) -> str:
     """Why the bump deformation of this amplitude is rejected ('' if it is not)."""
@@ -92,6 +120,9 @@ class ExperimentConfig:
     instances: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            default = f.default if f.default is not MISSING else f.default_factory()
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), default))
         if self.map not in ("identity", "bump", "bernoulli"):
             raise ConfigError(f"map: unknown kind {self.map!r}")
         if not 0.0 < self.radius < 0.5:
@@ -134,12 +165,13 @@ class ExperimentConfig:
     def interface(self) -> InterfaceSpec:
         return InterfaceSpec(radius=self.radius)
 
-    def map_factory(self):
+    def make_map(self, seed: int):
+        """The deformation map of realization ``seed``."""
         if self.map == "identity":
-            return lambda s: IdentityMap()
+            return IdentityMap()
         if self.map == "bump":
-            return lambda s: BumpMap(amplitude=self.amplitude)
-        return lambda s: BernoulliCellwiseMap(seed=s, amplitude=self.amplitude)
+            return BumpMap(amplitude=self.amplitude)
+        return BernoulliCellwiseMap(seed=seed, amplitude=self.amplitude)
 
     def corrector_config(self) -> CorrectorConfig:
         return CorrectorConfig(
@@ -147,15 +179,15 @@ class ExperimentConfig:
             interface=self.interface,
         )
 
-    def hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True)
+    def hash(self, keys=None) -> str:
+        """Digest of the config, or of only ``keys`` of it."""
+        d = asdict(self)
+        payload = json.dumps({k: d[k] for k in keys or d}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _coerce(key: str, raw: str, default):
     try:
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
@@ -163,7 +195,7 @@ def _coerce(key: str, raw: str, default):
         if isinstance(default, list):
             return [_parse_number(tok) for tok in raw.split(",") if tok.strip()]
         return raw.strip()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{key}: cannot parse {raw.strip()!r}") from exc
 
 
@@ -227,36 +259,21 @@ def _run_tasks(worker, tasks, jobs):
 
 
 def _corrector_task(task):
-    cfg_dict, seed, label, p, map_kind, amplitude = task
-    cfg = CorrectorConfig(
-        p=p, delta=cfg_dict["delta"], n=cfg_dict["n"], m=cfg_dict["m"],
-        h=cfg_dict["h"], seed=seed,
-        interface=InterfaceSpec(radius=cfg_dict["radius"]),
-    )
-    dmap = _make_map(map_kind, amplitude, seed)
-    conductivity = CONDUCTIVITY_PRESETS[cfg_dict["conductivity"]]
-    corr = solve_truncated(cfg, dmap, conductivity=conductivity)
-    return seed, label, corr.window_flux(), energy_profile(corr)
-
-
-def _make_map(kind, amplitude, seed):
-    if kind == "identity":
-        return IdentityMap()
-    if kind == "bump":
-        return BumpMap(amplitude=amplitude)
-    return BernoulliCellwiseMap(seed=seed, amplitude=amplitude)
+    """One realization: the e1 and e2 correctors on its one mesh and matrix."""
+    cfg, seed = task
+    conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
+    return corrector_runs(cfg.make_map, [seed], cfg.corrector_config(), conductivity)[0]
 
 
 def _hetero_task(task):
-    cfg_dict, seed, eps = task
-    dmap = _make_map(cfg_dict["map"], cfg_dict["amplitude"], seed)
-    f = SOURCE_PRESETS[cfg_dict["source"]]
-    conductivity = CONDUCTIVITY_PRESETS[cfg_dict["conductivity"]]
-    spec = InterfaceSpec(radius=cfg_dict["radius"])
+    """One heterogeneous solve and its error row against u0 and the tensor t."""
+    cfg, seed, eps, u0, t = task
+    conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     sol = solve_hetero(
-        eps, dmap, f, conductivity=conductivity, spec=spec, h_cell=cfg_dict["h"]
+        eps, cfg.make_map(seed), SOURCE_PRESETS[cfg.source], conductivity=conductivity,
+        spec=cfg.interface, h_cell=cfg.h,
     )
-    return seed, eps, sol
+    return error_suite(sol, u0, t.theta, eps, t.A0, seed=seed, conductivity=conductivity)
 
 
 class OutputTracker:
@@ -289,23 +306,11 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
-    cd = asdict(cfg)
-    tasks = [
-        (cd, s, label, p, cfg.map, cfg.amplitude)
-        for s in cfg.seeds
-        for label, p in (("e1", [1.0, 0.0]), ("e2", [0.0, 1.0]))
-    ]
-    results = _run_tasks(_corrector_task, tasks, jobs)
-    by_seed = {}
-    for seed, label, flux, profile in results:
-        by_seed.setdefault(seed, {})[label] = (flux, profile)
-    flux_rows = []
-    energy_rows = []
-    for seed in cfg.seeds:
-        F = np.array([by_seed[seed]["e1"][0], by_seed[seed]["e2"][0]])
-        flux_rows.append((seed, "e1;e2", cfg.delta, cfg.n, cfg.m, F))
-        energy_rows.append((seed, by_seed[seed]["e1"][1]))
+    runs = _run_tasks(_corrector_task, [(cfg, s) for s in cfg.seeds], jobs)
+    flux_rows = [(r.seed, "e1;e2", cfg.delta, cfg.n, cfg.m,
+                  np.array([r.corr[k].window_flux() for k in ("e1", "e2")])) for r in runs]
     write_flux_csv(out.path("flux.csv"), flux_rows)
+    energy_rows = [(r.seed, energy_profile(r.corr["e1"])) for r in runs]
     write_energy_csv(out.path("energy.csv"), energy_rows)
     print(f"corrector: {len(cfg.seeds)} seeds -> flux.csv, energy.csv")
 
@@ -316,11 +321,9 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
             f"num_seeds: the effective tensor needs >= 2 seeds for a standard error, "
             f"got {cfg.num_seeds}"
         )
-    factory = cfg.map_factory()
-    conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
-    runs = corrector_runs(factory, cfg.seeds, cfg.corrector_config(), conductivity)
-    vs = volume_stats(factory, cfg.seeds, cfg.interface)
-    t = effective_tensor(runs, rho=vs["rho"], config_hash=cfg.hash(), theta=vs["theta"])
+    runs = _run_tasks(_corrector_task, [(cfg, s) for s in cfg.seeds], jobs)
+    vs = volume_stats(cfg.make_map, cfg.seeds, cfg.interface)
+    t = effective_tensor(runs, rho=vs["rho"], config_hash=cfg.hash(A0_KEYS), theta=vs["theta"])
     verdict = ellipticity_check(t, 1.0, 1.5, runs=runs)
     write_effective_json(out.path("effective.json"), t)
     eig = verdict["eigenvalues"]
@@ -329,34 +332,23 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     eff_path = os.path.join(out.out_dir, "effective.json")
-    if os.path.exists(eff_path):
-        t = read_effective_json(eff_path)
-    else:
+    stored = read_effective_json(eff_path).config_hash if os.path.exists(eff_path) else None
+    if stored != cfg.hash(A0_KEYS):
+        if stored is not None:
+            print("homogenize: effective.json is for another config; recomputing", file=sys.stderr)
         cmd_effective(cfg, out, jobs)
-        t = read_effective_json(eff_path)
-    f = SOURCE_PRESETS[cfg.source]
-    u0 = solve_homog(t.A0, f, m=cfg.homog_grid)
-    conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
-
-    cd = asdict(cfg)
-    tasks = [(cd, s, e) for s in cfg.seeds for e in sorted(cfg.eps, reverse=True)]
-    results = _run_tasks(_hetero_task, tasks, jobs)
-    rows = [
-        error_suite(sol, u0, t.theta, eps, t.A0, seed=seed, conductivity=conductivity)
-        for seed, eps, sol in results
-    ]
+    t = read_effective_json(eff_path)
+    u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
+    eps_sorted = sorted(cfg.eps, reverse=True)
+    tasks = [(cfg, s, e, u0, t) for s in cfg.seeds for e in eps_sorted]
+    rows = _run_tasks(_hetero_task, tasks, jobs)
     write_convergence_csv(out.path("convergence.csv"), rows)
 
     report = {"config_hash": cfg.hash(), "A0": t.A0.tolist(), "theta": t.theta}
-    eps_sorted = sorted(cfg.eps, reverse=True)
     if len(eps_sorted) >= 3:
-        per_seed = {}
-        for r in rows:
-            per_seed.setdefault(r.seed, []).append((r.eps, r.l2_error))
         rates = {}
-        for seed, pairs in per_seed.items():
-            pairs.sort(reverse=True)
-            slope, r2 = rate_fit([p[0] for p in pairs], [p[1] for p in pairs])
+        for seed in cfg.seeds:  # rows are by seed, eps decreasing
+            slope, r2 = rate_fit(*zip(*[(r.eps, r.l2_error) for r in rows if r.seed == seed]))
             rates[str(seed)] = {"rate": slope, "r_squared": r2}
         report["l2_rates"] = rates
     write_report_json(out.path("report.json"), report)

@@ -20,6 +20,7 @@ from .fem import (
     FemSolution,
     assemble,
     edge_jump_energy,
+    gradient_load,
     p1_gradient,
     solve,
     triangle_geometry,
@@ -91,11 +92,12 @@ def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarr
     return out
 
 
-def _per_cell_quantities(
-    mesh: MembraneMesh, form: BilinearFormSpec, values: np.ndarray, p: np.ndarray
-):
-    """Per-cell physical fluxes and reference-configuration energies."""
-    tensor = form.tensor(mesh)
+def _corrector_solution(
+    sol: FemSolution, config: CorrectorConfig, form: BilinearFormSpec, tensor: np.ndarray
+) -> CorrectorSolution:
+    """The solve with its per-cell physical fluxes and reference-configuration
+    energies; ``tensor`` is ``form.tensor(sol.mesh)``."""
+    mesh, values, p = sol.mesh, sol.values, config.p
     areas, _ = triangle_geometry(mesh)
     flux = areas[:, None] * np.einsum("tij,tj->ti", tensor, p1_gradient(mesh, values) + p)
     plus = mesh.tri_region == PLUS
@@ -112,31 +114,39 @@ def _per_cell_quantities(
     jump2 = cell_sums(
         mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
     )
-    energy = cell_sums(mesh, e_grad + e_mass) + jump2
-    return mesh.cells, fp, fm, energy, jump2
+    return CorrectorSolution(
+        sol=sol, config=config, cells=mesh.cells, flux_plus=fp, flux_minus=fm,
+        cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, cell_jump_l2sq=jump2, form=form,
+    )
 
 
-def solve_truncated(
-    cfg: CorrectorConfig,
-    dmap: DeformationMap,
-    conductivity=None,
-    center: tuple[int, int] = (0, 0),
-    x0: np.ndarray = None,
-) -> CorrectorSolution:
-    """Regularized corrector on the deformed truncated cube: jump weight 1,
-    mass weight delta, load -int A p . grad(phi), zero Dirichlet data."""
+def solve_loads(
+    cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=None, center=(0, 0), x0=None
+) -> list[CorrectorSolution]:
+    """Regularized correctors on one realization of the deformed truncated
+    cube: jump weight 1, mass weight delta, zero Dirichlet data and, for each
+    mean gradient p in ``loads``, the load -int A p . grad(phi).  The mesh and
+    the matrix are built once and shared by every load."""
     cell = build_cell_mesh(cfg.interface, cfg.h)
     mesh = build_truncated_mesh(cell, dmap, cfg.n, center=center, membranes=cfg.membranes)
     form = BilinearFormSpec(jump_weight=1.0, mass_weight=cfg.delta)
     if conductivity is not None:
         form = replace(form, conductivity=conductivity)
-    system = assemble(mesh, form, p=cfg.p)
-    sol = solve(system, x0=x0)
-    cells, fp, fm, energy, jump2 = _per_cell_quantities(mesh, form, sol.values, cfg.p)
-    return CorrectorSolution(
-        sol=sol, config=cfg, cells=cells, flux_plus=fp, flux_minus=fm,
-        cell_energy=energy, cell_jump_l2sq=jump2, form=form,
-    )
+    system = assemble(mesh, form)
+    tensor = form.tensor(mesh)
+    out = []
+    for p in loads:
+        c = replace(cfg, p=p)
+        sol = solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)), x0=x0)
+        out.append(_corrector_solution(sol, c, form, tensor))
+    return out
+
+
+def solve_truncated(
+    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=None, center=(0, 0), x0=None
+) -> CorrectorSolution:
+    """The corrector for the single mean gradient ``cfg.p`` (see solve_loads)."""
+    return solve_loads(cfg, dmap, [cfg.p], conductivity, center, x0)[0]
 
 
 def periodic_cell_solve(
@@ -189,13 +199,8 @@ def periodic_cell_solve(
     mean = np.sum(areas[plus] * uc[plus]) / np.sum(areas[plus])
     values = values - mean
 
-    sol = FemSolution(values=values, mesh=mesh)
     cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
-    cells, fp, fm, energy, jump2 = _per_cell_quantities(mesh, form, values, p)
-    return CorrectorSolution(
-        sol=sol, config=cfg, cells=cells, flux_plus=fp, flux_minus=fm,
-        cell_energy=energy, cell_jump_l2sq=jump2, form=form,
-    )
+    return _corrector_solution(FemSolution(values=values, mesh=mesh), cfg, form, form.tensor(mesh))
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

@@ -76,12 +76,14 @@ def constant_field(A0: np.ndarray):
 
 
 def homog_form(A0: np.ndarray) -> BilinearFormSpec:
-    """The constant-coefficient form of A0, ellipticity bounds from its
-    symmetric part."""
+    """The constant-coefficient form of the symmetric part of A0 (the
+    computed A0 is symmetric only within its Monte-Carlo and mesh error,
+    which ``ellipticity_check`` gates)."""
     A0 = np.asarray(A0, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (A0 + A0.T))
+    sym = 0.5 * (A0 + A0.T)
+    eig = np.linalg.eigvalsh(sym)
     return BilinearFormSpec(
-        conductivity=constant_field(A0), lam=float(eig.min()) - 1e-12,
+        conductivity=constant_field(sym), lam=float(eig.min()) - 1e-12,
         Lam=float(eig.max()) + 1e-12,
     )
 

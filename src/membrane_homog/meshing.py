@@ -25,6 +25,14 @@ PAIRING_TOL = 1e-12
 STITCH_TOL = 1e-12
 
 
+def _edge_keys(triangles: np.ndarray, nv: int):
+    """Per-triangle edge ends a -> b (edge k of triangle t at 3t+k) and the
+    undirected edge key min*nv+max."""
+    a = triangles.reshape(-1).astype(np.int64)
+    b = triangles[:, [1, 2, 0]].reshape(-1).astype(np.int64)
+    return a, b, np.minimum(a, b) * nv + np.maximum(a, b)
+
+
 @dataclass
 class MembraneMesh:
     """Triangulation with region tags and duplicated interface nodes.
@@ -76,12 +84,8 @@ class MembraneMesh:
         """
         minus_tri = np.flatnonzero(self.tri_region == MINUS)
         nv = self.num_vertices
-        t = self.triangles[minus_tri]
-        a = t.reshape(-1)
-        b = t[:, [1, 2, 0]].reshape(-1)
-        _, inverse, count = np.unique(
-            np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True, return_counts=True
-        )
+        a, b, keys = _edge_keys(self.triangles[minus_tri], nv)
+        _, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
         m2p = np.full(nv, -1, dtype=np.int64)
         m2p[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
         on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
@@ -541,37 +545,32 @@ def mesh_report(mesh: MembraneMesh) -> MeshReport:
         issues.append(f"interface pairing residual {pairing:.3e}")
 
     # conformity: every edge is shared by exactly 2 triangles of one region,
-    # or is an interface / outer-boundary edge with exactly 1 triangle
-    minus_iface = set(mesh.interface_pairs[:, 1].tolist())
-    plus_iface = set(mesh.interface_pairs[:, 0].tolist())
-    boundary = set(mesh.boundary_nodes.tolist())
-    edges: dict[tuple[int, int], list[int]] = {}
-    for tri, reg in zip(mesh.triangles, mesh.tri_region):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            edges.setdefault(key, []).append(int(reg))
-    conforming = True
-    for (a, b), regs in edges.items():
-        if len(regs) == 2:
-            if regs[0] != regs[1]:
-                conforming = False
-                issues.append(f"edge ({a},{b}) shared across regions")
-        elif len(regs) == 1:
-            iface = (a in minus_iface and b in minus_iface) or (
-                a in plus_iface and b in plus_iface
-            )
-            outer = a in boundary and b in boundary
-            if not (iface or outer):
-                conforming = False
-                issues.append(f"dangling edge ({a},{b})")
+    # or is an interface / outer-boundary edge with exactly 1 triangle; edges
+    # are keyed min*nv+max and reported in order of first appearance
+    nv = mesh.num_vertices
+    keys, first, inverse, count = np.unique(
+        _edge_keys(t, nv)[2], return_index=True, return_inverse=True, return_counts=True
+    )
+    reg = np.repeat(mesh.tri_region, 3).astype(np.int64)
+    lo, hi = keys // nv, keys % nv
+    minus, plus, outer = (np.isin(np.arange(nv), nodes) for nodes in (
+        mesh.interface_pairs[:, 1], mesh.interface_pairs[:, 0], mesh.boundary_nodes))
+    lone_ok = (minus[lo] & minus[hi]) | (plus[lo] & plus[hi]) | (outer[lo] & outer[hi])
+    mixed = (count == 2) & (np.bincount(inverse, weights=reg) != 2 * reg[first])
+    bad = np.flatnonzero(mixed | ((count == 1) & ~lone_ok) | (count > 2))
+    for k in bad[np.argsort(first[bad])]:
+        edge = f"({lo[k]},{hi[k]})"
+        if count[k] == 2:
+            issues.append(f"edge {edge} shared across regions")
+        elif count[k] == 1:
+            issues.append(f"dangling edge {edge}")
         else:
-            conforming = False
-            issues.append(f"edge ({a},{b}) in {len(regs)} triangles")
+            issues.append(f"edge {edge} in {count[k]} triangles")
 
     return MeshReport(
         min_angle_deg=mesh.min_angle_deg(),
         max_aspect=max_aspect,
-        conforming=conforming,
+        conforming=len(bad) == 0,
         pairing_residual=pairing,
         positive_areas=positive,
         issues=issues,

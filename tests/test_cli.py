@@ -1,11 +1,15 @@
 import argparse
 import json
 import os
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import membrane_homog.cli as cli
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
+from membrane_homog.effective import read_effective_json
 from membrane_homog.errors import ConfigError
 
 QUICK_CFG = """\
@@ -18,6 +22,9 @@ m = 1
 h = 0.1
 instances = 20
 """
+
+# The same tiny problem on random (Bernoulli) geometry.
+BERNOULLI_CFG = QUICK_CFG.replace("map = identity", "map = bernoulli")
 
 
 @pytest.fixture
@@ -112,8 +119,17 @@ class TestDeterminism:
         assert main([
             "homogenize", "--config", cfg_path, "--out", str(tmp_path / "c"), "--jobs", "2",
         ]) == 0
-        for name in ("convergence.csv", "report.json"):
+        for name in ("effective.json", "convergence.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+    def test_corrector_jobs_independent(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        for jobs in ("1", "2"):
+            out = str(tmp_path / jobs)
+            assert main(["corrector", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
+        for name in ("flux.csv", "energy.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_env_jobs_override(self, cfg_path, tmp_path, monkeypatch):
         monkeypatch.setenv("MEMBRANE_HOMOG_JOBS", "2")
@@ -134,6 +150,65 @@ class TestDeterminism:
         assert plan["config_hash"] != parse_config(cfg_path).hash()
 
 
+class TestRandomMaps:
+    def test_bernoulli_homogenize_runs(self, tmp_path):
+        # the Monte-Carlo A0 is symmetric only within its standard error
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        out = tmp_path / "run"
+        assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "2"]) == 0
+        A0 = json.loads((out / "effective.json").read_text())["A0"]
+        assert A0[0][1] != A0[1][0]
+        assert (out / "convergence.csv").read_text().count("\n") == 3  # header + 2 seeds
+
+    @pytest.mark.parametrize(
+        "extra", ["", "radius = 0.4\namplitude = 0.6\nconductivity = aniso\n"],
+        ids=["tiny", "large_inclusion_aniso"],
+    )
+    def test_bump_effective_and_homogenize_run(self, tmp_path, extra):
+        # identical realizations (stderr 0); at radius 0.4 the mesh alone leaves
+        # A0 a skew part of 8e-7 |A0|
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("map = identity", "map = bump") + extra)
+        out = tmp_path / "run"
+        assert main(["effective", "--config", str(p), "--out", str(out)]) == 0
+        assert main(["homogenize", "--config", str(p), "--out", str(out)]) == 0
+
+    def test_bernoulli_effective_with_skew_of_ten_standard_errors(self, tmp_path):
+        # two seeds from 1840 on: the skew part of A0 is 10.3 times the largest
+        # standard error, which one degree of freedom cannot pin down
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        out = tmp_path / "run"
+        assert main(["effective", "--seed", "1840", "--config", str(p), "--out", str(out)]) == 0
+        t = read_effective_json(out / "effective.json")
+        assert abs(t.A0[0, 1] - t.A0[1, 0]) > 10.0 * t.stderr.max()
+
+    def test_homogenize_recomputes_tensor_of_another_config(self, tmp_path, capsys):
+        cfgs = {}
+        for radius in ("0.1", "0.2"):
+            cfgs[radius] = tmp_path / f"r{radius}.cfg"
+            cfgs[radius].write_text(QUICK_CFG + f"radius = {radius}\n")
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert main(["effective", "--config", str(cfgs["0.1"]), "--out", str(shared)]) == 0
+        assert main(["homogenize", "--config", str(cfgs["0.2"]), "--out", str(shared)]) == 0
+        assert "recomputing" in capsys.readouterr().err
+        assert main(["homogenize", "--config", str(cfgs["0.2"]), "--out", str(fresh)]) == 0
+        for name in ("effective.json", "report.json", "convergence.csv"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_homogenize_reuses_tensor_of_same_a0_config(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["effective", "--config", cfg_path, "--out", str(out)]) == 0
+        before = (out / "effective.json").stat().st_mtime_ns
+        # source does not enter A0, so the stored tensor is reused
+        p = tmp_path / "tilted.cfg"
+        p.write_text(QUICK_CFG + "source = tilted\n")
+        assert main(["homogenize", "--config", str(p), "--out", str(out)]) == 0
+        assert "recomputing" not in capsys.readouterr().err
+        assert (out / "effective.json").stat().st_mtime_ns == before
+
+
 class TestInputErrors:
     """Input the program cannot run exits 2 with a message naming the key."""
 
@@ -144,9 +219,12 @@ class TestInputErrors:
             ("homog_grid = 0\n", ["homogenize"], "homog_grid"),
             ("map = bernoulli\n", ["effective", "--seed", "-1"], "seed"),
             ("map = bump\namplitude = 5\n", ["effective"], "amplitude"),
+            ("eps = 1/0\n", ["homogenize"], "eps"),
+            ("h = 1/0\n", ["effective", "--dry-run"], "h"),
+            ("h = inf\n", ["effective"], "h"),
         ],
         ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
-             "folding_bump_amplitude"],
+             "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite"],
     )
     def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
         p = tmp_path / "exp.cfg"
@@ -154,6 +232,26 @@ class TestInputErrors:
         out = tmp_path / "o"
         assert main([*command, "--config", str(p), "--out", str(out)]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"n": "8"}', "n"),
+            ('{"eps": 0.25}', "eps"),
+            ('{"num_seeds": 2.5}', "num_seeds"),
+            ('{"amplitude": NaN}', "amplitude"),
+            ('{"conductivity": ["aniso"]}', "conductivity"),
+        ],
+        ids=["string_n", "scalar_eps", "fractional_num_seeds", "nan_amplitude",
+             "list_conductivity"],
+    )
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry_run"])
+    def test_ill_typed_json_exits_2_naming_key(self, tmp_path, capsys, text, key, dry_run):
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o"), *dry_run]) == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["effective", "homogenize"])
     def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):
@@ -173,3 +271,47 @@ class TestInputErrors:
         assert resolve_jobs(argparse.Namespace(jobs=0)) == 1
         monkeypatch.setenv("MEMBRANE_HOMOG_JOBS", "100000")
         assert resolve_jobs(argparse.Namespace(jobs=None)) == cpus
+
+
+DEFAULTS = asdict(ExperimentConfig())
+KEYS = list(DEFAULTS)
+OTHER_KEYS = ["seeds", "interface", "hash", "__class__", ""]  # attributes that are not keys
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=5,
+)
+TEXT_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["1/0", "0/0", "inf", "-inf", "nan", "1e999", "1/4, 1/8", "2.5", "-3",
+                     "bernoulli", "aniso", "tilted", "0", "1_0", ",", "1/4/2"]),
+)
+
+
+class TestParseProperty:
+    """Any config text either parses or raises ConfigError, and nothing else;
+    what parses carries values of the types of the defaults."""
+
+    def parse(self, tmp_path, text):
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        try:
+            cfg = parse_config(str(p))
+        except ConfigError:
+            return
+        for key, value in asdict(cfg).items():
+            assert type(value) is type(DEFAULTS[key]), key
+        assert all(type(e) is float for e in cfg.eps)
+        cfg.hash()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(st.sampled_from(KEYS + OTHER_KEYS) | st.text(max_size=6), TEXT_VALUES,
+                           max_size=5))
+    def test_key_value_text(self, tmp_path_factory, entries):
+        lines = [f"{k} = {v}" for k, v in entries.items() if "\n" not in k + v and "\r" not in k + v]
+        self.parse(tmp_path_factory.mktemp("kv"), "\n".join(lines) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=5))
+    def test_json_object(self, tmp_path_factory, entries):
+        self.parse(tmp_path_factory.mktemp("json"), json.dumps(entries))

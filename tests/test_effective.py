@@ -82,6 +82,16 @@ class TestEffectiveTensor:
         expected = run.corr["e1"].window_flux() + run.corr["e2"].window_flux()
         assert np.abs(combo.window_flux() - expected).max() < 1e-6
 
+    def test_second_load_on_shared_mesh_matches_single_solve(self):
+        dmap = BernoulliCellwiseMap(seed=3)
+        run = corrector_runs(lambda s: dmap, [3], QUICK)[0]
+        cfg = CorrectorConfig(p=[0.0, 1.0], n=2, m=1, h=0.1, delta=1e-3, seed=3)
+        alone = solve_truncated(cfg, dmap)
+        assert np.array_equal(run.corr["e2"].sol.values, alone.sol.values)
+        assert np.array_equal(run.corr["e2"].window_flux(), alone.window_flux())
+        assert np.array_equal(run.corr["e2"].cell_energy, alone.cell_energy)
+        assert run.corr["e1"].mesh is run.corr["e2"].mesh
+
     def test_bernoulli_symmetry_within_stderr(self):
         runs = corrector_runs(lambda s: BernoulliCellwiseMap(seed=s), range(4), QUICK)
         t = effective_tensor(runs, rho=1.0)
@@ -132,6 +142,42 @@ class TestEllipticity:
         s = 1.0 / np.sqrt(2.0)
         for xi in ([1.0, 0.0], [0.0, 1.0], [s, s]):
             assert energy_identity_residual(runs, t, xi) <= 5e-3
+
+    def test_rejects_skew_part_beyond_stderr(self):
+        skew = EffectiveTensor(
+            A0=np.array([[0.77, 1e-3], [-1e-3, 0.77]]),
+            stderr=np.full((2, 2), 1e-5),
+            N=4, rho=1.0, theta=0.2,
+        )
+        with pytest.raises(EllipticityViolation, match="skew"):
+            ellipticity_check(skew, 1.0, 1.5)
+        # a skew part within three standard errors passes
+        skew.A0 = np.array([[0.77, 1e-5], [-1e-5, 0.77]])
+        assert ellipticity_check(skew, 1.0, 1.5)["symmetry_gap"] == 2e-5
+
+    def test_skew_gate_widens_for_few_seeds(self):
+        # two seeds estimate the standard error from one degree of freedom; tiny
+        # Bernoulli runs reach a skew part of 10 standard errors there
+        t = EffectiveTensor(
+            A0=np.array([[0.77, 1e-3], [-1e-3, 0.77]]), stderr=np.full((2, 2), 2e-4),
+            N=2, rho=1.0, theta=0.2,
+        )
+        assert ellipticity_check(t, 1.0, 1.5)["symmetry_gap"] == 2e-3
+        t.N = 16
+        with pytest.raises(EllipticityViolation, match="skew"):
+            ellipticity_check(t, 1.0, 1.5)
+
+    def test_deterministic_map_skew_is_mesh_asymmetry(self):
+        # the bump map gives identical realizations (stderr 0) whose A0 keeps
+        # a skew part of about 1e-6 |A0| from the mesh at radius 0.4
+        cfg = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3, interface=InterfaceSpec(radius=0.4))
+        runs = corrector_runs(lambda s: BumpMap(amplitude=0.6), [0, 1], cfg, conductivity=aniso_field)
+        t = effective_tensor(runs, rho=1.0)
+        assert t.stderr.max() == 0.0 and 0.0 < np.abs(t.A0 - t.A0.T).max() < 1e-5
+        ellipticity_check(t, 1.0, 1.5)
+        t.A0[0, 1] += 1e-3
+        with pytest.raises(EllipticityViolation, match="skew"):
+            ellipticity_check(t, 1.0, 1.5)
 
     def test_rejects_non_spd(self):
         bad = EffectiveTensor(

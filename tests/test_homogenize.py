@@ -71,6 +71,12 @@ class TestSolveHomog:
         b = solve_homog(0.5 * np.eye(2), f=1.0, m=32)
         assert np.abs(b.values - 2.0 * a.values).max() < 1e-8
 
+    def test_solves_with_symmetric_part(self):
+        # a Monte-Carlo A0 is symmetric only within its standard error
+        skew = solve_homog([[1.0, 2.0**-16], [-(2.0**-17), 1.2]], f=1.0, m=8)
+        sym = solve_homog([[1.0, 2.0**-18], [2.0**-18, 1.2]], f=1.0, m=8)
+        assert np.array_equal(skew.values, sym.values)
+
 
 class TestGridInterpolate:
     def test_exact_on_linear(self):

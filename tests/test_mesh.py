@@ -105,6 +105,47 @@ def assert_topology_matches_scan(mesh):
     assert np.array_equal(mesh.cells[mesh.edge_cell_index], edge_cells)
 
 
+def looped_conformity(mesh):
+    """Reference conformity check by a loop over the triangles with a
+    tuple-keyed edge dict: (conforming, issues in order of first appearance)."""
+    minus_iface = set(mesh.interface_pairs[:, 1].tolist())
+    plus_iface = set(mesh.interface_pairs[:, 0].tolist())
+    boundary = set(mesh.boundary_nodes.tolist())
+    edges = {}
+    for tri, reg in zip(mesh.triangles, mesh.tri_region):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(int(a), int(b)), max(int(a), int(b)))
+            edges.setdefault(key, []).append(int(reg))
+    issues = []
+    for (a, b), regs in edges.items():
+        if len(regs) == 2:
+            if regs[0] != regs[1]:
+                issues.append(f"edge ({a},{b}) shared across regions")
+        elif len(regs) == 1:
+            iface = (a in minus_iface and b in minus_iface) or (
+                a in plus_iface and b in plus_iface
+            )
+            outer = a in boundary and b in boundary
+            if not (iface or outer):
+                issues.append(f"dangling edge ({a},{b})")
+        else:
+            issues.append(f"edge ({a},{b}) in {len(regs)} triangles")
+    return not issues, issues
+
+
+def remeshed(mesh, triangles=None, tri_region=None, tri_cell=None):
+    """The mesh with some of its triangle arrays replaced."""
+    return MembraneMesh(
+        vertices=mesh.vertices,
+        triangles=mesh.triangles if triangles is None else triangles,
+        tri_region=mesh.tri_region if tri_region is None else tri_region,
+        tri_cell=mesh.tri_cell if tri_cell is None else tri_cell,
+        interface_pairs=mesh.interface_pairs,
+        boundary_nodes=mesh.boundary_nodes,
+        h=mesh.h,
+    )
+
+
 @pytest.fixture(scope="module")
 def cell_h01():
     return build_cell_mesh(SPEC, 0.1)
@@ -313,6 +354,55 @@ class TestTilingMatchesLoop:
         reference = looped_tiling(cell_h01, dmap, cells, [False] * len(cells), 1.0)
         mesh = build_truncated_mesh(cell_h01, dmap, 2, center=(1, -1), membranes=False)
         assert_tiling_matches_loop(mesh, reference)
+
+
+NONCONFORMING = ("retargeted_vertex", "flipped_region", "doubled_triangles")
+REPORT_MESHES = ("cell", "cell_h025", "tiled_identity", "tiled_bernoulli", "tiled_no_membranes",
+                 "truncated_bernoulli", "square", *NONCONFORMING)
+
+
+@pytest.fixture(scope="module")
+def report_meshes(cell_h01):
+    """The meshes the tests build, conforming and not."""
+    cell = cell_h01
+    plus = np.flatnonzero(cell.tri_region == PLUS)
+    retargeted = cell.triangles.copy()
+    retargeted[plus[-1], 0] = cell.triangles[plus[-1] - 2, 0]
+    flipped = cell.tri_region.copy()
+    flipped[plus[len(plus) // 2]] = MINUS
+    doubled = np.concatenate([cell.triangles, cell.triangles[:3]])
+    return {
+        "cell": cell,
+        "cell_h025": build_cell_mesh(SPEC, 0.25),
+        "tiled_identity": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC),
+        "tiled_bernoulli": tile_domain_mesh(cell, BernoulliCellwiseMap(seed=42), 0.125, SPEC),
+        "tiled_no_membranes": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC, membranes_rule="off"),
+        "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(seed=7), 4),
+        "square": build_square_mesh(8),
+        "retargeted_vertex": remeshed(cell, triangles=retargeted),
+        "flipped_region": remeshed(cell, tri_region=flipped),
+        "doubled_triangles": remeshed(
+            cell, triangles=doubled, tri_region=np.concatenate([cell.tri_region, cell.tri_region[:3]]),
+            tri_cell=np.concatenate([cell.tri_cell, cell.tri_cell[:3]]),
+        ),
+    }
+
+
+class TestReportMatchesLoop:
+    """mesh_report's vectorized conformity check against the loop it replaced."""
+
+    @pytest.mark.parametrize("name", REPORT_MESHES)
+    def test_conformity_matches_loop(self, report_meshes, name):
+        mesh = report_meshes[name]
+        conforming, issues = looped_conformity(mesh)
+        rep = mesh_report(mesh)
+        assert rep.conforming == conforming == (name not in NONCONFORMING)
+        assert [i for i in rep.issues if i.startswith(("edge ", "dangling "))] == issues
+
+    def test_faulty_meshes_cover_every_kind_of_issue(self, report_meshes):
+        text = " ".join(" ".join(mesh_report(report_meshes[n]).issues) for n in NONCONFORMING)
+        for kind in ("shared across regions", "dangling edge", "in 3 triangles"):
+            assert kind in text
 
 
 class TestStoredTopology:
