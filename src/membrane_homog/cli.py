@@ -137,7 +137,9 @@ class ExperimentConfig:
             raise ConfigError(f"m: must satisfy 1 <= m <= n-1, got m={self.m} n={self.n}")
         if self.num_seeds < 1:
             raise ConfigError(f"num_seeds: must be >= 1, got {self.num_seeds}")
-        if self.map == "bernoulli" and not 0 <= self.seed <= 2**64 - self.num_seeds:
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.map == "bernoulli" and self.seed > 2**64 - self.num_seeds:
             raise ConfigError(
                 f"seed: seeds {self.seed}..{self.seed + self.num_seeds - 1} must lie "
                 f"in [0, 2^64) for map = bernoulli"

@@ -18,6 +18,8 @@ from .errors import ConfigError
 from .fem import (
     BilinearFormSpec,
     FemSolution,
+    _cg,
+    aggregates,
     assemble,
     edge_jump_energy,
     gradient_load,
@@ -182,14 +184,9 @@ def periodic_cell_solve(
     b = P.T @ system.load
 
     # nullspace = global constants: pin one DOF, restore gauge afterwards
-    pin = 0
     keep = np.arange(1, len(reps))
-    from .fem import _cg
-
     x = np.zeros(len(reps))
-    Kff = K[keep][:, keep]
-    maxiter = int(50 * np.sqrt(len(keep))) + 10
-    x[keep] = _cg(Kff, b[keep], maxiter=maxiter)
+    x[keep], iterations = _cg(K[keep][:, keep], b[keep], aggregates(mesh)[reps[keep]])
     values = P @ x
 
     # subtract the PLUS-region mean (area-weighted)
@@ -200,7 +197,8 @@ def periodic_cell_solve(
     values = values - mean
 
     cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
-    return _corrector_solution(FemSolution(values=values, mesh=mesh), cfg, form, form.tensor(mesh))
+    sol = FemSolution(values=values, mesh=mesh, iterations=iterations)
+    return _corrector_solution(sol, cfg, form, form.tensor(mesh))
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

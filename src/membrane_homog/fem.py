@@ -211,21 +211,56 @@ def assemble(
     )
 
 
-def _cg(K, b, x0=None, rtol=CG_RTOL, maxiter=None):
+def aggregates(mesh: MembraneMesh) -> np.ndarray:
+    """Coarse aggregate of each node: 2 * (row of ``mesh.cells``) + (1 on the
+    MINUS side of the membrane), the lowest label of its triangles where
+    several cells meet."""
+    tri_label = 2 * mesh.tri_cell_index + (mesh.tri_region == MINUS)
+    label = np.full(mesh.num_vertices, np.iinfo(np.int64).max)
+    np.minimum.at(label, mesh.triangles.ravel(), np.repeat(tri_label, 3))
+    return label
+
+
+def _cg(K, b, agg=None, x0=None, rtol=CG_RTOL, maxiter=None, callback=None):
+    """CG with the two-level additive preconditioner D^-1 + R^T (R K R^T)^-1 R,
+    R the 0/1 restriction summing the dofs of each aggregate (row labels
+    ``agg``; one aggregate if None).  Returns the solution and the iteration
+    count."""
+    _, agg = np.unique(np.zeros(len(b)) if agg is None else agg, return_inverse=True)
+    R = sp.csr_matrix((np.ones(len(b)), (agg, np.arange(len(b)))))
+    coarse = spla.splu((R @ K @ R.T).tocsc())
     diag = K.diagonal()
-    diag = np.where(diag > 0, diag, 1.0)
-    M = sp.diags(1.0 / diag)
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+
+    def precondition(r):
+        return inv_diag * r + coarse.solve(R @ r)[agg]
+
+    M = spla.LinearOperator(K.shape, matvec=precondition, dtype=float)
+    if maxiter is None:
+        maxiter = int(50 * np.sqrt(len(b))) + 10
+    iterations = 0
+
+    def counted(xk):
+        nonlocal iterations
+        iterations += 1
+        if callback is not None:
+            callback(xk)
+
     try:
-        x, info = spla.cg(K, b, x0=x0, rtol=rtol, maxiter=maxiter, M=M)
+        x, info = spla.cg(K, b, x0=x0, rtol=rtol, maxiter=maxiter, M=M, callback=counted)
     except TypeError:  # scipy < 1.12 spells the tolerance differently
-        x, info = spla.cg(K, b, x0=x0, tol=rtol, atol=0.0, maxiter=maxiter, M=M)
+        x, info = spla.cg(
+            K, b, x0=x0, tol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=counted
+        )
     if info > 0:
         raise SolverDivergence(f"CG did not converge in {info} iterations")
-    return x
+    return x, iterations
 
 
-def solve(system: DiscreteSystem, x0: np.ndarray = None) -> FemSolution:
-    """Jacobi-preconditioned CG on the free degrees of freedom."""
+def solve(system: DiscreteSystem, x0: np.ndarray = None, callback=None) -> FemSolution:
+    """Two-level CG on the free degrees of freedom, one coarse unknown per
+    (lattice cell, membrane side) of the mesh; ``callback`` is called with
+    each iterate."""
     nv = len(system.load)
     u = np.zeros(nv)
     u[system.fixed] = system.fixed_values
@@ -236,10 +271,10 @@ def solve(system: DiscreteSystem, x0: np.ndarray = None) -> FemSolution:
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return FemSolution(values=u, mesh=system.mesh)
-    maxiter = int(50 * np.sqrt(len(free))) + 10
+    agg = aggregates(system.mesh)[free] if system.mesh is not None else None
     x0f = x0[free] if x0 is not None else None
-    u[free] = _cg(Kff, b, x0=x0f, maxiter=maxiter)
-    return FemSolution(values=u, mesh=system.mesh)
+    u[free], iterations = _cg(Kff, b, agg, x0=x0f, callback=callback)
+    return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
 
 
 def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:

@@ -254,12 +254,13 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
         verts.extend(pts)
         return np.arange(start, start + count)
 
-    # --- MINUS (disk): rings shrinking inward, counts halving, center fan ---
+    # --- MINUS (disk): rings shrinking inward, counts halving while they stay
+    # multiples of 4 (symmetric directions), center fan ---
     minus_rings = [(r, n_if)]
     rho, cnt = r, n_if
     while rho - h_t > 0.8 * h_t:
         rho = rho - h_t
-        if cnt >= 16 and 2.0 * np.pi * rho / cnt < 0.75 * h_t:
+        if cnt % 8 == 0 and cnt >= 16 and 2.0 * np.pi * rho / cnt < 0.75 * h_t:
             cnt //= 2
         minus_rings.append((rho, cnt))
 

@@ -222,9 +222,11 @@ class TestInputErrors:
             ("eps = 1/0\n", ["homogenize"], "eps"),
             ("h = 1/0\n", ["effective", "--dry-run"], "h"),
             ("h = inf\n", ["effective"], "h"),
+            ("", ["verify", "--seed", "-1"], "seed"),
         ],
         ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
-             "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite"],
+             "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite",
+             "negative_verify_seed"],
     )
     def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
         p = tmp_path / "exp.cfg"
@@ -252,6 +254,14 @@ class TestInputErrors:
         assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o"), *dry_run]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_unmeshable_radius_exits_1_without_traceback(self, tmp_path, capsys):
+        """A cell mesh whose inner rings cannot keep halving reports a mesh
+        quality failure instead of an assertion traceback."""
+        p = tmp_path / "exp.cfg"
+        p.write_text("map = bernoulli\nradius = 0.4\nh = 0.05\nn = 2\nm = 1\nnum_seeds = 2\n")
+        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "MeshQualityFailure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["effective", "homogenize"])
     def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import membrane_homog.fem as fem
 from membrane_homog.errors import NonEllipticField
 from membrane_homog.fem import (
     BilinearFormSpec,
+    aggregates,
     assemble,
     assemble_jump,
     assemble_mass,
@@ -18,8 +23,16 @@ from membrane_homog.fem import (
     triangle_geometry,
     volume_load,
 )
-from membrane_homog.geometry import InterfaceSpec
-from membrane_homog.meshing import MembraneMesh, build_cell_mesh, build_square_mesh
+from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
+from membrane_homog.homogenize import hetero_form
+from membrane_homog.meshing import (
+    MINUS,
+    MembraneMesh,
+    build_cell_mesh,
+    build_square_mesh,
+    build_truncated_mesh,
+    tile_domain_mesh,
+)
 
 SPEC = InterfaceSpec()
 
@@ -165,6 +178,86 @@ class TestSolve:
         free = sys.free
         r = sys.matrix @ sol.values - sys.load
         assert np.linalg.norm(r[free]) <= 1e-9 * max(np.linalg.norm(sys.load[free]), 1.0)
+
+
+def jacobi_cg(system, rtol=1e-12):
+    """Plain Jacobi-preconditioned CG on the free dofs, the reference for the
+    two-level solve: the nodal values and the iteration count."""
+    u = np.zeros(len(system.load))
+    u[system.fixed] = system.fixed_values
+    free, K = system.free, system.matrix
+    Kff = K[free][:, free]
+    b = system.load[free] - K[free][:, system.fixed] @ system.fixed_values
+    iterations = []
+    u[free], info = spla.cg(
+        Kff, b, rtol=rtol, maxiter=20 * len(b), M=sp.diags(1.0 / Kff.diagonal()),
+        callback=iterations.append,
+    )
+    assert info == 0
+    return u, len(iterations)
+
+
+def corrector_systems(dmap):
+    """The e1 and e2 corrector systems on the n=8, h=0.05 truncated cube
+    (jump weight 1, delta = 1e-3), as the corrector driver builds them."""
+    mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.05), dmap, 8)
+    form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
+    system = assemble(mesh, form)
+    tensor = form.tensor(mesh)
+    return [
+        replace(system, load=system.load + gradient_load(mesh, tensor, p))
+        for p in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    ]
+
+
+@pytest.fixture(scope="module")
+def bernoulli_systems():
+    return corrector_systems(BernoulliCellwiseMap(0))
+
+
+def assert_matches_jacobi(system):
+    sol = solve(system)
+    ref, jacobi_iterations = jacobi_cg(system)
+    assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
+    return sol.iterations, jacobi_iterations
+
+
+class TestTwoLevelCG:
+    """The two-level solve (one coarse unknown per lattice cell and membrane
+    side) against plain Jacobi-CG."""
+
+    @pytest.mark.parametrize("load", [0, 1], ids=["e1", "e2"])
+    def test_bernoulli_corrector(self, bernoulli_systems, load):
+        iterations, jacobi_iterations = assert_matches_jacobi(bernoulli_systems[load])
+        assert iterations <= 200 < jacobi_iterations
+
+    def test_identity_corrector(self):
+        assert_matches_jacobi(corrector_systems(IdentityMap())[0])
+
+    def test_heterogeneous_solve(self):
+        eps = 1.0 / 16.0
+        mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(0), eps, SPEC)
+        assert_matches_jacobi(assemble(mesh, hetero_form(eps), f=1.0))
+
+    def test_aggregates_partition_free_dofs(self, bernoulli_systems):
+        system = bernoulli_systems[0]
+        mesh = system.mesh
+        agg = aggregates(mesh)
+        tri_label = 2 * mesh.tri_cell_index + (mesh.tri_region == MINUS)
+        # each node's one aggregate is the (cell, side) of one of its triangles
+        own = np.zeros(mesh.num_vertices, dtype=bool)
+        own[mesh.triangles[agg[mesh.triangles] == tri_label[:, None]]] = True
+        assert own.all()
+        # every free dof has one label, of a (cell, side) pair of the mesh
+        labels = np.unique(agg[system.free])
+        assert labels.min() >= 0 and labels.max() < 2 * len(mesh.cells)
+        assert len(labels) > len(mesh.cells)  # both sides of the membrane cells
+
+    def test_iterations_counted_and_callback_forwarded(self, cell_h01):
+        system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
+        seen = []
+        sol = solve(system, callback=seen.append)
+        assert sol.iterations == len(seen) > 0
 
 
 class TestNorms:

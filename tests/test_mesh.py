@@ -212,6 +212,16 @@ class TestCellMesh:
             assert n % 8 == 0
             assert n >= np.ceil(2 * np.pi * SPEC.radius / h)
 
+    @pytest.mark.parametrize("radius, h", [(0.4, 0.05), (0.3, 0.05), (0.25, 0.03)])
+    def test_ring_halving_keeps_symmetric_counts(self, radius, h):
+        """The disk rings stop halving at a count that is not a multiple of 8,
+        so these sizes end in a quality verdict, not a failed assertion."""
+        try:
+            mesh = build_cell_mesh(InterfaceSpec(radius=radius), h)
+        except MeshQualityFailure:
+            return
+        assert mesh_report(mesh).ok
+
     def test_bad_grading_raises_quality_failure(self, monkeypatch):
         monkeypatch.setattr(meshing, "RING_GRADING", 0.2)
         with pytest.raises(MeshQualityFailure):
