@@ -221,12 +221,11 @@ def aggregates(mesh: MembraneMesh) -> np.ndarray:
     return label
 
 
-def _cg(K, b, agg=None, x0=None, rtol=CG_RTOL, maxiter=None, callback=None):
+def _cg(K, b, agg, x0=None):
     """CG with the two-level additive preconditioner D^-1 + R^T (R K R^T)^-1 R,
     R the 0/1 restriction summing the dofs of each aggregate (row labels
-    ``agg``; one aggregate if None).  Returns the solution and the iteration
-    count."""
-    _, agg = np.unique(np.zeros(len(b)) if agg is None else agg, return_inverse=True)
+    ``agg``).  Returns the solution and the iteration count."""
+    _, agg = np.unique(agg, return_inverse=True)
     R = sp.csr_matrix((np.ones(len(b)), (agg, np.arange(len(b)))))
     coarse = spla.splu((R @ K @ R.T).tocsc())
     diag = K.diagonal()
@@ -236,31 +235,28 @@ def _cg(K, b, agg=None, x0=None, rtol=CG_RTOL, maxiter=None, callback=None):
         return inv_diag * r + coarse.solve(R @ r)[agg]
 
     M = spla.LinearOperator(K.shape, matvec=precondition, dtype=float)
-    if maxiter is None:
-        maxiter = int(50 * np.sqrt(len(b))) + 10
+    maxiter = int(50 * np.sqrt(len(b))) + 10
     iterations = 0
 
     def counted(xk):
         nonlocal iterations
         iterations += 1
-        if callback is not None:
-            callback(xk)
 
     try:
-        x, info = spla.cg(K, b, x0=x0, rtol=rtol, maxiter=maxiter, M=M, callback=counted)
+        x, info = spla.cg(K, b, x0=x0, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
     except TypeError:  # scipy < 1.12 spells the tolerance differently
         x, info = spla.cg(
-            K, b, x0=x0, tol=rtol, atol=0.0, maxiter=maxiter, M=M, callback=counted
+            K, b, x0=x0, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
         )
     if info > 0:
         raise SolverDivergence(f"CG did not converge in {info} iterations")
     return x, iterations
 
 
-def solve(system: DiscreteSystem, x0: np.ndarray = None, callback=None) -> FemSolution:
+def solve(system: DiscreteSystem, x0: np.ndarray = None) -> FemSolution:
     """Two-level CG on the free degrees of freedom, one coarse unknown per
-    (lattice cell, membrane side) of the mesh; ``callback`` is called with
-    each iterate."""
+    (lattice cell, membrane side) of the mesh, or one in all for a system
+    without a mesh."""
     nv = len(system.load)
     u = np.zeros(nv)
     u[system.fixed] = system.fixed_values
@@ -271,9 +267,12 @@ def solve(system: DiscreteSystem, x0: np.ndarray = None, callback=None) -> FemSo
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return FemSolution(values=u, mesh=system.mesh)
-    agg = aggregates(system.mesh)[free] if system.mesh is not None else None
+    if system.mesh is None:
+        agg = np.zeros(len(free), dtype=np.int64)
+    else:
+        agg = aggregates(system.mesh)[free]
     x0f = x0[free] if x0 is not None else None
-    u[free], iterations = _cg(Kff, b, agg, x0=x0f, callback=callback)
+    u[free], iterations = _cg(Kff, b, agg, x0=x0f)
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
 
 

@@ -213,14 +213,21 @@ class TestCellMesh:
             assert n >= np.ceil(2 * np.pi * SPEC.radius / h)
 
     @pytest.mark.parametrize("radius, h", [(0.4, 0.05), (0.3, 0.05), (0.25, 0.03)])
-    def test_ring_halving_keeps_symmetric_counts(self, radius, h):
+    def test_unhalvable_rings_end_in_quality_failure(self, radius, h, monkeypatch):
         """The disk rings stop halving at a count that is not a multiple of 8,
-        so these sizes end in a quality verdict, not a failed assertion."""
-        try:
-            mesh = build_cell_mesh(InterfaceSpec(radius=radius), h)
-        except MeshQualityFailure:
-            return
-        assert mesh_report(mesh).ok
+        so every ring keeps a count that is a multiple of 4 and these sizes
+        end in a quality verdict, not a failed assertion."""
+        counts = []
+        real = meshing._symmetric_directions
+
+        def recorded(n):
+            counts.append(n)
+            return real(n)
+
+        monkeypatch.setattr(meshing, "_symmetric_directions", recorded)
+        with pytest.raises(MeshQualityFailure):
+            build_cell_mesh(InterfaceSpec(radius=radius), h)
+        assert counts and all(n % 4 == 0 for n in counts)
 
     def test_bad_grading_raises_quality_failure(self, monkeypatch):
         monkeypatch.setattr(meshing, "RING_GRADING", 0.2)
