@@ -211,8 +211,13 @@ def _parse_number(tok: str) -> float:
 
 def parse_config(path) -> ExperimentConfig:
     """Flat `key = value` lines with # comments; JSON accepted as well."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"--config {path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {path}: not UTF-8 text ({exc.reason})") from exc
     defaults = ExperimentConfig()
     if text.lstrip().startswith("{"):
         try:
@@ -284,7 +289,12 @@ class OutputTracker:
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.paths = []
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out {out_dir}: cannot make the directory: {exc.strerror}"
+            ) from exc
 
     def path(self, name):
         p = os.path.join(self.out_dir, name)
@@ -334,7 +344,12 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     eff_path = os.path.join(out.out_dir, "effective.json")
-    stored = read_effective_json(eff_path).config_hash if os.path.exists(eff_path) else None
+    try:
+        stored = read_effective_json(eff_path).config_hash
+    except FileNotFoundError:
+        stored = None
+    except (ValueError, KeyError, TypeError):  # truncated or malformed: recompute it
+        stored = ""
     if stored != cfg.hash(A0_KEYS):
         if stored is not None:
             print("homogenize: effective.json is for another config; recomputing", file=sys.stderr)
@@ -417,6 +432,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = ExperimentConfig(**{**asdict(cfg), "seed": args.seed})
         jobs = resolve_jobs(args)
+        out = None if args.dry_run else OutputTracker(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -425,7 +441,6 @@ def main(argv=None) -> int:
                 "config": asdict(cfg), "config_hash": cfg.hash()}
         print(json.dumps(plan, indent=2, sort_keys=True))
         return 0
-    out = OutputTracker(args.out)
     try:
         COMMANDS[args.command](cfg, out, jobs)
     except ConfigError as exc:

@@ -38,7 +38,6 @@ class CorrectorConfig:
     n: int = 8
     m: int = 4
     h: float = 0.05
-    seed: int = 0
     interface: InterfaceSpec = field(default_factory=InterfaceSpec)
     membranes: bool = True
 
@@ -58,7 +57,6 @@ class CorrectorSolution:
     flux_plus: np.ndarray  # (nc, 2) int over Phi(Y_k^+) of A (p + grad w)
     flux_minus: np.ndarray  # (nc, 2)
     cell_energy: np.ndarray  # (nc,) reference-configuration energy per cell
-    cell_jump_l2sq: np.ndarray  # (nc,) reference jump L2 squared per cell
     form: BilinearFormSpec  # the coefficients the solve was assembled with
 
     @property
@@ -118,12 +116,12 @@ def _corrector_solution(
     )
     return CorrectorSolution(
         sol=sol, config=config, cells=mesh.cells, flux_plus=fp, flux_minus=fm,
-        cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, cell_jump_l2sq=jump2, form=form,
+        cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, form=form,
     )
 
 
 def solve_loads(
-    cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=None, center=(0, 0), x0=None
+    cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=None, center=(0, 0)
 ) -> list[CorrectorSolution]:
     """Regularized correctors on one realization of the deformed truncated
     cube: jump weight 1, mass weight delta, zero Dirichlet data and, for each
@@ -139,16 +137,33 @@ def solve_loads(
     out = []
     for p in loads:
         c = replace(cfg, p=p)
-        sol = solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)), x0=x0)
+        sol = solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)))
         out.append(_corrector_solution(sol, c, form, tensor))
     return out
 
 
 def solve_truncated(
-    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=None, center=(0, 0), x0=None
+    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=None, center=(0, 0)
 ) -> CorrectorSolution:
     """The corrector for the single mean gradient ``cfg.p`` (see solve_loads)."""
-    return solve_loads(cfg, dmap, [cfg.p], conductivity, center, x0)[0]
+    return solve_loads(cfg, dmap, [cfg.p], conductivity, center)[0]
+
+
+def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
+    """The node each node of a unit-cell mesh is identified with: a boundary
+    node with a coordinate 1 maps to the boundary node at its folded position
+    (each such coordinate set to 0), every other node to itself.  Folded
+    positions are grouped by rounded keys; the node already at the folded
+    position owns its group."""
+    canon = np.arange(mesh.num_vertices)
+    bn = mesh.boundary_nodes
+    pos = mesh.vertices[bn]
+    folded = np.where(pos == 1.0, 0.0, pos)
+    order = np.argsort((folded != pos).any(axis=1), kind="stable")  # unmoved nodes first
+    nodes, keys = bn[order], np.round(folded[order] * 1e10).astype(np.int64)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    canon[nodes] = nodes[first][group.reshape(-1)]
+    return canon
 
 
 def periodic_cell_solve(
@@ -166,19 +181,7 @@ def periodic_cell_solve(
 
     # fold periodic partners onto canonical representatives
     nv = mesh.num_vertices
-    canon = np.arange(nv)
-    v = mesh.vertices
-    for b in mesh.boundary_nodes:
-        x, y = v[b]
-        cx = 0.0 if x == 1.0 else x
-        cy = 0.0 if y == 1.0 else y
-        if cx != x or cy != y:
-            match = np.flatnonzero(
-                (np.abs(v[mesh.boundary_nodes, 0] - cx) < 1e-12)
-                & (np.abs(v[mesh.boundary_nodes, 1] - cy) < 1e-12)
-            )
-            canon[b] = mesh.boundary_nodes[match[0]]
-    reps, inv = np.unique(canon, return_inverse=True)
+    reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()
     K = (P.T @ system.matrix @ P).tocsr()
     b = P.T @ system.load
@@ -207,11 +210,6 @@ def energy_profile(corr: CorrectorSolution) -> np.ndarray:
     return np.array(
         [corr.cell_energy[window_mask(corr.cells, k)].sum() for k in range(1, corr.config.n + 1)]
     )
-
-
-def sublinearity_diagnostic(sols: list[CorrectorSolution]) -> np.ndarray:
-    """s_n = max_{Q_n} |w| / n for each solution."""
-    return np.array([np.abs(c.sol.values).max() / c.config.n for c in sols])
 
 
 def write_flux_csv(path, rows) -> None:

@@ -8,7 +8,7 @@ reference cell, divided by the mean deformed cell volume rho.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .corrector import (
 )
 from .errors import EllipticityViolation, InsufficientSamples
 from .fem import edge_jump_energy, p1_gradient, triangle_geometry
-from .geometry import DeformationMap, InterfaceSpec, jacobian_phi
+from .geometry import DeformationMap, InterfaceSpec, jacobian_det
 
 
 @dataclass
@@ -62,11 +62,6 @@ def _square_quadrature(n=64):
     return pts, np.outer(wt, wt).ravel()
 
 
-def _det_jacobian(dmap: DeformationMap, pts: np.ndarray) -> np.ndarray:
-    J = jacobian_phi(dmap, pts)
-    return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-
-
 def volume_stats(
     map_factory: Callable[[int], DeformationMap],
     seeds,
@@ -85,8 +80,8 @@ def volume_stats(
     minus_vols = []
     for s in seeds:
         dmap = map_factory(s)
-        cell_vols.append(float(_det_jacobian(dmap, sq_pts) @ sq_w))
-        minus_vols.append(float(_det_jacobian(dmap, dk_pts) @ dk_w))
+        cell_vols.append(float(jacobian_det(dmap.jacobian(sq_pts)) @ sq_w))
+        minus_vols.append(float(jacobian_det(dmap.jacobian(dk_pts)) @ dk_w))
     cell_vols = np.array(cell_vols)
     minus_vols = np.array(minus_vols)
     rho = cell_vols.mean()
@@ -120,7 +115,7 @@ def corrector_runs(
         cfg = CorrectorConfig()
     runs = []
     for s in seeds:
-        sols = solve_loads(replace(cfg, seed=s), map_factory(s), UNIT_LOADS.values(), conductivity)
+        sols = solve_loads(cfg, map_factory(s), UNIT_LOADS.values(), conductivity)
         runs.append(EffectiveRun(seed=s, corr=dict(zip(UNIT_LOADS, sols))))
     return runs
 

@@ -5,10 +5,6 @@ class MembraneHomogError(Exception):
     """Base class for all workbench errors."""
 
 
-class NonConvergence(MembraneHomogError):
-    """Newton iteration for the inverse deformation map failed."""
-
-
 class MeshQualityFailure(MembraneHomogError):
     """Generated mesh violates the minimum-angle requirement."""
 

@@ -13,7 +13,7 @@ constraints eliminated symmetrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,7 +81,6 @@ class DiscreteSystem:
     fixed: np.ndarray
     fixed_values: np.ndarray
     mesh: MembraneMesh
-    spec: BilinearFormSpec
 
     @property
     def free(self) -> np.ndarray:
@@ -207,7 +206,7 @@ def assemble(
         dirichlet_values = np.zeros(len(dirichlet))
     return DiscreteSystem(
         matrix=K, load=b, fixed=dirichlet, fixed_values=dirichlet_values,
-        mesh=mesh, spec=spec,
+        mesh=mesh,
     )
 
 
@@ -221,7 +220,7 @@ def aggregates(mesh: MembraneMesh) -> np.ndarray:
     return label
 
 
-def _cg(K, b, agg, x0=None):
+def _cg(K, b, agg):
     """CG with the two-level additive preconditioner D^-1 + R^T (R K R^T)^-1 R,
     R the 0/1 restriction summing the dofs of each aggregate (row labels
     ``agg``).  Returns the solution and the iteration count."""
@@ -243,17 +242,17 @@ def _cg(K, b, agg, x0=None):
         iterations += 1
 
     try:
-        x, info = spla.cg(K, b, x0=x0, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
+        x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
     except TypeError:  # scipy < 1.12 spells the tolerance differently
         x, info = spla.cg(
-            K, b, x0=x0, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
+            K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
         )
     if info > 0:
         raise SolverDivergence(f"CG did not converge in {info} iterations")
     return x, iterations
 
 
-def solve(system: DiscreteSystem, x0: np.ndarray = None) -> FemSolution:
+def solve(system: DiscreteSystem) -> FemSolution:
     """Two-level CG on the free degrees of freedom, one coarse unknown per
     (lattice cell, membrane side) of the mesh, or one in all for a system
     without a mesh."""
@@ -271,8 +270,7 @@ def solve(system: DiscreteSystem, x0: np.ndarray = None) -> FemSolution:
         agg = np.zeros(len(free), dtype=np.int64)
     else:
         agg = aggregates(system.mesh)[free]
-    x0f = x0[free] if x0 is not None else None
-    u[free], iterations = _cg(Kff, b, agg, x0=x0f)
+    u[free], iterations = _cg(Kff, b, agg)
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
 
 
@@ -311,30 +309,3 @@ def flux_pairing(sol: FemSolution, spec: BilinearFormSpec, psi) -> float:
     flux = np.einsum("tij,tj->ti", tensor, g)
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     return float(np.einsum("t,ti,ti->", areas, flux, np.asarray(psi(cent))))
-
-
-def mass_pairing(sol: FemSolution, phi, region: int = None) -> float:
-    """int u phi by centroid quadrature, optionally restricted to a region."""
-    mesh = sol.mesh
-    areas, _ = triangle_geometry(mesh)
-    uc = sol.values[mesh.triangles].mean(axis=1)
-    pc = np.asarray(phi(mesh.vertices[mesh.triangles].mean(axis=1)))
-    if region is not None:
-        mask = mesh.tri_region == region
-        return float(np.sum(areas[mask] * uc[mask] * pc[mask]))
-    return float(np.sum(areas * uc * pc))
-
-
-def export_solution(sol: FemSolution, path) -> None:
-    """CSV `node_id,x,y,region,value`; region is +1/-1 by incident triangles
-    (interface nodes carry their own side, 0 for nodes touching both)."""
-    mesh = sol.mesh
-    reg = np.zeros(mesh.num_vertices, dtype=np.int64)
-    for side in (PLUS, MINUS):
-        nodes = np.unique(mesh.triangles[mesh.tri_region == side])
-        reg[nodes] += side
-    lines = ["node_id,x,y,region,value"]
-    for i, ((x, y), r, u) in enumerate(zip(mesh.vertices, reg, sol.values)):
-        lines.append(f"{i},{x:.17g},{y:.17g},{r},{u:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -7,14 +7,9 @@ of cells is preserved and cells can be deformed independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonConvergence
-
-NEWTON_TOL = 1e-10
-NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -70,9 +65,6 @@ class BernoulliField:
         h = _splitmix64(h ^ _splitmix64(~ky.astype(np.uint64)))
         return (h >> np.uint64(63)).astype(np.int64)
 
-    def bit(self, k: tuple[int, int]) -> int:
-        return int(self.bits(np.int64(k[0]), np.int64(k[1])))
-
     def shifted(self, k: tuple[int, int]) -> "BernoulliField":
         return BernoulliField(self.seed, (self.shift[0] + k[0], self.shift[1] + k[1]))
 
@@ -99,58 +91,19 @@ def _bump_psi_prime(rho: np.ndarray) -> np.ndarray:
 class DeformationMap:
     """Base class: an orientation-preserving diffeomorphism fixing cell boundaries."""
 
-    #: lower bound on det(grad Phi), upper bound on |grad Phi|; set by subclasses
-    mu: float = 1.0
-    M: float = 1.0
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        """Per-cell damped Newton inversion seeded at x (cells are invariant)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x).astype(float)
-        y = pts.copy()
-        res = self.apply(y) - pts
-        norm = np.linalg.norm(res, axis=1)
-        for _ in range(NEWTON_MAX_ITER):
-            active = norm > NEWTON_TOL
-            if not active.any():
-                break
-            ya = y[active]
-            J = self.jacobian(ya)
-            step = np.linalg.solve(J, res[active][..., None])[..., 0]
-            damp = np.ones(len(ya))
-            for _ in range(60):
-                trial = ya - damp[:, None] * step
-                tres = self.apply(trial) - pts[active]
-                tnorm = np.linalg.norm(tres, axis=1)
-                worse = tnorm > norm[active]
-                if not worse.any():
-                    break
-                damp[worse] *= 0.5
-            y[active] = ya - damp[:, None] * step
-            res[active] = tres
-            norm[active] = tnorm
-        else:
-            raise NonConvergence(
-                f"inverse map Newton failed: max residual {norm.max():.3e}"
-            )
-        return y[0] if single else y
-
-    def sampled_bounds(self, n: int = 200) -> tuple[float, float]:
-        """(min det grad Phi, max |grad Phi|) over an n x n grid in the unit cell."""
-        t = (np.arange(n) + 0.5) / n
+    def min_jacobian_det(self) -> float:
+        """min det(grad Phi) over a 200 x 200 grid of cell-centred points in
+        the unit cell."""
+        t = (np.arange(200) + 0.5) / 200
         gx, gy = np.meshgrid(t, t)
         pts = np.column_stack([gx.ravel(), gy.ravel()])
-        J = self.jacobian(pts)
-        dets = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        norms = np.linalg.norm(J, ord=2, axis=(1, 2))
-        return float(dets.min()), float(norms.max())
+        return float(jacobian_det(self.jacobian(pts)).min())
 
 
 class IdentityMap(DeformationMap):
@@ -165,19 +118,15 @@ class IdentityMap(DeformationMap):
         J[:, 0, 0] = J[:, 1, 1] = 1.0
         return J
 
-    def inverse(self, x):
-        return np.asarray(x, dtype=float).copy()
-
 
 class ScalingMap(DeformationMap):
-    """Uniform scaling Phi(y) = s*y.  Test-only: does not fix cell boundaries."""
+    """Uniform scaling Phi(y) = s*y.  It does not fix cell boundaries, so it
+    cannot tile; ``verify`` uses it for its known surface factor s."""
 
     kind = "scaling"
 
     def __init__(self, s: float):
         self.s = float(s)
-        self.mu = self.s**2
-        self.M = self.s
 
     def apply(self, y):
         return self.s * np.asarray(y, dtype=float)
@@ -187,9 +136,6 @@ class ScalingMap(DeformationMap):
         J = np.zeros((len(y), 2, 2))
         J[:, 0, 0] = J[:, 1, 1] = self.s
         return J
-
-    def inverse(self, x):
-        return np.asarray(x, dtype=float) / self.s
 
 
 class BumpMap(DeformationMap):
@@ -202,8 +148,7 @@ class BumpMap(DeformationMap):
         self.amplitude = float(amplitude)
         u = np.asarray(direction, dtype=float)
         self.direction = u / np.linalg.norm(u)
-        self.mu, self.M = self.sampled_bounds()
-        if self.mu <= 0.0:
+        if self.min_jacobian_det() <= 0.0:
             raise ValueError(f"bump amplitude {amplitude} folds the map (det <= 0)")
 
     def _displacement(self, local: np.ndarray) -> np.ndarray:
@@ -253,8 +198,6 @@ class BernoulliCellwiseMap(DeformationMap):
         self.amplitude = float(amplitude)
         self._bump = BumpMap(amplitude, direction)
         self.direction = self._bump.direction
-        self.mu = min(1.0, self._bump.mu)
-        self.M = max(1.0, self._bump.M)
 
     def _bits_at(self, k: np.ndarray) -> np.ndarray:
         return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64))
@@ -285,40 +228,6 @@ class BernoulliCellwiseMap(DeformationMap):
         )
 
 
-def apply_phi(dmap: DeformationMap, y) -> np.ndarray:
-    return dmap.apply(np.asarray(y, dtype=float))
-
-
-def jacobian_phi(dmap: DeformationMap, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    J = dmap.jacobian(y)
-    return J[0] if y.ndim == 1 else J
-
-
-def inverse_phi(dmap: DeformationMap, x) -> np.ndarray:
-    return dmap.inverse(np.asarray(x, dtype=float))
-
-
-def surface_factor(dmap: DeformationMap, x, tangent) -> np.ndarray:
-    """Length-distortion factor |grad Phi . t| carrying arc length on Gamma_0
-    to arc length on the deformed interface."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(tangent, dtype=float)
-    single = x.ndim == 1
-    J = dmap.jacobian(np.atleast_2d(x))
-    jt = np.einsum("nij,nj->ni", J, np.atleast_2d(t))
-    out = np.linalg.norm(jt, axis=1)
-    return float(out[0]) if single else out
-
-
-def surface_factor_normal_form(dmap: DeformationMap, x, normal) -> np.ndarray:
-    """Same factor via the cofactor formula det(J) * |J^{-T} n| (normal-gradient form)."""
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    single = x.ndim == 1
-    J = dmap.jacobian(np.atleast_2d(x))
-    dets = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv_t = np.linalg.inv(J).transpose(0, 2, 1)
-    jn = np.einsum("nij,nj->ni", Jinv_t, np.atleast_2d(n))
-    out = dets * np.linalg.norm(jn, axis=1)
-    return float(out[0]) if single else out
+def jacobian_det(J: np.ndarray) -> np.ndarray:
+    """det of each 2x2 matrix of a stack (n, 2, 2) of Jacobians."""
+    return J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]

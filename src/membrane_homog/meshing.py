@@ -402,13 +402,6 @@ def _carries_membrane(cells: np.ndarray, n: int, beta: float) -> np.ndarray:
     return np.minimum(cells, n - 1 - cells).min(axis=1) >= beta
 
 
-def membrane_cells(n: int, beta: float) -> list[tuple[int, int]]:
-    """Lattice cells of the n x n grid at reference distance >= beta from the
-    boundary of [0,n]^2; these carry membranes."""
-    cells = _lattice(range(n), range(n))
-    return [tuple(k) for k in cells[_carries_membrane(cells, n, beta)].tolist()]
-
-
 def tile_domain_mesh(
     cell: MembraneMesh,
     dmap: DeformationMap,
@@ -579,7 +572,8 @@ def mesh_report(mesh: MembraneMesh) -> MeshReport:
 
 
 def export_mesh(mesh: MembraneMesh, path) -> None:
-    """Write the plain-text `membrane-mesh v1` format (bit-exact round-trip)."""
+    """Write the plain-text `membrane-mesh v1` format, coordinates by repr
+    (so they read back bit-exact)."""
     lines = ["membrane-mesh v1"]
     lines.append(f"V {mesh.num_vertices}")
     for x, y in mesh.vertices:
@@ -595,49 +589,3 @@ def export_mesh(mesh: MembraneMesh, path) -> None:
         lines.append(f"{b}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def import_mesh(path) -> MembraneMesh:
-    with open(path) as f:
-        tokens = f.read().split("\n")
-    if tokens[0] != "membrane-mesh v1":
-        raise ValueError(f"unrecognized mesh header {tokens[0]!r}")
-    pos = 1
-
-    def expect(tag):
-        nonlocal pos
-        head = tokens[pos].split()
-        if head[0] != tag:
-            raise ValueError(f"expected section {tag}, got {tokens[pos]!r}")
-        pos += 1
-        return int(head[1])
-
-    nv = expect("V")
-    verts = np.array(
-        [[float(w) for w in tokens[pos + i].split()] for i in range(nv)]
-    ).reshape(nv, 2)
-    pos += nv
-    nt = expect("T")
-    trows = np.array(
-        [[int(w) for w in tokens[pos + i].split()] for i in range(nt)], dtype=np.int64
-    ).reshape(nt, 6)
-    pos += nt
-    ne = expect("IE")
-    pairs = np.array(
-        [[int(w) for w in tokens[pos + i].split()] for i in range(ne)], dtype=np.int64
-    ).reshape(ne, 2)
-    pos += ne
-    nb = expect("B")
-    bnodes = np.array([int(tokens[pos + i]) for i in range(nb)], dtype=np.int64)
-
-    tris = trows[:, :3]
-    lengths = np.linalg.norm(verts[tris[:, 1]] - verts[tris[:, 0]], axis=1)
-    return MembraneMesh(
-        vertices=verts,
-        triangles=tris,
-        tri_region=trows[:, 3].astype(np.int8),
-        tri_cell=trows[:, 4:6],
-        interface_pairs=pairs,
-        boundary_nodes=bnodes,
-        h=float(np.median(lengths)),
-    )

@@ -5,7 +5,7 @@ surface integrals under a deformation of the ambient plane."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import HypothesisViolation, SingularMatrix
 from .fem import DiscreteSystem, FemSolution
-from .geometry import DeformationMap, InterfaceSpec
+from .geometry import DeformationMap, InterfaceSpec, jacobian_det
 
 DENSE_DOF_LIMIT = 2000
 
@@ -157,7 +157,7 @@ def surface_integral_crosscheck(
     x = c + r * np.column_stack([np.cos(t), np.sin(t)])
     grad_g = 2.0 * (x - c)
     J = dmap.jacobian(x)
-    dets = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    dets = jacobian_det(J)
     Jinv_t = np.linalg.inv(J).transpose(0, 2, 1)
     num = np.linalg.norm(np.einsum("nij,nj->ni", Jinv_t, grad_g), axis=1)
     weight = dets * num / np.linalg.norm(grad_g, axis=1)

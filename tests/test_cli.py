@@ -197,6 +197,27 @@ class TestRandomMaps:
         for name in ("effective.json", "report.json", "convergence.csv"):
             assert (shared / name).read_bytes() == (fresh / name).read_bytes()
 
+    @pytest.mark.parametrize("damage", ["truncated", "without_stderr", "not_an_object"])
+    def test_homogenize_recomputes_malformed_tensor(self, cfg_path, tmp_path, capsys, damage):
+        fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
+        assert main(["homogenize", "--config", cfg_path, "--out", str(fresh)]) == 0
+        text = (fresh / "effective.json").read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage == "not_an_object":
+            text = "[]"
+        else:
+            payload = json.loads(text)
+            del payload["stderr"]
+            text = json.dumps(payload)
+        damaged.mkdir()
+        (damaged / "effective.json").write_text(text)
+        capsys.readouterr()
+        assert main(["homogenize", "--config", cfg_path, "--out", str(damaged)]) == 0
+        assert "recomputing" in capsys.readouterr().err
+        for name in ("effective.json", "report.json", "convergence.csv"):
+            assert (damaged / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_homogenize_reuses_tensor_of_same_a0_config(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["effective", "--config", cfg_path, "--out", str(out)]) == 0
@@ -254,6 +275,23 @@ class TestInputErrors:
         assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o"), *dry_run]) == 2
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exits_2_naming_path(self, tmp_path, capsys, kind):
+        p = tmp_path / "exp.cfg"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not_utf8":
+            p.write_bytes(b"map = \xff\xfe\n")
+        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: --config {p}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_that_is_a_file_exits_2_naming_path(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"config error: --out {out}:" in capsys.readouterr().err
 
     def test_unmeshable_radius_exits_1_without_traceback(self, tmp_path, capsys):
         """A cell mesh whose inner rings cannot keep halving reports a mesh

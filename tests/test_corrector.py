@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+import membrane_homog.corrector as corrector
 from membrane_homog.corrector import (
     CorrectorConfig,
     CorrectorSolution,
     energy_profile,
     periodic_cell_solve,
+    periodic_representatives,
     solve_truncated,
-    sublinearity_diagnostic,
     write_energy_csv,
     write_flux_csv,
 )
-from membrane_homog.errors import ConfigError
+from membrane_homog.errors import ConfigError, MeshQualityFailure
+from membrane_homog.fem import CONDUCTIVITY_PRESETS
 from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
+from membrane_homog.meshing import build_cell_mesh
 
 SPEC = InterfaceSpec()
 
@@ -48,14 +51,6 @@ class TestTruncated:
         a_tr = tr.window_flux()[0]
         a_per = (per.flux_plus[0] + per.flux_minus[0])[0]
         assert abs(a_tr - a_per) / abs(a_per) < 0.02
-
-    def test_uniqueness_across_initial_guesses(self):
-        cfg = CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1)
-        a = solve_truncated(cfg, IdentityMap())
-        rng = np.random.default_rng(0)
-        x0 = rng.standard_normal(a.mesh.num_vertices)
-        b = solve_truncated(cfg, IdentityMap(), x0=x0)
-        assert np.abs(a.sol.values - b.sol.values).max() < 1e-8
 
     def test_dirichlet_trace_zero(self):
         cfg = CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1)
@@ -158,30 +153,54 @@ class TestEnergyProfile:
         assert max(ratios) <= 2.0 * min(ratios)
 
 
-class TestSublinearity:
-    def test_zero_solution(self):
-        corr = solve_truncated(CorrectorConfig(p=[0, 0], n=2, m=1, h=0.1), IdentityMap())
-        assert sublinearity_diagnostic([corr])[0] == 0.0
+def looped_representatives(mesh):
+    """Reference periodic fold by a loop over the boundary nodes: a node with
+    a coordinate 1 maps to the first boundary node within 1e-12 of its folded
+    position."""
+    canon = np.arange(mesh.num_vertices)
+    v = mesh.vertices
+    for b in mesh.boundary_nodes:
+        x, y = v[b]
+        cx = 0.0 if x == 1.0 else x
+        cy = 0.0 if y == 1.0 else y
+        if cx != x or cy != y:
+            match = np.flatnonzero(
+                (np.abs(v[mesh.boundary_nodes, 0] - cx) < 1e-12)
+                & (np.abs(v[mesh.boundary_nodes, 1] - cy) < 1e-12)
+            )
+            canon[b] = mesh.boundary_nodes[match[0]]
+    return canon
 
-    def test_nonincreasing_with_n(self):
-        sols = []
-        for n, delta in ((2, 1e-2), (4, 1e-3), (8, 1e-4)):
-            cfg = CorrectorConfig(p=[1, 0], n=n, m=1, h=0.1, delta=delta)
-            sols.append(solve_truncated(cfg, IdentityMap()))
-        s = sublinearity_diagnostic(sols)
-        assert s[1] <= 1.1 * s[0]
-        assert s[2] <= 1.1 * s[1]
 
-    def test_constant_shift_scales_as_one_over_n(self):
-        sols = []
-        for n in (2, 4):
-            cfg = CorrectorConfig(p=[1, 0], n=n, m=1, h=0.1)
-            corr = solve_truncated(cfg, IdentityMap())
-            corr.sol.values[:] = 3.0
-            sols.append(corr)
-        s = sublinearity_diagnostic(sols)
-        assert abs(s[0] - 3.0 / 2.0) < 1e-12
-        assert abs(s[1] - 3.0 / 4.0) < 1e-12
+class TestPeriodicFoldMatchesLoop:
+    """The vectorized periodic fold gives bitwise the partners of a per-node loop."""
+
+    def test_cell_meshes_over_radius_and_h(self):
+        built = 0
+        for radius in (0.05, 0.15, 0.25, 0.35, 0.45):
+            for h in (0.25, 0.15, 0.1, 0.07, 0.05):
+                try:
+                    mesh = build_cell_mesh(InterfaceSpec(radius=radius), h)
+                except MeshQualityFailure:
+                    continue
+                built += 1
+                canon = periodic_representatives(mesh)
+                assert np.array_equal(canon, looped_representatives(mesh)), (radius, h)
+                v = mesh.vertices
+                corners = mesh.boundary_nodes[(v[mesh.boundary_nodes] % 1.0 == 0.0).all(axis=1)]
+                assert len(corners) == 4 and (v[canon[corners]] == 0.0).all(), (radius, h)
+        assert built >= 15
+
+    @pytest.mark.parametrize("conductivity", ["identity", "aniso"])
+    def test_periodic_solve_bitwise(self, monkeypatch, conductivity):
+        field = CONDUCTIVITY_PRESETS[conductivity]
+        fast = periodic_cell_solve([1.0, 0.3], SPEC, field, h=0.1)
+        monkeypatch.setattr(corrector, "periodic_representatives", looped_representatives)
+        slow = periodic_cell_solve([1.0, 0.3], SPEC, field, h=0.1)
+        assert np.array_equal(fast.sol.values, slow.sol.values)
+        assert np.array_equal(fast.flux_plus, slow.flux_plus)
+        assert np.array_equal(fast.flux_minus, slow.flux_minus)
+        assert np.array_equal(fast.cell_energy, slow.cell_energy)
 
 
 class TestCsv:

@@ -85,7 +85,7 @@ class TestEffectiveTensor:
     def test_second_load_on_shared_mesh_matches_single_solve(self):
         dmap = BernoulliCellwiseMap(seed=3)
         run = corrector_runs(lambda s: dmap, [3], QUICK)[0]
-        cfg = CorrectorConfig(p=[0.0, 1.0], n=2, m=1, h=0.1, delta=1e-3, seed=3)
+        cfg = CorrectorConfig(p=[0.0, 1.0], n=2, m=1, h=0.1, delta=1e-3)
         alone = solve_truncated(cfg, dmap)
         assert np.array_equal(run.corr["e2"].sol.values, alone.sol.values)
         assert np.array_equal(run.corr["e2"].window_flux(), alone.window_flux())

@@ -355,21 +355,3 @@ class TestPairings:
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
         psi = lambda p: np.column_stack([p[:, 1], p[:, 0]])
         assert abs(flux_pairing(sol, BilinearFormSpec(), psi) - 0.5) < 1e-12
-
-    def test_mass_pairing_constant(self, cell_h01):
-        sol = fem.FemSolution(values=np.ones(cell_h01.num_vertices), mesh=cell_h01)
-        val = fem.mass_pairing(sol, lambda p: np.ones(len(p)))
-        assert abs(val - 1.0) < 1e-12
-        val_minus = fem.mass_pairing(sol, lambda p: np.ones(len(p)), region=-1)
-        a_minus = triangle_geometry(cell_h01)[0][cell_h01.tri_region == -1].sum()
-        assert abs(val_minus - a_minus) < 1e-12
-
-
-class TestExport:
-    def test_solution_csv(self, cell_h01, tmp_path):
-        sol = fem.FemSolution(values=np.arange(cell_h01.num_vertices, dtype=float), mesh=cell_h01)
-        path = tmp_path / "sol.csv"
-        fem.export_solution(sol, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "node_id,x,y,region,value"
-        assert len(lines) == cell_h01.num_vertices + 1
