@@ -21,12 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corrector import (
-    CorrectorConfig,
-    energy_profile,
-    write_energy_csv,
-    write_flux_csv,
-)
+from .corrector import CorrectorConfig, write_energy_csv, write_flux_csv
 from .effective import (
     corrector_runs,
     effective_tensor,
@@ -266,7 +261,8 @@ def _run_tasks(worker, tasks, jobs):
 
 
 def _corrector_task(task):
-    """One realization: the e1 and e2 correctors on its one mesh and matrix."""
+    """One realization's sample (effective.EffectiveRun), reduced from its e1
+    and e2 correctors on its one mesh and matrix."""
     cfg, seed = task
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     return corrector_runs(cfg.make_map, [seed], cfg.corrector_config(), conductivity)[0]
@@ -298,12 +294,15 @@ class OutputTracker:
 
     def path(self, name):
         p = os.path.join(self.out_dir, name)
+        if os.path.isdir(p):
+            raise ConfigError(f"--out {self.out_dir}: {p} is a directory")
         self.paths.append(p)
         return p
 
     def cleanup(self):
+        """Remove the regular files among the recorded outputs."""
         for p in self.paths:
-            if os.path.exists(p):
+            if os.path.isfile(p):
                 os.remove(p)
 
 
@@ -319,10 +318,9 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     runs = _run_tasks(_corrector_task, [(cfg, s) for s in cfg.seeds], jobs)
-    flux_rows = [(r.seed, "e1;e2", cfg.delta, cfg.n, cfg.m,
-                  np.array([r.corr[k].window_flux() for k in ("e1", "e2")])) for r in runs]
+    flux_rows = [(r.seed, "e1;e2", cfg.delta, cfg.n, cfg.m, r.flux) for r in runs]
     write_flux_csv(out.path("flux.csv"), flux_rows)
-    energy_rows = [(r.seed, energy_profile(r.corr["e1"])) for r in runs]
+    energy_rows = [(r.seed, r.profile) for r in runs]
     write_energy_csv(out.path("energy.csv"), energy_rows)
     print(f"corrector: {len(cfg.seeds)} seeds -> flux.csv, energy.csv")
 
@@ -348,7 +346,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
         stored = read_effective_json(eff_path).config_hash
     except FileNotFoundError:
         stored = None
-    except (ValueError, KeyError, TypeError):  # truncated or malformed: recompute it
+    except (OSError, ValueError, KeyError, TypeError):  # unreadable or malformed: recompute it
         stored = ""
     if stored != cfg.hash(A0_KEYS):
         if stored is not None:

@@ -57,7 +57,7 @@ class CorrectorSolution:
     flux_plus: np.ndarray  # (nc, 2) int over Phi(Y_k^+) of A (p + grad w)
     flux_minus: np.ndarray  # (nc, 2)
     cell_energy: np.ndarray  # (nc,) reference-configuration energy per cell
-    form: BilinearFormSpec  # the coefficients the solve was assembled with
+    window_energy: np.ndarray  # (loads,) window-energy form with each solve of its mesh
 
     @property
     def mesh(self) -> MembraneMesh:
@@ -92,32 +92,49 @@ def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarr
     return out
 
 
-def _corrector_solution(
-    sol: FemSolution, config: CorrectorConfig, form: BilinearFormSpec, tensor: np.ndarray
-) -> CorrectorSolution:
-    """The solve with its per-cell physical fluxes and reference-configuration
-    energies; ``tensor`` is ``form.tensor(sol.mesh)``."""
-    mesh, values, p = sol.mesh, sol.values, config.p
+def _corrector_solutions(
+    sols: list, configs: list, form: BilinearFormSpec, tensor: np.ndarray
+) -> list[CorrectorSolution]:
+    """The solves of one mesh with their per-cell physical fluxes,
+    reference-configuration energies and window-energy form; ``tensor`` is
+    ``form.tensor(mesh)``."""
+    mesh = sols[0].mesh
     areas, _ = triangle_geometry(mesh)
-    flux = areas[:, None] * np.einsum("tij,tj->ti", tensor, p1_gradient(mesh, values) + p)
-    plus = mesh.tri_region == PLUS
-    fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
-    fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
+    grads = [p1_gradient(mesh, sol.values) + c.p for sol, c in zip(sols, configs)]
 
-    # reference-configuration energy: same nodal values, lattice coordinates
+    # window mean per cell of int g_i . A g_j plus the weighted jump form of
+    # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i
+    inside = window_mask(mesh.cells, configs[0].m)
+    energy = np.zeros((len(sols), len(sols)))
+    for i, j in zip(*np.triu_indices(len(sols))):
+        e_tri = areas * np.einsum("ti,tij,tj->t", grads[i], tensor, grads[j])
+        e_jump = form.jump_weight * edge_jump_energy(
+            mesh.vertices, mesh.interface_edges, sols[i].values, sols[j].values
+        )
+        energy[i, j] = energy[j, i] = cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum()
+
     ref_areas, ref_grads = triangle_geometry(mesh, mesh.ref_vertices)
-    u = values[mesh.triangles]
-    gref = np.einsum("tid,ti->td", ref_grads, u)
-    e_grad = ref_areas * np.einsum("td,td->t", gref, gref)
-    uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
-    e_mass = form.mass_weight * ref_areas * uc2 / 12.0  # exact P1 mass per triangle
-    jump2 = cell_sums(
-        mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
-    )
-    return CorrectorSolution(
-        sol=sol, config=config, cells=mesh.cells, flux_plus=fp, flux_minus=fm,
-        cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, form=form,
-    )
+    plus = mesh.tri_region == PLUS
+    out = []
+    for sol, config, g, row in zip(sols, configs, grads, energy):
+        flux = areas[:, None] * np.einsum("tij,tj->ti", tensor, g)
+        fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
+        fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
+
+        # reference-configuration energy: same nodal values, lattice coordinates
+        u = sol.values[mesh.triangles]
+        gref = np.einsum("tid,ti->td", ref_grads, u)
+        e_grad = ref_areas * np.einsum("td,td->t", gref, gref)
+        uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
+        e_mass = form.mass_weight * ref_areas * uc2 / 12.0  # exact P1 mass per triangle
+        jump2 = cell_sums(
+            mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, sol.values)
+        )
+        out.append(CorrectorSolution(
+            sol=sol, config=config, cells=mesh.cells, flux_plus=fp, flux_minus=fm,
+            cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, window_energy=row,
+        ))
+    return out
 
 
 def solve_loads(
@@ -134,12 +151,12 @@ def solve_loads(
         form = replace(form, conductivity=conductivity)
     system = assemble(mesh, form)
     tensor = form.tensor(mesh)
-    out = []
-    for p in loads:
-        c = replace(cfg, p=p)
-        sol = solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)))
-        out.append(_corrector_solution(sol, c, form, tensor))
-    return out
+    configs = [replace(cfg, p=p) for p in loads]
+    sols = [
+        solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)))
+        for c in configs
+    ]
+    return _corrector_solutions(sols, configs, form, tensor)
 
 
 def solve_truncated(
@@ -201,7 +218,7 @@ def periodic_cell_solve(
 
     cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
     sol = FemSolution(values=values, mesh=mesh, iterations=iterations)
-    return _corrector_solution(sol, cfg, form, form.tensor(mesh))
+    return _corrector_solutions([sol], [cfg], form, form.tensor(mesh))[0]
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

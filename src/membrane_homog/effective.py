@@ -13,15 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corrector import (
-    CorrectorConfig,
-    CorrectorSolution,
-    cell_sums,
-    solve_loads,
-    window_mask,
-)
+from .corrector import CorrectorConfig, energy_profile, solve_loads
 from .errors import EllipticityViolation, InsufficientSamples
-from .fem import edge_jump_energy, p1_gradient, triangle_geometry
 from .geometry import DeformationMap, InterfaceSpec, jacobian_det
 
 
@@ -94,13 +87,17 @@ def volume_stats(
 
 @dataclass
 class EffectiveRun:
-    """The two directional corrector solves for one realization."""
+    """One realization's sample, reduced where its correctors w_e1, w_e2 were
+    solved.  ``energy`` is their window-energy form: xi . energy xi is the
+    window energy of w_xi = xi_1 w_e1 + xi_2 w_e2."""
 
     seed: int
-    corr: dict  # direction label -> CorrectorSolution
+    flux: np.ndarray  # (2, 2) window flux, one row per load e1, e2
+    energy: np.ndarray  # (2, 2) symmetric
+    profile: np.ndarray  # (n,) energy profile of w_e1
 
 
-UNIT_LOADS = {"e1": [1.0, 0.0], "e2": [0.0, 1.0]}
+UNIT_LOADS = ([1.0, 0.0], [0.0, 1.0])  # e1, e2
 
 
 def corrector_runs(
@@ -109,14 +106,17 @@ def corrector_runs(
     cfg: CorrectorConfig = None,
     conductivity=None,
 ) -> list[EffectiveRun]:
-    """The e1 and e2 correctors of each seed's realization, both solved on its
-    one mesh and matrix."""
+    """The sample of each seed's realization, from its e1 and e2 correctors,
+    both solved on its one mesh and matrix."""
     if cfg is None:
         cfg = CorrectorConfig()
     runs = []
     for s in seeds:
-        sols = solve_loads(cfg, map_factory(s), UNIT_LOADS.values(), conductivity)
-        runs.append(EffectiveRun(seed=s, corr=dict(zip(UNIT_LOADS, sols))))
+        sols = solve_loads(cfg, map_factory(s), UNIT_LOADS, conductivity)
+        runs.append(EffectiveRun(
+            seed=s, flux=np.array([c.window_flux() for c in sols]),
+            energy=np.array([c.window_energy for c in sols]), profile=energy_profile(sols[0]),
+        ))
     return runs
 
 
@@ -126,9 +126,7 @@ def effective_tensor(
     """a0_ij = (1/rho) * mean over seeds of e_j . window flux for p = e_i."""
     if len(runs) < 2:
         raise InsufficientSamples(f"need >= 2 seeds for a standard error, got {len(runs)}")
-    samples = np.array(
-        [[run.corr["e1"].window_flux(), run.corr["e2"].window_flux()] for run in runs]
-    )  # (N, 2, 2), rows = directions
+    samples = np.array([run.flux for run in runs])  # (N, 2, 2), rows = directions
     A0 = samples.mean(axis=0) / rho
     stderr = samples.std(axis=0, ddof=1) / (rho * np.sqrt(len(runs)))
     return EffectiveTensor(
@@ -136,26 +134,10 @@ def effective_tensor(
     )
 
 
-def _window_energy(corr: CorrectorSolution, partner: CorrectorSolution, xi) -> float:
-    """Window average per cell of int (xi + grad w_xi) . A (xi + grad w_xi)
-    plus the interface jump energy, physical configuration, where w_xi is the
-    linear combination xi_1 w_e1 + xi_2 w_e2.  A and the jump weight are those
-    of the form the correctors were solved with."""
-    xi = np.asarray(xi, dtype=float)
-    mesh = corr.mesh
-    values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
-    tensor = corr.form.tensor(mesh)
-    areas, _ = triangle_geometry(mesh)
-    g = p1_gradient(mesh, values) + xi
-    e_tri = areas * np.einsum("ti,tij,tj->t", g, tensor, g)
-    e_jump = corr.form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
-    inside = window_mask(corr.cells, corr.config.m)
-    return float(cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum())
-
-
 def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -> float:
-    """|xi . A0 xi - (1/rho) E[window energy of w_xi]|, the quadratic-form
-    consistency between the flux average and the energy average.
+    """|xi . A0 xi - (1/rho) E[xi . energy xi]|, the quadratic-form
+    consistency between the flux average and the energy average: xi . energy
+    xi is a realization's window energy of w_xi = xi_1 w_e1 + xi_2 w_e2.
 
     Flux and energy come from the same discrete corrector, so testing its
     regularized equation with w_xi itself shows that the two averages differ
@@ -168,10 +150,7 @@ def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -
     """
     xi = np.asarray(xi, dtype=float)
     lhs = float(xi @ t.A0 @ xi)
-    energies = [
-        _window_energy(run.corr["e1"], run.corr["e2"], xi) for run in runs
-    ]
-    rhs = float(np.mean(energies)) / t.rho
+    rhs = float(np.mean([xi @ run.energy @ xi for run in runs])) / t.rho
     return abs(lhs - rhs)
 
 

@@ -131,10 +131,12 @@ def jump_element_matrices(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray
     return (L / 6.0)[:, None, None] * _JUMP_BASE
 
 
-def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """int_e (u+ - u-)^2 ds per interface edge (unweighted)."""
+def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None) -> np.ndarray:
+    """int_e (u+ - u-)(v+ - v-) ds per interface edge (unweighted), u the
+    nodal ``values`` and v those of ``other`` (default u)."""
     u = values[edges]
-    return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), u)
+    v = u if other is None else other[edges]
+    return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), v)
 
 
 def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
@@ -299,13 +301,13 @@ def norms(sol: FemSolution) -> dict:
     return out
 
 
-def flux_pairing(sol: FemSolution, spec: BilinearFormSpec, psi) -> float:
-    """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature;
-    psi maps physical points (n, 2) to vectors (n, 2)."""
+def flux_pairing(sol: FemSolution, spec: BilinearFormSpec, fields) -> list[float]:
+    """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
+    for each psi in ``fields``; psi maps physical points (n, 2) to vectors (n, 2)."""
     mesh = sol.mesh
     areas, _ = triangle_geometry(mesh)
     tensor = spec.tensor(mesh)
     g = p1_gradient(mesh, sol.values)
     flux = np.einsum("tij,tj->ti", tensor, g)
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    return float(np.einsum("t,ti,ti->", areas, flux, np.asarray(psi(cent))))
+    return [float(np.einsum("t,ti,ti->", areas, flux, np.asarray(psi(cent)))) for psi in fields]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import pickle
 from dataclasses import asdict
 
 import pytest
@@ -102,6 +103,12 @@ class TestPipeline:
         plan = json.loads(capsys.readouterr().out)
         assert plan["command"] == "homogenize"
         assert not os.path.exists(out)
+
+    def test_corrector_task_returns_a_small_sample(self):
+        """A pooled corrector task returns its realization's sample, not its
+        mesh and solutions."""
+        cfg = ExperimentConfig(map="bernoulli", n=2, m=1, h=0.1)
+        assert len(pickle.dumps(cli._corrector_task((cfg, 0)))) < 4096
 
 
 class TestDeterminism:
@@ -293,6 +300,19 @@ class TestInputErrors:
         assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
         assert f"config error: --out {out}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("effective", "effective.json"), ("homogenize", "effective.json"),
+         ("homogenize", "convergence.csv")],
+        ids=["effective_json", "homogenize_effective_json", "homogenize_convergence_csv"],
+    )
+    def test_output_name_that_is_a_directory_exits_2(self, cfg_path, tmp_path, capsys,
+                                                      command, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"config error: --out {out}: {out / name}" in capsys.readouterr().err
+        assert (out / name).is_dir()
     def test_unmeshable_radius_exits_1_without_traceback(self, tmp_path, capsys):
         """A cell mesh whose inner rings cannot keep halving reports a mesh
         quality failure instead of an assertion traceback."""

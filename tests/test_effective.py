@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from membrane_homog.corrector import CorrectorConfig, solve_truncated
+from membrane_homog.corrector import (
+    CorrectorConfig,
+    cell_sums,
+    solve_loads,
+    solve_truncated,
+    window_mask,
+)
 from membrane_homog.effective import (
+    UNIT_LOADS,
     EffectiveTensor,
     corrector_runs,
     effective_tensor,
@@ -13,7 +20,14 @@ from membrane_homog.effective import (
     write_effective_json,
 )
 from membrane_homog.errors import EllipticityViolation, InsufficientSamples
-from membrane_homog.fem import aniso_field
+from membrane_homog.fem import (
+    BilinearFormSpec,
+    aniso_field,
+    edge_jump_energy,
+    identity_field,
+    p1_gradient,
+    triangle_geometry,
+)
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 
 SPEC = InterfaceSpec()
@@ -76,21 +90,21 @@ class TestEffectiveTensor:
         assert abs(t.A0[0, 1]) <= 1e-3 and abs(t.A0[1, 0]) <= 1e-3
 
     def test_linearity_in_direction(self):
-        run = corrector_runs(lambda s: IdentityMap(), [0], QUICK)[0]
+        e1, e2 = solve_loads(QUICK, IdentityMap(), UNIT_LOADS)
         cfg = CorrectorConfig(p=[1.0, 1.0], n=2, m=1, h=0.1, delta=1e-3)
         combo = solve_truncated(cfg, IdentityMap())
-        expected = run.corr["e1"].window_flux() + run.corr["e2"].window_flux()
+        expected = e1.window_flux() + e2.window_flux()
         assert np.abs(combo.window_flux() - expected).max() < 1e-6
 
     def test_second_load_on_shared_mesh_matches_single_solve(self):
         dmap = BernoulliCellwiseMap(seed=3)
-        run = corrector_runs(lambda s: dmap, [3], QUICK)[0]
+        e1, e2 = solve_loads(QUICK, dmap, UNIT_LOADS)
         cfg = CorrectorConfig(p=[0.0, 1.0], n=2, m=1, h=0.1, delta=1e-3)
         alone = solve_truncated(cfg, dmap)
-        assert np.array_equal(run.corr["e2"].sol.values, alone.sol.values)
-        assert np.array_equal(run.corr["e2"].window_flux(), alone.window_flux())
-        assert np.array_equal(run.corr["e2"].cell_energy, alone.cell_energy)
-        assert run.corr["e1"].mesh is run.corr["e2"].mesh
+        assert np.array_equal(e2.sol.values, alone.sol.values)
+        assert np.array_equal(e2.window_flux(), alone.window_flux())
+        assert np.array_equal(e2.cell_energy, alone.cell_energy)
+        assert e1.mesh is e2.mesh
 
     def test_bernoulli_symmetry_within_stderr(self):
         runs = corrector_runs(lambda s: BernoulliCellwiseMap(seed=s), range(4), QUICK)
@@ -118,6 +132,46 @@ class TestEffectiveTensor:
             offset += N
         slope = np.polyfit(np.log(counts), np.log(errs), 1)[0]
         assert abs(slope + 0.5) < 0.25 * 0.5
+
+
+def window_energy(corr, partner, form, xi) -> float:
+    """Reference: window average per cell of int (xi + grad w_xi) . A (xi +
+    grad w_xi) plus the interface jump energy, physical configuration, where
+    w_xi is the linear combination xi_1 w_e1 + xi_2 w_e2, walked again on the
+    mesh of the two solves."""
+    xi = np.asarray(xi, dtype=float)
+    mesh = corr.mesh
+    values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
+    tensor = form.tensor(mesh)
+    areas, _ = triangle_geometry(mesh)
+    g = p1_gradient(mesh, values) + xi
+    e_tri = areas * np.einsum("ti,tij,tj->t", g, tensor, g)
+    e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
+    inside = window_mask(corr.cells, corr.config.m)
+    return float(cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum())
+
+
+class TestSample:
+    @pytest.mark.parametrize(
+        "dmap, conductivity, radius",
+        [(IdentityMap(), None, 0.25), (BernoulliCellwiseMap(seed=3), None, 0.25),
+         (BumpMap(amplitude=0.6), aniso_field, 0.4)],
+        ids=["identity", "bernoulli", "bump_aniso"],
+    )
+    def test_energy_form_matches_window_energy(self, dmap, conductivity, radius):
+        cfg = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3, interface=InterfaceSpec(radius=radius))
+        run = corrector_runs(lambda s: dmap, [0], cfg, conductivity=conductivity)[0]
+        e1, e2 = solve_loads(cfg, dmap, UNIT_LOADS, conductivity)
+        form = BilinearFormSpec(
+            conductivity=conductivity or identity_field,
+            jump_weight=1.0, mass_weight=cfg.delta,
+        )
+        assert np.array_equal(run.energy, run.energy.T)
+        assert np.array_equal(run.flux, np.array([e1.window_flux(), e2.window_flux()]))
+        s = 1.0 / np.sqrt(2.0)
+        for xi in ([1.0, 0.0], [0.0, 1.0], [s, s]):
+            ref = window_energy(e1, e2, form, xi)
+            assert abs(np.dot(xi, run.energy @ xi) - ref) <= 1e-12 * abs(ref)
 
 
 class TestEllipticity:
