@@ -280,9 +280,12 @@ def _hetero_task(task):
 
 
 class OutputTracker:
-    """Records files written by a command so a failure can clean them up."""
+    """Records files written by a command so a failure can clean them up.
 
-    def __init__(self, out_dir):
+    ``names`` are the files the command may write; one that is a directory
+    is rejected here, before any work."""
+
+    def __init__(self, out_dir, names):
         self.out_dir = out_dir
         self.paths = []
         try:
@@ -291,11 +294,13 @@ class OutputTracker:
             raise ConfigError(
                 f"--out {out_dir}: cannot make the directory: {exc.strerror}"
             ) from exc
+        for name in names:
+            p = os.path.join(out_dir, name)
+            if os.path.isdir(p):
+                raise ConfigError(f"--out {out_dir}: {p} is a directory")
 
     def path(self, name):
         p = os.path.join(self.out_dir, name)
-        if os.path.isdir(p):
-            raise ConfigError(f"--out {self.out_dir}: {p} is a directory")
         self.paths.append(p)
         return p
 
@@ -398,12 +403,13 @@ def cmd_verify(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     )
 
 
+# Each command with the files it may write in --out.
 COMMANDS = {
-    "mesh": cmd_mesh,
-    "corrector": cmd_corrector,
-    "effective": cmd_effective,
-    "homogenize": cmd_homogenize,
-    "verify": cmd_verify,
+    "mesh": (cmd_mesh, ("mesh.txt",)),
+    "corrector": (cmd_corrector, ("flux.csv", "energy.csv")),
+    "effective": (cmd_effective, ("effective.json",)),
+    "homogenize": (cmd_homogenize, ("effective.json", "convergence.csv", "report.json")),
+    "verify": (cmd_verify, ("verify_report.json",)),
 }
 
 
@@ -425,12 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, outputs = COMMANDS[args.command]
     try:
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg = ExperimentConfig(**{**asdict(cfg), "seed": args.seed})
         jobs = resolve_jobs(args)
-        out = None if args.dry_run else OutputTracker(args.out)
+        out = None if args.dry_run else OutputTracker(args.out, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -440,7 +447,7 @@ def main(argv=None) -> int:
         print(json.dumps(plan, indent=2, sort_keys=True))
         return 0
     try:
-        COMMANDS[args.command](cfg, out, jobs)
+        command(cfg, out, jobs)
     except ConfigError as exc:
         out.cleanup()
         print(f"config error: {exc}", file=sys.stderr)

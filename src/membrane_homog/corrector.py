@@ -25,10 +25,9 @@ from .fem import (
     gradient_load,
     p1_gradient,
     solve,
-    triangle_geometry,
 )
 from .geometry import DeformationMap, InterfaceSpec
-from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh
+from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, triangle_geometry
 
 
 @dataclass
@@ -97,9 +96,9 @@ def _corrector_solutions(
 ) -> list[CorrectorSolution]:
     """The solves of one mesh with their per-cell physical fluxes,
     reference-configuration energies and window-energy form; ``tensor`` is
-    ``form.tensor(mesh)``."""
+    the form's conductivity on the mesh (``DiscreteSystem.tensor``)."""
     mesh = sols[0].mesh
-    areas, _ = triangle_geometry(mesh)
+    areas = mesh.areas
     grads = [p1_gradient(mesh, sol.values) + c.p for sol, c in zip(sols, configs)]
 
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
@@ -113,7 +112,7 @@ def _corrector_solutions(
         )
         energy[i, j] = energy[j, i] = cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum()
 
-    ref_areas, ref_grads = triangle_geometry(mesh, mesh.ref_vertices)
+    ref_areas, ref_grads = triangle_geometry(mesh.ref_vertices, mesh.triangles)
     plus = mesh.tri_region == PLUS
     out = []
     for sol, config, g, row in zip(sols, configs, grads, energy):
@@ -150,13 +149,12 @@ def solve_loads(
     if conductivity is not None:
         form = replace(form, conductivity=conductivity)
     system = assemble(mesh, form)
-    tensor = form.tensor(mesh)
     configs = [replace(cfg, p=p) for p in loads]
     sols = [
-        solve(replace(system, load=system.load + gradient_load(mesh, tensor, c.p)))
+        solve(replace(system, load=system.load + gradient_load(mesh, system.tensor, c.p)))
         for c in configs
     ]
-    return _corrector_solutions(sols, configs, form, tensor)
+    return _corrector_solutions(sols, configs, form, system.tensor)
 
 
 def solve_truncated(
@@ -210,15 +208,14 @@ def periodic_cell_solve(
     values = P @ x
 
     # subtract the PLUS-region mean (area-weighted)
-    areas, _ = triangle_geometry(mesh)
     plus = mesh.tri_region == PLUS
     uc = values[mesh.triangles].mean(axis=1)
-    mean = np.sum(areas[plus] * uc[plus]) / np.sum(areas[plus])
+    mean = np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus])
     values = values - mean
 
     cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
     sol = FemSolution(values=values, mesh=mesh, iterations=iterations)
-    return _corrector_solutions([sol], [cfg], form, form.tensor(mesh))[0]
+    return _corrector_solutions([sol], [cfg], form, system.tensor)[0]
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh, triangle_geometry
+from .meshing import MINUS, PLUS, MembraneMesh
 
 CG_RTOL = 1e-10
 
@@ -76,11 +76,15 @@ class BilinearFormSpec:
 
 @dataclass
 class DiscreteSystem:
+    """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
+    form's per-triangle conductivity on ``mesh``, evaluated once by assemble."""
+
     matrix: sp.csr_matrix
     load: np.ndarray
     fixed: np.ndarray
     fixed_values: np.ndarray
     mesh: MembraneMesh
+    tensor: np.ndarray
 
     @property
     def free(self) -> np.ndarray:
@@ -96,26 +100,25 @@ class FemSolution:
     iterations: int = 0
 
 
+def _scatter(dofs: np.ndarray, mats: np.ndarray, nv: int) -> sp.csr_matrix:
+    """The nv x nv sum of element matrices ``mats`` (ne, k, k) over their
+    dofs (ne, k)."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((mats.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
 def assemble_stiffness(mesh: MembraneMesh, tensor: np.ndarray) -> sp.csr_matrix:
-    areas, grads = triangle_geometry(mesh)
-    Ag = np.einsum("tij,tkj->tki", tensor, grads)
-    Ke = np.einsum("t,tid,tjd->tij", areas, grads, Ag)
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    Ag = np.einsum("tij,tkj->tki", tensor, mesh.grads)
+    Ke = np.einsum("t,tid,tjd->tij", mesh.areas, mesh.grads, Ag)
+    return _scatter(mesh.triangles, Ke, mesh.num_vertices)
 
 
 def assemble_mass(mesh: MembraneMesh) -> sp.csr_matrix:
-    areas, _ = triangle_geometry(mesh)
-    Me = np.tile((np.ones((3, 3)) + np.eye(3)) / 12.0, (len(areas), 1, 1))
-    Me *= areas[:, None, None]
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    nv = mesh.num_vertices
-    return sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    Me = np.tile((np.ones((3, 3)) + np.eye(3)) / 12.0, (mesh.num_triangles, 1, 1))
+    Me *= mesh.areas[:, None, None]
+    return _scatter(mesh.triangles, Me, mesh.num_vertices)
 
 
 # jump coupling of the two sides (x) 6 * the P1 edge mass [[2, 1], [1, 2]] / 6,
@@ -142,39 +145,29 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None
 def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
     """Unweighted jump form sum_e int_e (u+ - u-)(v+ - v-) ds on the
     deformed interface polyline."""
-    nv = mesh.num_vertices
     edges = mesh.interface_edges
-    if len(edges) == 0:
-        return sp.csr_matrix((nv, nv))
-    Ke = jump_element_matrices(mesh.vertices, edges)
-    rows = np.repeat(edges, 4, axis=1).ravel()
-    cols = np.tile(edges, (1, 4)).ravel()
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return _scatter(edges, jump_element_matrices(mesh.vertices, edges), mesh.num_vertices)
 
 
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     """int f phi_i with f constant per triangle (centroid value)."""
-    areas, _ = triangle_geometry(mesh)
     if callable(f):
         fc = f(mesh.vertices[mesh.triangles].mean(axis=1))
     else:
-        fc = np.full(len(areas), float(f))
-    b = np.zeros(mesh.num_vertices)
-    contrib = areas * fc / 3.0
-    for i in range(3):
-        np.add.at(b, mesh.triangles[:, i], contrib)
-    return b
+        fc = np.full(mesh.num_triangles, float(f))
+    contrib = mesh.areas * fc / 3.0
+    return np.bincount(
+        mesh.triangles.T.ravel(), weights=np.tile(contrib, 3), minlength=mesh.num_vertices
+    )
 
 
 def gradient_load(mesh: MembraneMesh, tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     """-int A p . grad(phi_i), the corrector load for mean gradient p."""
-    areas, grads = triangle_geometry(mesh)
     Ap = np.einsum("tij,j->ti", tensor, np.asarray(p, dtype=float))
-    contrib = -np.einsum("t,ti,tji->tj", areas, Ap, grads)
-    b = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(b, mesh.triangles[:, i], contrib[:, i])
-    return b
+    contrib = -np.einsum("t,ti,tji->tj", mesh.areas, Ap, mesh.grads)
+    return np.bincount(
+        mesh.triangles.T.ravel(), weights=contrib.T.ravel(), minlength=mesh.num_vertices
+    )
 
 
 def assemble(
@@ -208,7 +201,7 @@ def assemble(
         dirichlet_values = np.zeros(len(dirichlet))
     return DiscreteSystem(
         matrix=K, load=b, fixed=dirichlet, fixed_values=dirichlet_values,
-        mesh=mesh,
+        mesh=mesh, tensor=tensor,
     )
 
 
@@ -278,14 +271,13 @@ def solve(system: DiscreteSystem) -> FemSolution:
 
 def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:
     """Piecewise-constant gradient (nt, 2)."""
-    _, grads = triangle_geometry(mesh)
-    return np.einsum("tid,ti->td", grads, values[mesh.triangles])
+    return np.einsum("tid,ti->td", mesh.grads, values[mesh.triangles])
 
 
 def norms(sol: FemSolution) -> dict:
-    """W-norm components: gradient L2 per region, interface jump L2, u L2."""
+    """W-norm components: gradient L2 per region and interface jump L2."""
     mesh = sol.mesh
-    areas, _ = triangle_geometry(mesh)
+    areas = mesh.areas
     g = p1_gradient(mesh, sol.values)
     g2 = np.einsum("td,td->t", g, g)
     plus = mesh.tri_region == PLUS
@@ -294,8 +286,6 @@ def norms(sol: FemSolution) -> dict:
         "grad_plus_L2": float(np.sqrt(np.sum(areas[plus] * g2[plus]))),
         "grad_minus_L2": float(np.sqrt(np.sum(areas[minus] * g2[minus]))),
     }
-    M = assemble_mass(mesh)
-    out["u_L2"] = float(np.sqrt(sol.values @ (M @ sol.values)))
     J = assemble_jump(mesh)
     out["jump_L2_on_interface"] = float(np.sqrt(max(sol.values @ (J @ sol.values), 0.0)))
     return out
@@ -305,7 +295,7 @@ def flux_pairing(sol: FemSolution, spec: BilinearFormSpec, fields) -> list[float
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``; psi maps physical points (n, 2) to vectors (n, 2)."""
     mesh = sol.mesh
-    areas, _ = triangle_geometry(mesh)
+    areas = mesh.areas
     tensor = spec.tensor(mesh)
     g = p1_gradient(mesh, sol.values)
     flux = np.einsum("tij,tj->ti", tensor, g)

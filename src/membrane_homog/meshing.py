@@ -42,11 +42,14 @@ class MembraneMesh:
     unscaled meshes).  ``interface_pairs`` rows are (plus node, minus node)
     with coincident coordinates.
 
-    The topology is derived once, at construction: ``cells`` are the distinct
-    lattice cells of ``tri_cell`` in lexicographic order, ``tri_cell_index``
-    gives each triangle's row of ``cells``, ``interface_edges`` holds rows
-    (plus_a, plus_b, minus_a, minus_b) and ``edge_cell_index`` the row of
-    ``cells`` each edge belongs to.
+    Topology and geometry are derived once, at construction: ``cells`` are
+    the distinct lattice cells of ``tri_cell`` in lexicographic order,
+    ``tri_cell_index`` gives each triangle's row of ``cells``,
+    ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
+    ``edge_cell_index`` the row of ``cells`` each edge belongs to, and
+    ``areas`` (nt,) and ``grads`` (nt, 3, 2) are the physical triangle areas
+    and P1 basis gradients.  The arrays are not mutated after construction,
+    except ``boundary_nodes``, which the tilers set.
     """
 
     vertices: np.ndarray
@@ -61,6 +64,8 @@ class MembraneMesh:
     tri_cell_index: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.ref_vertices is None:
@@ -72,6 +77,7 @@ class MembraneMesh:
         self.cells = np.column_stack([keys // ny, keys % ny]) + lo
         self.interface_edges, edge_tri = self._interface_edges()
         self.edge_cell_index = self.tri_cell_index[edge_tri]
+        self.areas, self.grads = triangle_geometry(self.vertices, self.triangles)
 
     def _interface_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Interface edges and the MINUS triangle each comes from.
@@ -122,11 +128,9 @@ class MembraneMesh:
         return float(np.min(angles))
 
 
-def triangle_geometry(mesh: MembraneMesh, vertices: np.ndarray = None):
-    """Areas (nt,) and P1 basis gradients (nt, 3, 2) of the mesh triangles,
-    at ``vertices`` (default: the physical coordinates ``mesh.vertices``)."""
-    v = mesh.vertices if vertices is None else vertices
-    t = mesh.triangles
+def triangle_geometry(v: np.ndarray, t: np.ndarray):
+    """Areas (nt,) and P1 basis gradients (nt, 3, 2) of the triangles ``t``
+    at the vertex coordinates ``v``."""
     d1 = v[t[:, 1]] - v[t[:, 0]]
     d2 = v[t[:, 2]] - v[t[:, 0]]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -511,7 +515,7 @@ def mesh_report(mesh: MembraneMesh) -> MeshReport:
         raise ValueError("empty mesh")
     issues: list[str] = []
 
-    areas, _ = triangle_geometry(mesh)
+    areas = mesh.areas
     positive = bool(areas.min() > 0.0)
     if not positive:
         issues.append(f"nonpositive triangle area {areas.min():.3e}")

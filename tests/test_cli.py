@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import membrane_homog.cli as cli
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
 from membrane_homog.effective import read_effective_json
-from membrane_homog.errors import ConfigError
+from membrane_homog.errors import ConfigError, SolverDivergence
 
 QUICK_CFG = """\
 # quick smoke config
@@ -313,6 +313,34 @@ class TestInputErrors:
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
         assert f"config error: --out {out}: {out / name}" in capsys.readouterr().err
         assert (out / name).is_dir()
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("effective", "effective.json"), ("homogenize", "convergence.csv")],
+        ids=["effective_json", "homogenize_convergence_csv"],
+    )
+    def test_output_directory_rejected_before_any_solve(self, cfg_path, tmp_path, capsys,
+                                                        monkeypatch, command, name):
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("solves started")
+
+        monkeypatch.setattr(cli, "_run_tasks", no_tasks)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"config error: --out {out}: {out / name}" in capsys.readouterr().err
+
+    def test_failed_run_keeps_outputs_it_did_not_write(self, cfg_path, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergence("no convergence")
+
+        monkeypatch.setattr(cli, "_run_tasks", diverge)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "convergence.csv").write_text("earlier run\n")
+        assert main(["homogenize", "--config", cfg_path, "--out", str(out)]) == 1
+        assert (out / "convergence.csv").read_text() == "earlier run\n"
+
     def test_unmeshable_radius_exits_1_without_traceback(self, tmp_path, capsys):
         """A cell mesh whose inner rings cannot keep halving reports a mesh
         quality failure instead of an assertion traceback."""

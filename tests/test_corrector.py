@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 import membrane_homog.corrector as corrector
+import membrane_homog.meshing as meshing
 from membrane_homog.corrector import (
     CorrectorConfig,
     CorrectorSolution,
     energy_profile,
     periodic_cell_solve,
     periodic_representatives,
+    solve_loads,
     solve_truncated,
     write_energy_csv,
     write_flux_csv,
 )
 from membrane_homog.errors import ConfigError, MeshQualityFailure
-from membrane_homog.fem import CONDUCTIVITY_PRESETS
+from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
@@ -85,13 +87,33 @@ class TestTruncated:
         manual = (corr.flux_plus + corr.flux_minus).sum(axis=0) / len(corr.cells)
         assert np.abs(f_full - manual).max() < 1e-14
 
+    def test_geometry_and_tensor_evaluated_once_per_mesh(self, monkeypatch):
+        """Two loads on one realization: triangle geometry for the cell
+        template, the truncated cube and its reference configuration, and one
+        conductivity evaluation shared by the matrix, the loads and the fluxes."""
+        calls = {"geometry": 0, "tensor": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        geometry = counted("geometry", meshing.triangle_geometry)
+        monkeypatch.setattr(meshing, "triangle_geometry", geometry)
+        monkeypatch.setattr(corrector, "triangle_geometry", geometry)
+        tensor = counted("tensor", BilinearFormSpec.tensor)
+        monkeypatch.setattr(BilinearFormSpec, "tensor", tensor)
+        loads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        solve_loads(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=0), loads)
+        assert calls == {"geometry": 3, "tensor": 1}
+
 
 class TestPeriodic:
     def test_plus_mean_zero(self):
         corr = periodic_cell_solve([1, 0], SPEC, h=0.1)
-        from membrane_homog.fem import triangle_geometry
-
-        areas, _ = triangle_geometry(corr.mesh)
+        areas = corr.mesh.areas
         plus = corr.mesh.tri_region == 1
         uc = corr.sol.values[corr.mesh.triangles].mean(axis=1)
         mean = np.sum(areas[plus] * uc[plus]) / np.sum(areas[plus])

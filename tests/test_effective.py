@@ -26,7 +26,6 @@ from membrane_homog.fem import (
     edge_jump_energy,
     identity_field,
     p1_gradient,
-    triangle_geometry,
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 
@@ -143,9 +142,8 @@ def window_energy(corr, partner, form, xi) -> float:
     mesh = corr.mesh
     values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
     tensor = form.tensor(mesh)
-    areas, _ = triangle_geometry(mesh)
     g = p1_gradient(mesh, values) + xi
-    e_tri = areas * np.einsum("ti,tij,tj->t", g, tensor, g)
+    e_tri = mesh.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
     e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
     inside = window_mask(corr.cells, corr.config.m)
     return float(cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum())

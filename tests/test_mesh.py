@@ -15,7 +15,6 @@ from membrane_homog.meshing import (
     interface_node_count,
     mesh_report,
     tile_domain_mesh,
-    triangle_geometry,
 )
 
 SPEC = InterfaceSpec()
@@ -161,11 +160,11 @@ class TestCellMesh:
     @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
     def test_total_area_is_one(self, h):
         mesh = build_cell_mesh(SPEC, h)
-        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
+        assert abs(mesh.areas.sum() - 1.0) < 1e-12
 
     def test_minus_area_approximates_disk(self):
         mesh = build_cell_mesh(SPEC, 0.05)
-        a_minus = triangle_geometry(mesh)[0][mesh.tri_region == MINUS].sum()
+        a_minus = mesh.areas[mesh.tri_region == MINUS].sum()
         assert abs(a_minus - np.pi * SPEC.radius**2) < 2e-3
 
     def test_interface_edge_count_matches_node_count(self, cell_h01):
@@ -255,7 +254,7 @@ class TestTiledDomain:
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC)
         rep = mesh_report(mesh)
         assert rep.ok, rep.issues
-        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
+        assert abs(mesh.areas.sum() - 1.0) < 1e-12
         cells = set(map(tuple, mesh.tri_cell[mesh.tri_region == MINUS].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
         n_if = len(cell_h01.interface_pairs)
@@ -265,14 +264,14 @@ class TestTiledDomain:
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.5, SPEC)
         assert len(mesh.interface_pairs) == 0
         assert (mesh.tri_region == PLUS).all()
-        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-12
+        assert abs(mesh.areas.sum() - 1.0) < 1e-12
 
     def test_deformed_tiling_conforms(self, cell_h01):
         dmap = BernoulliCellwiseMap(seed=42)
         mesh = tile_domain_mesh(cell_h01, dmap, 0.125, SPEC)
         rep = mesh_report(mesh)
         assert rep.ok, rep.issues
-        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-10
+        assert abs(mesh.areas.sum() - 1.0) < 1e-10
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes_rule="off")
@@ -298,8 +297,12 @@ class TestTiledDomain:
             tile_domain_mesh(cell_h01, IdentityMap(), 0.3, SPEC)
 
     def test_stitch_failure_on_perturbed_template(self, cell_h01):
+        vertices = cell_h01.vertices.copy()
+        left = [v for v in cell_h01.boundary_nodes if vertices[v, 0] == 0.0]
+        target = next(v for v in left if 0.2 < vertices[v, 1] < 0.8)
+        vertices[target, 1] += 5e-12  # below the key grid, above tolerance
         bad = MembraneMesh(
-            vertices=cell_h01.vertices.copy(),
+            vertices=vertices,
             triangles=cell_h01.triangles,
             tri_region=cell_h01.tri_region,
             tri_cell=cell_h01.tri_cell,
@@ -307,9 +310,6 @@ class TestTiledDomain:
             boundary_nodes=cell_h01.boundary_nodes,
             h=cell_h01.h,
         )
-        left = [v for v in bad.boundary_nodes if bad.vertices[v, 0] == 0.0]
-        target = next(v for v in left if 0.2 < bad.vertices[v, 1] < 0.8)
-        bad.vertices[target, 1] += 5e-12  # below the key grid, above tolerance
         with pytest.raises(StitchFailure):
             tile_domain_mesh(bad, IdentityMap(), 0.25, SPEC)
 
@@ -320,12 +320,12 @@ class TestTruncatedMesh:
         cells = set(map(tuple, mesh.tri_cell.tolist()))
         assert cells == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
         assert len(mesh.interface_pairs) == 4 * len(cell_h01.interface_pairs)
-        assert abs(triangle_geometry(mesh)[0].sum() - 4.0) < 1e-12
+        assert abs(mesh.areas.sum() - 4.0) < 1e-12
 
     def test_deformed_area_preserved(self, cell_h01):
         """Each cell maps onto itself, so mesh area equals the cube area."""
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=7), 4)
-        assert abs(triangle_geometry(mesh)[0].sum() - 64.0) < 1e-10
+        assert abs(mesh.areas.sum() - 64.0) < 1e-10
         assert mesh_report(mesh).ok
 
     def test_all_cells_carry_membranes(self, cell_h01):
@@ -353,7 +353,7 @@ class TestSquareMesh:
         mesh = build_square_mesh(8)
         assert mesh.num_triangles == 128
         assert mesh.num_vertices == 81
-        assert abs(triangle_geometry(mesh)[0].sum() - 1.0) < 1e-14
+        assert abs(mesh.areas.sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
         assert mesh_report(mesh).ok
 
@@ -458,8 +458,10 @@ class TestExportImport:
 
 class TestReportFaultDetection:
     def test_flags_broken_pairing(self, cell_h01):
+        vertices = cell_h01.vertices.copy()
+        vertices[cell_h01.interface_pairs[0, 1]] += 1e-6
         mesh = MembraneMesh(
-            vertices=cell_h01.vertices.copy(),
+            vertices=vertices,
             triangles=cell_h01.triangles,
             tri_region=cell_h01.tri_region,
             tri_cell=cell_h01.tri_cell,
@@ -467,7 +469,6 @@ class TestReportFaultDetection:
             boundary_nodes=cell_h01.boundary_nodes,
             h=cell_h01.h,
         )
-        mesh.vertices[mesh.interface_pairs[0, 1]] += 1e-6
         rep = mesh_report(mesh)
         assert not rep.ok
         assert rep.pairing_residual > 1e-7

@@ -24,7 +24,7 @@ def make_system(K, b, fixed=None, fixed_values=None):
         fixed, fixed_values = NO_FIXED
     return DiscreteSystem(
         matrix=sp.csr_matrix(K), load=np.asarray(b, dtype=float),
-        fixed=fixed, fixed_values=fixed_values, mesh=None,
+        fixed=fixed, fixed_values=fixed_values, mesh=None, tensor=None,
     )
 
 
