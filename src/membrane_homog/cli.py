@@ -30,7 +30,7 @@ from .effective import (
     volume_stats,
     write_effective_json,
 )
-from .errors import ConfigError, MembraneHomogError
+from .errors import ConfigError, EllipticityViolation, MembraneHomogError
 from .fem import CONDUCTIVITY_PRESETS
 from .geometry import (
     BernoulliCellwiseMap,
@@ -347,17 +347,19 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 
 def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     eff_path = os.path.join(out.out_dir, "effective.json")
-    try:
-        stored = read_effective_json(eff_path).config_hash
+    try:  # why: None reuses the stored tensor; a string recomputes it, noting a nonempty one
+        t = read_effective_json(eff_path)
+        ellipticity_check(t, 1.0, 1.5)
+        why = None if t.config_hash == cfg.hash(A0_KEYS) else "is for another config"
     except FileNotFoundError:
-        stored = None
-    except (OSError, ValueError, KeyError, TypeError):  # unreadable or malformed: recompute it
-        stored = ""
-    if stored != cfg.hash(A0_KEYS):
-        if stored is not None:
-            print("homogenize: effective.json is for another config; recomputing", file=sys.stderr)
+        why = ""
+    except (OSError, ValueError, KeyError, TypeError, EllipticityViolation) as exc:
+        why = f"cannot be used ({type(exc).__name__}: {exc})"
+    if why is not None:
+        if why:
+            print(f"homogenize: effective.json {why}; recomputing", file=sys.stderr)
         cmd_effective(cfg, out, jobs)
-    t = read_effective_json(eff_path)
+        t = read_effective_json(eff_path)
     u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     eps_sorted = sorted(cfg.eps, reverse=True)
     tasks = [(cfg, s, e, u0, t) for s in cfg.seeds for e in eps_sorted]

@@ -18,16 +18,17 @@ from .errors import ConfigError
 from .fem import (
     BilinearFormSpec,
     FemSolution,
-    _cg,
-    aggregates,
     assemble,
     edge_jump_energy,
     gradient_load,
+    identity_field,
     p1_gradient,
     solve,
 )
 from .geometry import DeformationMap, InterfaceSpec
-from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, triangle_geometry
+from .meshing import (
+    PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, first_coincident, triangle_geometry,
+)
 
 
 @dataclass
@@ -137,7 +138,7 @@ def _corrector_solutions(
 
 
 def solve_loads(
-    cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=None, center=(0, 0)
+    cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=identity_field, center=(0, 0)
 ) -> list[CorrectorSolution]:
     """Regularized correctors on one realization of the deformed truncated
     cube: jump weight 1, mass weight delta, zero Dirichlet data and, for each
@@ -145,9 +146,7 @@ def solve_loads(
     the matrix are built once and shared by every load."""
     cell = build_cell_mesh(cfg.interface, cfg.h)
     mesh = build_truncated_mesh(cell, dmap, cfg.n, center=center, membranes=cfg.membranes)
-    form = BilinearFormSpec(jump_weight=1.0, mass_weight=cfg.delta)
-    if conductivity is not None:
-        form = replace(form, conductivity=conductivity)
+    form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=cfg.delta)
     system = assemble(mesh, form)
     configs = [replace(cfg, p=p) for p in loads]
     sols = [
@@ -158,7 +157,7 @@ def solve_loads(
 
 
 def solve_truncated(
-    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=None, center=(0, 0)
+    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=identity_field, center=(0, 0)
 ) -> CorrectorSolution:
     """The corrector for the single mean gradient ``cfg.p`` (see solve_loads)."""
     return solve_loads(cfg, dmap, [cfg.p], conductivity, center)[0]
@@ -167,45 +166,41 @@ def solve_truncated(
 def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
     """The node each node of a unit-cell mesh is identified with: a boundary
     node with a coordinate 1 maps to the boundary node at its folded position
-    (each such coordinate set to 0), every other node to itself.  Folded
-    positions are grouped by rounded keys; the node already at the folded
-    position owns its group."""
+    (each such coordinate set to 0), every other node to itself.  Of the
+    nodes coincident after folding, the one already at the folded position
+    owns the group."""
     canon = np.arange(mesh.num_vertices)
     bn = mesh.boundary_nodes
     pos = mesh.vertices[bn]
     folded = np.where(pos == 1.0, 0.0, pos)
     order = np.argsort((folded != pos).any(axis=1), kind="stable")  # unmoved nodes first
-    nodes, keys = bn[order], np.round(folded[order] * 1e10).astype(np.int64)
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    canon[nodes] = nodes[first][group.reshape(-1)]
+    nodes = bn[order]
+    canon[nodes] = nodes[first_coincident(folded[order])]
     return canon
 
 
 def periodic_cell_solve(
-    p, spec: InterfaceSpec, conductivity=None, h: float = 0.05
+    p, spec: InterfaceSpec, conductivity=identity_field, h: float = 0.05
 ) -> CorrectorSolution:
     """Single-cell corrector with periodic identification of opposite
     boundary nodes, jump weight 1, no regularization, PLUS-mean-zero gauge.
     Identity deformation only."""
     p = np.asarray(p, dtype=float)
     mesh = build_cell_mesh(spec, h)
-    form = BilinearFormSpec(jump_weight=1.0, mass_weight=0.0)
-    if conductivity is not None:
-        form = replace(form, conductivity=conductivity)
+    form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
     system = assemble(mesh, form, p=p, dirichlet=np.zeros(0, dtype=np.int64))
 
-    # fold periodic partners onto canonical representatives
+    # fold periodic partners onto canonical representatives; the nullspace is
+    # the global constants, so pin one dof and restore the gauge afterwards
     nv = mesh.num_vertices
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()
-    K = (P.T @ system.matrix @ P).tocsr()
-    b = P.T @ system.load
-
-    # nullspace = global constants: pin one DOF, restore gauge afterwards
-    keep = np.arange(1, len(reps))
-    x = np.zeros(len(reps))
-    x[keep], iterations = _cg(K[keep][:, keep], b[keep], aggregates(mesh)[reps[keep]])
-    values = P @ x
+    folded = solve(replace(
+        system, matrix=(P.T @ system.matrix @ P).tocsr(), load=P.T @ system.load,
+        fixed=np.zeros(1, dtype=np.int64), fixed_values=np.zeros(1), mesh=None,
+        coarse=system.coarse[reps],
+    ))
+    values = P @ folded.values
 
     # subtract the PLUS-region mean (area-weighted)
     plus = mesh.tri_region == PLUS
@@ -214,7 +209,7 @@ def periodic_cell_solve(
     values = values - mean
 
     cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
-    sol = FemSolution(values=values, mesh=mesh, iterations=iterations)
+    sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations)
     return _corrector_solutions([sol], [cfg], form, system.tensor)[0]
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corrector import CorrectorConfig, energy_profile, solve_loads
 from .errors import EllipticityViolation, InsufficientSamples
+from .fem import identity_field
 from .geometry import DeformationMap, InterfaceSpec, jacobian_det
 
 
@@ -104,7 +105,7 @@ def corrector_runs(
     map_factory: Callable[[int], DeformationMap],
     seeds,
     cfg: CorrectorConfig = None,
-    conductivity=None,
+    conductivity=identity_field,
 ) -> list[EffectiveRun]:
     """The sample of each seed's realization, from its e1 and e2 correctors,
     both solved on its one mesh and matrix."""
@@ -201,9 +202,11 @@ def write_effective_json(path, t: EffectiveTensor) -> None:
 
 
 def read_effective_json(path) -> EffectiveTensor:
+    """The tensor of ``write_effective_json``.  Raises ValueError unless A0 and
+    stderr are finite 2x2 arrays, N is an integer >= 2, rho > 0, 0 < theta < 1."""
     with open(path) as fh:
         d = json.load(fh)
-    return EffectiveTensor(
+    t = EffectiveTensor(
         A0=np.array(d["A0"]),
         stderr=np.array(d["stderr"]),
         N=d["N"],
@@ -211,3 +214,11 @@ def read_effective_json(path) -> EffectiveTensor:
         theta=d["theta"],
         config_hash=d.get("config_hash", ""),
     )
+    for name, a in (("A0", t.A0), ("stderr", t.stderr)):
+        if a.shape != (2, 2) or not np.issubdtype(a.dtype, np.number) or not np.isfinite(a).all():
+            raise ValueError(f"{name} is not a finite 2x2 array")
+    if isinstance(t.N, bool) or not isinstance(t.N, int) or t.N < 2:
+        raise ValueError(f"N is not an integer >= 2: {t.N!r}")
+    if not (t.rho > 0.0 and 0.0 < t.theta < 1.0):
+        raise ValueError(f"rho {t.rho!r} or theta {t.theta!r} out of range")
+    return t

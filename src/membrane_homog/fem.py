@@ -44,6 +44,14 @@ def aniso_field(points: np.ndarray) -> np.ndarray:
 CONDUCTIVITY_PRESETS = {"identity": identity_field, "aniso": aniso_field}
 
 
+def sym2_eigenvalues(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper eigenvalue of each symmetric 2x2 matrix of a stack
+    (n, 2, 2), in closed form: mid -/+ hypot((a - d)/2, b)."""
+    a, b, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+    mid, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    return mid - rad, mid + rad
+
+
 @dataclass
 class BilinearFormSpec:
     """Coefficients of the transmission form.
@@ -65,10 +73,11 @@ class BilinearFormSpec:
         A = self.conductivity(cent)
         if np.abs(A - np.transpose(A, (0, 2, 1))).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
-        eig = np.linalg.eigvalsh(A)
-        if eig.min() < self.lam - 1e-9 or eig.max() > self.Lam + 1e-9:
+        lower, upper = sym2_eigenvalues(A)
+        lo, hi = lower.min(), upper.max()
+        if lo < self.lam - 1e-9 or hi > self.Lam + 1e-9:
             raise NonEllipticField(
-                f"sampled eigenvalues in [{eig.min():.3g}, {eig.max():.3g}] "
+                f"sampled eigenvalues in [{lo:.3g}, {hi:.3g}] "
                 f"outside [{self.lam}, {self.Lam}]"
             )
         return A
@@ -77,7 +86,8 @@ class BilinearFormSpec:
 @dataclass
 class DiscreteSystem:
     """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
-    form's per-triangle conductivity on ``mesh``, evaluated once by assemble."""
+    form's per-triangle conductivity on ``mesh``, evaluated once by assemble,
+    and ``coarse`` the coarse unknown of each dof in the two-level solve."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
@@ -85,6 +95,7 @@ class DiscreteSystem:
     fixed_values: np.ndarray
     mesh: MembraneMesh
     tensor: np.ndarray
+    coarse: np.ndarray
 
     @property
     def free(self) -> np.ndarray:
@@ -201,7 +212,7 @@ def assemble(
         dirichlet_values = np.zeros(len(dirichlet))
     return DiscreteSystem(
         matrix=K, load=b, fixed=dirichlet, fixed_values=dirichlet_values,
-        mesh=mesh, tensor=tensor,
+        mesh=mesh, tensor=tensor, coarse=aggregates(mesh),
     )
 
 
@@ -248,9 +259,9 @@ def _cg(K, b, agg):
 
 
 def solve(system: DiscreteSystem) -> FemSolution:
-    """Two-level CG on the free degrees of freedom, one coarse unknown per
-    (lattice cell, membrane side) of the mesh, or one in all for a system
-    without a mesh."""
+    """Two-level CG on the free degrees of freedom, with the coarse unknowns
+    ``system.coarse`` (for an assembled system one per lattice cell and
+    membrane side)."""
     nv = len(system.load)
     u = np.zeros(nv)
     u[system.fixed] = system.fixed_values
@@ -261,11 +272,7 @@ def solve(system: DiscreteSystem) -> FemSolution:
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return FemSolution(values=u, mesh=system.mesh)
-    if system.mesh is None:
-        agg = np.zeros(len(free), dtype=np.int64)
-    else:
-        agg = aggregates(system.mesh)[free]
-    u[free], iterations = _cg(Kff, b, agg)
+    u[free], iterations = _cg(Kff, b, system.coarse[free])
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
 
 

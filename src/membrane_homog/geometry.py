@@ -97,18 +97,8 @@ class DeformationMap:
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def min_jacobian_det(self) -> float:
-        """min det(grad Phi) over a 200 x 200 grid of cell-centred points in
-        the unit cell."""
-        t = (np.arange(200) + 0.5) / 200
-        gx, gy = np.meshgrid(t, t)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        return float(jacobian_det(self.jacobian(pts)).min())
-
 
 class IdentityMap(DeformationMap):
-    kind = "identity"
-
     def apply(self, y):
         return np.asarray(y, dtype=float).copy()
 
@@ -122,8 +112,6 @@ class IdentityMap(DeformationMap):
 class ScalingMap(DeformationMap):
     """Uniform scaling Phi(y) = s*y.  It does not fix cell boundaries, so it
     cannot tile; ``verify`` uses it for its known surface factor s."""
-
-    kind = "scaling"
 
     def __init__(self, s: float):
         self.s = float(s)
@@ -139,10 +127,9 @@ class ScalingMap(DeformationMap):
 
 
 class BumpMap(DeformationMap):
-    """Deterministic bump: every cell deformed by the same compactly supported
-    displacement a * psi(2|y - c|) * u with c the cell center."""
-
-    kind = "bump"
+    """Cellwise bump: each cell k that carries it (``_bumped``; here every
+    cell) is deformed by the same compactly supported displacement
+    a * psi(2|y - c|) * u with c the cell center, the others keep the identity."""
 
     def __init__(self, amplitude: float = 0.1, direction: tuple[float, float] = (1.0, 0.0)):
         self.amplitude = float(amplitude)
@@ -150,6 +137,10 @@ class BumpMap(DeformationMap):
         self.direction = u / np.linalg.norm(u)
         if self.min_jacobian_det() <= 0.0:
             raise ValueError(f"bump amplitude {amplitude} folds the map (det <= 0)")
+
+    def _bumped(self, k: np.ndarray) -> np.ndarray:
+        """Mask of the cells ``k`` (rows (kx, ky)) that carry the bump."""
+        return np.ones(len(k), dtype=bool)
 
     def _displacement(self, local: np.ndarray) -> np.ndarray:
         d = local - 0.5
@@ -164,62 +155,47 @@ class BumpMap(DeformationMap):
         g = 2.0 * _bump_psi_prime(2.0 * s)[..., None] * d / safe[..., None]
         return self.amplitude * self.direction[None, :, None] * g[:, None, :]
 
+    def min_jacobian_det(self) -> float:
+        """min det(I + grad of the displacement) over a 200 x 200 grid of
+        cell-centred points in the unit cell, whichever cells carry the bump."""
+        t = (np.arange(200) + 0.5) / 200
+        gx, gy = np.meshgrid(t, t)
+        J = np.eye(2) + self._displacement_jacobian(np.column_stack([gx.ravel(), gy.ravel()]))
+        return float(jacobian_det(J).min())
+
     def apply(self, y):
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         pts = np.atleast_2d(y).astype(float)
         k = np.floor(pts)
-        out = pts + self._displacement(pts - k)
+        on = self._bumped(k)
+        out = pts.copy()
+        out[on] += self._displacement(pts[on] - k[on])
         return out[0] if single else out
 
     def jacobian(self, y):
         pts = np.atleast_2d(np.asarray(y, dtype=float))
         k = np.floor(pts)
-        J = self._displacement_jacobian(pts - k)
-        J[:, 0, 0] += 1.0
-        J[:, 1, 1] += 1.0
+        on = self._bumped(k)
+        J = np.tile(np.eye(2), (len(pts), 1, 1))
+        J[on] += self._displacement_jacobian(pts[on] - k[on])
         return J
 
 
-class BernoulliCellwiseMap(DeformationMap):
-    """Per-cell Bernoulli choice between the identity and the bump deformation."""
-
-    kind = "bernoulli"
+class BernoulliCellwiseMap(BumpMap):
+    """The bump on the cells whose Bernoulli field bit is 1, the identity on
+    the others."""
 
     def __init__(
-        self,
-        seed: int,
-        amplitude: float = 0.1,
-        direction: tuple[float, float] = (1.0, 0.0),
+        self, seed: int, amplitude: float = 0.1, direction: tuple[float, float] = (1.0, 0.0),
         shift: tuple[int, int] = (0, 0),
     ):
         self.field = BernoulliField(int(seed), tuple(shift))
         self.seed = int(seed)
-        self.amplitude = float(amplitude)
-        self._bump = BumpMap(amplitude, direction)
-        self.direction = self._bump.direction
+        super().__init__(amplitude, direction)
 
-    def _bits_at(self, k: np.ndarray) -> np.ndarray:
-        return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64))
-
-    def apply(self, y):
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        pts = np.atleast_2d(y).astype(float)
-        k = np.floor(pts)
-        on = self._bits_at(k) == 1
-        out = pts.copy()
-        out[on] += self._bump._displacement(pts[on] - k[on])
-        return out[0] if single else out
-
-    def jacobian(self, y):
-        pts = np.atleast_2d(np.asarray(y, dtype=float))
-        k = np.floor(pts)
-        on = self._bits_at(k) == 1
-        J = np.zeros((len(pts), 2, 2))
-        J[:, 0, 0] = J[:, 1, 1] = 1.0
-        J[on] += self._bump._displacement_jacobian(pts[on] - k[on])
-        return J
+    def _bumped(self, k: np.ndarray) -> np.ndarray:
+        return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64)) == 1
 
     def shifted(self, k: tuple[int, int]) -> "BernoulliCellwiseMap":
         return BernoulliCellwiseMap(

@@ -47,22 +47,22 @@ def solve_hetero(
     eps: float,
     dmap: DeformationMap,
     f,
-    conductivity=None,
+    conductivity=identity_field,
     spec: InterfaceSpec = None,
     h_cell: float = 0.05,
-    membranes_rule: str = "on",
+    membranes: bool = True,
 ) -> FemSolution:
     """Transmission problem with jump weight 1/eps and zero Dirichlet data."""
     if spec is None:
         spec = InterfaceSpec()
     cell = build_cell_mesh(spec, h_cell)
-    mesh = tile_domain_mesh(cell, dmap, eps, spec, membranes_rule=membranes_rule)
+    mesh = tile_domain_mesh(cell, dmap, eps, spec, membranes=membranes)
     return solve(assemble(mesh, hetero_form(eps, conductivity), f=f))
 
 
-def hetero_form(eps: float, conductivity=None) -> BilinearFormSpec:
-    """The heterogeneous form: conductivity (default identity), jump weight 1/eps."""
-    return BilinearFormSpec(conductivity=conductivity or identity_field, jump_weight=1.0 / eps)
+def hetero_form(eps: float, conductivity=identity_field) -> BilinearFormSpec:
+    """The heterogeneous form: conductivity, jump weight 1/eps."""
+    return BilinearFormSpec(conductivity=conductivity, jump_weight=1.0 / eps)
 
 
 def constant_field(A0: np.ndarray):
@@ -139,7 +139,7 @@ def error_suite(
     eps: float,
     A0: np.ndarray,
     seed: int = 0,
-    conductivity=None,
+    conductivity=identity_field,
 ) -> ErrorRow:
     mesh = u_eps.mesh
     areas = mesh.areas

@@ -48,8 +48,7 @@ class MembraneMesh:
     ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
     ``edge_cell_index`` the row of ``cells`` each edge belongs to, and
     ``areas`` (nt,) and ``grads`` (nt, 3, 2) are the physical triangle areas
-    and P1 basis gradients.  The arrays are not mutated after construction,
-    except ``boundary_nodes``, which the tilers set.
+    and P1 basis gradients.  The arrays are never mutated after construction.
     """
 
     vertices: np.ndarray
@@ -336,6 +335,14 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     return mesh
 
 
+def first_coincident(points: np.ndarray) -> np.ndarray:
+    """For each point (rows of ``points``), the index of the first point at
+    the same position after rounding to 1e-10."""
+    keys = np.round(points * 1e10).astype(np.int64)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first[group.reshape(-1)]
+
+
 def _lattice(xs, ys) -> np.ndarray:
     """Integer cells (kx, ky) for kx in xs, ky in ys, kx varying slowest."""
     kx, ky = np.meshgrid(np.asarray(xs), np.asarray(ys), indexing="ij")
@@ -352,6 +359,8 @@ def _assemble_tiles(
     """Deform the cell template into each lattice cell (rows of ``cells``,
     ``membrane`` flags those keeping their membrane) and stitch shared
     boundary nodes (bitwise-coincident because maps fix cell boundaries).
+    The boundary nodes are those on the boundary of the reference box of the
+    cell block, within 1e-12.
 
     Nodes are numbered in order of first appearance, cell by cell; a shared
     boundary node belongs to the first cell that carries it.  Cells without a
@@ -368,9 +377,7 @@ def _assemble_tiles(
     on_boundary = np.zeros(nv, dtype=bool)
     on_boundary[cell.boundary_nodes] = True
     shared = np.flatnonzero(keep & on_boundary)
-    keys = np.round(phys[shared] * 1e10).astype(np.int64)
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    owner = shared[first][group.reshape(-1)]
+    owner = shared[first_coincident(phys[shared])]
     mismatch = np.flatnonzero(np.abs(phys[owner] - phys[shared]).max(axis=1) > STITCH_TOL)
     if len(mismatch):
         i = mismatch[0]
@@ -388,15 +395,18 @@ def _assemble_tiles(
     gid[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
 
     pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
+    ref = ref[new]
+    box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
+    on_box = (np.abs(ref[:, None, :] - box) < 1e-12).any(axis=(1, 2))
     return MembraneMesh(
         vertices=phys[new],
         triangles=gid[:, cell.triangles].reshape(-1, 3),
         tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
         tri_cell=np.repeat(cells, nt, axis=0),
         interface_pairs=pairs.reshape(-1, 2),
-        boundary_nodes=np.zeros(0, dtype=np.int64),  # set by the caller
+        boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
         h=cell.h * scale,
-        ref_vertices=ref[new],
+        ref_vertices=ref,
     )
 
 
@@ -411,33 +421,20 @@ def tile_domain_mesh(
     dmap: DeformationMap,
     eps: float,
     spec: InterfaceSpec,
-    membranes_rule: str = "on",
+    membranes: bool = True,
 ) -> MembraneMesh:
     """Mesh of D = (0,1)^2 tiled from n = 1/eps deformed, rescaled cells.
 
     Cells closer than beta to the reference boundary lose their membranes
-    (MINUS retagged PLUS, interface pairs merged): the cushion layer.
+    (MINUS retagged PLUS, interface pairs merged): the cushion layer.  With
+    ``membranes`` false no cell keeps one.
     """
     n = round(1.0 / eps)
     if abs(n * eps - 1.0) > 1e-12:
         raise ValueError(f"1/eps must be an integer, got eps={eps}")
     cells = _lattice(range(n), range(n))
-    if membranes_rule == "off":
-        membrane = np.zeros(len(cells), dtype=bool)
-    elif membranes_rule == "on":
-        membrane = _carries_membrane(cells, n, spec.beta)
-    else:
-        raise ValueError(f"unknown membranes_rule {membranes_rule!r}")
-    mesh = _assemble_tiles(cell, dmap, cells, membrane, scale=eps)
-    v = mesh.vertices
-    on_bd = (
-        (np.abs(v[:, 0]) < 1e-12)
-        | (np.abs(v[:, 0] - 1.0) < 1e-12)
-        | (np.abs(v[:, 1]) < 1e-12)
-        | (np.abs(v[:, 1] - 1.0) < 1e-12)
-    )
-    mesh.boundary_nodes = np.flatnonzero(on_bd).astype(np.int64)
-    return mesh
+    membrane = _carries_membrane(cells, n, spec.beta) & bool(membranes)
+    return _assemble_tiles(cell, dmap, cells, membrane, scale=eps)
 
 
 def build_truncated_mesh(
@@ -455,16 +452,7 @@ def build_truncated_mesh(
     cx, cy = center
     cells = _lattice(range(cx - n, cx + n), range(cy - n, cy + n))
     membrane = np.full(len(cells), bool(membranes))
-    mesh = _assemble_tiles(cell, dmap, cells, membrane, scale=1.0)
-    v = mesh.ref_vertices
-    on_bd = (
-        (np.abs(v[:, 0] - (cx - n)) < 1e-12)
-        | (np.abs(v[:, 0] - (cx + n)) < 1e-12)
-        | (np.abs(v[:, 1] - (cy - n)) < 1e-12)
-        | (np.abs(v[:, 1] - (cy + n)) < 1e-12)
-    )
-    mesh.boundary_nodes = np.flatnonzero(on_bd).astype(np.int64)
-    return mesh
+    return _assemble_tiles(cell, dmap, cells, membrane, scale=1.0)
 
 
 def build_square_mesh(m: int) -> MembraneMesh:
@@ -476,9 +464,7 @@ def build_square_mesh(m: int) -> MembraneMesh:
     a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
     b, c, d = a + m + 1, a + m + 2, a + 1
     triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
-    on_bd = (
-        (verts[:, 0] == 0.0) | (verts[:, 0] == 1.0) | (verts[:, 1] == 0.0) | (verts[:, 1] == 1.0)
-    )
+    on_bd = np.isin(verts, (0.0, 1.0)).any(axis=1)
     return MembraneMesh(
         vertices=verts,
         triangles=triangles,

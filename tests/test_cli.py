@@ -225,6 +225,40 @@ class TestRandomMaps:
         for name in ("effective.json", "report.json", "convergence.csv"):
             assert (damaged / name).read_bytes() == (fresh / name).read_bytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("A0", [[float("nan"), 0.0], [0.0, 0.77]]),
+        ("A0", [[-0.77, 0.0], [0.0, -0.77]]),
+        ("A0", [[0.77, 0.0], [0.0, -0.77]]),
+        ("theta", float("nan")),
+    ], ids=["nan", "negative_definite", "indefinite", "nan_theta"])
+    def test_homogenize_recomputes_invalid_tensor_of_same_config(
+        self, cfg_path, tmp_path, capsys, key, value
+    ):
+        fresh, damaged = tmp_path / "fresh", tmp_path / "damaged"
+        assert main(["homogenize", "--config", cfg_path, "--out", str(fresh)]) == 0
+        payload = json.loads((fresh / "effective.json").read_text())
+        payload[key] = value  # the config_hash still matches
+        damaged.mkdir()
+        (damaged / "effective.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["homogenize", "--config", cfg_path, "--out", str(damaged)]) == 0
+        assert "recomputing" in capsys.readouterr().err
+        for name in ("effective.json", "report.json", "convergence.csv"):
+            assert (damaged / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("stderr", [[0.0, 0.0]]), ("N", 1), ("N", 2.0), ("A0", [["a", 0.0], [0.0, 1.0]]),
+        ("rho", 0.0), ("theta", 1.0),
+    ])
+    def test_read_effective_json_rejects_invalid_fields(self, cfg_path, tmp_path, key, value):
+        assert main(["effective", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "effective.json"
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            read_effective_json(path)
+
     def test_homogenize_reuses_tensor_of_same_a0_config(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["effective", "--config", cfg_path, "--out", str(out)]) == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import membrane_homog.corrector as corrector
+import membrane_homog.fem as fem
 import membrane_homog.meshing as meshing
 from membrane_homog.corrector import (
     CorrectorConfig,
@@ -217,12 +219,37 @@ class TestPeriodicFoldMatchesLoop:
     def test_periodic_solve_bitwise(self, monkeypatch, conductivity):
         field = CONDUCTIVITY_PRESETS[conductivity]
         fast = periodic_cell_solve([1.0, 0.3], SPEC, field, h=0.1)
+        pinned = pinned_periodic_values([1.0, 0.3], SPEC, field, h=0.1)
+        assert np.array_equal(fast.sol.values, pinned[0])
+        assert fast.sol.iterations == pinned[1] > 0
         monkeypatch.setattr(corrector, "periodic_representatives", looped_representatives)
         slow = periodic_cell_solve([1.0, 0.3], SPEC, field, h=0.1)
         assert np.array_equal(fast.sol.values, slow.sol.values)
         assert np.array_equal(fast.flux_plus, slow.flux_plus)
         assert np.array_equal(fast.flux_minus, slow.flux_minus)
         assert np.array_equal(fast.cell_energy, slow.cell_energy)
+
+
+def pinned_periodic_values(p, spec, conductivity, h):
+    """Periodic corrector values and CG iterations with the pin written out:
+    the folded system restricted to all dofs but the first, solved by the
+    two-level CG directly, then the PLUS-mean gauge."""
+    mesh = build_cell_mesh(spec, h)
+    form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
+    system = fem.assemble(mesh, form, p=np.asarray(p, dtype=float),
+                          dirichlet=np.zeros(0, dtype=np.int64))
+    nv = mesh.num_vertices
+    reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
+    P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()
+    K = (P.T @ system.matrix @ P).tocsr()
+    b = P.T @ system.load
+    keep = np.arange(1, len(reps))
+    x = np.zeros(len(reps))
+    x[keep], iterations = fem._cg(K[keep][:, keep], b[keep], fem.aggregates(mesh)[reps[keep]])
+    values = P @ x
+    plus = mesh.tri_region == meshing.PLUS
+    uc = values[mesh.triangles].mean(axis=1)
+    return values - np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus]), iterations
 
 
 class TestCsv:

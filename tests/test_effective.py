@@ -152,7 +152,8 @@ def window_energy(corr, partner, form, xi) -> float:
 class TestSample:
     @pytest.mark.parametrize(
         "dmap, conductivity, radius",
-        [(IdentityMap(), None, 0.25), (BernoulliCellwiseMap(seed=3), None, 0.25),
+        [(IdentityMap(), identity_field, 0.25),
+         (BernoulliCellwiseMap(seed=3), identity_field, 0.25),
          (BumpMap(amplitude=0.6), aniso_field, 0.4)],
         ids=["identity", "bernoulli", "bump_aniso"],
     )
@@ -161,7 +162,7 @@ class TestSample:
         run = corrector_runs(lambda s: dmap, [0], cfg, conductivity=conductivity)[0]
         e1, e2 = solve_loads(cfg, dmap, UNIT_LOADS, conductivity)
         form = BilinearFormSpec(
-            conductivity=conductivity or identity_field,
+            conductivity=conductivity,
             jump_weight=1.0, mass_weight=cfg.delta,
         )
         assert np.array_equal(run.energy, run.energy.T)

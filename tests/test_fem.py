@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 import membrane_homog.fem as fem
 from membrane_homog.errors import NonEllipticField
 from membrane_homog.fem import (
+    CONDUCTIVITY_PRESETS,
     BilinearFormSpec,
     aggregates,
     aniso_field,
@@ -21,6 +22,7 @@ from membrane_homog.fem import (
     norms,
     p1_gradient,
     solve,
+    sym2_eigenvalues,
     volume_load,
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
@@ -131,6 +133,40 @@ class TestAssembly:
 
         with pytest.raises(NonEllipticField):
             assemble(cell_h01, BilinearFormSpec(conductivity=skew))
+
+    def test_rejects_off_diagonal_past_upper_bound(self, cell_h01):
+        # diagonal 1.25 inside [1, 1.5]; off-diagonal 0.3 gives eigenvalues 0.95, 1.55
+        def coupled(points):
+            out = 1.25 * identity_field(points)
+            out[:, 0, 1] = out[:, 1, 0] = 0.3
+            return out
+
+        with pytest.raises(NonEllipticField, match="0.95, 1.55"):
+            assemble(cell_h01, BilinearFormSpec(conductivity=coupled))
+
+
+class TestSymmetricEigenvalues:
+    """The closed-form 2x2 eigenvalues the ellipticity check uses."""
+
+    def test_random_symmetric_stacks(self):
+        rng = np.random.default_rng(9)
+        for scale in (1e-3, 1.0, 1e3):
+            A = scale * rng.standard_normal((5000, 2, 2))
+            A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+            A[:10, 0, 1] = A[:10, 1, 0] = 0.0  # diagonal
+            A[10:20, 1, 1] = A[10:20, 0, 0]  # equal diagonal
+            lower, upper = sym2_eigenvalues(A)
+            eig = np.linalg.eigvalsh(A)
+            assert np.abs(lower - eig[:, 0]).max() <= 1e-12 * max(scale, 1.0)
+            assert np.abs(upper - eig[:, 1]).max() <= 1e-12 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(CONDUCTIVITY_PRESETS))
+    def test_presets(self, cell_h01, name):
+        A = BilinearFormSpec(conductivity=CONDUCTIVITY_PRESETS[name]).tensor(cell_h01)
+        lower, upper = sym2_eigenvalues(A)
+        eig = np.linalg.eigvalsh(A)
+        assert np.abs(lower - eig[:, 0]).max() <= 1e-12
+        assert np.abs(upper - eig[:, 1]).max() <= 1e-12
 
 
 def add_at_load(mesh, contrib):

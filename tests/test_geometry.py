@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import membrane_homog.geometry as geometry
 from membrane_homog.geometry import (
     BernoulliCellwiseMap,
     BernoulliField,
@@ -139,3 +140,107 @@ class TestStationarity:
             rhs = shifted.apply(y)
             # equality up to one rounding of y + k (the shift itself is exact)
             assert np.abs(lhs - rhs).max() < 1e-14
+
+
+class ReferenceBumpMap:
+    """The bump map as two separate classes wrote it: every cell bumped,
+    displacement added to the points and the identity to its Jacobian."""
+
+    def __init__(self, amplitude=0.1, direction=(1.0, 0.0)):
+        self.amplitude = float(amplitude)
+        u = np.asarray(direction, dtype=float)
+        self.direction = u / np.linalg.norm(u)
+
+    def _displacement(self, local):
+        s = np.linalg.norm(local - 0.5, axis=-1)
+        return self.amplitude * geometry._bump_psi(2.0 * s)[..., None] * self.direction
+
+    def _displacement_jacobian(self, local):
+        d = local - 0.5
+        s = np.linalg.norm(d, axis=-1)
+        safe = np.where(s > 0.0, s, 1.0)
+        g = 2.0 * geometry._bump_psi_prime(2.0 * s)[..., None] * d / safe[..., None]
+        return self.amplitude * self.direction[None, :, None] * g[:, None, :]
+
+    def apply(self, y):
+        y = np.asarray(y, dtype=float)
+        pts = np.atleast_2d(y).astype(float)
+        k = np.floor(pts)
+        out = pts + self._displacement(pts - k)
+        return out[0] if y.ndim == 1 else out
+
+    def jacobian(self, y):
+        pts = np.atleast_2d(np.asarray(y, dtype=float))
+        k = np.floor(pts)
+        J = self._displacement_jacobian(pts - k)
+        J[:, 0, 0] += 1.0
+        J[:, 1, 1] += 1.0
+        return J
+
+
+class ReferenceBernoulliMap:
+    """The Bernoulli map as it was written beside the bump map: the inner
+    bump's displacement added on the cells whose bit is 1."""
+
+    def __init__(self, seed, amplitude=0.1):
+        self.field = BernoulliField(int(seed))
+        self._bump = ReferenceBumpMap(amplitude)
+
+    def _on(self, k):
+        return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64)) == 1
+
+    def apply(self, y):
+        y = np.asarray(y, dtype=float)
+        pts = np.atleast_2d(y).astype(float)
+        k = np.floor(pts)
+        on = self._on(k)
+        out = pts.copy()
+        out[on] += self._bump._displacement(pts[on] - k[on])
+        return out[0] if y.ndim == 1 else out
+
+    def jacobian(self, y):
+        pts = np.atleast_2d(np.asarray(y, dtype=float))
+        k = np.floor(pts)
+        on = self._on(k)
+        J = np.zeros((len(pts), 2, 2))
+        J[:, 0, 0] = J[:, 1, 1] = 1.0
+        J[on] += self._bump._displacement_jacobian(pts[on] - k[on])
+        return J
+
+
+class TestOneCellwiseBump:
+    """BumpMap and BernoulliCellwiseMap share one apply and one jacobian and
+    give the values of their separate implementations."""
+
+    MAPS = [
+        (lambda: BumpMap(0.1), lambda: ReferenceBumpMap(0.1)),
+        (lambda: BumpMap(0.3), lambda: ReferenceBumpMap(0.3)),
+        (lambda: BernoulliCellwiseMap(3, 0.1), lambda: ReferenceBernoulliMap(3, 0.1)),
+        (lambda: BernoulliCellwiseMap(11, 0.3), lambda: ReferenceBernoulliMap(11, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("make, make_ref", MAPS, ids=["bump", "bump03", "bern3", "bern11"])
+    def test_matches_separate_classes(self, make, make_ref):
+        dmap, ref = make(), make_ref()
+        pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(2000, 2))
+        pts[:20] = np.floor(pts[:20]) + 0.5  # cell centers, where the bump gradient is 0/0
+        assert np.array_equal(dmap.apply(pts), ref.apply(pts))
+        assert np.array_equal(dmap.jacobian(pts), ref.jacobian(pts))
+        for y in pts[20:40]:
+            assert dmap.apply(y).shape == (2,)
+            assert np.array_equal(dmap.apply(y), ref.apply(y))
+            assert np.array_equal(dmap.jacobian(y), ref.jacobian(y))
+
+    def test_bernoulli_defines_only_its_mask(self):
+        assert "apply" not in vars(BernoulliCellwiseMap)
+        assert "jacobian" not in vars(BernoulliCellwiseMap)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_folding_amplitude_raises_whatever_cell_zero_carries(self, bit):
+        # min det(grad Phi) is 0.042 at amplitude 0.6 and negative at 0.8
+        seed = next(s for s in range(100) if BernoulliField(s).bits(0, 0) == bit)
+        assert BernoulliCellwiseMap(seed, amplitude=0.6).min_jacobian_det() > 0.0
+        with pytest.raises(ValueError, match="folds"):
+            BernoulliCellwiseMap(seed, amplitude=0.8)
+        with pytest.raises(ValueError, match="folds"):
+            BumpMap(amplitude=0.8)

@@ -133,7 +133,7 @@ class TestErrorSuite:
         errs = []
         for eps in (0.25, 0.125):
             ue = solve_hetero(
-                eps, IdentityMap(), f=1.0, h_cell=0.1, membranes_rule="off"
+                eps, IdentityMap(), f=1.0, h_cell=0.1, membranes=False
             )
             errs.append(error_suite(ue, u0, np.pi / 16, eps, np.eye(2)).l2_error)
         assert errs[1] < errs[0]

@@ -12,6 +12,7 @@ from membrane_homog.meshing import (
     build_square_mesh,
     build_truncated_mesh,
     export_mesh,
+    first_coincident,
     interface_node_count,
     mesh_report,
     tile_domain_mesh,
@@ -274,7 +275,7 @@ class TestTiledDomain:
         assert abs(mesh.areas.sum() - 1.0) < 1e-10
 
     def test_membranes_off(self, cell_h01):
-        mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes_rule="off")
+        mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
         assert len(mesh.interface_pairs) == 0
         assert (mesh.tri_region == PLUS).all()
 
@@ -396,7 +397,7 @@ def report_meshes(cell_h01):
         "cell_h025": build_cell_mesh(SPEC, 0.25),
         "tiled_identity": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC),
         "tiled_bernoulli": tile_domain_mesh(cell, BernoulliCellwiseMap(seed=42), 0.125, SPEC),
-        "tiled_no_membranes": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC, membranes_rule="off"),
+        "tiled_no_membranes": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC, membranes=False),
         "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(seed=7), 4),
         "square": build_square_mesh(8),
         "retargeted_vertex": remeshed(cell, triangles=retargeted),
@@ -440,7 +441,7 @@ class TestStoredTopology:
         assert_topology_matches_scan(mesh)
 
     def test_membranes_off(self, cell_h01):
-        mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes_rule="off")
+        mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
         assert mesh.interface_edges.shape == (0, 4)
         assert_topology_matches_scan(mesh)
 
@@ -503,3 +504,60 @@ class TestReportFaultDetection:
         )
         with pytest.raises(ValueError):
             mesh_report(empty)
+
+
+def domain_boundary_rule(mesh):
+    """The boundary test tile_domain_mesh applied after tiling: physical
+    vertices on the boundary of (0,1)^2 within 1e-12."""
+    v = mesh.vertices
+    on_bd = (
+        (np.abs(v[:, 0]) < 1e-12)
+        | (np.abs(v[:, 0] - 1.0) < 1e-12)
+        | (np.abs(v[:, 1]) < 1e-12)
+        | (np.abs(v[:, 1] - 1.0) < 1e-12)
+    )
+    return np.flatnonzero(on_bd).astype(np.int64)
+
+
+def truncated_boundary_rule(mesh, n, center):
+    """The boundary test build_truncated_mesh applied after tiling: reference
+    vertices on the boundary of center + (-n,n)^2 within 1e-12."""
+    cx, cy = center
+    v = mesh.ref_vertices
+    on_bd = (
+        (np.abs(v[:, 0] - (cx - n)) < 1e-12)
+        | (np.abs(v[:, 0] - (cx + n)) < 1e-12)
+        | (np.abs(v[:, 1] - (cy - n)) < 1e-12)
+        | (np.abs(v[:, 1] - (cy + n)) < 1e-12)
+    )
+    return np.flatnonzero(on_bd).astype(np.int64)
+
+
+class TestTilersTagTheirBoundary:
+    """The boundary the tiling tags is bitwise that of the per-mesher rules."""
+
+    @pytest.mark.parametrize("name", ["tiled_identity", "tiled_bernoulli", "tiled_no_membranes"])
+    def test_tiled_domain(self, report_meshes, name):
+        mesh = report_meshes[name]
+        assert np.array_equal(mesh.boundary_nodes, domain_boundary_rule(mesh))
+
+    def test_truncated_cube(self, report_meshes):
+        mesh = report_meshes["truncated_bernoulli"]
+        assert np.array_equal(mesh.boundary_nodes, truncated_boundary_rule(mesh, 4, (0, 0)))
+
+    def test_truncated_cube_off_center(self, cell_h01):
+        mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=5), 2, center=(1, -1))
+        assert np.array_equal(mesh.boundary_nodes, truncated_boundary_rule(mesh, 2, (1, -1)))
+        assert len(mesh.boundary_nodes) == 16 * (len(cell_h01.boundary_nodes) // 4)
+
+
+class TestFirstCoincident:
+    def test_groups_within_rounding(self):
+        pts = np.array(
+            [[0.5, 0.25], [0.1, 0.2], [0.5 + 1e-12, 0.25], [0.1, 0.2 - 1e-12], [0.3, 0.3]]
+        )
+        assert first_coincident(pts).tolist() == [0, 1, 0, 1, 4]
+
+    def test_separates_beyond_rounding(self):
+        pts = np.array([[0.5, 0.25], [0.5 + 1e-9, 0.25], [0.5, 0.25 - 1e-9], [0.5, 0.25]])
+        assert first_coincident(pts).tolist() == [0, 1, 2, 0]
