@@ -12,12 +12,13 @@ import argparse
 import concurrent.futures
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -147,6 +148,8 @@ class ExperimentConfig:
                 raise ConfigError(f"eps: each value must be in (0, 0.5], got {e}")
             if abs(round(1.0 / e) * e - 1.0) > 1e-12:
                 raise ConfigError(f"eps: 1/eps must be an integer, got {e}")
+        if not self.eps or len({round(1.0 / e) for e in self.eps}) < len(self.eps):
+            raise ConfigError(f"eps: need one or more distinct values, got {self.eps}")
         if self.homog_grid < 1:
             raise ConfigError(f"homog_grid: must be >= 1, got {self.homog_grid}")
         if self.source not in SOURCE_PRESETS:
@@ -157,6 +160,12 @@ class ExperimentConfig:
     @property
     def seeds(self) -> list:
         return list(range(self.seed, self.seed + self.num_seeds))
+
+    @property
+    def realizations(self) -> list:
+        """The seeds whose realizations differ: a deterministic map gives
+        every seed the realization of the first."""
+        return self.seeds if self.map == "bernoulli" else self.seeds[:1]
 
     @property
     def interface(self) -> InterfaceSpec:
@@ -321,8 +330,22 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     )
 
 
+def _per_seed(cfg: ExperimentConfig, results: list) -> list:
+    """Task results of ``cfg.realizations`` (one equal block per realization,
+    in its order) given to every seed of ``cfg.seeds``, in seed order: a
+    deterministic map's one realization serves each seed."""
+    k = len(results) // len(cfg.realizations)
+    blocks = itertools.cycle([results[i:i + k] for i in range(0, len(results), k)])
+    return [replace(r, seed=s) for s in cfg.seeds for r in next(blocks)]
+
+
+def _seed_runs(cfg: ExperimentConfig, jobs: int) -> list:
+    """One corrector sample per seed, each distinct realization solved once."""
+    return _per_seed(cfg, _run_tasks(_corrector_task, [(cfg, s) for s in cfg.realizations], jobs))
+
+
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
-    runs = _run_tasks(_corrector_task, [(cfg, s) for s in cfg.seeds], jobs)
+    runs = _seed_runs(cfg, jobs)
     flux_rows = [(r.seed, "e1;e2", cfg.delta, cfg.n, cfg.m, r.flux) for r in runs]
     write_flux_csv(out.path("flux.csv"), flux_rows)
     energy_rows = [(r.seed, r.profile) for r in runs]
@@ -336,7 +359,7 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
             f"num_seeds: the effective tensor needs >= 2 seeds for a standard error, "
             f"got {cfg.num_seeds}"
         )
-    runs = _run_tasks(_corrector_task, [(cfg, s) for s in cfg.seeds], jobs)
+    runs = _seed_runs(cfg, jobs)
     vs = volume_stats(cfg.make_map, cfg.seeds, cfg.interface)
     t = effective_tensor(runs, rho=vs["rho"], config_hash=cfg.hash(A0_KEYS), theta=vs["theta"])
     verdict = ellipticity_check(t, 1.0, 1.5, runs=runs)
@@ -362,8 +385,8 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
         t = read_effective_json(eff_path)
     u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     eps_sorted = sorted(cfg.eps, reverse=True)
-    tasks = [(cfg, s, e, u0, t) for s in cfg.seeds for e in eps_sorted]
-    rows = _run_tasks(_hetero_task, tasks, jobs)
+    tasks = [(cfg, s, e, u0, t) for s in cfg.realizations for e in eps_sorted]
+    rows = _per_seed(cfg, _run_tasks(_hetero_task, tasks, jobs))
     write_convergence_csv(out.path("convergence.csv"), rows)
 
     report = {"config_hash": cfg.hash(), "A0": t.A0.tolist(), "theta": t.theta}
@@ -374,7 +397,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
             rates[str(seed)] = {"rate": slope, "r_squared": r2}
         report["l2_rates"] = rates
     write_report_json(out.path("report.json"), report)
-    print(f"homogenize: {len(rows)} solves -> convergence.csv, report.json")
+    print(f"homogenize: {len(tasks)} solves, {len(rows)} rows -> convergence.csv, report.json")
 
 
 def cmd_verify(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 import membrane_homog.cli as cli
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
-from membrane_homog.effective import read_effective_json
+from membrane_homog.effective import (
+    corrector_runs,
+    effective_tensor,
+    read_effective_json,
+    volume_stats,
+)
 from membrane_homog.errors import ConfigError, SolverDivergence
+from membrane_homog.fem import CONDUCTIVITY_PRESETS
 
 QUICK_CFG = """\
 # quick smoke config
@@ -271,6 +277,64 @@ class TestRandomMaps:
         assert (out / "effective.json").stat().st_mtime_ns == before
 
 
+class TestDistinctRealizations:
+    """Each distinct realization is solved once and its result given to every
+    seed; only the Bernoulli map's realizations differ from seed to seed."""
+
+    @pytest.mark.parametrize("map_kind, num_seeds, correctors, hetero", [
+        ("identity", 3, 1, 2), ("bump", 3, 1, 2), ("bernoulli", 2, 2, 4),
+    ])
+    def test_solves_per_distinct_realization(self, tmp_path, monkeypatch, map_kind, num_seeds,
+                                             correctors, hetero):
+        calls = {"corrector": 0, "hetero": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "corrector_runs", counted("corrector", cli.corrector_runs))
+        monkeypatch.setattr(cli, "solve_hetero", counted("hetero", cli.solve_hetero))
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("map = identity", f"map = {map_kind}")
+                     .replace("num_seeds = 2", f"num_seeds = {num_seeds}")
+                     .replace("eps = 1/4", "eps = 1/4, 1/8"))
+        out = tmp_path / "run"
+        assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
+        assert calls == {"corrector": correctors, "hetero": hetero}
+        if map_kind == "bernoulli":
+            return
+        lines = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [str(s), e] for s in range(num_seeds) for e in ("0.25", "0.125")
+        ]
+        assert len({line.split(",", 1)[1] for line in lines}) == 2  # one row per eps
+        t = json.loads((out / "effective.json").read_text())
+        assert t["N"] == num_seeds
+        assert t["stderr"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("extra", ["", "conductivity = aniso\namplitude = 0.3\n"],
+                             ids=["identity_conductivity", "aniso"])
+    def test_effective_equals_per_seed_solving(self, tmp_path, extra):
+        """The tensor of one realization given to three seeds is bitwise the
+        tensor of three solves.  With aniso the mean of the three equal samples
+        is not the sample, so stderr is a rounding residue, not 0."""
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("map = identity", "map = bump")
+                     .replace("num_seeds = 2", "num_seeds = 3") + extra)
+        out = tmp_path / "run"
+        assert main(["effective", "--config", str(p), "--out", str(out)]) == 0
+        cfg = parse_config(str(p))
+        runs = corrector_runs(cfg.make_map, cfg.seeds, cfg.corrector_config(),
+                              CONDUCTIVITY_PRESETS[cfg.conductivity])
+        vs = volume_stats(cfg.make_map, cfg.seeds, cfg.interface)
+        t = effective_tensor(runs, rho=vs["rho"])
+        stored = json.loads((out / "effective.json").read_text())
+        assert stored["A0"] == t.A0.tolist()
+        assert stored["stderr"] == t.stderr.tolist()
+
+
 class TestInputErrors:
     """Input the program cannot run exits 2 with a message naming the key."""
 
@@ -285,10 +349,13 @@ class TestInputErrors:
             ("h = 1/0\n", ["effective", "--dry-run"], "h"),
             ("h = inf\n", ["effective"], "h"),
             ("", ["verify", "--seed", "-1"], "seed"),
+            ("eps =\n", ["homogenize"], "eps"),
+            ("eps = 1/4, 1/4, 1/4\n", ["homogenize"], "eps"),
+            ("eps = 1/4, 0.25000000000001\n", ["homogenize"], "eps"),
         ],
         ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
              "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite",
-             "negative_verify_seed"],
+             "negative_verify_seed", "empty_eps", "repeated_eps", "same_reciprocal_eps"],
     )
     def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
         p = tmp_path / "exp.cfg"
@@ -405,7 +472,7 @@ class TestInputErrors:
 
 DEFAULTS = asdict(ExperimentConfig())
 KEYS = list(DEFAULTS)
-OTHER_KEYS = ["seeds", "interface", "hash", "__class__", ""]  # attributes that are not keys
+OTHER_KEYS = ["seeds", "realizations", "interface", "hash", "__class__", ""]  # attributes that are not keys
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3),
