@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .fem import (
     BilinearFormSpec,
     FemSolution,
+    apply_tensor,
     assemble,
     edge_jump_energy,
     gradient_load,
@@ -26,9 +27,7 @@ from .fem import (
     solve,
 )
 from .geometry import DeformationMap, InterfaceSpec
-from .meshing import (
-    PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, first_coincident, triangle_geometry,
-)
+from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, first_coincident
 
 
 @dataclass
@@ -105,28 +104,28 @@ def _corrector_solutions(
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
     # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i
     inside = window_mask(mesh.cells, configs[0].m)
+    fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
     energy = np.zeros((len(sols), len(sols)))
     for i, j in zip(*np.triu_indices(len(sols))):
-        e_tri = areas * np.einsum("ti,tij,tj->t", grads[i], tensor, grads[j])
+        e_tri = areas * (grads[i][:, 0] * fluxes[j][:, 0] + grads[i][:, 1] * fluxes[j][:, 1])
         e_jump = form.jump_weight * edge_jump_energy(
             mesh.vertices, mesh.interface_edges, sols[i].values, sols[j].values
         )
         energy[i, j] = energy[j, i] = cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum()
 
-    ref_areas, ref_grads = triangle_geometry(mesh.ref_vertices, mesh.triangles)
     plus = mesh.tri_region == PLUS
     out = []
-    for sol, config, g, row in zip(sols, configs, grads, energy):
-        flux = areas[:, None] * np.einsum("tij,tj->ti", tensor, g)
+    for sol, config, Ag, row in zip(sols, configs, fluxes, energy):
+        flux = areas[:, None] * Ag
         fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
         fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
 
         # reference-configuration energy: same nodal values, lattice coordinates
         u = sol.values[mesh.triangles]
-        gref = np.einsum("tid,ti->td", ref_grads, u)
-        e_grad = ref_areas * np.einsum("td,td->t", gref, gref)
+        gref = p1_gradient(mesh, sol.values, mesh.ref_grads)
+        e_grad = mesh.ref_areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
         uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
-        e_mass = form.mass_weight * ref_areas * uc2 / 12.0  # exact P1 mass per triangle
+        e_mass = form.mass_weight * mesh.ref_areas * uc2 / 12.0  # exact P1 mass per triangle
         jump2 = cell_sums(
             mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, sol.values)
         )

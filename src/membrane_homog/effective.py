@@ -128,8 +128,10 @@ def effective_tensor(
     if len(runs) < 2:
         raise InsufficientSamples(f"need >= 2 seeds for a standard error, got {len(runs)}")
     samples = np.array([run.flux for run in runs])  # (N, 2, 2), rows = directions
-    A0 = samples.mean(axis=0) / rho
-    stderr = samples.std(axis=0, ddof=1) / (rho * np.sqrt(len(runs)))
+    # deviations from the first sample: N equal samples give that sample and 0
+    dev = samples - samples[0]
+    A0 = (samples[0] + dev.mean(axis=0)) / rho
+    stderr = dev.std(axis=0, ddof=1) / (rho * np.sqrt(len(runs)))
     return EffectiveTensor(
         A0=A0, stderr=stderr, N=len(runs), rho=rho, theta=theta, config_hash=config_hash
     )

@@ -9,11 +9,17 @@ One bilinear form covers every solve in the workbench:
 with A constant per triangle (evaluated at the reference centroid), the jump
 term assembled on the duplicated interface node pairs, and Dirichlet
 constraints eliminated symmetrically.
+
+The element matrices of all three terms are summed into the CSR pattern the
+mesh stores (``MembraneMesh.slots``) with one ``np.bincount``, so a
+realization that only moves a tiling's nodes reuses its pattern.  ``solve``
+sets the two-level solver up once per matrix: copies of a system that differ
+only in their load (``dataclasses.replace``) share the set-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -87,7 +93,10 @@ class BilinearFormSpec:
 class DiscreteSystem:
     """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
     form's per-triangle conductivity on ``mesh``, evaluated once by assemble,
-    and ``coarse`` the coarse unknown of each dof in the two-level solve."""
+    and ``coarse`` the coarse unknown of each dof in the two-level solve.
+    ``solver`` holds the solver set-up ``solve`` builds on first use; copies
+    made by ``dataclasses.replace`` share it, and it is rebuilt for a copy
+    with another matrix, Dirichlet data or coarse unknowns."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
@@ -96,6 +105,7 @@ class DiscreteSystem:
     mesh: MembraneMesh
     tensor: np.ndarray
     coarse: np.ndarray
+    solver: list = field(default_factory=list, repr=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -111,25 +121,48 @@ class FemSolution:
     iterations: int = 0
 
 
-def _scatter(dofs: np.ndarray, mats: np.ndarray, nv: int) -> sp.csr_matrix:
-    """The nv x nv sum of element matrices ``mats`` (ne, k, k) over their
-    dofs (ne, k)."""
-    k = dofs.shape[1]
-    rows = np.repeat(dofs, k, axis=1).ravel()
-    cols = np.tile(dofs, (1, k)).ravel()
-    return sp.coo_matrix((mats.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+def _scatter(mesh: MembraneMesh, tri_mats=0.0, edge_mats=0.0) -> sp.csr_matrix:
+    """The matrix, in the mesh's pattern, summing element matrices over the
+    triangles (nt, 3, 3) and the interface edges (ne, 4, 4); a scalar is
+    broadcast to every element."""
+    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
+    weights = np.concatenate([
+        np.broadcast_to(tri_mats, (nt, 3, 3)).ravel(),
+        np.broadcast_to(edge_mats, (ne, 4, 4)).ravel(),
+    ])
+    data = np.bincount(mesh.slots, weights=weights, minlength=len(mesh.indices))
+    nv = mesh.num_vertices
+    return sp.csr_matrix((data, mesh.indices, mesh.indptr), shape=(nv, nv))
+
+
+def apply_tensor(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A g for per-triangle 2x2 matrices A (nt, 2, 2) and vectors g (nt, 2),
+    or k vectors per triangle (nt, k, 2)."""
+    A = tensor if g.ndim == 2 else tensor[:, None]
+    return np.stack([
+        A[..., 0, 0] * g[..., 0] + A[..., 0, 1] * g[..., 1],
+        A[..., 1, 0] * g[..., 0] + A[..., 1, 1] * g[..., 1],
+    ], axis=-1)
+
+
+def stiffness_elements(mesh: MembraneMesh, tensor: np.ndarray) -> np.ndarray:
+    """|T| grad(phi_i) . A grad(phi_j) per triangle (nt, 3, 3)."""
+    g = mesh.grads
+    Ag = apply_tensor(tensor, g)
+    Ke = g[:, :, None, 0] * Ag[:, None, :, 0] + g[:, :, None, 1] * Ag[:, None, :, 1]
+    Ke *= mesh.areas[:, None, None]
+    return Ke
+
+
+_MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0  # P1 mass of a unit-area triangle
 
 
 def assemble_stiffness(mesh: MembraneMesh, tensor: np.ndarray) -> sp.csr_matrix:
-    Ag = np.einsum("tij,tkj->tki", tensor, mesh.grads)
-    Ke = np.einsum("t,tid,tjd->tij", mesh.areas, mesh.grads, Ag)
-    return _scatter(mesh.triangles, Ke, mesh.num_vertices)
+    return _scatter(mesh, stiffness_elements(mesh, tensor))
 
 
 def assemble_mass(mesh: MembraneMesh) -> sp.csr_matrix:
-    Me = np.tile((np.ones((3, 3)) + np.eye(3)) / 12.0, (mesh.num_triangles, 1, 1))
-    Me *= mesh.areas[:, None, None]
-    return _scatter(mesh.triangles, Me, mesh.num_vertices)
+    return _scatter(mesh, mesh.areas[:, None, None] * _MASS_BASE)
 
 
 # jump coupling of the two sides (x) 6 * the P1 edge mass [[2, 1], [1, 2]] / 6,
@@ -156,8 +189,7 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None
 def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
     """Unweighted jump form sum_e int_e (u+ - u-)(v+ - v-) ds on the
     deformed interface polyline."""
-    edges = mesh.interface_edges
-    return _scatter(edges, jump_element_matrices(mesh.vertices, edges), mesh.num_vertices)
+    return _scatter(mesh, edge_mats=jump_element_matrices(mesh.vertices, mesh.interface_edges))
 
 
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
@@ -195,11 +227,11 @@ def assemble(
     for unconstrained (e.g. periodic) systems.
     """
     tensor = spec.tensor(mesh)
-    K = assemble_stiffness(mesh, tensor)
+    tri_mats = stiffness_elements(mesh, tensor)
     if spec.mass_weight != 0.0:
-        K = K + spec.mass_weight * assemble_mass(mesh)
-    if spec.jump_weight != 0.0:
-        K = K + spec.jump_weight * assemble_jump(mesh)
+        tri_mats += (spec.mass_weight * mesh.areas)[:, None, None] * _MASS_BASE
+    edge_mats = spec.jump_weight * jump_element_matrices(mesh.vertices, mesh.interface_edges)
+    K = _scatter(mesh, tri_mats, edge_mats)
     b = np.zeros(mesh.num_vertices)
     if f is not None:
         b += volume_load(mesh, f)
@@ -226,59 +258,79 @@ def aggregates(mesh: MembraneMesh) -> np.ndarray:
     return label
 
 
-def _cg(K, b, agg):
-    """CG with the two-level additive preconditioner D^-1 + R^T (R K R^T)^-1 R,
-    R the 0/1 restriction summing the dofs of each aggregate (row labels
-    ``agg``).  Returns the solution and the iteration count."""
-    _, agg = np.unique(agg, return_inverse=True)
-    R = sp.csr_matrix((np.ones(len(b)), (agg, np.arange(len(b)))))
-    coarse = spla.splu((R @ K @ R.T).tocsc())
-    diag = K.diagonal()
-    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+class _TwoLevel:
+    """CG on a matrix K with the two-level additive preconditioner
+    D^-1 + R^T (R K R^T)^-1 R, R the 0/1 restriction summing the dofs of each
+    coarse unknown (row labels ``agg``).  R, the coarse factor and the
+    diagonal are built once, here."""
 
-    def precondition(r):
-        return inv_diag * r + coarse.solve(R @ r)[agg]
+    def __init__(self, K: sp.csr_matrix, agg: np.ndarray):
+        self.K = K
+        _, self.agg = np.unique(agg, return_inverse=True)
+        n = len(self.agg)
+        self.R = sp.csr_matrix((np.ones(n), (self.agg, np.arange(n))))
+        self.coarse = spla.splu((self.R @ K @ self.R.T).tocsc())
+        diag = K.diagonal()
+        self.inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
 
-    M = spla.LinearOperator(K.shape, matvec=precondition, dtype=float)
-    maxiter = int(50 * np.sqrt(len(b))) + 10
-    iterations = 0
+    def precondition(self, r):
+        return self.inv_diag * r + self.coarse.solve(self.R @ r)[self.agg]
 
-    def counted(xk):
-        nonlocal iterations
-        iterations += 1
+    def solve(self, b):
+        """The solution for the free-dof load b and the iteration count."""
+        M = spla.LinearOperator(self.K.shape, matvec=self.precondition, dtype=float)
+        maxiter = int(50 * np.sqrt(len(b))) + 10
+        iterations = 0
 
-    try:
-        x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
-    except TypeError:  # scipy < 1.12 spells the tolerance differently
-        x, info = spla.cg(
-            K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
-        )
-    if info > 0:
-        raise SolverDivergence(f"CG did not converge in {info} iterations")
-    return x, iterations
+        def counted(xk):
+            nonlocal iterations
+            iterations += 1
+
+        try:
+            x, info = spla.cg(self.K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
+        except TypeError:  # scipy < 1.12 spells the tolerance differently
+            x, info = spla.cg(
+                self.K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
+            )
+        if info > 0:
+            raise SolverDivergence(f"CG did not converge in {info} iterations")
+        return x, iterations
+
+
+def _solver(system: DiscreteSystem) -> tuple:
+    """The free dofs, the Dirichlet shift of their load and the two-level CG
+    of their block, built once for the system's matrix, Dirichlet data and
+    coarse unknowns and kept in ``system.solver``."""
+    parts = (system.matrix, system.fixed, system.fixed_values, system.coarse)
+    if not system.solver or any(a is not b for a, b in zip(system.solver[0], parts)):
+        free = system.free
+        K = system.matrix[free]
+        system.solver[:] = [
+            parts, free, K[:, system.fixed] @ system.fixed_values,
+            _TwoLevel(K[:, free], system.coarse[free]),
+        ]
+    return system.solver[1:]
 
 
 def solve(system: DiscreteSystem) -> FemSolution:
     """Two-level CG on the free degrees of freedom, with the coarse unknowns
     ``system.coarse`` (for an assembled system one per lattice cell and
     membrane side)."""
-    nv = len(system.load)
-    u = np.zeros(nv)
+    u = np.zeros(len(system.load))
     u[system.fixed] = system.fixed_values
-    free = system.free
-    K = system.matrix
-    b = system.load[free] - K[free][:, system.fixed] @ system.fixed_values
-    Kff = K[free][:, free]
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    free, shift, cg = _solver(system)
+    b = system.load[free] - shift
+    if np.linalg.norm(b) == 0.0:
         return FemSolution(values=u, mesh=system.mesh)
-    u[free], iterations = _cg(Kff, b, system.coarse[free])
+    u[free], iterations = cg.solve(b)
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
 
 
-def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:
-    """Piecewise-constant gradient (nt, 2)."""
-    return np.einsum("tid,ti->td", mesh.grads, values[mesh.triangles])
+def p1_gradient(mesh: MembraneMesh, values: np.ndarray, grads: np.ndarray = None) -> np.ndarray:
+    """Piecewise-constant gradient (nt, 2), with ``grads`` the basis gradients
+    (default ``mesh.grads``)."""
+    g = mesh.grads if grads is None else grads
+    return np.einsum("tid,ti->td", g, values[mesh.triangles])
 
 
 def norms(sol: FemSolution) -> dict:
@@ -293,8 +345,8 @@ def norms(sol: FemSolution) -> dict:
         "grad_plus_L2": float(np.sqrt(np.sum(areas[plus] * g2[plus]))),
         "grad_minus_L2": float(np.sqrt(np.sum(areas[minus] * g2[minus]))),
     }
-    J = assemble_jump(mesh)
-    out["jump_L2_on_interface"] = float(np.sqrt(max(sol.values @ (J @ sol.values), 0.0)))
+    jump2 = edge_jump_energy(mesh.vertices, mesh.interface_edges, sol.values).sum()
+    out["jump_L2_on_interface"] = float(np.sqrt(max(jump2, 0.0)))
     return out
 
 

@@ -5,10 +5,18 @@ polyline of mesh edges and with interface nodes duplicated (independent PLUS
 and MINUS copies).  Tiling deforms the cell template vertex-wise and stitches
 shared boundary nodes, which works because every deformation map fixes cell
 boundaries.
+
+So a tiling's numbering, stitch, interface edges, cell indices, boundary and
+matrix pattern depend only on the cell mesh, the lattice block, its membrane
+mask and the scale: they are built once per process for each such
+configuration (a small cache) and a realization only moves the nodes to
+their deformed positions.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,17 +46,23 @@ class MembraneMesh:
     """Triangulation with region tags and duplicated interface nodes.
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
-    reference-lattice coordinates (equal to ``vertices`` for identity maps and
-    unscaled meshes).  ``interface_pairs`` rows are (plus node, minus node)
-    with coincident coordinates.
+    reference-lattice coordinates: the vertices the mesh was built with, kept
+    by ``moved``.  ``interface_pairs`` rows are (plus node, minus node) with
+    coincident coordinates.
 
     Topology and geometry are derived once, at construction: ``cells`` are
     the distinct lattice cells of ``tri_cell`` in lexicographic order,
     ``tri_cell_index`` gives each triangle's row of ``cells``,
     ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
-    ``edge_cell_index`` the row of ``cells`` each edge belongs to, and
+    ``edge_cell_index`` the row of ``cells`` each edge belongs to,
     ``areas`` (nt,) and ``grads`` (nt, 3, 2) are the physical triangle areas
-    and P1 basis gradients.  The arrays are never mutated after construction.
+    and P1 basis gradients, ``ref_areas`` and ``ref_grads`` those at
+    ``ref_vertices``.  ``indptr`` and ``indices`` (int32) are the CSR pattern
+    of the transmission form's matrix, and ``slots`` (int32) the pattern
+    position of every element entry: the 3 x 3 entries of each triangle,
+    row-major, then the 4 x 4 entries of each interface edge over (plus_a,
+    plus_b, minus_a, minus_b).  The arrays are never mutated after
+    construction; ``moved`` shares them with a copy at other positions.
     """
 
     vertices: np.ndarray
@@ -58,17 +72,20 @@ class MembraneMesh:
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
     h: float
-    ref_vertices: np.ndarray = None
+    ref_vertices: np.ndarray = field(init=False, repr=False)
     cells: np.ndarray = field(init=False, repr=False)
     tri_cell_index: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
+    ref_areas: np.ndarray = field(init=False, repr=False)
+    ref_grads: np.ndarray = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.ref_vertices is None:
-            self.ref_vertices = self.vertices
         lo = self.tri_cell.min(axis=0, initial=0)
         k = self.tri_cell - lo
         ny = k[:, 1].max(initial=0) + 1
@@ -76,7 +93,17 @@ class MembraneMesh:
         self.cells = np.column_stack([keys // ny, keys % ny]) + lo
         self.interface_edges, edge_tri = self._interface_edges()
         self.edge_cell_index = self.tri_cell_index[edge_tri]
+        self.indptr, self.indices, self.slots = self._pattern()
         self.areas, self.grads = triangle_geometry(self.vertices, self.triangles)
+        self.ref_vertices, self.ref_areas, self.ref_grads = self.vertices, self.areas, self.grads
+
+    def moved(self, vertices: np.ndarray) -> "MembraneMesh":
+        """This mesh with its nodes at ``vertices``: a copy sharing every
+        array but the vertices and their areas and gradients."""
+        out = copy.copy(self)
+        out.vertices = vertices
+        out.areas, out.grads = triangle_geometry(vertices, self.triangles)
+        return out
 
     def _interface_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Interface edges and the MINUS triangle each comes from.
@@ -97,6 +124,31 @@ class MembraneMesh:
         rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int64)
         order = np.lexsort(rows.T[::-1])
         return rows[order], minus_tri[on // 3][order]
+
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``indptr`` and ``indices`` of the node pairs that share a
+        triangle or an interface edge (each node with itself included), and
+        the ``slots`` of the element entries (see the class docstring)."""
+        nv = self.num_vertices
+        t, e = self.triangles, self.interface_edges
+        links = np.concatenate([_edge_keys(t, nv)[2], *(
+            np.minimum(e[:, i], e[:, j]) * nv + np.maximum(e[:, i], e[:, j])
+            for i in range(4) for j in range(i + 1, 4))])
+        links = np.sort(links)  # deduplicated by hand: np.unique hashes here, over 10x slower
+        links = links[np.diff(links, prepend=-1) != 0]
+        lo, hi, diag = links // nv, links % nv, np.arange(nv)
+        keys = np.sort(np.concatenate([lo * nv + hi, hi * nv + lo, diag * nv + diag]))
+        indptr = np.searchsorted(keys, np.arange(nv + 1) * nv).astype(np.int32)
+        slots = np.empty(9 * len(t) + 16 * len(e), dtype=np.int32)
+        diag = np.searchsorted(keys, diag * (nv + 1))
+        for elements, k, start in ((t, 3, 0), (e, 4, 9 * len(t))):
+            block = slots[start:start + k * k * len(elements)].reshape(-1, k, k)
+            for i in range(k):
+                block[:, i, i] = diag[elements[:, i]]
+                for j in range(k):
+                    if j != i:
+                        block[:, i, j] = np.searchsorted(keys, elements[:, i] * nv + elements[:, j])
+        return indptr, (keys % nv).astype(np.int32), slots
 
     @property
     def num_vertices(self) -> int:
@@ -349,6 +401,84 @@ def _lattice(xs, ys) -> np.ndarray:
     return np.column_stack([kx.ravel(), ky.ravel()]).astype(np.int64)
 
 
+class _Tiling:
+    """What tiling a cell mesh over a lattice block fixes before any map is
+    applied: the reference position of each (cell, local node) entry, the
+    shared boundary entries with the entry each is stitched to, the entries
+    that start a node, and the tiled mesh at the reference positions."""
+
+    def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
+        nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
+        plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
+        self.cells, self.nv, self.scale = cells, nv, scale
+        self.ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
+
+        # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
+        keep = np.ones((nc, nv), dtype=bool)
+        keep[np.ix_(~membrane, minus)] = False
+        on_boundary = np.zeros(nv, dtype=bool)
+        on_boundary[cell.boundary_nodes] = True
+        self.shared = np.flatnonzero(keep & on_boundary)
+        self.owner = self.shared[first_coincident(self.ref[self.shared])]
+
+        self.new = keep.reshape(-1)  # entries that start a node: all but non-owner shared ones
+        self.new[self.shared] = self.owner == self.shared
+        gid = np.full(nc * nv, -1, dtype=np.int64)
+        gid[self.new] = np.arange(np.count_nonzero(self.new))
+        gid[self.shared] = gid[self.owner]
+        gid = gid.reshape(nc, nv)
+        gid[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
+
+        pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
+        ref = self.ref[self.new]
+        box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
+        on_box = (np.abs(ref[:, None, :] - box) < 1e-12).any(axis=(1, 2))
+        self.mesh = MembraneMesh(
+            vertices=ref,
+            triangles=gid[:, cell.triangles].reshape(-1, 3),
+            tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
+            tri_cell=np.repeat(cells, nt, axis=0),
+            interface_pairs=pairs.reshape(-1, 2),
+            boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
+            h=cell.h * scale,
+        )
+
+    def realize(self, dmap: DeformationMap) -> MembraneMesh:
+        """The tiled mesh at the nodes' deformed, rescaled positions; raises
+        StitchFailure where two stitched entries land apart."""
+        phys = self.scale * dmap.apply(self.ref)
+        mismatch = np.flatnonzero(
+            np.abs(phys[self.owner] - phys[self.shared]).max(axis=1) > STITCH_TOL
+        )
+        if len(mismatch):
+            i, j = self.owner[mismatch[0]], self.shared[mismatch[0]]
+            k = tuple(int(x) for x in self.cells[j // self.nv])
+            raise StitchFailure(f"boundary node mismatch at cell {k}: {phys[i]} vs {phys[j]}")
+        return self.mesh.moved(phys[self.new])
+
+
+class _ByContent:
+    """Tiling arguments for the template cache, hashed and compared by the
+    bytes of the cell mesh's arrays, the lattice and the membrane mask."""
+
+    def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
+        self.args = (cell, cells, membrane, scale)
+        arrays = (cell.vertices, cell.triangles, cell.tri_region, cell.interface_pairs,
+                  cell.boundary_nodes, cells, membrane)
+        self.key = (cell.h, scale, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=4)
+def _tiling(args: _ByContent) -> _Tiling:
+    return _Tiling(*args.args)
+
+
 def _assemble_tiles(
     cell: MembraneMesh,
     dmap: DeformationMap,
@@ -366,48 +496,7 @@ def _assemble_tiles(
     boundary node belongs to the first cell that carries it.  Cells without a
     membrane merge each MINUS interface node into its PLUS copy.
     """
-    nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
-    plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
-    ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
-    phys = scale * dmap.apply(ref)
-
-    # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
-    keep = np.ones((nc, nv), dtype=bool)
-    keep[np.ix_(~membrane, minus)] = False
-    on_boundary = np.zeros(nv, dtype=bool)
-    on_boundary[cell.boundary_nodes] = True
-    shared = np.flatnonzero(keep & on_boundary)
-    owner = shared[first_coincident(phys[shared])]
-    mismatch = np.flatnonzero(np.abs(phys[owner] - phys[shared]).max(axis=1) > STITCH_TOL)
-    if len(mismatch):
-        i = mismatch[0]
-        k = tuple(int(x) for x in cells[shared[i] // nv])
-        raise StitchFailure(
-            f"boundary node mismatch at cell {k}: {phys[owner[i]]} vs {phys[shared[i]]}"
-        )
-
-    new = keep.reshape(-1)  # entries that start a node: all but non-owner shared ones
-    new[shared] = owner == shared
-    gid = np.full(nc * nv, -1, dtype=np.int64)
-    gid[new] = np.arange(np.count_nonzero(new))
-    gid[shared] = gid[owner]
-    gid = gid.reshape(nc, nv)
-    gid[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
-
-    pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
-    ref = ref[new]
-    box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
-    on_box = (np.abs(ref[:, None, :] - box) < 1e-12).any(axis=(1, 2))
-    return MembraneMesh(
-        vertices=phys[new],
-        triangles=gid[:, cell.triangles].reshape(-1, 3),
-        tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
-        tri_cell=np.repeat(cells, nt, axis=0),
-        interface_pairs=pairs.reshape(-1, 2),
-        boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
-        h=cell.h * scale,
-        ref_vertices=ref,
-    )
+    return _tiling(_ByContent(cell, cells, membrane, scale)).realize(dmap)
 
 
 def _carries_membrane(cells: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -456,7 +545,9 @@ def build_truncated_mesh(
 
 
 def build_square_mesh(m: int) -> MembraneMesh:
-    """Uniform right-triangle mesh of (0,1)^2 with m x m cells, no membranes."""
+    """Uniform right-triangle mesh of (0,1)^2 with m x m squares, no
+    membranes; each block of 4 x 4 squares is one lattice cell (so one
+    coarse unknown of the two-level solve)."""
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -469,7 +560,7 @@ def build_square_mesh(m: int) -> MembraneMesh:
         vertices=verts,
         triangles=triangles,
         tri_region=np.full(len(triangles), PLUS, dtype=np.int8),
-        tri_cell=np.zeros((len(triangles), 2), dtype=np.int64),
+        tri_cell=np.repeat(_lattice(range(m), range(m)) // 4, 2, axis=0),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int64),
         h=1.0 / m,

@@ -91,8 +91,12 @@ class TestTruncated:
 
     def test_geometry_and_tensor_evaluated_once_per_mesh(self, monkeypatch):
         """Two loads on one realization: triangle geometry for the cell
-        template, the truncated cube and its reference configuration, and one
-        conductivity evaluation shared by the matrix, the loads and the fluxes."""
+        template, the truncated cube's reference configuration (the cached
+        tiling) and its deformed one, and one conductivity evaluation shared
+        by the matrix, the loads and the fluxes.  A second realization reuses
+        the tiling: one geometry call for its deformed positions, one for the
+        cell mesh that each call rebuilds."""
+        meshing._tiling.cache_clear()
         calls = {"geometry": 0, "tensor": 0}
 
         def counted(key, fn):
@@ -104,12 +108,14 @@ class TestTruncated:
 
         geometry = counted("geometry", meshing.triangle_geometry)
         monkeypatch.setattr(meshing, "triangle_geometry", geometry)
-        monkeypatch.setattr(corrector, "triangle_geometry", geometry)
         tensor = counted("tensor", BilinearFormSpec.tensor)
         monkeypatch.setattr(BilinearFormSpec, "tensor", tensor)
         loads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         solve_loads(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=0), loads)
         assert calls == {"geometry": 3, "tensor": 1}
+        calls.update(geometry=0, tensor=0)
+        solve_loads(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=1), loads)
+        assert calls == {"geometry": 2, "tensor": 1}
 
 
 class TestPeriodic:
@@ -245,7 +251,8 @@ def pinned_periodic_values(p, spec, conductivity, h):
     b = P.T @ system.load
     keep = np.arange(1, len(reps))
     x = np.zeros(len(reps))
-    x[keep], iterations = fem._cg(K[keep][:, keep], b[keep], fem.aggregates(mesh)[reps[keep]])
+    cg = fem._TwoLevel(K[keep][:, keep], fem.aggregates(mesh)[reps[keep]])
+    x[keep], iterations = cg.solve(b[keep])
     values = P @ x
     plus = mesh.tri_region == meshing.PLUS
     uc = values[mesh.triangles].mean(axis=1)

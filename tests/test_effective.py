@@ -10,6 +10,7 @@ from membrane_homog.corrector import (
 )
 from membrane_homog.effective import (
     UNIT_LOADS,
+    EffectiveRun,
     EffectiveTensor,
     corrector_runs,
     effective_tensor,
@@ -113,6 +114,15 @@ class TestEffectiveTensor:
         eig = np.linalg.eigvalsh(0.5 * (t.A0 + t.A0.T))
         assert eig.min() > 0.0
         assert eig.max() <= 1.5 + 3.0 * t.stderr.max()
+
+    def test_equal_samples_give_the_sample_and_zero_stderr(self):
+        # the plain mean of three copies of x is 1.1e-16 off x, their std 1.4e-16
+        x = 0.726978671376387
+        run = EffectiveRun(seed=0, flux=np.full((2, 2), x), energy=np.eye(2), profile=np.ones(2))
+        rho = 0.97
+        t = effective_tensor([run] * 3, rho=rho)
+        assert np.array_equal(t.A0, np.full((2, 2), x) / rho)
+        assert np.array_equal(t.stderr, np.zeros((2, 2)))
 
     def test_insufficient_samples(self):
         runs = corrector_runs(lambda s: IdentityMap(), [0], QUICK)

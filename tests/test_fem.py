@@ -145,6 +145,50 @@ class TestAssembly:
             assemble(cell_h01, BilinearFormSpec(conductivity=coupled))
 
 
+def dense_reference(mesh, spec):
+    """The form's matrix summed densely with np.add.at from element matrices
+    computed apart from assemble: einsum stiffness, P1 mass, edge jump."""
+    tensor = spec.tensor(mesh)
+    Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, mesh.grads, tensor, mesh.grads)
+    Me = mesh.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    edges = mesh.interface_edges
+    Je = fem.jump_element_matrices(mesh.vertices, edges)
+    K = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    for dofs, mats in ((mesh.triangles, Ke + spec.mass_weight * Me),
+                       (edges, spec.jump_weight * Je)):
+        k = dofs.shape[1]
+        np.add.at(K, (np.repeat(dofs, k, axis=1), np.tile(dofs, (1, k))), mats.reshape(-1, k * k))
+    return K
+
+
+class TestPatternScatter:
+    """assemble sums the element matrices into the mesh's stored pattern."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        cell = build_cell_mesh(SPEC, 0.1)
+        return {
+            "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2),
+            "tiled_quarter": tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.25, SPEC),
+            "square": build_square_mesh(12),
+        }
+
+    @pytest.mark.parametrize("name", ["truncated_bernoulli", "tiled_quarter", "square"])
+    def test_matches_dense_add_at(self, meshes, name):
+        mesh = meshes[name]
+        spec = BilinearFormSpec(conductivity=aniso_field, jump_weight=3.0, mass_weight=0.02)
+        K = assemble(mesh, spec).matrix
+        ref = dense_reference(mesh, spec)
+        assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert K.nnz == len(mesh.indices) and K.has_sorted_indices
+
+    def test_pattern_holds_exactly_the_coupled_pairs(self, meshes):
+        mesh = meshes["truncated_bernoulli"]
+        ref = dense_reference(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0))
+        pattern = sp.csr_matrix((np.ones(len(mesh.indices)), mesh.indices, mesh.indptr))
+        assert np.array_equal(pattern.toarray() != 0, ref != 0)
+
+
 class TestSymmetricEigenvalues:
     """The closed-form 2x2 eigenvalues the ellipticity check uses."""
 

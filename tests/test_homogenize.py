@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membrane_homog.errors import DegenerateFit, MeshMismatch
-from membrane_homog.fem import BilinearFormSpec, assemble, solve
+from membrane_homog.fem import BilinearFormSpec, aggregates, assemble, solve
 from membrane_homog.geometry import IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import (
     CSV_HEADER,
@@ -15,6 +17,7 @@ from membrane_homog.homogenize import (
     constant_field,
     error_suite,
     grid_interpolate,
+    homog_form,
     rate_fit,
     solve_hetero,
     solve_homog,
@@ -76,6 +79,16 @@ class TestSolveHomog:
         skew = solve_homog([[1.0, 2.0**-16], [-(2.0**-17), 1.2]], f=1.0, m=8)
         sym = solve_homog([[1.0, 2.0**-18], [2.0**-18, 1.2]], f=1.0, m=8)
         assert np.array_equal(skew.values, sym.values)
+
+    def test_block_aggregates_match_single_aggregate_solve(self):
+        m = 32
+        A0 = np.array([[0.78, 0.01], [0.01, 0.77]])
+        f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
+        sol = solve_homog(A0, f, m=m)
+        assert len(np.unique(aggregates(sol.mesh))) == (m // 4) ** 2
+        system = assemble(build_square_mesh(m), homog_form(A0), f=f)
+        single = solve(replace(system, coarse=np.zeros_like(system.coarse)))
+        assert np.abs(sol.values - single.values).max() <= 1e-10 * np.abs(single.values).max()
 
 
 class TestGridInterpolate:

@@ -3,6 +3,7 @@ import pytest
 
 import membrane_homog.meshing as meshing
 from membrane_homog.errors import MeshQualityFailure, StitchFailure
+from membrane_homog.fem import BilinearFormSpec, assemble
 from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import (
     MINUS,
@@ -349,6 +350,54 @@ class TestTruncatedMesh:
         assert np.abs(phys - mesh.vertices).max() < 1e-14
 
 
+class TestTilingTemplate:
+    """A tiling's topology and matrix pattern are built once per
+    configuration; a realization only moves the nodes."""
+
+    CASES = {
+        "truncated": lambda cell, seed: build_truncated_mesh(cell, BernoulliCellwiseMap(seed), 2),
+        "tiled": lambda cell, seed: tile_domain_mesh(cell, BernoulliCellwiseMap(seed), 0.25, SPEC),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_warm_realization_equals_cold(self, cell_h01, case):
+        build = self.CASES[case]
+        form = BilinearFormSpec(jump_weight=4.0, mass_weight=1e-3)
+        meshing._tiling.cache_clear()
+        cold = build(cell_h01, 3)
+        cold_matrix = assemble(cold, form).matrix
+        build(cell_h01, 4)
+        warm = build(cell_h01, 3)
+        for name in vars(cold):
+            got, want = getattr(warm, name), getattr(cold, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+        assert assemble(warm, form).matrix.data.tobytes() == cold_matrix.data.tobytes()
+
+    def test_second_realization_searches_no_coincident_nodes(self, cell_h01, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return first_coincident(points)
+
+        monkeypatch.setattr(meshing, "first_coincident", counted)
+        meshing._tiling.cache_clear()
+        build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
+        assert len(calls) == 1
+        build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
+        assert len(calls) == 1
+
+    def test_realization_shares_the_template_topology(self, cell_h01):
+        a = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
+        b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
+        assert b.triangles is a.triangles and b.slots is a.slots
+        assert b.ref_vertices is a.ref_vertices and b.ref_areas is a.ref_areas
+        assert not np.array_equal(a.vertices, b.vertices)
+
+
 class TestSquareMesh:
     def test_counts_and_area(self):
         mesh = build_square_mesh(8)
@@ -357,6 +406,7 @@ class TestSquareMesh:
         assert abs(mesh.areas.sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
         assert mesh_report(mesh).ok
+        assert len(mesh.cells) == 4  # blocks of 4 x 4 squares
 
 
 class TestTilingMatchesLoop:
