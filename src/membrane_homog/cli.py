@@ -146,7 +146,7 @@ class ExperimentConfig:
         for e in self.eps:
             if not 0.0 < e <= 0.5:
                 raise ConfigError(f"eps: each value must be in (0, 0.5], got {e}")
-            if abs(round(1.0 / e) * e - 1.0) > 1e-12:
+            if not math.isfinite(1.0 / e) or abs(round(1.0 / e) * e - 1.0) > 1e-12:
                 raise ConfigError(f"eps: 1/eps must be an integer, got {e}")
         if not self.eps or len({round(1.0 / e) for e in self.eps}) < len(self.eps):
             raise ConfigError(f"eps: need one or more distinct values, got {self.eps}")
@@ -278,7 +278,8 @@ def _corrector_task(task):
 
 
 def _hetero_task(task):
-    """One heterogeneous solve and its error row against u0 and the tensor t."""
+    """One heterogeneous solve and its error row against u0 (grid values and
+    pairings, computed once in the parent) and the tensor t."""
     cfg, seed, eps, u0, t = task
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     sol = solve_hetero(

@@ -27,7 +27,14 @@ from .fem import (
     solve,
 )
 from .geometry import DeformationMap, InterfaceSpec
-from .meshing import PLUS, MembraneMesh, build_cell_mesh, build_truncated_mesh, first_coincident
+from .meshing import (
+    PLUS,
+    MembraneMesh,
+    build_cell_mesh,
+    build_truncated_mesh,
+    first_coincident,
+    triangle_centroids,
+)
 
 
 @dataclass
@@ -203,7 +210,7 @@ def periodic_cell_solve(
 
     # subtract the PLUS-region mean (area-weighted)
     plus = mesh.tri_region == PLUS
-    uc = values[mesh.triangles].mean(axis=1)
+    uc = triangle_centroids(values, mesh.triangles)
     mean = np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus])
     values = values - mean
 

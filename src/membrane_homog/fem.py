@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh
+from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
 
@@ -75,7 +75,7 @@ class BilinearFormSpec:
     def tensor(self, mesh: MembraneMesh) -> np.ndarray:
         """Per-triangle conductivity at reference centroids, ellipticity
         checked by sampled eigenvalues."""
-        cent = mesh.ref_vertices[mesh.triangles].mean(axis=1)
+        cent = triangle_centroids(mesh.ref_vertices, mesh.triangles)
         A = self.conductivity(cent)
         if np.abs(A - np.transpose(A, (0, 2, 1))).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
@@ -116,9 +116,13 @@ class DiscreteSystem:
 
 @dataclass
 class FemSolution:
+    """Nodal values on ``mesh``; ``tensor`` is the per-triangle conductivity
+    of the system they solve, when the caller attached it."""
+
     values: np.ndarray
     mesh: MembraneMesh
     iterations: int = 0
+    tensor: np.ndarray = None
 
 
 def _scatter(mesh: MembraneMesh, tri_mats=0.0, edge_mats=0.0) -> sp.csr_matrix:
@@ -195,7 +199,7 @@ def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     """int f phi_i with f constant per triangle (centroid value)."""
     if callable(f):
-        fc = f(mesh.vertices[mesh.triangles].mean(axis=1))
+        fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
     else:
         fc = np.full(mesh.num_triangles, float(f))
     contrib = mesh.areas * fc / 3.0
@@ -350,13 +354,14 @@ def norms(sol: FemSolution) -> dict:
     return out
 
 
-def flux_pairing(sol: FemSolution, spec: BilinearFormSpec, fields) -> list[float]:
+def flux_pairing(sol: FemSolution, tensor: np.ndarray, fields) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
-    for each psi in ``fields``; psi maps physical points (n, 2) to vectors (n, 2)."""
+    for each psi in ``fields``, with A the per-triangle ``tensor`` (as
+    ``BilinearFormSpec.tensor`` evaluates it); psi maps physical points (n, 2)
+    to vectors (n, 2)."""
     mesh = sol.mesh
     areas = mesh.areas
-    tensor = spec.tensor(mesh)
     g = p1_gradient(mesh, sol.values)
     flux = np.einsum("tij,tj->ti", tensor, g)
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
+    cent = triangle_centroids(mesh.vertices, mesh.triangles)
     return [float(np.einsum("t,ti,ti->", areas, flux, np.asarray(psi(cent)))) for psi in fields]

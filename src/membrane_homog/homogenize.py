@@ -5,7 +5,7 @@ statement turned into a measurable residual."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,13 @@ from .fem import (
     solve,
 )
 from .geometry import DeformationMap, InterfaceSpec
-from .meshing import MINUS, build_cell_mesh, build_square_mesh, tile_domain_mesh
+from .meshing import (
+    MINUS,
+    build_cell_mesh,
+    build_square_mesh,
+    tile_domain_mesh,
+    triangle_centroids,
+)
 
 
 def bump_profile(pts: np.ndarray) -> np.ndarray:
@@ -52,12 +58,14 @@ def solve_hetero(
     h_cell: float = 0.05,
     membranes: bool = True,
 ) -> FemSolution:
-    """Transmission problem with jump weight 1/eps and zero Dirichlet data."""
+    """Transmission problem with jump weight 1/eps and zero Dirichlet data;
+    the solution carries the per-triangle tensor it was assembled with."""
     if spec is None:
         spec = InterfaceSpec()
     cell = build_cell_mesh(spec, h_cell)
     mesh = tile_domain_mesh(cell, dmap, eps, spec, membranes=membranes)
-    return solve(assemble(mesh, hetero_form(eps, conductivity), f=f))
+    system = assemble(mesh, hetero_form(eps, conductivity), f=f)
+    return replace(solve(system), tensor=system.tensor)
 
 
 def hetero_form(eps: float, conductivity=identity_field) -> BilinearFormSpec:
@@ -74,12 +82,17 @@ def constant_field(A0: np.ndarray):
     return field
 
 
+def symmetric_part(A0) -> np.ndarray:
+    """(A0 + A0^T) / 2, the tensor the homogenized problem is solved with."""
+    A0 = np.asarray(A0, dtype=float)
+    return 0.5 * (A0 + A0.T)
+
+
 def homog_form(A0: np.ndarray) -> BilinearFormSpec:
     """The constant-coefficient form of the symmetric part of A0 (the
     computed A0 is symmetric only within its Monte-Carlo and mesh error,
     which ``ellipticity_check`` gates)."""
-    A0 = np.asarray(A0, dtype=float)
-    sym = 0.5 * (A0 + A0.T)
+    sym = symmetric_part(A0)
     eig = np.linalg.eigvalsh(sym)
     return BilinearFormSpec(
         conductivity=constant_field(sym), lam=float(eig.min()) - 1e-12,
@@ -87,20 +100,44 @@ def homog_form(A0: np.ndarray) -> BilinearFormSpec:
     )
 
 
-def solve_homog(A0: np.ndarray, f, m: int = 128) -> FemSolution:
-    """Constant-coefficient Dirichlet solve on the uniform fine grid."""
-    return solve(assemble(build_square_mesh(m), homog_form(A0), f=f))
+@dataclass
+class HomogSolution:
+    """The homogenized solution u0 on the uniform grid ``build_square_mesh(m)``:
+    nodal ``values`` (index i * (m + 1) + j at (i/m, j/m)), the symmetric
+    ``A0`` it was solved with, and its pairings with ``VECTOR_TEST_FIELDS``
+    (``flux_pairings``) and ``SCALAR_TEST_FIELDS`` (``mass_pairings``), which
+    every error row compares against."""
+
+    values: np.ndarray
+    m: int
+    A0: np.ndarray
+    flux_pairings: np.ndarray
+    mass_pairings: np.ndarray
 
 
-def grid_interpolate(sol: FemSolution, pts: np.ndarray) -> np.ndarray:
-    """P1 evaluation of a uniform-square-mesh solution at arbitrary points."""
-    mesh = sol.mesh
-    m = round(1.0 / mesh.h)
-    if abs(m * mesh.h - 1.0) > 1e-12:
-        raise MeshMismatch("interpolation target is not a uniform square mesh")
+def solve_homog(A0: np.ndarray, f, m: int = 128) -> HomogSolution:
+    """Constant-coefficient Dirichlet solve on the uniform fine grid, paired
+    once with the test fields."""
+    mesh = build_square_mesh(m)
+    system = assemble(mesh, homog_form(A0), f=f)
+    sol = solve(system)
+    cent = triangle_centroids(mesh.vertices, mesh.triangles)
+    weight = mesh.areas * triangle_centroids(sol.values, mesh.triangles)
+    return HomogSolution(
+        values=sol.values, m=m, A0=symmetric_part(A0),
+        flux_pairings=np.array(flux_pairing(sol, system.tensor, VECTOR_TEST_FIELDS)),
+        mass_pairings=np.array([np.sum(weight * phi(cent)) for phi in SCALAR_TEST_FIELDS]),
+    )
+
+
+def grid_interpolate(u0: HomogSolution, pts: np.ndarray) -> np.ndarray:
+    """P1 evaluation of the grid solution u0 at arbitrary points."""
+    m = u0.m
+    if len(u0.values) != (m + 1) ** 2:
+        raise MeshMismatch(f"{len(u0.values)} values do not fit a {m} x {m} square grid")
     if pts.min() < -1e-12 or pts.max() > 1.0 + 1e-12:
         raise MeshMismatch("points outside the unit square")
-    u = sol.values.reshape(m + 1, m + 1)  # index [i, j] at (i/m, j/m)
+    u = u0.values.reshape(m + 1, m + 1)  # index [i, j] at (i/m, j/m)
     s = np.clip(pts * m, 0.0, m * (1.0 - 1e-15))
     i = np.minimum(s[:, 0].astype(int), m - 1)
     j = np.minimum(s[:, 1].astype(int), m - 1)
@@ -134,43 +171,37 @@ class ErrorRow:
 
 def error_suite(
     u_eps: FemSolution,
-    u0: FemSolution,
+    u0: HomogSolution,
     theta: float,
     eps: float,
     A0: np.ndarray,
     seed: int = 0,
     conductivity=identity_field,
 ) -> ErrorRow:
+    """The limit residuals of u_eps against u0.  ``A0`` must be the tensor u0
+    was solved with (ValueError otherwise).  u_eps's flux uses the tensor it
+    carries; ``conductivity`` is evaluated only for a solution without one."""
+    if not np.array_equal(symmetric_part(A0), u0.A0):
+        raise ValueError("A0 is not the tensor u0 was solved with")
     mesh = u_eps.mesh
+    tensor = u_eps.tensor
+    if tensor is None:
+        tensor = hetero_form(eps, conductivity).tensor(mesh)
     areas = mesh.areas
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    ue_c = u_eps.values[mesh.triangles].mean(axis=1)
+    cent = triangle_centroids(mesh.vertices, mesh.triangles)
+    ue_c = triangle_centroids(u_eps.values, mesh.triangles)
     u0_c = grid_interpolate(u0, cent)
     l2 = float(np.sqrt(np.sum(areas * (ue_c - u0_c) ** 2)))
 
     rec = norms(u_eps)
     jump = rec["jump_L2_on_interface"]
 
-    form = hetero_form(eps, conductivity)
-    form0 = homog_form(A0)
-    flux_res = np.abs(
-        np.subtract(
-            flux_pairing(u_eps, form, VECTOR_TEST_FIELDS),
-            flux_pairing(u0, form0, VECTOR_TEST_FIELDS),
-        )
-    )
+    flux_res = np.abs(flux_pairing(u_eps, tensor, VECTOR_TEST_FIELDS) - u0.flux_pairings)
 
     minus = mesh.tri_region == MINUS
-    c0 = u0.mesh.vertices[u0.mesh.triangles].mean(axis=1)
-    a0 = u0.mesh.areas
-    u0c = u0.values[u0.mesh.triangles].mean(axis=1)
-    u0_pair = []
-    ue_pair = []
-    for phi in SCALAR_TEST_FIELDS:
-        pc = phi(cent)
-        ue_pair.append(float(np.sum(areas[minus] * ue_c[minus] * pc[minus])))
-        u0_pair.append(float(np.sum(a0 * u0c * phi(c0))))
-    mass_res = np.abs(np.array(ue_pair) - theta * np.array(u0_pair))
+    weight, c = areas[minus] * ue_c[minus], cent[minus]
+    ue_pair = np.array([np.sum(weight * phi(c)) for phi in SCALAR_TEST_FIELDS])
+    mass_res = np.abs(ue_pair - theta * u0.mass_pairings)
 
     return ErrorRow(
         eps=eps,

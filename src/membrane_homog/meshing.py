@@ -195,6 +195,13 @@ def triangle_geometry(v: np.ndarray, t: np.ndarray):
     return areas, grads
 
 
+def triangle_centroids(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mean over each triangle of ``t`` of the nodal array ``v`` (points
+    (nv, 2) or values (nv,)); bitwise ``v[t].mean(axis=1)``, without the
+    (nt, 3, ...) gather."""
+    return (v[t[:, 0]] + v[t[:, 1]] + v[t[:, 2]]) / 3.0
+
+
 def _reflect_quadrants(first: np.ndarray, n: int) -> np.ndarray:
     """Extend quadrant-I ring points (indices 0..n/4 inclusive) to the full
     ring by exact sign flips, so opposite points mirror bitwise."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membrane_homog.cli as cli
+import membrane_homog.homogenize as homogenize
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
 from membrane_homog.effective import (
     corrector_runs,
@@ -335,6 +336,35 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
+class TestHomogenizedSideOnce:
+    """u0 is solved and paired once in the parent; each heterogeneous task
+    carries its grid values and pairings, not its mesh."""
+
+    def test_pairs_u0_once_and_ships_values(self, tmp_path, monkeypatch):
+        pairings, task_bytes = [0], []
+        flux_pairing, hetero_task = homogenize.flux_pairing, cli._hetero_task
+
+        def counted_pairing(*args, **kwargs):
+            pairings[0] += 1
+            return flux_pairing(*args, **kwargs)
+
+        def measured_task(task):
+            task_bytes.append(len(pickle.dumps(task)))
+            return hetero_task(task)
+
+        monkeypatch.setattr(homogenize, "flux_pairing", counted_pairing)
+        monkeypatch.setattr(cli, "_hetero_task", measured_task)
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
+        out = tmp_path / "run"
+        assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
+        rows = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(task_bytes) == 4
+        assert pairings[0] == len(rows) + 1
+        assert parse_config(str(p)).homog_grid == 128
+        assert max(task_bytes) < 200_000
+
+
 class TestInputErrors:
     """Input the program cannot run exits 2 with a message naming the key."""
 
@@ -352,10 +382,12 @@ class TestInputErrors:
             ("eps =\n", ["homogenize"], "eps"),
             ("eps = 1/4, 1/4, 1/4\n", ["homogenize"], "eps"),
             ("eps = 1/4, 0.25000000000001\n", ["homogenize"], "eps"),
+            ("eps = 2.225073858507e-311\n", ["homogenize"], "eps"),
         ],
         ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
              "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite",
-             "negative_verify_seed", "empty_eps", "repeated_eps", "same_reciprocal_eps"],
+             "negative_verify_seed", "empty_eps", "repeated_eps", "same_reciprocal_eps",
+             "subnormal_eps"],
     )
     def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
         p = tmp_path / "exp.cfg"

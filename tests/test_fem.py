@@ -449,17 +449,19 @@ class TestEnergyAndCoercivity:
 class TestPairings:
     def test_zero_solution(self, cell_h01):
         sol = fem.FemSolution(values=np.zeros(cell_h01.num_vertices), mesh=cell_h01)
-        val = flux_pairing(sol, BilinearFormSpec(), [lambda p: np.column_stack([p[:, 0] * 0 + 1, p[:, 0] * 0])])[0]
+        tensor = BilinearFormSpec().tensor(cell_h01)
+        val = flux_pairing(sol, tensor, [lambda p: np.column_stack([p[:, 0] * 0 + 1, p[:, 0] * 0])])[0]
         assert val == 0.0
 
     def test_unit_gradient_unit_domain(self):
         mesh = build_square_mesh(8)
         sol = fem.FemSolution(values=mesh.vertices[:, 0].copy(), mesh=mesh)
         psi = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
-        assert abs(flux_pairing(sol, BilinearFormSpec(), [psi])[0] - 1.0) < 1e-12
+        assert abs(flux_pairing(sol, BilinearFormSpec().tensor(mesh), [psi])[0] - 1.0) < 1e-12
 
     def test_linear_test_field_exact(self, cell_h01):
         # u = x1, psi = (x2, x1): integrand is linear, centroid rule exact
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
         psi = lambda p: np.column_stack([p[:, 1], p[:, 0]])
-        assert abs(flux_pairing(sol, BilinearFormSpec(), [psi])[0] - 0.5) < 1e-12
+        tensor = BilinearFormSpec().tensor(cell_h01)
+        assert abs(flux_pairing(sol, tensor, [psi])[0] - 0.5) < 1e-12

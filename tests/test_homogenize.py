@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,26 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membrane_homog.errors import DegenerateFit, MeshMismatch
-from membrane_homog.fem import BilinearFormSpec, aggregates, assemble, solve
-from membrane_homog.geometry import IdentityMap, InterfaceSpec
+from membrane_homog.fem import (
+    BilinearFormSpec,
+    aggregates,
+    aniso_field,
+    assemble,
+    flux_pairing,
+    norms,
+    solve,
+)
+from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import (
     CSV_HEADER,
     ErrorRow,
+    HomogSolution,
     SCALAR_TEST_FIELDS,
     VECTOR_TEST_FIELDS,
     bump_profile,
     constant_field,
     error_suite,
     grid_interpolate,
+    hetero_form,
     homog_form,
     rate_fit,
     solve_hetero,
     solve_homog,
     write_convergence_csv,
 )
-from membrane_homog.meshing import build_square_mesh
+from membrane_homog.meshing import MINUS, build_square_mesh
 
 SPEC = InterfaceSpec()
+
+
+def grid_solution(values, m):
+    """Grid values of u0 with placeholder A0 and pairings."""
+    return HomogSolution(values=values, m=m, A0=np.eye(2), flux_pairings=np.zeros(3),
+                         mass_pairings=np.zeros(4))
 
 
 def fourier_center(modes=199):
@@ -61,7 +77,7 @@ class TestSolveHetero:
 class TestSolveHomog:
     def test_identity_matches_fourier(self):
         sol = solve_homog(np.eye(2), f=1.0)
-        mesh = sol.mesh
+        mesh = build_square_mesh(sol.m)
         idx = int(np.argmin(np.abs(mesh.vertices - 0.5).sum(axis=1)))
         assert abs(sol.values[idx] - fourier_center()) < 1e-4
 
@@ -85,8 +101,9 @@ class TestSolveHomog:
         A0 = np.array([[0.78, 0.01], [0.01, 0.77]])
         f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
         sol = solve_homog(A0, f, m=m)
-        assert len(np.unique(aggregates(sol.mesh))) == (m // 4) ** 2
-        system = assemble(build_square_mesh(m), homog_form(A0), f=f)
+        mesh = build_square_mesh(m)
+        assert len(np.unique(aggregates(mesh))) == (m // 4) ** 2
+        system = assemble(mesh, homog_form(A0), f=f)
         single = solve(replace(system, coarse=np.zeros_like(system.coarse)))
         assert np.abs(sol.values - single.values).max() <= 1e-10 * np.abs(single.values).max()
 
@@ -94,9 +111,7 @@ class TestSolveHomog:
 class TestGridInterpolate:
     def test_exact_on_linear(self):
         mesh = build_square_mesh(8)
-        from membrane_homog.fem import FemSolution
-
-        sol = FemSolution(values=2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1], mesh=mesh)
+        sol = grid_solution(2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1], 8)
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(200, 2))
         vals = grid_interpolate(sol, pts)
@@ -104,26 +119,29 @@ class TestGridInterpolate:
 
     def test_exact_at_nodes(self):
         mesh = build_square_mesh(4)
-        from membrane_homog.fem import FemSolution
-
         rng = np.random.default_rng(2)
-        sol = FemSolution(values=rng.standard_normal(mesh.num_vertices), mesh=mesh)
+        sol = grid_solution(rng.standard_normal(mesh.num_vertices), 4)
         vals = grid_interpolate(sol, mesh.vertices)
         assert np.abs(vals - sol.values).max() < 1e-13
 
     def test_rejects_outside_points(self):
         mesh = build_square_mesh(4)
-        from membrane_homog.fem import FemSolution
-
-        sol = FemSolution(values=np.zeros(mesh.num_vertices), mesh=mesh)
+        sol = grid_solution(np.zeros(mesh.num_vertices), 4)
         with pytest.raises(MeshMismatch):
             grid_interpolate(sol, np.array([[1.5, 0.5]]))
+
+    def test_rejects_values_of_another_grid(self):
+        sol = grid_solution(np.zeros(build_square_mesh(4).num_vertices), 5)
+        with pytest.raises(MeshMismatch):
+            grid_interpolate(sol, np.array([[0.5, 0.5]]))
 
 
 class TestErrorSuite:
     def test_injected_reference_gives_zero_residuals(self):
         u0 = solve_homog(np.eye(2), f=1.0, m=32)
-        row = error_suite(u0, u0, theta=0.0, eps=0.5, A0=np.eye(2))
+        # u_eps is the same grid solve, carrying no tensor
+        ue = solve(assemble(build_square_mesh(32), homog_form(np.eye(2)), f=1.0))
+        row = error_suite(ue, u0, theta=0.0, eps=0.5, A0=np.eye(2))
         assert row.l2_error < 1e-14
         assert row.jump_l2 == 0.0
         assert np.abs(row.flux_residuals).max() < 1e-14
@@ -151,6 +169,63 @@ class TestErrorSuite:
             errs.append(error_suite(ue, u0, np.pi / 16, eps, np.eye(2)).l2_error)
         assert errs[1] < errs[0]
         assert errs[0] < 5e-3  # pure discretization error, no membranes
+
+
+    def test_equals_old_route(self):
+        """Every field equals, bitwise, the row computed the old way: the
+        heterogeneous tensor evaluated again and u0 paired on its grid mesh."""
+        eps, m, theta = 0.25, 32, 0.2
+        A0 = np.array([[0.8, 0.01], [0.01, 0.77]])
+        f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
+        ue = solve_hetero(eps, BernoulliCellwiseMap(0), f, conductivity=aniso_field, h_cell=0.1)
+        u0 = solve_homog(A0, f, m=m)
+        row = error_suite(ue, u0, theta, eps, A0, seed=0, conductivity=aniso_field)
+
+        grid = solve(assemble(build_square_mesh(m), homog_form(A0), f=f))
+        assert np.array_equal(grid.values, u0.values)
+        mesh, gm = ue.mesh, grid.mesh
+        cent = mesh.vertices[mesh.triangles].mean(axis=1)
+        ue_c = ue.values[mesh.triangles].mean(axis=1)
+        c0 = gm.vertices[gm.triangles].mean(axis=1)
+        u0_c = grid.values[gm.triangles].mean(axis=1)
+        minus = mesh.tri_region == MINUS
+        rec = norms(ue)
+        flux = np.abs(np.subtract(
+            flux_pairing(ue, hetero_form(eps, aniso_field).tensor(mesh), VECTOR_TEST_FIELDS),
+            flux_pairing(grid, homog_form(A0).tensor(gm), VECTOR_TEST_FIELDS),
+        ))
+        ue_pair = [float(np.sum(mesh.areas[minus] * ue_c[minus] * phi(cent)[minus]))
+                   for phi in SCALAR_TEST_FIELDS]
+        u0_pair = [float(np.sum(gm.areas * u0_c * phi(c0))) for phi in SCALAR_TEST_FIELDS]
+        expected = ErrorRow(
+            eps=eps, seed=0,
+            l2_error=float(np.sqrt(np.sum(mesh.areas * (ue_c - grid_interpolate(u0, cent)) ** 2))),
+            jump_l2=rec["jump_L2_on_interface"],
+            jump_over_sqrt_eps=rec["jump_L2_on_interface"] / np.sqrt(eps),
+            flux_residuals=flux,
+            mass_residuals=np.abs(np.array(ue_pair) - theta * np.array(u0_pair)),
+            grad_plus=rec["grad_plus_L2"], grad_minus=rec["grad_minus_L2"],
+        )
+        for fld in fields(ErrorRow):
+            assert np.array_equal(getattr(row, fld.name), getattr(expected, fld.name)), fld.name
+
+    def test_conductivity_only_for_a_solution_without_tensor(self):
+        u0 = solve_homog(np.eye(2), f=1.0, m=16)
+        ue = solve_hetero(0.25, BernoulliCellwiseMap(0), f=1.0, conductivity=aniso_field,
+                          h_cell=0.1)
+        carried = error_suite(ue, u0, 0.2, 0.25, np.eye(2))
+        bare = replace(ue, tensor=None)
+        evaluated = error_suite(bare, u0, 0.2, 0.25, np.eye(2), conductivity=aniso_field)
+        assert np.array_equal(carried.flux_residuals, evaluated.flux_residuals)
+        identity = error_suite(bare, u0, 0.2, 0.25, np.eye(2))
+        assert not np.array_equal(identity.flux_residuals, evaluated.flux_residuals)
+
+    def test_rejects_another_A0(self):
+        u0 = solve_homog([[1.0, 2.0**-16], [-(2.0**-17), 1.2]], f=1.0, m=8)
+        ue = solve_hetero(0.25, IdentityMap(), f=1.0, h_cell=0.1)
+        error_suite(ue, u0, 0.2, 0.25, [[1.0, 2.0**-18], [2.0**-18, 1.2]])  # same symmetric part
+        with pytest.raises(ValueError, match="A0"):
+            error_suite(ue, u0, 0.2, 0.25, 0.9 * np.eye(2))
 
 
 class TestRateFit:

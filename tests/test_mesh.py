@@ -17,6 +17,7 @@ from membrane_homog.meshing import (
     interface_node_count,
     mesh_report,
     tile_domain_mesh,
+    triangle_centroids,
 )
 
 SPEC = InterfaceSpec()
@@ -407,6 +408,22 @@ class TestSquareMesh:
         assert len(mesh.boundary_nodes) == 32
         assert mesh_report(mesh).ok
         assert len(mesh.cells) == 4  # blocks of 4 x 4 squares
+
+
+class TestTriangleCentroids:
+    """The three-term centroid is bitwise the mean over the triangle, for
+    points and for nodal values."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_truncated_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(seed=0), 8),
+        lambda: build_square_mesh(128),
+    ], ids=["cube_n8_h005", "grid_128"])
+    def test_equals_mean(self, build):
+        mesh = build()
+        values = np.random.default_rng(0).standard_normal(mesh.num_vertices)
+        for v in (mesh.vertices, mesh.ref_vertices, values):
+            assert np.array_equal(triangle_centroids(v, mesh.triangles),
+                                  v[mesh.triangles].mean(axis=1))
 
 
 class TestTilingMatchesLoop:
