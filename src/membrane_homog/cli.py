@@ -150,8 +150,8 @@ class ExperimentConfig:
                 raise ConfigError(f"eps: 1/eps must be an integer, got {e}")
         if not self.eps or len({round(1.0 / e) for e in self.eps}) < len(self.eps):
             raise ConfigError(f"eps: need one or more distinct values, got {self.eps}")
-        if self.homog_grid < 1:
-            raise ConfigError(f"homog_grid: must be >= 1, got {self.homog_grid}")
+        if self.homog_grid < 2:  # the 1 x 1 grid has no free node
+            raise ConfigError(f"homog_grid: must be >= 2, got {self.homog_grid}")
         if self.source not in SOURCE_PRESETS:
             raise ConfigError(f"source: unknown preset {self.source!r}")
         if self.instances < 1:

@@ -9,6 +9,7 @@ regularization delta and zero Dirichlet data; the periodic single-cell solve
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +40,6 @@ from .meshing import (
 
 @dataclass
 class CorrectorConfig:
-    p: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
     delta: float = 1e-3
     n: int = 8
     m: int = 4
@@ -48,7 +48,6 @@ class CorrectorConfig:
     membranes: bool = True
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"delta must be in (0, 1], got {self.delta}")
         if not 1 <= self.m <= self.n - 1:
@@ -58,8 +57,9 @@ class CorrectorConfig:
 @dataclass
 class CorrectorSolution:
     sol: FemSolution
-    config: CorrectorConfig
+    p: np.ndarray  # (2,) the mean gradient it was solved for
     cells: np.ndarray  # (nc, 2) lattice cells
+    window: np.ndarray  # (nc,) mask of the cells its window averages over
     flux_plus: np.ndarray  # (nc, 2) int over Phi(Y_k^+) of A (p + grad w)
     flux_minus: np.ndarray  # (nc, 2)
     cell_energy: np.ndarray  # (nc,) reference-configuration energy per cell
@@ -69,14 +69,10 @@ class CorrectorSolution:
     def mesh(self) -> MembraneMesh:
         return self.sol.mesh
 
-    def window_flux(self, m: int = None) -> np.ndarray:
-        """Average of F_k^+ + F_k^- over the cells of Q_m + center, per unit
+    def window_flux(self) -> np.ndarray:
+        """Average of F_k^+ + F_k^- over the cells of the window, per unit
         reference cell."""
-        if m is None:
-            m = self.config.m
-        inside = window_mask(self.cells, m)
-        if not inside.any():
-            raise ValueError(f"empty window m={m}")
+        inside = self.window
         return (self.flux_plus[inside] + self.flux_minus[inside]).sum(axis=0) / inside.sum()
 
 
@@ -99,18 +95,18 @@ def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarr
 
 
 def _corrector_solutions(
-    sols: list, configs: list, form: BilinearFormSpec, tensor: np.ndarray
+    sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec, tensor: np.ndarray
 ) -> list[CorrectorSolution]:
-    """The solves of one mesh with their per-cell physical fluxes,
-    reference-configuration energies and window-energy form; ``tensor`` is
+    """The solves of one mesh, one per mean gradient of ``loads``, with their
+    per-cell physical fluxes, reference-configuration energies and
+    window-energy form over the cells of the mask ``inside``; ``tensor`` is
     the form's conductivity on the mesh (``DiscreteSystem.tensor``)."""
     mesh = sols[0].mesh
     areas = mesh.areas
-    grads = [p1_gradient(mesh, sol.values) + c.p for sol, c in zip(sols, configs)]
+    grads = [p1_gradient(mesh, sol.values) + p for sol, p in zip(sols, loads)]
 
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
     # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i
-    inside = window_mask(mesh.cells, configs[0].m)
     fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
     energy = np.zeros((len(sols), len(sols)))
     for i, j in zip(*np.triu_indices(len(sols))):
@@ -122,7 +118,7 @@ def _corrector_solutions(
 
     plus = mesh.tri_region == PLUS
     out = []
-    for sol, config, Ag, row in zip(sols, configs, fluxes, energy):
+    for sol, p, Ag, row in zip(sols, loads, fluxes, energy):
         flux = areas[:, None] * Ag
         fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
         fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
@@ -137,36 +133,30 @@ def _corrector_solutions(
             mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, sol.values)
         )
         out.append(CorrectorSolution(
-            sol=sol, config=config, cells=mesh.cells, flux_plus=fp, flux_minus=fm,
+            sol=sol, p=p, cells=mesh.cells, window=inside, flux_plus=fp, flux_minus=fm,
             cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, window_energy=row,
         ))
     return out
 
 
-def solve_loads(
+def solve_truncated(
     cfg: CorrectorConfig, dmap: DeformationMap, loads, conductivity=identity_field, center=(0, 0)
 ) -> list[CorrectorSolution]:
     """Regularized correctors on one realization of the deformed truncated
     cube: jump weight 1, mass weight delta, zero Dirichlet data and, for each
     mean gradient p in ``loads``, the load -int A p . grad(phi).  The mesh and
-    the matrix are built once and shared by every load."""
+    the matrix are built once and shared by every load; each window is
+    Q_m + center."""
     cell = build_cell_mesh(cfg.interface, cfg.h)
     mesh = build_truncated_mesh(cell, dmap, cfg.n, center=center, membranes=cfg.membranes)
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=cfg.delta)
     system = assemble(mesh, form)
-    configs = [replace(cfg, p=p) for p in loads]
+    loads = [np.asarray(p, dtype=float) for p in loads]
     sols = [
-        solve(replace(system, load=system.load + gradient_load(mesh, system.tensor, c.p)))
-        for c in configs
+        solve(replace(system, load=system.load + gradient_load(mesh, system.tensor, p)))
+        for p in loads
     ]
-    return _corrector_solutions(sols, configs, form, system.tensor)
-
-
-def solve_truncated(
-    cfg: CorrectorConfig, dmap: DeformationMap, conductivity=identity_field, center=(0, 0)
-) -> CorrectorSolution:
-    """The corrector for the single mean gradient ``cfg.p`` (see solve_loads)."""
-    return solve_loads(cfg, dmap, [cfg.p], conductivity, center)[0]
+    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, system.tensor)
 
 
 def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
@@ -214,17 +204,17 @@ def periodic_cell_solve(
     mean = np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus])
     values = values - mean
 
-    cfg = CorrectorConfig(p=p, delta=1.0, n=2, m=1, h=h, interface=spec)
     sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations)
-    return _corrector_solutions([sol], [cfg], form, system.tensor)[0]
+    window = np.ones(len(mesh.cells), dtype=bool)  # the one cell
+    return _corrector_solutions([sol], [p], window, form, system.tensor)[0]
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:
     """E_k for k = 1..n: cumulative reference-configuration energy (gradient,
-    delta-mass, interface jump) over the cells of Q_k + center."""
-    return np.array(
-        [corr.cell_energy[window_mask(corr.cells, k)].sum() for k in range(1, corr.config.n + 1)]
-    )
+    delta-mass, interface jump) over the cells of Q_k + center, the cube
+    having 2n x 2n cells."""
+    n = math.isqrt(len(corr.cells)) // 2
+    return np.array([corr.cell_energy[window_mask(corr.cells, k)].sum() for k in range(1, n + 1)])
 
 
 def write_flux_csv(path, rows) -> None:

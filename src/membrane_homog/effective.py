@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corrector import CorrectorConfig, energy_profile, solve_loads
+from .corrector import CorrectorConfig, energy_profile, solve_truncated
 from .errors import EllipticityViolation, InsufficientSamples
 from .fem import identity_field
 from .geometry import DeformationMap, InterfaceSpec, jacobian_det
@@ -29,9 +29,10 @@ class EffectiveTensor:
     config_hash: str = ""
 
 
-def _disk_quadrature(center, radius, n_rad=32, n_ang=256):
+def _disk_quadrature(center, radius):
     """Tensor quadrature on a disk: Gauss-Legendre radially, trapezoid (exact
     for periodic smooth integrands) angularly.  Returns points, weights."""
+    n_rad, n_ang = 32, 256
     x, w = np.polynomial.legendre.leggauss(n_rad)
     rho = 0.5 * radius * (x + 1.0)
     wr = 0.5 * radius * w * rho  # includes the polar Jacobian
@@ -47,8 +48,8 @@ def _disk_quadrature(center, radius, n_rad=32, n_ang=256):
     return pts, np.outer(wr, wt).ravel()
 
 
-def _square_quadrature(n=64):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _square_quadrature():
+    x, w = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
     gx, gy = np.meshgrid(t, t, indexing="ij")
@@ -113,7 +114,7 @@ def corrector_runs(
         cfg = CorrectorConfig()
     runs = []
     for s in seeds:
-        sols = solve_loads(cfg, map_factory(s), UNIT_LOADS, conductivity)
+        sols = solve_truncated(cfg, map_factory(s), UNIT_LOADS, conductivity)
         runs.append(EffectiveRun(
             seed=s, flux=np.array([c.window_flux() for c in sols]),
             energy=np.array([c.window_energy for c in sols]), profile=energy_profile(sols[0]),

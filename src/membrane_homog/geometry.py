@@ -129,12 +129,12 @@ class ScalingMap(DeformationMap):
 class BumpMap(DeformationMap):
     """Cellwise bump: each cell k that carries it (``_bumped``; here every
     cell) is deformed by the same compactly supported displacement
-    a * psi(2|y - c|) * u with c the cell center, the others keep the identity."""
+    a * psi(2|y - c|) * e1 with c the cell center, the others keep the identity."""
 
-    def __init__(self, amplitude: float = 0.1, direction: tuple[float, float] = (1.0, 0.0)):
+    DIRECTION = np.array([1.0, 0.0])  # e1
+
+    def __init__(self, amplitude: float = 0.1):
         self.amplitude = float(amplitude)
-        u = np.asarray(direction, dtype=float)
-        self.direction = u / np.linalg.norm(u)
         if self.min_jacobian_det() <= 0.0:
             raise ValueError(f"bump amplitude {amplitude} folds the map (det <= 0)")
 
@@ -145,15 +145,15 @@ class BumpMap(DeformationMap):
     def _displacement(self, local: np.ndarray) -> np.ndarray:
         d = local - 0.5
         s = np.linalg.norm(d, axis=-1)
-        return self.amplitude * _bump_psi(2.0 * s)[..., None] * self.direction
+        return self.amplitude * _bump_psi(2.0 * s)[..., None] * self.DIRECTION
 
     def _displacement_jacobian(self, local: np.ndarray) -> np.ndarray:
-        # grad eta = a * u (x) grad psi(2|y-c|);  grad psi(2s) = 2 psi'(2s) (y-c)/s
+        # grad eta = a * e1 (x) grad psi(2|y-c|);  grad psi(2s) = 2 psi'(2s) (y-c)/s
         d = local - 0.5
         s = np.linalg.norm(d, axis=-1)
         safe = np.where(s > 0.0, s, 1.0)
         g = 2.0 * _bump_psi_prime(2.0 * s)[..., None] * d / safe[..., None]
-        return self.amplitude * self.direction[None, :, None] * g[:, None, :]
+        return self.amplitude * self.DIRECTION[None, :, None] * g[:, None, :]
 
     def min_jacobian_det(self) -> float:
         """min det(I + grad of the displacement) over a 200 x 200 grid of
@@ -186,21 +186,17 @@ class BernoulliCellwiseMap(BumpMap):
     """The bump on the cells whose Bernoulli field bit is 1, the identity on
     the others."""
 
-    def __init__(
-        self, seed: int, amplitude: float = 0.1, direction: tuple[float, float] = (1.0, 0.0),
-        shift: tuple[int, int] = (0, 0),
-    ):
+    def __init__(self, seed: int, amplitude: float = 0.1, shift: tuple[int, int] = (0, 0)):
         self.field = BernoulliField(int(seed), tuple(shift))
         self.seed = int(seed)
-        super().__init__(amplitude, direction)
+        super().__init__(amplitude)
 
     def _bumped(self, k: np.ndarray) -> np.ndarray:
         return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64)) == 1
 
     def shifted(self, k: tuple[int, int]) -> "BernoulliCellwiseMap":
         return BernoulliCellwiseMap(
-            self.seed, self.amplitude, tuple(self.direction),
-            (self.field.shift[0] + k[0], self.field.shift[1] + k[1]),
+            self.seed, self.amplitude, (self.field.shift[0] + k[0], self.field.shift[1] + k[1])
         )
 
 

@@ -135,18 +135,13 @@ def dense_solve_oracle(system: DiscreteSystem) -> FemSolution:
     return FemSolution(values=values, mesh=system.mesh)
 
 
-def surface_integral_crosscheck(
-    dmap: DeformationMap,
-    f,
-    spec: InterfaceSpec = None,
-    n_formula: int = 4096,
-    n_dense: int = 400000,
-) -> dict:
+def surface_integral_crosscheck(dmap: DeformationMap, f, spec: InterfaceSpec = None) -> dict:
     """Integral of f over the deformed interface circle, two ways: pullback
     quadrature on the reference circle with the weight
     det(D Phi) |D Phi^{-T} grad g| / |grad g| for the level set
     g = |x - c|^2 - r^2, and midpoint quadrature on a dense polyline of the
     deformed curve itself."""
+    n_formula, n_dense = 4096, 400000  # reference points, polyline chords
     if spec is None:
         spec = InterfaceSpec()
     c = np.asarray(spec.center, dtype=float)

@@ -56,7 +56,7 @@ def variation(x):
 @pytest.fixture(scope="module")
 def identity_scalar():
     """Truncated-solver effective scalar for the identity medium."""
-    corr = solve_truncated(CorrectorConfig(), IdentityMap())
+    [corr] = solve_truncated(CorrectorConfig(), IdentityMap(), [[1.0, 0.0]])
     return float(corr.window_flux()[0])
 
 
@@ -106,7 +106,7 @@ def test_criterion_02_trivial_limit():
     runs = corrector_runs(lambda s: IdentityMap(), [0, 1], cfg)
     t = effective_tensor(runs, rho=1.0)
     gap = float(np.abs(t.A0 - np.eye(2)).max())
-    zero = solve_truncated(CorrectorConfig(p=[0.0, 0.0]), IdentityMap())
+    [zero] = solve_truncated(CorrectorConfig(), IdentityMap(), [[0.0, 0.0]])
     zmax = float(np.abs(zero.sol.values).max())
     report(
         2, "trivial limit",
@@ -270,7 +270,7 @@ def test_criterion_09_energy_growth():
     ratios = []
     for n in (4, 8):
         cfg = CorrectorConfig(n=n, m=min(4, n - 1), h=0.1)
-        corr = solve_truncated(cfg, IdentityMap())
+        [corr] = solve_truncated(cfg, IdentityMap(), [[1.0, 0.0]])
         E = energy_profile(corr)
         k = np.arange(1, n + 1)
         ratios.append(float(np.max(E / k**2)))

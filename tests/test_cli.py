@@ -4,11 +4,13 @@ import os
 import pickle
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membrane_homog.cli as cli
+import membrane_homog.effective as effective
 import membrane_homog.homogenize as homogenize
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
 from membrane_homog.effective import (
@@ -336,6 +338,33 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
+class TestOneDriver:
+    """The CLI solves its correctors through the library's one truncated
+    driver: one call per distinct realization, carrying both unit loads."""
+
+    @pytest.mark.parametrize("map_kind, num_seeds, calls", [
+        ("identity", 3, 1), ("bernoulli", 2, 2),
+    ])
+    def test_one_driver_call_per_realization(self, tmp_path, monkeypatch, map_kind, num_seeds,
+                                             calls):
+        loads = []
+        solve_truncated = effective.solve_truncated
+
+        def recorded(cfg, dmap, loads_, *args, **kwargs):
+            loads.append(np.array(loads_, dtype=float))
+            return solve_truncated(cfg, dmap, loads_, *args, **kwargs)
+
+        monkeypatch.setattr(effective, "solve_truncated", recorded)
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("map = identity", f"map = {map_kind}")
+                     .replace("num_seeds = 2", f"num_seeds = {num_seeds}"))
+        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == 0
+        assert len(loads) == calls
+        for pair in loads:
+            assert np.array_equal(pair, np.eye(2))
+
+
 class TestHomogenizedSideOnce:
     """u0 is solved and paired once in the parent; each heterogeneous task
     carries its grid values and pairings, not its mesh."""
@@ -373,6 +402,7 @@ class TestInputErrors:
         [
             ("eps = 0.3\n", ["homogenize"], "eps"),
             ("homog_grid = 0\n", ["homogenize"], "homog_grid"),
+            ("homog_grid = 1\n", ["homogenize"], "homog_grid"),
             ("map = bernoulli\n", ["effective", "--seed", "-1"], "seed"),
             ("map = bump\namplitude = 5\n", ["effective"], "amplitude"),
             ("eps = 1/0\n", ["homogenize"], "eps"),
@@ -384,10 +414,10 @@ class TestInputErrors:
             ("eps = 1/4, 0.25000000000001\n", ["homogenize"], "eps"),
             ("eps = 2.225073858507e-311\n", ["homogenize"], "eps"),
         ],
-        ids=["non_integer_reciprocal_eps", "zero_homog_grid", "negative_bernoulli_seed",
-             "folding_bump_amplitude", "eps_zero_division", "h_zero_division", "h_infinite",
-             "negative_verify_seed", "empty_eps", "repeated_eps", "same_reciprocal_eps",
-             "subnormal_eps"],
+        ids=["non_integer_reciprocal_eps", "zero_homog_grid", "one_homog_grid",
+             "negative_bernoulli_seed", "folding_bump_amplitude", "eps_zero_division",
+             "h_zero_division", "h_infinite", "negative_verify_seed", "empty_eps",
+             "repeated_eps", "same_reciprocal_eps", "subnormal_eps"],
     )
     def test_exits_2_naming_key(self, tmp_path, capsys, extra, command, key):
         p = tmp_path / "exp.cfg"

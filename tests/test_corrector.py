@@ -11,8 +11,8 @@ from membrane_homog.corrector import (
     energy_profile,
     periodic_cell_solve,
     periodic_representatives,
-    solve_loads,
     solve_truncated,
+    window_mask,
     write_energy_csv,
     write_flux_csv,
 )
@@ -40,35 +40,34 @@ class TestConfig:
 
 class TestTruncated:
     def test_zero_direction_gives_zero(self):
-        corr = solve_truncated(CorrectorConfig(p=[0, 0], n=2, m=1, h=0.1), IdentityMap())
+        [corr] = solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), IdentityMap(), [[0, 0]])
         assert np.abs(corr.sol.values).max() <= 1e-10
 
     def test_linearity_in_p(self):
-        c1 = solve_truncated(CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1), IdentityMap())
-        c2 = solve_truncated(CorrectorConfig(p=[2, 0], n=2, m=1, h=0.1), IdentityMap())
+        c1, c2 = solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), IdentityMap(), [[1, 0], [2, 0]])
         assert np.abs(c2.sol.values - 2.0 * c1.sol.values).max() < 1e-8
 
     def test_window_flux_matches_periodic_oracle(self):
-        cfg = CorrectorConfig(p=[1, 0], n=4, m=2, h=0.1, delta=1e-3)
-        tr = solve_truncated(cfg, IdentityMap())
+        cfg = CorrectorConfig(n=4, m=2, h=0.1, delta=1e-3)
+        [tr] = solve_truncated(cfg, IdentityMap(), [[1, 0]])
         per = periodic_cell_solve([1, 0], SPEC, h=0.1)
         a_tr = tr.window_flux()[0]
         a_per = (per.flux_plus[0] + per.flux_minus[0])[0]
         assert abs(a_tr - a_per) / abs(a_per) < 0.02
 
     def test_dirichlet_trace_zero(self):
-        cfg = CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1)
-        corr = solve_truncated(cfg, BernoulliCellwiseMap(seed=4))
+        cfg = CorrectorConfig(n=2, m=1, h=0.1)
+        [corr] = solve_truncated(cfg, BernoulliCellwiseMap(seed=4), [[1, 0]])
         assert np.abs(corr.sol.values[corr.mesh.boundary_nodes]).max() == 0.0
 
     def test_stationarity_under_index_shift(self):
         """Solving around center k with seed s equals solving around the
         origin with the shifted field, cell for cell."""
         k = (3, 1)
-        cfg = CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1)
+        cfg = CorrectorConfig(n=2, m=1, h=0.1)
         dmap = BernoulliCellwiseMap(seed=77)
-        a = solve_truncated(cfg, dmap, center=k)
-        b = solve_truncated(cfg, dmap.shifted(k))
+        [a] = solve_truncated(cfg, dmap, [[1, 0]], center=k)
+        [b] = solve_truncated(cfg, dmap.shifted(k), [[1, 0]])
         order_a = np.lexsort((a.cells[:, 1], a.cells[:, 0]))
         order_b = np.lexsort((b.cells[:, 1], b.cells[:, 0]))
         assert np.array_equal(a.cells[order_a] - np.array(k), b.cells[order_b])
@@ -78,16 +77,24 @@ class TestTruncated:
     def test_delta_robustness(self):
         fluxes = []
         for delta in (1e-2, 1e-3):
-            cfg = CorrectorConfig(p=[1, 0], n=8, m=4, h=0.1, delta=delta)
-            fluxes.append(solve_truncated(cfg, IdentityMap()).window_flux()[0])
+            cfg = CorrectorConfig(n=8, m=4, h=0.1, delta=delta)
+            [corr] = solve_truncated(cfg, IdentityMap(), [[1, 0]])
+            fluxes.append(corr.window_flux()[0])
         assert abs(fluxes[0] - fluxes[1]) / abs(fluxes[1]) < 0.01
 
     def test_window_selection(self):
-        cfg = CorrectorConfig(p=[1, 0], n=2, m=1, h=0.1)
-        corr = solve_truncated(cfg, IdentityMap())
-        f_full = corr.window_flux(m=2)
-        manual = (corr.flux_plus + corr.flux_minus).sum(axis=0) / len(corr.cells)
-        assert np.abs(f_full - manual).max() < 1e-14
+        """The window is the Q_m block of the 2n x 2n cube, and the window
+        flux is the plain mean of F_k^+ + F_k^- over its cells."""
+        cfg = CorrectorConfig(n=4, m=2, h=0.1)
+        [corr] = solve_truncated(cfg, IdentityMap(), [[1, 0]])
+        assert len(corr.cells) == 64
+        assert np.array_equal(corr.window, window_mask(corr.cells, 2))
+        assert corr.window.sum() == 16
+        # the cube's cells are [-4, 4)^2, so Q_2's are those whose centers lie in (-2, 2)^2
+        inside = [i for i, k in enumerate(corr.cells) if max(abs(k[0] + 0.5), abs(k[1] + 0.5)) < 2]
+        assert np.array_equal(np.flatnonzero(corr.window), inside)
+        manual = sum(corr.flux_plus[i] + corr.flux_minus[i] for i in inside) / len(inside)
+        assert np.abs(corr.window_flux() - manual).max() < 1e-14
 
     def test_geometry_and_tensor_evaluated_once_per_mesh(self, monkeypatch):
         """Two loads on one realization: triangle geometry for the cell
@@ -111,10 +118,10 @@ class TestTruncated:
         tensor = counted("tensor", BilinearFormSpec.tensor)
         monkeypatch.setattr(BilinearFormSpec, "tensor", tensor)
         loads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        solve_loads(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=0), loads)
+        solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=0), loads)
         assert calls == {"geometry": 3, "tensor": 1}
         calls.update(geometry=0, tensor=0)
-        solve_loads(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=1), loads)
+        solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=1), loads)
         assert calls == {"geometry": 2, "tensor": 1}
 
 
@@ -150,6 +157,11 @@ class TestPeriodic:
         assert abs(f1[1]) < 1e-6
         assert abs(f2[0]) < 1e-6
 
+    def test_window_is_the_one_cell(self):
+        corr = periodic_cell_solve([1, 0], SPEC, h=0.1)
+        assert np.array_equal(corr.window, [True])
+        assert np.array_equal(corr.window_flux(), total_flux(corr))
+
     def test_periodic_trace_identified(self):
         corr = periodic_cell_solve([1, 0], SPEC, h=0.1)
         v = corr.mesh.vertices
@@ -165,19 +177,23 @@ class TestPeriodic:
 
 class TestEnergyProfile:
     def test_zero_solution(self):
-        corr = solve_truncated(CorrectorConfig(p=[0, 0], n=2, m=1, h=0.1), IdentityMap())
+        [corr] = solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), IdentityMap(), [[0, 0]])
         assert np.abs(energy_profile(corr)).max() <= 1e-18
 
     def test_nondecreasing(self):
-        cfg = CorrectorConfig(p=[1, 0], n=4, m=2, h=0.1)
-        E = energy_profile(solve_truncated(cfg, BernoulliCellwiseMap(seed=2)))
+        cfg = CorrectorConfig(n=4, m=2, h=0.1)
+        [corr] = solve_truncated(cfg, BernoulliCellwiseMap(seed=2), [[1, 0]])
+        E = energy_profile(corr)
         assert np.all(np.diff(E) >= 0.0)
 
     def test_quadratic_growth_stable_across_n(self):
         ratios = []
         for n in (2, 4):
-            cfg = CorrectorConfig(p=[1, 0], n=n, m=1, h=0.1)
-            E = energy_profile(solve_truncated(cfg, IdentityMap()))
+            cfg = CorrectorConfig(n=n, m=1, h=0.1)
+            [corr] = solve_truncated(cfg, IdentityMap(), [[1, 0]])
+            E = energy_profile(corr)
+            assert len(E) == n  # n worked out from the 2n x 2n cells
+            assert E[-1] == corr.cell_energy.sum()  # Q_n is the whole cube
             k = np.arange(1, n + 1)
             ratios.append((E / k**2).max())
         assert max(ratios) <= 2.0 * min(ratios)

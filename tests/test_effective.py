@@ -4,7 +4,6 @@ import pytest
 from membrane_homog.corrector import (
     CorrectorConfig,
     cell_sums,
-    solve_loads,
     solve_truncated,
     window_mask,
 )
@@ -90,17 +89,15 @@ class TestEffectiveTensor:
         assert abs(t.A0[0, 1]) <= 1e-3 and abs(t.A0[1, 0]) <= 1e-3
 
     def test_linearity_in_direction(self):
-        e1, e2 = solve_loads(QUICK, IdentityMap(), UNIT_LOADS)
-        cfg = CorrectorConfig(p=[1.0, 1.0], n=2, m=1, h=0.1, delta=1e-3)
-        combo = solve_truncated(cfg, IdentityMap())
+        e1, e2 = solve_truncated(QUICK, IdentityMap(), UNIT_LOADS)
+        [combo] = solve_truncated(QUICK, IdentityMap(), [[1.0, 1.0]])
         expected = e1.window_flux() + e2.window_flux()
         assert np.abs(combo.window_flux() - expected).max() < 1e-6
 
     def test_second_load_on_shared_mesh_matches_single_solve(self):
         dmap = BernoulliCellwiseMap(seed=3)
-        e1, e2 = solve_loads(QUICK, dmap, UNIT_LOADS)
-        cfg = CorrectorConfig(p=[0.0, 1.0], n=2, m=1, h=0.1, delta=1e-3)
-        alone = solve_truncated(cfg, dmap)
+        e1, e2 = solve_truncated(QUICK, dmap, UNIT_LOADS)
+        [alone] = solve_truncated(QUICK, dmap, [[0.0, 1.0]])
         assert np.array_equal(e2.sol.values, alone.sol.values)
         assert np.array_equal(e2.window_flux(), alone.window_flux())
         assert np.array_equal(e2.cell_energy, alone.cell_energy)
@@ -143,11 +140,11 @@ class TestEffectiveTensor:
         assert abs(slope + 0.5) < 0.25 * 0.5
 
 
-def window_energy(corr, partner, form, xi) -> float:
+def window_energy(corr, partner, form, xi, m) -> float:
     """Reference: window average per cell of int (xi + grad w_xi) . A (xi +
     grad w_xi) plus the interface jump energy, physical configuration, where
     w_xi is the linear combination xi_1 w_e1 + xi_2 w_e2, walked again on the
-    mesh of the two solves."""
+    mesh of the two solves, over the window Q_m."""
     xi = np.asarray(xi, dtype=float)
     mesh = corr.mesh
     values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
@@ -155,7 +152,7 @@ def window_energy(corr, partner, form, xi) -> float:
     g = p1_gradient(mesh, values) + xi
     e_tri = mesh.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
     e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
-    inside = window_mask(corr.cells, corr.config.m)
+    inside = window_mask(corr.cells, m)
     return float(cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum())
 
 
@@ -170,7 +167,7 @@ class TestSample:
     def test_energy_form_matches_window_energy(self, dmap, conductivity, radius):
         cfg = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3, interface=InterfaceSpec(radius=radius))
         run = corrector_runs(lambda s: dmap, [0], cfg, conductivity=conductivity)[0]
-        e1, e2 = solve_loads(cfg, dmap, UNIT_LOADS, conductivity)
+        e1, e2 = solve_truncated(cfg, dmap, UNIT_LOADS, conductivity)
         form = BilinearFormSpec(
             conductivity=conductivity,
             jump_weight=1.0, mass_weight=cfg.delta,
@@ -179,7 +176,7 @@ class TestSample:
         assert np.array_equal(run.flux, np.array([e1.window_flux(), e2.window_flux()]))
         s = 1.0 / np.sqrt(2.0)
         for xi in ([1.0, 0.0], [0.0, 1.0], [s, s]):
-            ref = window_energy(e1, e2, form, xi)
+            ref = window_energy(e1, e2, form, xi, cfg.m)
             assert abs(np.dot(xi, run.energy @ xi) - ref) <= 1e-12 * abs(ref)
 
 
