@@ -156,7 +156,9 @@ def solve_truncated(
         solve(replace(system, load=system.load + gradient_load(mesh, system.tensor, p)))
         for p in loads
     ]
-    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, system.tensor)
+    tensor = system.tensor
+    del system  # and its solver's factorization, before the post-processing peaks in memory
+    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, tensor)
 
 
 def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
@@ -187,14 +189,14 @@ def periodic_cell_solve(
     system = assemble(mesh, form, p=p, dirichlet=np.zeros(0, dtype=np.int64))
 
     # fold periodic partners onto canonical representatives; the nullspace is
-    # the global constants, so pin one dof and restore the gauge afterwards
+    # the global constants, so pin one dof and restore the gauge afterwards;
+    # the folded system has no cell table, so its skeleton is every free dof
     nv = mesh.num_vertices
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()
     folded = solve(replace(
         system, matrix=(P.T @ system.matrix @ P).tocsr(), load=P.T @ system.load,
         fixed=np.zeros(1, dtype=np.int64), fixed_values=np.zeros(1), mesh=None,
-        coarse=system.coarse[reps],
     ))
     values = P @ folded.values
 
@@ -204,7 +206,8 @@ def periodic_cell_solve(
     mean = np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus])
     values = values - mean
 
-    sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations)
+    sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations,
+                      residual=folded.residual)
     window = np.ones(len(mesh.cells), dtype=bool)  # the one cell
     return _corrector_solutions([sol], [p], window, form, system.tensor)[0]
 

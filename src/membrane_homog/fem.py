@@ -12,9 +12,19 @@ constraints eliminated symmetrically.
 
 The element matrices of all three terms are summed into the CSR pattern the
 mesh stores (``MembraneMesh.slots``) with one ``np.bincount``, so a
-realization that only moves a tiling's nodes reuses its pattern.  ``solve``
-sets the two-level solver up once per matrix: copies of a system that differ
-only in their load (``dataclasses.replace``) share the set-up.
+realization that only moves a tiling's nodes reuses its pattern.
+
+``solve`` runs CG on the free dofs, preconditioned by the inverse of the
+matrix with its cell interiors condensed per kind: cells of one kind
+(``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
+so one sparse LU of one cell's interior block serves them all, and the only
+other factorization is that of the Schur complement on the cell skeleton
+(``MembraneMesh.skeleton``).  When the kinds hold, the preconditioner is the
+inverse of the matrix up to rounding and CG stops after one iteration; CG
+checks the answer against the matrix itself either way.  A system without a
+mesh has no cells: its skeleton is every free dof.  The set-up is built once
+per matrix: copies of a system that differ only in their load
+(``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .errors import NonEllipticField, SolverDivergence
 from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
+LU_FILL = 4  # nnz of the LU factors over nnz of the matrix, as reserved up front
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -63,7 +74,10 @@ class BilinearFormSpec:
     """Coefficients of the transmission form.
 
     ``conductivity`` maps reference-coordinate points (n, 2) to (n, 2, 2)
-    symmetric matrices with eigenvalues in [lam, Lam].
+    symmetric matrices with eigenvalues in [lam, Lam].  It must be periodic
+    in the reference coordinate (period 1 in each direction), as both
+    presets are: the solver takes cells of one kind to be copies.  Any other
+    conductivity costs more CG iterations or a SolverDivergence.
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -92,11 +106,11 @@ class BilinearFormSpec:
 @dataclass
 class DiscreteSystem:
     """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
-    form's per-triangle conductivity on ``mesh``, evaluated once by assemble,
-    and ``coarse`` the coarse unknown of each dof in the two-level solve.
-    ``solver`` holds the solver set-up ``solve`` builds on first use; copies
-    made by ``dataclasses.replace`` share it, and it is rebuilt for a copy
-    with another matrix, Dirichlet data or coarse unknowns."""
+    form's per-triangle conductivity on ``mesh``, evaluated once by assemble
+    (``mesh`` is None for a matrix over other unknowns than its nodes).
+    ``solver`` holds the set-up ``solve`` builds on first use; copies made by
+    ``dataclasses.replace`` share it, and it is rebuilt for a copy with
+    another matrix, Dirichlet set or mesh."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
@@ -104,7 +118,6 @@ class DiscreteSystem:
     fixed_values: np.ndarray
     mesh: MembraneMesh
     tensor: np.ndarray
-    coarse: np.ndarray
     solver: list = field(default_factory=list, repr=False)
 
     @property
@@ -117,12 +130,15 @@ class DiscreteSystem:
 @dataclass
 class FemSolution:
     """Nodal values on ``mesh``; ``tensor`` is the per-triangle conductivity
-    of the system they solve, when the caller attached it."""
+    of the system they solve, when the caller attached it.  A solve records
+    its CG ``iterations`` and its true relative ``residual``
+    |b - K x| / |b| over the free dofs."""
 
     values: np.ndarray
     mesh: MembraneMesh
     iterations: int = 0
     tensor: np.ndarray = None
+    residual: float = None
 
 
 def _scatter(mesh: MembraneMesh, tri_mats=0.0, edge_mats=0.0) -> sp.csr_matrix:
@@ -248,41 +264,113 @@ def assemble(
         dirichlet_values = np.zeros(len(dirichlet))
     return DiscreteSystem(
         matrix=K, load=b, fixed=dirichlet, fixed_values=dirichlet_values,
-        mesh=mesh, tensor=tensor, coarse=aggregates(mesh),
+        mesh=mesh, tensor=tensor,
     )
 
 
-def aggregates(mesh: MembraneMesh) -> np.ndarray:
-    """Coarse aggregate of each node: 2 * (row of ``mesh.cells``) + (1 on the
-    MINUS side of the membrane), the lowest label of its triangles where
-    several cells meet."""
-    tri_label = 2 * mesh.tri_cell_index + (mesh.tri_region == MINUS)
-    label = np.full(mesh.num_vertices, np.iinfo(np.int64).max)
-    np.minimum.at(label, mesh.triangles.ravel(), np.repeat(tri_label, 3))
-    return label
+def _factor(A: sp.spmatrix):
+    """The complete sparse LU of a symmetric positive definite matrix, None
+    for an empty one: SuperLU with the minimum-degree ordering of A + A^T
+    and no pivoting, called as spilu with nothing dropped.  That reserves
+    LU_FILL * nnz(A) for the factors and grows on demand; splu reserves
+    20 * nnz(A), and releasing that moved a pool worker's later arrays onto
+    its heap (``effective --jobs 2`` on the n = 8 benchmark cube peaked at
+    113-117 MB with splu, 108-112 MB with spilu)."""
+    if A.shape[0] == 0:
+        return None
+    return spla.spilu(
+        A.tocsc(), drop_tol=0.0, drop_rule="basic", fill_factor=LU_FILL,
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    )
 
 
-class _TwoLevel:
-    """CG on a matrix K with the two-level additive preconditioner
-    D^-1 + R^T (R K R^T)^-1 R, R the 0/1 restriction summing the dofs of each
-    coarse unknown (row labels ``agg``).  R, the coarse factor and the
-    diagonal are built once, here."""
+def _solve(lu, b: np.ndarray) -> np.ndarray:
+    """lu^-1 b, for b (n,) or (n, k); an empty factor (None) keeps b."""
+    return b if lu is None else lu.solve(b)
 
-    def __init__(self, K: sp.csr_matrix, agg: np.ndarray):
+
+def _condense(K: sp.csr_matrix, mesh: MembraneMesh) -> tuple[list, sp.csr_matrix]:
+    """Per kind: the cells' interior and skeleton nodes (rows of the cell
+    table, in the columns of the kind's first cell), the LU of that cell's
+    interior block A and E = A^-1 K_IB, both read from the full matrix; and
+    the Schur complement S = K_BB - sum over cells of K_BI E, over the
+    positions in ``mesh.skeleton``."""
+    table, nodes = mesh.cell_nodes, mesh.skeleton
+    pos = np.full(K.shape[0], -1)
+    pos[nodes] = np.arange(len(nodes))
+    on = np.where(table >= 0, pos[table] >= 0, -1)  # 1 skeleton, 0 interior, -1 absent
+    kinds, rows, cols, vals = [], [], [], []
+    for kind in np.unique(mesh.cell_kind):
+        cells = np.flatnonzero(mesh.cell_kind == kind)
+        inner, outer = np.flatnonzero(on[cells[0]] == 0), np.flatnonzero(on[cells[0]] == 1)
+        rep = table[cells[0], np.concatenate([inner, outer])]
+        block = K[rep][:, rep]
+        ni, nb = len(inner), len(outer)
+        lu = _factor(block[:ni, :ni])
+        K_IB = block[:ni, ni:].toarray()
+        E = _solve(lu, K_IB)
+        members = table[cells]
+        at = pos[members[:, outer]]
+        rows.append(np.repeat(at, nb, axis=1).ravel())
+        cols.append(np.tile(at, nb).ravel())
+        vals.append(np.broadcast_to(-(K_IB.T @ E), (len(cells), nb, nb)).ravel())
+        kinds.append((members[:, inner], members[:, outer], lu, E))
+    shape = (len(nodes), len(nodes))
+    S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape)
+    return kinds, S.tocsr() + K[nodes][:, nodes]
+
+
+class _Condensed:
+    """The free-dof block of a matrix K as an operator, and the inverse of
+    K~, K with each cell's interior block and its coupling to the cell's
+    skeleton nodes replaced by those of the first cell of its kind
+    (``_condense``).  The skeleton block of K~^-1 is the inverse of the
+    Schur complement S on the free skeleton dofs, factored once, here.
+    Interior dofs that are fixed take part as unknowns, which keeps K~^-1 on
+    the free dofs symmetric positive definite."""
+
+    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, mesh: MembraneMesh):
+        n = K.shape[0]
         self.K = K
-        _, self.agg = np.unique(agg, return_inverse=True)
-        n = len(self.agg)
-        self.R = sp.csr_matrix((np.ones(n), (self.agg, np.arange(n))))
-        self.coarse = spla.splu((self.R @ K @ self.R.T).tocsc())
-        diag = K.diagonal()
-        self.inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)
+        is_free = np.ones(n, dtype=bool)
+        is_free[fixed] = False
+        self.free = np.flatnonzero(is_free)
+        if mesh is None:
+            self.kinds, S, nodes = [], K, np.arange(n)
+        else:
+            self.kinds, S = _condense(K, mesh)
+            nodes = mesh.skeleton
+        keep = np.flatnonzero(is_free[nodes])
+        self.skeleton = nodes[keep]
+        self.lu = _factor(S[keep][:, keep])
 
-    def precondition(self, r):
-        return self.inv_diag * r + self.coarse.solve(self.R @ r)[self.agg]
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """K v on the free dofs, through the full matrix."""
+        u = np.zeros(self.K.shape[0])
+        u[self.free] = v
+        return (self.K @ u)[self.free]
 
-    def solve(self, b):
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """K~^-1 r on the free dofs: interiors, skeleton, back to interiors."""
+        n = self.K.shape[0]
+        g = np.zeros(n)
+        g[self.free] = r
+        interior = []
+        for inner, outer, lu, E in self.kinds:
+            r_inner = g[inner]
+            interior.append(_solve(lu, r_inner.T).T)
+            g -= np.bincount(outer.ravel(), weights=(r_inner @ E).ravel(), minlength=n)
+        x = np.zeros(n)
+        x[self.skeleton] = _solve(self.lu, g[self.skeleton])
+        for (inner, outer, lu, E), y in zip(self.kinds, interior):
+            x[inner] = y - x[outer] @ E.T
+        return x[self.free]
+
+    def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
         """The solution for the free-dof load b and the iteration count."""
-        M = spla.LinearOperator(self.K.shape, matvec=self.precondition, dtype=float)
+        shape = (len(b), len(b))
+        K = spla.LinearOperator(shape, matvec=self.matvec, dtype=float)
+        M = spla.LinearOperator(shape, matvec=self.precondition, dtype=float)
         maxiter = int(50 * np.sqrt(len(b))) + 10
         iterations = 0
 
@@ -291,43 +379,40 @@ class _TwoLevel:
             iterations += 1
 
         try:
-            x, info = spla.cg(self.K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
+            x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
         except TypeError:  # scipy < 1.12 spells the tolerance differently
             x, info = spla.cg(
-                self.K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
+                K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
             )
-        if info > 0:
-            raise SolverDivergence(f"CG did not converge in {info} iterations")
+        if info != 0:
+            raise SolverDivergence(f"CG did not converge (info {info}, {iterations} iterations)")
         return x, iterations
 
 
-def _solver(system: DiscreteSystem) -> tuple:
-    """The free dofs, the Dirichlet shift of their load and the two-level CG
-    of their block, built once for the system's matrix, Dirichlet data and
-    coarse unknowns and kept in ``system.solver``."""
-    parts = (system.matrix, system.fixed, system.fixed_values, system.coarse)
+def _solver(system: DiscreteSystem) -> _Condensed:
+    """The condensed solver of the system's matrix, Dirichlet set and mesh,
+    built once and kept in ``system.solver``."""
+    parts = (system.matrix, system.fixed, system.mesh)
     if not system.solver or any(a is not b for a, b in zip(system.solver[0], parts)):
-        free = system.free
-        K = system.matrix[free]
-        system.solver[:] = [
-            parts, free, K[:, system.fixed] @ system.fixed_values,
-            _TwoLevel(K[:, free], system.coarse[free]),
-        ]
-    return system.solver[1:]
+        system.solver[:] = [parts, _Condensed(*parts)]
+    return system.solver[1]
 
 
 def solve(system: DiscreteSystem) -> FemSolution:
-    """Two-level CG on the free degrees of freedom, with the coarse unknowns
-    ``system.coarse`` (for an assembled system one per lattice cell and
-    membrane side)."""
+    """CG on the free degrees of freedom, preconditioned by the cell
+    interiors condensed per kind (see the module docstring)."""
     u = np.zeros(len(system.load))
     u[system.fixed] = system.fixed_values
-    free, shift, cg = _solver(system)
-    b = system.load[free] - shift
-    if np.linalg.norm(b) == 0.0:
-        return FemSolution(values=u, mesh=system.mesh)
-    u[free], iterations = cg.solve(b)
-    return FemSolution(values=u, mesh=system.mesh, iterations=iterations)
+    b = system.load - system.matrix @ u
+    cg = _solver(system)
+    b = b[cg.free]
+    norm = np.linalg.norm(b)
+    if norm == 0.0:
+        return FemSolution(values=u, mesh=system.mesh, residual=0.0)
+    x, iterations = cg.solve(b)
+    u[cg.free] = x
+    residual = float(np.linalg.norm(b - cg.matvec(x)) / norm)
+    return FemSolution(values=u, mesh=system.mesh, iterations=iterations, residual=residual)
 
 
 def p1_gradient(mesh: MembraneMesh, values: np.ndarray, grads: np.ndarray = None) -> np.ndarray:

@@ -89,7 +89,17 @@ def _bump_psi_prime(rho: np.ndarray) -> np.ndarray:
 
 
 class DeformationMap:
-    """Base class: an orientation-preserving diffeomorphism fixing cell boundaries."""
+    """Base class: an orientation-preserving diffeomorphism fixing cell boundaries.
+
+    ``bumped`` flags the cells the map deforms; the base map bumps none.  A
+    tiled mesh takes every cell it does not flag to be kept as is and every
+    flagged cell to carry one and the same deformation, so that cells of one
+    kind are copies of each other (see ``meshing.MembraneMesh.cell_kind``).
+    """
+
+    def bumped(self, k: np.ndarray) -> np.ndarray:
+        """Mask of the cells ``k`` (rows (kx, ky)) that the map deforms."""
+        return np.zeros(len(k), dtype=bool)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -127,7 +137,7 @@ class ScalingMap(DeformationMap):
 
 
 class BumpMap(DeformationMap):
-    """Cellwise bump: each cell k that carries it (``_bumped``; here every
+    """Cellwise bump: each cell k that carries it (``bumped``; here every
     cell) is deformed by the same compactly supported displacement
     a * psi(2|y - c|) * e1 with c the cell center, the others keep the identity."""
 
@@ -138,8 +148,7 @@ class BumpMap(DeformationMap):
         if self.min_jacobian_det() <= 0.0:
             raise ValueError(f"bump amplitude {amplitude} folds the map (det <= 0)")
 
-    def _bumped(self, k: np.ndarray) -> np.ndarray:
-        """Mask of the cells ``k`` (rows (kx, ky)) that carry the bump."""
+    def bumped(self, k: np.ndarray) -> np.ndarray:
         return np.ones(len(k), dtype=bool)
 
     def _displacement(self, local: np.ndarray) -> np.ndarray:
@@ -168,7 +177,7 @@ class BumpMap(DeformationMap):
         single = y.ndim == 1
         pts = np.atleast_2d(y).astype(float)
         k = np.floor(pts)
-        on = self._bumped(k)
+        on = self.bumped(k)
         out = pts.copy()
         out[on] += self._displacement(pts[on] - k[on])
         return out[0] if single else out
@@ -176,7 +185,7 @@ class BumpMap(DeformationMap):
     def jacobian(self, y):
         pts = np.atleast_2d(np.asarray(y, dtype=float))
         k = np.floor(pts)
-        on = self._bumped(k)
+        on = self.bumped(k)
         J = np.tile(np.eye(2), (len(pts), 1, 1))
         J[on] += self._displacement_jacobian(pts[on] - k[on])
         return J
@@ -191,7 +200,7 @@ class BernoulliCellwiseMap(BumpMap):
         self.seed = int(seed)
         super().__init__(amplitude)
 
-    def _bumped(self, k: np.ndarray) -> np.ndarray:
+    def bumped(self, k: np.ndarray) -> np.ndarray:
         return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64)) == 1
 
     def shifted(self, k: tuple[int, int]) -> "BernoulliCellwiseMap":

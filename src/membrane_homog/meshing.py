@@ -6,11 +6,11 @@ and MINUS copies).  Tiling deforms the cell template vertex-wise and stitches
 shared boundary nodes, which works because every deformation map fixes cell
 boundaries.
 
-So a tiling's numbering, stitch, interface edges, cell indices, boundary and
-matrix pattern depend only on the cell mesh, the lattice block, its membrane
-mask and the scale: they are built once per process for each such
-configuration (a small cache) and a realization only moves the nodes to
-their deformed positions.
+So a tiling's numbering, stitch, interface edges, cell indices, boundary,
+cell table, skeleton and matrix pattern depend only on the cell mesh, the
+lattice block, its membrane mask and the scale: they are built once per
+process for each such configuration (a small cache) and a realization only
+moves the nodes to their deformed positions and names the kind of each cell.
 """
 
 from __future__ import annotations
@@ -61,8 +61,17 @@ class MembraneMesh:
     of the transmission form's matrix, and ``slots`` (int32) the pattern
     position of every element entry: the 3 x 3 entries of each triangle,
     row-major, then the 4 x 4 entries of each interface edge over (plus_a,
-    plus_b, minus_a, minus_b).  The arrays are never mutated after
-    construction; ``moved`` shares them with a copy at other positions.
+    plus_b, minus_a, minus_b).
+
+    ``cell_nodes`` (nc, w) is the cell table: each cell's nodes, -1 where
+    one is absent, in columns that match between cells of one kind; by
+    default the nodes of each cell's triangles in increasing order.
+    ``cell_kind`` (nc,) labels cells whose element matrices agree up to
+    rounding (by default each cell is its own kind).  ``skeleton`` (sorted)
+    holds the nodes on a cell boundary: those on the mesh boundary, in no
+    cell or in more than one; every other node is interior to one cell.
+    The arrays are never mutated after construction; ``moved`` shares them
+    with a copy at other positions.
     """
 
     vertices: np.ndarray
@@ -72,6 +81,8 @@ class MembraneMesh:
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
     h: float
+    cell_nodes: np.ndarray = field(default=None, repr=False)
+    cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
     cells: np.ndarray = field(init=False, repr=False)
     tri_cell_index: np.ndarray = field(init=False, repr=False)
@@ -84,6 +95,7 @@ class MembraneMesh:
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
+    skeleton: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = self.tri_cell.min(axis=0, initial=0)
@@ -94,16 +106,36 @@ class MembraneMesh:
         self.interface_edges, edge_tri = self._interface_edges()
         self.edge_cell_index = self.tri_cell_index[edge_tri]
         self.indptr, self.indices, self.slots = self._pattern()
+        if self.cell_nodes is None:
+            self.cell_nodes = self._cell_table()
+        if self.cell_kind is None:
+            self.cell_kind = np.arange(len(self.cells))
+        on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
+        on[self.boundary_nodes] = True
+        self.skeleton = np.flatnonzero(on)
         self.areas, self.grads = triangle_geometry(self.vertices, self.triangles)
         self.ref_vertices, self.ref_areas, self.ref_grads = self.vertices, self.areas, self.grads
 
-    def moved(self, vertices: np.ndarray) -> "MembraneMesh":
-        """This mesh with its nodes at ``vertices``: a copy sharing every
-        array but the vertices and their areas and gradients."""
+    def moved(self, vertices: np.ndarray, cell_kind: np.ndarray) -> "MembraneMesh":
+        """This mesh with its nodes at ``vertices`` and its cells of the
+        kinds ``cell_kind``: a copy sharing every other array but the areas
+        and gradients."""
         out = copy.copy(self)
-        out.vertices = vertices
+        out.vertices, out.cell_kind = vertices, cell_kind
         out.areas, out.grads = triangle_geometry(vertices, self.triangles)
         return out
+
+    def _cell_table(self) -> np.ndarray:
+        """The nodes of each cell's triangles in increasing order, padded
+        with -1."""
+        nv = self.num_vertices
+        keys = np.sort(np.repeat(self.tri_cell_index, 3) * nv + self.triangles.ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        count = np.bincount(keys // nv, minlength=len(self.cells))
+        table = np.full((len(self.cells), count.max(initial=0)), -1, dtype=np.int64)
+        rank = np.arange(len(keys)) - np.repeat(np.cumsum(count) - count, count)
+        table[keys // nv, rank] = keys % nv
+        return table
 
     def _interface_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Interface edges and the MINUS triangle each comes from.
@@ -433,26 +465,31 @@ class _Tiling:
         gid = np.full(nc * nv, -1, dtype=np.int64)
         gid[self.new] = np.arange(np.count_nonzero(self.new))
         gid[self.shared] = gid[self.owner]
-        gid = gid.reshape(nc, nv)
-        gid[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
+        gid = gid.reshape(nc, nv)  # the cell table: -1 at the merged MINUS nodes
+        merged = gid.copy()
+        merged[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
 
+        self.membrane = membrane
         pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
         ref = self.ref[self.new]
         box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
         on_box = (np.abs(ref[:, None, :] - box) < 1e-12).any(axis=(1, 2))
         self.mesh = MembraneMesh(
             vertices=ref,
-            triangles=gid[:, cell.triangles].reshape(-1, 3),
+            triangles=merged[:, cell.triangles].reshape(-1, 3),
             tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
             tri_cell=np.repeat(cells, nt, axis=0),
             interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
             h=cell.h * scale,
+            cell_nodes=gid,
+            cell_kind=membrane.astype(np.int64),
         )
 
     def realize(self, dmap: DeformationMap) -> MembraneMesh:
-        """The tiled mesh at the nodes' deformed, rescaled positions; raises
-        StitchFailure where two stitched entries land apart."""
+        """The tiled mesh at the nodes' deformed, rescaled positions, each
+        cell of the kind 2 * bumped + membrane; raises StitchFailure where
+        two stitched entries land apart."""
         phys = self.scale * dmap.apply(self.ref)
         mismatch = np.flatnonzero(
             np.abs(phys[self.owner] - phys[self.shared]).max(axis=1) > STITCH_TOL
@@ -461,7 +498,7 @@ class _Tiling:
             i, j = self.owner[mismatch[0]], self.shared[mismatch[0]]
             k = tuple(int(x) for x in self.cells[j // self.nv])
             raise StitchFailure(f"boundary node mismatch at cell {k}: {phys[i]} vs {phys[j]}")
-        return self.mesh.moved(phys[self.new])
+        return self.mesh.moved(phys[self.new], 2 * dmap.bumped(self.cells) + self.membrane)
 
 
 class _ByContent:
@@ -551,10 +588,16 @@ def build_truncated_mesh(
     return _assemble_tiles(cell, dmap, cells, membrane, scale=1.0)
 
 
+GRID_BLOCK = 16  # squares per side of a lattice cell of the uniform grid
+
+
 def build_square_mesh(m: int) -> MembraneMesh:
     """Uniform right-triangle mesh of (0,1)^2 with m x m squares, no
-    membranes; each block of 4 x 4 squares is one lattice cell (so one
-    coarse unknown of the two-level solve)."""
+    membranes.  Each block of GRID_BLOCK x GRID_BLOCK squares is one lattice
+    cell; the blocks cut short at the upper edges make the kinds other than
+    0, 2 * (short in x) + (short in y)."""
+    blocks = -(-m // GRID_BLOCK)
+    short = (_lattice(range(blocks), range(blocks)) + 1) * GRID_BLOCK > m
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -567,10 +610,11 @@ def build_square_mesh(m: int) -> MembraneMesh:
         vertices=verts,
         triangles=triangles,
         tri_region=np.full(len(triangles), PLUS, dtype=np.int8),
-        tri_cell=np.repeat(_lattice(range(m), range(m)) // 4, 2, axis=0),
+        tri_cell=np.repeat(_lattice(range(m), range(m)) // GRID_BLOCK, 2, axis=0),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int64),
         h=1.0 / m,
+        cell_kind=2 * short[:, 0] + short[:, 1],
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import membrane_homog.corrector as corrector
 import membrane_homog.fem as fem
@@ -254,8 +255,10 @@ class TestPeriodicFoldMatchesLoop:
 
 def pinned_periodic_values(p, spec, conductivity, h):
     """Periodic corrector values and CG iterations with the pin written out:
-    the folded system restricted to all dofs but the first, solved by the
-    two-level CG directly, then the PLUS-mean gauge."""
+    the folded system restricted to all dofs but the first, solved by CG
+    through the full folded matrix, preconditioned by the complete sparse LU
+    of the restricted block (a system without a cell table is all skeleton),
+    then the PLUS-mean gauge."""
     mesh = build_cell_mesh(spec, h)
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
     system = fem.assemble(mesh, form, p=np.asarray(p, dtype=float),
@@ -266,13 +269,36 @@ def pinned_periodic_values(p, spec, conductivity, h):
     K = (P.T @ system.matrix @ P).tocsr()
     b = P.T @ system.load
     keep = np.arange(1, len(reps))
+    lu = spla.spilu(K[keep][:, keep].tocsc(), drop_tol=0.0, drop_rule="basic",
+                    fill_factor=fem.LU_FILL, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def matvec(v):
+        u = np.zeros(len(reps))
+        u[keep] = v
+        return (K @ u)[keep]
+
+    def precondition(r):
+        g = np.zeros(len(reps))
+        g[keep] = r
+        x = np.zeros(len(reps))
+        x[keep] = lu.solve(g[keep])
+        return x[keep]
+
+    shape = (len(keep), len(keep))
+    iterations = []
     x = np.zeros(len(reps))
-    cg = fem._TwoLevel(K[keep][:, keep], fem.aggregates(mesh)[reps[keep]])
-    x[keep], iterations = cg.solve(b[keep])
+    x[keep], info = spla.cg(
+        spla.LinearOperator(shape, matvec=matvec, dtype=float), b[keep], rtol=fem.CG_RTOL,
+        maxiter=int(50 * np.sqrt(len(keep))) + 10,
+        M=spla.LinearOperator(shape, matvec=precondition, dtype=float),
+        callback=iterations.append,
+    )
+    assert info == 0
     values = P @ x
     plus = mesh.tri_region == meshing.PLUS
     uc = values[mesh.triangles].mean(axis=1)
-    return values - np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus]), iterations
+    return values - np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus]), len(iterations)
 
 
 class TestCsv:

@@ -6,11 +6,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import membrane_homog.fem as fem
-from membrane_homog.errors import NonEllipticField
+from membrane_homog.corrector import periodic_cell_solve
+from membrane_homog.errors import NonEllipticField, SolverDivergence
 from membrane_homog.fem import (
+    CG_RTOL,
     CONDUCTIVITY_PRESETS,
     BilinearFormSpec,
-    aggregates,
     aniso_field,
     assemble,
     assemble_jump,
@@ -28,7 +29,6 @@ from membrane_homog.fem import (
 from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import hetero_form
 from membrane_homog.meshing import (
-    MINUS,
     MembraneMesh,
     build_cell_mesh,
     build_square_mesh,
@@ -307,11 +307,21 @@ def jacobi_cg(system, rtol=1e-12):
     return u, len(iterations)
 
 
-def corrector_systems(dmap):
-    """The e1 and e2 corrector systems on the n=8, h=0.05 truncated cube
-    (jump weight 1, delta = 1e-3), as the corrector driver builds them."""
-    mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.05), dmap, 8)
-    form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
+def splu_values(system):
+    """The nodal values of a direct sparse LU solve on the free dofs."""
+    u = np.zeros(len(system.load))
+    u[system.fixed] = system.fixed_values
+    free, K = system.free, system.matrix
+    b = system.load[free] - K[free][:, system.fixed] @ system.fixed_values
+    u[free] = spla.splu(K[free][:, free].tocsc()).solve(b)
+    return u
+
+
+def corrector_systems(dmap, n=8, conductivity=identity_field, lam=1.0):
+    """The e1 and e2 corrector systems on the truncated cube of half-width n,
+    h=0.05 (jump weight 1, delta = 1e-3), as `solve_truncated` builds them."""
+    mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.05), dmap, n)
+    form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=1e-3, lam=lam)
     system = assemble(mesh, form)
     return [
         replace(system, load=system.load + gradient_load(mesh, system.tensor, p))
@@ -325,20 +335,24 @@ def bernoulli_systems():
 
 
 def assert_matches_jacobi(system):
+    """The solve matches Jacobi-CG, stops within 3 iterations and records a
+    true relative residual within CG_RTOL."""
     sol = solve(system)
     ref, jacobi_iterations = jacobi_cg(system)
     assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
+    assert 1 <= sol.iterations <= 3
+    assert sol.residual <= CG_RTOL
     return sol.iterations, jacobi_iterations
 
 
 class TestTwoLevelCG:
-    """The two-level solve (one coarse unknown per lattice cell and membrane
-    side) against plain Jacobi-CG."""
+    """The two-level solve (cell interiors condensed per kind, the skeleton
+    factored) against plain Jacobi-CG and a direct solve."""
 
     @pytest.mark.parametrize("load", [0, 1], ids=["e1", "e2"])
     def test_bernoulli_corrector(self, bernoulli_systems, load):
         iterations, jacobi_iterations = assert_matches_jacobi(bernoulli_systems[load])
-        assert iterations <= 200 < jacobi_iterations
+        assert iterations <= 3 < jacobi_iterations
 
     def test_identity_corrector(self):
         assert_matches_jacobi(corrector_systems(IdentityMap())[0])
@@ -346,21 +360,61 @@ class TestTwoLevelCG:
     def test_heterogeneous_solve(self):
         eps = 1.0 / 16.0
         mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(0), eps, SPEC)
+        assert set(mesh.cell_kind) == {0, 1, 2, 3}  # bumped or not, membrane or cushion
         assert_matches_jacobi(assemble(mesh, hetero_form(eps), f=1.0))
 
-    def test_aggregates_partition_free_dofs(self, bernoulli_systems):
+    def test_grid_solve(self):
+        mesh = build_square_mesh(128)
+        assert_matches_jacobi(assemble(mesh, BilinearFormSpec(), f=1.0))
+
+    def test_periodic_cell_residual(self):
+        sol = periodic_cell_solve([1.0, 0.3], SPEC, aniso_field, h=0.05).sol
+        assert 1 <= sol.iterations <= 3 and sol.residual <= CG_RTOL
+
+    def test_residual_is_relative_to_the_free_load(self, bernoulli_systems):
+        system = bernoulli_systems[0]
+        sol = solve(system)
+        free = system.free
+        b = system.load[free]
+        r = b - (system.matrix @ sol.values)[free]
+        assert sol.residual == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b), rel=1e-6)
+
+    def test_cell_tables_partition_free_dofs(self, bernoulli_systems):
         system = bernoulli_systems[0]
         mesh = system.mesh
-        agg = aggregates(mesh)
-        tri_label = 2 * mesh.tri_cell_index + (mesh.tri_region == MINUS)
-        # each node's one aggregate is the (cell, side) of one of its triangles
-        own = np.zeros(mesh.num_vertices, dtype=bool)
-        own[mesh.triangles[agg[mesh.triangles] == tri_label[:, None]]] = True
-        assert own.all()
-        # every free dof has one label, of a (cell, side) pair of the mesh
-        labels = np.unique(agg[system.free])
-        assert labels.min() >= 0 and labels.max() < 2 * len(mesh.cells)
-        assert len(labels) > len(mesh.cells)  # both sides of the membrane cells
+        table = mesh.cell_nodes
+        on_skeleton = np.zeros(mesh.num_vertices, dtype=bool)
+        on_skeleton[mesh.skeleton] = True
+        assert 0 < len(mesh.skeleton) < mesh.num_vertices
+        # each free dof is on the skeleton or interior to exactly one cell
+        inside = (table >= 0) & ~on_skeleton[np.maximum(table, 0)]
+        count = np.bincount(table[inside], minlength=mesh.num_vertices)
+        free = system.free
+        assert count.max() == 1
+        assert np.all(on_skeleton[free] ^ (count[free] == 1))
+        # every triangle of an interior node lies in that node's cell
+        owner = np.full(mesh.num_vertices, -1)
+        owner[table[inside]] = np.nonzero(inside)[0]
+        tri_owner = owner[mesh.triangles]
+        tri_cell = np.broadcast_to(mesh.tri_cell_index[:, None], tri_owner.shape)
+        corner = tri_owner >= 0
+        assert np.array_equal(tri_owner[corner], tri_cell[corner])
+
+    def test_conductivity_not_periodic(self):
+        # kinds assume a conductivity periodic in the reference coordinate;
+        # without it the solve is still right or fails loudly
+        def drifting(points):
+            out = np.zeros((len(points), 2, 2))
+            out[:, 0, 0] = out[:, 1, 1] = 1.0 + 0.4 * np.tanh(points[:, 0] / 8.0)
+            return out
+
+        system = corrector_systems(BernoulliCellwiseMap(0), n=2, conductivity=drifting, lam=0.5)[0]
+        ref = splu_values(system)
+        try:
+            sol = solve(system)
+        except SolverDivergence:
+            return
+        assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_iterations_counted(self, cell_h01, monkeypatch):
         system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)

@@ -235,6 +235,17 @@ class TestOneCellwiseBump:
         assert "apply" not in vars(BernoulliCellwiseMap)
         assert "jacobian" not in vars(BernoulliCellwiseMap)
 
+    def test_bumped_cells(self):
+        cells = np.array([[kx, ky] for kx in range(-3, 3) for ky in range(-3, 3)])
+        assert not IdentityMap().bumped(cells).any()
+        assert BumpMap(0.1).bumped(cells).all()
+        bits = BernoulliField(3).bits(cells[:, 0], cells[:, 1])
+        assert np.array_equal(BernoulliCellwiseMap(3).bumped(cells), bits == 1)
+        # the map is the identity exactly on the cells it does not bump
+        centers = cells + 0.5
+        moved = np.any(BernoulliCellwiseMap(3).apply(centers) != centers, axis=1)
+        assert np.array_equal(moved, bits == 1)
+
     @pytest.mark.parametrize("bit", [0, 1])
     def test_folding_amplitude_raises_whatever_cell_zero_carries(self, bit):
         # min det(grad Phi) is 0.042 at amplitude 0.6 and negative at 0.8

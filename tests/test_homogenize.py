@@ -2,13 +2,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from membrane_homog.errors import DegenerateFit, MeshMismatch
 from membrane_homog.fem import (
     BilinearFormSpec,
-    aggregates,
     aniso_field,
     assemble,
     flux_pairing,
@@ -96,16 +96,25 @@ class TestSolveHomog:
         sym = solve_homog([[1.0, 2.0**-18], [2.0**-18, 1.2]], f=1.0, m=8)
         assert np.array_equal(skew.values, sym.values)
 
-    def test_block_aggregates_match_single_aggregate_solve(self):
-        m = 32
+    @pytest.mark.parametrize(
+        "m, kinds", [(2, 1), (3, 1), (10, 1), (17, 4), (20, 4), (32, 1), (128, 1)]
+    )
+    def test_block_solve_matches_splu(self, m, kinds):
+        # grids that do not divide into blocks of GRID_BLOCK = 16 squares make
+        # short blocks of their own kinds (at m = 17 three of them have no
+        # interior); below 16 the one block's skeleton is all Dirichlet data
         A0 = np.array([[0.78, 0.01], [0.01, 0.77]])
         f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
         sol = solve_homog(A0, f, m=m)
         mesh = build_square_mesh(m)
-        assert len(np.unique(aggregates(mesh))) == (m // 4) ** 2
+        assert len(set(mesh.cell_kind)) == kinds
+        if m < 16:
+            assert np.isin(mesh.skeleton, mesh.boundary_nodes).all()
         system = assemble(mesh, homog_form(A0), f=f)
-        single = solve(replace(system, coarse=np.zeros_like(system.coarse)))
-        assert np.abs(sol.values - single.values).max() <= 1e-10 * np.abs(single.values).max()
+        free, K = system.free, system.matrix
+        direct = np.zeros(len(system.load))
+        direct[free] = spla.splu(K[free][:, free].tocsc()).solve(system.load[free])
+        assert np.abs(sol.values - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 class TestGridInterpolate:

@@ -396,7 +396,12 @@ class TestTilingTemplate:
         b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
         assert b.triangles is a.triangles and b.slots is a.slots
         assert b.ref_vertices is a.ref_vertices and b.ref_areas is a.ref_areas
+        assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
         assert not np.array_equal(a.vertices, b.vertices)
+        # each realization names its own kinds, 2 * bumped + membrane
+        for seed, mesh in ((1, a), (2, b)):
+            bumped = BernoulliCellwiseMap(seed=seed).bumped(mesh.cells)
+            assert np.array_equal(mesh.cell_kind, 2 * bumped + 1)
 
 
 class TestSquareMesh:
@@ -407,7 +412,7 @@ class TestSquareMesh:
         assert abs(mesh.areas.sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
         assert mesh_report(mesh).ok
-        assert len(mesh.cells) == 4  # blocks of 4 x 4 squares
+        assert len(mesh.cells) == 1  # one block: GRID_BLOCK = 16 squares a side
 
 
 class TestTriangleCentroids:

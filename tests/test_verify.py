@@ -25,7 +25,6 @@ def make_system(K, b, fixed=None, fixed_values=None):
     return DiscreteSystem(
         matrix=sp.csr_matrix(K), load=np.asarray(b, dtype=float),
         fixed=fixed, fixed_values=fixed_values, mesh=None, tensor=None,
-        coarse=np.zeros(len(b), dtype=np.int64),
     )
 
 
