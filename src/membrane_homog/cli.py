@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import hashlib
 import itertools
 import json
@@ -31,7 +30,7 @@ from .effective import (
     volume_stats,
     write_effective_json,
 )
-from .errors import ConfigError, EllipticityViolation, MembraneHomogError
+from .errors import ConfigError, EllipticityViolation, MembraneHomogError, MeshQualityFailure
 from .fem import CONDUCTIVITY_PRESETS
 from .geometry import (
     BernoulliCellwiseMap,
@@ -48,7 +47,7 @@ from .homogenize import (
     write_convergence_csv,
     write_report_json,
 )
-from .meshing import build_cell_mesh, export_mesh, mesh_report
+from .meshing import build_cell_mesh, export_mesh, mesh_report, truncated_template
 from .verify import (
     backward_induction_bound,
     random_induction_instance,
@@ -88,9 +87,9 @@ def _typed(key: str, value, default):
     raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
-@functools.lru_cache(maxsize=8)
 def _fold_error(amplitude: float) -> str:
-    """Why the bump deformation of this amplitude is rejected ('' if it is not)."""
+    """Why the bump deformation of this amplitude is rejected ('' if it is
+    not); the map runs its fold check once per amplitude and process."""
     try:
         BumpMap(amplitude=amplitude)
     except ValueError as exc:
@@ -341,8 +340,14 @@ def _per_seed(cfg: ExperimentConfig, results: list) -> list:
 
 
 def _seed_runs(cfg: ExperimentConfig, jobs: int) -> list:
-    """One corrector sample per seed, each distinct realization solved once."""
-    return _per_seed(cfg, _run_tasks(_corrector_task, [(cfg, s) for s in cfg.realizations], jobs))
+    """One corrector sample per seed, each distinct realization solved once.
+    When a pool runs two or more realizations, the truncated cube's tiling
+    template is built here, before the pool forks, and its workers share it."""
+    tasks = [(cfg, s) for s in cfg.realizations]
+    if jobs > 1 and len(tasks) > 1:
+        c = cfg.corrector_config()
+        truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
+    return _per_seed(cfg, _run_tasks(_corrector_task, tasks, jobs))
 
 
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
@@ -477,6 +482,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         out.cleanup()
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MeshQualityFailure as exc:  # raised only by build_cell_mesh(cfg.interface, cfg.h)
+        out.cleanup()
+        print(f"config error: radius, h: {exc}", file=sys.stderr)
         return 2
     except MembraneHomogError as exc:
         out.cleanup()

@@ -9,6 +9,7 @@ regularization delta and zero Dirichlet data; the periodic single-cell solve
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +25,7 @@ from .fem import (
     edge_jump_energy,
     gradient_load,
     identity_field,
+    jump_element_matrices,
     p1_gradient,
     solve,
 )
@@ -62,12 +64,28 @@ class CorrectorSolution:
     window: np.ndarray  # (nc,) mask of the cells its window averages over
     flux_plus: np.ndarray  # (nc, 2) int over Phi(Y_k^+) of A (p + grad w)
     flux_minus: np.ndarray  # (nc, 2)
-    cell_energy: np.ndarray  # (nc,) reference-configuration energy per cell
     window_energy: np.ndarray  # (loads,) window-energy form with each solve of its mesh
+    mass_weight: float  # the regularization delta of the form it solves
 
     @property
     def mesh(self) -> MembraneMesh:
         return self.sol.mesh
+
+    @functools.cached_property
+    def cell_energy(self) -> np.ndarray:
+        """(nc,) reference-configuration energy per cell: gradient, delta-mass
+        and interface jump of the same nodal values at lattice coordinates;
+        computed on first use."""
+        mesh, values = self.mesh, self.sol.values
+        u = values[mesh.triangles]
+        gref = p1_gradient(mesh, values, mesh.ref_grads)
+        e_grad = mesh.ref_areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
+        uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
+        e_mass = self.mass_weight * mesh.ref_areas * uc2 / 12.0  # exact P1 mass per triangle
+        jump2 = cell_sums(
+            mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
+        )
+        return cell_sums(mesh, e_grad + e_mass) + jump2
 
     def window_flux(self) -> np.ndarray:
         """Average of F_k^+ + F_k^- over the cells of the window, per unit
@@ -98,43 +116,39 @@ def _corrector_solutions(
     sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec, tensor: np.ndarray
 ) -> list[CorrectorSolution]:
     """The solves of one mesh, one per mean gradient of ``loads``, with their
-    per-cell physical fluxes, reference-configuration energies and
-    window-energy form over the cells of the mask ``inside``; ``tensor`` is
-    the form's conductivity on the mesh (``DiscreteSystem.tensor``)."""
+    per-cell physical fluxes and window-energy form over the cells of the
+    mask ``inside``; ``tensor`` is the form's conductivity on the mesh
+    (``DiscreteSystem.tensor``)."""
     mesh = sols[0].mesh
     areas = mesh.areas
     grads = [p1_gradient(mesh, sol.values) + p for sol, p in zip(sols, loads)]
+    fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
 
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
-    # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i
-    fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
+    # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i, summed
+    # over the triangles and interface edges of the window's cells
+    tri = np.flatnonzero(inside[mesh.tri_cell_index])
+    edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
+    jump = form.jump_weight * jump_element_matrices(mesh.vertices, edges)
+    ends = [sol.values[edges] for sol in sols]
     energy = np.zeros((len(sols), len(sols)))
     for i, j in zip(*np.triu_indices(len(sols))):
-        e_tri = areas * (grads[i][:, 0] * fluxes[j][:, 0] + grads[i][:, 1] * fluxes[j][:, 1])
-        e_jump = form.jump_weight * edge_jump_energy(
-            mesh.vertices, mesh.interface_edges, sols[i].values, sols[j].values
-        )
-        energy[i, j] = energy[j, i] = cell_sums(mesh, e_tri, e_jump)[inside].sum() / inside.sum()
+        gi, fj = grads[i][tri], fluxes[j][tri]
+        e_tri = areas[tri] @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
+        e_jump = np.einsum("ei,eij,ej->", ends[i], jump, ends[j])
+        energy[i, j] = energy[j, i] = (e_tri + e_jump) / inside.sum()
 
-    plus = mesh.tri_region == PLUS
+    # per cell and side: bincount keyed by 2 * cell + (triangle in PLUS)
+    nc = len(mesh.cells)
+    key = 2 * mesh.tri_cell_index + (mesh.tri_region == PLUS)
     out = []
     for sol, p, Ag, row in zip(sols, loads, fluxes, energy):
-        flux = areas[:, None] * Ag
-        fp = np.column_stack([cell_sums(mesh, f * plus) for f in flux.T])
-        fm = np.column_stack([cell_sums(mesh, f * ~plus) for f in flux.T])
-
-        # reference-configuration energy: same nodal values, lattice coordinates
-        u = sol.values[mesh.triangles]
-        gref = p1_gradient(mesh, sol.values, mesh.ref_grads)
-        e_grad = mesh.ref_areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
-        uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
-        e_mass = form.mass_weight * mesh.ref_areas * uc2 / 12.0  # exact P1 mass per triangle
-        jump2 = cell_sums(
-            mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, sol.values)
-        )
+        side = np.stack([
+            np.bincount(key, weights=areas * f, minlength=2 * nc).reshape(nc, 2) for f in Ag.T
+        ], axis=-1)  # (nc, side MINUS/PLUS, component)
         out.append(CorrectorSolution(
-            sol=sol, p=p, cells=mesh.cells, window=inside, flux_plus=fp, flux_minus=fm,
-            cell_energy=cell_sums(mesh, e_grad + e_mass) + jump2, window_energy=row,
+            sol=sol, p=p, cells=mesh.cells, window=inside, flux_plus=side[:, 1],
+            flux_minus=side[:, 0], window_energy=row, mass_weight=form.mass_weight,
         ))
     return out
 

@@ -8,6 +8,7 @@ reference cell, divided by the mean deformed cell volume rho.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,6 +139,36 @@ def effective_tensor(
     )
 
 
+def student_t_quantile(p: float, nu: int) -> float:
+    """The p-quantile, 1/2 < p < 1, of Student's t with an integer number nu
+    >= 1 of degrees of freedom: the closed-form two-sided probability
+    P(|T| <= t) of Abramowitz and Stegun 26.7.3 (nu odd) and 26.7.4 (nu
+    even), in theta = arctan(t / sqrt(nu)), inverted by bisection on theta
+    to the last bit."""
+    target = 2.0 * p - 1.0
+
+    def two_sided(theta: float) -> float:
+        c2, s = math.cos(theta) ** 2, math.sin(theta)
+        term = math.cos(theta) if nu % 2 else 1.0
+        total = 0.0 if nu == 1 else term
+        for k in range(nu % 2 + 1, nu - 1, 2):  # the powers c^k up to c^(nu - 2)
+            term *= k / (k + 1) * c2
+            total += term
+        if nu % 2:
+            return 2.0 / math.pi * (theta + s * total)
+        return s * total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.sqrt(nu) * math.tan(mid)
+        if two_sided(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -> float:
     """|xi . A0 xi - (1/rho) E[xi . energy xi]|, the quadratic-form
     consistency between the flux average and the energy average: xi . energy
@@ -171,8 +202,7 @@ def ellipticity_check(
     # the exact A0 is symmetric.  Its estimate keeps Monte-Carlo noise, gated at the
     # two-sided 1e-3 Student-t quantile (N-1 degrees of freedom), and a mesh asymmetry
     # gated at 1e-4 |A0|, far below the mesh error of A0; a deterministic map has only that
-    from scipy.special import stdtrit
-    skew_tol = stdtrit(t.N - 1, 1.0 - 5e-4) * se + 1e-4 * float(np.abs(t.A0).max())
+    skew_tol = student_t_quantile(1.0 - 5e-4, t.N - 1) * se + 1e-4 * float(np.abs(t.A0).max())
     if sym_gap > skew_tol:
         raise EllipticityViolation(f"skew part {sym_gap:.6g} of A0 exceeds {skew_tol:.6g}")
     if eig.min() <= 0.0:

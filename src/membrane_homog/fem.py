@@ -10,8 +10,10 @@ with A constant per triangle (evaluated at the reference centroid), the jump
 term assembled on the duplicated interface node pairs, and Dirichlet
 constraints eliminated symmetrically.
 
-The element matrices of all three terms are summed into the CSR pattern the
-mesh stores (``MembraneMesh.slots``) with one ``np.bincount``, so a
+``assemble`` writes the element matrices of all three terms straight into
+one weights buffer, the triangles' ``ELEMENT_BLOCK`` at a time, and one
+``np.bincount`` sums it into the CSR pattern the mesh stores
+(``MembraneMesh.slots``): no copy of the element matrices is made, and a
 realization that only moves a tiling's nodes reuses its pattern.
 
 ``solve`` runs CG on the free dofs, preconditioned by the inverse of the
@@ -21,10 +23,10 @@ so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the cell skeleton
 (``MembraneMesh.skeleton``).  When the kinds hold, the preconditioner is the
 inverse of the matrix up to rounding and CG stops after one iteration; CG
-checks the answer against the matrix itself either way.  A system without a
-mesh has no cells: its skeleton is every free dof.  The set-up is built once
-per matrix: copies of a system that differ only in their load
-(``dataclasses.replace``) share it.
+checks the answer against the matrix itself either way.  Both factors are
+SuperLU's complete LU (``splu``).  A system without a mesh has no cells: its
+skeleton is every free dof.  The set-up is built once per matrix: copies of
+a system that differ only in their load (``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import NonEllipticField, SolverDivergence
 from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
-LU_FILL = 4  # nnz of the LU factors over nnz of the matrix, as reserved up front
+ELEMENT_BLOCK = 4096  # triangles whose element matrices assemble computes at once
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -91,7 +93,7 @@ class BilinearFormSpec:
         checked by sampled eigenvalues."""
         cent = triangle_centroids(mesh.ref_vertices, mesh.triangles)
         A = self.conductivity(cent)
-        if np.abs(A - np.transpose(A, (0, 2, 1))).max() > 1e-12:
+        if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
         lower, upper = sym2_eigenvalues(A)
         lo, hi = lower.min(), upper.max()
@@ -141,15 +143,10 @@ class FemSolution:
     residual: float = None
 
 
-def _scatter(mesh: MembraneMesh, tri_mats=0.0, edge_mats=0.0) -> sp.csr_matrix:
-    """The matrix, in the mesh's pattern, summing element matrices over the
-    triangles (nt, 3, 3) and the interface edges (ne, 4, 4); a scalar is
-    broadcast to every element."""
-    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
-    weights = np.concatenate([
-        np.broadcast_to(tri_mats, (nt, 3, 3)).ravel(),
-        np.broadcast_to(edge_mats, (ne, 4, 4)).ravel(),
-    ])
+def _scatter(mesh: MembraneMesh, weights: np.ndarray) -> sp.csr_matrix:
+    """The matrix, in the mesh's pattern, summing the element matrices laid
+    out in ``weights`` as ``MembraneMesh.slots`` orders them: the triangles'
+    (nt, 3, 3), then the interface edges' (ne, 4, 4)."""
     data = np.bincount(mesh.slots, weights=weights, minlength=len(mesh.indices))
     nv = mesh.num_vertices
     return sp.csr_matrix((data, mesh.indices, mesh.indptr), shape=(nv, nv))
@@ -165,37 +162,35 @@ def apply_tensor(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def stiffness_elements(mesh: MembraneMesh, tensor: np.ndarray) -> np.ndarray:
-    """|T| grad(phi_i) . A grad(phi_j) per triangle (nt, 3, 3)."""
-    g = mesh.grads
-    Ag = apply_tensor(tensor, g)
-    Ke = g[:, :, None, 0] * Ag[:, None, :, 0] + g[:, :, None, 1] * Ag[:, None, :, 1]
-    Ke *= mesh.areas[:, None, None]
+def stiffness_elements(
+    grads: np.ndarray, areas: np.ndarray, tensor: np.ndarray, out: np.ndarray = None
+) -> np.ndarray:
+    """|T| grad(phi_i) . A grad(phi_j) (k, 3, 3) for triangles with basis
+    gradients ``grads`` (k, 3, 2), ``areas`` (k,) and conductivity ``tensor``
+    (k, 2, 2); written into ``out`` when given."""
+    Ag = apply_tensor(tensor, grads)
+    Ke = np.multiply(grads[:, :, None, 0], Ag[:, None, :, 0], out=out)
+    Ke += grads[:, :, None, 1] * Ag[:, None, :, 1]
+    Ke *= areas[:, None, None]
     return Ke
 
 
 _MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0  # P1 mass of a unit-area triangle
-
-
-def assemble_stiffness(mesh: MembraneMesh, tensor: np.ndarray) -> sp.csr_matrix:
-    return _scatter(mesh, stiffness_elements(mesh, tensor))
-
-
-def assemble_mass(mesh: MembraneMesh) -> sp.csr_matrix:
-    return _scatter(mesh, mesh.areas[:, None, None] * _MASS_BASE)
-
 
 # jump coupling of the two sides (x) 6 * the P1 edge mass [[2, 1], [1, 2]] / 6,
 # over the dofs (plus_a, plus_b, minus_a, minus_b)
 _JUMP_BASE = np.kron([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
 
 
-def jump_element_matrices(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def jump_element_matrices(
+    vertices: np.ndarray, edges: np.ndarray, out: np.ndarray = None
+) -> np.ndarray:
     """P1 matrices (ne, 4, 4) of int_e (u+ - u-)(v+ - v-) ds on each interface
     edge, over its dofs (plus_a, plus_b, minus_a, minus_b), with the edge
-    length taken from ``vertices`` (exact for P1)."""
+    length taken from ``vertices`` (exact for P1); written into ``out`` when
+    given."""
     L = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
-    return (L / 6.0)[:, None, None] * _JUMP_BASE
+    return np.multiply((L / 6.0)[:, None, None], _JUMP_BASE, out=out)
 
 
 def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None) -> np.ndarray:
@@ -204,12 +199,6 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None
     u = values[edges]
     v = u if other is None else other[edges]
     return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), v)
-
-
-def assemble_jump(mesh: MembraneMesh) -> sp.csr_matrix:
-    """Unweighted jump form sum_e int_e (u+ - u-)(v+ - v-) ds on the
-    deformed interface polyline."""
-    return _scatter(mesh, edge_mats=jump_element_matrices(mesh.vertices, mesh.interface_edges))
 
 
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
@@ -226,8 +215,11 @@ def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
 
 def gradient_load(mesh: MembraneMesh, tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     """-int A p . grad(phi_i), the corrector load for mean gradient p."""
-    Ap = np.einsum("tij,j->ti", tensor, np.asarray(p, dtype=float))
-    contrib = -np.einsum("t,ti,tji->tj", mesh.areas, Ap, mesh.grads)
+    p = np.asarray(p, dtype=float)
+    Ap = tensor[:, :, 0] * p[0] + tensor[:, :, 1] * p[1]
+    g = mesh.grads
+    contrib = -((mesh.areas * Ap[:, 0])[:, None] * g[:, :, 0]
+                + (mesh.areas * Ap[:, 1])[:, None] * g[:, :, 1])
     return np.bincount(
         mesh.triangles.T.ravel(), weights=contrib.T.ravel(), minlength=mesh.num_vertices
     )
@@ -247,11 +239,18 @@ def assemble(
     for unconstrained (e.g. periodic) systems.
     """
     tensor = spec.tensor(mesh)
-    tri_mats = stiffness_elements(mesh, tensor)
-    if spec.mass_weight != 0.0:
-        tri_mats += (spec.mass_weight * mesh.areas)[:, None, None] * _MASS_BASE
-    edge_mats = spec.jump_weight * jump_element_matrices(mesh.vertices, mesh.interface_edges)
-    K = _scatter(mesh, tri_mats, edge_mats)
+    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
+    weights = np.empty(9 * nt + 16 * ne)
+    tri_mats = weights[:9 * nt].reshape(nt, 3, 3)
+    for start in range(0, nt, ELEMENT_BLOCK):
+        t = slice(start, start + ELEMENT_BLOCK)
+        Ke = stiffness_elements(mesh.grads[t], mesh.areas[t], tensor[t], out=tri_mats[t])
+        if spec.mass_weight != 0.0:
+            Ke += (spec.mass_weight * mesh.areas[t])[:, None, None] * _MASS_BASE
+    edge_mats = weights[9 * nt:].reshape(ne, 4, 4)
+    jump_element_matrices(mesh.vertices, mesh.interface_edges, out=edge_mats)
+    edge_mats *= spec.jump_weight
+    K = _scatter(mesh, weights)
     b = np.zeros(mesh.num_vertices)
     if f is not None:
         b += volume_load(mesh, f)
@@ -271,16 +270,12 @@ def assemble(
 def _factor(A: sp.spmatrix):
     """The complete sparse LU of a symmetric positive definite matrix, None
     for an empty one: SuperLU with the minimum-degree ordering of A + A^T
-    and no pivoting, called as spilu with nothing dropped.  That reserves
-    LU_FILL * nnz(A) for the factors and grows on demand; splu reserves
-    20 * nnz(A), and releasing that moved a pool worker's later arrays onto
-    its heap (``effective --jobs 2`` on the n = 8 benchmark cube peaked at
-    113-117 MB with splu, 108-112 MB with spilu)."""
+    and no pivoting."""
     if A.shape[0] == 0:
         return None
-    return spla.spilu(
-        A.tocsc(), drop_tol=0.0, drop_rule="basic", fill_factor=LU_FILL,
-        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
     )
 
 
@@ -378,12 +373,7 @@ class _Condensed:
             nonlocal iterations
             iterations += 1
 
-        try:
-            x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
-        except TypeError:  # scipy < 1.12 spells the tolerance differently
-            x, info = spla.cg(
-                K, b, tol=CG_RTOL, atol=0.0, maxiter=maxiter, M=M, callback=counted
-            )
+        x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
         if info != 0:
             raise SolverDivergence(f"CG did not converge (info {info}, {iterations} iterations)")
         return x, iterations

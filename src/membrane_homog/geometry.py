@@ -7,6 +7,7 @@ of cells is preserved and cells can be deformed independently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,21 +157,31 @@ class BumpMap(DeformationMap):
         s = np.linalg.norm(d, axis=-1)
         return self.amplitude * _bump_psi(2.0 * s)[..., None] * self.DIRECTION
 
-    def _displacement_jacobian(self, local: np.ndarray) -> np.ndarray:
-        # grad eta = a * e1 (x) grad psi(2|y-c|);  grad psi(2s) = 2 psi'(2s) (y-c)/s
+    @classmethod
+    def _unit_displacement_jacobian(cls, local: np.ndarray) -> np.ndarray:
+        # grad eta / a = e1 (x) grad psi(2|y-c|);  grad psi(2s) = 2 psi'(2s) (y-c)/s
         d = local - 0.5
         s = np.linalg.norm(d, axis=-1)
         safe = np.where(s > 0.0, s, 1.0)
         g = 2.0 * _bump_psi_prime(2.0 * s)[..., None] * d / safe[..., None]
-        return self.amplitude * self.DIRECTION[None, :, None] * g[:, None, :]
+        return cls.DIRECTION[None, :, None] * g[:, None, :]
+
+    def _displacement_jacobian(self, local: np.ndarray) -> np.ndarray:
+        return self.amplitude * self._unit_displacement_jacobian(local)
 
     def min_jacobian_det(self) -> float:
         """min det(I + grad of the displacement) over a 200 x 200 grid of
-        cell-centred points in the unit cell, whichever cells carry the bump."""
+        cell-centred points in the unit cell, whichever cells carry the bump;
+        computed once per class and amplitude."""
+        return self._min_jacobian_det(self.amplitude)
+
+    @classmethod
+    @functools.lru_cache(maxsize=16)
+    def _min_jacobian_det(cls, amplitude: float) -> float:
         t = (np.arange(200) + 0.5) / 200
         gx, gy = np.meshgrid(t, t)
-        J = np.eye(2) + self._displacement_jacobian(np.column_stack([gx.ravel(), gy.ravel()]))
-        return float(jacobian_det(J).min())
+        grad = cls._unit_displacement_jacobian(np.column_stack([gx.ravel(), gy.ravel()]))
+        return float(jacobian_det(np.eye(2) + amplitude * grad).min())
 
     def apply(self, y):
         y = np.asarray(y, dtype=float)

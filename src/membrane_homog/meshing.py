@@ -9,8 +9,9 @@ boundaries.
 So a tiling's numbering, stitch, interface edges, cell indices, boundary,
 cell table, skeleton and matrix pattern depend only on the cell mesh, the
 lattice block, its membrane mask and the scale: they are built once per
-process for each such configuration (a small cache) and a realization only
-moves the nodes to their deformed positions and names the kind of each cell.
+process for each such configuration (a small cache, as is the cell mesh for
+each interface and h) and a realization only moves the nodes to their
+deformed positions and names the kind of each cell.
 """
 
 from __future__ import annotations
@@ -322,8 +323,10 @@ def _annulus_triangles(
     return tris
 
 
+@functools.lru_cache(maxsize=8)
 def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
-    """Unit-cell membrane mesh with the interface as duplicated-node polyline.
+    """Unit-cell membrane mesh with the interface as duplicated-node polyline,
+    built once per (spec, h) and process; its arrays are never mutated.
 
     Requests with h > 0.25 are clamped to 0.25 (the coarsest valid size).
     Raises MeshQualityFailure if the generated mesh has a minimum angle
@@ -523,24 +526,22 @@ def _tiling(args: _ByContent) -> _Tiling:
     return _Tiling(*args.args)
 
 
-def _assemble_tiles(
-    cell: MembraneMesh,
-    dmap: DeformationMap,
-    cells: np.ndarray,
-    membrane: np.ndarray,
-    scale: float,
-) -> MembraneMesh:
-    """Deform the cell template into each lattice cell (rows of ``cells``,
-    ``membrane`` flags those keeping their membrane) and stitch shared
-    boundary nodes (bitwise-coincident because maps fix cell boundaries).
-    The boundary nodes are those on the boundary of the reference box of the
-    cell block, within 1e-12.
+def _template(
+    cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float
+) -> _Tiling:
+    """The tiling template of the cell mesh over the lattice cells (rows of
+    ``cells``, ``membrane`` flags those keeping their membrane) at ``scale``,
+    built once per configuration and process.  Its ``realize`` deforms the
+    cell template into each lattice cell and stitches shared boundary nodes
+    (bitwise-coincident because maps fix cell boundaries).  The boundary
+    nodes are those on the boundary of the reference box of the cell block,
+    within 1e-12.
 
     Nodes are numbered in order of first appearance, cell by cell; a shared
     boundary node belongs to the first cell that carries it.  Cells without a
     membrane merge each MINUS interface node into its PLUS copy.
     """
-    return _tiling(_ByContent(cell, cells, membrane, scale)).realize(dmap)
+    return _tiling(_ByContent(cell, cells, membrane, scale))
 
 
 def _carries_membrane(cells: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -567,7 +568,7 @@ def tile_domain_mesh(
         raise ValueError(f"1/eps must be an integer, got eps={eps}")
     cells = _lattice(range(n), range(n))
     membrane = _carries_membrane(cells, n, spec.beta) & bool(membranes)
-    return _assemble_tiles(cell, dmap, cells, membrane, scale=eps)
+    return _template(cell, cells, membrane, scale=eps).realize(dmap)
 
 
 def build_truncated_mesh(
@@ -580,12 +581,20 @@ def build_truncated_mesh(
     """Mesh of the deformed truncated cube Phi(center + (-n,n)^2): (2n)^2
     cells, all carrying membranes unless disabled, outer boundary tagged
     Dirichlet."""
+    return truncated_template(cell, n, center, membranes).realize(dmap)
+
+
+def truncated_template(
+    cell: MembraneMesh, n: int, center: tuple[int, int] = (0, 0), membranes: bool = True
+) -> _Tiling:
+    """The tiling template of ``build_truncated_mesh`` with these arguments,
+    built once per configuration and process: a process that builds it
+    before forking workers shares it with them."""
     if n < 1:
         raise ValueError("half-width n must be >= 1")
     cx, cy = center
     cells = _lattice(range(cx - n, cx + n), range(cy - n, cy + n))
-    membrane = np.full(len(cells), bool(membranes))
-    return _assemble_tiles(cell, dmap, cells, membrane, scale=1.0)
+    return _template(cell, cells, np.full(len(cells), bool(membranes)), scale=1.0)
 
 
 GRID_BLOCK = 16  # squares per side of a lattice cell of the uniform grid

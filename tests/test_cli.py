@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import pickle
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import membrane_homog.cli as cli
 import membrane_homog.effective as effective
 import membrane_homog.homogenize as homogenize
+import membrane_homog.meshing as meshing
 from membrane_homog.cli import ExperimentConfig, main, parse_config, resolve_jobs
 from membrane_homog.effective import (
     corrector_runs,
@@ -338,6 +341,44 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
+class TestOneTemplatePerRun:
+    """A pool running two or more realizations of one configuration shares
+    the tiling template that its parent built before forking."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_parent_builds_the_template_once_and_workers_none(self, tmp_path, monkeypatch, jobs):
+        if int(jobs) > (os.cpu_count() or 1):
+            pytest.skip("needs two CPUs for a pool")
+        builds = tmp_path / "builds"
+        real = meshing._Tiling.__init__
+
+        def logged(self, *args):
+            with open(builds, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(self, *args)
+
+        monkeypatch.setattr(meshing._Tiling, "__init__", logged)
+        meshing._tiling.cache_clear()
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        out = str(tmp_path / "o")
+        assert main(["effective", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
+        assert builds.read_text().split() == [str(os.getpid())]
+
+    def test_effective_pool_run_imports_no_scipy_special(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        code = ("import sys; from membrane_homog.cli import main; rc = main(sys.argv[1:]); "
+                "print('scipy.special' in sys.modules); sys.exit(rc)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["effective", "--config", str(p), "--out", str(tmp_path / "o"), "--jobs", "2"]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "False"
+
+
 class TestOneDriver:
     """The CLI solves its correctors through the library's one truncated
     driver: one call per distinct realization, carrying both unit loads."""
@@ -504,13 +545,13 @@ class TestInputErrors:
         assert main(["homogenize", "--config", cfg_path, "--out", str(out)]) == 1
         assert (out / "convergence.csv").read_text() == "earlier run\n"
 
-    def test_unmeshable_radius_exits_1_without_traceback(self, tmp_path, capsys):
-        """A cell mesh whose inner rings cannot keep halving reports a mesh
-        quality failure instead of an assertion traceback."""
+    def test_unmeshable_radius_exits_2_naming_radius_and_h(self, tmp_path, capsys):
+        """A cell mesh whose inner rings cannot keep halving is a config
+        error naming the two keys that size it, not a traceback."""
         p = tmp_path / "exp.cfg"
         p.write_text("map = bernoulli\nradius = 0.4\nh = 0.05\nn = 2\nm = 1\nnum_seeds = 2\n")
-        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
-        assert "MeshQualityFailure" in capsys.readouterr().err
+        assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: radius, h: min angle")
 
     @pytest.mark.parametrize("command", ["effective", "homogenize"])
     def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):

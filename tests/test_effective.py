@@ -16,6 +16,7 @@ from membrane_homog.effective import (
     ellipticity_check,
     energy_identity_residual,
     read_effective_json,
+    student_t_quantile,
     volume_stats,
     write_effective_json,
 )
@@ -281,3 +282,12 @@ class TestJsonRoundTrip:
         write_effective_json(p1, t)
         write_effective_json(p2, read_effective_json(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_student_t_quantile_matches_scipy():
+    """The closed-form quantile of the skew gate against scipy's stdtrit."""
+    from scipy.special import stdtrit
+
+    for nu in range(1, 301):
+        want = stdtrit(nu, 1.0 - 5e-4)
+        assert abs(student_t_quantile(1.0 - 5e-4, nu) - want) <= 1e-12 * want, nu

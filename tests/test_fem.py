@@ -14,9 +14,6 @@ from membrane_homog.fem import (
     BilinearFormSpec,
     aniso_field,
     assemble,
-    assemble_jump,
-    assemble_mass,
-    assemble_stiffness,
     flux_pairing,
     gradient_load,
     identity_field,
@@ -66,6 +63,30 @@ def membrane_strip(length=1.0):
         boundary_nodes=np.array([2, 5], dtype=np.int64),
         h=L,
     )
+
+
+def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
+    """The matrix of the element matrices over the triangles (nt, 3, 3) and
+    the interface edges (ne, 4, 4), through assemble's scatter; a scalar is
+    broadcast to every element."""
+    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
+    weights = np.concatenate([
+        np.broadcast_to(tri_mats, (nt, 3, 3)).ravel(),
+        np.broadcast_to(edge_mats, (ne, 4, 4)).ravel(),
+    ])
+    return fem._scatter(mesh, weights)
+
+
+def assemble_stiffness(mesh, tensor):
+    return scatter(mesh, fem.stiffness_elements(mesh.grads, mesh.areas, tensor))
+
+
+def assemble_mass(mesh):
+    return scatter(mesh, mesh.areas[:, None, None] * fem._MASS_BASE)
+
+
+def assemble_jump(mesh):
+    return scatter(mesh, edge_mats=fem.jump_element_matrices(mesh.vertices, mesh.interface_edges))
 
 
 @pytest.fixture(scope="module")

@@ -231,6 +231,7 @@ class TestCellMesh:
 
     def test_bad_grading_raises_quality_failure(self, monkeypatch):
         monkeypatch.setattr(meshing, "RING_GRADING", 0.2)
+        build_cell_mesh.cache_clear()
         with pytest.raises(MeshQualityFailure):
             build_cell_mesh(SPEC, 0.05)
 
