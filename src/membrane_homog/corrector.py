@@ -37,6 +37,7 @@ from .meshing import (
     build_truncated_mesh,
     first_coincident,
     triangle_centroids,
+    triangle_geometry,
 )
 
 
@@ -74,14 +75,17 @@ class CorrectorSolution:
     @functools.cached_property
     def cell_energy(self) -> np.ndarray:
         """(nc,) reference-configuration energy per cell: gradient, delta-mass
-        and interface jump of the same nodal values at lattice coordinates;
-        computed on first use."""
+        and interface jump of the same nodal values at lattice coordinates,
+        where each triangle has its prototype's geometry; computed on first
+        use."""
         mesh, values = self.mesh, self.sol.values
         u = values[mesh.triangles]
-        gref = p1_gradient(mesh, values, mesh.ref_grads)
-        e_grad = mesh.ref_areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
+        areas, grads = triangle_geometry(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
+        areas = np.take(areas, mesh.tri_prototype)
+        gref = p1_gradient(mesh, values, np.take(grads, mesh.tri_prototype, axis=0))
+        e_grad = areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
         uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
-        e_mass = self.mass_weight * mesh.ref_areas * uc2 / 12.0  # exact P1 mass per triangle
+        e_mass = self.mass_weight * areas * uc2 / 12.0  # exact P1 mass per triangle
         jump2 = cell_sums(
             mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
         )
@@ -167,7 +171,7 @@ def solve_truncated(
     system = assemble(mesh, form)
     loads = [np.asarray(p, dtype=float) for p in loads]
     sols = [
-        solve(replace(system, load=system.load + gradient_load(mesh, system.tensor, p)))
+        solve(replace(system, load=system.load + gradient_load(system.mesh, system.tensor, p)))
         for p in loads
     ]
     tensor = system.tensor

@@ -21,10 +21,6 @@ class SolverDivergence(MembraneHomogError):
     """Iterative solver exceeded its iteration budget."""
 
 
-class SingularMatrix(MembraneHomogError):
-    """Direct factorization failed on a singular system."""
-
-
 class InsufficientSamples(MembraneHomogError):
     """Too few Monte-Carlo samples to compute a standard error."""
 

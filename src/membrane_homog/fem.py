@@ -10,23 +10,31 @@ with A constant per triangle (evaluated at the reference centroid), the jump
 term assembled on the duplicated interface node pairs, and Dirichlet
 constraints eliminated symmetrically.
 
-``assemble`` writes the element matrices of all three terms straight into
-one weights buffer, the triangles' ``ELEMENT_BLOCK`` at a time, and one
+The kinds of cell define the assembly.  The conductivity, the stiffness and
+mass element matrices and the gradient load are computed once per prototype
+triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
+cell) and gathered per triangle.  ``assemble`` gathers the element matrices
+into one weights buffer beside the interface edges' jump matrices, and one
 ``np.bincount`` sums it into the CSR pattern the mesh stores
-(``MembraneMesh.slots``): no copy of the element matrices is made, and a
-realization that only moves a tiling's nodes reuses its pattern.
+(``MembraneMesh.slots``), so a realization that only moves a tiling's nodes
+reuses its pattern.  A conductivity that is not periodic on the tiling makes
+every cell its own kind (``BilinearFormSpec.kinds``), so the answer stays
+exact.
 
 ``solve`` runs CG on the free dofs, preconditioned by the inverse of the
 matrix with its cell interiors condensed per kind: cells of one kind
 (``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
 so one sparse LU of one cell's interior block serves them all, and the only
-other factorization is that of the Schur complement on the cell skeleton
-(``MembraneMesh.skeleton``).  When the kinds hold, the preconditioner is the
-inverse of the matrix up to rounding and CG stops after one iteration; CG
-checks the answer against the matrix itself either way.  Both factors are
-SuperLU's complete LU (``splu``).  A system without a mesh has no cells: its
-skeleton is every free dof.  The set-up is built once per matrix: copies of
-a system that differ only in their load (``dataclasses.replace``) share it.
+other factorization is that of the Schur complement on the free dofs of the
+cell skeleton (``MembraneMesh.skeleton``).  One ``np.bincount`` sums the
+kinds' Schur blocks and the matrix's skeleton entries into that complement,
+in a pattern built once per tiling template and Dirichlet set.  When the
+kinds hold, the preconditioner is the inverse of the matrix up to rounding
+and CG stops after one iteration; CG checks the answer against the matrix
+itself either way.  Both factors are SuperLU's complete LU (``splu``).  A
+system without a mesh has no cells: its skeleton is every free dof.  The
+set-up is built once per matrix: copies of a system that differ only in
+their load (``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ from .errors import NonEllipticField, SolverDivergence
 from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
-ELEMENT_BLOCK = 4096  # triangles whose element matrices assemble computes at once
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -76,10 +83,13 @@ class BilinearFormSpec:
     """Coefficients of the transmission form.
 
     ``conductivity`` maps reference-coordinate points (n, 2) to (n, 2, 2)
-    symmetric matrices with eigenvalues in [lam, Lam].  It must be periodic
-    in the reference coordinate (period 1 in each direction), as both
-    presets are: the solver takes cells of one kind to be copies.  Any other
-    conductivity costs more CG iterations or a SolverDivergence.
+    symmetric matrices with eigenvalues in [lam, Lam].  The kinds of cell
+    define the assembly: the conductivity is evaluated at the prototypes'
+    reference centroids only, which is exact when it is periodic in the
+    reference coordinate (period 1 in each direction), as both presets are.
+    ``kinds`` checks that once per tiling template and conductivity and
+    makes every cell its own kind when it fails.  CG still checks its answer
+    against the assembled matrix.
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -88,10 +98,31 @@ class BilinearFormSpec:
     lam: float = 1.0
     Lam: float = 1.5
 
+    def kinds(self, mesh: MembraneMesh) -> MembraneMesh:
+        """``mesh`` if the conductivity takes one value, within 1e-12, at the
+        reference centroids of the triangles of each prototype, else
+        ``mesh.cellwise()``.  Triangles share a prototype only on a tiling
+        (see ``MembraneMesh``), and there the conductivity must agree between
+        every cell and the first one; that is checked once per tiling
+        template and conductivity, and the verdict kept in ``mesh.memo``."""
+        if len(mesh.prototypes) == mesh.num_triangles:
+            return mesh
+        key = ("periodic", self.conductivity)
+        if key not in mesh.memo:
+            # the reference centroids, cell by cell: the first cell's moved by the lattice offset
+            local = len(mesh.triangles) // len(mesh.cells)
+            first = triangle_centroids(mesh.ref_vertices, mesh.triangles[:local])
+            cent = first + (mesh.cells - mesh.cells[0])[:, None, :]
+            A = self.conductivity(cent.reshape(-1, 2)).reshape(len(mesh.cells), local, 4)
+            mesh.memo[key] = bool((A.max(axis=0) - A.min(axis=0)).max() <= 1e-12)
+        return mesh if mesh.memo[key] else mesh.cellwise()
+
     def tensor(self, mesh: MembraneMesh) -> np.ndarray:
-        """Per-triangle conductivity at reference centroids, ellipticity
-        checked by sampled eigenvalues."""
-        cent = triangle_centroids(mesh.ref_vertices, mesh.triangles)
+        """Per-triangle conductivity: its value at the reference centroid of
+        the triangle's prototype in ``kinds(mesh)``, ellipticity checked by
+        those sampled eigenvalues."""
+        mesh = self.kinds(mesh)
+        cent = triangle_centroids(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
         A = self.conductivity(cent)
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
@@ -102,14 +133,15 @@ class BilinearFormSpec:
                 f"sampled eigenvalues in [{lo:.3g}, {hi:.3g}] "
                 f"outside [{self.lam}, {self.Lam}]"
             )
-        return A
+        return np.take(A, mesh.tri_prototype, axis=0)
 
 
 @dataclass
 class DiscreteSystem:
     """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
     form's per-triangle conductivity on ``mesh``, evaluated once by assemble
-    (``mesh`` is None for a matrix over other unknowns than its nodes).
+    (``mesh`` is the mesh assembled on, with the kinds ``BilinearFormSpec.kinds``
+    gave it, or None for a matrix over other unknowns than its nodes).
     ``solver`` holds the set-up ``solve`` builds on first use; copies made by
     ``dataclasses.replace`` share it, and it is rebuilt for a copy with
     another matrix, Dirichlet set or mesh."""
@@ -162,14 +194,12 @@ def apply_tensor(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def stiffness_elements(
-    grads: np.ndarray, areas: np.ndarray, tensor: np.ndarray, out: np.ndarray = None
-) -> np.ndarray:
+def stiffness_elements(grads: np.ndarray, areas: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """|T| grad(phi_i) . A grad(phi_j) (k, 3, 3) for triangles with basis
     gradients ``grads`` (k, 3, 2), ``areas`` (k,) and conductivity ``tensor``
-    (k, 2, 2); written into ``out`` when given."""
+    (k, 2, 2)."""
     Ag = apply_tensor(tensor, grads)
-    Ke = np.multiply(grads[:, :, None, 0], Ag[:, None, :, 0], out=out)
+    Ke = grads[:, :, None, 0] * Ag[:, None, :, 0]
     Ke += grads[:, :, None, 1] * Ag[:, None, :, 1]
     Ke *= areas[:, None, None]
     return Ke
@@ -204,7 +234,7 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     """int f phi_i with f constant per triangle (centroid value)."""
     if callable(f):
-        fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
+        fc = f(mesh.centroids)
     else:
         fc = np.full(mesh.num_triangles, float(f))
     contrib = mesh.areas * fc / 3.0
@@ -214,14 +244,18 @@ def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
 
 
 def gradient_load(mesh: MembraneMesh, tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """-int A p . grad(phi_i), the corrector load for mean gradient p."""
+    """-int A p . grad(phi_i), the corrector load for mean gradient p,
+    computed on the prototypes and gathered per triangle: the per-triangle
+    ``tensor`` must take one value on the triangles of each prototype, as a
+    system's tensor does on its mesh (``DiscreteSystem``)."""
     p = np.asarray(p, dtype=float)
-    Ap = tensor[:, :, 0] * p[0] + tensor[:, :, 1] * p[1]
-    g = mesh.grads
-    contrib = -((mesh.areas * Ap[:, 0])[:, None] * g[:, :, 0]
-                + (mesh.areas * Ap[:, 1])[:, None] * g[:, :, 1])
+    A = tensor[mesh.prototypes]
+    Ap = A[:, :, 0] * p[0] + A[:, :, 1] * p[1]
+    a, g = mesh.proto_areas, mesh.proto_grads
+    contrib = -((a * Ap[:, 0])[:, None] * g[:, :, 0] + (a * Ap[:, 1])[:, None] * g[:, :, 1])
     return np.bincount(
-        mesh.triangles.T.ravel(), weights=contrib.T.ravel(), minlength=mesh.num_vertices
+        mesh.triangles.T.ravel(), weights=np.take(contrib.T, mesh.tri_prototype, axis=1).ravel(),
+        minlength=mesh.num_vertices,
     )
 
 
@@ -235,18 +269,20 @@ def assemble(
 ) -> DiscreteSystem:
     """Full transmission form with volume source f and/or corrector load p.
 
-    ``dirichlet`` defaults to the mesh boundary nodes; pass an empty array
-    for unconstrained (e.g. periodic) systems.
+    The element matrices are computed once per prototype of
+    ``spec.kinds(mesh)``, the system's mesh.  ``dirichlet`` defaults to the
+    mesh boundary nodes; pass an empty array for unconstrained (e.g.
+    periodic) systems.
     """
+    mesh = spec.kinds(mesh)
     tensor = spec.tensor(mesh)
+    Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, tensor[mesh.prototypes])
+    if spec.mass_weight != 0.0:
+        Ke += (spec.mass_weight * mesh.proto_areas)[:, None, None] * _MASS_BASE
     nt, ne = mesh.num_triangles, len(mesh.interface_edges)
     weights = np.empty(9 * nt + 16 * ne)
-    tri_mats = weights[:9 * nt].reshape(nt, 3, 3)
-    for start in range(0, nt, ELEMENT_BLOCK):
-        t = slice(start, start + ELEMENT_BLOCK)
-        Ke = stiffness_elements(mesh.grads[t], mesh.areas[t], tensor[t], out=tri_mats[t])
-        if spec.mass_weight != 0.0:
-            Ke += (spec.mass_weight * mesh.areas[t])[:, None, None] * _MASS_BASE
+    np.take(Ke.reshape(-1, 9), mesh.tri_prototype, axis=0, out=weights[:9 * nt].reshape(nt, 9),
+            mode="clip")  # not "raise", which buffers ``out``
     edge_mats = weights[9 * nt:].reshape(ne, 4, 4)
     jump_element_matrices(mesh.vertices, mesh.interface_edges, out=edge_mats)
     edge_mats *= spec.jump_weight
@@ -284,35 +320,101 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
     return b if lu is None else lu.solve(b)
 
 
-def _condense(K: sp.csr_matrix, mesh: MembraneMesh) -> tuple[list, sp.csr_matrix]:
+def _skeleton_pattern(mesh: MembraneMesh, fixed: np.ndarray) -> dict:
+    """Where ``_condense`` sums the Schur complement S on the free skeleton
+    dofs of a matrix in the mesh's pattern with Dirichlet set ``fixed``:
+    ``nodes``, the free skeleton nodes in order; ``indptr`` and ``indices``,
+    S's CSR pattern over them; ``entries``, the matrix entries between two
+    of them; ``cells``, the cells in the order their Schur blocks are summed
+    (by their count of skeleton nodes); and ``slots``, the position in S's
+    data of each summand: the Schur block of each cell of ``cells`` over its
+    skeleton nodes in table column order, row-major, then the ``entries``.
+    A summand in a fixed row or column goes to the extra slot len(indices).
+    Built once per mesh (so per tiling template) and Dirichlet set, and kept
+    in ``mesh.memo``."""
+    key = ("skeleton", fixed.tobytes())
+    if key in mesh.memo:
+        return mesh.memo[key]
+    n, table = mesh.num_vertices, mesh.cell_nodes
+    is_free = np.ones(n, dtype=bool)
+    is_free[fixed] = False
+    nodes = mesh.skeleton[is_free[mesh.skeleton]]
+    m = len(nodes)
+    pos = np.full(n + 1, -1)  # position among ``nodes``; the last entry stands for absent ones
+    pos[nodes] = np.arange(m)
+    on = np.zeros(n + 1, dtype=bool)
+    on[mesh.skeleton] = True
+    on = on[table]  # skeleton nodes of each cell's table row; absent (-1) ones read False
+
+    # per group of cells with one count b of skeleton nodes: each cell's b x b block
+    count = on.sum(axis=1)
+    cells = np.argsort(count, kind="stable")
+    keys = []
+    for b in np.unique(count):
+        group = cells[count[cells] == b]
+        at = pos[table[group][on[group]]].reshape(len(group), b)
+        block = at[:, :, None] * m + at[:, None, :]
+        block[(at < 0)[:, :, None] | (at < 0)[:, None, :]] = -1
+        keys.append(block.ravel())
+
+    # the matrix entries between free skeleton nodes, from their rows
+    start, length = mesh.indptr[nodes], np.diff(mesh.indptr)[nodes]
+    row = np.repeat(np.arange(m), length)
+    entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
+    col = pos[mesh.indices[entries]]
+    entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
+    keys.append(row * m + col)
+
+    keys = np.concatenate(keys)
+    links = keys[keys >= 0]
+    links.sort()
+    links = links[np.diff(links, prepend=-1) != 0]
+    slots = np.searchsorted(links, keys)
+    slots[keys < 0] = len(links)
+    mesh.memo[key] = pattern = {
+        "nodes": nodes, "entries": entries, "cells": cells, "slots": slots,
+        "indices": (links % m).astype(np.int32),
+        "indptr": np.searchsorted(links, np.arange(m + 1) * m).astype(np.int32),
+    }
+    return pattern
+
+
+def _condense(K: sp.csr_matrix, fixed: np.ndarray, mesh: MembraneMesh) -> tuple:
     """Per kind: the cells' interior and skeleton nodes (rows of the cell
     table, in the columns of the kind's first cell), the LU of that cell's
-    interior block A and E = A^-1 K_IB, both read from the full matrix; and
-    the Schur complement S = K_BB - sum over cells of K_BI E, over the
-    positions in ``mesh.skeleton``."""
-    table, nodes = mesh.cell_nodes, mesh.skeleton
-    pos = np.full(K.shape[0], -1)
-    pos[nodes] = np.arange(len(nodes))
-    on = np.where(table >= 0, pos[table] >= 0, -1)  # 1 skeleton, 0 interior, -1 absent
-    kinds, rows, cols, vals = [], [], [], []
-    for kind in np.unique(mesh.cell_kind):
-        cells = np.flatnonzero(mesh.cell_kind == kind)
-        inner, outer = np.flatnonzero(on[cells[0]] == 0), np.flatnonzero(on[cells[0]] == 1)
+    interior block A and E = A^-1 K_IB, both read from the full matrix K (in
+    the mesh's pattern); the Schur complement S = K_BB - sum over cells of
+    K_BI E on the free skeleton nodes, summed by one ``np.bincount`` in the
+    pattern ``_skeleton_pattern``; and those nodes."""
+    pattern = _skeleton_pattern(mesh, fixed)
+    table = mesh.cell_nodes
+    on = np.zeros(K.shape[0] + 1, dtype=bool)  # the last entry stands for absent nodes (-1)
+    on[mesh.skeleton] = True
+    skeleton = on[table]
+    interior = (table >= 0) & ~skeleton
+    kinds, blocks = [], []
+    labels, rank = np.unique(mesh.cell_kind, return_inverse=True)
+    for kind in range(len(labels)):
+        cells = np.flatnonzero(rank == kind)
+        inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
         rep = table[cells[0], np.concatenate([inner, outer])]
         block = K[rep][:, rep]
-        ni, nb = len(inner), len(outer)
+        ni = len(inner)
         lu = _factor(block[:ni, :ni])
         K_IB = block[:ni, ni:].toarray()
         E = _solve(lu, K_IB)
+        blocks.append(-(K_IB.T @ E))
         members = table[cells]
-        at = pos[members[:, outer]]
-        rows.append(np.repeat(at, nb, axis=1).ravel())
-        cols.append(np.tile(at, nb).ravel())
-        vals.append(np.broadcast_to(-(K_IB.T @ E), (len(cells), nb, nb)).ravel())
         kinds.append((members[:, inner], members[:, outer], lu, E))
-    shape = (len(nodes), len(nodes))
-    S = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape)
-    return kinds, S.tocsr() + K[nodes][:, nodes]
+    weights = np.concatenate([
+        *(blocks[r].ravel() for r in rank[pattern["cells"]]), K.data[pattern["entries"]]
+    ])
+    indices = pattern["indices"]
+    data = np.bincount(pattern["slots"], weights=weights, minlength=len(indices) + 1)
+    m = len(pattern["nodes"])
+    S = sp.csr_matrix((data[:-1], indices, pattern["indptr"]), shape=(m, m))
+    S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
+    return kinds, S, pattern["nodes"]
 
 
 class _Condensed:
@@ -331,13 +433,10 @@ class _Condensed:
         is_free[fixed] = False
         self.free = np.flatnonzero(is_free)
         if mesh is None:
-            self.kinds, S, nodes = [], K, np.arange(n)
+            self.kinds, S, self.skeleton = [], K[self.free][:, self.free], self.free
         else:
-            self.kinds, S = _condense(K, mesh)
-            nodes = mesh.skeleton
-        keep = np.flatnonzero(is_free[nodes])
-        self.skeleton = nodes[keep]
-        self.lu = _factor(S[keep][:, keep])
+            self.kinds, S, self.skeleton = _condense(K, fixed, mesh)
+        self.lu = _factor(S)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """K v on the free dofs, through the full matrix."""
@@ -412,11 +511,12 @@ def p1_gradient(mesh: MembraneMesh, values: np.ndarray, grads: np.ndarray = None
     return np.einsum("tid,ti->td", g, values[mesh.triangles])
 
 
-def norms(sol: FemSolution) -> dict:
-    """W-norm components: gradient L2 per region and interface jump L2."""
+def norms(sol: FemSolution, gradient: np.ndarray = None) -> dict:
+    """W-norm components: gradient L2 per region and interface jump L2;
+    ``gradient`` is the solution's ``p1_gradient`` when the caller has it."""
     mesh = sol.mesh
     areas = mesh.areas
-    g = p1_gradient(mesh, sol.values)
+    g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     g2 = np.einsum("td,td->t", g, g)
     plus = mesh.tri_region == PLUS
     minus = mesh.tri_region == MINUS
@@ -429,14 +529,19 @@ def norms(sol: FemSolution) -> dict:
     return out
 
 
-def flux_pairing(sol: FemSolution, tensor: np.ndarray, fields) -> list[float]:
+def flux_pairing(
+    sol: FemSolution, tensor: np.ndarray, fields, gradient: np.ndarray = None
+) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``, with A the per-triangle ``tensor`` (as
     ``BilinearFormSpec.tensor`` evaluates it); psi maps physical points (n, 2)
-    to vectors (n, 2)."""
+    to vectors (n, 2), or is those vectors at the mesh's centroids.
+    ``gradient`` is the solution's ``p1_gradient`` when the caller has it."""
     mesh = sol.mesh
-    areas = mesh.areas
-    g = p1_gradient(mesh, sol.values)
+    g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     flux = np.einsum("tij,tj->ti", tensor, g)
-    cent = triangle_centroids(mesh.vertices, mesh.triangles)
-    return [float(np.einsum("t,ti,ti->", areas, flux, np.asarray(psi(cent)))) for psi in fields]
+    return [
+        float(np.einsum("t,ti,ti->", mesh.areas, flux,
+                        np.asarray(psi(mesh.centroids) if callable(psi) else psi)))
+        for psi in fields
+    ]

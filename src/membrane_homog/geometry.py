@@ -172,15 +172,16 @@ class BumpMap(DeformationMap):
     def min_jacobian_det(self) -> float:
         """min det(I + grad of the displacement) over a 200 x 200 grid of
         cell-centred points in the unit cell, whichever cells carry the bump;
-        computed once per class and amplitude."""
-        return self._min_jacobian_det(self.amplitude)
+        computed once per amplitude, since every subclass keeps this
+        displacement."""
+        return BumpMap._min_jacobian_det(self.amplitude)
 
-    @classmethod
+    @staticmethod
     @functools.lru_cache(maxsize=16)
-    def _min_jacobian_det(cls, amplitude: float) -> float:
+    def _min_jacobian_det(amplitude: float) -> float:
         t = (np.arange(200) + 0.5) / 200
         gx, gy = np.meshgrid(t, t)
-        grad = cls._unit_displacement_jacobian(np.column_stack([gx.ravel(), gy.ravel()]))
+        grad = BumpMap._unit_displacement_jacobian(np.column_stack([gx.ravel(), gy.ravel()]))
         return float(jacobian_det(np.eye(2) + amplitude * grad).min())
 
     def apply(self, y):

@@ -12,6 +12,13 @@ lattice block, its membrane mask and the scale: they are built once per
 process for each such configuration (a small cache, as is the cell mesh for
 each interface and h) and a realization only moves the nodes to their
 deformed positions and names the kind of each cell.
+
+A realization holds at most four kinds of cell (bumped or not, membrane or
+cushion), and the cells of one kind are translates of each other: the
+triangles of each kind's first cell are the realization's prototypes.  Their
+areas and basis gradients are computed once and gathered per triangle, and
+``fem`` computes its element matrices and loads on them.  A mesh built
+directly (the unit cell, the square grid) is its own set of prototypes.
 """
 
 from __future__ import annotations
@@ -48,8 +55,8 @@ class MembraneMesh:
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
-    by ``moved``.  ``interface_pairs`` rows are (plus node, minus node) with
-    coincident coordinates.
+    by the realizations of a tiling.  ``interface_pairs`` rows are (plus
+    node, minus node) with coincident coordinates.
 
     Topology and geometry are derived once, at construction: ``cells`` are
     the distinct lattice cells of ``tri_cell`` in lexicographic order,
@@ -57,12 +64,22 @@ class MembraneMesh:
     ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
     ``edge_cell_index`` the row of ``cells`` each edge belongs to,
     ``areas`` (nt,) and ``grads`` (nt, 3, 2) are the physical triangle areas
-    and P1 basis gradients, ``ref_areas`` and ``ref_grads`` those at
-    ``ref_vertices``.  ``indptr`` and ``indices`` (int32) are the CSR pattern
+    and P1 basis gradients, and ``centroids`` (nt, 2) the physical
+    centroids.  ``indptr`` and ``indices`` (int32) are the CSR pattern
     of the transmission form's matrix, and ``slots`` (int32) the pattern
     position of every element entry: the 3 x 3 entries of each triangle,
     row-major, then the 4 x 4 entries of each interface edge over (plus_a,
     plus_b, minus_a, minus_b).
+
+    ``prototypes`` are the triangles whose geometry stands for the others:
+    ``tri_prototype`` (nt,) gives each triangle's row of ``prototypes``, and
+    ``proto_areas`` and ``proto_grads`` are the prototypes' areas and
+    gradients, which ``areas`` and ``grads`` gather.  A mesh built directly
+    is its own set of prototypes.  A realization of a tiling (see
+    ``_Tiling.realize``) has the triangles of each kind's first cell; there
+    the triangles run cell by cell, in one local order per cell.  ``memo``
+    holds what ``fem`` keeps between solves on this mesh and on every other
+    realization of its tiling.
 
     ``cell_nodes`` (nc, w) is the cell table: each cell's nodes, -1 where
     one is absent, in columns that match between cells of one kind; by
@@ -71,8 +88,8 @@ class MembraneMesh:
     rounding (by default each cell is its own kind).  ``skeleton`` (sorted)
     holds the nodes on a cell boundary: those on the mesh boundary, in no
     cell or in more than one; every other node is interior to one cell.
-    The arrays are never mutated after construction; ``moved`` shares them
-    with a copy at other positions.
+    The arrays are never mutated after construction; a realization of a
+    tiling shares them with the tiling's mesh.
     """
 
     vertices: np.ndarray
@@ -91,8 +108,12 @@ class MembraneMesh:
     edge_cell_index: np.ndarray = field(init=False, repr=False)
     areas: np.ndarray = field(init=False, repr=False)
     grads: np.ndarray = field(init=False, repr=False)
-    ref_areas: np.ndarray = field(init=False, repr=False)
-    ref_grads: np.ndarray = field(init=False, repr=False)
+    centroids: np.ndarray = field(init=False, repr=False)
+    prototypes: np.ndarray = field(init=False, repr=False)
+    tri_prototype: np.ndarray = field(init=False, repr=False)
+    proto_areas: np.ndarray = field(init=False, repr=False)
+    proto_grads: np.ndarray = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False, default_factory=dict)
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
@@ -114,16 +135,23 @@ class MembraneMesh:
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True
         self.skeleton = np.flatnonzero(on)
+        self.ref_vertices = self.vertices
         self.areas, self.grads = triangle_geometry(self.vertices, self.triangles)
-        self.ref_vertices, self.ref_areas, self.ref_grads = self.vertices, self.areas, self.grads
+        self.centroids = triangle_centroids(self.vertices, self.triangles)
+        self._own_prototypes()
 
-    def moved(self, vertices: np.ndarray, cell_kind: np.ndarray) -> "MembraneMesh":
-        """This mesh with its nodes at ``vertices`` and its cells of the
-        kinds ``cell_kind``: a copy sharing every other array but the areas
-        and gradients."""
+    def _own_prototypes(self) -> None:
+        """Make every triangle its own prototype."""
+        self.prototypes = np.arange(self.num_triangles)
+        self.tri_prototype = np.arange(self.num_triangles, dtype=np.int32)
+        self.proto_areas, self.proto_grads = self.areas, self.grads
+
+    def cellwise(self) -> "MembraneMesh":
+        """This mesh with every cell its own kind and every triangle its own
+        prototype: a copy sharing every other array."""
         out = copy.copy(self)
-        out.vertices, out.cell_kind = vertices, cell_kind
-        out.areas, out.grads = triangle_geometry(vertices, self.triangles)
+        out.cell_kind = np.arange(len(self.cells))
+        out._own_prototypes()
         return out
 
     def _cell_table(self) -> np.ndarray:
@@ -452,7 +480,7 @@ class _Tiling:
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
         nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
         plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
-        self.cells, self.nv, self.scale = cells, nv, scale
+        self.cells, self.nv, self.nt, self.scale = cells, nv, nt, scale
         self.ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
 
         # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
@@ -488,11 +516,18 @@ class _Tiling:
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
+        # each realization sets its geometry and prototypes anew
+        mesh = self.mesh
+        mesh.areas = mesh.grads = mesh.centroids = mesh.proto_areas = mesh.proto_grads = None
+        mesh.prototypes = mesh.tri_prototype = None
 
     def realize(self, dmap: DeformationMap) -> MembraneMesh:
         """The tiled mesh at the nodes' deformed, rescaled positions, each
-        cell of the kind 2 * bumped + membrane; raises StitchFailure where
-        two stitched entries land apart."""
+        cell of the kind 2 * bumped + membrane, with the triangles of each
+        kind's first cell as its prototypes.  Raises StitchFailure where two
+        stitched entries land apart, or where a cell's nodes are not those of
+        its kind's first cell moved by the lattice offset (within
+        STITCH_TOL)."""
         phys = self.scale * dmap.apply(self.ref)
         mismatch = np.flatnonzero(
             np.abs(phys[self.owner] - phys[self.shared]).max(axis=1) > STITCH_TOL
@@ -501,7 +536,36 @@ class _Tiling:
             i, j = self.owner[mismatch[0]], self.shared[mismatch[0]]
             k = tuple(int(x) for x in self.cells[j // self.nv])
             raise StitchFailure(f"boundary node mismatch at cell {k}: {phys[i]} vs {phys[j]}")
-        return self.mesh.moved(phys[self.new], 2 * dmap.bumped(self.cells) + self.membrane)
+        kind = 2 * dmap.bumped(self.cells) + self.membrane
+        _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
+        at = phys.reshape(len(self.cells), self.nv, 2)
+        lead = first[rank]  # each cell's kind's first cell
+        offset = self.scale * (self.cells - self.cells[lead]).astype(float)
+        gap = np.abs(at - at[lead] - offset[:, None, :]).max(axis=(1, 2))
+        bad = np.flatnonzero(gap > STITCH_TOL)
+        if len(bad):
+            k, k0 = (tuple(int(x) for x in self.cells[c]) for c in (bad[0], lead[bad[0]]))
+            raise StitchFailure(
+                f"cell {k} of kind {kind[bad[0]]} is no translate of cell {k0}: "
+                f"nodes {gap[bad[0]]:.3g} apart"
+            )
+        out = copy.copy(self.mesh)
+        out.vertices, out.cell_kind = phys[self.new], kind
+        local = np.arange(self.nt)
+        out.prototypes = (first[:, None] * self.nt + local).ravel()
+        out.tri_prototype = (rank[:, None] * self.nt + local).ravel().astype(np.int32)
+        tri = out.triangles[out.prototypes]
+        out.proto_areas, out.proto_grads = triangle_geometry(out.vertices, tri)
+
+        def per_cell(a):  # the prototypes' values, cell by cell: a[out.tri_prototype]
+            return a.reshape(len(first), self.nt, -1)[rank]
+
+        out.areas = per_cell(out.proto_areas).reshape(-1)
+        out.grads = per_cell(out.proto_grads).reshape(-1, 3, 2)
+        cent = per_cell(triangle_centroids(out.vertices, tri))
+        cent += offset[:, None, :]
+        out.centroids = cent.reshape(-1, 2)
+        return out
 
 
 class _ByContent:

@@ -1,21 +1,16 @@
-"""Independent oracles and property utilities: a dense direct solver to
-cross-check the iterative path, the constructive backward-induction bound
-with a randomized instance generator, and a two-quadrature cross-check for
-surface integrals under a deformation of the ambient plane."""
+"""Independent oracles and property utilities: the constructive
+backward-induction bound with a randomized instance generator, and a
+two-quadrature cross-check for surface integrals under a deformation of the
+ambient plane."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import HypothesisViolation, SingularMatrix
-from .fem import DiscreteSystem, FemSolution
+from .errors import HypothesisViolation
 from .geometry import DeformationMap, InterfaceSpec, jacobian_det
-
-DENSE_DOF_LIMIT = 2000
 
 
 @dataclass
@@ -109,30 +104,6 @@ def random_induction_instance(rng: np.random.Generator) -> InductionInstance:
     inst = InductionInstance(E=E, C=C, C1=C1, d=d)
     inst.validate()
     return inst
-
-
-def dense_solve_oracle(system: DiscreteSystem) -> FemSolution:
-    """Direct sparse LU on the free degrees of freedom, for cross-checking
-    the iterative solver on small systems."""
-    n = system.matrix.shape[0]
-    if n > DENSE_DOF_LIMIT:
-        raise ValueError(f"dense oracle limited to {DENSE_DOF_LIMIT} dof, got {n}")
-    values = np.zeros(n)
-    if len(system.fixed):
-        values[system.fixed] = system.fixed_values
-    free = system.free
-    if len(free):
-        b = system.load - system.matrix @ values
-        K = sp.csc_matrix(system.matrix[free][:, free])
-        try:
-            lu = spla.splu(K)
-        except RuntimeError as exc:
-            raise SingularMatrix(str(exc)) from exc
-        x = lu.solve(b[free])
-        if not np.all(np.isfinite(x)):
-            raise SingularMatrix("factorization produced non-finite values")
-        values[free] = x
-    return FemSolution(values=values, mesh=system.mesh)
 
 
 def surface_integral_crosscheck(dmap: DeformationMap, f, spec: InterfaceSpec = None) -> dict:

@@ -23,7 +23,7 @@ from membrane_homog.fem import (
     sym2_eigenvalues,
     volume_load,
 )
-from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
+from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import hetero_form
 from membrane_homog.meshing import (
     MembraneMesh,
@@ -31,6 +31,8 @@ from membrane_homog.meshing import (
     build_square_mesh,
     build_truncated_mesh,
     tile_domain_mesh,
+    triangle_centroids,
+    triangle_geometry,
 )
 
 SPEC = InterfaceSpec()
@@ -244,6 +246,10 @@ def add_at_load(mesh, contrib):
 
 
 class TestLoadScatter:
+    """The loads are bitwise a per-corner np.add.at of corner loads computed
+    on the prototypes (areas, gradients, conductivity) and gathered per
+    triangle."""
+
     @pytest.fixture(scope="class")
     def mesh(self):
         return build_truncated_mesh(build_cell_mesh(SPEC, 0.1), BernoulliCellwiseMap(3), 4)
@@ -252,17 +258,103 @@ class TestLoadScatter:
         "f", [2.5, lambda pts: 1.0 + pts[:, 0] * pts[:, 1]], ids=["constant", "callable"]
     )
     def test_volume_load_bitwise(self, mesh, f):
-        cent = mesh.vertices[mesh.triangles].mean(axis=1)
+        # a triangle's centroid is its prototype's moved by the lattice offset
+        proto = mesh.prototypes[mesh.tri_prototype]
+        shift = mesh.tri_cell - mesh.tri_cell[proto]
+        cent = mesh.vertices[mesh.triangles[proto]].mean(axis=1) + shift
         fc = f(cent) if callable(f) else np.full(mesh.num_triangles, f)
-        contrib = np.repeat((mesh.areas * fc / 3.0)[:, None], 3, axis=1)
+        areas = mesh.proto_areas[mesh.tri_prototype]
+        contrib = np.repeat((areas * fc / 3.0)[:, None], 3, axis=1)
         assert volume_load(mesh, f).tobytes() == add_at_load(mesh, contrib).tobytes()
 
     def test_gradient_load_bitwise(self, mesh):
+        assert len(mesh.prototypes) < mesh.num_triangles
         tensor = BilinearFormSpec(conductivity=aniso_field).tensor(mesh)
         p = np.array([0.7, -0.2])
-        Ap = np.einsum("tij,j->ti", tensor, p)
-        contrib = -np.einsum("t,ti,tji->tj", mesh.areas, Ap, mesh.grads)
-        assert gradient_load(mesh, tensor, p).tobytes() == add_at_load(mesh, contrib).tobytes()
+        Ap = np.einsum("tij,j->ti", tensor[mesh.prototypes], p)
+        contrib = -np.einsum("t,ti,tji->tj", mesh.proto_areas, Ap, mesh.proto_grads)
+        assert (gradient_load(mesh, tensor, p).tobytes()
+                == add_at_load(mesh, contrib[mesh.tri_prototype]).tobytes())
+
+
+def drifting(points):
+    """A conductivity that is not periodic in the reference coordinate."""
+    out = np.zeros((len(points), 2, 2))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0 + 0.4 * np.tanh(points[:, 0] / 8.0)
+    return out
+
+
+def per_triangle_reference(mesh, spec, f, p):
+    """The form's matrix, the volume load of f and the gradient load of p,
+    from the geometry and the conductivity of every triangle on its own."""
+    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
+    tensor = spec.conductivity(triangle_centroids(mesh.ref_vertices, mesh.triangles))
+    Ke = np.einsum("t,tid,tdj,tkj->tik", areas, grads, tensor, grads)
+    Ke += spec.mass_weight * areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    edges = mesh.interface_edges
+    Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, edges)
+    rows, cols, vals = [], [], []
+    for dofs, mats in ((mesh.triangles, Ke), (edges, Je)):
+        k = dofs.shape[1]
+        rows.append(np.repeat(dofs, k, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, k)).ravel())
+        vals.append(mats.ravel())
+    n = mesh.num_vertices
+    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), (n, n))
+    fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
+    b_f = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
+    contrib = -np.einsum("t,tij,j,tkj->tk", areas, tensor, p, grads)
+    b_p = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(), minlength=n)
+    return K.tocsr(), b_f, b_p
+
+
+class TestPerKindAssembly:
+    """Element matrices and loads computed once per prototype match those of
+    every triangle on its own."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        cell = build_cell_mesh(SPEC, 0.1)
+        return {
+            "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2),
+            "truncated_bump": build_truncated_mesh(cell, BumpMap(0.2), 2),
+            "truncated_identity": build_truncated_mesh(cell, IdentityMap(), 2),
+            "tiled_cushion": tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.125, SPEC),
+        }
+
+    def check(self, mesh, conductivity):
+        spec = BilinearFormSpec(conductivity=conductivity, jump_weight=3.0, mass_weight=0.02,
+                                lam=0.5)
+        f = lambda pts: 1.0 + pts[:, 0] * pts[:, 1]
+        p = np.array([0.7, -0.2])
+        system = assemble(mesh, spec, f=f, p=p)
+        K_ref, b_f, b_p = per_triangle_reference(mesh, spec, f, p)
+        assert abs(system.matrix - K_ref).max() <= 1e-13 * abs(K_ref).max()
+        b_ref = b_f + b_p
+        assert np.abs(system.load - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+        g = gradient_load(system.mesh, system.tensor, p)
+        assert np.abs(g - b_p).max() <= 1e-13 * np.abs(b_p).max()
+        return system
+
+    @pytest.mark.parametrize(
+        "conductivity", [identity_field, aniso_field], ids=["identity", "aniso"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["truncated_bernoulli", "truncated_bump", "truncated_identity", "tiled_cushion"]
+    )
+    def test_matches_per_triangle(self, meshes, name, conductivity):
+        mesh = meshes[name]
+        kinds = len(np.unique(mesh.cell_kind))
+        assert len(mesh.prototypes) == kinds * mesh.num_triangles // len(mesh.cells)
+        assert kinds < len(mesh.cells)
+        assert self.check(mesh, conductivity).mesh is mesh
+
+    def test_not_periodic_makes_every_cell_its_own_kind(self, meshes):
+        mesh = meshes["truncated_bernoulli"]
+        system = self.check(mesh, drifting)
+        assert np.array_equal(system.mesh.cell_kind, np.arange(len(mesh.cells)))
+        assert np.array_equal(system.mesh.prototypes, np.arange(mesh.num_triangles))
+        assert solve(system).iterations == 1
 
 
 class TestSolve:
@@ -345,7 +437,7 @@ def corrector_systems(dmap, n=8, conductivity=identity_field, lam=1.0):
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=1e-3, lam=lam)
     system = assemble(mesh, form)
     return [
-        replace(system, load=system.load + gradient_load(mesh, system.tensor, p))
+        replace(system, load=system.load + gradient_load(system.mesh, system.tensor, p))
         for p in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ]
 

@@ -279,6 +279,18 @@ class TestTestFields:
         assert len(SCALAR_TEST_FIELDS) == 4
         assert len(VECTOR_TEST_FIELDS) == 3
 
+    def test_fields_bitwise_their_formulas(self):
+        """The fields share one evaluation of the envelope and equal, bitwise,
+        each formula evaluated on its own."""
+        p = np.random.default_rng(4).uniform(size=(500, 2))
+        b, x, y, zero = bump_profile(p), p[:, 0], p[:, 1], np.zeros(len(p))
+        scalars = [bump_profile(p), bump_profile(p) * x, bump_profile(p) * y,
+                   bump_profile(p) * x * y]
+        vectors = [np.column_stack([b, zero]), np.column_stack([zero, b]),
+                   np.column_stack([bump_profile(p) * y, bump_profile(p) * x])]
+        for phi, want in zip(SCALAR_TEST_FIELDS + VECTOR_TEST_FIELDS, scalars + vectors):
+            assert phi(p).tobytes() == want.tobytes()
+
     def test_constant_field_broadcast(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         out = constant_field(A)(np.zeros((7, 2)))

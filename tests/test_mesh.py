@@ -396,13 +396,67 @@ class TestTilingTemplate:
         a = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
         b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
         assert b.triangles is a.triangles and b.slots is a.slots
-        assert b.ref_vertices is a.ref_vertices and b.ref_areas is a.ref_areas
+        assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
         assert not np.array_equal(a.vertices, b.vertices)
         # each realization names its own kinds, 2 * bumped + membrane
         for seed, mesh in ((1, a), (2, b)):
             bumped = BernoulliCellwiseMap(seed=seed).bumped(mesh.cells)
             assert np.array_equal(mesh.cell_kind, 2 * bumped + 1)
+
+
+class TestPrototypes:
+    """A realization's geometry is that of the triangles of each kind's first
+    cell, moved by the lattice offset; a mesh built directly is its own set
+    of prototypes."""
+
+    @pytest.mark.parametrize("build", [
+        lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2),
+        lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(seed=8), 0.125, SPEC),
+    ], ids=["truncated", "tiled"])
+    def test_first_cell_of_each_kind(self, cell_h01, build):
+        mesh = build(cell_h01)
+        nt = cell_h01.num_triangles
+        _, first = np.unique(mesh.cell_kind, return_index=True)
+        assert np.array_equal(mesh.prototypes, (first[:, None] * nt + np.arange(nt)).ravel())
+        # each triangle's prototype is the same local triangle of a cell of its kind
+        proto = mesh.prototypes[mesh.tri_prototype]
+        assert np.array_equal(proto % nt, np.arange(mesh.num_triangles) % nt)
+        assert np.array_equal(mesh.cell_kind[mesh.tri_cell_index[proto]],
+                              mesh.cell_kind[mesh.tri_cell_index])
+        areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
+        assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
+        assert np.abs(mesh.areas - areas).max() <= 1e-13 * np.abs(areas).max()
+        assert np.abs(mesh.grads - grads).max() <= 1e-13 * np.abs(grads).max()
+        cent = triangle_centroids(mesh.vertices, mesh.triangles)
+        assert np.abs(mesh.centroids - cent).max() <= 1e-14
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_cell_mesh(SPEC, 0.1), lambda: build_square_mesh(20),
+    ], ids=["cell", "square"])
+    def test_direct_mesh_is_its_own(self, build):
+        mesh = build()
+        assert np.array_equal(mesh.prototypes, np.arange(mesh.num_triangles))
+        assert np.array_equal(mesh.tri_prototype, np.arange(mesh.num_triangles))
+        assert mesh.areas is mesh.proto_areas and mesh.grads is mesh.proto_grads
+        assert np.array_equal(mesh.centroids, triangle_centroids(mesh.vertices, mesh.triangles))
+
+    def test_bumped_disagreeing_with_apply_fails(self, cell_h01):
+        """A map that deforms the Bernoulli cells but names every cell
+        unbumped puts deformed and undeformed cells in one kind."""
+
+        class Mislabelled(BernoulliCellwiseMap):
+            def bumped(self, k):
+                return np.zeros(len(k), dtype=bool)
+
+            def apply(self, y):
+                return BernoulliCellwiseMap(self.seed).apply(y)
+
+        dmap = Mislabelled(seed=5)
+        with pytest.raises(StitchFailure, match="no translate"):
+            build_truncated_mesh(cell_h01, dmap, 2)
+        with pytest.raises(StitchFailure, match="no translate"):
+            tile_domain_mesh(cell_h01, dmap, 0.125, SPEC)
 
 
 class TestSquareMesh:

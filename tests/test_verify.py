@@ -1,22 +1,51 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from membrane_homog.errors import HypothesisViolation, SingularMatrix
-from membrane_homog.fem import BilinearFormSpec, DiscreteSystem, assemble, solve
+from membrane_homog.errors import HypothesisViolation, MembraneHomogError
+from membrane_homog.fem import BilinearFormSpec, DiscreteSystem, FemSolution, assemble, solve
 from membrane_homog.geometry import BumpMap, IdentityMap, ScalingMap
 from membrane_homog.meshing import build_square_mesh
 from membrane_homog.verify import (
     InductionInstance,
     backward_induction_bound,
-    dense_solve_oracle,
     random_induction_instance,
     surface_integral_crosscheck,
 )
 
 NO_FIXED = (np.zeros(0, dtype=np.int64), np.zeros(0))
+DENSE_DOF_LIMIT = 2000
+
+
+class SingularMatrix(MembraneHomogError):
+    """Direct factorization failed on a singular system."""
+
+
+def dense_solve_oracle(system: DiscreteSystem) -> FemSolution:
+    """Direct sparse LU on the free degrees of freedom, for cross-checking
+    the iterative solver on small systems."""
+    n = system.matrix.shape[0]
+    if n > DENSE_DOF_LIMIT:
+        raise ValueError(f"dense oracle limited to {DENSE_DOF_LIMIT} dof, got {n}")
+    values = np.zeros(n)
+    if len(system.fixed):
+        values[system.fixed] = system.fixed_values
+    free = system.free
+    if len(free):
+        b = system.load - system.matrix @ values
+        K = sp.csc_matrix(system.matrix[free][:, free])
+        try:
+            lu = spla.splu(K)
+        except RuntimeError as exc:
+            raise SingularMatrix(str(exc)) from exc
+        x = lu.solve(b[free])
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrix("factorization produced non-finite values")
+        values[free] = x
+    return FemSolution(values=values, mesh=system.mesh)
 
 
 def make_system(K, b, fixed=None, fixed_values=None):
