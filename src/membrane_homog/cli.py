@@ -487,6 +487,10 @@ def main(argv=None) -> int:
         out.cleanup()
         print(f"config error: radius, h: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the sizes asked for do not fit in memory
+        out.cleanup()
+        print(f"config error: n, h, eps, homog_grid: out of memory: {exc}", file=sys.stderr)
+        return 2
     except MembraneHomogError as exc:
         out.cleanup()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ from .meshing import (
     build_truncated_mesh,
     first_coincident,
     triangle_centroids,
-    triangle_geometry,
 )
 
 
@@ -80,9 +79,8 @@ class CorrectorSolution:
         use."""
         mesh, values = self.mesh, self.sol.values
         u = values[mesh.triangles]
-        areas, grads = triangle_geometry(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
-        areas = np.take(areas, mesh.tri_prototype)
-        gref = p1_gradient(mesh, values, np.take(grads, mesh.tri_prototype, axis=0))
+        ref = mesh.with_kinds(mesh.cell_kind, mesh.ref_vertices)
+        areas, gref = ref.areas, p1_gradient(ref, values)
         e_grad = areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
         uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
         e_mass = self.mass_weight * areas * uc2 / 12.0  # exact P1 mass per triangle
@@ -206,17 +204,20 @@ def periodic_cell_solve(
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
     system = assemble(mesh, form, p=p, dirichlet=np.zeros(0, dtype=np.int64))
 
-    # fold periodic partners onto canonical representatives; the nullspace is
-    # the global constants, so pin one dof and restore the gauge afterwards;
-    # the folded system has no cell table, so its skeleton is every free dof
-    nv = mesh.num_vertices
+    # fold periodic partners onto canonical representatives, one cell whose
+    # skeleton is its folded boundary (nothing reads its geometry); the nullspace
+    # is the global constants, so pin one skeleton dof and restore the gauge
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
-    P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()
+    cell = MembraneMesh(
+        vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
+        tri_cell=mesh.tri_cell, interface_pairs=inv[mesh.interface_pairs],
+        boundary_nodes=np.unique(inv[mesh.boundary_nodes]), h=mesh.h)
+    K = system.matrix.tocoo()
     folded = solve(replace(
-        system, matrix=(P.T @ system.matrix @ P).tocsr(), load=P.T @ system.load,
-        fixed=np.zeros(1, dtype=np.int64), fixed_values=np.zeros(1), mesh=None,
-    ))
-    values = P @ folded.values
+        system, matrix=sp.csr_matrix((K.data, (inv[K.row], inv[K.col])), shape=(len(reps),) * 2),
+        load=np.bincount(inv, weights=system.load), fixed=cell.skeleton[:1],
+        fixed_values=np.zeros(1), mesh=cell))
+    values = folded.values[inv]
 
     # subtract the PLUS-region mean (area-weighted)
     plus = mesh.tri_region == PLUS

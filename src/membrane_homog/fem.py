@@ -17,9 +17,9 @@ cell) and gathered per triangle.  ``assemble`` gathers the element matrices
 into one weights buffer beside the interface edges' jump matrices, and one
 ``np.bincount`` sums it into the CSR pattern the mesh stores
 (``MembraneMesh.slots``), so a realization that only moves a tiling's nodes
-reuses its pattern.  A conductivity that is not periodic on the tiling makes
-every cell its own kind (``BilinearFormSpec.kinds``), so the answer stays
-exact.
+reuses its pattern.  A conductivity that does not repeat from cell to cell
+makes every cell its own kind (``BilinearFormSpec.kinds``), so the answer
+stays exact.
 
 ``solve`` runs CG on the free dofs, preconditioned by the inverse of the
 matrix with its cell interiors condensed per kind: cells of one kind
@@ -31,8 +31,7 @@ kinds' Schur blocks and the matrix's skeleton entries into that complement,
 in a pattern built once per tiling template and Dirichlet set.  When the
 kinds hold, the preconditioner is the inverse of the matrix up to rounding
 and CG stops after one iteration; CG checks the answer against the matrix
-itself either way.  Both factors are SuperLU's complete LU (``splu``).  A
-system without a mesh has no cells: its skeleton is every free dof.  The
+itself either way.  Both factors are SuperLU's complete LU (``splu``).  The
 set-up is built once per matrix: copies of a system that differ only in
 their load (``dataclasses.replace``) share it.
 """
@@ -47,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
+from .meshing import MINUS, PLUS, MembraneMesh
 
 CG_RTOL = 1e-10
 
@@ -85,11 +84,11 @@ class BilinearFormSpec:
     ``conductivity`` maps reference-coordinate points (n, 2) to (n, 2, 2)
     symmetric matrices with eigenvalues in [lam, Lam].  The kinds of cell
     define the assembly: the conductivity is evaluated at the prototypes'
-    reference centroids only, which is exact when it is periodic in the
-    reference coordinate (period 1 in each direction), as both presets are.
-    ``kinds`` checks that once per tiling template and conductivity and
-    makes every cell its own kind when it fails.  CG still checks its answer
-    against the assembled matrix.
+    reference centroids only, which is exact when it repeats from cell to
+    cell, as both presets do on a tiling of unit cells.  ``kinds`` checks
+    that once per mesh topology (so per tiling template) and conductivity
+    and makes every cell its own kind when it fails.  CG still checks its
+    answer against the assembled matrix.
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -101,20 +100,19 @@ class BilinearFormSpec:
     def kinds(self, mesh: MembraneMesh) -> MembraneMesh:
         """``mesh`` if the conductivity takes one value, within 1e-12, at the
         reference centroids of the triangles of each prototype, else
-        ``mesh.cellwise()``.  Triangles share a prototype only on a tiling
-        (see ``MembraneMesh``), and there the conductivity must agree between
-        every cell and the first one; that is checked once per tiling
-        template and conductivity, and the verdict kept in ``mesh.memo``."""
+        ``mesh.cellwise()``.  Each triangle is checked against the same
+        triangle (``tri_local``) of the first cell with as many triangles, as
+        cells of one kind have: the verdict, kept in ``mesh.memo``, holds for
+        the kinds of every realization that shares it."""
         if len(mesh.prototypes) == mesh.num_triangles:
             return mesh
         key = ("periodic", self.conductivity)
         if key not in mesh.memo:
-            # the reference centroids, cell by cell: the first cell's moved by the lattice offset
-            local = len(mesh.triangles) // len(mesh.cells)
-            first = triangle_centroids(mesh.ref_vertices, mesh.triangles[:local])
-            cent = first + (mesh.cells - mesh.cells[0])[:, None, :]
-            A = self.conductivity(cent.reshape(-1, 2)).reshape(len(mesh.cells), local, 4)
-            mesh.memo[key] = bool((A.max(axis=0) - A.min(axis=0)).max() <= 1e-12)
+            count = np.bincount(mesh.tri_cell_index)
+            _, first, rank = np.unique(count, return_index=True, return_inverse=True)
+            A = np.zeros((len(count), count.max(), 2, 2))  # per cell and local triangle
+            A[mesh.tri_cell_index, mesh.tri_local] = self.conductivity(mesh.ref_centroids)
+            mesh.memo[key] = bool(np.abs(A - A[first[rank]]).max() <= 1e-12)
         return mesh if mesh.memo[key] else mesh.cellwise()
 
     def tensor(self, mesh: MembraneMesh) -> np.ndarray:
@@ -122,8 +120,7 @@ class BilinearFormSpec:
         the triangle's prototype in ``kinds(mesh)``, ellipticity checked by
         those sampled eigenvalues."""
         mesh = self.kinds(mesh)
-        cent = triangle_centroids(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
-        A = self.conductivity(cent)
+        A = self.conductivity(mesh.ref_centroids[mesh.prototypes])
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
         lower, upper = sym2_eigenvalues(A)
@@ -141,7 +138,7 @@ class DiscreteSystem:
     """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
     form's per-triangle conductivity on ``mesh``, evaluated once by assemble
     (``mesh`` is the mesh assembled on, with the kinds ``BilinearFormSpec.kinds``
-    gave it, or None for a matrix over other unknowns than its nodes).
+    gave it; the matrix is in its pattern).
     ``solver`` holds the set-up ``solve`` builds on first use; copies made by
     ``dataclasses.replace`` share it, and it is rebuilt for a copy with
     another matrix, Dirichlet set or mesh."""
@@ -427,15 +424,11 @@ class _Condensed:
     the free dofs symmetric positive definite."""
 
     def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, mesh: MembraneMesh):
-        n = K.shape[0]
         self.K = K
-        is_free = np.ones(n, dtype=bool)
+        is_free = np.ones(K.shape[0], dtype=bool)
         is_free[fixed] = False
         self.free = np.flatnonzero(is_free)
-        if mesh is None:
-            self.kinds, S, self.skeleton = [], K[self.free][:, self.free], self.free
-        else:
-            self.kinds, S, self.skeleton = _condense(K, fixed, mesh)
+        self.kinds, S, self.skeleton = _condense(K, fixed, mesh)
         self.lu = _factor(S)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -504,11 +497,9 @@ def solve(system: DiscreteSystem) -> FemSolution:
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations, residual=residual)
 
 
-def p1_gradient(mesh: MembraneMesh, values: np.ndarray, grads: np.ndarray = None) -> np.ndarray:
-    """Piecewise-constant gradient (nt, 2), with ``grads`` the basis gradients
-    (default ``mesh.grads``)."""
-    g = mesh.grads if grads is None else grads
-    return np.einsum("tid,ti->td", g, values[mesh.triangles])
+def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:
+    """Piecewise-constant gradient (nt, 2), from the basis gradients ``mesh.grads``."""
+    return np.einsum("tid,ti->td", mesh.grads, values[mesh.triangles])
 
 
 def norms(sol: FemSolution, gradient: np.ndarray = None) -> dict:
@@ -537,11 +528,11 @@ def flux_pairing(
     ``BilinearFormSpec.tensor`` evaluates it); psi maps physical points (n, 2)
     to vectors (n, 2), or is those vectors at the mesh's centroids.
     ``gradient`` is the solution's ``p1_gradient`` when the caller has it."""
-    mesh = sol.mesh
+    mesh, areas = sol.mesh, sol.mesh.areas
     g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     flux = np.einsum("tij,tj->ti", tensor, g)
     return [
-        float(np.einsum("t,ti,ti->", mesh.areas, flux,
+        float(np.einsum("t,ti,ti->", areas, flux,
                         np.asarray(psi(mesh.centroids) if callable(psi) else psi)))
         for psi in fields
     ]

@@ -13,18 +13,19 @@ process for each such configuration (a small cache, as is the cell mesh for
 each interface and h) and a realization only moves the nodes to their
 deformed positions and names the kind of each cell.
 
-A realization holds at most four kinds of cell (bumped or not, membrane or
-cushion), and the cells of one kind are translates of each other: the
-triangles of each kind's first cell are the realization's prototypes.  Their
-areas and basis gradients are computed once and gathered per triangle, and
-``fem`` computes its element matrices and loads on them.  A mesh built
-directly (the unit cell, the square grid) is its own set of prototypes.
+Every mesh names the kind of each cell: a realization at most four (bumped
+or not, membrane or cushion), the square grid one per shape of block.  The
+cells of one kind are translates of each other, and the triangles of each
+kind's first cell are the mesh's prototypes: their areas and basis gradients
+are computed once and gathered per triangle where needed, and ``fem``
+computes its element matrices and loads on them.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,47 +50,46 @@ def _edge_keys(triangles: np.ndarray, nv: int):
     return a, b, np.minimum(a, b) * nv + np.maximum(a, b)
 
 
-@dataclass
+@dataclass(eq=False)
 class MembraneMesh:
     """Triangulation with region tags and duplicated interface nodes.
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
-    by the realizations of a tiling.  ``interface_pairs`` rows are (plus
-    node, minus node) with coincident coordinates.
+    by the realizations of a tiling, as are the triangles' centroids there,
+    ``ref_centroids``.  ``interface_pairs`` rows are (plus node, minus node)
+    with coincident coordinates.
 
     Topology and geometry are derived once, at construction: ``cells`` are
     the distinct lattice cells of ``tri_cell`` in lexicographic order,
     ``tri_cell_index`` gives each triangle's row of ``cells``,
     ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
-    ``edge_cell_index`` the row of ``cells`` each edge belongs to,
-    ``areas`` (nt,) and ``grads`` (nt, 3, 2) are the physical triangle areas
-    and P1 basis gradients, and ``centroids`` (nt, 2) the physical
-    centroids.  ``indptr`` and ``indices`` (int32) are the CSR pattern
-    of the transmission form's matrix, and ``slots`` (int32) the pattern
-    position of every element entry: the 3 x 3 entries of each triangle,
-    row-major, then the 4 x 4 entries of each interface edge over (plus_a,
-    plus_b, minus_a, minus_b).
+    ``edge_cell_index`` the row of ``cells`` each edge belongs to, and
+    ``centroids`` (nt, 2) the physical centroids.  ``indptr`` and ``indices``
+    (int32) are the CSR pattern of the transmission form's matrix, and
+    ``slots`` (int32) the pattern position of every element entry: the 3 x 3
+    entries of each triangle, row-major, then the 4 x 4 entries of each
+    interface edge over (plus_a, plus_b, minus_a, minus_b).
 
-    ``prototypes`` are the triangles whose geometry stands for the others:
-    ``tri_prototype`` (nt,) gives each triangle's row of ``prototypes``, and
-    ``proto_areas`` and ``proto_grads`` are the prototypes' areas and
-    gradients, which ``areas`` and ``grads`` gather.  A mesh built directly
-    is its own set of prototypes.  A realization of a tiling (see
-    ``_Tiling.realize``) has the triangles of each kind's first cell; there
-    the triangles run cell by cell, in one local order per cell.  ``memo``
-    holds what ``fem`` keeps between solves on this mesh and on every other
-    realization of its tiling.
+    ``cell_kind`` (nc,) labels cells whose element matrices agree up to
+    rounding (by default each cell is its own kind): cells of one kind have
+    as many triangles, matched by ``tri_local`` (nt,), each triangle's rank
+    among its cell's triangles.  ``prototypes`` are the triangles of each
+    kind's first cell, in that cell's triangle order, whose geometry stands
+    for the others: ``tri_prototype`` (nt,) gives each triangle's row of
+    ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
+    prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
+    ``grads`` (nt, 3, 2) gather on each use.  ``memo`` holds what ``fem``
+    keeps between solves on this mesh and on every other realization of its
+    tiling.
 
     ``cell_nodes`` (nc, w) is the cell table: each cell's nodes, -1 where
     one is absent, in columns that match between cells of one kind; by
     default the nodes of each cell's triangles in increasing order.
-    ``cell_kind`` (nc,) labels cells whose element matrices agree up to
-    rounding (by default each cell is its own kind).  ``skeleton`` (sorted)
-    holds the nodes on a cell boundary: those on the mesh boundary, in no
-    cell or in more than one; every other node is interior to one cell.
-    The arrays are never mutated after construction; a realization of a
-    tiling shares them with the tiling's mesh.
+    ``skeleton`` (sorted) holds the nodes on a cell boundary: those on the
+    mesh boundary, in no cell or in more than one; every other node is
+    interior to one cell.  The arrays are never mutated after construction;
+    a realization of a tiling shares them with the tiling's mesh.
     """
 
     vertices: np.ndarray
@@ -102,12 +102,12 @@ class MembraneMesh:
     cell_nodes: np.ndarray = field(default=None, repr=False)
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
+    ref_centroids: np.ndarray = field(init=False, repr=False)
     cells: np.ndarray = field(init=False, repr=False)
     tri_cell_index: np.ndarray = field(init=False, repr=False)
+    tri_local: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
-    areas: np.ndarray = field(init=False, repr=False)
-    grads: np.ndarray = field(init=False, repr=False)
     centroids: np.ndarray = field(init=False, repr=False)
     prototypes: np.ndarray = field(init=False, repr=False)
     tri_prototype: np.ndarray = field(init=False, repr=False)
@@ -125,34 +125,53 @@ class MembraneMesh:
         ny = k[:, 1].max(initial=0) + 1
         keys, self.tri_cell_index = np.unique(k[:, 0] * ny + k[:, 1], return_inverse=True)
         self.cells = np.column_stack([keys // ny, keys % ny]) + lo
+        count = np.bincount(self.tri_cell_index, minlength=len(keys))
+        self.tri_local = np.empty(self.num_triangles, dtype=np.int32)
+        self.tri_local[np.argsort(self.tri_cell_index, kind="stable")] = (
+            np.arange(self.num_triangles) - np.repeat(np.cumsum(count) - count, count))
         self.interface_edges, edge_tri = self._interface_edges()
         self.edge_cell_index = self.tri_cell_index[edge_tri]
         self.indptr, self.indices, self.slots = self._pattern()
         if self.cell_nodes is None:
             self.cell_nodes = self._cell_table()
-        if self.cell_kind is None:
-            self.cell_kind = np.arange(len(self.cells))
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True
         self.skeleton = np.flatnonzero(on)
         self.ref_vertices = self.vertices
-        self.areas, self.grads = triangle_geometry(self.vertices, self.triangles)
-        self.centroids = triangle_centroids(self.vertices, self.triangles)
-        self._own_prototypes()
+        self._take_prototypes(np.arange(len(keys)) if self.cell_kind is None else self.cell_kind)
+        self.centroids = self.ref_centroids = triangle_centroids(self.vertices, self.triangles)
 
-    def _own_prototypes(self) -> None:
-        """Make every triangle its own prototype."""
-        self.prototypes = np.arange(self.num_triangles)
-        self.tri_prototype = np.arange(self.num_triangles, dtype=np.int32)
-        self.proto_areas, self.proto_grads = self.areas, self.grads
+    def _take_prototypes(self, kind: np.ndarray) -> None:
+        """Make ``kind`` the cell kinds and the triangles of each kind's first
+        cell the prototypes, with their geometry."""
+        self.cell_kind = kind
+        _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
+        on = np.flatnonzero(np.isin(self.tri_cell_index, first))  # the first cells' triangles
+        self.prototypes = on[np.argsort(rank[self.tri_cell_index[on]], kind="stable")]
+        kind_start = np.searchsorted(rank[self.tri_cell_index[self.prototypes]], rank)
+        self.tri_prototype = kind_start[self.tri_cell_index] + self.tri_local
+        self.proto_areas, self.proto_grads = triangle_geometry(
+            self.vertices, self.triangles[self.prototypes])
+
+    @property
+    def areas(self) -> np.ndarray:
+        return np.take(self.proto_areas, self.tri_prototype)
+
+    @property
+    def grads(self) -> np.ndarray:
+        return np.take(self.proto_grads, self.tri_prototype, axis=0)
+
+    def with_kinds(self, kind: np.ndarray, vertices: np.ndarray = None) -> "MembraneMesh":
+        """A copy sharing the topology, with cell kinds ``kind`` (and nodes at
+        ``vertices``; ``centroids`` stay this mesh's)."""
+        out = copy.copy(self)
+        out.vertices = self.vertices if vertices is None else vertices
+        out._take_prototypes(kind)
+        return out
 
     def cellwise(self) -> "MembraneMesh":
-        """This mesh with every cell its own kind and every triangle its own
-        prototype: a copy sharing every other array."""
-        out = copy.copy(self)
-        out.cell_kind = np.arange(len(self.cells))
-        out._own_prototypes()
-        return out
+        """This mesh with every cell its own kind."""
+        return self.with_kinds(np.arange(len(self.cells)))
 
     def _cell_table(self) -> np.ndarray:
         """The nodes of each cell's triangles in increasing order, padded
@@ -516,10 +535,6 @@ class _Tiling:
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
-        # each realization sets its geometry and prototypes anew
-        mesh = self.mesh
-        mesh.areas = mesh.grads = mesh.centroids = mesh.proto_areas = mesh.proto_grads = None
-        mesh.prototypes = mesh.tri_prototype = None
 
     def realize(self, dmap: DeformationMap) -> MembraneMesh:
         """The tiled mesh at the nodes' deformed, rescaled positions, each
@@ -549,63 +564,32 @@ class _Tiling:
                 f"cell {k} of kind {kind[bad[0]]} is no translate of cell {k0}: "
                 f"nodes {gap[bad[0]]:.3g} apart"
             )
-        out = copy.copy(self.mesh)
-        out.vertices, out.cell_kind = phys[self.new], kind
-        local = np.arange(self.nt)
-        out.prototypes = (first[:, None] * self.nt + local).ravel()
-        out.tri_prototype = (rank[:, None] * self.nt + local).ravel().astype(np.int32)
-        tri = out.triangles[out.prototypes]
-        out.proto_areas, out.proto_grads = triangle_geometry(out.vertices, tri)
-
-        def per_cell(a):  # the prototypes' values, cell by cell: a[out.tri_prototype]
-            return a.reshape(len(first), self.nt, -1)[rank]
-
-        out.areas = per_cell(out.proto_areas).reshape(-1)
-        out.grads = per_cell(out.proto_grads).reshape(-1, 3, 2)
-        cent = per_cell(triangle_centroids(out.vertices, tri))
-        cent += offset[:, None, :]
+        out = self.mesh.with_kinds(kind, phys[self.new])
+        # the prototypes' centroids, cell by cell, moved by the lattice offset
+        cent = triangle_centroids(out.vertices, out.triangles[out.prototypes])
+        cent = cent.reshape(-1, self.nt, 2)[rank]
+        cent += offset[:, None]
         out.centroids = cent.reshape(-1, 2)
         return out
 
 
-class _ByContent:
-    """Tiling arguments for the template cache, hashed and compared by the
-    bytes of the cell mesh's arrays, the lattice and the membrane mask."""
-
-    def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
-        self.args = (cell, cells, membrane, scale)
-        arrays = (cell.vertices, cell.triangles, cell.tri_region, cell.interface_pairs,
-                  cell.boundary_nodes, cells, membrane)
-        self.key = (cell.h, scale, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
 @functools.lru_cache(maxsize=4)
-def _tiling(args: _ByContent) -> _Tiling:
-    return _Tiling(*args.args)
-
-
-def _template(
-    cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float
-) -> _Tiling:
-    """The tiling template of the cell mesh over the lattice cells (rows of
-    ``cells``, ``membrane`` flags those keeping their membrane) at ``scale``,
-    built once per configuration and process.  Its ``realize`` deforms the
-    cell template into each lattice cell and stitches shared boundary nodes
-    (bitwise-coincident because maps fix cell boundaries).  The boundary
-    nodes are those on the boundary of the reference box of the cell block,
-    within 1e-12.
+def _template(cell: MembraneMesh, lo: tuple, n: int, beta: float, scale: float) -> _Tiling:
+    """The tiling template of the cell mesh over the n x n lattice block
+    with lower corner ``lo`` at ``scale``, the cells at lattice distance >=
+    beta from the block's boundary keeping their membranes, built once per
+    configuration and process (keyed by the cell mesh object, which
+    ``build_cell_mesh`` builds once).  Its ``realize`` deforms the cell
+    template into each lattice cell and stitches shared boundary nodes
+    (bitwise-coincident because maps fix cell boundaries).  Its boundary
+    nodes lie on the block's reference box, within 1e-12.
 
     Nodes are numbered in order of first appearance, cell by cell; a shared
     boundary node belongs to the first cell that carries it.  Cells without a
     membrane merge each MINUS interface node into its PLUS copy.
     """
-    return _tiling(_ByContent(cell, cells, membrane, scale))
+    cells = _lattice(range(lo[0], lo[0] + n), range(lo[1], lo[1] + n))
+    return _Tiling(cell, cells, _carries_membrane(cells - lo, n, beta), scale)
 
 
 def _carries_membrane(cells: np.ndarray, n: int, beta: float) -> np.ndarray:
@@ -630,9 +614,7 @@ def tile_domain_mesh(
     n = round(1.0 / eps)
     if abs(n * eps - 1.0) > 1e-12:
         raise ValueError(f"1/eps must be an integer, got eps={eps}")
-    cells = _lattice(range(n), range(n))
-    membrane = _carries_membrane(cells, n, spec.beta) & bool(membranes)
-    return _template(cell, cells, membrane, scale=eps).realize(dmap)
+    return _template(cell, (0, 0), n, spec.beta if membranes else math.inf, eps).realize(dmap)
 
 
 def build_truncated_mesh(
@@ -657,8 +639,7 @@ def truncated_template(
     if n < 1:
         raise ValueError("half-width n must be >= 1")
     cx, cy = center
-    cells = _lattice(range(cx - n, cx + n), range(cy - n, cy + n))
-    return _template(cell, cells, np.full(len(cells), bool(membranes)), scale=1.0)
+    return _template(cell, (cx - n, cy - n), 2 * n, 0.0 if membranes else math.inf, 1.0)
 
 
 GRID_BLOCK = 16  # squares per side of a lattice cell of the uniform grid

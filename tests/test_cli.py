@@ -358,7 +358,7 @@ class TestOneTemplatePerRun:
             real(self, *args)
 
         monkeypatch.setattr(meshing._Tiling, "__init__", logged)
-        meshing._tiling.cache_clear()
+        meshing._template.cache_clear()
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG)
         out = str(tmp_path / "o")
@@ -552,6 +552,24 @@ class TestInputErrors:
         p.write_text("map = bernoulli\nradius = 0.4\nh = 0.05\nn = 2\nm = 1\nnum_seeds = 2\n")
         assert main(["effective", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: radius, h: min angle")
+
+    def test_out_of_memory_exits_2_naming_the_size_keys(self, tmp_path, capsys, monkeypatch):
+        """A config that parses but asks for more memory than the machine has
+        (a huge n, say) is a config error naming the keys that size the run,
+        and the outputs written before it are removed.  The refusal is
+        simulated: how a real one shows depends on the host's overcommit."""
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(cli, "solve_homog", refused)
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG)
+        out = tmp_path / "o"
+        assert main(["homogenize", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n, h, eps, homog_grid: out of memory: Unable")
+        assert "Traceback" not in err
+        assert not (out / "effective.json").exists()
 
     @pytest.mark.parametrize("command", ["effective", "homogenize"])
     def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):

@@ -349,6 +349,21 @@ class TestPerKindAssembly:
         assert kinds < len(mesh.cells)
         assert self.check(mesh, conductivity).mesh is mesh
 
+    @pytest.mark.parametrize("m", [40, 128])
+    @pytest.mark.parametrize(
+        "conductivity", [identity_field, aniso_field], ids=["identity", "aniso"]
+    )
+    def test_square_grid_matches_per_triangle(self, m, conductivity):
+        """The grid's cells are blocks of GRID_BLOCK squares, not unit cells:
+        aniso_field does not repeat from block to block, so every block
+        becomes its own kind."""
+        mesh = build_square_mesh(m)
+        assert len(mesh.prototypes) < mesh.num_triangles
+        system = self.check(mesh, conductivity)
+        assert (system.mesh is mesh) == (conductivity is identity_field)
+        if conductivity is aniso_field:
+            assert np.array_equal(system.mesh.cell_kind, np.arange(len(mesh.cells)))
+
     def test_not_periodic_makes_every_cell_its_own_kind(self, meshes):
         mesh = meshes["truncated_bernoulli"]
         system = self.check(mesh, drifting)

@@ -365,7 +365,7 @@ class TestTilingTemplate:
     def test_warm_realization_equals_cold(self, cell_h01, case):
         build = self.CASES[case]
         form = BilinearFormSpec(jump_weight=4.0, mass_weight=1e-3)
-        meshing._tiling.cache_clear()
+        meshing._template.cache_clear()
         cold = build(cell_h01, 3)
         cold_matrix = assemble(cold, form).matrix
         build(cell_h01, 4)
@@ -386,7 +386,7 @@ class TestTilingTemplate:
             return first_coincident(points)
 
         monkeypatch.setattr(meshing, "first_coincident", counted)
-        meshing._tiling.cache_clear()
+        meshing._template.cache_clear()
         build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
         assert len(calls) == 1
         build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
@@ -406,9 +406,9 @@ class TestTilingTemplate:
 
 
 class TestPrototypes:
-    """A realization's geometry is that of the triangles of each kind's first
-    cell, moved by the lattice offset; a mesh built directly is its own set
-    of prototypes."""
+    """Every mesh takes its prototypes from its kinds: the triangles of each
+    kind's first cell.  A realization's geometry is theirs, moved by the
+    lattice offset."""
 
     @pytest.mark.parametrize("build", [
         lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2),
@@ -431,15 +431,40 @@ class TestPrototypes:
         cent = triangle_centroids(mesh.vertices, mesh.triangles)
         assert np.abs(mesh.centroids - cent).max() <= 1e-14
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_cell_mesh(SPEC, 0.1), lambda: build_square_mesh(20),
-    ], ids=["cell", "square"])
-    def test_direct_mesh_is_its_own(self, build):
-        mesh = build()
-        assert np.array_equal(mesh.prototypes, np.arange(mesh.num_triangles))
-        assert np.array_equal(mesh.tri_prototype, np.arange(mesh.num_triangles))
-        assert mesh.areas is mesh.proto_areas and mesh.grads is mesh.proto_grads
-        assert np.array_equal(mesh.centroids, triangle_centroids(mesh.vertices, mesh.triangles))
+    @pytest.mark.parametrize("build, tol", [
+        (lambda cell: cell, 0.0),
+        (lambda cell: build_square_mesh(128), 0.0),
+        (lambda cell: build_square_mesh(100), 1e-13),
+        (lambda cell: meshing.truncated_template(cell, 2).mesh, 1e-13),
+        (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2), 1e-13),
+        (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2).cellwise(), 0.0),
+    ], ids=["cell", "square128", "square100", "template", "realization", "cellwise"])
+    def test_prototypes_are_each_kinds_first_cell(self, cell_h01, build, tol):
+        mesh = build(cell_h01)
+        # the triangles of each kind's first cell, kinds in label order, in triangle order
+        _, first = np.unique(mesh.cell_kind, return_index=True)
+        expect = np.concatenate([np.flatnonzero(mesh.tri_cell_index == c) for c in first])
+        assert np.array_equal(mesh.prototypes, expect)
+        # each triangle's prototype is the triangle of the same rank in its kind's first cell
+        proto = mesh.prototypes[mesh.tri_prototype]
+        kind = mesh.cell_kind[mesh.tri_cell_index]
+        assert np.array_equal(mesh.cell_kind[mesh.tri_cell_index[proto]], kind)
+        assert np.array_equal(mesh.tri_local[proto], mesh.tri_local)
+        for c in range(len(mesh.cells)):
+            assert np.array_equal(mesh.tri_local[mesh.tri_cell_index == c],
+                                  np.arange(np.count_nonzero(mesh.tri_cell_index == c)))
+        # the gathered geometry: the prototypes', within tol of every triangle's own
+        areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
+        assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
+        assert np.array_equal(mesh.grads, mesh.proto_grads[mesh.tri_prototype])
+        assert np.abs(mesh.areas - areas).max() <= tol * np.abs(areas).max()
+        assert np.abs(mesh.grads - grads).max() <= tol * np.abs(grads).max()
+
+    def test_square_grid_has_a_prototype_per_block_shape(self):
+        assert len(build_square_mesh(128).prototypes) == 2 * meshing.GRID_BLOCK**2
+        mesh = build_square_mesh(100)  # blocks of 16, 16, ..., 4 squares a side
+        assert len(np.unique(mesh.cell_kind)) == 4
+        assert len(mesh.prototypes) == 2 * (16 * 16 + 16 * 4 + 4 * 16 + 4 * 4)
 
     def test_bumped_disagreeing_with_apply_fails(self, cell_h01):
         """A map that deforms the Bernoulli cells but names every cell
