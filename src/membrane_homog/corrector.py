@@ -202,21 +202,20 @@ def periodic_cell_solve(
     p = np.asarray(p, dtype=float)
     mesh = build_cell_mesh(spec, h)
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
-    system = assemble(mesh, form, p=p, dirichlet=np.zeros(0, dtype=np.int64))
+    system = assemble(mesh, form, p=p)
 
-    # fold periodic partners onto canonical representatives, one cell whose
-    # skeleton is its folded boundary (nothing reads its geometry); the nullspace
-    # is the global constants, so pin one skeleton dof and restore the gauge
+    # fold periodic partners onto canonical representatives, one cell (nothing
+    # reads its geometry); the nullspace is the global constants, so its one
+    # boundary node, node 0, is pinned, and the gauge is restored below
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     cell = MembraneMesh(
         vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
         tri_cell=mesh.tri_cell, interface_pairs=inv[mesh.interface_pairs],
-        boundary_nodes=np.unique(inv[mesh.boundary_nodes]), h=mesh.h)
+        boundary_nodes=np.zeros(1, dtype=np.int64))
     K = system.matrix.tocoo()
     folded = solve(replace(
         system, matrix=sp.csr_matrix((K.data, (inv[K.row], inv[K.col])), shape=(len(reps),) * 2),
-        load=np.bincount(inv, weights=system.load), fixed=cell.skeleton[:1],
-        fixed_values=np.zeros(1), mesh=cell))
+        load=np.bincount(inv, weights=system.load), mesh=cell))
     values = folded.values[inv]
 
     # subtract the PLUS-region mean (area-weighted)

@@ -6,9 +6,11 @@ One bilinear form covers every solve in the workbench:
             + delta * int u v
             + gamma * sum_{e in interface} int_e (u+ - u-)(v+ - v-) ds
 
-with A constant per triangle (evaluated at the reference centroid), the jump
-term assembled on the duplicated interface node pairs, and Dirichlet
-constraints eliminated symmetrically.
+with A constant per triangle (evaluated at the reference centroid) and the
+jump term assembled on the duplicated interface node pairs.  Every system is
+held at zero on its mesh's boundary nodes (``MembraneMesh.boundary_nodes``),
+the paper's Dirichlet data; the folded periodic cell has one boundary node,
+which pins its constants.
 
 The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
@@ -28,12 +30,12 @@ so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the free dofs of the
 cell skeleton (``MembraneMesh.skeleton``).  One ``np.bincount`` sums the
 kinds' Schur blocks and the matrix's skeleton entries into that complement,
-in a pattern built once per tiling template and Dirichlet set.  When the
-kinds hold, the preconditioner is the inverse of the matrix up to rounding
-and CG stops after one iteration; CG checks the answer against the matrix
-itself either way.  Both factors are SuperLU's complete LU (``splu``).  The
-set-up is built once per matrix: copies of a system that differ only in
-their load (``dataclasses.replace``) share it.
+in a pattern built once per tiling template.  When the kinds hold, the
+preconditioner is the inverse of the matrix up to rounding and CG stops
+after one iteration; CG checks the answer against the matrix itself either
+way.  Both factors are SuperLU's complete LU (``splu``).  The set-up is
+built once per matrix: copies of a system that differ only in their load
+(``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
@@ -135,21 +137,28 @@ class BilinearFormSpec:
 
 @dataclass
 class DiscreteSystem:
-    """Assembled matrix and load with their Dirichlet data; ``tensor`` is the
-    form's per-triangle conductivity on ``mesh``, evaluated once by assemble
-    (``mesh`` is the mesh assembled on, with the kinds ``BilinearFormSpec.kinds``
-    gave it; the matrix is in its pattern).
+    """Assembled matrix and load; ``tensor`` is the form's per-triangle
+    conductivity on ``mesh``, evaluated once by assemble (``mesh`` is the mesh
+    assembled on, with the kinds ``BilinearFormSpec.kinds`` gave it; the
+    matrix is in its pattern).  The solution is zero on ``fixed``, the mesh's
+    boundary nodes, and unknown on ``free``, every other node.
     ``solver`` holds the set-up ``solve`` builds on first use; copies made by
     ``dataclasses.replace`` share it, and it is rebuilt for a copy with
-    another matrix, Dirichlet set or mesh."""
+    another matrix or mesh."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
-    fixed: np.ndarray
-    fixed_values: np.ndarray
     mesh: MembraneMesh
     tensor: np.ndarray
     solver: list = field(default_factory=list, repr=False)
+
+    @property
+    def fixed(self) -> np.ndarray:
+        return self.mesh.boundary_nodes
+
+    @property
+    def fixed_values(self) -> np.ndarray:
+        return np.zeros(len(self.fixed))
 
     @property
     def free(self) -> np.ndarray:
@@ -256,20 +265,11 @@ def gradient_load(mesh: MembraneMesh, tensor: np.ndarray, p: np.ndarray) -> np.n
     )
 
 
-def assemble(
-    mesh: MembraneMesh,
-    spec: BilinearFormSpec,
-    f=None,
-    p=None,
-    dirichlet: np.ndarray = None,
-    dirichlet_values: np.ndarray = None,
-) -> DiscreteSystem:
+def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> DiscreteSystem:
     """Full transmission form with volume source f and/or corrector load p.
 
     The element matrices are computed once per prototype of
-    ``spec.kinds(mesh)``, the system's mesh.  ``dirichlet`` defaults to the
-    mesh boundary nodes; pass an empty array for unconstrained (e.g.
-    periodic) systems.
+    ``spec.kinds(mesh)``, the system's mesh.
     """
     mesh = spec.kinds(mesh)
     tensor = spec.tensor(mesh)
@@ -289,15 +289,7 @@ def assemble(
         b += volume_load(mesh, f)
     if p is not None:
         b += gradient_load(mesh, tensor, p)
-    if dirichlet is None:
-        dirichlet = mesh.boundary_nodes
-    dirichlet = np.asarray(dirichlet, dtype=np.int64)
-    if dirichlet_values is None:
-        dirichlet_values = np.zeros(len(dirichlet))
-    return DiscreteSystem(
-        matrix=K, load=b, fixed=dirichlet, fixed_values=dirichlet_values,
-        mesh=mesh, tensor=tensor,
-    )
+    return DiscreteSystem(matrix=K, load=b, mesh=mesh, tensor=tensor)
 
 
 def _factor(A: sp.spmatrix):
@@ -317,25 +309,23 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
     return b if lu is None else lu.solve(b)
 
 
-def _skeleton_pattern(mesh: MembraneMesh, fixed: np.ndarray) -> dict:
+def _skeleton_pattern(mesh: MembraneMesh) -> dict:
     """Where ``_condense`` sums the Schur complement S on the free skeleton
-    dofs of a matrix in the mesh's pattern with Dirichlet set ``fixed``:
+    dofs (the skeleton nodes off the mesh boundary) of a matrix in the mesh's
+    pattern:
     ``nodes``, the free skeleton nodes in order; ``indptr`` and ``indices``,
     S's CSR pattern over them; ``entries``, the matrix entries between two
     of them; ``cells``, the cells in the order their Schur blocks are summed
     (by their count of skeleton nodes); and ``slots``, the position in S's
     data of each summand: the Schur block of each cell of ``cells`` over its
     skeleton nodes in table column order, row-major, then the ``entries``.
-    A summand in a fixed row or column goes to the extra slot len(indices).
-    Built once per mesh (so per tiling template) and Dirichlet set, and kept
-    in ``mesh.memo``."""
-    key = ("skeleton", fixed.tobytes())
-    if key in mesh.memo:
-        return mesh.memo[key]
+    A summand in a boundary row or column goes to the extra slot
+    len(indices).  Built once per mesh (so per tiling template) at its first
+    solve, and kept in ``mesh.memo``."""
+    if "skeleton" in mesh.memo:
+        return mesh.memo["skeleton"]
     n, table = mesh.num_vertices, mesh.cell_nodes
-    is_free = np.ones(n, dtype=bool)
-    is_free[fixed] = False
-    nodes = mesh.skeleton[is_free[mesh.skeleton]]
+    nodes = np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
     m = len(nodes)
     pos = np.full(n + 1, -1)  # position among ``nodes``; the last entry stands for absent ones
     pos[nodes] = np.arange(m)
@@ -368,7 +358,7 @@ def _skeleton_pattern(mesh: MembraneMesh, fixed: np.ndarray) -> dict:
     links = links[np.diff(links, prepend=-1) != 0]
     slots = np.searchsorted(links, keys)
     slots[keys < 0] = len(links)
-    mesh.memo[key] = pattern = {
+    mesh.memo["skeleton"] = pattern = {
         "nodes": nodes, "entries": entries, "cells": cells, "slots": slots,
         "indices": (links % m).astype(np.int32),
         "indptr": np.searchsorted(links, np.arange(m + 1) * m).astype(np.int32),
@@ -376,14 +366,14 @@ def _skeleton_pattern(mesh: MembraneMesh, fixed: np.ndarray) -> dict:
     return pattern
 
 
-def _condense(K: sp.csr_matrix, fixed: np.ndarray, mesh: MembraneMesh) -> tuple:
+def _condense(K: sp.csr_matrix, mesh: MembraneMesh) -> tuple:
     """Per kind: the cells' interior and skeleton nodes (rows of the cell
     table, in the columns of the kind's first cell), the LU of that cell's
     interior block A and E = A^-1 K_IB, both read from the full matrix K (in
     the mesh's pattern); the Schur complement S = K_BB - sum over cells of
     K_BI E on the free skeleton nodes, summed by one ``np.bincount`` in the
     pattern ``_skeleton_pattern``; and those nodes."""
-    pattern = _skeleton_pattern(mesh, fixed)
+    pattern = _skeleton_pattern(mesh)
     table = mesh.cell_nodes
     on = np.zeros(K.shape[0] + 1, dtype=bool)  # the last entry stands for absent nodes (-1)
     on[mesh.skeleton] = True
@@ -419,16 +409,14 @@ class _Condensed:
     K~, K with each cell's interior block and its coupling to the cell's
     skeleton nodes replaced by those of the first cell of its kind
     (``_condense``).  The skeleton block of K~^-1 is the inverse of the
-    Schur complement S on the free skeleton dofs, factored once, here.
-    Interior dofs that are fixed take part as unknowns, which keeps K~^-1 on
-    the free dofs symmetric positive definite."""
+    Schur complement S on the free skeleton dofs, factored once, here."""
 
-    def __init__(self, K: sp.csr_matrix, fixed: np.ndarray, mesh: MembraneMesh):
+    def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
         self.K = K
         is_free = np.ones(K.shape[0], dtype=bool)
-        is_free[fixed] = False
+        is_free[mesh.boundary_nodes] = False
         self.free = np.flatnonzero(is_free)
-        self.kinds, S, self.skeleton = _condense(K, fixed, mesh)
+        self.kinds, S, self.skeleton = _condense(K, mesh)
         self.lu = _factor(S)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -472,9 +460,9 @@ class _Condensed:
 
 
 def _solver(system: DiscreteSystem) -> _Condensed:
-    """The condensed solver of the system's matrix, Dirichlet set and mesh,
-    built once and kept in ``system.solver``."""
-    parts = (system.matrix, system.fixed, system.mesh)
+    """The condensed solver of the system's matrix and mesh, built once and
+    kept in ``system.solver``."""
+    parts = (system.matrix, system.mesh)
     if not system.solver or any(a is not b for a, b in zip(system.solver[0], parts)):
         system.solver[:] = [parts, _Condensed(*parts)]
     return system.solver[1]
@@ -484,10 +472,8 @@ def solve(system: DiscreteSystem) -> FemSolution:
     """CG on the free degrees of freedom, preconditioned by the cell
     interiors condensed per kind (see the module docstring)."""
     u = np.zeros(len(system.load))
-    u[system.fixed] = system.fixed_values
-    b = system.load - system.matrix @ u
     cg = _solver(system)
-    b = b[cg.free]
+    b = system.load[cg.free]
     norm = np.linalg.norm(b)
     if norm == 0.0:
         return FemSolution(values=u, mesh=system.mesh, residual=0.0)

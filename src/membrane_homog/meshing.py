@@ -98,7 +98,6 @@ class MembraneMesh:
     tri_cell: np.ndarray
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
-    h: float
     cell_nodes: np.ndarray = field(default=None, repr=False)
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
@@ -468,7 +467,6 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
         tri_cell=np.zeros((len(triangles), 2), dtype=np.int64),
         interface_pairs=np.column_stack([plus_ids[0], minus_interface]),
         boundary_nodes=plus_ids[-1].astype(np.int64),
-        h=h,
     )
     angle = mesh.min_angle_deg()
     if angle < MIN_ANGLE_DEG:
@@ -531,7 +529,6 @@ class _Tiling:
             tri_cell=np.repeat(cells, nt, axis=0),
             interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
-            h=cell.h * scale,
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
@@ -667,7 +664,6 @@ def build_square_mesh(m: int) -> MembraneMesh:
         tri_cell=np.repeat(_lattice(range(m), range(m)) // GRID_BLOCK, 2, axis=0),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int64),
-        h=1.0 / m,
         cell_kind=2 * short[:, 0] + short[:, 1],
     )
 

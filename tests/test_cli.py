@@ -2,9 +2,11 @@ import argparse
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="m"):
             ExperimentConfig(n=2, m=2)
 
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        # the README's config block says every key defaults to its value there
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Config format.*?```ini\n(.*?)```", readme, re.S).group(1)
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        assert asdict(parse_config(str(p))) == asdict(ExperimentConfig())
+
 
 class TestPipeline:
     def test_smoke_full_pipeline(self, cfg_path, tmp_path):
@@ -92,7 +102,8 @@ class TestPipeline:
         assert main(["homogenize", "--config", cfg_path, "--out", out]) == 0
         for name in ("effective.json", "convergence.csv", "report.json"):
             assert os.path.exists(os.path.join(out, name))
-        report = json.loads(open(os.path.join(out, "report.json")).read())
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
         assert report["config_hash"] == parse_config(cfg_path).hash()
 
     def test_mesh_and_corrector_and_verify(self, cfg_path, tmp_path):

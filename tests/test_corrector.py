@@ -256,8 +256,8 @@ class TestPeriodicFoldMatchesLoop:
 
 class TestFoldedCell:
     """The periodic solve goes through the per-kind condensed solver like
-    every other: its folded system has a mesh of one cell, whose skeleton is
-    the folded cell boundary."""
+    every other: its folded system has a mesh of one cell, whose one boundary
+    node, node 0, is its skeleton and is held at zero."""
 
     @pytest.mark.parametrize("h", [0.1, 0.05])
     def test_solves_on_a_folded_mesh(self, monkeypatch, h):
@@ -276,8 +276,8 @@ class TestFoldedCell:
         assert len(folded.cells) == 1
         cell = build_cell_mesh(SPEC, h)
         reps, inv = np.unique(periodic_representatives(cell), return_inverse=True)
-        assert np.array_equal(folded.skeleton, np.unique(inv[cell.boundary_nodes]))
-        assert np.isin(system.fixed, folded.skeleton).all() and len(system.fixed) == 1
+        assert folded.num_vertices == len(reps)
+        assert np.array_equal(folded.skeleton, [0]) and np.array_equal(system.fixed, [0])
         # the folded matrix is in the folded mesh's pattern, which the solver reads
         assert np.array_equal(system.matrix.indptr, folded.indptr)
         assert np.array_equal(system.matrix.indices, folded.indices)
@@ -291,8 +291,7 @@ def pinned_periodic_values(p, spec, conductivity, h):
     of the restricted block, then the PLUS-mean gauge."""
     mesh = build_cell_mesh(spec, h)
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
-    system = fem.assemble(mesh, form, p=np.asarray(p, dtype=float),
-                          dirichlet=np.zeros(0, dtype=np.int64))
+    system = fem.assemble(mesh, form, p=np.asarray(p, dtype=float))
     nv = mesh.num_vertices
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     P = sp.coo_matrix((np.ones(nv), (np.arange(nv), inv)), shape=(nv, len(reps))).tocsr()

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import membrane_homog.fem as fem
+import membrane_homog.meshing as meshing
 from membrane_homog.corrector import periodic_cell_solve
 from membrane_homog.errors import NonEllipticField, SolverDivergence
 from membrane_homog.fem import (
@@ -46,7 +47,6 @@ def single_triangle():
         tri_cell=np.zeros((1, 2), dtype=np.int64),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.array([0, 1, 2], dtype=np.int64),
-        h=1.0,
     )
 
 
@@ -63,7 +63,6 @@ def membrane_strip(length=1.0):
         tri_cell=np.zeros((2, 2), dtype=np.int64),
         interface_pairs=np.array([[0, 3], [1, 4]], dtype=np.int64),
         boundary_nodes=np.array([2, 5], dtype=np.int64),
-        h=L,
     )
 
 
@@ -400,14 +399,11 @@ class TestSolve:
         s12 = solve(assemble(mesh, spec, f=lambda p: f1(p) + f2(p))).values
         assert np.abs(s12 - (s1 + s2)).max() < 1e-9
 
-    def test_dirichlet_values_exact(self):
+    def test_linear_patch(self):
+        # x1 is discretely harmonic: K x1 vanishes on the free dofs
         mesh = build_square_mesh(8)
-        vals = mesh.vertices[mesh.boundary_nodes, 0]
-        sys = assemble(mesh, BilinearFormSpec(), f=0.0, dirichlet_values=vals)
-        sol = solve(sys)
-        assert np.array_equal(sol.values[mesh.boundary_nodes], vals)
-        # harmonic extension of x1 is x1 itself
-        assert np.abs(sol.values - mesh.vertices[:, 0]).max() < 1e-9
+        sys = assemble(mesh, BilinearFormSpec(), f=0.0)
+        assert np.abs((sys.matrix @ mesh.vertices[:, 0])[sys.free]).max() <= 1e-12
 
     def test_residual_small(self, cell_h01):
         spec = BilinearFormSpec(jump_weight=8.0)
@@ -527,6 +523,23 @@ class TestTwoLevelCG:
         tri_cell = np.broadcast_to(mesh.tri_cell_index[:, None], tri_owner.shape)
         corner = tri_owner >= 0
         assert np.array_equal(tri_owner[corner], tri_cell[corner])
+
+    def test_schur_pattern_once_per_template(self):
+        # built at the first solve on a template, shared by its realizations
+        meshing._template.cache_clear()
+        cell = build_cell_mesh(SPEC, 0.1)
+        meshes = [build_truncated_mesh(cell, BernoulliCellwiseMap(seed), 2) for seed in (0, 1)]
+        assert not np.array_equal(meshes[0].cell_kind, meshes[1].cell_kind)
+        assert "skeleton" not in meshes[0].memo
+        form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
+        patterns = []
+        for mesh in meshes:
+            assert solve(assemble(mesh, form, p=[1.0, 0.0])).iterations == 1
+            patterns.append(mesh.memo["skeleton"])
+        assert patterns[0] is patterns[1]
+        nodes = patterns[0]["nodes"]
+        assert len(nodes) and not np.isin(nodes, meshes[0].boundary_nodes).any()
+        assert np.array_equal(nodes, np.setdiff1d(meshes[0].skeleton, meshes[0].boundary_nodes))
 
     def test_conductivity_not_periodic(self):
         # kinds assume a conductivity periodic in the reference coordinate;

@@ -142,7 +142,6 @@ def remeshed(mesh, triangles=None, tri_region=None, tri_cell=None):
         tri_cell=mesh.tri_cell if tri_cell is None else tri_cell,
         interface_pairs=mesh.interface_pairs,
         boundary_nodes=mesh.boundary_nodes,
-        h=mesh.h,
     )
 
 
@@ -312,7 +311,6 @@ class TestTiledDomain:
             tri_cell=cell_h01.tri_cell,
             interface_pairs=cell_h01.interface_pairs,
             boundary_nodes=cell_h01.boundary_nodes,
-            h=cell_h01.h,
         )
         with pytest.raises(StitchFailure):
             tile_domain_mesh(bad, IdentityMap(), 0.25, SPEC)
@@ -620,7 +618,6 @@ class TestReportFaultDetection:
             tri_cell=cell_h01.tri_cell,
             interface_pairs=cell_h01.interface_pairs,
             boundary_nodes=cell_h01.boundary_nodes,
-            h=cell_h01.h,
         )
         rep = mesh_report(mesh)
         assert not rep.ok
@@ -638,7 +635,6 @@ class TestReportFaultDetection:
             tri_cell=cell_h01.tri_cell,
             interface_pairs=cell_h01.interface_pairs,
             boundary_nodes=cell_h01.boundary_nodes,
-            h=cell_h01.h,
         )
         rep = mesh_report(mesh)
         assert not rep.ok
@@ -652,7 +648,6 @@ class TestReportFaultDetection:
             tri_cell=np.zeros((0, 2), dtype=np.int64),
             interface_pairs=np.zeros((0, 2), dtype=np.int64),
             boundary_nodes=np.zeros(0, dtype=np.int64),
-            h=0.1,
         )
         with pytest.raises(ValueError):
             mesh_report(empty)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -49,11 +51,14 @@ def dense_solve_oracle(system: DiscreteSystem) -> FemSolution:
 
 
 def make_system(K, b, fixed=None, fixed_values=None):
+    """A system as the dense oracle reads it, with its own Dirichlet data
+    (a ``DiscreteSystem`` is always zero on its mesh's boundary nodes)."""
     if fixed is None:
         fixed, fixed_values = NO_FIXED
-    return DiscreteSystem(
-        matrix=sp.csr_matrix(K), load=np.asarray(b, dtype=float),
-        fixed=fixed, fixed_values=fixed_values, mesh=None, tensor=None,
+    load = np.asarray(b, dtype=float)
+    return types.SimpleNamespace(
+        matrix=sp.csr_matrix(K), load=load, fixed=fixed, fixed_values=fixed_values,
+        free=np.setdiff1d(np.arange(len(load)), fixed), mesh=None,
     )
 
 
