@@ -17,7 +17,7 @@ mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
 cell) and gathered per triangle.  ``assemble`` gathers the element matrices
 into one weights buffer beside the interface edges' jump matrices, and one
-``np.bincount`` sums it into the CSR pattern the mesh stores
+``np.add.at`` sums it into the CSR pattern the mesh stores
 (``MembraneMesh.slots``), so a realization that only moves a tiling's nodes
 reuses its pattern.  A conductivity that does not repeat from cell to cell
 makes every cell its own kind (``BilinearFormSpec.kinds``), so the answer
@@ -28,13 +28,14 @@ matrix with its cell interiors condensed per kind: cells of one kind
 (``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
 so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the free dofs of the
-cell skeleton (``MembraneMesh.skeleton``).  One ``np.bincount`` sums the
+cell skeleton (``MembraneMesh.skeleton``).  One ``np.add.at`` sums the
 kinds' Schur blocks and the matrix's skeleton entries into that complement,
-in a pattern built once per tiling template.  When the kinds hold, the
-preconditioner is the inverse of the matrix up to rounding and CG stops
-after one iteration; CG checks the answer against the matrix itself either
-way.  Both factors are SuperLU's complete LU (``splu``).  The set-up is
-built once per matrix: copies of a system that differ only in their load
+in the pattern the mesh stores (``MembraneMesh.schur``): every index set of
+the solver that the topology fixes is built with the mesh.  When the kinds
+hold, the preconditioner is the inverse of the matrix up to rounding and CG
+stops after one iteration; CG checks the answer against the matrix itself
+either way.  Both factors are SuperLU's complete LU (``splu``).  The set-up
+is built once per matrix: copies of a system that differ only in their load
 (``dataclasses.replace``) share it.
 """
 
@@ -141,7 +142,7 @@ class DiscreteSystem:
     conductivity on ``mesh``, evaluated once by assemble (``mesh`` is the mesh
     assembled on, with the kinds ``BilinearFormSpec.kinds`` gave it; the
     matrix is in its pattern).  The solution is zero on ``fixed``, the mesh's
-    boundary nodes, and unknown on ``free``, every other node.
+    boundary nodes, and unknown on ``free``, the mesh's ``free_nodes``.
     ``solver`` holds the set-up ``solve`` builds on first use; copies made by
     ``dataclasses.replace`` share it, and it is rebuilt for a copy with
     another matrix or mesh."""
@@ -162,9 +163,7 @@ class DiscreteSystem:
 
     @property
     def free(self) -> np.ndarray:
-        mask = np.ones(len(self.load), dtype=bool)
-        mask[self.fixed] = False
-        return np.flatnonzero(mask)
+        return self.mesh.free_nodes
 
 
 @dataclass
@@ -185,7 +184,8 @@ def _scatter(mesh: MembraneMesh, weights: np.ndarray) -> sp.csr_matrix:
     """The matrix, in the mesh's pattern, summing the element matrices laid
     out in ``weights`` as ``MembraneMesh.slots`` orders them: the triangles'
     (nt, 3, 3), then the interface edges' (ne, 4, 4)."""
-    data = np.bincount(mesh.slots, weights=weights, minlength=len(mesh.indices))
+    data = np.zeros(len(mesh.indices))
+    np.add.at(data, mesh.slots, weights)  # np.bincount's order; no np.intp copy of slots
     nv = mesh.num_vertices
     return sp.csr_matrix((data, mesh.indices, mesh.indptr), shape=(nv, nv))
 
@@ -309,114 +309,45 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
     return b if lu is None else lu.solve(b)
 
 
-def _skeleton_pattern(mesh: MembraneMesh) -> dict:
-    """Where ``_condense`` sums the Schur complement S on the free skeleton
-    dofs (the skeleton nodes off the mesh boundary) of a matrix in the mesh's
-    pattern:
-    ``nodes``, the free skeleton nodes in order; ``indptr`` and ``indices``,
-    S's CSR pattern over them; ``entries``, the matrix entries between two
-    of them; ``cells``, the cells in the order their Schur blocks are summed
-    (by their count of skeleton nodes); and ``slots``, the position in S's
-    data of each summand: the Schur block of each cell of ``cells`` over its
-    skeleton nodes in table column order, row-major, then the ``entries``.
-    A summand in a boundary row or column goes to the extra slot
-    len(indices).  Built once per mesh (so per tiling template) at its first
-    solve, and kept in ``mesh.memo``."""
-    if "skeleton" in mesh.memo:
-        return mesh.memo["skeleton"]
-    n, table = mesh.num_vertices, mesh.cell_nodes
-    nodes = np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
-    m = len(nodes)
-    pos = np.full(n + 1, -1)  # position among ``nodes``; the last entry stands for absent ones
-    pos[nodes] = np.arange(m)
-    on = np.zeros(n + 1, dtype=bool)
-    on[mesh.skeleton] = True
-    on = on[table]  # skeleton nodes of each cell's table row; absent (-1) ones read False
-
-    # per group of cells with one count b of skeleton nodes: each cell's b x b block
-    count = on.sum(axis=1)
-    cells = np.argsort(count, kind="stable")
-    keys = []
-    for b in np.unique(count):
-        group = cells[count[cells] == b]
-        at = pos[table[group][on[group]]].reshape(len(group), b)
-        block = at[:, :, None] * m + at[:, None, :]
-        block[(at < 0)[:, :, None] | (at < 0)[:, None, :]] = -1
-        keys.append(block.ravel())
-
-    # the matrix entries between free skeleton nodes, from their rows
-    start, length = mesh.indptr[nodes], np.diff(mesh.indptr)[nodes]
-    row = np.repeat(np.arange(m), length)
-    entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
-    col = pos[mesh.indices[entries]]
-    entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
-    keys.append(row * m + col)
-
-    keys = np.concatenate(keys)
-    links = keys[keys >= 0]
-    links.sort()
-    links = links[np.diff(links, prepend=-1) != 0]
-    slots = np.searchsorted(links, keys)
-    slots[keys < 0] = len(links)
-    mesh.memo["skeleton"] = pattern = {
-        "nodes": nodes, "entries": entries, "cells": cells, "slots": slots,
-        "indices": (links % m).astype(np.int32),
-        "indptr": np.searchsorted(links, np.arange(m + 1) * m).astype(np.int32),
-    }
-    return pattern
-
-
-def _condense(K: sp.csr_matrix, mesh: MembraneMesh) -> tuple:
-    """Per kind: the cells' interior and skeleton nodes (rows of the cell
-    table, in the columns of the kind's first cell), the LU of that cell's
-    interior block A and E = A^-1 K_IB, both read from the full matrix K (in
-    the mesh's pattern); the Schur complement S = K_BB - sum over cells of
-    K_BI E on the free skeleton nodes, summed by one ``np.bincount`` in the
-    pattern ``_skeleton_pattern``; and those nodes."""
-    pattern = _skeleton_pattern(mesh)
-    table = mesh.cell_nodes
-    on = np.zeros(K.shape[0] + 1, dtype=bool)  # the last entry stands for absent nodes (-1)
-    on[mesh.skeleton] = True
-    skeleton = on[table]
-    interior = (table >= 0) & ~skeleton
-    kinds, blocks = [], []
-    labels, rank = np.unique(mesh.cell_kind, return_inverse=True)
-    for kind in range(len(labels)):
-        cells = np.flatnonzero(rank == kind)
-        inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
-        rep = table[cells[0], np.concatenate([inner, outer])]
-        block = K[rep][:, rep]
-        ni = len(inner)
-        lu = _factor(block[:ni, :ni])
-        K_IB = block[:ni, ni:].toarray()
-        E = _solve(lu, K_IB)
-        blocks.append(-(K_IB.T @ E))
-        members = table[cells]
-        kinds.append((members[:, inner], members[:, outer], lu, E))
-    weights = np.concatenate([
-        *(blocks[r].ravel() for r in rank[pattern["cells"]]), K.data[pattern["entries"]]
-    ])
-    indices = pattern["indices"]
-    data = np.bincount(pattern["slots"], weights=weights, minlength=len(indices) + 1)
-    m = len(pattern["nodes"])
-    S = sp.csr_matrix((data[:-1], indices, pattern["indptr"]), shape=(m, m))
-    S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
-    return kinds, S, pattern["nodes"]
-
-
 class _Condensed:
     """The free-dof block of a matrix K as an operator, and the inverse of
     K~, K with each cell's interior block and its coupling to the cell's
-    skeleton nodes replaced by those of the first cell of its kind
-    (``_condense``).  The skeleton block of K~^-1 is the inverse of the
-    Schur complement S on the free skeleton dofs, factored once, here."""
+    skeleton nodes replaced by those of the first cell of its kind.
+
+    Per kind it keeps the cells' interior and skeleton nodes (rows of the
+    cell table, in the columns of the kind's first cell), the LU of that
+    cell's interior block A and E = A^-1 K_IB, both read from K (in the
+    mesh's pattern).  The skeleton block of K~^-1 is the inverse of the
+    Schur complement S = K_BB - sum over cells of K_BI E on the free
+    skeleton dofs, summed by one ``np.add.at`` in the mesh's pattern
+    ``MembraneMesh.schur`` and factored once, here."""
 
     def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
-        self.K = K
-        is_free = np.ones(K.shape[0], dtype=bool)
-        is_free[mesh.boundary_nodes] = False
-        self.free = np.flatnonzero(is_free)
-        self.kinds, S, self.skeleton = _condense(K, mesh)
+        self.K, self.free, pattern = K, mesh.free_nodes, mesh.schur
+        table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
+        interior = (table >= 0) & ~skeleton
+        self.kinds, blocks = [], []
+        labels, rank = np.unique(mesh.cell_kind, return_inverse=True)
+        for kind in range(len(labels)):
+            cells = np.flatnonzero(rank == kind)
+            inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
+            rep = table[cells[0], np.concatenate([inner, outer])]
+            block = K[rep][:, rep]
+            ni = len(inner)
+            lu = _factor(block[:ni, :ni])
+            K_IB = block[:ni, ni:].toarray()
+            E = _solve(lu, K_IB)
+            blocks.append(-(K_IB.T @ E))
+            members = table[cells]
+            self.kinds.append((members[:, inner], members[:, outer], lu, E))
+        weights = np.concatenate([
+            *(blocks[r].ravel() for r in rank[pattern["cells"]]), K.data[pattern["entries"]]
+        ])
+        self.skeleton, indices = pattern["nodes"], pattern["indices"]
+        data = np.zeros(len(indices) + 1)
+        np.add.at(data, pattern["slots"], weights)
+        S = sp.csr_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
+        S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
         self.lu = _factor(S)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -510,15 +441,11 @@ def flux_pairing(
     sol: FemSolution, tensor: np.ndarray, fields, gradient: np.ndarray = None
 ) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
-    for each psi in ``fields``, with A the per-triangle ``tensor`` (as
-    ``BilinearFormSpec.tensor`` evaluates it); psi maps physical points (n, 2)
-    to vectors (n, 2), or is those vectors at the mesh's centroids.
-    ``gradient`` is the solution's ``p1_gradient`` when the caller has it."""
+    for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
+    centroids, with A the per-triangle ``tensor`` (as
+    ``BilinearFormSpec.tensor`` evaluates it).  ``gradient`` is the
+    solution's ``p1_gradient`` when the caller has it."""
     mesh, areas = sol.mesh, sol.mesh.areas
     g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     flux = np.einsum("tij,tj->ti", tensor, g)
-    return [
-        float(np.einsum("t,ti,ti->", areas, flux,
-                        np.asarray(psi(mesh.centroids) if callable(psi) else psi)))
-        for psi in fields
-    ]
+    return [float(np.einsum("t,ti,ti->", areas, flux, psi)) for psi in fields]

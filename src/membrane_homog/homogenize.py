@@ -48,10 +48,6 @@ def _test_field_values(pts: np.ndarray) -> tuple[tuple, tuple]:
     return scalars, vectors
 
 
-SCALAR_TEST_FIELDS = tuple(lambda p, i=i: _test_field_values(p)[0][i] for i in range(4))
-VECTOR_TEST_FIELDS = tuple(lambda p, i=i: _test_field_values(p)[1][i] for i in range(3))
-
-
 def solve_hetero(
     eps: float,
     dmap: DeformationMap,
@@ -107,9 +103,9 @@ def homog_form(A0: np.ndarray) -> BilinearFormSpec:
 class HomogSolution:
     """The homogenized solution u0 on the uniform grid ``build_square_mesh(m)``:
     nodal ``values`` (index i * (m + 1) + j at (i/m, j/m)), the symmetric
-    ``A0`` it was solved with, and its pairings with ``VECTOR_TEST_FIELDS``
-    (``flux_pairings``) and ``SCALAR_TEST_FIELDS`` (``mass_pairings``), which
-    every error row compares against."""
+    ``A0`` it was solved with, and its pairings with the vector test fields
+    (``flux_pairings``) and the scalar ones (``mass_pairings``) of
+    ``_test_field_values``, which every error row compares against."""
 
     values: np.ndarray
     m: int

@@ -7,11 +7,13 @@ shared boundary nodes, which works because every deformation map fixes cell
 boundaries.
 
 So a tiling's numbering, stitch, interface edges, cell indices, boundary,
-cell table, skeleton and matrix pattern depend only on the cell mesh, the
-lattice block, its membrane mask and the scale: they are built once per
-process for each such configuration (a small cache, as is the cell mesh for
-each interface and h) and a realization only moves the nodes to their
-deformed positions and names the kind of each cell.
+free nodes, cell table, skeleton and the patterns of the matrix and of its
+Schur complement on the skeleton depend only on the cell mesh, the lattice
+block, its membrane mask and the scale: they are built once per process for
+each such configuration (a small cache, as is the cell mesh for each
+interface and h) and a realization only moves the nodes to their deformed
+positions and names the kind of each cell.  ``fem`` reads these index sets
+and builds none of its own beyond the kinds' columns.
 
 Every mesh names the kind of each cell: a realization at most four (bumped
 or not, membrane or cushion), the square grid one per shape of block.  The
@@ -79,17 +81,32 @@ class MembraneMesh:
     for the others: ``tri_prototype`` (nt,) gives each triangle's row of
     ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
     prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
-    ``grads`` (nt, 3, 2) gather on each use.  ``memo`` holds what ``fem``
-    keeps between solves on this mesh and on every other realization of its
-    tiling.
+    ``grads`` (nt, 3, 2) gather on each use.  ``memo`` holds the one fact
+    ``fem`` keeps that depends on more than the topology: whether a
+    conductivity repeats from cell to cell (``BilinearFormSpec.kinds``),
+    shared with every other realization of the tiling.
 
     ``cell_nodes`` (nc, w) is the cell table: each cell's nodes, -1 where
     one is absent, in columns that match between cells of one kind; by
     default the nodes of each cell's triangles in increasing order.
     ``skeleton`` (sorted) holds the nodes on a cell boundary: those on the
     mesh boundary, in no cell or in more than one; every other node is
-    interior to one cell.  The arrays are never mutated after construction;
-    a realization of a tiling shares them with the tiling's mesh.
+    interior to one cell.  ``cell_skeleton`` (nc, w) marks the table's
+    skeleton nodes, ``free_nodes`` every node off ``boundary_nodes``: the
+    dofs of every system on the mesh.
+
+    ``schur`` (int32 arrays) is where ``fem`` sums the Schur complement S of
+    a matrix in the mesh's pattern on the free skeleton nodes: ``nodes``,
+    those nodes in order; ``indptr`` and ``indices``, S's CSR pattern over
+    them; ``entries``, the matrix entries between two of them; ``cells``,
+    the cells in the order their Schur blocks are summed (by their count of
+    skeleton nodes); and ``slots``, the position in S's data of each
+    summand: the Schur block of each cell of ``cells`` over its skeleton
+    nodes in table column order, row-major, then the ``entries``.  A summand
+    in a boundary row or column goes to the extra slot len(indices).
+
+    The arrays are never mutated after construction; a realization of a
+    tiling, and a copy with other kinds, shares them with the tiling's mesh.
     """
 
     vertices: np.ndarray
@@ -117,6 +134,9 @@ class MembraneMesh:
     indices: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
     skeleton: np.ndarray = field(init=False, repr=False)
+    cell_skeleton: np.ndarray = field(init=False, repr=False)
+    free_nodes: np.ndarray = field(init=False, repr=False)
+    schur: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = self.tri_cell.min(axis=0, initial=0)
@@ -136,9 +156,12 @@ class MembraneMesh:
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True
         self.skeleton = np.flatnonzero(on)
+        self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
+        self.free_nodes = np.delete(np.arange(self.num_vertices), self.boundary_nodes)
         self.ref_vertices = self.vertices
         self._take_prototypes(np.arange(len(keys)) if self.cell_kind is None else self.cell_kind)
         self.centroids = self.ref_centroids = triangle_centroids(self.vertices, self.triangles)
+        self.schur = self._schur_pattern()
 
     def _take_prototypes(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
@@ -228,6 +251,45 @@ class MembraneMesh:
                     if j != i:
                         block[:, i, j] = np.searchsorted(keys, elements[:, i] * nv + elements[:, j])
         return indptr, (keys % nv).astype(np.int32), slots
+
+    def _schur_pattern(self) -> dict:
+        """The ``schur`` pattern of the free skeleton nodes (see the class
+        docstring)."""
+        n, table, on = self.num_vertices, self.cell_nodes, self.cell_skeleton
+        nodes = np.setdiff1d(self.skeleton, self.boundary_nodes)
+        m = len(nodes)
+        pos = np.full(n + 1, -1)  # position among ``nodes``; the last entry stands for absent ones
+        pos[nodes] = np.arange(m)
+
+        # per group of cells with one count b of skeleton nodes: each cell's b x b block
+        count = on.sum(axis=1)
+        cells = np.argsort(count, kind="stable")
+        keys = []
+        for b in np.unique(count):
+            group = cells[count[cells] == b]
+            at = pos[table[group][on[group]]].reshape(len(group), b, 1)
+            off = (at < 0) | (at < 0).transpose(0, 2, 1)
+            keys.append(np.where(off, -1, at * m + at.transpose(0, 2, 1)).ravel())
+
+        # the matrix entries between free skeleton nodes, from their rows
+        start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
+        row = np.repeat(np.arange(m), length)
+        entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
+        col = pos[self.indices[entries]]
+        entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
+        keys.append(row * m + col)
+
+        keys = np.concatenate(keys)
+        links = keys[keys >= 0]
+        links.sort()
+        first = np.ones(len(links), dtype=bool)  # each run's first link; bools, not np.diff's int64
+        np.not_equal(links[1:], links[:-1], out=first[1:])
+        links = links[first]
+        slots = np.searchsorted(links, keys).astype(np.int32)
+        slots[keys < 0] = len(links)
+        return {name: a.astype(np.int32, copy=False) for name, a in (
+            ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
+            ("indices", links % m), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
 
     @property
     def num_vertices(self) -> int:

@@ -210,6 +210,14 @@ class TestPatternScatter:
         pattern = sp.csr_matrix((np.ones(len(mesh.indices)), mesh.indices, mesh.indptr))
         assert np.array_equal(pattern.toarray() != 0, ref != 0)
 
+    @pytest.mark.parametrize("name", ["truncated_bernoulli", "square"])
+    def test_sums_in_bincount_order(self, meshes, name):
+        # the scatter's sums are np.bincount's, bit for bit
+        mesh = meshes[name]
+        weights = np.random.default_rng(2).standard_normal(len(mesh.slots))
+        want = np.bincount(mesh.slots, weights=weights, minlength=len(mesh.indices))
+        assert fem._scatter(mesh, weights).data.tobytes() == want.tobytes()
+
 
 class TestSymmetricEigenvalues:
     """The closed-form 2x2 eigenvalues the ellipticity check uses."""
@@ -525,21 +533,62 @@ class TestTwoLevelCG:
         assert np.array_equal(tri_owner[corner], tri_cell[corner])
 
     def test_schur_pattern_once_per_template(self):
-        # built at the first solve on a template, shared by its realizations
+        # built with the template, before any solve, and shared by its
+        # realizations and their cellwise copies
         meshing._template.cache_clear()
         cell = build_cell_mesh(SPEC, 0.1)
+        template = meshing.truncated_template(cell, 2).mesh
+        pattern = template.schur
+        assert template.memo == {}
+        assert all(a.dtype == np.int32 for a in pattern.values())
         meshes = [build_truncated_mesh(cell, BernoulliCellwiseMap(seed), 2) for seed in (0, 1)]
         assert not np.array_equal(meshes[0].cell_kind, meshes[1].cell_kind)
-        assert "skeleton" not in meshes[0].memo
+        assert all(mesh.schur is pattern for mesh in (*meshes, meshes[0].cellwise()))
         form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
-        patterns = []
         for mesh in meshes:
             assert solve(assemble(mesh, form, p=[1.0, 0.0])).iterations == 1
-            patterns.append(mesh.memo["skeleton"])
-        assert patterns[0] is patterns[1]
-        nodes = patterns[0]["nodes"]
-        assert len(nodes) and not np.isin(nodes, meshes[0].boundary_nodes).any()
-        assert np.array_equal(nodes, np.setdiff1d(meshes[0].skeleton, meshes[0].boundary_nodes))
+        assert template.memo and all(key[0] == "periodic" for key in template.memo)
+        nodes = pattern["nodes"]
+        assert len(nodes) and not np.isin(nodes, template.boundary_nodes).any()
+        off = np.setdiff1d(np.arange(template.num_vertices), template.boundary_nodes)
+        assert np.array_equal(template.free_nodes, off)
+        assert np.array_equal(nodes, np.setdiff1d(template.skeleton, template.boundary_nodes))
+
+    SCHUR_CASES = {
+        "bernoulli": (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(0), 2),
+                      BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)),
+        "cushions": (lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(3), 0.25, SPEC),
+                     hetero_form(0.25)),
+        "grid": (lambda cell: build_square_mesh(20), BilinearFormSpec()),
+    }
+
+    @pytest.mark.parametrize("cellwise", [False, True], ids=["assembled", "cellwise"])
+    @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+    def test_schur_complement(self, cell_h01, monkeypatch, case, cellwise):
+        # the S the set-up factors is K_BB - K_BI K_II^-1 K_IB on the free
+        # skeleton dofs B, I the other free dofs
+        build, form = self.SCHUR_CASES[case]
+        system = assemble(build(cell_h01), form)
+        if case == "cushions":  # cells with and without membranes, bumped or not
+            assert set(system.mesh.cell_kind) == {0, 1, 2, 3}
+        mesh = system.mesh.cellwise() if cellwise else system.mesh
+        factored, factor = [], fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda A: factored.append(A) or factor(A))
+        fem._Condensed(system.matrix, mesh)
+        S = factored[-1].toarray()  # S is factored last
+        B = mesh.schur["nodes"]
+        I = np.setdiff1d(mesh.free_nodes, B)
+        K = system.matrix.toarray()
+        ref = K[np.ix_(B, B)] - K[np.ix_(B, I)] @ np.linalg.solve(K[np.ix_(I, I)], K[np.ix_(I, B)])
+        assert 0 < len(B) < len(mesh.free_nodes)
+        assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_folded_periodic_cell_has_empty_schur_complement(self, monkeypatch):
+        factored, factor = [], fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda A: factored.append(A) or factor(A))
+        periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)
+        interior, S = factored  # the one cell's interior, then S
+        assert S.shape == (0, 0) and interior.shape[0] > 0
 
     def test_conductivity_not_periodic(self):
         # kinds assume a conductivity periodic in the reference coordinate;
@@ -645,18 +694,19 @@ class TestPairings:
     def test_zero_solution(self, cell_h01):
         sol = fem.FemSolution(values=np.zeros(cell_h01.num_vertices), mesh=cell_h01)
         tensor = BilinearFormSpec().tensor(cell_h01)
-        val = flux_pairing(sol, tensor, [lambda p: np.column_stack([p[:, 0] * 0 + 1, p[:, 0] * 0])])[0]
+        psi = np.column_stack([np.ones(cell_h01.num_triangles), np.zeros(cell_h01.num_triangles)])
+        val = flux_pairing(sol, tensor, [psi])[0]
         assert val == 0.0
 
     def test_unit_gradient_unit_domain(self):
         mesh = build_square_mesh(8)
         sol = fem.FemSolution(values=mesh.vertices[:, 0].copy(), mesh=mesh)
-        psi = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
+        psi = np.column_stack([np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)])
         assert abs(flux_pairing(sol, BilinearFormSpec().tensor(mesh), [psi])[0] - 1.0) < 1e-12
 
     def test_linear_test_field_exact(self, cell_h01):
         # u = x1, psi = (x2, x1): integrand is linear, centroid rule exact
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
-        psi = lambda p: np.column_stack([p[:, 1], p[:, 0]])
+        psi = cell_h01.centroids[:, ::-1]
         tensor = BilinearFormSpec().tensor(cell_h01)
         assert abs(flux_pairing(sol, tensor, [psi])[0] - 0.5) < 1e-12

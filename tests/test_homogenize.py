@@ -20,8 +20,7 @@ from membrane_homog.homogenize import (
     CSV_HEADER,
     ErrorRow,
     HomogSolution,
-    SCALAR_TEST_FIELDS,
-    VECTOR_TEST_FIELDS,
+    _test_field_values,
     bump_profile,
     constant_field,
     error_suite,
@@ -36,6 +35,10 @@ from membrane_homog.homogenize import (
 from membrane_homog.meshing import MINUS, build_square_mesh
 
 SPEC = InterfaceSpec()
+
+# the test fields one at a time, each a function of the points (n, 2)
+SCALAR_TEST_FIELDS = tuple(lambda p, i=i: _test_field_values(p)[0][i] for i in range(4))
+VECTOR_TEST_FIELDS = tuple(lambda p, i=i: _test_field_values(p)[1][i] for i in range(3))
 
 
 def grid_solution(values, m):
@@ -200,8 +203,10 @@ class TestErrorSuite:
         minus = mesh.tri_region == MINUS
         rec = norms(ue)
         flux = np.abs(np.subtract(
-            flux_pairing(ue, hetero_form(eps, aniso_field).tensor(mesh), VECTOR_TEST_FIELDS),
-            flux_pairing(grid, homog_form(A0).tensor(gm), VECTOR_TEST_FIELDS),
+            flux_pairing(ue, hetero_form(eps, aniso_field).tensor(mesh),
+                         [psi(mesh.centroids) for psi in VECTOR_TEST_FIELDS]),
+            flux_pairing(grid, homog_form(A0).tensor(gm),
+                         [psi(gm.centroids) for psi in VECTOR_TEST_FIELDS]),
         ))
         ue_pair = [float(np.sum(mesh.areas[minus] * ue_c[minus] * phi(cent)[minus]))
                    for phi in SCALAR_TEST_FIELDS]

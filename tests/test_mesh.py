@@ -396,6 +396,8 @@ class TestTilingTemplate:
         assert b.triangles is a.triangles and b.slots is a.slots
         assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
+        assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
+        assert b.schur is a.schur and b.cellwise().schur is a.schur
         assert not np.array_equal(a.vertices, b.vertices)
         # each realization names its own kinds, 2 * bumped + membrane
         for seed, mesh in ((1, a), (2, b)):
