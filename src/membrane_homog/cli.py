@@ -389,8 +389,10 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
             print(f"homogenize: effective.json {why}; recomputing", file=sys.stderr)
         cmd_effective(cfg, out, jobs)
         t = read_effective_json(eff_path)
-    u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     eps_sorted = sorted(cfg.eps, reverse=True)
+    if jobs > 1 and len(cfg.realizations) * len(eps_sorted) > 1:
+        build_cell_mesh(cfg.interface, cfg.h)  # before the pool forks: its workers share it
+    u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     tasks = [(cfg, s, e, u0, t) for s in cfg.realizations for e in eps_sorted]
     rows = _per_seed(cfg, _run_tasks(_hetero_task, tasks, jobs))
     write_convergence_csv(out.path("convergence.csv"), rows)

@@ -12,8 +12,8 @@ Schur complement on the skeleton depend only on the cell mesh, the lattice
 block, its membrane mask and the scale: they are built once per process for
 each such configuration (a small cache, as is the cell mesh for each
 interface and h) and a realization only moves the nodes to their deformed
-positions and names the kind of each cell.  ``fem`` reads these index sets
-and builds none of its own beyond the kinds' columns.
+positions and names the kind of each cell.  Edges and patterns are tiled
+from the cell; ``fem`` builds no index set beyond the kinds' columns.
 
 Every mesh names the kind of each cell: a realization at most four (bumped
 or not, membrane or cushion), the square grid one per shape of block.  The
@@ -44,12 +44,20 @@ PAIRING_TOL = 1e-12
 STITCH_TOL = 1e-12
 
 
-def _edge_keys(triangles: np.ndarray, nv: int):
-    """Per-triangle edge ends a -> b (edge k of triangle t at 3t+k) and the
-    undirected edge key min*nv+max."""
-    a = triangles.reshape(-1).astype(np.int64)
-    b = triangles[:, [1, 2, 0]].reshape(-1).astype(np.int64)
-    return a, b, np.minimum(a, b) * nv + np.maximum(a, b)
+def _merged(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of ``parts`` in increasing order and each key's
+    position (int32) among them, by one stable argsort: timsort merges the
+    sorted runs of keys emitted cell by cell.  ``parts`` is emptied."""
+    keys = np.concatenate(parts)
+    parts.clear()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)  # each run's first key; bools, not np.diff's int64
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    at = np.empty(len(order), dtype=np.int32)
+    at[order] = np.cumsum(first, dtype=np.int32) - 1
+    return keys, at
 
 
 @dataclass(eq=False)
@@ -65,13 +73,18 @@ class MembraneMesh:
     Topology and geometry are derived once, at construction: ``cells`` are
     the distinct lattice cells of ``tri_cell`` in lexicographic order,
     ``tri_cell_index`` gives each triangle's row of ``cells``,
-    ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b),
-    ``edge_cell_index`` the row of ``cells`` each edge belongs to, and
+    ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b), the
+    edges of one MINUS triangle between MINUS interface nodes, as their
+    triangle runs (counterclockwise around each membrane), sorted;
+    ``edge_cell_index`` is the row of ``cells`` each edge belongs to, and
     ``centroids`` (nt, 2) the physical centroids.  ``indptr`` and ``indices``
     (int32) are the CSR pattern of the transmission form's matrix, and
     ``slots`` (int32) the pattern position of every element entry: the 3 x 3
     entries of each triangle, row-major, then the 4 x 4 entries of each
-    interface edge over (plus_a, plus_b, minus_a, minus_b).
+    interface edge.  Each kind's first cell gives its edges and links (node
+    pairs) in table columns, the table maps them to every cell of the kind,
+    and one sort merges the links cells share; a cell that is no copy of its
+    kind's first cell raises ValueError.
 
     ``cell_kind`` (nc,) labels cells whose element matrices agree up to
     rounding (by default each cell is its own kind): cells of one kind have
@@ -139,18 +152,19 @@ class MembraneMesh:
     schur: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = self.tri_cell.min(axis=0, initial=0)
-        k = self.tri_cell - lo
-        ny = k[:, 1].max(initial=0) + 1
-        keys, self.tri_cell_index = np.unique(k[:, 0] * ny + k[:, 1], return_inverse=True)
+        lo = np.array([k.min(initial=0) for k in self.tri_cell.T])  # per column: fast
+        x, y = self.tri_cell[:, 0] - lo[0], self.tri_cell[:, 1] - lo[1]
+        ny = y.max(initial=0) + 1
+        keys = x * ny + y
+        run = np.flatnonzero(np.diff(keys, prepend=-1))  # each cell's run of triangles starts
+        keys, inverse = np.unique(keys[run], return_inverse=True)
+        self.tri_cell_index = np.repeat(inverse, np.diff(run, append=self.num_triangles))
         self.cells = np.column_stack([keys // ny, keys % ny]) + lo
-        count = np.bincount(self.tri_cell_index, minlength=len(keys))
+        tri_count = np.bincount(self.tri_cell_index, minlength=len(keys))
+        tri_order = np.argsort(self.tri_cell_index, kind="stable")
         self.tri_local = np.empty(self.num_triangles, dtype=np.int32)
-        self.tri_local[np.argsort(self.tri_cell_index, kind="stable")] = (
-            np.arange(self.num_triangles) - np.repeat(np.cumsum(count) - count, count))
-        self.interface_edges, edge_tri = self._interface_edges()
-        self.edge_cell_index = self.tri_cell_index[edge_tri]
-        self.indptr, self.indices, self.slots = self._pattern()
+        self.tri_local[tri_order] = (
+            np.arange(self.num_triangles) - np.repeat(np.cumsum(tri_count) - tri_count, tri_count))
         if self.cell_nodes is None:
             self.cell_nodes = self._cell_table()
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
@@ -158,10 +172,12 @@ class MembraneMesh:
         self.skeleton = np.flatnonzero(on)
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices), self.boundary_nodes)
-        self.ref_vertices = self.vertices
-        self._take_prototypes(np.arange(len(keys)) if self.cell_kind is None else self.cell_kind)
-        self.centroids = self.ref_centroids = triangle_centroids(self.vertices, self.triangles)
+        self.cell_kind = np.arange(len(keys)) if self.cell_kind is None else self.cell_kind
+        self._tile(on, tri_order, tri_count)
         self.schur = self._schur_pattern()
+        self.ref_vertices = self.vertices
+        self._take_prototypes(self.cell_kind)
+        self.centroids = self.ref_centroids = triangle_centroids(self.vertices, self.triangles)
 
     def _take_prototypes(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
@@ -199,97 +215,105 @@ class MembraneMesh:
         """The nodes of each cell's triangles in increasing order, padded
         with -1."""
         nv = self.num_vertices
-        keys = np.sort(np.repeat(self.tri_cell_index, 3) * nv + self.triangles.ravel())
+        keys = np.sort(np.repeat(self.tri_cell_index * nv, 3) + self.triangles.ravel())
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        count = np.bincount(keys // nv, minlength=len(self.cells))
+        cell = keys // nv
+        count = np.bincount(cell, minlength=len(self.cells))
         table = np.full((len(self.cells), count.max(initial=0)), -1, dtype=np.int64)
-        rank = np.arange(len(keys)) - np.repeat(np.cumsum(count) - count, count)
-        table[keys // nv, rank] = keys % nv
+        table[cell, np.arange(len(keys)) - (np.cumsum(count) - count)[cell]] = keys - cell * nv
         return table
 
-    def _interface_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interface edges and the MINUS triangle each comes from.
+    def _tile(self, on_skeleton: np.ndarray, tri_order: np.ndarray, count: np.ndarray) -> None:
+        """Tile ``interface_edges``, ``edge_cell_index``, ``indptr``, ``indices`` and
+        ``slots`` from each kind's first cell (see the class docstring); ``on_skeleton``
+        marks the skeleton nodes, ``tri_order`` lists the triangles cell by cell."""
+        table, tri, nv = self.cell_nodes, self.triangles, self.num_vertices
+        w, key = table.shape[1], np.uint32 if nv * nv < 2**32 else np.int64  # holds every key
+        _, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
+        if (count != count[first][rank]).any():
+            raise ValueError("a cell has other triangles than the first cell of its kind")
+        partner = np.full(nv + 1, -1)  # each MINUS node's PLUS partner; the last entry reads -1
+        partner[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
+        kinds, keys, edges = [], [], [np.zeros((0, 5), dtype=np.int64)]
+        for k, f in enumerate(first):
+            members = np.flatnonzero(rank == k)
+            tris = tri_order[(count.cumsum() - count)[members, None] + np.arange(count[f])]
+            rows, row = table[members], table[f]
+            valid, col = np.flatnonzero(row >= 0), np.full(nv + 1, -1)  # each node's column
+            col[row[valid]] = valid
+            tc, pc = col[tri[tris[0]]], col[partner[row]]  # corners' and partners' columns
+            if not (np.array_equal(np.take(tri, tris, axis=0), np.take(rows, tc, axis=1))
+                    and (np.take(self.tri_region, tris) == self.tri_region[tris[0]]).all()
+                    and np.array_equal(partner[rows], np.where(pc >= 0, rows[:, pc], -1))):
+                raise ValueError(f"a cell of kind {k} is no copy of cell {f} up to the numbering")
+            # interface edges: edges of one MINUS triangle between nodes with PLUS partners
+            minus = tc[self.tri_region[tris[0]] == MINUS]
+            a, b = minus.ravel(), minus[:, [1, 2, 0]].ravel()
+            _, inverse, n = np.unique(np.minimum(a, b) * w + np.maximum(a, b),
+                                      return_inverse=True, return_counts=True)
+            on = (n[inverse] == 1) & (pc[a] >= 0) & (pc[b] >= 0)
+            ec = np.column_stack([pc[a[on]], pc[b[on]], a[on], b[on]])
+            edges.append(np.dstack([rows[:, ec], members[:, None].repeat(len(ec), 1)]))
+            # the links of each cell in turn, in the order the kind's last cell numbers them
+            i = np.concatenate([np.repeat(tc, 3, axis=1).ravel(), np.repeat(ec, 4, axis=1).ravel()])
+            j = np.concatenate([np.tile(tc, 3).ravel(), np.tile(ec, 4).ravel()])
+            rows = rows.astype(key)
+            _, at, inv = np.unique(rows[-1, i] * nv + rows[-1, j], return_index=True,
+                                   return_inverse=True)
+            kinds.append((members, tris, sum(map(len, keys)), len(at), *np.split(inv, [9 * len(tc)])))
+            keys.append((np.take(rows, i[at], axis=1) * nv + np.take(rows, j[at], axis=1)).ravel())
 
-        Edges are the boundary edges of the MINUS region (edges of exactly one
-        MINUS triangle) whose ends are both MINUS interface nodes, oriented as
-        traversed by their MINUS triangle (counterclockwise around each
-        membrane, so the MINUS outward normal is the tangent rotated by -90),
-        sorted by their plus nodes.
-        """
-        minus_tri = np.flatnonzero(self.tri_region == MINUS)
-        nv = self.num_vertices
-        a, b, keys = _edge_keys(self.triangles[minus_tri], nv)
-        _, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
-        m2p = np.full(nv, -1, dtype=np.int64)
-        m2p[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
-        on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
-        rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int64)
-        order = np.lexsort(rows.T[::-1])
-        return rows[order], minus_tri[on // 3][order]
-
-    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR ``indptr`` and ``indices`` of the node pairs that share a
-        triangle or an interface edge (each node with itself included), and
-        the ``slots`` of the element entries (see the class docstring)."""
-        nv = self.num_vertices
-        t, e = self.triangles, self.interface_edges
-        links = np.concatenate([_edge_keys(t, nv)[2], *(
-            np.minimum(e[:, i], e[:, j]) * nv + np.maximum(e[:, i], e[:, j])
-            for i in range(4) for j in range(i + 1, 4))])
-        links = np.sort(links)  # deduplicated by hand: np.unique hashes here, over 10x slower
-        links = links[np.diff(links, prepend=-1) != 0]
-        lo, hi, diag = links // nv, links % nv, np.arange(nv)
-        keys = np.sort(np.concatenate([lo * nv + hi, hi * nv + lo, diag * nv + diag]))
-        indptr = np.searchsorted(keys, np.arange(nv + 1) * nv).astype(np.int32)
-        slots = np.empty(9 * len(t) + 16 * len(e), dtype=np.int32)
-        diag = np.searchsorted(keys, diag * (nv + 1))
-        for elements, k, start in ((t, 3, 0), (e, 4, 9 * len(t))):
-            block = slots[start:start + k * k * len(elements)].reshape(-1, k, k)
-            for i in range(k):
-                block[:, i, i] = diag[elements[:, i]]
-                for j in range(k):
-                    if j != i:
-                        block[:, i, j] = np.searchsorted(keys, elements[:, i] * nv + elements[:, j])
-        return indptr, (keys % nv).astype(np.int32), slots
+        e = np.concatenate([x.reshape(-1, 5) for x in edges])
+        if (on_skeleton[e[:, 2]] & on_skeleton[e[:, 3]]).any():
+            raise ValueError("an interface edge lies on the cell skeleton")
+        order = np.lexsort(e[:, 3::-1].T)
+        self.interface_edges, self.edge_cell_index = e[order, :4], e[order, 4]
+        lone = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)  # nodes in no triangle
+        keys.append((lone * (nv + 1)).astype(key))  # each with itself, as the others are
+        links, at = _merged(keys)
+        self.indptr = np.searchsorted(links, np.arange(nv + 1, dtype=key) * nv).astype(np.int32)
+        self.indices = (links - links // nv * nv).astype(np.int32)
+        del links
+        self.slots = np.empty(9 * len(tri) + 16 * len(e), dtype=np.int32)
+        tri_slots = self.slots[:9 * len(tri)].reshape(-1, 9)
+        edge_slots = [np.zeros((0, 16), dtype=np.int32)]
+        for members, tris, start, n, t, s in kinds:
+            per_cell = at[start:start + len(members) * n].reshape(-1, n)
+            tri_slots[tris] = np.take(per_cell, t.reshape(-1, 9), axis=1)
+            edge_slots.append(np.take(per_cell, s.reshape(-1, 16), axis=1).reshape(-1, 16))
+        self.slots[9 * len(tri):] = np.concatenate(edge_slots)[order].ravel()
 
     def _schur_pattern(self) -> dict:
         """The ``schur`` pattern of the free skeleton nodes (see the class
         docstring)."""
-        n, table, on = self.num_vertices, self.cell_nodes, self.cell_skeleton
-        nodes = np.setdiff1d(self.skeleton, self.boundary_nodes)
+        table, on = self.cell_nodes, self.cell_skeleton
+        nodes = np.setdiff1d(self.skeleton, self.boundary_nodes, assume_unique=True)
         m = len(nodes)
-        pos = np.full(n + 1, -1)  # position among ``nodes``; the last entry stands for absent ones
-        pos[nodes] = np.arange(m)
-
-        # per group of cells with one count b of skeleton nodes: each cell's b x b block
+        pos = np.full(self.num_vertices + 1, m, dtype=np.uint32 if m * m < 2**32 else np.int64)
+        pos[nodes] = np.arange(m)  # position among ``nodes``; m for the others and absent ones
         count = on.sum(axis=1)
         cells = np.argsort(count, kind="stable")
-        keys = []
-        for b in np.unique(count):
+        keys, pairs = [], []
+        for b in np.unique(count):  # per count b of skeleton nodes: each cell's b x b block
             group = cells[count[cells] == b]
-            at = pos[table[group][on[group]]].reshape(len(group), b, 1)
-            off = (at < 0) | (at < 0).transpose(0, 2, 1)
-            keys.append(np.where(off, -1, at * m + at.transpose(0, 2, 1)).ravel())
-
-        # the matrix entries between free skeleton nodes, from their rows
+            at = pos[table[group][on[group]]].reshape(len(group), b)
+            pairs.append((at < m)[:, :, None] & (at < m)[:, None, :])  # both nodes free
+            keys.append((at[:, :, None] * m + at[:, None, :])[pairs[-1]])
         start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
-        row = np.repeat(np.arange(m), length)
+        row = np.repeat(np.arange(m), length)  # the matrix entries between free skeleton nodes
         entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
         col = pos[self.indices[entries]]
-        entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
-        keys.append(row * m + col)
+        entries, row, col = entries[col < m], row[col < m], col[col < m]
+        keys.append((row * m + col).astype(pos.dtype))
+        pairs.append(np.ones(len(entries), dtype=bool))
 
-        keys = np.concatenate(keys)
-        links = keys[keys >= 0]
-        links.sort()
-        first = np.ones(len(links), dtype=bool)  # each run's first link; bools, not np.diff's int64
-        np.not_equal(links[1:], links[:-1], out=first[1:])
-        links = links[first]
-        slots = np.searchsorted(links, keys).astype(np.int32)
-        slots[keys < 0] = len(links)
+        links, at = _merged(keys)
+        slots = np.full(sum(p.size for p in pairs), len(links), dtype=np.int32)
+        slots[np.concatenate([p.ravel() for p in pairs])] = at
         return {name: a.astype(np.int32, copy=False) for name, a in (
             ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
-            ("indices", links % m), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
+            ("indices", links - links // max(m, 1) * m),
+            ("indptr", np.searchsorted(links, np.arange(m + 1, dtype=links.dtype) * m)))}
 
     @property
     def num_vertices(self) -> int:
@@ -340,7 +364,8 @@ def triangle_centroids(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Mean over each triangle of ``t`` of the nodal array ``v`` (points
     (nv, 2) or values (nv,)); bitwise ``v[t].mean(axis=1)``, without the
     (nt, 3, ...) gather."""
-    return (v[t[:, 0]] + v[t[:, 1]] + v[t[:, 2]]) / 3.0
+    return (np.take(v, t[:, 0], axis=0) + np.take(v, t[:, 1], axis=0)
+            + np.take(v, t[:, 2], axis=0)) / 3.0
 
 
 def _reflect_quadrants(first: np.ndarray, n: int) -> np.ndarray:
@@ -539,9 +564,10 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
 def first_coincident(points: np.ndarray) -> np.ndarray:
     """For each point (rows of ``points``), the index of the first point at
     the same position after rounding to 1e-10."""
-    keys = np.round(points * 1e10).astype(np.int64)
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first[group.reshape(-1)]
+    keys = np.round(points * 1e10)  # whole numbers, exact in float64
+    _, first, group = np.unique(keys[:, 0] + 1j * keys[:, 1], return_index=True,
+                                return_inverse=True)
+    return first[group]
 
 
 def _lattice(xs, ys) -> np.ndarray:
@@ -581,16 +607,16 @@ class _Tiling:
 
         self.membrane = membrane
         pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
-        ref = self.ref[self.new]
+        ref = np.compress(self.new, self.ref, axis=0)  # as self.ref[self.new], but faster
         box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
-        on_box = (np.abs(ref[:, None, :] - box) < 1e-12).any(axis=(1, 2))
+        on_box = (np.abs(ref - box[0]) < 1e-12) | (np.abs(ref - box[1]) < 1e-12)
         self.mesh = MembraneMesh(
             vertices=ref,
-            triangles=merged[:, cell.triangles].reshape(-1, 3),
+            triangles=np.take(merged, cell.triangles, axis=1).reshape(-1, 3),
             tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
             tri_cell=np.repeat(cells, nt, axis=0),
             interface_pairs=pairs.reshape(-1, 2),
-            boundary_nodes=np.flatnonzero(on_box).astype(np.int64),
+            boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int64),
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
@@ -623,7 +649,7 @@ class _Tiling:
                 f"cell {k} of kind {kind[bad[0]]} is no translate of cell {k0}: "
                 f"nodes {gap[bad[0]]:.3g} apart"
             )
-        out = self.mesh.with_kinds(kind, phys[self.new])
+        out = self.mesh.with_kinds(kind, np.compress(self.new, phys, axis=0))
         # the prototypes' centroids, cell by cell, moved by the lattice offset
         cent = triangle_centroids(out.vertices, out.triangles[out.prototypes])
         cent = cent.reshape(-1, self.nt, 2)[rank]
@@ -717,8 +743,8 @@ def build_square_mesh(m: int) -> MembraneMesh:
     # square (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
     a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
     b, c, d = a + m + 1, a + m + 2, a + 1
-    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64)
-    on_bd = np.isin(verts, (0.0, 1.0)).any(axis=1)
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64, copy=False)
+    on_bd = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     return MembraneMesh(
         vertices=verts,
         triangles=triangles,
@@ -786,9 +812,10 @@ def mesh_report(mesh: MembraneMesh) -> MeshReport:
     # or is an interface / outer-boundary edge with exactly 1 triangle; edges
     # are keyed min*nv+max and reported in order of first appearance
     nv = mesh.num_vertices
+    a, b = t.astype(np.int64).ravel(), t[:, [1, 2, 0]].astype(np.int64).ravel()
     keys, first, inverse, count = np.unique(
-        _edge_keys(t, nv)[2], return_index=True, return_inverse=True, return_counts=True
-    )
+        np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True,
+        return_counts=True)
     reg = np.repeat(mesh.tri_region, 3).astype(np.int64)
     lo, hi = keys // nv, keys % nv
     minus, plus, outer = (np.isin(np.arange(nv), nodes) for nodes in (

@@ -376,6 +376,27 @@ class TestOneTemplatePerRun:
         assert main(["effective", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
         assert builds.read_text().split() == [str(os.getpid())]
 
+    def test_homogenize_parent_builds_the_cell_mesh(self, tmp_path, monkeypatch):
+        """A homogenize pool's workers share the cell mesh the parent built."""
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two CPUs for a pool")
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
+        out = str(tmp_path / "o")
+        assert main(["effective", "--config", str(p), "--out", out]) == 0
+        builds = tmp_path / "builds"
+        real = meshing._annulus_triangles
+
+        def logged(*args):
+            with open(builds, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(meshing, "_annulus_triangles", logged)
+        meshing.build_cell_mesh.cache_clear()
+        assert main(["homogenize", "--config", str(p), "--out", out, "--jobs", "2"]) == 0
+        assert set(builds.read_text().split()) == {str(os.getpid())}
+
     def test_effective_pool_run_imports_no_scipy_special(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -710,3 +712,185 @@ class TestFirstCoincident:
     def test_separates_beyond_rounding(self):
         pts = np.array([[0.5, 0.25], [0.5 + 1e-9, 0.25], [0.5, 0.25 - 1e-9], [0.5, 0.25]])
         assert first_coincident(pts).tolist() == [0, 1, 2, 0]
+
+
+def edge_keys(triangles, nv):
+    """Per-triangle edge ends a -> b (edge k of triangle t at 3t+k) and the
+    undirected edge key min*nv+max."""
+    a = triangles.reshape(-1).astype(np.int64)
+    b = triangles[:, [1, 2, 0]].reshape(-1).astype(np.int64)
+    return a, b, np.minimum(a, b) * nv + np.maximum(a, b)
+
+
+def oracle_interface_edges(mesh):
+    """Interface edges and their cells by a sort over the whole mesh: the
+    boundary edges of the MINUS region (edges of exactly one MINUS triangle)
+    whose ends are both MINUS interface nodes, oriented as their MINUS
+    triangle traverses them, sorted."""
+    minus_tri = np.flatnonzero(mesh.tri_region == MINUS)
+    nv = mesh.num_vertices
+    a, b, keys = edge_keys(mesh.triangles[minus_tri], nv)
+    _, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
+    m2p = np.full(nv, -1, dtype=np.int64)
+    m2p[mesh.interface_pairs[:, 1]] = mesh.interface_pairs[:, 0]
+    on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
+    rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int64)
+    order = np.lexsort(rows.T[::-1])
+    return rows[order], mesh.tri_cell_index[minus_tri[on // 3][order]]
+
+
+def oracle_pattern(mesh, edges):
+    """CSR ``indptr`` and ``indices`` of the node pairs that share a triangle
+    or an interface edge (each node with itself), and the ``slots`` of the
+    element entries, by a sort of the pairs and a search per element entry."""
+    nv = mesh.num_vertices
+    t, e = mesh.triangles, edges
+    links = np.concatenate([edge_keys(t, nv)[2], *(
+        np.minimum(e[:, i], e[:, j]) * nv + np.maximum(e[:, i], e[:, j])
+        for i in range(4) for j in range(i + 1, 4))])
+    links = np.unique(links)
+    lo, hi, diag = links // nv, links % nv, np.arange(nv)
+    keys = np.sort(np.concatenate([lo * nv + hi, hi * nv + lo, diag * nv + diag]))
+    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv).astype(np.int32)
+    slots = np.empty(9 * len(t) + 16 * len(e), dtype=np.int32)
+    for elements, k, start in ((t, 3, 0), (e, 4, 9 * len(t))):
+        block = slots[start:start + k * k * len(elements)].reshape(-1, k, k)
+        for i in range(k):
+            for j in range(k):
+                block[:, i, j] = np.searchsorted(keys, elements[:, i] * nv + elements[:, j])
+    return indptr, (keys % nv).astype(np.int32), slots
+
+
+def oracle_schur(mesh, indptr, indices):
+    """The ``schur`` pattern by a sort of every Schur-block and matrix-entry
+    key and a search per key."""
+    n, table, on = mesh.num_vertices, mesh.cell_nodes, mesh.cell_skeleton
+    nodes = np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
+    m = len(nodes)
+    pos = np.full(n + 1, -1)
+    pos[nodes] = np.arange(m)
+    count = on.sum(axis=1)
+    cells = np.argsort(count, kind="stable")
+    keys = []
+    for b in np.unique(count):
+        group = cells[count[cells] == b]
+        at = pos[table[group][on[group]]].reshape(len(group), b, 1)
+        off = (at < 0) | (at < 0).transpose(0, 2, 1)
+        keys.append(np.where(off, -1, at * m + at.transpose(0, 2, 1)).ravel())
+    start, length = indptr[nodes], np.diff(indptr)[nodes]
+    row = np.repeat(np.arange(m), length)
+    entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
+    col = pos[indices[entries]]
+    entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
+    keys.append(row * m + col)
+    keys = np.concatenate(keys)
+    links = np.unique(keys[keys >= 0])
+    slots = np.searchsorted(links, keys).astype(np.int32)
+    slots[keys < 0] = len(links)
+    return {name: a.astype(np.int32, copy=False) for name, a in (
+        ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
+        ("indices", links % max(m, 1)), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
+
+
+def assert_topology_matches_oracle(mesh):
+    """Every array the per-kind tiling builds equals the whole-mesh oracle's,
+    dtype included."""
+    edges, edge_cells = oracle_interface_edges(mesh)
+    indptr, indices, slots = oracle_pattern(mesh, edges)
+    want = {"interface_edges": edges, "edge_cell_index": edge_cells,
+            "indptr": indptr, "indices": indices, "slots": slots}
+    want.update({f"schur[{k}]": v for k, v in oracle_schur(mesh, indptr, indices).items()})
+    got = {name: getattr(mesh, name) for name in ("interface_edges", "edge_cell_index",
+                                                  "indptr", "indices", "slots")}
+    got.update({f"schur[{k}]": v for k, v in mesh.schur.items()})
+    assert got.keys() == want.keys()
+    for name, a in want.items():
+        assert got[name].dtype == a.dtype and np.array_equal(got[name], a), name
+
+
+def folded_cell(h):
+    """The unit cell with opposite boundary nodes identified, as
+    ``periodic_cell_solve`` folds it: one cell, node 0 its one boundary node."""
+    from membrane_homog.corrector import periodic_representatives
+
+    mesh = build_cell_mesh(SPEC, h)
+    reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
+    return MembraneMesh(
+        vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
+        tri_cell=mesh.tri_cell, interface_pairs=inv[mesh.interface_pairs],
+        boundary_nodes=np.zeros(1, dtype=np.int64))
+
+
+def rebuilt(mesh, **changes):
+    """A mesh built afresh from the given mesh's arrays: by default with
+    its own cell table, every cell its own kind."""
+    args = {name: getattr(mesh, name) for name in (
+        "vertices", "triangles", "tri_region", "tri_cell", "interface_pairs", "boundary_nodes")}
+    return MembraneMesh(**{**args, **changes})
+
+
+class TestTopologyMatchesOracle:
+    """The topology tiled from each kind's first cell is the whole-mesh
+    sort-and-search's, array for array."""
+
+    MESHES = {
+        "cell_h01": lambda cell: cell,
+        "cell_h005": lambda cell: build_cell_mesh(SPEC, 0.05),
+        "tiled_quarter": lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(seed=3), 0.25, SPEC),
+        "tiled_eighth": lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(seed=8), 0.125, SPEC),
+        "cube": lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=4), 2),
+        "cube_no_membranes": lambda cell: build_truncated_mesh(
+            cell, BernoulliCellwiseMap(seed=4), 2, membranes=False),
+        "square20": lambda cell: build_square_mesh(20),
+        "square256": lambda cell: build_square_mesh(256),  # 66,049 nodes: keys past uint32
+        "folded_cell": lambda cell: folded_cell(0.1),
+        "own_kinds": lambda cell: rebuilt(tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC)),
+        "stray_node": lambda cell: rebuilt(cell, vertices=np.vstack([cell.vertices, [[2.0, 2.0]]])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_arrays_equal(self, cell_h01, name):
+        mesh = self.MESHES[name](cell_h01)
+        assert_topology_matches_oracle(mesh)
+
+    def test_own_kinds_mesh_has_a_kind_per_cell(self, cell_h01):
+        mesh = self.MESHES["own_kinds"](cell_h01)
+        assert len(np.unique(mesh.cell_kind)) == len(mesh.cells) == 16
+
+    def test_kinds_the_topology_breaks_raise(self, cell_h01):
+        """Membrane and cushion cells named one kind: the cushion cells'
+        triangles do not take the membrane cell's MINUS nodes."""
+        template = meshing._template(cell_h01, (0, 0), 4, SPEC.beta, 0.25).mesh
+        rebuilt(template, cell_nodes=template.cell_nodes, cell_kind=template.cell_kind)  # valid
+        with pytest.raises(ValueError):
+            rebuilt(template, cell_nodes=template.cell_nodes,
+                    cell_kind=np.zeros(len(template.cells), dtype=np.int64))
+
+    def test_other_triangle_counts_raise(self):
+        """Two cells named one kind, the second with two triangles more
+        after a translate of the first's two: the corners of those agree,
+        the counts do not."""
+        vertices = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
+                             [4, 0], [5, 0], [5, 1], [4, 1], [6, 0], [6, 1]], dtype=float)
+        args = dict(
+            vertices=vertices,
+            triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7], [5, 8, 9], [5, 9, 6]]),
+            tri_region=np.full(6, PLUS, dtype=np.int8),
+            tri_cell=np.array([[0, 0]] * 2 + [[1, 0]] * 4),
+            interface_pairs=np.zeros((0, 2), dtype=np.int64),
+            boundary_nodes=np.array([0, 4]))
+        MembraneMesh(**args)  # valid: each cell its own kind
+        with pytest.raises(ValueError, match="other triangles"):
+            MembraneMesh(**args, cell_kind=np.zeros(2, dtype=np.int64))
+
+    def test_corners_out_of_turn_raise(self, cell_h01):
+        """One cell of a kind lists its triangles' corners in another turn:
+        the same nodes, regions and partners, but not its first cell's
+        triangles."""
+        template = meshing._template(cell_h01, (0, 0), 2, math.inf, 0.5).mesh
+        triangles = template.triangles.copy()
+        last = template.tri_cell_index == len(template.cells) - 1
+        triangles[last] = triangles[last][:, [1, 2, 0]]
+        with pytest.raises(ValueError):
+            rebuilt(template, triangles=triangles, cell_nodes=template.cell_nodes,
+                    cell_kind=template.cell_kind)
