@@ -204,14 +204,14 @@ def periodic_cell_solve(
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=0.0)
     system = assemble(mesh, form, p=p)
 
-    # fold periodic partners onto canonical representatives, one cell (nothing
-    # reads its geometry); the nullspace is the global constants, so its one
-    # boundary node, node 0, is pinned, and the gauge is restored below
+    # fold periodic partners onto canonical representatives, one cell of every
+    # node (nothing reads its geometry); the nullspace is the global constants,
+    # so its one boundary node, node 0, is pinned, and the gauge is restored below
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     cell = MembraneMesh(
         vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
-        tri_cell=mesh.tri_cell, interface_pairs=inv[mesh.interface_pairs],
-        boundary_nodes=np.zeros(1, dtype=np.int64))
+        interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
+        cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
     K = system.matrix.tocoo()
     folded = solve(replace(
         system, matrix=sp.csr_matrix((K.data, (inv[K.row], inv[K.col])), shape=(len(reps),) * 2),

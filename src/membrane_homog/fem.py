@@ -49,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh
+from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
 
@@ -102,11 +102,12 @@ class BilinearFormSpec:
 
     def kinds(self, mesh: MembraneMesh) -> MembraneMesh:
         """``mesh`` if the conductivity takes one value, within 1e-12, at the
-        reference centroids of the triangles of each prototype, else
-        ``mesh.cellwise()``.  Each triangle is checked against the same
-        triangle (``tri_local``) of the first cell with as many triangles, as
-        cells of one kind have: the verdict, kept in ``mesh.memo``, holds for
-        the kinds of every realization that shares it."""
+        reference centroids (of ``mesh.ref_vertices``) of the triangles of
+        each prototype, else ``mesh.cellwise()``.  Each triangle is checked
+        against the same triangle (``tri_local``) of the first cell with as
+        many triangles, as cells of one kind have: the verdict, kept in
+        ``mesh.memo``, holds for the kinds of every realization that shares
+        it."""
         if len(mesh.prototypes) == mesh.num_triangles:
             return mesh
         key = ("periodic", self.conductivity)
@@ -114,7 +115,8 @@ class BilinearFormSpec:
             count = np.bincount(mesh.tri_cell_index)
             _, first, rank = np.unique(count, return_index=True, return_inverse=True)
             A = np.zeros((len(count), count.max(), 2, 2))  # per cell and local triangle
-            A[mesh.tri_cell_index, mesh.tri_local] = self.conductivity(mesh.ref_centroids)
+            A[mesh.tri_cell_index, mesh.tri_local] = self.conductivity(
+                triangle_centroids(mesh.ref_vertices, mesh.triangles))
             mesh.memo[key] = bool(np.abs(A - A[first[rank]]).max() <= 1e-12)
         return mesh if mesh.memo[key] else mesh.cellwise()
 
@@ -123,7 +125,8 @@ class BilinearFormSpec:
         the triangle's prototype in ``kinds(mesh)``, ellipticity checked by
         those sampled eigenvalues."""
         mesh = self.kinds(mesh)
-        A = self.conductivity(mesh.ref_centroids[mesh.prototypes])
+        A = self.conductivity(triangle_centroids(
+            mesh.ref_vertices, np.take(mesh.triangles, mesh.prototypes, axis=0)))
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
         lower, upper = sym2_eigenvalues(A)

@@ -6,8 +6,8 @@ and MINUS copies).  Tiling deforms the cell template vertex-wise and stitches
 shared boundary nodes, which works because every deformation map fixes cell
 boundaries.
 
-So a tiling's numbering, stitch, interface edges, cell indices, boundary,
-free nodes, cell table, skeleton and the patterns of the matrix and of its
+So a tiling's numbering, stitch, cells and cell table, interface edges,
+boundary, free nodes, skeleton and the patterns of the matrix and of its
 Schur complement on the skeleton depend only on the cell mesh, the lattice
 block, its membrane mask and the scale: they are built once per process for
 each such configuration (a small cache, as is the cell mesh for each
@@ -15,8 +15,10 @@ interface and h) and a realization only moves the nodes to their deformed
 positions and names the kind of each cell.  Edges and patterns are tiled
 from the cell; ``fem`` builds no index set beyond the kinds' columns.
 
-Every mesh names the kind of each cell: a realization at most four (bumped
-or not, membrane or cushion), the square grid one per shape of block.  The
+Every mesh is a block of lattice cells, stated by its builder with each
+triangle's cell and each cell's nodes, and names the kind of each cell: a
+realization at most four (bumped or not, membrane or cushion), the square
+grid one per shape of block.  The
 cells of one kind are translates of each other, and the triangles of each
 kind's first cell are the mesh's prototypes: their areas and basis gradients
 are computed once and gathered per triangle where needed, and ``fem``
@@ -66,16 +68,19 @@ class MembraneMesh:
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
-    by the realizations of a tiling, as are the triangles' centroids there,
-    ``ref_centroids``.  ``interface_pairs`` rows are (plus node, minus node)
-    with coincident coordinates.
+    by the realizations of a tiling.  ``interface_pairs`` rows are (plus
+    node, minus node) with coincident coordinates.
 
-    Topology and geometry are derived once, at construction: ``cells`` are
-    the distinct lattice cells of ``tri_cell`` in lexicographic order,
-    ``tri_cell_index`` gives each triangle's row of ``cells``,
-    ``interface_edges`` holds rows (plus_a, plus_b, minus_a, minus_b), the
-    edges of one MINUS triangle between MINUS interface nodes, as their
-    triangle runs (counterclockwise around each membrane), sorted;
+    The builder states the mesh's lattice cells: ``cells`` (nc, 2), each
+    (kx, ky), ``tri_cell_index`` (nt,) each triangle's row of ``cells``,
+    and the cell table ``cell_nodes`` (nc, w), each cell's nodes, -1 where
+    one is absent, in columns that match between cells of one kind.  An
+    index outside ``cells`` or a cell without a triangle raises ValueError.
+
+    The rest of the topology and the geometry are derived once, at
+    construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
+    minus_b), the edges of one MINUS triangle between MINUS interface nodes,
+    as their triangle runs (counterclockwise around each membrane), sorted;
     ``edge_cell_index`` is the row of ``cells`` each edge belongs to, and
     ``centroids`` (nt, 2) the physical centroids.  ``indptr`` and ``indices``
     (int32) are the CSR pattern of the transmission form's matrix, and
@@ -99,9 +104,6 @@ class MembraneMesh:
     conductivity repeats from cell to cell (``BilinearFormSpec.kinds``),
     shared with every other realization of the tiling.
 
-    ``cell_nodes`` (nc, w) is the cell table: each cell's nodes, -1 where
-    one is absent, in columns that match between cells of one kind; by
-    default the nodes of each cell's triangles in increasing order.
     ``skeleton`` (sorted) holds the nodes on a cell boundary: those on the
     mesh boundary, in no cell or in more than one; every other node is
     interior to one cell.  ``cell_skeleton`` (nc, w) marks the table's
@@ -125,15 +127,13 @@ class MembraneMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     tri_region: np.ndarray
-    tri_cell: np.ndarray
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
-    cell_nodes: np.ndarray = field(default=None, repr=False)
+    cells: np.ndarray = field(repr=False)
+    tri_cell_index: np.ndarray = field(repr=False)
+    cell_nodes: np.ndarray = field(repr=False)
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
-    ref_centroids: np.ndarray = field(init=False, repr=False)
-    cells: np.ndarray = field(init=False, repr=False)
-    tri_cell_index: np.ndarray = field(init=False, repr=False)
     tri_local: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
@@ -152,32 +152,27 @@ class MembraneMesh:
     schur: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = np.array([k.min(initial=0) for k in self.tri_cell.T])  # per column: fast
-        x, y = self.tri_cell[:, 0] - lo[0], self.tri_cell[:, 1] - lo[1]
-        ny = y.max(initial=0) + 1
-        keys = x * ny + y
-        run = np.flatnonzero(np.diff(keys, prepend=-1))  # each cell's run of triangles starts
-        keys, inverse = np.unique(keys[run], return_inverse=True)
-        self.tri_cell_index = np.repeat(inverse, np.diff(run, append=self.num_triangles))
-        self.cells = np.column_stack([keys // ny, keys % ny]) + lo
-        tri_count = np.bincount(self.tri_cell_index, minlength=len(keys))
-        tri_order = np.argsort(self.tri_cell_index, kind="stable")
+        index, nc = self.tri_cell_index, len(self.cells)
+        if ((index < 0) | (index >= nc)).any():
+            raise ValueError("tri_cell_index names a row outside cells")
+        tri_count = np.bincount(index, minlength=nc)
+        if not tri_count.all():
+            raise ValueError("a row of cells has no triangle")
+        tri_order = np.argsort(index, kind="stable")
         self.tri_local = np.empty(self.num_triangles, dtype=np.int32)
         self.tri_local[tri_order] = (
             np.arange(self.num_triangles) - np.repeat(np.cumsum(tri_count) - tri_count, tri_count))
-        if self.cell_nodes is None:
-            self.cell_nodes = self._cell_table()
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True
         self.skeleton = np.flatnonzero(on)
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices), self.boundary_nodes)
-        self.cell_kind = np.arange(len(keys)) if self.cell_kind is None else self.cell_kind
+        self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
         self._tile(on, tri_order, tri_count)
         self.schur = self._schur_pattern()
         self.ref_vertices = self.vertices
         self._take_prototypes(self.cell_kind)
-        self.centroids = self.ref_centroids = triangle_centroids(self.vertices, self.triangles)
+        self.centroids = triangle_centroids(self.vertices, self.triangles)
 
     def _take_prototypes(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
@@ -210,18 +205,6 @@ class MembraneMesh:
     def cellwise(self) -> "MembraneMesh":
         """This mesh with every cell its own kind."""
         return self.with_kinds(np.arange(len(self.cells)))
-
-    def _cell_table(self) -> np.ndarray:
-        """The nodes of each cell's triangles in increasing order, padded
-        with -1."""
-        nv = self.num_vertices
-        keys = np.sort(np.repeat(self.tri_cell_index * nv, 3) + self.triangles.ravel())
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        cell = keys // nv
-        count = np.bincount(cell, minlength=len(self.cells))
-        table = np.full((len(self.cells), count.max(initial=0)), -1, dtype=np.int64)
-        table[cell, np.arange(len(keys)) - (np.cumsum(count) - count)[cell]] = keys - cell * nv
-        return table
 
     def _tile(self, on_skeleton: np.ndarray, tri_order: np.ndarray, count: np.ndarray) -> None:
         """Tile ``interface_edges``, ``edge_cell_index``, ``indptr``, ``indices`` and
@@ -551,9 +534,11 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
         vertices=vertices,
         triangles=triangles,
         tri_region=tri_region,
-        tri_cell=np.zeros((len(triangles), 2), dtype=np.int64),
         interface_pairs=np.column_stack([plus_ids[0], minus_interface]),
         boundary_nodes=plus_ids[-1].astype(np.int64),
+        cells=np.zeros((1, 2), dtype=np.int64),  # one cell: every triangle and node
+        tri_cell_index=np.zeros(len(triangles), dtype=np.int64),
+        cell_nodes=np.arange(len(vertices), dtype=np.int64)[None],
     )
     angle = mesh.min_angle_deg()
     if angle < MIN_ANGLE_DEG:
@@ -585,7 +570,7 @@ class _Tiling:
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
         nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
         plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
-        self.cells, self.nv, self.nt, self.scale = cells, nv, nt, scale
+        self.nv, self.nt, self.scale = nv, nt, scale
         self.ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
 
         # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
@@ -614,9 +599,10 @@ class _Tiling:
             vertices=ref,
             triangles=np.take(merged, cell.triangles, axis=1).reshape(-1, 3),
             tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
-            tri_cell=np.repeat(cells, nt, axis=0),
             interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int64),
+            cells=cells,
+            tri_cell_index=np.repeat(np.arange(nc), nt),
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
@@ -628,23 +614,23 @@ class _Tiling:
         stitched entries land apart, or where a cell's nodes are not those of
         its kind's first cell moved by the lattice offset (within
         STITCH_TOL)."""
-        phys = self.scale * dmap.apply(self.ref)
+        cells, phys = self.mesh.cells, self.scale * dmap.apply(self.ref)
         mismatch = np.flatnonzero(
             np.abs(phys[self.owner] - phys[self.shared]).max(axis=1) > STITCH_TOL
         )
         if len(mismatch):
             i, j = self.owner[mismatch[0]], self.shared[mismatch[0]]
-            k = tuple(int(x) for x in self.cells[j // self.nv])
+            k = tuple(int(x) for x in cells[j // self.nv])
             raise StitchFailure(f"boundary node mismatch at cell {k}: {phys[i]} vs {phys[j]}")
-        kind = 2 * dmap.bumped(self.cells) + self.membrane
+        kind = 2 * dmap.bumped(cells) + self.membrane
         _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
-        at = phys.reshape(len(self.cells), self.nv, 2)
+        at = phys.reshape(len(cells), self.nv, 2)
         lead = first[rank]  # each cell's kind's first cell
-        offset = self.scale * (self.cells - self.cells[lead]).astype(float)
+        offset = self.scale * (cells - cells[lead]).astype(float)
         gap = np.abs(at - at[lead] - offset[:, None, :]).max(axis=(1, 2))
         bad = np.flatnonzero(gap > STITCH_TOL)
         if len(bad):
-            k, k0 = (tuple(int(x) for x in self.cells[c]) for c in (bad[0], lead[bad[0]]))
+            k, k0 = (tuple(int(x) for x in cells[c]) for c in (bad[0], lead[bad[0]]))
             raise StitchFailure(
                 f"cell {k} of kind {kind[bad[0]]} is no translate of cell {k0}: "
                 f"nodes {gap[bad[0]]:.3g} apart"
@@ -736,7 +722,14 @@ def build_square_mesh(m: int) -> MembraneMesh:
     cell; the blocks cut short at the upper edges make the kinds other than
     0, 2 * (short in x) + (short in y)."""
     blocks = -(-m // GRID_BLOCK)
-    short = (_lattice(range(blocks), range(blocks)) + 1) * GRID_BLOCK > m
+    cells = _lattice(range(blocks), range(blocks))
+    lo = cells * GRID_BLOCK  # each block's first row and column of nodes
+    size = np.minimum(m - lo, GRID_BLOCK) + 1  # its rows and columns of nodes
+    short = size <= GRID_BLOCK
+    # each block's table: its rectangle of nodes in node order, -1 after
+    at = np.arange((min(m, GRID_BLOCK) + 1) ** 2)
+    table = (lo[:, :1] + at // size[:, 1:]) * (m + 1) + lo[:, 1:] + at % size[:, 1:]
+    block = np.arange(m) // GRID_BLOCK  # the block of each row (column) of squares
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
@@ -749,9 +742,11 @@ def build_square_mesh(m: int) -> MembraneMesh:
         vertices=verts,
         triangles=triangles,
         tri_region=np.full(len(triangles), PLUS, dtype=np.int8),
-        tri_cell=np.repeat(_lattice(range(m), range(m)) // GRID_BLOCK, 2, axis=0),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int64),
+        cells=cells,
+        tri_cell_index=np.repeat((block[:, None] * blocks + block).ravel(), 2),
+        cell_nodes=np.where(at < size.prod(axis=1, keepdims=True), table, -1),
         cell_kind=2 * short[:, 0] + short[:, 1],
     )
 
@@ -850,7 +845,7 @@ def export_mesh(mesh: MembraneMesh, path) -> None:
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     lines.append(f"T {mesh.num_triangles}")
-    for tri, reg, k in zip(mesh.triangles, mesh.tri_region, mesh.tri_cell):
+    for tri, reg, k in zip(mesh.triangles, mesh.tri_region, mesh.cells[mesh.tri_cell_index]):
         lines.append(f"{tri[0]} {tri[1]} {tri[2]} {reg} {k[0]} {k[1]}")
     lines.append(f"IE {len(mesh.interface_pairs)}")
     for p, m in mesh.interface_pairs:

@@ -27,7 +27,6 @@ from membrane_homog.fem import (
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import hetero_form
 from membrane_homog.meshing import (
-    MembraneMesh,
     build_cell_mesh,
     build_square_mesh,
     build_truncated_mesh,
@@ -35,16 +34,17 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
+from test_mesh import mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
 
 
 def single_triangle():
-    return MembraneMesh(
+    return mesh_from_tri_cell(
+        np.zeros((1, 2), dtype=np.int64),
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]], dtype=np.int64),
         tri_region=np.array([1], dtype=np.int8),
-        tri_cell=np.zeros((1, 2), dtype=np.int64),
         interface_pairs=np.zeros((0, 2), dtype=np.int64),
         boundary_nodes=np.array([0, 1, 2], dtype=np.int64),
     )
@@ -53,14 +53,14 @@ def single_triangle():
 def membrane_strip(length=1.0):
     """Two triangles with a duplicated-node interface edge of given length."""
     L = length
-    return MembraneMesh(
+    return mesh_from_tri_cell(
+        np.zeros((2, 2), dtype=np.int64),
         vertices=np.array(
             [[0.0, 0.0], [L, 0.0], [0.5 * L, 0.5 * L],
              [0.0, 0.0], [L, 0.0], [0.5 * L, -0.5 * L]]
         ),
         triangles=np.array([[0, 1, 2], [3, 5, 4]], dtype=np.int64),
         tri_region=np.array([1, -1], dtype=np.int8),
-        tri_cell=np.zeros((2, 2), dtype=np.int64),
         interface_pairs=np.array([[0, 3], [1, 4]], dtype=np.int64),
         boundary_nodes=np.array([2, 5], dtype=np.int64),
     )
@@ -267,7 +267,8 @@ class TestLoadScatter:
     def test_volume_load_bitwise(self, mesh, f):
         # a triangle's centroid is its prototype's moved by the lattice offset
         proto = mesh.prototypes[mesh.tri_prototype]
-        shift = mesh.tri_cell - mesh.tri_cell[proto]
+        cells = mesh.cells[mesh.tri_cell_index]
+        shift = cells - cells[proto]
         cent = mesh.vertices[mesh.triangles[proto]].mean(axis=1) + shift
         fc = f(cent) if callable(f) else np.full(mesh.num_triangles, f)
         areas = mesh.proto_areas[mesh.tri_prototype]

@@ -25,17 +25,82 @@ from membrane_homog.meshing import (
 SPEC = InterfaceSpec()
 
 
-def scanned_topology(mesh):
-    """Reference topology by a plain scan over the triangles: sorted distinct
-    cells, each triangle's cell row, and the interface edges (boundary edges
-    of the MINUS region between MINUS interface nodes, oriented by their MINUS
-    triangle, sorted) with their cells."""
-    cells = sorted(set(map(tuple, mesh.tri_cell.tolist())))
+def cell_tables(tri_cell, triangles, num_vertices):
+    """The ``cells``, ``tri_cell_index`` and ``cell_nodes`` of the mesh whose
+    triangles lie in the lattice cells ``tri_cell`` (nt, 2), derived by sorts:
+    the distinct cells in lexicographic order, each triangle's row of them,
+    and each cell's nodes, those of its triangles in increasing order, padded
+    with -1."""
+    lo = tri_cell.min(axis=0, initial=0)
+    x, y = tri_cell[:, 0] - lo[0], tri_cell[:, 1] - lo[1]
+    ny = y.max(initial=0) + 1
+    keys, inverse = np.unique(x * ny + y, return_inverse=True)
+    nv = num_vertices
+    corners = np.sort(np.repeat(inverse * nv, 3) + triangles.ravel())
+    corners = corners[np.diff(corners, prepend=-1) != 0]
+    cell = corners // nv
+    count = np.bincount(cell, minlength=len(keys))
+    table = np.full((len(keys), count.max(initial=0)), -1, dtype=np.int64)
+    table[cell, np.arange(len(corners)) - (np.cumsum(count) - count)[cell]] = corners - cell * nv
+    return {"cells": np.column_stack([keys // ny, keys % ny]) + lo,
+            "tri_cell_index": inverse.reshape(-1), "cell_nodes": table}
+
+
+def mesh_from_tri_cell(tri_cell, **arrays):
+    """The MembraneMesh of ``arrays`` with its cell arrays derived from each
+    triangle's lattice cell by ``cell_tables``; a cell array among ``arrays``
+    replaces the derived one."""
+    cells = cell_tables(tri_cell, arrays["triangles"], len(arrays["vertices"]))
+    return MembraneMesh(**{**cells, **arrays})
+
+
+def sorted_rows(table):
+    """Each row's nodes in increasing order, -1 after, less the columns
+    that are -1 in every row."""
+    absent = np.iinfo(table.dtype).max
+    rows = np.sort(np.where(table < 0, absent, table), axis=1)
+    rows = rows[:, :(rows < absent).sum(axis=1).max(initial=0)]
+    return np.where(rows == absent, -1, rows)
+
+
+def assert_cells_match_oracle(mesh, tri_cell, tiled=False):
+    """The cell arrays the builder stated equal those ``cell_tables`` derives
+    from ``tri_cell``, each triangle's cell from a source other than the
+    mesh, dtype included.  A tiling's table lists each cell's nodes in the
+    columns of its cell mesh's nodes, so there each row's nodes are compared."""
+    for name, want in cell_tables(tri_cell, mesh.triangles, mesh.num_vertices).items():
+        got = getattr(mesh, name)
+        if name == "cell_nodes" and tiled:
+            got = sorted_rows(got)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def grid_tri_cell(m):
+    """Each triangle's cell in ``build_square_mesh(m)``: square (i, j), the
+    triangles 2 * (i * m + j) and the next, lies in (i // 16, j // 16)."""
+    i, j = np.divmod(np.arange(m * m), m)
+    return np.repeat(np.column_stack([i, j]) // meshing.GRID_BLOCK, 2, axis=0)
+
+
+def block_tri_cell(cell, xs, ys):
+    """Each triangle's cell in a tiling of ``cell`` over the lattice block
+    xs x ys, by ``looped_tiling``."""
+    cells = [(kx, ky) for kx in xs for ky in ys]
+    return looped_tiling(cell, IdentityMap(), cells, [True] * len(cells), 1.0)["tri_cell"]
+
+
+def scanned_topology(mesh, tri_cell):
+    """Reference topology by a plain scan over the triangles, each in its
+    lattice cell of ``tri_cell``: sorted distinct cells, each triangle's cell
+    row, and the interface edges (boundary edges of the MINUS region between
+    MINUS interface nodes, oriented by their MINUS triangle, sorted) with
+    their cells."""
+    cells = sorted(set(map(tuple, tri_cell.tolist())))
     row = {k: i for i, k in enumerate(cells)}
-    tri_index = [row[tuple(k)] for k in mesh.tri_cell.tolist()]
+    tri_index = [row[tuple(k)] for k in tri_cell.tolist()]
     m2p = {m: p for p, m in mesh.interface_pairs.tolist()}
     count, oriented = {}, {}
-    for tri, reg, k in zip(mesh.triangles.tolist(), mesh.tri_region, mesh.tri_cell.tolist()):
+    for tri, reg, k in zip(mesh.triangles.tolist(), mesh.tri_region, tri_cell.tolist()):
         if reg != MINUS:
             continue
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -92,12 +157,12 @@ def looped_tiling(cell, dmap, cells, membrane, scale):
 
 def assert_tiling_matches_loop(mesh, reference):
     for name, want in reference.items():
-        got = getattr(mesh, name)
+        got = mesh.cells[mesh.tri_cell_index] if name == "tri_cell" else getattr(mesh, name)
         assert got.shape == want.shape and np.array_equal(got, want), name
 
 
-def assert_topology_matches_scan(mesh):
-    cells, tri_index, edges, edge_cells = scanned_topology(mesh)
+def assert_topology_matches_scan(mesh, tri_cell):
+    cells, tri_index, edges, edge_cells = scanned_topology(mesh, tri_cell)
     assert np.array_equal(mesh.cells, cells)
     assert np.array_equal(mesh.tri_cell_index, tri_index)
     assert np.array_equal(mesh.interface_edges, edges)
@@ -135,16 +200,15 @@ def looped_conformity(mesh):
     return not issues, issues
 
 
-def remeshed(mesh, triangles=None, tri_region=None, tri_cell=None):
-    """The mesh with some of its triangle arrays replaced."""
-    return MembraneMesh(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles if triangles is None else triangles,
-        tri_region=mesh.tri_region if tri_region is None else tri_region,
-        tri_cell=mesh.tri_cell if tri_cell is None else tri_cell,
-        interface_pairs=mesh.interface_pairs,
-        boundary_nodes=mesh.boundary_nodes,
-    )
+def rebuilt(mesh, tri_cell=None, **changes):
+    """A mesh built afresh from the given mesh's arrays, some replaced by
+    ``changes``, its cell arrays derived from ``tri_cell`` (by default each
+    triangle's cell in ``mesh``): unless ``changes`` name them, with its own
+    cell table and every cell its own kind."""
+    args = {name: getattr(mesh, name) for name in (
+        "vertices", "triangles", "tri_region", "interface_pairs", "boundary_nodes")}
+    return mesh_from_tri_cell(mesh.cells[mesh.tri_cell_index] if tri_cell is None else tri_cell,
+                              **{**args, **changes})
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +324,7 @@ class TestTiledDomain:
         rep = mesh_report(mesh)
         assert rep.ok, rep.issues
         assert abs(mesh.areas.sum() - 1.0) < 1e-12
-        cells = set(map(tuple, mesh.tri_cell[mesh.tri_region == MINUS].tolist()))
+        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index[mesh.tri_region == MINUS]].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
         n_if = len(cell_h01.interface_pairs)
         assert len(mesh.interface_pairs) == 4 * n_if
@@ -288,7 +352,7 @@ class TestTiledDomain:
         b = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 0.125, SPEC)
         bits_a = BernoulliCellwiseMap(seed=1).field
         bits_b = BernoulliCellwiseMap(seed=2).field
-        kx, ky = a.tri_cell.T
+        kx, ky = a.cells[a.tri_cell_index].T
         same = bits_a.bits(kx, ky) == bits_b.bits(kx, ky)
         # triangle connectivity is shared; vertex positions agree exactly on
         # cells whose Bernoulli bits agree
@@ -306,14 +370,7 @@ class TestTiledDomain:
         left = [v for v in cell_h01.boundary_nodes if vertices[v, 0] == 0.0]
         target = next(v for v in left if 0.2 < vertices[v, 1] < 0.8)
         vertices[target, 1] += 5e-12  # below the key grid, above tolerance
-        bad = MembraneMesh(
-            vertices=vertices,
-            triangles=cell_h01.triangles,
-            tri_region=cell_h01.tri_region,
-            tri_cell=cell_h01.tri_cell,
-            interface_pairs=cell_h01.interface_pairs,
-            boundary_nodes=cell_h01.boundary_nodes,
-        )
+        bad = rebuilt(cell_h01, vertices=vertices)
         with pytest.raises(StitchFailure):
             tile_domain_mesh(bad, IdentityMap(), 0.25, SPEC)
 
@@ -321,7 +378,7 @@ class TestTiledDomain:
 class TestTruncatedMesh:
     def test_single_cell_halfwidth(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, IdentityMap(), 1)
-        cells = set(map(tuple, mesh.tri_cell.tolist()))
+        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index].tolist()))
         assert cells == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
         assert len(mesh.interface_pairs) == 4 * len(cell_h01.interface_pairs)
         assert abs(mesh.areas.sum() - 4.0) < 1e-12
@@ -334,7 +391,7 @@ class TestTruncatedMesh:
 
     def test_all_cells_carry_membranes(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, IdentityMap(), 2)
-        cells = set(map(tuple, mesh.tri_cell[mesh.tri_region == MINUS].tolist()))
+        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index[mesh.tri_region == MINUS]].tolist()))
         assert len(cells) == 16
 
     def test_boundary_nodes_on_cube(self, cell_h01):
@@ -554,11 +611,11 @@ def report_meshes(cell_h01):
         "tiled_no_membranes": tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC, membranes=False),
         "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(seed=7), 4),
         "square": build_square_mesh(8),
-        "retargeted_vertex": remeshed(cell, triangles=retargeted),
-        "flipped_region": remeshed(cell, tri_region=flipped),
-        "doubled_triangles": remeshed(
+        "retargeted_vertex": rebuilt(cell, triangles=retargeted),
+        "flipped_region": rebuilt(cell, tri_region=flipped),
+        "doubled_triangles": rebuilt(
             cell, triangles=doubled, tri_region=np.concatenate([cell.tri_region, cell.tri_region[:3]]),
-            tri_cell=np.concatenate([cell.tri_cell, cell.tri_cell[:3]]),
+            tri_cell=np.zeros((len(doubled), 2), dtype=np.int64),
         ),
     }
 
@@ -586,18 +643,19 @@ class TestStoredTopology:
     def test_bernoulli_truncated_cube(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=4), 2, center=(1, -1))
         assert len(mesh.interface_edges) == 16 * len(cell_h01.interface_pairs)
-        assert_topology_matches_scan(mesh)
+        assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(-1, 3), range(-3, 1)))
 
     def test_tiled_domain_with_cushion_cells(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=8), 0.125, SPEC)
         assert len(mesh.cells) == 64
         assert len(mesh.interface_edges) == 36 * len(cell_h01.interface_pairs)
-        assert_topology_matches_scan(mesh)
+        assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(8), range(8)))
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
         assert mesh.interface_edges.shape == (0, 4)
-        assert_topology_matches_scan(mesh)
+        assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(4), range(4)))
+
 
 class TestExportImport:
     def test_rebuild_is_deterministic(self, tmp_path):
@@ -610,19 +668,29 @@ class TestExportImport:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("build, tri_cell", [
+        (lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(seed=9), 0.125, SPEC),
+         lambda cell: block_tri_cell(cell, range(8), range(8))),
+        (lambda cell: build_square_mesh(20), lambda cell: grid_tri_cell(20)),
+    ], ids=["tiled", "square20"])
+    def test_triangle_rows_name_their_cells(self, cell_h01, tmp_path, build, tri_cell):
+        mesh = build(cell_h01)
+        export_mesh(mesh, tmp_path / "mesh.txt")
+        lines = (tmp_path / "mesh.txt").read_text().splitlines()
+        start = lines.index(f"T {mesh.num_triangles}") + 1
+        rows = np.array([line.split() for line in lines[start:start + mesh.num_triangles]],
+                        dtype=np.int64)
+        assert np.array_equal(rows[:, :3], mesh.triangles)
+        assert np.array_equal(rows[:, 3], mesh.tri_region)
+        assert np.array_equal(rows[:, 4:], mesh.cells[mesh.tri_cell_index])
+        assert np.array_equal(rows[:, 4:], tri_cell(cell_h01))
+
 
 class TestReportFaultDetection:
     def test_flags_broken_pairing(self, cell_h01):
         vertices = cell_h01.vertices.copy()
         vertices[cell_h01.interface_pairs[0, 1]] += 1e-6
-        mesh = MembraneMesh(
-            vertices=vertices,
-            triangles=cell_h01.triangles,
-            tri_region=cell_h01.tri_region,
-            tri_cell=cell_h01.tri_cell,
-            interface_pairs=cell_h01.interface_pairs,
-            boundary_nodes=cell_h01.boundary_nodes,
-        )
+        mesh = rebuilt(cell_h01, vertices=vertices)
         rep = mesh_report(mesh)
         assert not rep.ok
         assert rep.pairing_residual > 1e-7
@@ -632,24 +700,17 @@ class TestReportFaultDetection:
         # retarget one vertex of an interior PLUS triangle, leaving a hole
         idx = int(np.flatnonzero(cell_h01.tri_region == PLUS)[-1])
         tris[idx, 0] = cell_h01.triangles[idx - 2, 0]
-        mesh = MembraneMesh(
-            vertices=cell_h01.vertices,
-            triangles=tris,
-            tri_region=cell_h01.tri_region,
-            tri_cell=cell_h01.tri_cell,
-            interface_pairs=cell_h01.interface_pairs,
-            boundary_nodes=cell_h01.boundary_nodes,
-        )
+        mesh = rebuilt(cell_h01, triangles=tris)
         rep = mesh_report(mesh)
         assert not rep.ok
         assert not rep.conforming or not rep.positive_areas
 
     def test_rejects_empty_mesh(self):
-        empty = MembraneMesh(
+        empty = mesh_from_tri_cell(
+            np.zeros((0, 2), dtype=np.int64),
             vertices=np.zeros((0, 2)),
             triangles=np.zeros((0, 3), dtype=np.int64),
             tri_region=np.zeros(0, dtype=np.int8),
-            tri_cell=np.zeros((0, 2), dtype=np.int64),
             interface_pairs=np.zeros((0, 2), dtype=np.int64),
             boundary_nodes=np.zeros(0, dtype=np.int64),
         )
@@ -810,28 +871,22 @@ def assert_topology_matches_oracle(mesh):
 
 def folded_cell(h):
     """The unit cell with opposite boundary nodes identified, as
-    ``periodic_cell_solve`` folds it: one cell, node 0 its one boundary node."""
+    ``periodic_cell_solve`` folds it: one cell of every node, node 0 its one
+    boundary node."""
     from membrane_homog.corrector import periodic_representatives
 
     mesh = build_cell_mesh(SPEC, h)
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     return MembraneMesh(
         vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
-        tri_cell=mesh.tri_cell, interface_pairs=inv[mesh.interface_pairs],
-        boundary_nodes=np.zeros(1, dtype=np.int64))
-
-
-def rebuilt(mesh, **changes):
-    """A mesh built afresh from the given mesh's arrays: by default with
-    its own cell table, every cell its own kind."""
-    args = {name: getattr(mesh, name) for name in (
-        "vertices", "triangles", "tri_region", "tri_cell", "interface_pairs", "boundary_nodes")}
-    return MembraneMesh(**{**args, **changes})
+        interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
+        cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
 
 
 class TestTopologyMatchesOracle:
     """The topology tiled from each kind's first cell is the whole-mesh
-    sort-and-search's, array for array."""
+    sort-and-search's, array for array, and the cells each builder states
+    are those the sorts of ``cell_tables`` derive."""
 
     MESHES = {
         "cell_h01": lambda cell: cell,
@@ -847,11 +902,41 @@ class TestTopologyMatchesOracle:
         "own_kinds": lambda cell: rebuilt(tile_domain_mesh(cell, IdentityMap(), 0.25, SPEC)),
         "stray_node": lambda cell: rebuilt(cell, vertices=np.vstack([cell.vertices, [[2.0, 2.0]]])),
     }
+    TILINGS = {"tiled_quarter", "tiled_eighth", "cube", "cube_no_membranes"}
+    # each mesh's triangle cells, from a source other than the mesh; the others have one cell
+    TRI_CELLS = {
+        "tiled_quarter": lambda cell: block_tri_cell(cell, range(4), range(4)),
+        "tiled_eighth": lambda cell: block_tri_cell(cell, range(8), range(8)),
+        "cube": lambda cell: block_tri_cell(cell, range(-2, 2), range(-2, 2)),
+        "cube_no_membranes": lambda cell: block_tri_cell(cell, range(-2, 2), range(-2, 2)),
+        "square20": lambda cell: grid_tri_cell(20),
+        "square256": lambda cell: grid_tri_cell(256),
+        "own_kinds": lambda cell: block_tri_cell(cell, range(4), range(4)),
+    }
 
     @pytest.mark.parametrize("name", sorted(MESHES))
     def test_arrays_equal(self, cell_h01, name):
         mesh = self.MESHES[name](cell_h01)
         assert_topology_matches_oracle(mesh)
+        tri_cell = self.TRI_CELLS[name](cell_h01) if name in self.TRI_CELLS else (
+            np.zeros((mesh.num_triangles, 2), dtype=np.int64))
+        assert_cells_match_oracle(mesh, tri_cell, tiled=name in self.TILINGS)
+
+    @pytest.mark.parametrize("m", [2, 15, 16, 17, 20, 33, 128, 255])
+    def test_square_grid_cells_equal(self, m):
+        """Each block's table is its rectangle of grid nodes, short blocks
+        packed first."""
+        assert_cells_match_oracle(build_square_mesh(m), grid_tri_cell(m))
+
+    def test_triangle_outside_cells_raises(self, cell_h01):
+        for index in (-1, 1):
+            with pytest.raises(ValueError, match="outside cells"):
+                rebuilt(cell_h01, tri_cell_index=np.full(cell_h01.num_triangles, index))
+
+    def test_cell_without_triangles_raises(self, cell_h01):
+        with pytest.raises(ValueError, match="no triangle"):
+            rebuilt(cell_h01, cells=np.array([[0, 0], [1, 0]]),
+                    cell_nodes=np.vstack([cell_h01.cell_nodes, np.full_like(cell_h01.cell_nodes, -1)]))
 
     def test_own_kinds_mesh_has_a_kind_per_cell(self, cell_h01):
         mesh = self.MESHES["own_kinds"](cell_h01)
@@ -876,12 +961,12 @@ class TestTopologyMatchesOracle:
             vertices=vertices,
             triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7], [5, 8, 9], [5, 9, 6]]),
             tri_region=np.full(6, PLUS, dtype=np.int8),
-            tri_cell=np.array([[0, 0]] * 2 + [[1, 0]] * 4),
             interface_pairs=np.zeros((0, 2), dtype=np.int64),
             boundary_nodes=np.array([0, 4]))
-        MembraneMesh(**args)  # valid: each cell its own kind
+        tri_cell = np.array([[0, 0]] * 2 + [[1, 0]] * 4)
+        mesh_from_tri_cell(tri_cell, **args)  # valid: each cell its own kind
         with pytest.raises(ValueError, match="other triangles"):
-            MembraneMesh(**args, cell_kind=np.zeros(2, dtype=np.int64))
+            mesh_from_tri_cell(tri_cell, **args, cell_kind=np.zeros(2, dtype=np.int64))
 
     def test_corners_out_of_turn_raise(self, cell_h01):
         """One cell of a kind lists its triangles' corners in another turn:
