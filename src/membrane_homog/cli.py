@@ -31,7 +31,7 @@ from .effective import (
     write_effective_json,
 )
 from .errors import ConfigError, EllipticityViolation, MembraneHomogError, MeshQualityFailure
-from .fem import CONDUCTIVITY_PRESETS
+from .fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from .geometry import (
     BernoulliCellwiseMap,
     BumpMap,
@@ -342,11 +342,14 @@ def _per_seed(cfg: ExperimentConfig, results: list) -> list:
 def _seed_runs(cfg: ExperimentConfig, jobs: int) -> list:
     """One corrector sample per seed, each distinct realization solved once.
     When a pool runs two or more realizations, the truncated cube's tiling
-    template is built here, before the pool forks, and its workers share it."""
+    template and the conductivity's periodicity verdict on it
+    (``BilinearFormSpec.kinds``) are settled here, before the pool forks,
+    and its workers share them."""
     tasks = [(cfg, s) for s in cfg.realizations]
     if jobs > 1 and len(tasks) > 1:
         c = cfg.corrector_config()
-        truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
+        template = truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
+        BilinearFormSpec(CONDUCTIVITY_PRESETS[cfg.conductivity]).kinds(template.mesh)
     return _per_seed(cfg, _run_tasks(_corrector_task, tasks, jobs))
 
 

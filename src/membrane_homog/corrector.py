@@ -115,16 +115,18 @@ def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarr
 
 
 def _corrector_solutions(
-    sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec, tensor: np.ndarray
+    sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec, proto_tensor: np.ndarray
 ) -> list[CorrectorSolution]:
     """The solves of one mesh, one per mean gradient of ``loads``, with their
     per-cell physical fluxes and window-energy form over the cells of the
-    mask ``inside``; ``tensor`` is the form's conductivity on the mesh
-    (``DiscreteSystem.tensor``)."""
+    mask ``inside``; ``proto_tensor`` is the form's conductivity per
+    prototype of the mesh (``DiscreteSystem.proto_tensor``)."""
     mesh = sols[0].mesh
     areas = mesh.areas
+    tensor = np.take(proto_tensor, mesh.tri_prototype, axis=0)
     grads = [p1_gradient(mesh, sol.values) + p for sol, p in zip(sols, loads)]
     fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
+    del tensor
 
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
     # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i, summed
@@ -168,13 +170,13 @@ def solve_truncated(
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=cfg.delta)
     system = assemble(mesh, form)
     loads = [np.asarray(p, dtype=float) for p in loads]
+    proto_tensor = system.proto_tensor
     sols = [
-        solve(replace(system, load=system.load + gradient_load(system.mesh, system.tensor, p)))
+        solve(replace(system, load=system.load + gradient_load(system.mesh, proto_tensor, p)))
         for p in loads
     ]
-    tensor = system.tensor
     del system  # and its solver's factorization, before the post-processing peaks in memory
-    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, tensor)
+    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, proto_tensor)
 
 
 def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
@@ -227,7 +229,7 @@ def periodic_cell_solve(
     sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations,
                       residual=folded.residual)
     window = np.ones(len(mesh.cells), dtype=bool)  # the one cell
-    return _corrector_solutions([sol], [p], window, form, system.tensor)[0]
+    return _corrector_solutions([sol], [p], window, form, system.proto_tensor)[0]
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

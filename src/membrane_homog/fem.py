@@ -15,22 +15,23 @@ which pins its constants.
 The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
-cell) and gathered per triangle.  ``assemble`` gathers the element matrices
-into one weights buffer beside the interface edges' jump matrices, and one
-``np.add.at`` sums it into the CSR pattern the mesh stores
-(``MembraneMesh.slots``), so a realization that only moves a tiling's nodes
-reuses its pattern.  A conductivity that does not repeat from cell to cell
-makes every cell its own kind (``BilinearFormSpec.kinds``), so the answer
-stays exact.
+cell) and gathered per triangle where they are used; a system keeps its
+conductivity per prototype.  ``assemble`` sums the element matrices and the
+interface edges' jump matrices into the CSR pattern the mesh stores
+(``MembraneMesh.slots``) in runs of RUN entries, one ``np.add.at`` per run,
+so no buffer grows with the mesh and a realization that only moves a
+tiling's nodes reuses its pattern.  A conductivity that does not repeat from
+cell to cell makes every cell its own kind (``BilinearFormSpec.kinds``), so
+the answer stays exact.
 
 ``solve`` runs CG on the free dofs, preconditioned by the inverse of the
 matrix with its cell interiors condensed per kind: cells of one kind
 (``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
 so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the free dofs of the
-cell skeleton (``MembraneMesh.skeleton``).  One ``np.add.at`` sums the
-kinds' Schur blocks and the matrix's skeleton entries into that complement,
-in the pattern the mesh stores (``MembraneMesh.schur``): every index set of
+cell skeleton (``MembraneMesh.skeleton``).  The same runs sum the kinds'
+Schur blocks and the matrix's skeleton entries into that complement, in the
+pattern the mesh stores (``MembraneMesh.schur``): every index set of
 the solver that the topology fixes is built with the mesh.  When the kinds
 hold, the preconditioner is the inverse of the matrix up to rounding and CG
 stops after one iteration; CG checks the answer against the matrix itself
@@ -52,6 +53,7 @@ from .errors import NonEllipticField, SolverDivergence
 from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 CG_RTOL = 1e-10
+RUN = 2**14  # float entries in one run's buffer: the scatters and checks go run by run
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -105,28 +107,43 @@ class BilinearFormSpec:
         reference centroids (of ``mesh.ref_vertices``) of the triangles of
         each prototype, else ``mesh.cellwise()``.  Each triangle is checked
         against the same triangle (``tri_local``) of the first cell with as
-        many triangles, as cells of one kind have: the verdict, kept in
-        ``mesh.memo``, holds for the kinds of every realization that shares
-        it."""
+        many triangles, as cells of one kind have, a run of triangles at a
+        time: the verdict, kept in ``mesh.memo``, holds for the kinds of
+        every realization that shares it."""
         if len(mesh.prototypes) == mesh.num_triangles:
             return mesh
         key = ("periodic", self.conductivity)
         if key not in mesh.memo:
-            count = np.bincount(mesh.tri_cell_index)
-            _, first, rank = np.unique(count, return_index=True, return_inverse=True)
-            A = np.zeros((len(count), count.max(), 2, 2))  # per cell and local triangle
-            A[mesh.tri_cell_index, mesh.tri_local] = self.conductivity(
-                triangle_centroids(mesh.ref_vertices, mesh.triangles))
-            mesh.memo[key] = bool(np.abs(A - A[first[rank]]).max() <= 1e-12)
+            mesh.memo[key] = self._periodic(mesh)
         return mesh if mesh.memo[key] else mesh.cellwise()
 
-    def tensor(self, mesh: MembraneMesh) -> np.ndarray:
-        """Per-triangle conductivity: its value at the reference centroid of
-        the triangle's prototype in ``kinds(mesh)``, ellipticity checked by
-        those sampled eigenvalues."""
+    def _periodic(self, mesh: MembraneMesh) -> bool:
+        """The verdict of ``kinds``, settled RUN // 4 triangles (conductivity
+        entries) at a time."""
+        count = np.bincount(mesh.tri_cell_index)
+        _, first, rank = np.unique(count, return_index=True, return_inverse=True)
+        ref = np.zeros((len(first), count.max(), 2, 2))  # per triangle count: its first cell's
+        for r, c in enumerate(first):
+            tris = np.flatnonzero(mesh.tri_cell_index == c)
+            ref[r, mesh.tri_local[tris]] = self._at_centroids(mesh, tris)
+        for lo in range(0, mesh.num_triangles, RUN // 4):
+            tris = np.arange(lo, min(lo + RUN // 4, mesh.num_triangles))
+            want = ref[rank[mesh.tri_cell_index[tris]], mesh.tri_local[tris]]
+            if np.abs(self._at_centroids(mesh, tris) - want).max() > 1e-12:
+                return False
+        return True
+
+    def _at_centroids(self, mesh: MembraneMesh, tris: np.ndarray) -> np.ndarray:
+        """The conductivity at the reference centroids of the triangles ``tris``."""
+        return self.conductivity(triangle_centroids(
+            mesh.ref_vertices, np.take(mesh.triangles, tris, axis=0)))
+
+    def proto_tensor(self, mesh: MembraneMesh) -> np.ndarray:
+        """The conductivity of each prototype of ``kinds(mesh)`` (rows of its
+        ``prototypes``): its value at the prototype's reference centroid,
+        ellipticity checked by those sampled eigenvalues."""
         mesh = self.kinds(mesh)
-        A = self.conductivity(triangle_centroids(
-            mesh.ref_vertices, np.take(mesh.triangles, mesh.prototypes, axis=0)))
+        A = self._at_centroids(mesh, mesh.prototypes)
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
         lower, upper = sym2_eigenvalues(A)
@@ -136,25 +153,36 @@ class BilinearFormSpec:
                 f"sampled eigenvalues in [{lo:.3g}, {hi:.3g}] "
                 f"outside [{self.lam}, {self.Lam}]"
             )
-        return np.take(A, mesh.tri_prototype, axis=0)
+        return A
+
+    def tensor(self, mesh: MembraneMesh) -> np.ndarray:
+        """Per-triangle conductivity: ``proto_tensor`` gathered by the
+        ``tri_prototype`` of ``kinds(mesh)``."""
+        mesh = self.kinds(mesh)
+        return np.take(self.proto_tensor(mesh), mesh.tri_prototype, axis=0)
 
 
 @dataclass
 class DiscreteSystem:
-    """Assembled matrix and load; ``tensor`` is the form's per-triangle
-    conductivity on ``mesh``, evaluated once by assemble (``mesh`` is the mesh
-    assembled on, with the kinds ``BilinearFormSpec.kinds`` gave it; the
-    matrix is in its pattern).  The solution is zero on ``fixed``, the mesh's
-    boundary nodes, and unknown on ``free``, the mesh's ``free_nodes``.
-    ``solver`` holds the set-up ``solve`` builds on first use; copies made by
+    """Assembled matrix and load; ``proto_tensor`` is the form's conductivity
+    per prototype of ``mesh``, evaluated once by assemble, and ``tensor``
+    gathers it per triangle on each use (``mesh`` is the mesh assembled on,
+    with the kinds ``BilinearFormSpec.kinds`` gave it; the matrix is in its
+    pattern).  The solution is zero on ``fixed``, the mesh's boundary nodes,
+    and unknown on ``free``, the mesh's ``free_nodes``.  ``solver`` holds the
+    set-up ``solve`` builds on first use; copies made by
     ``dataclasses.replace`` share it, and it is rebuilt for a copy with
     another matrix or mesh."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
     mesh: MembraneMesh
-    tensor: np.ndarray
+    proto_tensor: np.ndarray
     solver: list = field(default_factory=list, repr=False)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        return np.take(self.proto_tensor, self.mesh.tri_prototype, axis=0)
 
     @property
     def fixed(self) -> np.ndarray:
@@ -171,24 +199,45 @@ class DiscreteSystem:
 
 @dataclass
 class FemSolution:
-    """Nodal values on ``mesh``; ``tensor`` is the per-triangle conductivity
-    of the system they solve, when the caller attached it.  A solve records
+    """Nodal values on ``mesh``; ``proto_tensor`` is the conductivity per
+    prototype of the system they solve, when the caller attached it, and
+    ``tensor`` gathers it per triangle (None without it).  A solve records
     its CG ``iterations`` and its true relative ``residual``
     |b - K x| / |b| over the free dofs."""
 
     values: np.ndarray
     mesh: MembraneMesh
     iterations: int = 0
-    tensor: np.ndarray = None
+    proto_tensor: np.ndarray = None
     residual: float = None
 
+    @property
+    def tensor(self) -> np.ndarray:
+        if self.proto_tensor is None:
+            return None
+        return np.take(self.proto_tensor, self.mesh.tri_prototype, axis=0)
 
-def _scatter(mesh: MembraneMesh, weights: np.ndarray) -> sp.csr_matrix:
-    """The matrix, in the mesh's pattern, summing the element matrices laid
-    out in ``weights`` as ``MembraneMesh.slots`` orders them: the triangles'
-    (nt, 3, 3), then the interface edges' (ne, 4, 4)."""
+
+def _add_runs(data: np.ndarray, slots: np.ndarray, width: int, entries) -> None:
+    """Sum into ``data`` the entries of consecutive elements, ``width`` each,
+    at ``slots`` (elements in turn): ``entries(lo, hi)`` gives those of
+    elements lo..hi-1 (fewer at the end), about RUN at a time.  Consecutive
+    ``np.add.at`` calls sum in one call's order, which is np.bincount's, and
+    make no np.intp copy of the int32 slots."""
+    step = max(1, RUN // width)
+    for lo in range(0, len(slots) // width, step):
+        np.add.at(data, slots[lo * width:(lo + step) * width], entries(lo, lo + step).ravel())
+
+
+def _scatter(mesh: MembraneMesh, tri_entries, edge_entries) -> sp.csr_matrix:
+    """The matrix, in the mesh's pattern, summing the element matrices as
+    ``MembraneMesh.slots`` orders them: the triangles' (3 x 3, from
+    ``tri_entries(lo, hi)``), then the interface edges' (4 x 4, from
+    ``edge_entries(lo, hi)``), run by run (``_add_runs``)."""
     data = np.zeros(len(mesh.indices))
-    np.add.at(data, mesh.slots, weights)  # np.bincount's order; no np.intp copy of slots
+    split = 9 * mesh.num_triangles
+    _add_runs(data, mesh.slots[:split], 9, tri_entries)
+    _add_runs(data, mesh.slots[split:], 16, edge_entries)
     nv = mesh.num_vertices
     return sp.csr_matrix((data, mesh.indices, mesh.indptr), shape=(nv, nv))
 
@@ -252,14 +301,12 @@ def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     )
 
 
-def gradient_load(mesh: MembraneMesh, tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
+def gradient_load(mesh: MembraneMesh, proto_tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     """-int A p . grad(phi_i), the corrector load for mean gradient p,
-    computed on the prototypes and gathered per triangle: the per-triangle
-    ``tensor`` must take one value on the triangles of each prototype, as a
-    system's tensor does on its mesh (``DiscreteSystem``)."""
+    computed on the prototypes and gathered per triangle, with A the
+    conductivity per prototype of ``mesh`` (``DiscreteSystem.proto_tensor``)."""
     p = np.asarray(p, dtype=float)
-    A = tensor[mesh.prototypes]
-    Ap = A[:, :, 0] * p[0] + A[:, :, 1] * p[1]
+    Ap = proto_tensor[:, :, 0] * p[0] + proto_tensor[:, :, 1] * p[1]
     a, g = mesh.proto_areas, mesh.proto_grads
     contrib = -((a * Ap[:, 0])[:, None] * g[:, :, 0] + (a * Ap[:, 1])[:, None] * g[:, :, 1])
     return np.bincount(
@@ -275,24 +322,24 @@ def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> Disc
     ``spec.kinds(mesh)``, the system's mesh.
     """
     mesh = spec.kinds(mesh)
-    tensor = spec.tensor(mesh)
-    Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, tensor[mesh.prototypes])
+    A = spec.proto_tensor(mesh)
+    Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, A).reshape(-1, 9)
     if spec.mass_weight != 0.0:
-        Ke += (spec.mass_weight * mesh.proto_areas)[:, None, None] * _MASS_BASE
-    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
-    weights = np.empty(9 * nt + 16 * ne)
-    np.take(Ke.reshape(-1, 9), mesh.tri_prototype, axis=0, out=weights[:9 * nt].reshape(nt, 9),
-            mode="clip")  # not "raise", which buffers ``out``
-    edge_mats = weights[9 * nt:].reshape(ne, 4, 4)
-    jump_element_matrices(mesh.vertices, mesh.interface_edges, out=edge_mats)
-    edge_mats *= spec.jump_weight
-    K = _scatter(mesh, weights)
+        Ke += (spec.mass_weight * mesh.proto_areas)[:, None] * _MASS_BASE.ravel()
+
+    def edge_entries(lo, hi):
+        mats = jump_element_matrices(mesh.vertices, mesh.interface_edges[lo:hi])
+        mats *= spec.jump_weight
+        return mats
+
+    K = _scatter(mesh, lambda lo, hi: np.take(Ke, mesh.tri_prototype[lo:hi], axis=0),
+                 edge_entries)
     b = np.zeros(mesh.num_vertices)
     if f is not None:
         b += volume_load(mesh, f)
     if p is not None:
-        b += gradient_load(mesh, tensor, p)
-    return DiscreteSystem(matrix=K, load=b, mesh=mesh, tensor=tensor)
+        b += gradient_load(mesh, A, p)
+    return DiscreteSystem(matrix=K, load=b, mesh=mesh, proto_tensor=A)
 
 
 def _factor(A: sp.spmatrix):
@@ -322,8 +369,9 @@ class _Condensed:
     cell's interior block A and E = A^-1 K_IB, both read from K (in the
     mesh's pattern).  The skeleton block of K~^-1 is the inverse of the
     Schur complement S = K_BB - sum over cells of K_BI E on the free
-    skeleton dofs, summed by one ``np.add.at`` in the mesh's pattern
-    ``MembraneMesh.schur`` and factored once, here."""
+    skeleton dofs, summed run by run (``_add_runs``) in the mesh's pattern
+    ``MembraneMesh.schur``, a group of cells with as many skeleton nodes at
+    a time, and factored once, here."""
 
     def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
         self.K, self.free, pattern = K, mesh.free_nodes, mesh.schur
@@ -343,12 +391,18 @@ class _Condensed:
             blocks.append(-(K_IB.T @ E))
             members = table[cells]
             self.kinds.append((members[:, inner], members[:, outer], lu, E))
-        weights = np.concatenate([
-            *(blocks[r].ravel() for r in rank[pattern["cells"]]), K.data[pattern["entries"]]
-        ])
-        self.skeleton, indices = pattern["nodes"], pattern["indices"]
+        self.skeleton, indices, slots = pattern["nodes"], pattern["indices"], pattern["slots"]
         data = np.zeros(len(indices) + 1)
-        np.add.at(data, pattern["slots"], weights)
+        order, width = rank[pattern["cells"]], [block.size for block in blocks]
+        start = 0  # each run of cells with blocks of one width: the kind of each in turn
+        for group in np.split(order, np.flatnonzero(np.diff(np.take(width, order))) + 1):
+            n = len(group) * width[group[0]]
+            if n:
+                _add_runs(data, slots[start:start + n], width[group[0]],
+                          lambda lo, hi, group=group: np.stack([blocks[r] for r in group[lo:hi]]))
+            start += n
+        entries = pattern["entries"]
+        _add_runs(data, slots[start:], 1, lambda lo, hi: K.data[entries[lo:hi]])
         S = sp.csr_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
         S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
         self.lu = _factor(S)
@@ -422,11 +476,12 @@ def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:
     return np.einsum("tid,ti->td", mesh.grads, values[mesh.triangles])
 
 
-def norms(sol: FemSolution, gradient: np.ndarray = None) -> dict:
+def norms(sol: FemSolution, gradient: np.ndarray = None, areas: np.ndarray = None) -> dict:
     """W-norm components: gradient L2 per region and interface jump L2;
-    ``gradient`` is the solution's ``p1_gradient`` when the caller has it."""
+    ``gradient`` is the solution's ``p1_gradient`` and ``areas`` its mesh's
+    ``areas`` when the caller has them."""
     mesh = sol.mesh
-    areas = mesh.areas
+    areas = mesh.areas if areas is None else areas
     g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     g2 = np.einsum("td,td->t", g, g)
     plus = mesh.tri_region == PLUS
@@ -441,14 +496,17 @@ def norms(sol: FemSolution, gradient: np.ndarray = None) -> dict:
 
 
 def flux_pairing(
-    sol: FemSolution, tensor: np.ndarray, fields, gradient: np.ndarray = None
+    sol: FemSolution, tensor: np.ndarray, fields, gradient: np.ndarray = None,
+    areas: np.ndarray = None,
 ) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
     centroids, with A the per-triangle ``tensor`` (as
     ``BilinearFormSpec.tensor`` evaluates it).  ``gradient`` is the
-    solution's ``p1_gradient`` when the caller has it."""
-    mesh, areas = sol.mesh, sol.mesh.areas
+    solution's ``p1_gradient`` and ``areas`` its mesh's ``areas`` when the
+    caller has them."""
+    mesh = sol.mesh
+    areas = mesh.areas if areas is None else areas
     g = p1_gradient(mesh, sol.values) if gradient is None else gradient
     flux = np.einsum("tij,tj->ti", tensor, g)
     return [float(np.einsum("t,ti,ti->", areas, flux, psi)) for psi in fields]

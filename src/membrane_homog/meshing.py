@@ -76,6 +76,10 @@ class MembraneMesh:
     and the cell table ``cell_nodes`` (nc, w), each cell's nodes, -1 where
     one is absent, in columns that match between cells of one kind.  An
     index outside ``cells`` or a cell without a triangle raises ValueError.
+    Every index array is stored as int32: the constructor converts
+    ``triangles``, ``interface_pairs``, ``boundary_nodes``,
+    ``tri_cell_index`` and ``cell_nodes`` given in another width, and the
+    builders of large meshes (tilings, the square grid) build them so.
 
     The rest of the topology and the geometry are derived once, at
     construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
@@ -118,7 +122,9 @@ class MembraneMesh:
     skeleton nodes); and ``slots``, the position in S's data of each
     summand: the Schur block of each cell of ``cells`` over its skeleton
     nodes in table column order, row-major, then the ``entries``.  A summand
-    in a boundary row or column goes to the extra slot len(indices).
+    in a boundary row or column goes to the extra slot len(indices).  The
+    keys are merged with each group's columns in the node order of its last
+    cell, in which they come in nearly sorted runs.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
@@ -152,6 +158,9 @@ class MembraneMesh:
     schur: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("triangles", "interface_pairs", "boundary_nodes", "tri_cell_index",
+                     "cell_nodes"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
         index, nc = self.tri_cell_index, len(self.cells)
         if ((index < 0) | (index >= nc)).any():
             raise ValueError("tri_cell_index names a row outside cells")
@@ -164,9 +173,10 @@ class MembraneMesh:
             np.arange(self.num_triangles) - np.repeat(np.cumsum(tri_count) - tri_count, tri_count))
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True
-        self.skeleton = np.flatnonzero(on)
+        self.skeleton = np.flatnonzero(on).astype(np.int32)
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
-        self.free_nodes = np.delete(np.arange(self.num_vertices), self.boundary_nodes)
+        self.free_nodes = np.delete(np.arange(self.num_vertices, dtype=np.int32),
+                                    self.boundary_nodes)
         self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
         self._tile(on, tri_order, tri_count)
         self.schur = self._schur_pattern()
@@ -182,7 +192,8 @@ class MembraneMesh:
         on = np.flatnonzero(np.isin(self.tri_cell_index, first))  # the first cells' triangles
         self.prototypes = on[np.argsort(rank[self.tri_cell_index[on]], kind="stable")]
         kind_start = np.searchsorted(rank[self.tri_cell_index[self.prototypes]], rank)
-        self.tri_prototype = kind_start[self.tri_cell_index] + self.tri_local
+        self.tri_prototype = kind_start.astype(np.int32)[self.tri_cell_index]
+        self.tri_prototype += self.tri_local
         self.proto_areas, self.proto_grads = triangle_geometry(
             self.vertices, self.triangles[self.prototypes])
 
@@ -250,7 +261,8 @@ class MembraneMesh:
         if (on_skeleton[e[:, 2]] & on_skeleton[e[:, 3]]).any():
             raise ValueError("an interface edge lies on the cell skeleton")
         order = np.lexsort(e[:, 3::-1].T)
-        self.interface_edges, self.edge_cell_index = e[order, :4], e[order, 4]
+        self.interface_edges = e[order, :4].astype(np.int32)
+        self.edge_cell_index = e[order, 4].astype(np.int32)
         lone = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)  # nodes in no triangle
         keys.append((lone * (nv + 1)).astype(key))  # each with itself, as the others are
         links, at = _merged(keys)
@@ -276,10 +288,12 @@ class MembraneMesh:
         pos[nodes] = np.arange(m)  # position among ``nodes``; m for the others and absent ones
         count = on.sum(axis=1)
         cells = np.argsort(count, kind="stable")
-        keys, pairs = [], []
+        keys, pairs, perms = [], [], []
         for b in np.unique(count):  # per count b of skeleton nodes: each cell's b x b block
             group = cells[count[cells] == b]
             at = pos[table[group][on[group]]].reshape(len(group), b)
+            perms.append(np.argsort(at[-1], kind="stable"))  # the group's last cell's node order
+            at = at[:, perms[-1]]  # so that the keys come in sorted runs
             pairs.append((at < m)[:, :, None] & (at < m)[:, None, :])  # both nodes free
             keys.append((at[:, :, None] * m + at[:, None, :])[pairs[-1]])
         start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
@@ -293,6 +307,11 @@ class MembraneMesh:
         links, at = _merged(keys)
         slots = np.full(sum(p.size for p in pairs), len(links), dtype=np.int32)
         slots[np.concatenate([p.ravel() for p in pairs])] = at
+        start = 0
+        for p, perm in zip(pairs, perms):  # each block back in table column order
+            block = slots[start:start + p.size].reshape(p.shape)
+            block[:, perm[:, None], perm] = block.copy()
+            start += p.size
         return {name: a.astype(np.int32, copy=False) for name, a in (
             ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
             ("indices", links - links // max(m, 1) * m),
@@ -522,7 +541,7 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
             regions.append(PLUS)
 
     vertices = np.array(verts)
-    triangles = np.array(tris, dtype=np.int64)
+    triangles = np.array(tris, dtype=np.int32)
     tri_region = np.array(regions, dtype=np.int8)
     # orient every triangle counterclockwise
     d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
@@ -535,10 +554,10 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
         triangles=triangles,
         tri_region=tri_region,
         interface_pairs=np.column_stack([plus_ids[0], minus_interface]),
-        boundary_nodes=plus_ids[-1].astype(np.int64),
+        boundary_nodes=plus_ids[-1],
         cells=np.zeros((1, 2), dtype=np.int64),  # one cell: every triangle and node
-        tri_cell_index=np.zeros(len(triangles), dtype=np.int64),
-        cell_nodes=np.arange(len(vertices), dtype=np.int64)[None],
+        tri_cell_index=np.zeros(len(triangles), dtype=np.int32),
+        cell_nodes=np.arange(len(vertices), dtype=np.int32)[None],
     )
     angle = mesh.min_angle_deg()
     if angle < MIN_ANGLE_DEG:
@@ -583,7 +602,7 @@ class _Tiling:
 
         self.new = keep.reshape(-1)  # entries that start a node: all but non-owner shared ones
         self.new[self.shared] = self.owner == self.shared
-        gid = np.full(nc * nv, -1, dtype=np.int64)
+        gid = np.full(nc * nv, -1, dtype=np.int32)
         gid[self.new] = np.arange(np.count_nonzero(self.new))
         gid[self.shared] = gid[self.owner]
         gid = gid.reshape(nc, nv)  # the cell table: -1 at the merged MINUS nodes
@@ -600,9 +619,9 @@ class _Tiling:
             triangles=np.take(merged, cell.triangles, axis=1).reshape(-1, 3),
             tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
             interface_pairs=pairs.reshape(-1, 2),
-            boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int64),
+            boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int32),
             cells=cells,
-            tri_cell_index=np.repeat(np.arange(nc), nt),
+            tri_cell_index=np.repeat(np.arange(nc, dtype=np.int32), nt),
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
@@ -729,21 +748,21 @@ def build_square_mesh(m: int) -> MembraneMesh:
     # each block's table: its rectangle of nodes in node order, -1 after
     at = np.arange((min(m, GRID_BLOCK) + 1) ** 2)
     table = (lo[:, :1] + at // size[:, 1:]) * (m + 1) + lo[:, 1:] + at % size[:, 1:]
-    block = np.arange(m) // GRID_BLOCK  # the block of each row (column) of squares
+    block = np.arange(m, dtype=np.int32) // GRID_BLOCK  # the block of each row (column) of squares
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
     # square (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
-    a = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).ravel()
+    a = (np.arange(m, dtype=np.int32)[:, None] * (m + 1) + np.arange(m, dtype=np.int32)).ravel()
     b, c, d = a + m + 1, a + m + 2, a + 1
-    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3).astype(np.int64, copy=False)
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     on_bd = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     return MembraneMesh(
         vertices=verts,
         triangles=triangles,
         tri_region=np.full(len(triangles), PLUS, dtype=np.int8),
-        interface_pairs=np.zeros((0, 2), dtype=np.int64),
-        boundary_nodes=np.flatnonzero(on_bd).astype(np.int64),
+        interface_pairs=np.zeros((0, 2), dtype=np.int32),
+        boundary_nodes=np.flatnonzero(on_bd).astype(np.int32),
         cells=cells,
         tri_cell_index=np.repeat((block[:, None] * blocks + block).ravel(), 2),
         cell_nodes=np.where(at < size.prod(axis=1, keepdims=True), table, -1),

@@ -25,7 +25,7 @@ from membrane_homog.effective import (
     volume_stats,
 )
 from membrane_homog.errors import ConfigError, SolverDivergence
-from membrane_homog.fem import CONDUCTIVITY_PRESETS
+from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 
 QUICK_CFG = """\
 # quick smoke config
@@ -375,6 +375,28 @@ class TestOneTemplatePerRun:
         out = str(tmp_path / "o")
         assert main(["effective", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
         assert builds.read_text().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("conductivity", ["identity", "aniso"])
+    def test_parent_settles_the_periodicity_verdict(self, tmp_path, monkeypatch, conductivity):
+        """The workers of a pool read the verdict the parent left on the
+        template; none settles it again."""
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two CPUs for a pool")
+        checks = tmp_path / "checks"
+        real = BilinearFormSpec._periodic
+
+        def logged(self, mesh):
+            with open(checks, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(self, mesh)
+
+        monkeypatch.setattr(BilinearFormSpec, "_periodic", logged)
+        meshing._template.cache_clear()
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG + f"conductivity = {conductivity}\n")
+        out = str(tmp_path / "o")
+        assert main(["effective", "--config", str(p), "--out", out, "--jobs", "2"]) == 0
+        assert checks.read_text().split() == [str(os.getpid())]
 
     def test_homogenize_parent_builds_the_cell_mesh(self, tmp_path, monkeypatch):
         """A homogenize pool's workers share the cell mesh the parent built."""

@@ -117,8 +117,8 @@ class TestTruncated:
 
         geometry = counted("geometry", meshing.triangle_geometry)
         monkeypatch.setattr(meshing, "triangle_geometry", geometry)
-        tensor = counted("tensor", BilinearFormSpec.tensor)
-        monkeypatch.setattr(BilinearFormSpec, "tensor", tensor)
+        tensor = counted("tensor", BilinearFormSpec.proto_tensor)
+        monkeypatch.setattr(BilinearFormSpec, "proto_tensor", tensor)
         loads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         solve_truncated(CorrectorConfig(n=2, m=1, h=0.1), BernoulliCellwiseMap(seed=0), loads)
         assert calls == {"geometry": 3, "tensor": 1}

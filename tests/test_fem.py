@@ -34,7 +34,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from test_mesh import mesh_from_tri_cell
+from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
 
@@ -71,11 +71,9 @@ def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
     the interface edges (ne, 4, 4), through assemble's scatter; a scalar is
     broadcast to every element."""
     nt, ne = mesh.num_triangles, len(mesh.interface_edges)
-    weights = np.concatenate([
-        np.broadcast_to(tri_mats, (nt, 3, 3)).ravel(),
-        np.broadcast_to(edge_mats, (ne, 4, 4)).ravel(),
-    ])
-    return fem._scatter(mesh, weights)
+    tri = np.broadcast_to(tri_mats, (nt, 3, 3)).reshape(nt, 9)
+    edge = np.broadcast_to(edge_mats, (ne, 4, 4)).reshape(ne, 16)
+    return fem._scatter(mesh, lambda lo, hi: tri[lo:hi], lambda lo, hi: edge[lo:hi])
 
 
 def assemble_stiffness(mesh, tensor):
@@ -210,13 +208,25 @@ class TestPatternScatter:
         pattern = sp.csr_matrix((np.ones(len(mesh.indices)), mesh.indices, mesh.indptr))
         assert np.array_equal(pattern.toarray() != 0, ref != 0)
 
-    @pytest.mark.parametrize("name", ["truncated_bernoulli", "square"])
+    @pytest.mark.parametrize("name", ["truncated_bernoulli", "square", "tiled_sixteenth"])
     def test_sums_in_bincount_order(self, meshes, name):
-        # the scatter's sums are np.bincount's, bit for bit
-        mesh = meshes[name]
+        # the scatter's runs sum as one np.add.at over all the entries, and
+        # that is np.bincount's sum, bit for bit
+        if name == "tiled_sixteenth":  # 94,208 triangles: many runs
+            mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(0), 1 / 16,
+                                    SPEC)
+            assert 9 * mesh.num_triangles > 2 * fem.RUN and 16 * len(mesh.interface_edges) > fem.RUN
+        else:
+            mesh = meshes[name]
         weights = np.random.default_rng(2).standard_normal(len(mesh.slots))
-        want = np.bincount(mesh.slots, weights=weights, minlength=len(mesh.indices))
-        assert fem._scatter(mesh, weights).data.tobytes() == want.tobytes()
+        want = np.zeros(len(mesh.indices))
+        np.add.at(want, mesh.slots, weights)
+        assert want.tobytes() == np.bincount(
+            mesh.slots, weights=weights, minlength=len(mesh.indices)).tobytes()
+        split = 9 * mesh.num_triangles
+        tri, edge = weights[:split].reshape(-1, 9), weights[split:].reshape(-1, 16)
+        got = fem._scatter(mesh, lambda lo, hi: tri[lo:hi], lambda lo, hi: edge[lo:hi])
+        assert got.data.tobytes() == want.tobytes()
 
 
 class TestSymmetricEigenvalues:
@@ -277,9 +287,9 @@ class TestLoadScatter:
 
     def test_gradient_load_bitwise(self, mesh):
         assert len(mesh.prototypes) < mesh.num_triangles
-        tensor = BilinearFormSpec(conductivity=aniso_field).tensor(mesh)
+        tensor = BilinearFormSpec(conductivity=aniso_field).proto_tensor(mesh)
         p = np.array([0.7, -0.2])
-        Ap = np.einsum("tij,j->ti", tensor[mesh.prototypes], p)
+        Ap = np.einsum("tij,j->ti", tensor, p)
         contrib = -np.einsum("t,ti,tji->tj", mesh.proto_areas, Ap, mesh.proto_grads)
         assert (gradient_load(mesh, tensor, p).tobytes()
                 == add_at_load(mesh, contrib[mesh.tri_prototype]).tobytes())
@@ -340,7 +350,7 @@ class TestPerKindAssembly:
         assert abs(system.matrix - K_ref).max() <= 1e-13 * abs(K_ref).max()
         b_ref = b_f + b_p
         assert np.abs(system.load - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
-        g = gradient_load(system.mesh, system.tensor, p)
+        g = gradient_load(system.mesh, system.proto_tensor, p)
         assert np.abs(g - b_p).max() <= 1e-13 * np.abs(b_p).max()
         return system
 
@@ -378,6 +388,56 @@ class TestPerKindAssembly:
         assert np.array_equal(system.mesh.cell_kind, np.arange(len(mesh.cells)))
         assert np.array_equal(system.mesh.prototypes, np.arange(mesh.num_triangles))
         assert solve(system).iterations == 1
+
+    def test_not_periodic_in_the_last_run_only(self):
+        """The verdict is settled run by run: a conductivity that departs
+        from its period only in the last cell, inside the last run of
+        triangles, still makes every cell its own kind."""
+        mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(5), 0.125, SPEC)
+        run = fem.RUN // 4  # triangles per run
+        last_cell = np.flatnonzero(mesh.tri_cell_index == len(mesh.cells) - 1)
+        assert mesh.num_triangles > run and last_cell.min() >= (mesh.num_triangles - 1) // run * run
+
+        def stiffer_in_the_last_cell(points):  # the cells of the 1/8 tiling span [0, 8]^2
+            out = identity_field(points)
+            out[:, 0, 0] += 0.25 * ((points[:, 0] > 7.0) & (points[:, 1] > 7.0))
+            return out
+
+        kinds = BilinearFormSpec(conductivity=stiffer_in_the_last_cell).kinds(mesh)
+        assert np.array_equal(kinds.cell_kind, np.arange(len(mesh.cells)))
+        assert BilinearFormSpec(conductivity=identity_field).kinds(mesh) is mesh
+
+
+class TestStoredArrays:
+    """A mesh and a system keep per-triangle data only as int32 index arrays
+    and per-prototype values: the one per-triangle float array they store is
+    the mesh's ``centroids``."""
+
+    BUILDERS = {
+        "cell": lambda cell: cell,
+        "folded_cell": lambda cell: folded_cell(0.1),
+        "tiled": lambda cell: tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.125, SPEC),
+        "truncated": lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2),
+        "square": lambda cell: build_square_mesh(40),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_index_arrays_int32_and_floats_per_prototype(self, name):
+        mesh = self.BUILDERS[name](build_cell_mesh(SPEC, 0.1))
+        if name not in ("cell", "folded_cell"):  # one cell: each triangle is a prototype
+            assert len(mesh.prototypes) < mesh.num_triangles
+        system = assemble(mesh, BilinearFormSpec(jump_weight=1.0))
+        assert system.mesh is mesh
+        for array in INDEX_ARRAYS:
+            assert getattr(mesh, array).dtype == np.int32, array
+        for owner in (mesh, system):
+            for key, value in vars(owner).items():
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                    assert key == "centroids" or len(value) in (
+                        mesh.num_vertices, len(mesh.prototypes)), key
+        assert system.proto_tensor.shape == (len(mesh.prototypes), 2, 2)
+        assert np.array_equal(system.tensor,
+                              np.take(system.proto_tensor, mesh.tri_prototype, axis=0))
 
 
 class TestSolve:
@@ -457,7 +517,7 @@ def corrector_systems(dmap, n=8, conductivity=identity_field, lam=1.0):
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=1e-3, lam=lam)
     system = assemble(mesh, form)
     return [
-        replace(system, load=system.load + gradient_load(system.mesh, system.tensor, p))
+        replace(system, load=system.load + gradient_load(system.mesh, system.proto_tensor, p))
         for p in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     ]
 

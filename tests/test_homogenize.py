@@ -228,7 +228,7 @@ class TestErrorSuite:
         ue = solve_hetero(0.25, BernoulliCellwiseMap(0), f=1.0, conductivity=aniso_field,
                           h_cell=0.1)
         carried = error_suite(ue, u0, 0.2, 0.25, np.eye(2))
-        bare = replace(ue, tensor=None)
+        bare = replace(ue, proto_tensor=None)
         evaluated = error_suite(bare, u0, 0.2, 0.25, np.eye(2), conductivity=aniso_field)
         assert np.array_equal(carried.flux_residuals, evaluated.flux_residuals)
         identity = error_suite(bare, u0, 0.2, 0.25, np.eye(2))

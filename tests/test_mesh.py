@@ -23,6 +23,10 @@ from membrane_homog.meshing import (
 )
 
 SPEC = InterfaceSpec()
+# the index arrays a mesh stores as int32
+INDEX_ARRAYS = ("triangles", "tri_cell_index", "tri_prototype", "cell_nodes", "free_nodes",
+                "boundary_nodes", "skeleton", "interface_pairs", "interface_edges",
+                "edge_cell_index")
 
 
 def cell_tables(tri_cell, triangles, num_vertices):
@@ -40,10 +44,10 @@ def cell_tables(tri_cell, triangles, num_vertices):
     corners = corners[np.diff(corners, prepend=-1) != 0]
     cell = corners // nv
     count = np.bincount(cell, minlength=len(keys))
-    table = np.full((len(keys), count.max(initial=0)), -1, dtype=np.int64)
+    table = np.full((len(keys), count.max(initial=0)), -1, dtype=np.int32)
     table[cell, np.arange(len(corners)) - (np.cumsum(count) - count)[cell]] = corners - cell * nv
     return {"cells": np.column_stack([keys // ny, keys % ny]) + lo,
-            "tri_cell_index": inverse.reshape(-1), "cell_nodes": table}
+            "tri_cell_index": inverse.reshape(-1).astype(np.int32), "cell_nodes": table}
 
 
 def mesh_from_tri_cell(tri_cell, **arrays):
@@ -457,6 +461,10 @@ class TestTilingTemplate:
         assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
         assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
         assert b.schur is a.schur and b.cellwise().schur is a.schur
+        for array in INDEX_ARRAYS:
+            if array != "tri_prototype":  # each set of kinds numbers its own prototypes
+                assert getattr(b, array) is getattr(a, array), array
+                assert getattr(a.cellwise(), array) is getattr(a, array), array
         assert not np.array_equal(a.vertices, b.vertices)
         # each realization names its own kinds, 2 * bumped + membrane
         for seed, mesh in ((1, a), (2, b)):
@@ -795,9 +803,9 @@ def oracle_interface_edges(mesh):
     m2p = np.full(nv, -1, dtype=np.int64)
     m2p[mesh.interface_pairs[:, 1]] = mesh.interface_pairs[:, 0]
     on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
-    rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int64)
+    rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int32)
     order = np.lexsort(rows.T[::-1])
-    return rows[order], mesh.tri_cell_index[minus_tri[on // 3][order]]
+    return rows[order], mesh.tri_cell_index[minus_tri[on // 3][order]].astype(np.int32)
 
 
 def oracle_pattern(mesh, edges):
@@ -805,7 +813,7 @@ def oracle_pattern(mesh, edges):
     or an interface edge (each node with itself), and the ``slots`` of the
     element entries, by a sort of the pairs and a search per element entry."""
     nv = mesh.num_vertices
-    t, e = mesh.triangles, edges
+    t, e = mesh.triangles.astype(np.int64), edges.astype(np.int64)  # keys past 32 bits
     links = np.concatenate([edge_keys(t, nv)[2], *(
         np.minimum(e[:, i], e[:, j]) * nv + np.maximum(e[:, i], e[:, j])
         for i in range(4) for j in range(i + 1, 4))])
