@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import itertools
 import json
@@ -268,12 +269,14 @@ def _run_tasks(worker, tasks, jobs):
         return list(pool.map(worker, tasks))
 
 
-def _corrector_task(task):
+def _corrector_task(task, profile: bool = False):
     """One realization's sample (effective.EffectiveRun), reduced from its e1
-    and e2 correctors on its one mesh and matrix."""
+    and e2 correctors on its one mesh and matrix, with its energy profile
+    when ``profile`` is set."""
     cfg, seed = task
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
-    return corrector_runs(cfg.make_map, [seed], cfg.corrector_config(), conductivity)[0]
+    return corrector_runs(cfg.make_map, [seed], cfg.corrector_config(), conductivity,
+                          profile=profile)[0]
 
 
 def _hetero_task(task):
@@ -339,10 +342,11 @@ def _per_seed(cfg: ExperimentConfig, results: list) -> list:
     return [replace(r, seed=s) for s in cfg.seeds for r in next(blocks)]
 
 
-def _seed_runs(cfg: ExperimentConfig, jobs: int) -> list:
-    """One corrector sample per seed, each distinct realization solved once.
-    When a pool runs two or more realizations, the truncated cube's tiling
-    template and the conductivity's periodicity verdict on it
+def _seed_runs(cfg: ExperimentConfig, jobs: int, profile: bool = False) -> list:
+    """One corrector sample per seed, each distinct realization solved once,
+    with its energy profile when ``profile`` is set (only ``corrector``
+    writes it).  When a pool runs two or more realizations, the truncated
+    cube's tiling template and the conductivity's periodicity verdict on it
     (``BilinearFormSpec.kinds``) are settled here, before the pool forks,
     and its workers share them."""
     tasks = [(cfg, s) for s in cfg.realizations]
@@ -350,11 +354,12 @@ def _seed_runs(cfg: ExperimentConfig, jobs: int) -> list:
         c = cfg.corrector_config()
         template = truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
         BilinearFormSpec(CONDUCTIVITY_PRESETS[cfg.conductivity]).kinds(template.mesh)
-    return _per_seed(cfg, _run_tasks(_corrector_task, tasks, jobs))
+    return _per_seed(cfg, _run_tasks(functools.partial(_corrector_task, profile=profile), tasks,
+                                     jobs))
 
 
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
-    runs = _seed_runs(cfg, jobs)
+    runs = _seed_runs(cfg, jobs, profile=True)
     flux_rows = [(r.seed, "e1;e2", cfg.delta, cfg.n, cfg.m, r.flux) for r in runs]
     write_flux_csv(out.path("flux.csv"), flux_rows)
     energy_rows = [(r.seed, r.profile) for r in runs]

@@ -58,18 +58,41 @@ class CorrectorConfig:
 
 @dataclass
 class CorrectorSolution:
+    """A corrector w and its window sample, reduced from the triangles and
+    interface edges of the window's cells only.  ``sol`` carries the
+    conductivity per prototype it was solved with (``proto_tensor``); the
+    per-cell fluxes of every cell (``flux_plus``, ``flux_minus``) and the
+    energy per cell (``cell_energy``) are computed on first use."""
+
     sol: FemSolution
     p: np.ndarray  # (2,) the mean gradient it was solved for
     cells: np.ndarray  # (nc, 2) lattice cells
     window: np.ndarray  # (nc,) mask of the cells its window averages over
-    flux_plus: np.ndarray  # (nc, 2) int over Phi(Y_k^+) of A (p + grad w)
-    flux_minus: np.ndarray  # (nc, 2)
+    window_sides: np.ndarray  # (window cells, side MINUS/PLUS, 2) int of A (p + grad w)
     window_energy: np.ndarray  # (loads,) window-energy form with each solve of its mesh
     mass_weight: float  # the regularization delta of the form it solves
 
     @property
     def mesh(self) -> MembraneMesh:
         return self.sol.mesh
+
+    @functools.cached_property
+    def cell_sides(self) -> np.ndarray:
+        """(nc, side MINUS/PLUS, 2) int over Phi(Y_k^-) and Phi(Y_k^+) of A (p +
+        grad w), every cell; computed on first use."""
+        mesh, every = self.mesh, slice(None)
+        return side_sums(mesh, every, np.arange(len(mesh.cells)), len(mesh.cells),
+                         flux_density(self.sol, self.p, every)[1])
+
+    @property
+    def flux_plus(self) -> np.ndarray:
+        """(nc, 2) int over Phi(Y_k^+) of A (p + grad w)."""
+        return self.cell_sides[:, 1]
+
+    @property
+    def flux_minus(self) -> np.ndarray:
+        """(nc, 2) int over Phi(Y_k^-) of A (p + grad w)."""
+        return self.cell_sides[:, 0]
 
     @functools.cached_property
     def cell_energy(self) -> np.ndarray:
@@ -92,8 +115,8 @@ class CorrectorSolution:
     def window_flux(self) -> np.ndarray:
         """Average of F_k^+ + F_k^- over the cells of the window, per unit
         reference cell."""
-        inside = self.window
-        return (self.flux_plus[inside] + self.flux_minus[inside]).sum(axis=0) / inside.sum()
+        sides = self.window_sides
+        return (sides[:, 1] + sides[:, 0]).sum(axis=0) / len(sides)
 
 
 def window_mask(cells: np.ndarray, m: int) -> np.ndarray:
@@ -114,47 +137,63 @@ def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarr
     return out
 
 
+def flux_density(sol: FemSolution, p: np.ndarray, tris) -> tuple:
+    """p + grad w and A (p + grad w), physical configuration, on the
+    triangles ``tris`` (an index array or a slice) of the solution's mesh, A
+    its ``proto_tensor``."""
+    mesh = sol.mesh
+    g = p1_gradient(mesh, sol.values, tris) + p
+    return g, apply_tensor(np.take(sol.proto_tensor, mesh.tri_prototype[tris], axis=0), g)
+
+
+def side_sums(mesh: MembraneMesh, tris, cell: np.ndarray, count: int,
+              flux: np.ndarray) -> np.ndarray:
+    """(count, side MINUS/PLUS, 2) sums of |T| ``flux`` over the triangles
+    ``tris`` (an index array or a slice; rows of ``flux``), binned by side
+    and by ``cell``, each cell's row of the result, each bin summed in
+    triangle order."""
+    key = 2 * cell[mesh.tri_cell_index[tris]] + (mesh.tri_region[tris] == PLUS)
+    areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
+    return np.stack([
+        np.bincount(key, weights=areas * f, minlength=2 * count).reshape(count, 2) for f in flux.T
+    ], axis=-1)
+
+
 def _corrector_solutions(
-    sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec, proto_tensor: np.ndarray
+    sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec
 ) -> list[CorrectorSolution]:
-    """The solves of one mesh, one per mean gradient of ``loads``, with their
-    per-cell physical fluxes and window-energy form over the cells of the
-    mask ``inside``; ``proto_tensor`` is the form's conductivity per
-    prototype of the mesh (``DiscreteSystem.proto_tensor``)."""
+    """The solves of one mesh, one per mean gradient of ``loads``, each
+    carrying the conductivity per prototype it was solved with, with their
+    physical fluxes per window cell and window-energy form over the cells of
+    the mask ``inside``: only the window's triangles and interface edges are
+    read."""
     mesh = sols[0].mesh
-    areas = mesh.areas
-    tensor = np.take(proto_tensor, mesh.tri_prototype, axis=0)
-    grads = [p1_gradient(mesh, sol.values) + p for sol, p in zip(sols, loads)]
-    fluxes = [apply_tensor(tensor, g) for g in grads]  # A g_i
-    del tensor
+    tri = np.flatnonzero(inside[mesh.tri_cell_index])
+    areas = np.take(mesh.proto_areas, mesh.tri_prototype[tri])
+    grads, fluxes = zip(*[flux_density(sol, p, tri) for sol, p in zip(sols, loads)])
 
     # window mean per cell of int g_i . A g_j plus the weighted jump form of
     # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i, summed
     # over the triangles and interface edges of the window's cells
-    tri = np.flatnonzero(inside[mesh.tri_cell_index])
     edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
     jump = form.jump_weight * jump_element_matrices(mesh.vertices, edges)
     ends = [sol.values[edges] for sol in sols]
     energy = np.zeros((len(sols), len(sols)))
     for i, j in zip(*np.triu_indices(len(sols))):
-        gi, fj = grads[i][tri], fluxes[j][tri]
-        e_tri = areas[tri] @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
+        gi, fj = grads[i], fluxes[j]
+        e_tri = areas @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
         e_jump = np.einsum("ei,eij,ej->", ends[i], jump, ends[j])
         energy[i, j] = energy[j, i] = (e_tri + e_jump) / inside.sum()
 
-    # per cell and side: bincount keyed by 2 * cell + (triangle in PLUS)
-    nc = len(mesh.cells)
-    key = 2 * mesh.tri_cell_index + (mesh.tri_region == PLUS)
-    out = []
-    for sol, p, Ag, row in zip(sols, loads, fluxes, energy):
-        side = np.stack([
-            np.bincount(key, weights=areas * f, minlength=2 * nc).reshape(nc, 2) for f in Ag.T
-        ], axis=-1)  # (nc, side MINUS/PLUS, component)
-        out.append(CorrectorSolution(
-            sol=sol, p=p, cells=mesh.cells, window=inside, flux_plus=side[:, 1],
-            flux_minus=side[:, 0], window_energy=row, mass_weight=form.mass_weight,
-        ))
-    return out
+    rank = np.cumsum(inside) - 1  # each window cell's row among them
+    return [
+        CorrectorSolution(
+            sol=sol, p=p, cells=mesh.cells, window=inside,
+            window_sides=side_sums(mesh, tri, rank, int(inside.sum()), Ag),
+            window_energy=row, mass_weight=form.mass_weight,
+        )
+        for sol, p, Ag, row in zip(sols, loads, fluxes, energy)
+    ]
 
 
 def solve_truncated(
@@ -175,8 +214,9 @@ def solve_truncated(
         solve(replace(system, load=system.load + gradient_load(system.mesh, proto_tensor, p)))
         for p in loads
     ]
-    del system  # and its solver's factorization, before the post-processing peaks in memory
-    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form, proto_tensor)
+    del system  # and its solver's factorization, before the post-processing
+    sols = [replace(sol, proto_tensor=proto_tensor) for sol in sols]
+    return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form)
 
 
 def periodic_representatives(mesh: MembraneMesh) -> np.ndarray:
@@ -227,9 +267,9 @@ def periodic_cell_solve(
     values = values - mean
 
     sol = FemSolution(values=values, mesh=mesh, iterations=folded.iterations,
-                      residual=folded.residual)
+                      proto_tensor=system.proto_tensor, residual=folded.residual)
     window = np.ones(len(mesh.cells), dtype=bool)  # the one cell
-    return _corrector_solutions([sol], [p], window, form, system.proto_tensor)[0]
+    return _corrector_solutions([sol], [p], window, form)[0]
 
 
 def energy_profile(corr: CorrectorSolution) -> np.ndarray:

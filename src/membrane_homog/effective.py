@@ -92,12 +92,13 @@ def volume_stats(
 class EffectiveRun:
     """One realization's sample, reduced where its correctors w_e1, w_e2 were
     solved.  ``energy`` is their window-energy form: xi . energy xi is the
-    window energy of w_xi = xi_1 w_e1 + xi_2 w_e2."""
+    window energy of w_xi = xi_1 w_e1 + xi_2 w_e2.  ``profile`` is None
+    unless the run was asked for it."""
 
     seed: int
     flux: np.ndarray  # (2, 2) window flux, one row per load e1, e2
     energy: np.ndarray  # (2, 2) symmetric
-    profile: np.ndarray  # (n,) energy profile of w_e1
+    profile: np.ndarray = None  # (n,) energy profile of w_e1
 
 
 UNIT_LOADS = ([1.0, 0.0], [0.0, 1.0])  # e1, e2
@@ -108,9 +109,11 @@ def corrector_runs(
     seeds,
     cfg: CorrectorConfig = None,
     conductivity=identity_field,
+    profile: bool = False,
 ) -> list[EffectiveRun]:
     """The sample of each seed's realization, from its e1 and e2 correctors,
-    both solved on its one mesh and matrix."""
+    both solved on its one mesh and matrix; with ``profile``, also the energy
+    profile of w_e1, which reads every cell of the cube."""
     if cfg is None:
         cfg = CorrectorConfig()
     runs = []
@@ -118,7 +121,8 @@ def corrector_runs(
         sols = solve_truncated(cfg, map_factory(s), UNIT_LOADS, conductivity)
         runs.append(EffectiveRun(
             seed=s, flux=np.array([c.window_flux() for c in sols]),
-            energy=np.array([c.window_energy for c in sols]), profile=energy_profile(sols[0]),
+            energy=np.array([c.window_energy for c in sols]),
+            profile=energy_profile(sols[0]) if profile else None,
         ))
     return runs
 

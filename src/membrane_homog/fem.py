@@ -200,22 +200,15 @@ class DiscreteSystem:
 @dataclass
 class FemSolution:
     """Nodal values on ``mesh``; ``proto_tensor`` is the conductivity per
-    prototype of the system they solve, when the caller attached it, and
-    ``tensor`` gathers it per triangle (None without it).  A solve records
-    its CG ``iterations`` and its true relative ``residual``
-    |b - K x| / |b| over the free dofs."""
+    prototype of the system they solve (rows of ``mesh.prototypes``), when
+    the caller attached it.  A solve records its CG ``iterations`` and its
+    true relative ``residual`` |b - K x| / |b| over the free dofs."""
 
     values: np.ndarray
     mesh: MembraneMesh
     iterations: int = 0
     proto_tensor: np.ndarray = None
     residual: float = None
-
-    @property
-    def tensor(self) -> np.ndarray:
-        if self.proto_tensor is None:
-            return None
-        return np.take(self.proto_tensor, self.mesh.tri_prototype, axis=0)
 
 
 def _add_runs(data: np.ndarray, slots: np.ndarray, width: int, entries) -> None:
@@ -471,9 +464,11 @@ def solve(system: DiscreteSystem) -> FemSolution:
     return FemSolution(values=u, mesh=system.mesh, iterations=iterations, residual=residual)
 
 
-def p1_gradient(mesh: MembraneMesh, values: np.ndarray) -> np.ndarray:
-    """Piecewise-constant gradient (nt, 2), from the basis gradients ``mesh.grads``."""
-    return np.einsum("tid,ti->td", mesh.grads, values[mesh.triangles])
+def p1_gradient(mesh: MembraneMesh, values: np.ndarray, tris=slice(None)) -> np.ndarray:
+    """Piecewise-constant gradient on the triangles ``tris`` (an index array
+    or a slice; default all, (nt, 2)), from the prototypes' basis gradients."""
+    return np.einsum("tid,ti->td", np.take(mesh.proto_grads, mesh.tri_prototype[tris], axis=0),
+                     values[mesh.triangles[tris]])
 
 
 def norms(sol: FemSolution, gradient: np.ndarray = None, areas: np.ndarray = None) -> dict:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membrane_homog.cli as cli
+import membrane_homog.corrector as corrector
 import membrane_homog.effective as effective
 import membrane_homog.homogenize as homogenize
 import membrane_homog.meshing as meshing
@@ -460,6 +461,38 @@ class TestOneDriver:
             assert np.array_equal(pair, np.eye(2))
 
 
+class TestProfileOnlyForCorrector:
+    """Only ``corrector`` writes the energy profile, so only it computes one;
+    ``effective`` and ``homogenize`` read no cell outside a sample's window."""
+
+    def test_effective_and_homogenize_compute_no_profile(self, tmp_path, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("computed outside corrector")
+
+        monkeypatch.setattr(corrector, "energy_profile", unused)
+        monkeypatch.setattr(effective, "energy_profile", unused)
+        for name in ("cell_energy", "cell_sides"):
+            monkeypatch.setattr(corrector.CorrectorSolution, name, property(unused))
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        out = tmp_path / "run"
+        for command in ("effective", "homogenize"):
+            assert main([command, "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
+        assert cli._corrector_task((parse_config(str(p)), 0)).profile is None
+
+    def test_corrector_writes_the_library_profile(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        out = tmp_path / "run"
+        assert main(["corrector", "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
+        cfg = parse_config(str(p))
+        rows = [line.split(",") for line in (out / "energy.csv").read_text().splitlines()[1:]]
+        for seed in cfg.seeds:
+            [e1] = corrector.solve_truncated(cfg.corrector_config(), cfg.make_map(seed), [[1.0, 0.0]])
+            E = corrector.energy_profile(e1)
+            assert [float(r[2]) for r in rows if r[0] == str(seed)] == E.tolist()
+
+
 class TestHomogenizedSideOnce:
     """u0 is solved and paired once in the parent; each heterogeneous task
     carries its grid values and pairings, not its mesh."""
@@ -484,7 +517,7 @@ class TestHomogenizedSideOnce:
         assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
         rows = (out / "convergence.csv").read_text().splitlines()[1:]
         assert len(rows) == len(task_bytes) == 4
-        assert pairings[0] == len(rows) + 1
+        assert pairings[0] == 1  # u0's: an error row sums its pairings run by run of triangles
         assert parse_config(str(p)).homog_grid == 128
         assert max(task_bytes) < 200_000
 

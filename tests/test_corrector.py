@@ -19,7 +19,7 @@ from membrane_homog.corrector import (
 )
 from membrane_homog.errors import ConfigError, MeshQualityFailure
 from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
-from membrane_homog.geometry import BernoulliCellwiseMap, IdentityMap, InterfaceSpec
+from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
 SPEC = InterfaceSpec()
@@ -252,6 +252,62 @@ class TestPeriodicFoldMatchesLoop:
         assert np.array_equal(fast.flux_plus, slow.flux_plus)
         assert np.array_equal(fast.flux_minus, slow.flux_minus)
         assert np.array_equal(fast.cell_energy, slow.cell_energy)
+
+
+def whole_mesh_window_energy(corrs) -> np.ndarray:
+    """The window-energy form of solves of one mesh, from gradients and
+    fluxes over every triangle restricted to the window (jump weight 1)."""
+    mesh, inside = corrs[0].mesh, corrs[0].window
+    tensor = np.take(corrs[0].sol.proto_tensor, mesh.tri_prototype, axis=0)
+    grads = [fem.p1_gradient(mesh, c.sol.values) + c.p for c in corrs]
+    fluxes = [fem.apply_tensor(tensor, g) for g in grads]
+    tri = np.flatnonzero(inside[mesh.tri_cell_index])
+    edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
+    jump = 1.0 * fem.jump_element_matrices(mesh.vertices, edges)
+    energy = np.zeros((len(corrs), len(corrs)))
+    for i, j in zip(*np.triu_indices(len(corrs))):
+        gi, fj = grads[i][tri], fluxes[j][tri]
+        e_tri = mesh.areas[tri] @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
+        e_jump = np.einsum("ei,eij,ej->", corrs[i].sol.values[edges], jump,
+                           corrs[j].sol.values[edges])
+        energy[i, j] = energy[j, i] = (e_tri + e_jump) / inside.sum()
+    return energy
+
+
+class TestWindowOnly:
+    """A sample reads only its window's triangles and interface edges, and
+    equals bit for bit the reduction of every cell restricted to the window;
+    the fluxes of every cell are computed on first use."""
+
+    @pytest.mark.parametrize("dmap, conductivity, center", [
+        (IdentityMap(), "identity", (0, 0)),
+        (BumpMap(0.1), "identity", (0, 0)),
+        (BernoulliCellwiseMap(seed=3), "identity", (0, 0)),
+        (BernoulliCellwiseMap(seed=5), "aniso", (0, 0)),
+        (BernoulliCellwiseMap(seed=7), "identity", (2, -1)),
+        (IdentityMap(), "aniso", (-3, 1)),
+    ], ids=["identity", "bump", "bernoulli", "bernoulli-aniso", "bernoulli-center",
+            "identity-aniso-center"])
+    def test_truncated_window_equals_whole_mesh_reduction(self, dmap, conductivity, center):
+        cfg = CorrectorConfig(n=4, m=2, h=0.1)
+        corrs = solve_truncated(cfg, dmap, [[1.0, 0.0], [0.0, 1.0]],
+                                CONDUCTIVITY_PRESETS[conductivity], center=center)
+        w = corrs[0].window
+        assert np.array_equal(w, window_mask(corrs[0].cells, cfg.m)) and 0 < w.sum() < len(w)
+        assert "cell_sides" not in vars(corrs[0])  # nothing of the other cells yet
+        energy = whole_mesh_window_energy(corrs)
+        for c, row in zip(corrs, energy):
+            assert np.array_equal(c.window_flux(), (c.flux_plus[w] + c.flux_minus[w]).sum(0) / w.sum())
+            assert np.array_equal(c.window_sides[:, 1], c.flux_plus[w])
+            assert np.array_equal(c.window_sides[:, 0], c.flux_minus[w])
+            assert np.array_equal(c.window_energy, row)
+
+    @pytest.mark.parametrize("conductivity", ["identity", "aniso"])
+    def test_periodic_window_is_its_one_cell(self, conductivity):
+        c = periodic_cell_solve([1.0, 0.3], SPEC, CONDUCTIVITY_PRESETS[conductivity], h=0.1)
+        assert c.window.tolist() == [True]
+        assert np.array_equal(c.window_flux(), (c.flux_plus[0] + c.flux_minus[0]) / 1)
+        assert np.array_equal(c.window_energy, whole_mesh_window_energy([c])[0])
 
 
 class TestFoldedCell:

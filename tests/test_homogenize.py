@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import membrane_homog.homogenize as homogenize
 from membrane_homog.errors import DegenerateFit, MeshMismatch
 from membrane_homog.fem import (
     BilinearFormSpec,
@@ -191,6 +192,7 @@ class TestErrorSuite:
         f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
         ue = solve_hetero(eps, BernoulliCellwiseMap(0), f, conductivity=aniso_field, h_cell=0.1)
         u0 = solve_homog(A0, f, m=m)
+        assert ue.mesh.num_triangles <= homogenize.ROW_RUN  # one run: one pass's sums
         row = error_suite(ue, u0, theta, eps, A0, seed=0, conductivity=aniso_field)
 
         grid = solve(assemble(build_square_mesh(m), homog_form(A0), f=f))
@@ -222,6 +224,23 @@ class TestErrorSuite:
         )
         for fld in fields(ErrorRow):
             assert np.array_equal(getattr(row, fld.name), getattr(expected, fld.name)), fld.name
+
+    def test_runs_of_triangles_sum_to_the_one_pass_row(self, monkeypatch):
+        """A mesh of one run gets the one-pass row (see test_equals_old_route);
+        runs of a few triangles, the last one short, move it at rounding
+        level only."""
+        eps, A0 = 0.125, np.array([[0.8, 0.01], [0.01, 0.77]])
+        f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
+        ue = solve_hetero(eps, BernoulliCellwiseMap(2), f, conductivity=aniso_field, h_cell=0.1)
+        u0 = solve_homog(A0, f, m=32)
+        assert ue.mesh.num_triangles <= homogenize.ROW_RUN
+        whole = error_suite(ue, u0, 0.2, eps, A0)
+        monkeypatch.setattr(homogenize, "ROW_RUN", 97)
+        assert ue.mesh.num_triangles % 97
+        runs = error_suite(ue, u0, 0.2, eps, A0)
+        for fld in fields(ErrorRow):
+            a, b = getattr(whole, fld.name), getattr(runs, fld.name)
+            assert np.allclose(b, a, rtol=1e-12, atol=0.0), fld.name
 
     def test_conductivity_only_for_a_solution_without_tensor(self):
         u0 = solve_homog(np.eye(2), f=1.0, m=16)
