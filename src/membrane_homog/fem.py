@@ -24,8 +24,8 @@ tiling's nodes reuses its pattern.  A conductivity that does not repeat from
 cell to cell makes every cell its own kind (``BilinearFormSpec.kinds``), so
 the answer stays exact.
 
-``solve`` runs CG on the free dofs, preconditioned by the inverse of the
-matrix with its cell interiors condensed per kind: cells of one kind
+``solve`` applies, on the free dofs, the inverse of K~, the matrix with its
+cell interiors condensed per kind: cells of one kind
 (``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
 so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the free dofs of the
@@ -33,10 +33,12 @@ cell skeleton (``MembraneMesh.skeleton``).  The same runs sum the kinds'
 Schur blocks and the matrix's skeleton entries into that complement, in the
 pattern the mesh stores (``MembraneMesh.schur``): every index set of
 the solver that the topology fixes is built with the mesh.  When the kinds
-hold, the preconditioner is the inverse of the matrix up to rounding and CG
-stops after one iteration; CG checks the answer against the matrix itself
-either way.  Both factors are SuperLU's complete LU (``splu``).  The set-up
-is built once per matrix: copies of a system that differ only in their load
+hold, K~ is the matrix up to rounding and one application solves the
+system.  The solve checks the true residual |b - K x| / |b| and refines
+with x += K~^-1 (b - K x) while it is above RTOL, and raises
+``SolverDivergence`` if it still is after APPLICATIONS applications.  Both
+factors are SuperLU's complete LU (``splu``).  The set-up is built once per
+matrix: copies of a system that differ only in their load
 (``dataclasses.replace``) share it.
 """
 
@@ -52,7 +54,8 @@ import scipy.sparse.linalg as spla
 from .errors import NonEllipticField, SolverDivergence
 from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
-CG_RTOL = 1e-10
+RTOL = 1e-10  # relative residual |b - K x| / |b| a solve must reach
+APPLICATIONS = 3  # applications of K~^-1 a solve makes before it raises
 RUN = 2**14  # float entries in one run's buffer: the scatters and checks go run by run
 
 
@@ -92,8 +95,8 @@ class BilinearFormSpec:
     reference centroids only, which is exact when it repeats from cell to
     cell, as both presets do on a tiling of unit cells.  ``kinds`` checks
     that once per mesh topology (so per tiling template) and conductivity
-    and makes every cell its own kind when it fails.  CG still checks its
-    answer against the assembled matrix.
+    and makes every cell its own kind when it fails.  ``solve`` still checks
+    its answer against the assembled matrix.
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -201,8 +204,9 @@ class DiscreteSystem:
 class FemSolution:
     """Nodal values on ``mesh``; ``proto_tensor`` is the conductivity per
     prototype of the system they solve (rows of ``mesh.prototypes``), when
-    the caller attached it.  A solve records its CG ``iterations`` and its
-    true relative ``residual`` |b - K x| / |b| over the free dofs."""
+    the caller attached it.  A solve records its ``iterations``, the
+    applications of K~^-1 it made, and its true relative ``residual``
+    |b - K x| / |b| over the free dofs."""
 
     values: np.ndarray
     mesh: MembraneMesh
@@ -353,9 +357,9 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
 
 
 class _Condensed:
-    """The free-dof block of a matrix K as an operator, and the inverse of
-    K~, K with each cell's interior block and its coupling to the cell's
-    skeleton nodes replaced by those of the first cell of its kind.
+    """The residual of a matrix K on the free dofs, and the inverse of K~, K
+    with each cell's interior block and its coupling to the cell's skeleton
+    nodes replaced by those of the first cell of its kind.
 
     Per kind it keeps the cells' interior and skeleton nodes (rows of the
     cell table, in the columns of the kind's first cell), the LU of that
@@ -364,10 +368,11 @@ class _Condensed:
     Schur complement S = K_BB - sum over cells of K_BI E on the free
     skeleton dofs, summed run by run (``_add_runs``) in the mesh's pattern
     ``MembraneMesh.schur``, a group of cells with as many skeleton nodes at
-    a time, and factored once, here."""
+    a time, and factored once, here.  The node sets the solve indexes by
+    are kept as np.intp, so indexing does not cast the int32 topology."""
 
     def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
-        self.K, self.free, pattern = K, mesh.free_nodes, mesh.schur
+        self.K, self.free, pattern = K, mesh.free_nodes.astype(np.intp), mesh.schur
         table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
         interior = (table >= 0) & ~skeleton
         self.kinds, blocks = [], []
@@ -382,9 +387,10 @@ class _Condensed:
             K_IB = block[:ni, ni:].toarray()
             E = _solve(lu, K_IB)
             blocks.append(-(K_IB.T @ E))
-            members = table[cells]
+            members = table[cells].astype(np.intp)
             self.kinds.append((members[:, inner], members[:, outer], lu, E))
-        self.skeleton, indices, slots = pattern["nodes"], pattern["indices"], pattern["slots"]
+        self.skeleton = pattern["nodes"].astype(np.intp)
+        indices, slots = pattern["indices"], pattern["slots"]
         data = np.zeros(len(indices) + 1)
         order, width = rank[pattern["cells"]], [block.size for block in blocks]
         start = 0  # each run of cells with blocks of one width: the kind of each in turn
@@ -400,13 +406,13 @@ class _Condensed:
         S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
         self.lu = _factor(S)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """K v on the free dofs, through the full matrix."""
+    def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b - K x on the free dofs, through the full matrix."""
         u = np.zeros(self.K.shape[0])
-        u[self.free] = v
-        return (self.K @ u)[self.free]
+        u[self.free] = x
+        return b - (self.K @ u)[self.free]
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
+    def inverse(self, r: np.ndarray) -> np.ndarray:
         """K~^-1 r on the free dofs: interiors, skeleton, back to interiors."""
         n = self.K.shape[0]
         g = np.zeros(n)
@@ -422,23 +428,6 @@ class _Condensed:
             x[inner] = y - x[outer] @ E.T
         return x[self.free]
 
-    def solve(self, b: np.ndarray) -> tuple[np.ndarray, int]:
-        """The solution for the free-dof load b and the iteration count."""
-        shape = (len(b), len(b))
-        K = spla.LinearOperator(shape, matvec=self.matvec, dtype=float)
-        M = spla.LinearOperator(shape, matvec=self.precondition, dtype=float)
-        maxiter = int(50 * np.sqrt(len(b))) + 10
-        iterations = 0
-
-        def counted(xk):
-            nonlocal iterations
-            iterations += 1
-
-        x, info = spla.cg(K, b, rtol=CG_RTOL, maxiter=maxiter, M=M, callback=counted)
-        if info != 0:
-            raise SolverDivergence(f"CG did not converge (info {info}, {iterations} iterations)")
-        return x, iterations
-
 
 def _solver(system: DiscreteSystem) -> _Condensed:
     """The condensed solver of the system's matrix and mesh, built once and
@@ -450,18 +439,26 @@ def _solver(system: DiscreteSystem) -> _Condensed:
 
 
 def solve(system: DiscreteSystem) -> FemSolution:
-    """CG on the free degrees of freedom, preconditioned by the cell
-    interiors condensed per kind (see the module docstring)."""
+    """K~^-1 applied to the free load and refined with the true residual
+    until it is within RTOL (see the module docstring)."""
     u = np.zeros(len(system.load))
-    cg = _solver(system)
-    b = system.load[cg.free]
+    solver = _solver(system)
+    b = system.load[solver.free]
     norm = np.linalg.norm(b)
     if norm == 0.0:
         return FemSolution(values=u, mesh=system.mesh, residual=0.0)
-    x, iterations = cg.solve(b)
-    u[cg.free] = x
-    residual = float(np.linalg.norm(b - cg.matvec(x)) / norm)
-    return FemSolution(values=u, mesh=system.mesh, iterations=iterations, residual=residual)
+    x, r = np.zeros(len(b)), b
+    for applications in range(1, APPLICATIONS + 1):
+        x += solver.inverse(r)
+        r = solver.residual(x, b)
+        residual = float(np.linalg.norm(r) / norm)
+        if residual <= RTOL:
+            u[solver.free] = x
+            return FemSolution(values=u, mesh=system.mesh, iterations=applications,
+                               residual=residual)
+    raise SolverDivergence(
+        f"relative residual {residual:.3g} above {RTOL:g} after {APPLICATIONS} "
+        "applications of the condensed inverse")
 
 
 def p1_gradient(mesh: MembraneMesh, values: np.ndarray, tris=slice(None)) -> np.ndarray:

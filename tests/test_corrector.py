@@ -373,7 +373,7 @@ def pinned_periodic_values(p, spec, conductivity, h):
     iterations = []
     x = np.zeros(len(reps))
     x[keep], info = spla.cg(
-        spla.LinearOperator(shape, matvec=matvec, dtype=float), b[keep], rtol=fem.CG_RTOL,
+        spla.LinearOperator(shape, matvec=matvec, dtype=float), b[keep], rtol=fem.RTOL,
         maxiter=int(50 * np.sqrt(len(keep))) + 10,
         M=spla.LinearOperator(shape, matvec=precondition, dtype=float),
         callback=iterations.append,

@@ -10,8 +10,8 @@ import membrane_homog.meshing as meshing
 from membrane_homog.corrector import periodic_cell_solve
 from membrane_homog.errors import NonEllipticField, SolverDivergence
 from membrane_homog.fem import (
-    CG_RTOL,
     CONDUCTIVITY_PRESETS,
+    RTOL,
     BilinearFormSpec,
     aniso_field,
     assemble,
@@ -528,19 +528,20 @@ def bernoulli_systems():
 
 
 def assert_matches_jacobi(system):
-    """The solve matches Jacobi-CG, stops within 3 iterations and records a
-    true relative residual within CG_RTOL."""
+    """The solve matches Jacobi-CG, stops within 3 applications of the
+    condensed inverse and records a true relative residual within RTOL."""
     sol = solve(system)
     ref, jacobi_iterations = jacobi_cg(system)
     assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
     assert 1 <= sol.iterations <= 3
-    assert sol.residual <= CG_RTOL
+    assert sol.residual <= RTOL
     return sol.iterations, jacobi_iterations
 
 
 class TestTwoLevelCG:
     """The two-level solve (cell interiors condensed per kind, the skeleton
-    factored) against plain Jacobi-CG and a direct solve."""
+    factored, refined with the true residual) against plain Jacobi-CG and a
+    direct solve."""
 
     @pytest.mark.parametrize("load", [0, 1], ids=["e1", "e2"])
     def test_bernoulli_corrector(self, bernoulli_systems, load):
@@ -562,7 +563,7 @@ class TestTwoLevelCG:
 
     def test_periodic_cell_residual(self):
         sol = periodic_cell_solve([1.0, 0.3], SPEC, aniso_field, h=0.05).sol
-        assert 1 <= sol.iterations <= 3 and sol.residual <= CG_RTOL
+        assert 1 <= sol.iterations <= 3 and sol.residual <= RTOL
 
     def test_residual_is_relative_to_the_free_load(self, bernoulli_systems):
         system = bernoulli_systems[0]
@@ -653,7 +654,7 @@ class TestTwoLevelCG:
 
     def test_conductivity_not_periodic(self):
         # kinds assume a conductivity periodic in the reference coordinate;
-        # without it the solve is still right or fails loudly
+        # without it every cell is its own kind and the solve is exact
         def drifting(points):
             out = np.zeros((len(points), 2, 2))
             out[:, 0, 0] = out[:, 1, 1] = 1.0 + 0.4 * np.tanh(points[:, 0] / 8.0)
@@ -661,26 +662,38 @@ class TestTwoLevelCG:
 
         system = corrector_systems(BernoulliCellwiseMap(0), n=2, conductivity=drifting, lam=0.5)[0]
         ref = splu_values(system)
-        try:
-            sol = solve(system)
-        except SolverDivergence:
-            return
+        sol = solve(system)
+        assert sol.iterations == 1
         assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    @staticmethod
+    def scaled_inverse(monkeypatch, factor):
+        """Make the condensed inverse off by ``factor``; the list of its calls."""
+        calls, inverse = [], fem._Condensed.inverse
+
+        def scaled(self, r):
+            calls.append(r)
+            return factor * inverse(self, r)
+
+        monkeypatch.setattr(fem._Condensed, "inverse", scaled)
+        return calls
+
     def test_iterations_counted(self, cell_h01, monkeypatch):
+        # an inverse off by 1e-6 leaves a residual near 1e-6: one refinement
         system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
-        seen = []
-        real_cg = fem.spla.cg
-
-        def traced_cg(*args, callback, **kwargs):
-            def both(xk):
-                seen.append(xk)
-                callback(xk)
-            return real_cg(*args, callback=both, **kwargs)
-
-        monkeypatch.setattr(fem.spla, "cg", traced_cg)
+        calls = self.scaled_inverse(monkeypatch, 1.0 + 1e-6)
         sol = solve(system)
-        assert sol.iterations == len(seen) > 0
+        assert sol.iterations == len(calls) == 2
+        assert sol.residual <= RTOL
+        assert np.abs(sol.values - splu_values(system)).max() <= 1e-8 * np.abs(sol.values).max()
+
+    def test_diverges_after_three_applications(self, cell_h01, monkeypatch):
+        # half the inverse halves the residual per application: 1/8 after 3
+        system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
+        calls = self.scaled_inverse(monkeypatch, 0.5)
+        with pytest.raises(SolverDivergence, match="residual 0.125 .* after 3 applications"):
+            solve(system)
+        assert len(calls) == fem.APPLICATIONS == 3
 
 
 class TestNorms:
