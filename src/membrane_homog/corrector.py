@@ -61,8 +61,7 @@ class CorrectorSolution:
     """A corrector w and its window sample, reduced from the triangles and
     interface edges of the window's cells only.  ``sol`` carries the
     conductivity per prototype it was solved with (``proto_tensor``); the
-    per-cell fluxes of every cell (``flux_plus``, ``flux_minus``) and the
-    energy per cell (``cell_energy``) are computed on first use."""
+    energy per cell (``cell_energy``) is computed on first use."""
 
     sol: FemSolution
     p: np.ndarray  # (2,) the mean gradient it was solved for
@@ -75,24 +74,6 @@ class CorrectorSolution:
     @property
     def mesh(self) -> MembraneMesh:
         return self.sol.mesh
-
-    @functools.cached_property
-    def cell_sides(self) -> np.ndarray:
-        """(nc, side MINUS/PLUS, 2) int over Phi(Y_k^-) and Phi(Y_k^+) of A (p +
-        grad w), every cell; computed on first use."""
-        mesh, every = self.mesh, slice(None)
-        return side_sums(mesh, every, np.arange(len(mesh.cells)), len(mesh.cells),
-                         flux_density(self.sol, self.p, every)[1])
-
-    @property
-    def flux_plus(self) -> np.ndarray:
-        """(nc, 2) int over Phi(Y_k^+) of A (p + grad w)."""
-        return self.cell_sides[:, 1]
-
-    @property
-    def flux_minus(self) -> np.ndarray:
-        """(nc, 2) int over Phi(Y_k^-) of A (p + grad w)."""
-        return self.cell_sides[:, 0]
 
     @functools.cached_property
     def cell_energy(self) -> np.ndarray:

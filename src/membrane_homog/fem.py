@@ -158,12 +158,6 @@ class BilinearFormSpec:
             )
         return A
 
-    def tensor(self, mesh: MembraneMesh) -> np.ndarray:
-        """Per-triangle conductivity: ``proto_tensor`` gathered by the
-        ``tri_prototype`` of ``kinds(mesh)``."""
-        mesh = self.kinds(mesh)
-        return np.take(self.proto_tensor(mesh), mesh.tri_prototype, axis=0)
-
 
 @dataclass
 class DiscreteSystem:
@@ -494,7 +488,7 @@ def flux_pairing(
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
     centroids, with A the per-triangle ``tensor`` (as
-    ``BilinearFormSpec.tensor`` evaluates it).  ``gradient`` is the
+    ``DiscreteSystem.tensor`` gathers it).  ``gradient`` is the
     solution's ``p1_gradient`` and ``areas`` its mesh's ``areas`` when the
     caller has them."""
     mesh = sol.mesh

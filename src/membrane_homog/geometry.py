@@ -66,9 +66,6 @@ class BernoulliField:
         h = _splitmix64(h ^ _splitmix64(~ky.astype(np.uint64)))
         return (h >> np.uint64(63)).astype(np.int64)
 
-    def shifted(self, k: tuple[int, int]) -> "BernoulliField":
-        return BernoulliField(self.seed, (self.shift[0] + k[0], self.shift[1] + k[1]))
-
 
 def _bump_psi(rho: np.ndarray) -> np.ndarray:
     """Standard mollifier profile exp(-1/(1-rho^2)) for rho < 1, else 0."""
@@ -92,10 +89,15 @@ def _bump_psi_prime(rho: np.ndarray) -> np.ndarray:
 class DeformationMap:
     """Base class: an orientation-preserving diffeomorphism fixing cell boundaries.
 
-    ``bumped`` flags the cells the map deforms; the base map bumps none.  A
-    tiled mesh takes every cell it does not flag to be kept as is and every
-    flagged cell to carry one and the same deformation, so that cells of one
-    kind are copies of each other (see ``meshing.MembraneMesh.cell_kind``).
+    ``bumped`` flags the cells the map deforms; the base map bumps none.
+    The contract a tiling relies on: ``apply`` keeps every cell it does not
+    flag as is, carries one and the same deformation on every flagged cell,
+    and fixes every cell boundary.  A realization therefore applies the map
+    to one cell of each kind only and moves it to the kind's other cells by
+    their lattice offset (``meshing._Tiling.realize``); only a moved boundary
+    node of those cells is detected (``StitchFailure``), not a ``bumped``
+    that disagrees with ``apply``; the tests check every map class here
+    against ``apply``, node by node.
     """
 
     def bumped(self, k: np.ndarray) -> np.ndarray:
@@ -214,11 +216,6 @@ class BernoulliCellwiseMap(BumpMap):
 
     def bumped(self, k: np.ndarray) -> np.ndarray:
         return self.field.bits(k[:, 0].astype(np.int64), k[:, 1].astype(np.int64)) == 1
-
-    def shifted(self, k: tuple[int, int]) -> "BernoulliCellwiseMap":
-        return BernoulliCellwiseMap(
-            self.seed, self.amplitude, (self.field.shift[0] + k[0], self.field.shift[1] + k[1])
-        )
 
 
 def jacobian_det(J: np.ndarray) -> np.ndarray:

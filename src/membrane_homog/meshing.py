@@ -2,27 +2,29 @@
 
 The reference cell is meshed once with the circular interface resolved as a
 polyline of mesh edges and with interface nodes duplicated (independent PLUS
-and MINUS copies).  Tiling deforms the cell template vertex-wise and stitches
-shared boundary nodes, which works because every deformation map fixes cell
-boundaries.
+and MINUS copies).  Tiling stitches the shared boundary nodes of the cell
+template's lattice copies once, at reference positions; a realization then
+deforms one cell per kind and moves it to the kind's other cells, which works
+because every deformation map fixes cell boundaries and carries one
+deformation on every cell it flags (``DeformationMap``).
 
 So a tiling's numbering, stitch, cells and cell table, interface edges,
 boundary, free nodes, skeleton and the patterns of the matrix and of its
 Schur complement on the skeleton depend only on the cell mesh, the lattice
 block, its membrane mask and the scale: they are built once per process for
 each such configuration (a small cache, as is the cell mesh for each
-interface and h) and a realization only moves the nodes to their deformed
-positions and names the kind of each cell.  Edges and patterns are tiled
+interface and h) and a realization only names the kind of each cell and
+moves the nodes to their deformed positions.  Edges and patterns are tiled
 from the cell; ``fem`` builds no index set beyond the kinds' columns.
 
 Every mesh is a block of lattice cells, stated by its builder with each
 triangle's cell and each cell's nodes, and names the kind of each cell: a
 realization at most four (bumped or not, membrane or cushion), the square
-grid one per shape of block.  The
-cells of one kind are translates of each other, and the triangles of each
-kind's first cell are the mesh's prototypes: their areas and basis gradients
-are computed once and gathered per triangle where needed, and ``fem``
-computes its element matrices and loads on them.
+grid one per shape of block.  The cells of one kind are translates of each
+other (in a realization by construction), and the triangles of each kind's
+first cell are the mesh's prototypes: their areas and basis gradients are
+computed once and gathered per triangle where needed, and ``fem`` computes
+its element matrices and loads on them.
 """
 
 from __future__ import annotations
@@ -582,36 +584,42 @@ def _lattice(xs, ys) -> np.ndarray:
 
 class _Tiling:
     """What tiling a cell mesh over a lattice block fixes before any map is
-    applied: the reference position of each (cell, local node) entry, the
-    shared boundary entries with the entry each is stitched to, the entries
-    that start a node, and the tiled mesh at the reference positions."""
+    applied: the cell mesh, the entries (cell, local node) that start a node,
+    and the tiled mesh at the reference positions.  Raises StitchFailure
+    where two shared boundary entries that round to one node lie apart (more
+    than STITCH_TOL) in the reference cell."""
 
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
         nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
         plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
-        self.nv, self.nt, self.scale = nv, nt, scale
-        self.ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
+        self.cell, self.scale = cell, scale
+        ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
 
         # entries (cell, local node) in cell-major order; merged MINUS nodes drop out
         keep = np.ones((nc, nv), dtype=bool)
         keep[np.ix_(~membrane, minus)] = False
         on_boundary = np.zeros(nv, dtype=bool)
         on_boundary[cell.boundary_nodes] = True
-        self.shared = np.flatnonzero(keep & on_boundary)
-        self.owner = self.shared[first_coincident(self.ref[self.shared])]
+        shared = np.flatnonzero(keep & on_boundary)
+        owner = shared[first_coincident(ref[shared])]
+        gap = np.abs(ref[owner] - ref[shared]).max(axis=1)
+        if (gap > STITCH_TOL).any():
+            i, j = owner[gap.argmax()], shared[gap.argmax()]
+            k = tuple(int(x) for x in cells[j // nv])
+            raise StitchFailure(f"boundary node mismatch at cell {k}: {ref[i]} vs {ref[j]}")
 
         self.new = keep.reshape(-1)  # entries that start a node: all but non-owner shared ones
-        self.new[self.shared] = self.owner == self.shared
+        self.new[shared] = owner == shared
         gid = np.full(nc * nv, -1, dtype=np.int32)
         gid[self.new] = np.arange(np.count_nonzero(self.new))
-        gid[self.shared] = gid[self.owner]
+        gid[shared] = gid[owner]
         gid = gid.reshape(nc, nv)  # the cell table: -1 at the merged MINUS nodes
         merged = gid.copy()
         merged[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
 
         self.membrane = membrane
         pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
-        ref = np.compress(self.new, self.ref, axis=0)  # as self.ref[self.new], but faster
+        ref = np.compress(self.new, ref, axis=0)  # as ref[self.new], but faster
         box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
         on_box = (np.abs(ref - box[0]) < 1e-12) | (np.abs(ref - box[1]) < 1e-12)
         self.mesh = MembraneMesh(
@@ -629,35 +637,29 @@ class _Tiling:
     def realize(self, dmap: DeformationMap) -> MembraneMesh:
         """The tiled mesh at the nodes' deformed, rescaled positions, each
         cell of the kind 2 * bumped + membrane, with the triangles of each
-        kind's first cell as its prototypes.  Raises StitchFailure where two
-        stitched entries land apart, or where a cell's nodes are not those of
-        its kind's first cell moved by the lattice offset (within
-        STITCH_TOL)."""
-        cells, phys = self.mesh.cells, self.scale * dmap.apply(self.ref)
-        mismatch = np.flatnonzero(
-            np.abs(phys[self.owner] - phys[self.shared]).max(axis=1) > STITCH_TOL
-        )
-        if len(mismatch):
-            i, j = self.owner[mismatch[0]], self.shared[mismatch[0]]
-            k = tuple(int(x) for x in cells[j // self.nv])
-            raise StitchFailure(f"boundary node mismatch at cell {k}: {phys[i]} vs {phys[j]}")
+        kind's first cell as its prototypes.  The map is applied to the nodes
+        of each kind's first cell only, and every other cell is that cell
+        moved by the lattice offset, as the ``DeformationMap`` contract
+        allows.  Raises StitchFailure where the map moves a boundary node of
+        a first cell (more than STITCH_TOL): such a map cannot tile."""
+        cells = self.mesh.cells
         kind = 2 * dmap.bumped(cells) + self.membrane
         _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
-        at = phys.reshape(len(cells), self.nv, 2)
-        lead = first[rank]  # each cell's kind's first cell
-        offset = self.scale * (cells - cells[lead]).astype(float)
-        gap = np.abs(at - at[lead] - offset[:, None, :]).max(axis=(1, 2))
-        bad = np.flatnonzero(gap > STITCH_TOL)
-        if len(bad):
-            k, k0 = (tuple(int(x) for x in cells[c]) for c in (bad[0], lead[bad[0]]))
-            raise StitchFailure(
-                f"cell {k} of kind {kind[bad[0]]} is no translate of cell {k0}: "
-                f"nodes {gap[bad[0]]:.3g} apart"
-            )
-        out = self.mesh.with_kinds(kind, np.compress(self.new, phys, axis=0))
+        lead = cells[first]  # each kind's first cell
+        ref = self.cell.vertices[None, :, :] + lead[:, None, :].astype(float)
+        moved = dmap.apply(ref.reshape(-1, 2)).reshape(ref.shape)
+        bnd = self.cell.boundary_nodes
+        gap = np.abs(moved[:, bnd] - ref[:, bnd]).max(axis=(1, 2))
+        if (gap > STITCH_TOL).any():
+            k = tuple(int(x) for x in lead[gap.argmax()])
+            raise StitchFailure(f"the map moves a boundary node of cell {k} by {gap.max():.3g}")
+        offset = self.scale * (cells - lead[rank]).astype(float)
+        at = (self.scale * moved)[rank]
+        at += offset[:, None]
+        out = self.mesh.with_kinds(kind, np.compress(self.new, at.reshape(-1, 2), axis=0))
         # the prototypes' centroids, cell by cell, moved by the lattice offset
         cent = triangle_centroids(out.vertices, out.triangles[out.prototypes])
-        cent = cent.reshape(-1, self.nt, 2)[rank]
+        cent = cent.reshape(-1, self.cell.num_triangles, 2)[rank]
         cent += offset[:, None]
         out.centroids = cent.reshape(-1, 2)
         return out
@@ -669,9 +671,9 @@ def _template(cell: MembraneMesh, lo: tuple, n: int, beta: float, scale: float) 
     with lower corner ``lo`` at ``scale``, the cells at lattice distance >=
     beta from the block's boundary keeping their membranes, built once per
     configuration and process (keyed by the cell mesh object, which
-    ``build_cell_mesh`` builds once).  Its ``realize`` deforms the cell
-    template into each lattice cell and stitches shared boundary nodes
-    (bitwise-coincident because maps fix cell boundaries).  Its boundary
+    ``build_cell_mesh`` builds once).  Shared boundary nodes are stitched
+    here, at reference positions; its ``realize`` deforms each kind's first
+    cell and places the other cells by their lattice offsets.  Its boundary
     nodes lie on the block's reference box, within 1e-12.
 
     Nodes are numbered in order of first appearance, cell by cell; a shared

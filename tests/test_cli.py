@@ -471,8 +471,7 @@ class TestProfileOnlyForCorrector:
 
         monkeypatch.setattr(corrector, "energy_profile", unused)
         monkeypatch.setattr(effective, "energy_profile", unused)
-        for name in ("cell_energy", "cell_sides"):
-            monkeypatch.setattr(corrector.CorrectorSolution, name, property(unused))
+        monkeypatch.setattr(corrector.CorrectorSolution, "cell_energy", property(unused))
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG)
         out = tmp_path / "run"

@@ -30,6 +30,8 @@ from membrane_homog.fem import (
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 
+from helpers import form_tensor
+
 SPEC = InterfaceSpec()
 QUICK = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3)
 
@@ -149,7 +151,7 @@ def window_energy(corr, partner, form, xi, m) -> float:
     xi = np.asarray(xi, dtype=float)
     mesh = corr.mesh
     values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
-    tensor = form.tensor(mesh)
+    tensor = form_tensor(form, mesh)
     g = p1_gradient(mesh, values) + xi
     e_tri = mesh.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
     e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)

@@ -34,6 +34,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
+from helpers import form_tensor
 from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
@@ -127,7 +128,7 @@ class TestAssembly:
     def test_gradient_load_against_quadrature(self, cell_h01):
         # for v with zero boundary trace, b . v = -int A p . grad(v)
         spec = BilinearFormSpec()
-        tensor = spec.tensor(cell_h01)
+        tensor = form_tensor(spec, cell_h01)
         p = np.array([0.7, -0.2])
         b = gradient_load(cell_h01, tensor, p)
         rng = np.random.default_rng(0)
@@ -168,7 +169,7 @@ class TestAssembly:
 def dense_reference(mesh, spec):
     """The form's matrix summed densely with np.add.at from element matrices
     computed apart from assemble: einsum stiffness, P1 mass, edge jump."""
-    tensor = spec.tensor(mesh)
+    tensor = form_tensor(spec, mesh)
     Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, mesh.grads, tensor, mesh.grads)
     Me = mesh.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
     edges = mesh.interface_edges
@@ -246,7 +247,7 @@ class TestSymmetricEigenvalues:
 
     @pytest.mark.parametrize("name", sorted(CONDUCTIVITY_PRESETS))
     def test_presets(self, cell_h01, name):
-        A = BilinearFormSpec(conductivity=CONDUCTIVITY_PRESETS[name]).tensor(cell_h01)
+        A = form_tensor(BilinearFormSpec(conductivity=CONDUCTIVITY_PRESETS[name]), cell_h01)
         lower, upper = sym2_eigenvalues(A)
         eig = np.linalg.eigvalsh(A)
         assert np.abs(lower - eig[:, 0]).max() <= 1e-12
@@ -736,7 +737,7 @@ class TestEnergyAndCoercivity:
         gamma, delta = 3.0, 0.02
         spec = BilinearFormSpec(jump_weight=gamma, mass_weight=delta)
         K = assemble(cell_h01, spec).matrix
-        tensor = spec.tensor(cell_h01)
+        tensor = form_tensor(spec, cell_h01)
         Ks = assemble_stiffness(cell_h01, tensor)
         M = assemble_mass(cell_h01)
         J = assemble_jump(cell_h01)
@@ -767,7 +768,7 @@ class TestEnergyAndCoercivity:
 class TestPairings:
     def test_zero_solution(self, cell_h01):
         sol = fem.FemSolution(values=np.zeros(cell_h01.num_vertices), mesh=cell_h01)
-        tensor = BilinearFormSpec().tensor(cell_h01)
+        tensor = form_tensor(BilinearFormSpec(), cell_h01)
         psi = np.column_stack([np.ones(cell_h01.num_triangles), np.zeros(cell_h01.num_triangles)])
         val = flux_pairing(sol, tensor, [psi])[0]
         assert val == 0.0
@@ -776,11 +777,11 @@ class TestPairings:
         mesh = build_square_mesh(8)
         sol = fem.FemSolution(values=mesh.vertices[:, 0].copy(), mesh=mesh)
         psi = np.column_stack([np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)])
-        assert abs(flux_pairing(sol, BilinearFormSpec().tensor(mesh), [psi])[0] - 1.0) < 1e-12
+        assert abs(flux_pairing(sol, form_tensor(BilinearFormSpec(), mesh), [psi])[0] - 1.0) < 1e-12
 
     def test_linear_test_field_exact(self, cell_h01):
         # u = x1, psi = (x2, x1): integrand is linear, centroid rule exact
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
         psi = cell_h01.centroids[:, ::-1]
-        tensor = BilinearFormSpec().tensor(cell_h01)
+        tensor = form_tensor(BilinearFormSpec(), cell_h01)
         assert abs(flux_pairing(sol, tensor, [psi])[0] - 0.5) < 1e-12

@@ -35,6 +35,8 @@ from membrane_homog.homogenize import (
 )
 from membrane_homog.meshing import MINUS, build_square_mesh
 
+from helpers import form_tensor
+
 SPEC = InterfaceSpec()
 
 # the test fields one at a time, each a function of the points (n, 2)
@@ -205,9 +207,9 @@ class TestErrorSuite:
         minus = mesh.tri_region == MINUS
         rec = norms(ue)
         flux = np.abs(np.subtract(
-            flux_pairing(ue, hetero_form(eps, aniso_field).tensor(mesh),
+            flux_pairing(ue, form_tensor(hetero_form(eps, aniso_field), mesh),
                          [psi(mesh.centroids) for psi in VECTOR_TEST_FIELDS]),
-            flux_pairing(grid, homog_form(A0).tensor(gm),
+            flux_pairing(grid, form_tensor(homog_form(A0), gm),
                          [psi(gm.centroids) for psi in VECTOR_TEST_FIELDS]),
         ))
         ue_pair = [float(np.sum(mesh.areas[minus] * ue_c[minus] * phi(cent)[minus]))
