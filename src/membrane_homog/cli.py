@@ -48,7 +48,7 @@ from .homogenize import (
     write_convergence_csv,
     write_report_json,
 )
-from .meshing import build_cell_mesh, export_mesh, mesh_report, truncated_template
+from .meshing import build_cell_mesh, export_mesh, truncated_template
 from .verify import (
     backward_induction_bound,
     random_induction_instance,
@@ -326,10 +326,9 @@ class OutputTracker:
 def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     mesh = build_cell_mesh(cfg.interface, cfg.h)
     export_mesh(mesh, out.path("mesh.txt"))
-    rep = mesh_report(mesh)
     print(
         f"mesh: {mesh.num_vertices} vertices, {len(mesh.triangles)} triangles, "
-        f"min angle {rep.min_angle_deg:.2f} deg"
+        f"min angle {mesh.min_angle_deg():.2f} deg"
     )
 
 
@@ -376,7 +375,7 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     runs = _seed_runs(cfg, jobs)
     vs = volume_stats(cfg.make_map, cfg.seeds, cfg.interface)
     t = effective_tensor(runs, rho=vs["rho"], config_hash=cfg.hash(A0_KEYS), theta=vs["theta"])
-    verdict = ellipticity_check(t, 1.0, 1.5, runs=runs)
+    verdict = ellipticity_check(t, 1.5, runs=runs)
     write_effective_json(out.path("effective.json"), t)
     eig = verdict["eigenvalues"]
     print(f"effective: A0 eigenvalues [{eig[0]:.6g}, {eig[1]:.6g}] -> effective.json")
@@ -386,7 +385,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
     eff_path = os.path.join(out.out_dir, "effective.json")
     try:  # why: None reuses the stored tensor; a string recomputes it, noting a nonempty one
         t = read_effective_json(eff_path)
-        ellipticity_check(t, 1.0, 1.5)
+        ellipticity_check(t, 1.5)
         why = None if t.config_hash == cfg.hash(A0_KEYS) else "is for another config"
     except FileNotFoundError:
         why = ""

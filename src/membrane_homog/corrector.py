@@ -65,8 +65,6 @@ class CorrectorSolution:
 
     sol: FemSolution
     p: np.ndarray  # (2,) the mean gradient it was solved for
-    cells: np.ndarray  # (nc, 2) lattice cells
-    window: np.ndarray  # (nc,) mask of the cells its window averages over
     window_sides: np.ndarray  # (window cells, side MINUS/PLUS, 2) int of A (p + grad w)
     window_energy: np.ndarray  # (loads,) window-energy form with each solve of its mesh
     mass_weight: float  # the regularization delta of the form it solves
@@ -88,10 +86,10 @@ class CorrectorSolution:
         e_grad = areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
         uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
         e_mass = self.mass_weight * areas * uc2 / 12.0  # exact P1 mass per triangle
-        jump2 = cell_sums(
-            mesh, edge_values=edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
-        )
-        return cell_sums(mesh, e_grad + e_mass) + jump2
+        jump2 = edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
+        nc = len(mesh.cells)
+        return (np.bincount(mesh.tri_cell_index, weights=e_grad + e_mass, minlength=nc)
+                + np.bincount(mesh.edge_cell_index, weights=jump2, minlength=nc))
 
     def window_flux(self) -> np.ndarray:
         """Average of F_k^+ + F_k^- over the cells of the window, per unit
@@ -105,17 +103,6 @@ def window_mask(cells: np.ndarray, m: int) -> np.ndarray:
     all ``cells`` (cell centers within Chebyshev distance m - 1/2)."""
     c = cells.mean(axis=0) + 0.5
     return np.abs(cells + 0.5 - c).max(axis=1) <= m - 0.5 + 1e-9
-
-
-def cell_sums(mesh: MembraneMesh, tri_values=None, edge_values=None) -> np.ndarray:
-    """Sums per lattice cell (rows of ``mesh.cells``) of per-triangle and/or
-    per-interface-edge values."""
-    out = np.zeros(len(mesh.cells))
-    if tri_values is not None:
-        out += np.bincount(mesh.tri_cell_index, weights=tri_values, minlength=len(out))
-    if edge_values is not None:
-        out += np.bincount(mesh.edge_cell_index, weights=edge_values, minlength=len(out))
-    return out
 
 
 def flux_density(sol: FemSolution, p: np.ndarray, tris) -> tuple:
@@ -169,8 +156,7 @@ def _corrector_solutions(
     rank = np.cumsum(inside) - 1  # each window cell's row among them
     return [
         CorrectorSolution(
-            sol=sol, p=p, cells=mesh.cells, window=inside,
-            window_sides=side_sums(mesh, tri, rank, int(inside.sum()), Ag),
+            sol=sol, p=p, window_sides=side_sums(mesh, tri, rank, int(inside.sum()), Ag),
             window_energy=row, mass_weight=form.mass_weight,
         )
         for sol, p, Ag, row in zip(sols, loads, fluxes, energy)
@@ -257,8 +243,9 @@ def energy_profile(corr: CorrectorSolution) -> np.ndarray:
     """E_k for k = 1..n: cumulative reference-configuration energy (gradient,
     delta-mass, interface jump) over the cells of Q_k + center, the cube
     having 2n x 2n cells."""
-    n = math.isqrt(len(corr.cells)) // 2
-    return np.array([corr.cell_energy[window_mask(corr.cells, k)].sum() for k in range(1, n + 1)])
+    cells = corr.mesh.cells
+    n = math.isqrt(len(cells)) // 2
+    return np.array([corr.cell_energy[window_mask(cells, k)].sum() for k in range(1, n + 1)])
 
 
 def write_flux_csv(path, rows) -> None:

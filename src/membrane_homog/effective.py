@@ -193,12 +193,11 @@ def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -
     return abs(lhs - rhs)
 
 
-def ellipticity_check(
-    t: EffectiveTensor, lam: float, Lam: float, runs: list[EffectiveRun] = None
-) -> dict:
+def ellipticity_check(t: EffectiveTensor, Lam: float, runs: list[EffectiveRun] = None) -> dict:
     """Eigenvalue bounds, symmetry within the Monte-Carlo and mesh error and the
     energy-identity residuals for the canonical test directions; raises
-    EllipticityViolation on failure."""
+    EllipticityViolation on failure.  The lower bound is positivity, not the
+    conductivity's lam: the membranes can put A0 below it."""
     sym_gap = float(np.abs(t.A0 - t.A0.T).max())
     eig = np.linalg.eigvalsh(0.5 * (t.A0 + t.A0.T))
     se = float(t.stderr.max())

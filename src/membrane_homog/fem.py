@@ -261,23 +261,19 @@ _MASS_BASE = (np.ones((3, 3)) + np.eye(3)) / 12.0  # P1 mass of a unit-area tria
 _JUMP_BASE = np.kron([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]])
 
 
-def jump_element_matrices(
-    vertices: np.ndarray, edges: np.ndarray, out: np.ndarray = None
-) -> np.ndarray:
+def jump_element_matrices(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """P1 matrices (ne, 4, 4) of int_e (u+ - u-)(v+ - v-) ds on each interface
     edge, over its dofs (plus_a, plus_b, minus_a, minus_b), with the edge
-    length taken from ``vertices`` (exact for P1); written into ``out`` when
-    given."""
+    length taken from ``vertices`` (exact for P1)."""
     L = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
-    return np.multiply((L / 6.0)[:, None, None], _JUMP_BASE, out=out)
+    return (L / 6.0)[:, None, None] * _JUMP_BASE
 
 
-def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values, other=None) -> np.ndarray:
-    """int_e (u+ - u-)(v+ - v-) ds per interface edge (unweighted), u the
-    nodal ``values`` and v those of ``other`` (default u)."""
+def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values) -> np.ndarray:
+    """int_e (u+ - u-)^2 ds per interface edge (unweighted), u the nodal
+    ``values``."""
     u = values[edges]
-    v = u if other is None else other[edges]
-    return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), v)
+    return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), u)
 
 
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
@@ -462,13 +458,11 @@ def p1_gradient(mesh: MembraneMesh, values: np.ndarray, tris=slice(None)) -> np.
                      values[mesh.triangles[tris]])
 
 
-def norms(sol: FemSolution, gradient: np.ndarray = None, areas: np.ndarray = None) -> dict:
-    """W-norm components: gradient L2 per region and interface jump L2;
-    ``gradient`` is the solution's ``p1_gradient`` and ``areas`` its mesh's
-    ``areas`` when the caller has them."""
+def norms(sol: FemSolution) -> dict:
+    """W-norm components of the solution: gradient L2 per region and
+    interface jump L2."""
     mesh = sol.mesh
-    areas = mesh.areas if areas is None else areas
-    g = p1_gradient(mesh, sol.values) if gradient is None else gradient
+    areas, g = mesh.areas, p1_gradient(mesh, sol.values)
     g2 = np.einsum("td,td->t", g, g)
     plus = mesh.tri_region == PLUS
     minus = mesh.tri_region == MINUS
@@ -481,18 +475,13 @@ def norms(sol: FemSolution, gradient: np.ndarray = None, areas: np.ndarray = Non
     return out
 
 
-def flux_pairing(
-    sol: FemSolution, tensor: np.ndarray, fields, gradient: np.ndarray = None,
-    areas: np.ndarray = None,
-) -> list[float]:
+def flux_pairing(sol: FemSolution, tensor: np.ndarray, fields) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
     centroids, with A the per-triangle ``tensor`` (as
-    ``DiscreteSystem.tensor`` gathers it).  ``gradient`` is the
-    solution's ``p1_gradient`` and ``areas`` its mesh's ``areas`` when the
-    caller has them."""
+    ``DiscreteSystem.tensor`` gathers it); the mesh's areas and the
+    solution's ``p1_gradient`` are gathered once for all fields."""
     mesh = sol.mesh
-    areas = mesh.areas if areas is None else areas
-    g = p1_gradient(mesh, sol.values) if gradient is None else gradient
+    areas, g = mesh.areas, p1_gradient(mesh, sol.values)
     flux = np.einsum("tij,tj->ti", tensor, g)
     return [float(np.einsum("t,ti,ti->", areas, flux, psi)) for psi in fields]

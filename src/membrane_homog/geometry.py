@@ -52,16 +52,12 @@ class BernoulliField:
     """I.i.d. Bernoulli(1/2) bits indexed by cell, from a counter-based hash.
 
     Bits depend only on (seed, cell index), so evaluation order is irrelevant.
-    ``shift`` realizes the lattice shift action: the shifted field at cell k
-    reads the bit of cell k + shift.
     """
 
     seed: int
-    shift: tuple[int, int] = (0, 0)
 
     def bits(self, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-        kx = np.asarray(kx, dtype=np.int64) + np.int64(self.shift[0])
-        ky = np.asarray(ky, dtype=np.int64) + np.int64(self.shift[1])
+        kx, ky = np.asarray(kx, dtype=np.int64), np.asarray(ky, dtype=np.int64)
         h = _splitmix64(np.uint64(self.seed) ^ _splitmix64(kx.astype(np.uint64)))
         h = _splitmix64(h ^ _splitmix64(~ky.astype(np.uint64)))
         return (h >> np.uint64(63)).astype(np.int64)
@@ -209,8 +205,8 @@ class BernoulliCellwiseMap(BumpMap):
     """The bump on the cells whose Bernoulli field bit is 1, the identity on
     the others."""
 
-    def __init__(self, seed: int, amplitude: float = 0.1, shift: tuple[int, int] = (0, 0)):
-        self.field = BernoulliField(int(seed), tuple(shift))
+    def __init__(self, seed: int, amplitude: float = 0.1):
+        self.field = BernoulliField(int(seed))
         self.seed = int(seed)
         super().__init__(amplitude)
 

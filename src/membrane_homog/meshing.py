@@ -44,7 +44,6 @@ MINUS = -1
 
 MIN_ANGLE_DEG = 20.0
 RING_GRADING = 1.0  # radial step multiplier for the outer blended rings
-PAIRING_TOL = 1e-12
 STITCH_TOL = 1e-12
 
 
@@ -105,7 +104,7 @@ class MembraneMesh:
     for the others: ``tri_prototype`` (nt,) gives each triangle's row of
     ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
     prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
-    ``grads`` (nt, 3, 2) gather on each use.  ``memo`` holds the one fact
+    ``fem.p1_gradient`` gather on each use.  ``memo`` holds the one fact
     ``fem`` keeps that depends on more than the topology: whether a
     conductivity repeats from cell to cell (``BilinearFormSpec.kinds``),
     shared with every other realization of the tiling.
@@ -202,10 +201,6 @@ class MembraneMesh:
     @property
     def areas(self) -> np.ndarray:
         return np.take(self.proto_areas, self.tri_prototype)
-
-    @property
-    def grads(self) -> np.ndarray:
-        return np.take(self.proto_grads, self.tri_prototype, axis=0)
 
     def with_kinds(self, kind: np.ndarray, vertices: np.ndarray = None) -> "MembraneMesh":
         """A copy sharing the topology, with cell kinds ``kind`` (and nodes at
@@ -769,92 +764,6 @@ def build_square_mesh(m: int) -> MembraneMesh:
         tri_cell_index=np.repeat((block[:, None] * blocks + block).ravel(), 2),
         cell_nodes=np.where(at < size.prod(axis=1, keepdims=True), table, -1),
         cell_kind=2 * short[:, 0] + short[:, 1],
-    )
-
-
-@dataclass
-class MeshReport:
-    min_angle_deg: float
-    max_aspect: float
-    conforming: bool
-    pairing_residual: float
-    positive_areas: bool
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.conforming
-            and self.positive_areas
-            and self.min_angle_deg >= MIN_ANGLE_DEG
-            and self.pairing_residual <= PAIRING_TOL
-        )
-
-
-def mesh_report(mesh: MembraneMesh) -> MeshReport:
-    """Quality and conformity diagnostics; pure function of the mesh."""
-    if mesh.num_triangles == 0 or mesh.num_vertices == 0:
-        raise ValueError("empty mesh")
-    issues: list[str] = []
-
-    areas = mesh.areas
-    positive = bool(areas.min() > 0.0)
-    if not positive:
-        issues.append(f"nonpositive triangle area {areas.min():.3e}")
-
-    # aspect ratio: longest edge / (2 * inradius)
-    v = mesh.vertices
-    t = mesh.triangles
-    e = np.stack(
-        [
-            np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1),
-            np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1),
-            np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1),
-        ]
-    )
-    s = e.sum(axis=0) / 2.0
-    inradius = np.abs(areas) / s
-    max_aspect = float((e.max(axis=0) / (2.0 * inradius)).max())
-
-    if len(mesh.interface_pairs):
-        p = mesh.interface_pairs
-        pairing = float(np.abs(v[p[:, 0]] - v[p[:, 1]]).max())
-    else:
-        pairing = 0.0
-    if pairing > PAIRING_TOL:
-        issues.append(f"interface pairing residual {pairing:.3e}")
-
-    # conformity: every edge is shared by exactly 2 triangles of one region,
-    # or is an interface / outer-boundary edge with exactly 1 triangle; edges
-    # are keyed min*nv+max and reported in order of first appearance
-    nv = mesh.num_vertices
-    a, b = t.astype(np.int64).ravel(), t[:, [1, 2, 0]].astype(np.int64).ravel()
-    keys, first, inverse, count = np.unique(
-        np.minimum(a, b) * nv + np.maximum(a, b), return_index=True, return_inverse=True,
-        return_counts=True)
-    reg = np.repeat(mesh.tri_region, 3).astype(np.int64)
-    lo, hi = keys // nv, keys % nv
-    minus, plus, outer = (np.isin(np.arange(nv), nodes) for nodes in (
-        mesh.interface_pairs[:, 1], mesh.interface_pairs[:, 0], mesh.boundary_nodes))
-    lone_ok = (minus[lo] & minus[hi]) | (plus[lo] & plus[hi]) | (outer[lo] & outer[hi])
-    mixed = (count == 2) & (np.bincount(inverse, weights=reg) != 2 * reg[first])
-    bad = np.flatnonzero(mixed | ((count == 1) & ~lone_ok) | (count > 2))
-    for k in bad[np.argsort(first[bad])]:
-        edge = f"({lo[k]},{hi[k]})"
-        if count[k] == 2:
-            issues.append(f"edge {edge} shared across regions")
-        elif count[k] == 1:
-            issues.append(f"dangling edge {edge}")
-        else:
-            issues.append(f"edge {edge} in {count[k]} triangles")
-
-    return MeshReport(
-        min_angle_deg=mesh.min_angle_deg(),
-        max_aspect=max_aspect,
-        conforming=len(bad) == 0,
-        pairing_residual=pairing,
-        positive_areas=positive,
-        issues=issues,
     )
 
 

@@ -2,6 +2,8 @@
 of every cell of a corrector, and the lattice shift of the Bernoulli field
 and map."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from membrane_homog.corrector import flux_density, side_sums
@@ -33,13 +35,26 @@ def flux_minus(corr):
     return cell_sides(corr)[:, 0]
 
 
-def shifted_field(field, k):
-    """The Bernoulli field shifted by the lattice vector ``k``: at cell j it
-    reads ``field``'s bit of cell j + k."""
-    return BernoulliField(field.seed, (field.shift[0] + k[0], field.shift[1] + k[1]))
+@dataclass(frozen=True)
+class ShiftedField(BernoulliField):
+    """The Bernoulli field shifted by the lattice vector ``shift``: at cell k
+    it reads the bit of cell k + shift."""
+
+    shift: tuple = (0, 0)
+
+    def bits(self, kx, ky):
+        return super().bits(np.asarray(kx, dtype=np.int64) + self.shift[0],
+                            np.asarray(ky, dtype=np.int64) + self.shift[1])
 
 
-def shifted_map(dmap, k):
-    """The Bernoulli map whose field is ``dmap``'s shifted by ``k``."""
-    shift = shifted_field(dmap.field, k).shift
-    return BernoulliCellwiseMap(dmap.seed, dmap.amplitude, shift)
+class ShiftedMap(BernoulliCellwiseMap):
+    """The Bernoulli map of seed ``seed`` shifted by ``shift``: it bumps cell
+    k where the unshifted map bumps cell k + shift."""
+
+    def __init__(self, seed, amplitude, shift):
+        super().__init__(seed, amplitude)
+        self.shift = np.asarray(shift, dtype=float)
+
+    def bumped(self, k):
+        return super().bumped(k + self.shift)
+

@@ -115,6 +115,24 @@ class TestPipeline:
         for name in ("mesh.txt", "flux.csv", "energy.csv", "verify_report.json"):
             assert os.path.exists(os.path.join(out, name))
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_mesh_prints_counts_and_min_angle(self, tmp_path, capsys, h):
+        """The mesh command prints the counts and smallest angle of the cell
+        mesh of the config's interface and h, the angle found here from the
+        triangles' edge vectors."""
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("h = 0.1", f"h = {h}"))
+        cfg = parse_config(str(p))
+        mesh = meshing.build_cell_mesh(cfg.interface, cfg.h)
+        corners = mesh.vertices[mesh.triangles]
+        u, v = np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
+        cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        angle = np.degrees(np.arctan2(np.abs(cross), (u * v).sum(axis=2))).min()
+        assert main(["mesh", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert out == (f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
+                       f"min angle {angle:.2f} deg\n")
+
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("delta = 0\n")

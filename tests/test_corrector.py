@@ -22,7 +22,7 @@ from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
-from helpers import flux_minus, flux_plus, shifted_map
+from helpers import ShiftedMap, flux_minus, flux_plus
 
 SPEC = InterfaceSpec()
 
@@ -70,10 +70,11 @@ class TestTruncated:
         cfg = CorrectorConfig(n=2, m=1, h=0.1)
         dmap = BernoulliCellwiseMap(seed=77)
         [a] = solve_truncated(cfg, dmap, [[1, 0]], center=k)
-        [b] = solve_truncated(cfg, shifted_map(dmap, k), [[1, 0]])
-        order_a = np.lexsort((a.cells[:, 1], a.cells[:, 0]))
-        order_b = np.lexsort((b.cells[:, 1], b.cells[:, 0]))
-        assert np.array_equal(a.cells[order_a] - np.array(k), b.cells[order_b])
+        [b] = solve_truncated(cfg, ShiftedMap(dmap.seed, dmap.amplitude, k), [[1, 0]])
+        cells_a, cells_b = a.mesh.cells, b.mesh.cells
+        order_a = np.lexsort((cells_a[:, 1], cells_a[:, 0]))
+        order_b = np.lexsort((cells_b[:, 1], cells_b[:, 0]))
+        assert np.array_equal(cells_a[order_a] - np.array(k), cells_b[order_b])
         assert np.abs(flux_plus(a)[order_a] - flux_plus(b)[order_b]).max() < 1e-9
         assert np.abs(flux_minus(a)[order_a] - flux_minus(b)[order_b]).max() < 1e-9
 
@@ -90,12 +91,13 @@ class TestTruncated:
         flux is the plain mean of F_k^+ + F_k^- over its cells."""
         cfg = CorrectorConfig(n=4, m=2, h=0.1)
         [corr] = solve_truncated(cfg, IdentityMap(), [[1, 0]])
-        assert len(corr.cells) == 64
-        assert np.array_equal(corr.window, window_mask(corr.cells, 2))
-        assert corr.window.sum() == 16
+        cells = corr.mesh.cells
+        assert len(cells) == 64
+        window = window_mask(cells, 2)
+        assert window.sum() == 16
         # the cube's cells are [-4, 4)^2, so Q_2's are those whose centers lie in (-2, 2)^2
-        inside = [i for i, k in enumerate(corr.cells) if max(abs(k[0] + 0.5), abs(k[1] + 0.5)) < 2]
-        assert np.array_equal(np.flatnonzero(corr.window), inside)
+        inside = [i for i, k in enumerate(cells) if max(abs(k[0] + 0.5), abs(k[1] + 0.5)) < 2]
+        assert np.array_equal(np.flatnonzero(window), inside)
         manual = sum(flux_plus(corr)[i] + flux_minus(corr)[i] for i in inside) / len(inside)
         assert np.abs(corr.window_flux() - manual).max() < 1e-14
 
@@ -163,7 +165,7 @@ class TestPeriodic:
 
     def test_window_is_the_one_cell(self):
         corr = periodic_cell_solve([1, 0], SPEC, h=0.1)
-        assert np.array_equal(corr.window, [True])
+        assert len(corr.mesh.cells) == 1
         assert np.array_equal(corr.window_flux(), total_flux(corr))
 
     def test_periodic_trace_identified(self):
@@ -256,10 +258,11 @@ class TestPeriodicFoldMatchesLoop:
         assert np.array_equal(fast.cell_energy, slow.cell_energy)
 
 
-def whole_mesh_window_energy(corrs) -> np.ndarray:
+def whole_mesh_window_energy(corrs, m) -> np.ndarray:
     """The window-energy form of solves of one mesh, from gradients and
-    fluxes over every triangle restricted to the window (jump weight 1)."""
-    mesh, inside = corrs[0].mesh, corrs[0].window
+    fluxes over every triangle restricted to the window Q_m (jump weight 1)."""
+    mesh = corrs[0].mesh
+    inside = window_mask(mesh.cells, m)
     tensor = np.take(corrs[0].sol.proto_tensor, mesh.tri_prototype, axis=0)
     grads = [fem.p1_gradient(mesh, c.sol.values) + c.p for c in corrs]
     fluxes = [fem.apply_tensor(tensor, g) for g in grads]
@@ -294,10 +297,10 @@ class TestWindowOnly:
         cfg = CorrectorConfig(n=4, m=2, h=0.1)
         corrs = solve_truncated(cfg, dmap, [[1.0, 0.0], [0.0, 1.0]],
                                 CONDUCTIVITY_PRESETS[conductivity], center=center)
-        w = corrs[0].window
-        assert np.array_equal(w, window_mask(corrs[0].cells, cfg.m)) and 0 < w.sum() < len(w)
+        w = window_mask(corrs[0].mesh.cells, cfg.m)
+        assert 0 < w.sum() < len(w)
         assert "cell_energy" not in vars(corrs[0])  # nothing of the other cells yet
-        energy = whole_mesh_window_energy(corrs)
+        energy = whole_mesh_window_energy(corrs, cfg.m)
         for c, row in zip(corrs, energy):
             plus, minus = flux_plus(c)[w], flux_minus(c)[w]
             assert np.array_equal(c.window_flux(), (plus + minus).sum(0) / w.sum())
@@ -308,9 +311,9 @@ class TestWindowOnly:
     @pytest.mark.parametrize("conductivity", ["identity", "aniso"])
     def test_periodic_window_is_its_one_cell(self, conductivity):
         c = periodic_cell_solve([1.0, 0.3], SPEC, CONDUCTIVITY_PRESETS[conductivity], h=0.1)
-        assert c.window.tolist() == [True]
+        assert len(c.mesh.cells) == 1
         assert np.array_equal(c.window_flux(), (flux_plus(c)[0] + flux_minus(c)[0]) / 1)
-        assert np.array_equal(c.window_energy, whole_mesh_window_energy([c])[0])
+        assert np.array_equal(c.window_energy, whole_mesh_window_energy([c], 1)[0])
 
 
 class TestFoldedCell:

@@ -78,7 +78,8 @@ def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
 
 
 def assemble_stiffness(mesh, tensor):
-    return scatter(mesh, fem.stiffness_elements(mesh.grads, mesh.areas, tensor))
+    grads = mesh.proto_grads[mesh.tri_prototype]
+    return scatter(mesh, fem.stiffness_elements(grads, mesh.areas, tensor))
 
 
 def assemble_mass(mesh):
@@ -170,7 +171,8 @@ def dense_reference(mesh, spec):
     """The form's matrix summed densely with np.add.at from element matrices
     computed apart from assemble: einsum stiffness, P1 mass, edge jump."""
     tensor = form_tensor(spec, mesh)
-    Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, mesh.grads, tensor, mesh.grads)
+    grads = mesh.proto_grads[mesh.tri_prototype]
+    Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, grads, tensor, grads)
     Me = mesh.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
     edges = mesh.interface_edges
     Je = fem.jump_element_matrices(mesh.vertices, edges)

@@ -10,7 +10,7 @@ from membrane_homog.geometry import (
     InterfaceSpec,
 )
 
-from helpers import shifted_field, shifted_map
+from helpers import ShiftedField, ShiftedMap
 
 
 def bump_reference(y, a=0.1, u=(1.0, 0.0)):
@@ -125,7 +125,7 @@ class TestBernoulliField:
 
     def test_shift_action(self):
         f = BernoulliField(7)
-        g = shifted_field(f, (3, -2))
+        g = ShiftedField(f.seed, (3, -2))
         assert g.bits(0, 0) == f.bits(3, -2)
         assert g.bits(10, 4) == f.bits(13, 2)
 
@@ -137,7 +137,7 @@ class TestStationarity:
         for _ in range(100):
             y = rng.uniform(0, 1, size=2)
             k = rng.integers(-10, 10, size=2)
-            shifted = shifted_map(dmap, (int(k[0]), int(k[1])))
+            shifted = ShiftedMap(dmap.seed, dmap.amplitude, k)
             lhs = dmap.apply(y + k) - k
             rhs = shifted.apply(y)
             # equality up to one rounding of y + k (the shift itself is exact)

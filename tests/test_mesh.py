@@ -23,7 +23,6 @@ from membrane_homog.meshing import (
     export_mesh,
     first_coincident,
     interface_node_count,
-    mesh_report,
     tile_domain_mesh,
     triangle_centroids,
 )
@@ -234,6 +233,30 @@ def looped_conformity(mesh):
     return not issues, issues
 
 
+def pairing_gap(mesh):
+    """The largest coordinate difference between the two nodes of an
+    interface pair, 0 without pairs."""
+    p = mesh.interface_pairs
+    return float(np.abs(mesh.vertices[p[:, 0]] - mesh.vertices[p[:, 1]]).max(initial=0.0))
+
+
+def quality_report(mesh):
+    """The faults of a nonempty mesh, none for a good one: the issues of
+    ``looped_conformity``, a nonpositive triangle area, an angle below
+    ``meshing.MIN_ANGLE_DEG`` and an interface pair more than 1e-12 apart.
+    An empty mesh raises ValueError."""
+    if mesh.num_triangles == 0:
+        raise ValueError("empty mesh")
+    issues = looped_conformity(mesh)[1]
+    if mesh.areas.min() <= 0.0:
+        issues.append(f"nonpositive triangle area {mesh.areas.min():.3e}")
+    if mesh.min_angle_deg() < meshing.MIN_ANGLE_DEG:
+        issues.append(f"min angle {mesh.min_angle_deg():.2f} deg")
+    if pairing_gap(mesh) > 1e-12:
+        issues.append(f"interface pairing gap {pairing_gap(mesh):.3e}")
+    return issues
+
+
 def rebuilt(mesh, tri_cell=None, **changes):
     """A mesh built afresh from the given mesh's arrays, some replaced by
     ``changes``, its cell arrays derived from ``tri_cell`` (by default each
@@ -254,10 +277,9 @@ class TestCellMesh:
     @pytest.mark.parametrize("h", [0.25, 0.1, 0.05, 0.0125])
     def test_quality_and_conformity(self, h):
         mesh = build_cell_mesh(SPEC, h)
-        rep = mesh_report(mesh)
-        assert rep.ok, rep.issues
-        assert rep.min_angle_deg >= 20.0
-        assert rep.pairing_residual == 0.0
+        assert quality_report(mesh) == []
+        assert mesh.min_angle_deg() >= 20.0
+        assert pairing_gap(mesh) == 0.0
 
     @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
     def test_total_area_is_one(self, h):
@@ -355,8 +377,7 @@ class TestMembraneCells:
 class TestTiledDomain:
     def test_identity_quarter_eps(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC)
-        rep = mesh_report(mesh)
-        assert rep.ok, rep.issues
+        assert quality_report(mesh) == []
         assert abs(mesh.areas.sum() - 1.0) < 1e-12
         cells = set(map(tuple, mesh.cells[mesh.tri_cell_index[mesh.tri_region == MINUS]].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -372,8 +393,7 @@ class TestTiledDomain:
     def test_deformed_tiling_conforms(self, cell_h01):
         dmap = BernoulliCellwiseMap(seed=42)
         mesh = tile_domain_mesh(cell_h01, dmap, 0.125, SPEC)
-        rep = mesh_report(mesh)
-        assert rep.ok, rep.issues
+        assert quality_report(mesh) == []
         assert abs(mesh.areas.sum() - 1.0) < 1e-10
 
     def test_membranes_off(self, cell_h01):
@@ -422,7 +442,7 @@ class TestTruncatedMesh:
         """Each cell maps onto itself, so mesh area equals the cube area."""
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=7), 4)
         assert abs(mesh.areas.sum() - 64.0) < 1e-10
-        assert mesh_report(mesh).ok
+        assert quality_report(mesh) == []
 
     def test_all_cells_carry_membranes(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, IdentityMap(), 2)
@@ -525,7 +545,8 @@ class TestPrototypes:
         areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
         assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
         assert np.abs(mesh.areas - areas).max() <= 1e-13 * np.abs(areas).max()
-        assert np.abs(mesh.grads - grads).max() <= 1e-13 * np.abs(grads).max()
+        gathered = mesh.proto_grads[mesh.tri_prototype]
+        assert np.abs(gathered - grads).max() <= 1e-13 * np.abs(grads).max()
         cent = triangle_centroids(mesh.vertices, mesh.triangles)
         assert np.abs(mesh.centroids - cent).max() <= 1e-14
 
@@ -554,9 +575,9 @@ class TestPrototypes:
         # the gathered geometry: the prototypes', within tol of every triangle's own
         areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
         assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
-        assert np.array_equal(mesh.grads, mesh.proto_grads[mesh.tri_prototype])
         assert np.abs(mesh.areas - areas).max() <= tol * np.abs(areas).max()
-        assert np.abs(mesh.grads - grads).max() <= tol * np.abs(grads).max()
+        gathered = mesh.proto_grads[mesh.tri_prototype]
+        assert np.abs(gathered - grads).max() <= tol * np.abs(grads).max()
 
     def test_square_grid_has_a_prototype_per_block_shape(self):
         assert len(build_square_mesh(128).prototypes) == 2 * meshing.GRID_BLOCK**2
@@ -604,7 +625,7 @@ class TestSquareMesh:
         assert mesh.num_vertices == 81
         assert abs(mesh.areas.sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
-        assert mesh_report(mesh).ok
+        assert quality_report(mesh) == []
         assert len(mesh.cells) == 1  # one block: GRID_BLOCK = 16 squares a side
 
 
@@ -675,18 +696,19 @@ def report_meshes(cell_h01):
 
 
 class TestReportMatchesLoop:
-    """mesh_report's vectorized conformity check against the loop it replaced."""
+    """``quality_report`` passes every mesh the builders make and flags
+    exactly the nonconforming ones, with the loop's conformity issues."""
 
     @pytest.mark.parametrize("name", REPORT_MESHES)
     def test_conformity_matches_loop(self, report_meshes, name):
         mesh = report_meshes[name]
         conforming, issues = looped_conformity(mesh)
-        rep = mesh_report(mesh)
-        assert rep.conforming == conforming == (name not in NONCONFORMING)
-        assert [i for i in rep.issues if i.startswith(("edge ", "dangling "))] == issues
+        report = quality_report(mesh)
+        assert conforming == (not report) == (name not in NONCONFORMING)
+        assert [i for i in report if i.startswith(("edge ", "dangling "))] == issues
 
     def test_faulty_meshes_cover_every_kind_of_issue(self, report_meshes):
-        text = " ".join(" ".join(mesh_report(report_meshes[n]).issues) for n in NONCONFORMING)
+        text = " ".join(" ".join(quality_report(report_meshes[n])) for n in NONCONFORMING)
         for kind in ("shared across regions", "dangling edge", "in 3 triangles"):
             assert kind in text
 
@@ -741,13 +763,14 @@ class TestExportImport:
 
 
 class TestReportFaultDetection:
+    """``quality_report`` flags each fault of a mesh."""
+
     def test_flags_broken_pairing(self, cell_h01):
         vertices = cell_h01.vertices.copy()
         vertices[cell_h01.interface_pairs[0, 1]] += 1e-6
         mesh = rebuilt(cell_h01, vertices=vertices)
-        rep = mesh_report(mesh)
-        assert not rep.ok
-        assert rep.pairing_residual > 1e-7
+        assert any(i.startswith("interface pairing gap") for i in quality_report(mesh))
+        assert pairing_gap(mesh) > 1e-7
 
     def test_flags_nonconforming_triangle(self, cell_h01):
         tris = cell_h01.triangles.copy()
@@ -755,9 +778,8 @@ class TestReportFaultDetection:
         idx = int(np.flatnonzero(cell_h01.tri_region == PLUS)[-1])
         tris[idx, 0] = cell_h01.triangles[idx - 2, 0]
         mesh = rebuilt(cell_h01, triangles=tris)
-        rep = mesh_report(mesh)
-        assert not rep.ok
-        assert not rep.conforming or not rep.positive_areas
+        assert quality_report(mesh)
+        assert not looped_conformity(mesh)[0] or mesh.areas.min() <= 0.0
 
     def test_rejects_empty_mesh(self):
         empty = mesh_from_tri_cell(
@@ -769,7 +791,7 @@ class TestReportFaultDetection:
             boundary_nodes=np.zeros(0, dtype=np.int64),
         )
         with pytest.raises(ValueError):
-            mesh_report(empty)
+            quality_report(empty)
 
 
 def domain_boundary_rule(mesh):
