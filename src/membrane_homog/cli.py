@@ -32,7 +32,7 @@ from .effective import (
     write_effective_json,
 )
 from .errors import ConfigError, EllipticityViolation, MembraneHomogError, MeshQualityFailure
-from .fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
+from .fem import CONDUCTIVITY_PRESETS
 from .geometry import (
     BernoulliCellwiseMap,
     BumpMap,
@@ -345,14 +345,12 @@ def _seed_runs(cfg: ExperimentConfig, jobs: int, profile: bool = False) -> list:
     """One corrector sample per seed, each distinct realization solved once,
     with its energy profile when ``profile`` is set (only ``corrector``
     writes it).  When a pool runs two or more realizations, the truncated
-    cube's tiling template and the conductivity's periodicity verdict on it
-    (``BilinearFormSpec.kinds``) are settled here, before the pool forks,
-    and its workers share them."""
+    cube's tiling template is built here, before the pool forks, and its
+    workers share it."""
     tasks = [(cfg, s) for s in cfg.realizations]
     if jobs > 1 and len(tasks) > 1:
         c = cfg.corrector_config()
-        template = truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
-        BilinearFormSpec(CONDUCTIVITY_PRESETS[cfg.conductivity]).kinds(template.mesh)
+        truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
     return _per_seed(cfg, _run_tasks(functools.partial(_corrector_task, profile=profile), tasks,
                                      jobs))
 
@@ -443,13 +441,15 @@ def cmd_verify(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     )
 
 
-# Each command with the files it may write in --out.
+# Each command with the files it may write in --out and the keys that size
+# its allocations (verify allocates a fixed amount).
 COMMANDS = {
-    "mesh": (cmd_mesh, ("mesh.txt",)),
-    "corrector": (cmd_corrector, ("flux.csv", "energy.csv")),
-    "effective": (cmd_effective, ("effective.json",)),
-    "homogenize": (cmd_homogenize, ("effective.json", "convergence.csv", "report.json")),
-    "verify": (cmd_verify, ("verify_report.json",)),
+    "mesh": (cmd_mesh, ("mesh.txt",), ("radius", "h")),
+    "corrector": (cmd_corrector, ("flux.csv", "energy.csv"), ("h", "n")),
+    "effective": (cmd_effective, ("effective.json",), ("h", "n")),
+    "homogenize": (cmd_homogenize, ("effective.json", "convergence.csv", "report.json"),
+                   ("h", "n", "eps", "homog_grid")),
+    "verify": (cmd_verify, ("verify_report.json",), ()),
 }
 
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, outputs = COMMANDS[args.command]
+    command, outputs, sizes = COMMANDS[args.command]
     try:
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
@@ -498,7 +498,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:  # the sizes asked for do not fit in memory
         out.cleanup()
-        print(f"config error: n, h, eps, homog_grid: out of memory: {exc}", file=sys.stderr)
+        keys = ", ".join(sizes) + ": " if sizes else ""
+        reason = str(exc) or "an allocation was refused"
+        print(f"config error: {keys}out of memory: {reason}", file=sys.stderr)
         return 2
     except MembraneHomogError as exc:
         out.cleanup()

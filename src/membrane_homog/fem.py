@@ -20,9 +20,11 @@ conductivity per prototype.  ``assemble`` sums the element matrices and the
 interface edges' jump matrices into the CSR pattern the mesh stores
 (``MembraneMesh.slots``) in runs of RUN entries, one ``np.add.at`` per run,
 so no buffer grows with the mesh and a realization that only moves a
-tiling's nodes reuses its pattern.  A conductivity that does not repeat from
-cell to cell makes every cell its own kind (``BilinearFormSpec.kinds``), so
-the answer stays exact.
+tiling's nodes reuses its pattern.  That is exact under the workbench's
+contract on the conductivity, the paper's periodic medium: on a tiling it
+repeats from cell to cell in the reference coordinate, as both presets do,
+and on the square grid, whose cells are 16 x 16 blocks of squares, it is
+constant, as ``homogenize.homog_form``'s is.
 
 ``solve`` applies, on the free dofs, the inverse of K~, the matrix with its
 cell interiors condensed per kind: cells of one kind
@@ -32,8 +34,8 @@ other factorization is that of the Schur complement on the free dofs of the
 cell skeleton (``MembraneMesh.skeleton``).  The same runs sum the kinds'
 Schur blocks and the matrix's skeleton entries into that complement, in the
 pattern the mesh stores (``MembraneMesh.schur``): every index set of
-the solver that the topology fixes is built with the mesh.  When the kinds
-hold, K~ is the matrix up to rounding and one application solves the
+the solver that the topology fixes is built with the mesh.  Under the
+contract K~ is the matrix up to rounding and one application solves the
 system.  The solve checks the true residual |b - K x| / |b| and refines
 with x += K~^-1 (b - K x) while it is above RTOL, and raises
 ``SolverDivergence`` if it still is after APPLICATIONS applications.  Both
@@ -56,7 +58,7 @@ from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 RTOL = 1e-10  # relative residual |b - K x| / |b| a solve must reach
 APPLICATIONS = 3  # applications of K~^-1 a solve makes before it raises
-RUN = 2**14  # float entries in one run's buffer: the scatters and checks go run by run
+RUN = 2**14  # float entries in one run's buffer: the scatters go run by run
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -90,13 +92,12 @@ class BilinearFormSpec:
     """Coefficients of the transmission form.
 
     ``conductivity`` maps reference-coordinate points (n, 2) to (n, 2, 2)
-    symmetric matrices with eigenvalues in [lam, Lam].  The kinds of cell
-    define the assembly: the conductivity is evaluated at the prototypes'
-    reference centroids only, which is exact when it repeats from cell to
-    cell, as both presets do on a tiling of unit cells.  ``kinds`` checks
-    that once per mesh topology (so per tiling template) and conductivity
-    and makes every cell its own kind when it fails.  ``solve`` still checks
-    its answer against the assembled matrix.
+    symmetric matrices with eigenvalues in [lam, Lam].  It is evaluated at
+    the prototypes' reference centroids only, so it must repeat from cell to
+    cell: on a tiling in the reference coordinate, as both presets do, and
+    on the square grid it must be constant, as ``homog_form``'s is (see the
+    module docstring).  ``solve`` still checks its answer against the
+    assembled matrix.
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -105,48 +106,12 @@ class BilinearFormSpec:
     lam: float = 1.0
     Lam: float = 1.5
 
-    def kinds(self, mesh: MembraneMesh) -> MembraneMesh:
-        """``mesh`` if the conductivity takes one value, within 1e-12, at the
-        reference centroids (of ``mesh.ref_vertices``) of the triangles of
-        each prototype, else ``mesh.cellwise()``.  Each triangle is checked
-        against the same triangle (``tri_local``) of the first cell with as
-        many triangles, as cells of one kind have, a run of triangles at a
-        time: the verdict, kept in ``mesh.memo``, holds for the kinds of
-        every realization that shares it."""
-        if len(mesh.prototypes) == mesh.num_triangles:
-            return mesh
-        key = ("periodic", self.conductivity)
-        if key not in mesh.memo:
-            mesh.memo[key] = self._periodic(mesh)
-        return mesh if mesh.memo[key] else mesh.cellwise()
-
-    def _periodic(self, mesh: MembraneMesh) -> bool:
-        """The verdict of ``kinds``, settled RUN // 4 triangles (conductivity
-        entries) at a time."""
-        count = np.bincount(mesh.tri_cell_index)
-        _, first, rank = np.unique(count, return_index=True, return_inverse=True)
-        ref = np.zeros((len(first), count.max(), 2, 2))  # per triangle count: its first cell's
-        for r, c in enumerate(first):
-            tris = np.flatnonzero(mesh.tri_cell_index == c)
-            ref[r, mesh.tri_local[tris]] = self._at_centroids(mesh, tris)
-        for lo in range(0, mesh.num_triangles, RUN // 4):
-            tris = np.arange(lo, min(lo + RUN // 4, mesh.num_triangles))
-            want = ref[rank[mesh.tri_cell_index[tris]], mesh.tri_local[tris]]
-            if np.abs(self._at_centroids(mesh, tris) - want).max() > 1e-12:
-                return False
-        return True
-
-    def _at_centroids(self, mesh: MembraneMesh, tris: np.ndarray) -> np.ndarray:
-        """The conductivity at the reference centroids of the triangles ``tris``."""
-        return self.conductivity(triangle_centroids(
-            mesh.ref_vertices, np.take(mesh.triangles, tris, axis=0)))
-
     def proto_tensor(self, mesh: MembraneMesh) -> np.ndarray:
-        """The conductivity of each prototype of ``kinds(mesh)`` (rows of its
+        """The conductivity of each prototype of ``mesh`` (rows of its
         ``prototypes``): its value at the prototype's reference centroid,
         ellipticity checked by those sampled eigenvalues."""
-        mesh = self.kinds(mesh)
-        A = self._at_centroids(mesh, mesh.prototypes)
+        ref = triangle_centroids(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
+        A = self.conductivity(ref)
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
         lower, upper = sym2_eigenvalues(A)
@@ -163,13 +128,12 @@ class BilinearFormSpec:
 class DiscreteSystem:
     """Assembled matrix and load; ``proto_tensor`` is the form's conductivity
     per prototype of ``mesh``, evaluated once by assemble, and ``tensor``
-    gathers it per triangle on each use (``mesh`` is the mesh assembled on,
-    with the kinds ``BilinearFormSpec.kinds`` gave it; the matrix is in its
-    pattern).  The solution is zero on ``fixed``, the mesh's boundary nodes,
-    and unknown on ``free``, the mesh's ``free_nodes``.  ``solver`` holds the
-    set-up ``solve`` builds on first use; copies made by
-    ``dataclasses.replace`` share it, and it is rebuilt for a copy with
-    another matrix or mesh."""
+    gathers it per triangle on each use (``mesh`` is the mesh assembled on;
+    the matrix is in its pattern).  The solution is zero on ``fixed``, the
+    mesh's boundary nodes, and unknown on ``free``, the mesh's
+    ``free_nodes``.  ``solver`` holds the set-up ``solve`` builds on first
+    use; copies made by ``dataclasses.replace`` share it, and it is rebuilt
+    for a copy with another matrix or mesh."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
@@ -305,10 +269,8 @@ def gradient_load(mesh: MembraneMesh, proto_tensor: np.ndarray, p: np.ndarray) -
 def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> DiscreteSystem:
     """Full transmission form with volume source f and/or corrector load p.
 
-    The element matrices are computed once per prototype of
-    ``spec.kinds(mesh)``, the system's mesh.
+    The element matrices are computed once per prototype of ``mesh``.
     """
-    mesh = spec.kinds(mesh)
     A = spec.proto_tensor(mesh)
     Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, A).reshape(-1, 9)
     if spec.mass_weight != 0.0:

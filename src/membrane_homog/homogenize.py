@@ -197,11 +197,9 @@ def error_suite(
     if not np.array_equal(symmetric_part(A0), u0.A0):
         raise ValueError("A0 is not the tensor u0 was solved with")
     mesh, values = u_eps.mesh, u_eps.values
-    proto, index = u_eps.proto_tensor, mesh.tri_prototype
+    proto = u_eps.proto_tensor
     if proto is None:
-        form = hetero_form(eps, conductivity)
-        kinds = form.kinds(mesh)
-        proto, index = form.proto_tensor(kinds), kinds.tri_prototype
+        proto = hetero_form(eps, conductivity).proto_tensor(mesh)
 
     # l2 error squared, gradient L2 squared on PLUS and on MINUS, the flux
     # pairings with the vector test fields and u_eps's with the scalar ones
@@ -213,7 +211,7 @@ def error_suite(
         ue_c = triangle_centroids(values, mesh.triangles[tris])
         g = p1_gradient(mesh, values, tris)
         g2 = np.einsum("td,td->t", g, g)
-        flux = apply_tensor(np.take(proto, index[tris], axis=0), g)
+        flux = apply_tensor(np.take(proto, mesh.tri_prototype[tris], axis=0), g)
         plus = mesh.tri_region[tris] == PLUS
         minus = mesh.tri_region[tris] == MINUS
         weight = areas[minus] * ue_c[minus]

@@ -104,10 +104,7 @@ class MembraneMesh:
     for the others: ``tri_prototype`` (nt,) gives each triangle's row of
     ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
     prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
-    ``fem.p1_gradient`` gather on each use.  ``memo`` holds the one fact
-    ``fem`` keeps that depends on more than the topology: whether a
-    conductivity repeats from cell to cell (``BilinearFormSpec.kinds``),
-    shared with every other realization of the tiling.
+    ``fem.p1_gradient`` gather on each use.
 
     ``skeleton`` (sorted) holds the nodes on a cell boundary: those on the
     mesh boundary, in no cell or in more than one; every other node is
@@ -149,7 +146,6 @@ class MembraneMesh:
     tri_prototype: np.ndarray = field(init=False, repr=False)
     proto_areas: np.ndarray = field(init=False, repr=False)
     proto_grads: np.ndarray = field(init=False, repr=False)
-    memo: dict = field(init=False, repr=False, default_factory=dict)
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
@@ -209,10 +205,6 @@ class MembraneMesh:
         out.vertices = self.vertices if vertices is None else vertices
         out._take_prototypes(kind)
         return out
-
-    def cellwise(self) -> "MembraneMesh":
-        """This mesh with every cell its own kind."""
-        return self.with_kinds(np.arange(len(self.cells)))
 
     def _tile(self, on_skeleton: np.ndarray, tri_order: np.ndarray, count: np.ndarray) -> None:
         """Tile ``interface_edges``, ``edge_cell_index``, ``indptr``, ``indices`` and

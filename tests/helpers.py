@@ -1,6 +1,7 @@
-"""Quantities only the tests read: per-triangle conductivities, the fluxes
-of every cell of a corrector, and the lattice shift of the Bernoulli field
-and map."""
+"""Quantities only the tests read: per-triangle conductivities, a mesh with
+every cell its own kind, the fluxes of every cell of a corrector, the
+lattice shift of the Bernoulli field and map, and the exact A0 of the
+periodic identity cell."""
 
 from dataclasses import dataclass
 
@@ -12,9 +13,13 @@ from membrane_homog.geometry import BernoulliCellwiseMap, BernoulliField
 
 def form_tensor(form, mesh):
     """The per-triangle conductivity of ``form`` on ``mesh``: its
-    ``proto_tensor`` gathered by the ``tri_prototype`` of ``kinds(mesh)``."""
-    mesh = form.kinds(mesh)
+    ``proto_tensor`` gathered by the mesh's ``tri_prototype``."""
     return np.take(form.proto_tensor(mesh), mesh.tri_prototype, axis=0)
+
+
+def cellwise(mesh):
+    """``mesh`` with every cell its own kind, sharing its topology."""
+    return mesh.with_kinds(np.arange(len(mesh.cells)))
 
 
 def cell_sides(corr):
@@ -58,3 +63,37 @@ class ShiftedMap(BernoulliCellwiseMap):
     def bumped(self, k):
         return super().bumped(k + self.shift)
 
+
+
+def trefftz_a0(modes):
+    """A0_11 of the periodic unit cell of ``periodic_cell_solve``, a centred
+    disk of radius a = 0.25 (``InterfaceSpec``'s) with conductivity 1 on
+    both sides and membrane conductance gamma = 1 (jump weight 1), and the
+    largest collocation residual: a least-squares Trefftz collocation.
+
+    Outside the disk the potential is Re sum_n c_n (z^n + beta_n z^-n) over
+    the odd n < 2 ``modes``, with beta_n = a^2n t_n / (2 + t_n) and
+    t_n = n / (gamma a), which meets flux continuity and the jump condition
+    on the circle (inside, each mode is a multiple of r^n cos n theta).  By
+    symmetry the cell problem for the mean gradient e1 is u = 1/2 on x = 1/2
+    and du/dy = 0 on y = 1/2, fitted at 200 midpoints of each half side;
+    A0_11 is the flux through x = 1/2."""
+    a, gamma, points = 0.25, 1.0, 200
+    n = np.arange(1, 2 * modes, 2)
+    t = n / (gamma * a)
+    beta = a ** (2 * n) * t / (2.0 + t)
+    s = (np.arange(points) + 0.5) / (2 * points)
+
+    def potential(z):
+        return (z[:, None] ** n + beta * z[:, None] ** -n).real
+
+    def derivative(z):  # d/dz of each mode: du/dx is its real part, du/dy minus its imaginary
+        return n * z[:, None] ** (n - 1) - n * beta * z[:, None] ** (-n - 1)
+
+    M = np.vstack([potential(0.5 + 1j * s), -derivative(s + 0.5j).imag])
+    rhs = np.concatenate([np.full(points, 0.5), np.zeros(points)])
+    scale = np.linalg.norm(M, axis=0)
+    c = np.linalg.lstsq(M / scale, rhs, rcond=None)[0] / scale
+    y, w = np.polynomial.legendre.leggauss(64)  # Gauss points on [0, 1/2] and back to [-1/2, 1/2]
+    flux = 0.5 * w @ (derivative(0.5 + 0.25j * (y + 1.0)).real @ c)
+    return float(flux), float(np.abs(M @ c - rhs).max())

@@ -26,7 +26,7 @@ from membrane_homog.effective import (
     volume_stats,
 )
 from membrane_homog.errors import ConfigError, SolverDivergence
-from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
+from membrane_homog.fem import CONDUCTIVITY_PRESETS
 
 QUICK_CFG = """\
 # quick smoke config
@@ -395,28 +395,6 @@ class TestOneTemplatePerRun:
         assert main(["effective", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
         assert builds.read_text().split() == [str(os.getpid())]
 
-    @pytest.mark.parametrize("conductivity", ["identity", "aniso"])
-    def test_parent_settles_the_periodicity_verdict(self, tmp_path, monkeypatch, conductivity):
-        """The workers of a pool read the verdict the parent left on the
-        template; none settles it again."""
-        if (os.cpu_count() or 1) < 2:
-            pytest.skip("needs two CPUs for a pool")
-        checks = tmp_path / "checks"
-        real = BilinearFormSpec._periodic
-
-        def logged(self, mesh):
-            with open(checks, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return real(self, mesh)
-
-        monkeypatch.setattr(BilinearFormSpec, "_periodic", logged)
-        meshing._template.cache_clear()
-        p = tmp_path / "exp.cfg"
-        p.write_text(BERNOULLI_CFG + f"conductivity = {conductivity}\n")
-        out = str(tmp_path / "o")
-        assert main(["effective", "--config", str(p), "--out", out, "--jobs", "2"]) == 0
-        assert checks.read_text().split() == [str(os.getpid())]
-
     def test_homogenize_parent_builds_the_cell_mesh(self, tmp_path, monkeypatch):
         """A homogenize pool's workers share the cell mesh the parent built."""
         if (os.cpu_count() or 1) < 2:
@@ -670,10 +648,32 @@ class TestInputErrors:
         p.write_text(QUICK_CFG)
         out = tmp_path / "o"
         assert main(["homogenize", "--config", str(p), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: n, h, eps, homog_grid: out of memory: Unable")
-        assert "Traceback" not in err
-        assert not (out / "effective.json").exists()
+        assert capsys.readouterr().err == (
+            "config error: h, n, eps, homog_grid: out of memory: "
+            "Unable to allocate 298. GiB for an array\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, patched, keys", [
+        ("mesh", "build_cell_mesh", "radius, h: "),
+        ("corrector", "corrector_runs", "h, n: "),
+        ("effective", "corrector_runs", "h, n: "),
+        ("verify", "surface_integral_crosscheck", ""),
+    ])
+    def test_out_of_memory_names_only_the_command_size_keys(
+            self, tmp_path, capsys, monkeypatch, command, patched, keys):
+        """Each command names the keys that size its allocations, none for
+        verify, and a refusal without a reason still gets one."""
+        def refused(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, patched, refused)
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {keys}out of memory: an allocation was refused\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["effective", "homogenize"])
     def test_single_seed_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, command):

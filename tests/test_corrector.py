@@ -22,7 +22,7 @@ from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
-from helpers import ShiftedMap, flux_minus, flux_plus
+from helpers import ShiftedMap, flux_minus, flux_plus, trefftz_a0
 
 SPEC = InterfaceSpec()
 
@@ -39,6 +39,26 @@ class TestConfig:
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigError):
             CorrectorConfig(n=4, m=4)
+
+
+class TestExactA0:
+    """The periodic identity cell against its exact A0_11, a Trefftz
+    collocation that has no mesh error (``helpers.trefftz_a0``)."""
+
+    def test_collocation_converges_in_the_mode_count(self):
+        a30, residual30 = trefftz_a0(modes=30)
+        a40, residual40 = trefftz_a0(modes=40)
+        assert residual30 <= 1e-13 and residual40 <= 1e-13
+        assert abs(a40 - a30) <= 1e-15
+        assert abs(trefftz_a0(modes=20)[0] - a40) <= 1e-11
+
+    def test_periodic_cell_converges_at_second_order(self):
+        exact = trefftz_a0(modes=40)[0]
+        errors = [abs(periodic_cell_solve([1, 0], SPEC, h=h).window_flux()[0] - exact)
+                  for h in (0.05, 0.025, 0.0125)]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert 3e-3 < errors[0] < 5e-3
+        assert ((1.9 <= orders) & (orders <= 2.1)).all(), (errors, orders)
 
 
 class TestTruncated:

@@ -25,7 +25,7 @@ from membrane_homog.fem import (
     volume_load,
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
-from membrane_homog.homogenize import hetero_form
+from membrane_homog.homogenize import constant_field, hetero_form
 from membrane_homog.meshing import (
     build_cell_mesh,
     build_square_mesh,
@@ -34,7 +34,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import form_tensor
+from helpers import cellwise, form_tensor
 from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
@@ -298,13 +298,6 @@ class TestLoadScatter:
                 == add_at_load(mesh, contrib[mesh.tri_prototype]).tobytes())
 
 
-def drifting(points):
-    """A conductivity that is not periodic in the reference coordinate."""
-    out = np.zeros((len(points), 2, 2))
-    out[:, 0, 0] = out[:, 1, 1] = 1.0 + 0.4 * np.tanh(points[:, 0] / 8.0)
-    return out
-
-
 def per_triangle_reference(mesh, spec, f, p):
     """The form's matrix, the volume load of f and the gradient load of p,
     from the geometry and the conductivity of every triangle on its own."""
@@ -324,14 +317,16 @@ def per_triangle_reference(mesh, spec, f, p):
     K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), (n, n))
     fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
     b_f = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
-    contrib = -np.einsum("t,tij,j,tkj->tk", areas, tensor, p, grads)
+    contrib = -np.einsum("t,tij,j,tki->tk", areas, tensor, p, grads)
     b_p = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(), minlength=n)
     return K.tocsr(), b_f, b_p
 
 
 class TestPerKindAssembly:
     """Element matrices and loads computed once per prototype match those of
-    every triangle on its own."""
+    every triangle on its own, for the conductivities of the contract (``fem``
+    module docstring): every preset on every tiling, a constant tensor on the
+    square grid."""
 
     @pytest.fixture(scope="class")
     def meshes(self):
@@ -340,7 +335,11 @@ class TestPerKindAssembly:
             "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2),
             "truncated_bump": build_truncated_mesh(cell, BumpMap(0.2), 2),
             "truncated_identity": build_truncated_mesh(cell, IdentityMap(), 2),
+            "truncated_no_membranes": build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2,
+                                                           membranes=False),
             "tiled_cushion": tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.125, SPEC),
+            "tiled_no_membranes": tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.125, SPEC,
+                                                   membranes=False),
         }
 
     def check(self, mesh, conductivity):
@@ -355,60 +354,32 @@ class TestPerKindAssembly:
         assert np.abs(system.load - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
         g = gradient_load(system.mesh, system.proto_tensor, p)
         assert np.abs(g - b_p).max() <= 1e-13 * np.abs(b_p).max()
+        assert system.mesh is mesh
         return system
 
-    @pytest.mark.parametrize(
-        "conductivity", [identity_field, aniso_field], ids=["identity", "aniso"]
-    )
-    @pytest.mark.parametrize(
-        "name", ["truncated_bernoulli", "truncated_bump", "truncated_identity", "tiled_cushion"]
-    )
+    @pytest.mark.parametrize("conductivity", sorted(CONDUCTIVITY_PRESETS))
+    @pytest.mark.parametrize("name", [
+        "truncated_bernoulli", "truncated_bump", "truncated_identity", "truncated_no_membranes",
+        "tiled_cushion", "tiled_no_membranes",
+    ])
     def test_matches_per_triangle(self, meshes, name, conductivity):
         mesh = meshes[name]
         kinds = len(np.unique(mesh.cell_kind))
         assert len(mesh.prototypes) == kinds * mesh.num_triangles // len(mesh.cells)
         assert kinds < len(mesh.cells)
-        assert self.check(mesh, conductivity).mesh is mesh
+        self.check(mesh, CONDUCTIVITY_PRESETS[conductivity])
 
     @pytest.mark.parametrize("m", [40, 128])
-    @pytest.mark.parametrize(
-        "conductivity", [identity_field, aniso_field], ids=["identity", "aniso"]
-    )
+    @pytest.mark.parametrize("conductivity", [
+        identity_field, constant_field([[1.2, 0.3], [0.3, 0.9]]),
+    ], ids=["identity", "constant"])
     def test_square_grid_matches_per_triangle(self, m, conductivity):
         """The grid's cells are blocks of GRID_BLOCK squares, not unit cells:
-        aniso_field does not repeat from block to block, so every block
-        becomes its own kind."""
+        the contract holds for a constant conductivity, here a non-diagonal
+        one."""
         mesh = build_square_mesh(m)
         assert len(mesh.prototypes) < mesh.num_triangles
-        system = self.check(mesh, conductivity)
-        assert (system.mesh is mesh) == (conductivity is identity_field)
-        if conductivity is aniso_field:
-            assert np.array_equal(system.mesh.cell_kind, np.arange(len(mesh.cells)))
-
-    def test_not_periodic_makes_every_cell_its_own_kind(self, meshes):
-        mesh = meshes["truncated_bernoulli"]
-        system = self.check(mesh, drifting)
-        assert np.array_equal(system.mesh.cell_kind, np.arange(len(mesh.cells)))
-        assert np.array_equal(system.mesh.prototypes, np.arange(mesh.num_triangles))
-        assert solve(system).iterations == 1
-
-    def test_not_periodic_in_the_last_run_only(self):
-        """The verdict is settled run by run: a conductivity that departs
-        from its period only in the last cell, inside the last run of
-        triangles, still makes every cell its own kind."""
-        mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(5), 0.125, SPEC)
-        run = fem.RUN // 4  # triangles per run
-        last_cell = np.flatnonzero(mesh.tri_cell_index == len(mesh.cells) - 1)
-        assert mesh.num_triangles > run and last_cell.min() >= (mesh.num_triangles - 1) // run * run
-
-        def stiffer_in_the_last_cell(points):  # the cells of the 1/8 tiling span [0, 8]^2
-            out = identity_field(points)
-            out[:, 0, 0] += 0.25 * ((points[:, 0] > 7.0) & (points[:, 1] > 7.0))
-            return out
-
-        kinds = BilinearFormSpec(conductivity=stiffer_in_the_last_cell).kinds(mesh)
-        assert np.array_equal(kinds.cell_kind, np.arange(len(mesh.cells)))
-        assert BilinearFormSpec(conductivity=identity_field).kinds(mesh) is mesh
+        self.check(mesh, conductivity)
 
 
 class TestStoredArrays:
@@ -513,11 +484,11 @@ def splu_values(system):
     return u
 
 
-def corrector_systems(dmap, n=8, conductivity=identity_field, lam=1.0):
-    """The e1 and e2 corrector systems on the truncated cube of half-width n,
+def corrector_systems(dmap):
+    """The e1 and e2 corrector systems on the truncated cube of half-width 8,
     h=0.05 (jump weight 1, delta = 1e-3), as `solve_truncated` builds them."""
-    mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.05), dmap, n)
-    form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=1e-3, lam=lam)
+    mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.05), dmap, 8)
+    form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
     system = assemble(mesh, form)
     return [
         replace(system, load=system.load + gradient_load(system.mesh, system.proto_tensor, p))
@@ -604,15 +575,13 @@ class TestTwoLevelCG:
         cell = build_cell_mesh(SPEC, 0.1)
         template = meshing.truncated_template(cell, 2).mesh
         pattern = template.schur
-        assert template.memo == {}
         assert all(a.dtype == np.int32 for a in pattern.values())
         meshes = [build_truncated_mesh(cell, BernoulliCellwiseMap(seed), 2) for seed in (0, 1)]
         assert not np.array_equal(meshes[0].cell_kind, meshes[1].cell_kind)
-        assert all(mesh.schur is pattern for mesh in (*meshes, meshes[0].cellwise()))
+        assert all(mesh.schur is pattern for mesh in (*meshes, cellwise(meshes[0])))
         form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
         for mesh in meshes:
             assert solve(assemble(mesh, form, p=[1.0, 0.0])).iterations == 1
-        assert template.memo and all(key[0] == "periodic" for key in template.memo)
         nodes = pattern["nodes"]
         assert len(nodes) and not np.isin(nodes, template.boundary_nodes).any()
         off = np.setdiff1d(np.arange(template.num_vertices), template.boundary_nodes)
@@ -627,16 +596,16 @@ class TestTwoLevelCG:
         "grid": (lambda cell: build_square_mesh(20), BilinearFormSpec()),
     }
 
-    @pytest.mark.parametrize("cellwise", [False, True], ids=["assembled", "cellwise"])
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["assembled", "cellwise"])
     @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
-    def test_schur_complement(self, cell_h01, monkeypatch, case, cellwise):
+    def test_schur_complement(self, cell_h01, monkeypatch, case, per_cell):
         # the S the set-up factors is K_BB - K_BI K_II^-1 K_IB on the free
         # skeleton dofs B, I the other free dofs
         build, form = self.SCHUR_CASES[case]
         system = assemble(build(cell_h01), form)
         if case == "cushions":  # cells with and without membranes, bumped or not
             assert set(system.mesh.cell_kind) == {0, 1, 2, 3}
-        mesh = system.mesh.cellwise() if cellwise else system.mesh
+        mesh = cellwise(system.mesh) if per_cell else system.mesh
         factored, factor = [], fem._factor
         monkeypatch.setattr(fem, "_factor", lambda A: factored.append(A) or factor(A))
         fem._Condensed(system.matrix, mesh)
@@ -654,20 +623,6 @@ class TestTwoLevelCG:
         periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)
         interior, S = factored  # the one cell's interior, then S
         assert S.shape == (0, 0) and interior.shape[0] > 0
-
-    def test_conductivity_not_periodic(self):
-        # kinds assume a conductivity periodic in the reference coordinate;
-        # without it every cell is its own kind and the solve is exact
-        def drifting(points):
-            out = np.zeros((len(points), 2, 2))
-            out[:, 0, 0] = out[:, 1, 1] = 1.0 + 0.4 * np.tanh(points[:, 0] / 8.0)
-            return out
-
-        system = corrector_systems(BernoulliCellwiseMap(0), n=2, conductivity=drifting, lam=0.5)[0]
-        ref = splu_values(system)
-        sol = solve(system)
-        assert sol.iterations == 1
-        assert np.abs(sol.values - ref).max() <= 1e-8 * np.abs(ref).max()
 
     @staticmethod
     def scaled_inverse(monkeypatch, factor):

@@ -26,6 +26,7 @@ from membrane_homog.meshing import (
     tile_domain_mesh,
     triangle_centroids,
 )
+from helpers import cellwise
 
 SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
@@ -511,11 +512,11 @@ class TestTilingTemplate:
         assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
         assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
-        assert b.schur is a.schur and b.cellwise().schur is a.schur
+        assert b.schur is a.schur and cellwise(b).schur is a.schur
         for array in INDEX_ARRAYS:
             if array != "tri_prototype":  # each set of kinds numbers its own prototypes
                 assert getattr(b, array) is getattr(a, array), array
-                assert getattr(a.cellwise(), array) is getattr(a, array), array
+                assert getattr(cellwise(a), array) is getattr(a, array), array
         assert not np.array_equal(a.vertices, b.vertices)
         # each realization names its own kinds, 2 * bumped + membrane
         for seed, mesh in ((1, a), (2, b)):
@@ -556,7 +557,7 @@ class TestPrototypes:
         (lambda cell: build_square_mesh(100), 1e-13),
         (lambda cell: meshing.truncated_template(cell, 2).mesh, 1e-13),
         (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2), 1e-13),
-        (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2).cellwise(), 0.0),
+        (lambda cell: cellwise(build_truncated_mesh(cell, BernoulliCellwiseMap(seed=5), 2)), 0.0),
     ], ids=["cell", "square128", "square100", "template", "realization", "cellwise"])
     def test_prototypes_are_each_kinds_first_cell(self, cell_h01, build, tol):
         mesh = build(cell_h01)
