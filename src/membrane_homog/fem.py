@@ -15,16 +15,16 @@ which pins its constants.
 The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
-cell) and gathered per triangle where they are used; a system keeps its
-conductivity per prototype.  ``assemble`` sums the element matrices and the
-interface edges' jump matrices into the CSR pattern the mesh stores
-(``MembraneMesh.slots``) in runs of RUN entries, one ``np.add.at`` per run,
-so no buffer grows with the mesh and a realization that only moves a
-tiling's nodes reuses its pattern.  That is exact under the workbench's
-contract on the conductivity, the paper's periodic medium: on a tiling it
-repeats from cell to cell in the reference coordinate, as both presets do,
-and on the square grid, whose cells are 16 x 16 blocks of squares, it is
-constant, as ``homogenize.homog_form``'s is.
+cell) and gathered per triangle where they are used, the loads one corner
+at a time; a system keeps its conductivity per prototype.  ``assemble`` sums
+the element matrices and the interface edges' jump matrices into the CSR
+pattern the mesh stores (``MembraneMesh.slots``) in runs of RUN entries, one
+``np.add.at`` per run, so no buffer grows with the mesh and a realization
+that only moves a tiling's nodes reuses its pattern.  That is exact under
+the workbench's contract on the conductivity, the paper's periodic medium:
+on a tiling it repeats from cell to cell in the reference coordinate, as
+both presets do, and on the square grid, whose cells are 16 x 16 blocks of
+squares, it is constant, as ``homogenize.homog_form``'s is.
 
 ``solve`` applies, on the free dofs, the inverse of K~, the matrix with its
 cell interiors condensed per kind: cells of one kind
@@ -34,14 +34,17 @@ other factorization is that of the Schur complement on the free dofs of the
 cell skeleton (``MembraneMesh.skeleton``).  The same runs sum the kinds'
 Schur blocks and the matrix's skeleton entries into that complement, in the
 pattern the mesh stores (``MembraneMesh.schur``): every index set of
-the solver that the topology fixes is built with the mesh.  Under the
-contract K~ is the matrix up to rounding and one application solves the
-system.  The solve checks the true residual |b - K x| / |b| and refines
-with x += K~^-1 (b - K x) while it is above RTOL, and raises
-``SolverDivergence`` if it still is after APPLICATIONS applications.  Both
-factors are SuperLU's complete LU (``splu``).  The set-up is built once per
-matrix: copies of a system that differ only in their load
-(``dataclasses.replace``) share it.
+the solver that the topology fixes is built with the mesh.  That pattern
+holds the skeleton in nested-dissection order and is laid out column by
+column, so the sum is the complement in CSC, as SuperLU takes it, factored
+in that order with no copy and no ordering of its own; the interior blocks
+are ordered by minimum degree.  Under the contract K~ is the matrix up to
+rounding and one application solves the system.  The solve checks the true
+residual |b - K x| / |b| and refines with x += K~^-1 (b - K x) while it is
+above RTOL, and raises ``SolverDivergence`` if it still is after
+APPLICATIONS applications.  Both factors are SuperLU's complete LU
+(``splu``).  The set-up is built once per matrix: copies of a system that
+differ only in their load (``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
@@ -240,6 +243,16 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values) -> np.ndar
     return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), u)
 
 
+def _scatter_corners(mesh: MembraneMesh, loads) -> np.ndarray:
+    """The nodal vector of per-triangle corner ``loads``, one (nt,) array per
+    corner in turn, summed corner by corner with ``np.add.at``: no (3, nt)
+    buffer and no np.intp copy of the int32 corners."""
+    b = np.zeros(mesh.num_vertices)
+    for corner, load in zip(mesh.triangles.T, loads):
+        np.add.at(b, corner, load)
+    return b
+
+
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     """int f phi_i with f constant per triangle (centroid value)."""
     if callable(f):
@@ -247,23 +260,19 @@ def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     else:
         fc = np.full(mesh.num_triangles, float(f))
     contrib = mesh.areas * fc / 3.0
-    return np.bincount(
-        mesh.triangles.T.ravel(), weights=np.tile(contrib, 3), minlength=mesh.num_vertices
-    )
+    return _scatter_corners(mesh, (contrib,) * 3)
 
 
 def gradient_load(mesh: MembraneMesh, proto_tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
     """-int A p . grad(phi_i), the corrector load for mean gradient p,
-    computed on the prototypes and gathered per triangle, with A the
-    conductivity per prototype of ``mesh`` (``DiscreteSystem.proto_tensor``)."""
+    computed on the prototypes and gathered per triangle one corner at a
+    time, with A the conductivity per prototype of ``mesh``
+    (``DiscreteSystem.proto_tensor``)."""
     p = np.asarray(p, dtype=float)
     Ap = proto_tensor[:, :, 0] * p[0] + proto_tensor[:, :, 1] * p[1]
     a, g = mesh.proto_areas, mesh.proto_grads
     contrib = -((a * Ap[:, 0])[:, None] * g[:, :, 0] + (a * Ap[:, 1])[:, None] * g[:, :, 1])
-    return np.bincount(
-        mesh.triangles.T.ravel(), weights=np.take(contrib.T, mesh.tri_prototype, axis=1).ravel(),
-        minlength=mesh.num_vertices,
-    )
+    return _scatter_corners(mesh, (np.take(c, mesh.tri_prototype) for c in contrib.T))
 
 
 def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> DiscreteSystem:
@@ -291,16 +300,14 @@ def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> Disc
     return DiscreteSystem(matrix=K, load=b, mesh=mesh, proto_tensor=A)
 
 
-def _factor(A: sp.spmatrix):
+def _factor(A: sp.csc_matrix, permc_spec: str):
     """The complete sparse LU of a symmetric positive definite matrix, None
-    for an empty one: SuperLU with the minimum-degree ordering of A + A^T
-    and no pivoting."""
+    for an empty one: SuperLU with the column order ``permc_spec`` (as
+    ``splu`` names it) and no pivoting."""
     if A.shape[0] == 0:
         return None
-    return spla.splu(
-        A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def _solve(lu, b: np.ndarray) -> np.ndarray:
@@ -320,8 +327,9 @@ class _Condensed:
     Schur complement S = K_BB - sum over cells of K_BI E on the free
     skeleton dofs, summed run by run (``_add_runs``) in the mesh's pattern
     ``MembraneMesh.schur``, a group of cells with as many skeleton nodes at
-    a time, and factored once, here.  The node sets the solve indexes by
-    are kept as np.intp, so indexing does not cast the int32 topology."""
+    a time, into S's CSC data, and factored once, here, in the pattern's
+    node order.  The node sets the solve indexes by are kept as np.intp, so
+    indexing does not cast the int32 topology."""
 
     def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
         self.K, self.free, pattern = K, mesh.free_nodes.astype(np.intp), mesh.schur
@@ -335,7 +343,7 @@ class _Condensed:
             rep = table[cells[0], np.concatenate([inner, outer])]
             block = K[rep][:, rep]
             ni = len(inner)
-            lu = _factor(block[:ni, :ni])
+            lu = _factor(block[:ni, :ni].tocsc(), "MMD_AT_PLUS_A")
             K_IB = block[:ni, ni:].toarray()
             E = _solve(lu, K_IB)
             blocks.append(-(K_IB.T @ E))
@@ -354,9 +362,8 @@ class _Condensed:
             start += n
         entries = pattern["entries"]
         _add_runs(data, slots[start:], 1, lambda lo, hi: K.data[entries[lo:hi]])
-        S = sp.csr_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
-        S.eliminate_zeros()  # cancelled entries, as on a grid, would only add fill to the LU
-        self.lu = _factor(S)
+        S = sp.csc_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
+        self.lu = _factor(S, "NATURAL")  # the pattern's node order is the nested dissection
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b - K x on the free dofs, through the full matrix."""

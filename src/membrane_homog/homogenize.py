@@ -17,7 +17,6 @@ from .fem import (
     apply_tensor,
     assemble,
     edge_jump_energy,
-    flux_pairing,
     identity_field,
     p1_gradient,
     solve,
@@ -52,6 +51,23 @@ def _test_field_values(pts: np.ndarray) -> tuple[tuple, tuple]:
     vectors = (np.column_stack([b, zero]), np.column_stack([zero, b]),
                np.column_stack([b * y, b * x]))
     return scalars, vectors
+
+
+def _runs(mesh, values: np.ndarray, proto_tensor: np.ndarray):
+    """Each run of ``ROW_RUN`` triangles of ``mesh`` in turn: the run (a
+    slice), its areas and centroids, the centroid values and gradients of
+    the nodal ``values``, the flux A grad with A the conductivity per
+    prototype ``proto_tensor``, and the scalar and vector test fields at
+    the centroids.  Summing a term run by run, no buffer grows with the
+    mesh, and a mesh of one run gets the sums of one pass."""
+    for lo in range(0, mesh.num_triangles, ROW_RUN):
+        tris = slice(lo, lo + ROW_RUN)
+        areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
+        centroids = mesh.centroids[tris]
+        g = p1_gradient(mesh, values, tris)
+        flux = apply_tensor(np.take(proto_tensor, mesh.tri_prototype[tris], axis=0), g)
+        yield (tris, areas, centroids, triangle_centroids(values, mesh.triangles[tris]), g, flux,
+               *_test_field_values(centroids))
 
 
 def solve_hetero(
@@ -125,17 +141,17 @@ class HomogSolution:
 
 def solve_homog(A0: np.ndarray, f, m: int = 128) -> HomogSolution:
     """Constant-coefficient Dirichlet solve on the uniform fine grid, paired
-    once with the test fields."""
+    once with the test fields, a run of ``ROW_RUN`` triangles at a time."""
     mesh = build_square_mesh(m)
     system = assemble(mesh, homog_form(A0), f=f)
-    sol = solve(system)
-    scalars, vectors = _test_field_values(mesh.centroids)
-    weight = mesh.areas * triangle_centroids(sol.values, mesh.triangles)
-    return HomogSolution(
-        values=sol.values, m=m, A0=symmetric_part(A0),
-        flux_pairings=np.array(flux_pairing(sol, system.tensor, vectors)),
-        mass_pairings=np.array([np.sum(weight * phi) for phi in scalars]),
-    )
+    sol, proto_tensor = solve(system), system.proto_tensor
+    del system  # and its solver's factorization, before the pairings
+    total = np.zeros(3 + 4)  # the pairings with the vector test fields, then the scalar ones
+    for _, areas, _, u_c, _, flux, scalars, vectors in _runs(mesh, sol.values, proto_tensor):
+        total += [*[np.einsum("t,ti,ti->", areas, flux, psi) for psi in vectors],
+                  *[np.sum(areas * u_c * phi) for phi in scalars]]
+    return HomogSolution(values=sol.values, m=m, A0=symmetric_part(A0),
+                         flux_pairings=total[:3], mass_pairings=total[3:])
 
 
 def grid_interpolate(u0: HomogSolution, pts: np.ndarray) -> np.ndarray:
@@ -191,9 +207,7 @@ def error_suite(
     carries; ``conductivity`` is evaluated only for a solution without one.
 
     Every triangle sum is taken a run of ``ROW_RUN`` triangles at a time
-    (centroid values, gradient, flux and test fields of the run only) and
-    the runs' sums are added in order, so no buffer grows with the mesh; a
-    mesh of one run gets the sums of one pass over all its triangles."""
+    (``_runs``) and the runs' sums are added in order."""
     if not np.array_equal(symmetric_part(A0), u0.A0):
         raise ValueError("A0 is not the tensor u0 was solved with")
     mesh, values = u_eps.mesh, u_eps.values
@@ -204,18 +218,11 @@ def error_suite(
     # l2 error squared, gradient L2 squared on PLUS and on MINUS, the flux
     # pairings with the vector test fields and u_eps's with the scalar ones
     total = np.zeros(3 + 3 + 4)
-    for lo in range(0, mesh.num_triangles, ROW_RUN):
-        tris = slice(lo, lo + ROW_RUN)
-        areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
-        centroids = mesh.centroids[tris]
-        ue_c = triangle_centroids(values, mesh.triangles[tris])
-        g = p1_gradient(mesh, values, tris)
+    for tris, areas, centroids, ue_c, g, flux, scalars, vectors in _runs(mesh, values, proto):
         g2 = np.einsum("td,td->t", g, g)
-        flux = apply_tensor(np.take(proto, mesh.tri_prototype[tris], axis=0), g)
         plus = mesh.tri_region[tris] == PLUS
         minus = mesh.tri_region[tris] == MINUS
         weight = areas[minus] * ue_c[minus]
-        scalars, vectors = _test_field_values(centroids)
         total += [
             np.sum(areas * (ue_c - grid_interpolate(u0, centroids)) ** 2),
             np.sum(areas[plus] * g2[plus]), np.sum(areas[minus] * g2[minus]),

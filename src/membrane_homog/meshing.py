@@ -10,12 +10,13 @@ deformation on every cell it flags (``DeformationMap``).
 
 So a tiling's numbering, stitch, cells and cell table, interface edges,
 boundary, free nodes, skeleton and the patterns of the matrix and of its
-Schur complement on the skeleton depend only on the cell mesh, the lattice
-block, its membrane mask and the scale: they are built once per process for
-each such configuration (a small cache, as is the cell mesh for each
-interface and h) and a realization only names the kind of each cell and
-moves the nodes to their deformed positions.  Edges and patterns are tiled
-from the cell; ``fem`` builds no index set beyond the kinds' columns.
+Schur complement on the skeleton, in the skeleton's elimination order,
+depend only on the cell mesh, the lattice block, its membrane mask and the
+scale: they are built once per process for each such configuration (a small
+cache, as is the cell mesh for each interface and h) and a realization only
+names the kind of each cell and moves the nodes to their deformed positions.
+Edges and patterns are tiled from the cell; ``fem`` builds no index set
+beyond the kinds' columns.
 
 Every mesh is a block of lattice cells, stated by its builder with each
 triangle's cell and each cell's nodes, and names the kind of each cell: a
@@ -114,15 +115,16 @@ class MembraneMesh:
 
     ``schur`` (int32 arrays) is where ``fem`` sums the Schur complement S of
     a matrix in the mesh's pattern on the free skeleton nodes: ``nodes``,
-    those nodes in order; ``indptr`` and ``indices``, S's CSR pattern over
-    them; ``entries``, the matrix entries between two of them; ``cells``,
-    the cells in the order their Schur blocks are summed (by their count of
-    skeleton nodes); and ``slots``, the position in S's data of each
-    summand: the Schur block of each cell of ``cells`` over its skeleton
-    nodes in table column order, row-major, then the ``entries``.  A summand
-    in a boundary row or column goes to the extra slot len(indices).  The
-    keys are merged with each group's columns in the node order of its last
-    cell, in which they come in nearly sorted runs.
+    those nodes in nested-dissection order along the lattice lines (see
+    ``_dissection``), the order S is factored in; ``indptr`` and
+    ``indices``, S's CSC pattern over them; ``entries``, the matrix entries
+    between two of them; ``cells``, the cells in the order their Schur
+    blocks are summed (by their count of skeleton nodes); and ``slots``, the
+    position in S's CSC data of each summand: the Schur block of each cell
+    of ``cells`` over its skeleton nodes in table column order, row-major,
+    then the ``entries``.  A summand in a boundary row or column goes to the
+    extra slot len(indices).  The keys are merged with each cell's columns
+    in its nodes' order, in which its keys come sorted.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
@@ -275,31 +277,35 @@ class MembraneMesh:
         m = len(nodes)
         pos = np.full(self.num_vertices + 1, m, dtype=np.uint32 if m * m < 2**32 else np.int64)
         pos[nodes] = np.arange(m)  # position among ``nodes``; m for the others and absent ones
+        nodes = nodes[_dissection(self.cells, table, on, pos, m)]
+        pos[nodes] = np.arange(m)
         count = on.sum(axis=1)
         cells = np.argsort(count, kind="stable")
         keys, pairs, perms = [], [], []
         for b in np.unique(count):  # per count b of skeleton nodes: each cell's b x b block
             group = cells[count[cells] == b]
             at = pos[table[group][on[group]]].reshape(len(group), b)
-            perms.append(np.argsort(at[-1], kind="stable"))  # the group's last cell's node order
-            at = at[:, perms[-1]]  # so that the keys come in sorted runs
+            perms.append(np.argsort(at, axis=1, kind="stable"))  # each cell's nodes in order
+            at = np.take_along_axis(at, perms[-1], axis=1)  # so that each cell's keys are sorted
             pairs.append((at < m)[:, :, None] & (at < m)[:, None, :])  # both nodes free
-            keys.append((at[:, :, None] * m + at[:, None, :])[pairs[-1]])
+            keys.append((at[:, :, None] * m + at[:, None, :])[pairs[-1]])  # column by column
         start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
         row = np.repeat(np.arange(m), length)  # the matrix entries between free skeleton nodes
         entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
         col = pos[self.indices[entries]]
         entries, row, col = entries[col < m], row[col < m], col[col < m]
-        keys.append((row * m + col).astype(pos.dtype))
+        keys.append((col * m + row).astype(pos.dtype))
         pairs.append(np.ones(len(entries), dtype=bool))
 
         links, at = _merged(keys)
         slots = np.full(sum(p.size for p in pairs), len(links), dtype=np.int32)
         slots[np.concatenate([p.ravel() for p in pairs])] = at
         start = 0
-        for p, perm in zip(pairs, perms):  # each block back in table column order
+        for p, perm in zip(pairs, perms):  # each block back in table column order, row-major
             block = slots[start:start + p.size].reshape(p.shape)
-            block[:, perm[:, None], perm] = block.copy()
+            # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands
+            cell = np.arange(len(perm))[:, None, None]
+            block[cell, perm[:, None], perm[:, :, None]] = block.copy()
             start += p.size
         return {name: a.astype(np.int32, copy=False) for name, a in (
             ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
@@ -333,6 +339,47 @@ class MembraneMesh:
             )
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
         return float(np.min(angles))
+
+
+def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.ndarray,
+                m: int) -> np.ndarray:
+    """The nested-dissection order along the lattice lines (George, "Nested
+    dissection of a regular finite element mesh", SIAM J. Numer. Anal. 1973)
+    of the m nodes at ``pos`` (m for every other node), a permutation of
+    range(m).  Each node's box is the block of the ``cells`` whose rows of
+    the cell ``table`` hold it at a column ``on`` marks.  The block of all
+    cells is cut at the middle of its longer side (x on a tie); the nodes
+    whose box straddles the cut are numbered after those of both halves, and
+    each half is cut the same way until it is one cell wide.  The nodes of
+    one separator, or of one block, keep their given order."""
+    if not (m and len(cells)):
+        return np.arange(m)
+    rows, cols = np.nonzero(on)
+    at, where = pos[table[rows, cols]], cells[rows]
+    lo = np.full((m + 1, 2), np.iinfo(np.int64).max)  # each node's box; m takes the others
+    hi = np.full((m + 1, 2), np.iinfo(np.int64).min)
+    np.minimum.at(lo, at, where)
+    np.maximum.at(hi, at, where)
+    lo, hi, r = lo[:m], hi[:m], np.arange(m)
+    b0 = np.repeat([cells.min(axis=0)], m, axis=0)  # each node's block: [b0, b1)
+    b1 = np.repeat([cells.max(axis=0) + 1], m, axis=0)
+    digits, cut = [], np.ones(m, dtype=bool)  # per cut: 0 left, 1 right, 2 separator
+    while True:
+        size = b1 - b0
+        axis = (size[:, 1] > size[:, 0]).astype(np.intp)
+        half = size[r, axis] // 2
+        cut &= half > 0
+        if not cut.any():
+            break
+        mid = b0[r, axis] + half
+        right = lo[r, axis] >= mid
+        sep = ~right & (hi[r, axis] >= mid)
+        digits.append((np.where(sep, 2, right) * cut).astype(np.int8))
+        down, up = cut & right, cut & ~right & ~sep
+        b0[r[down], axis[down]] = mid[down]
+        b1[r[up], axis[up]] = mid[up]
+        cut &= ~sep
+    return np.lexsort(digits[::-1]) if digits else r
 
 
 def triangle_geometry(v: np.ndarray, t: np.ndarray):

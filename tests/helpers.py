@@ -1,12 +1,15 @@
 """Quantities only the tests read: per-triangle conductivities, a mesh with
 every cell its own kind, the fluxes of every cell of a corrector, the
-lattice shift of the Bernoulli field and map, and the exact A0 of the
-periodic identity cell."""
+lattice shift of the Bernoulli field and map, the exact A0 of the
+periodic identity cell, and the LU fill of the skeleton's Schur complement
+in two orders."""
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+import membrane_homog.fem as fem
 from membrane_homog.corrector import flux_density, side_sums
 from membrane_homog.geometry import BernoulliCellwiseMap, BernoulliField
 
@@ -97,3 +100,27 @@ def trefftz_a0(modes):
     y, w = np.polynomial.legendre.leggauss(64)  # Gauss points on [0, 1/2] and back to [-1/2, 1/2]
     flux = 0.5 * w @ (derivative(0.5 + 0.25j * (y + 1.0)).real @ c)
     return float(flux), float(np.abs(M @ c - rhs).max())
+
+
+def skeleton_fills(system):
+    """The LU fill (L.nnz + U.nnz) and factor seconds of the Schur complement
+    S that ``fem._Condensed`` sums on the free skeleton of ``system``: under
+    ``"stored"``, S as the solver factors it, in the mesh's stored
+    nested-dissection order; under ``"mmd"``, S with its nodes sorted and its
+    zero entries dropped, in SuperLU's minimum-degree order of S + S^T
+    (``MMD_AT_PLUS_A``)."""
+    factored, factor = [], fem._factor
+    fem._factor = lambda A, spec: factored.append(A) or factor(A, spec)
+    try:
+        fem._Condensed(system.matrix, system.mesh)
+    finally:
+        fem._factor = factor
+    S, order = factored[-1], np.argsort(system.mesh.schur["nodes"])
+    ranked = S[order][:, order].tocsc()
+    ranked.eliminate_zeros()
+    out = {}
+    for name, A, spec in (("stored", S, "NATURAL"), ("mmd", ranked, "MMD_AT_PLUS_A")):
+        start = time.perf_counter()
+        lu = factor(A, spec)
+        out[name] = (lu.L.nnz + lu.U.nnz, time.perf_counter() - start)
+    return out

@@ -493,18 +493,18 @@ class TestHomogenizedSideOnce:
     carries its grid values and pairings, not its mesh."""
 
     def test_pairs_u0_once_and_ships_values(self, tmp_path, monkeypatch):
-        pairings, task_bytes = [0], []
-        flux_pairing, hetero_task = homogenize.flux_pairing, cli._hetero_task
+        paired, task_bytes = [], []  # the mesh of each run-by-run pairing
+        runs, hetero_task = homogenize._runs, cli._hetero_task
 
-        def counted_pairing(*args, **kwargs):
-            pairings[0] += 1
-            return flux_pairing(*args, **kwargs)
+        def counted_runs(mesh, *args):
+            paired.append(mesh)
+            return runs(mesh, *args)
 
         def measured_task(task):
             task_bytes.append(len(pickle.dumps(task)))
             return hetero_task(task)
 
-        monkeypatch.setattr(homogenize, "flux_pairing", counted_pairing)
+        monkeypatch.setattr(homogenize, "_runs", counted_runs)
         monkeypatch.setattr(cli, "_hetero_task", measured_task)
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
@@ -512,8 +512,10 @@ class TestHomogenizedSideOnce:
         assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
         rows = (out / "convergence.csv").read_text().splitlines()[1:]
         assert len(rows) == len(task_bytes) == 4
-        assert pairings[0] == 1  # u0's: an error row sums its pairings run by run of triangles
         assert parse_config(str(p)).homog_grid == 128
+        # u0 is paired once, on its grid; each error row pairs its own mesh
+        assert sum(mesh.num_vertices == 129**2 for mesh in paired) == 1
+        assert len(paired) == 1 + len(rows)
         assert max(task_bytes) < 200_000
 
 

@@ -34,7 +34,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import cellwise, form_tensor
+from helpers import cellwise, form_tensor, skeleton_fills
 from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
@@ -586,7 +586,9 @@ class TestTwoLevelCG:
         assert len(nodes) and not np.isin(nodes, template.boundary_nodes).any()
         off = np.setdiff1d(np.arange(template.num_vertices), template.boundary_nodes)
         assert np.array_equal(template.free_nodes, off)
-        assert np.array_equal(nodes, np.setdiff1d(template.skeleton, template.boundary_nodes))
+        # in the stored nested-dissection order, a permutation of the free skeleton
+        free = np.setdiff1d(template.skeleton, template.boundary_nodes)
+        assert np.array_equal(np.sort(nodes), free)
 
     SCHUR_CASES = {
         "bernoulli": (lambda cell: build_truncated_mesh(cell, BernoulliCellwiseMap(0), 2),
@@ -607,7 +609,7 @@ class TestTwoLevelCG:
             assert set(system.mesh.cell_kind) == {0, 1, 2, 3}
         mesh = cellwise(system.mesh) if per_cell else system.mesh
         factored, factor = [], fem._factor
-        monkeypatch.setattr(fem, "_factor", lambda A: factored.append(A) or factor(A))
+        monkeypatch.setattr(fem, "_factor", lambda A, spec: factored.append(A) or factor(A, spec))
         fem._Condensed(system.matrix, mesh)
         S = factored[-1].toarray()  # S is factored last
         B = mesh.schur["nodes"]
@@ -619,7 +621,7 @@ class TestTwoLevelCG:
 
     def test_folded_periodic_cell_has_empty_schur_complement(self, monkeypatch):
         factored, factor = [], fem._factor
-        monkeypatch.setattr(fem, "_factor", lambda A: factored.append(A) or factor(A))
+        monkeypatch.setattr(fem, "_factor", lambda A, spec: factored.append(A) or factor(A, spec))
         periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)
         interior, S = factored  # the one cell's interior, then S
         assert S.shape == (0, 0) and interior.shape[0] > 0
@@ -652,6 +654,68 @@ class TestTwoLevelCG:
         with pytest.raises(SolverDivergence, match="residual 0.125 .* after 3 applications"):
             solve(system)
         assert len(calls) == fem.APPLICATIONS == 3
+
+
+class TestSkeletonOrder:
+    """The mesh stores its free skeleton nodes in nested-dissection order
+    along the lattice lines, which the skeleton LU takes as it stands; the
+    solves leave the stored pattern as they found it."""
+
+    @pytest.mark.parametrize("name", ["cube", "eighth", "grid", "cell", "folded", "empty"])
+    def test_nodes_permute_the_free_skeleton(self, cell_h01, name):
+        mesh = {
+            "cube": lambda: build_truncated_mesh(cell_h01, BernoulliCellwiseMap(0), 2),
+            "eighth": lambda: tile_domain_mesh(cell_h01, BernoulliCellwiseMap(0), 0.125, SPEC),
+            "grid": lambda: build_square_mesh(40),
+            "cell": lambda: cell_h01,
+            "folded": lambda: folded_cell(0.1),
+            "empty": lambda: mesh_from_tri_cell(
+                np.zeros((0, 2), dtype=np.int64), vertices=np.zeros((0, 2)),
+                triangles=np.zeros((0, 3), dtype=np.int64), tri_region=np.zeros(0, dtype=np.int8),
+                interface_pairs=np.zeros((0, 2), dtype=np.int64),
+                boundary_nodes=np.zeros(0, dtype=np.int64)),
+        }[name]()
+        nodes, free = mesh.schur["nodes"], np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
+        assert nodes.dtype == np.int32 and np.array_equal(np.sort(nodes), free)
+        assert (len(nodes) > 0) == (name in ("cube", "eighth", "grid"))
+
+    def test_separators_come_last(self):
+        # the 32 x 32 grid is 2 x 2 cells: the first cut, x = 16, splits it
+        # into two columns of cells, each cut at y = 16; the halves of
+        # y = 16 come before x = 16, left before right
+        mesh = build_square_mesh(32)
+        x, y = (mesh.vertices[mesh.schur["nodes"]] * 32).T
+        assert (y[:30] == 16).all() and (x[30:] == 16).all() and len(x) == 61
+        assert (x[:15] < 16).all() and (x[15:30] > 16).all()
+
+    @pytest.mark.parametrize("case", ["cube2", "cube4", "eighth", "grid128"])
+    def test_fill_at_most_minimum_degree(self, cell_h01, case):
+        mesh, form = {
+            "cube2": lambda: (build_truncated_mesh(cell_h01, BernoulliCellwiseMap(0), 2),
+                              BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)),
+            "cube4": lambda: (build_truncated_mesh(cell_h01, BernoulliCellwiseMap(0), 4),
+                              BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)),
+            "eighth": lambda: (tile_domain_mesh(cell_h01, BernoulliCellwiseMap(0), 0.125, SPEC),
+                               hetero_form(0.125)),
+            "grid128": lambda: (build_square_mesh(128), BilinearFormSpec()),
+        }[case]()
+        fills = skeleton_fills(assemble(mesh, form))
+        stored, mmd = fills["stored"][0], fills["mmd"][0]
+        # the grid's S keeps the entries that cancel to zero: at most 3 % more fill
+        assert stored <= (1.03 if case == "grid128" else 1.0) * mmd, (stored, mmd)
+
+    @pytest.mark.parametrize("case", ["grid", "tiling"])
+    def test_solves_leave_the_pattern_intact(self, cell_h01, case):
+        # the grid's S has entries that cancel to zero exactly
+        mesh, form = {
+            "grid": lambda: (build_square_mesh(20), BilinearFormSpec()),
+            "tiling": lambda: (tile_domain_mesh(cell_h01, BernoulliCellwiseMap(1), 0.25, SPEC),
+                               hetero_form(0.25)),
+        }[case]()
+        before = {name: a.copy() for name, a in mesh.schur.items()}
+        first, second = (solve(assemble(mesh, form, f=1.0)) for _ in range(2))
+        assert first.values.tobytes() == second.values.tobytes()
+        assert all(np.array_equal(mesh.schur[name], a) for name, a in before.items())
 
 
 class TestNorms:

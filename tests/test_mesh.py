@@ -899,11 +899,11 @@ def oracle_pattern(mesh, edges):
     return indptr, (keys % nv).astype(np.int32), slots
 
 
-def oracle_schur(mesh, indptr, indices):
-    """The ``schur`` pattern by a sort of every Schur-block and matrix-entry
-    key and a search per key."""
+def oracle_schur(mesh, indptr, indices, nodes):
+    """The ``schur`` pattern of the free skeleton ``nodes`` in their given
+    order, by a sort of every Schur-block and matrix-entry key, column-major
+    (column * m + row), and a search per key."""
     n, table, on = mesh.num_vertices, mesh.cell_nodes, mesh.cell_skeleton
-    nodes = np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
     m = len(nodes)
     pos = np.full(n + 1, -1)
     pos[nodes] = np.arange(m)
@@ -914,13 +914,13 @@ def oracle_schur(mesh, indptr, indices):
         group = cells[count[cells] == b]
         at = pos[table[group][on[group]]].reshape(len(group), b, 1)
         off = (at < 0) | (at < 0).transpose(0, 2, 1)
-        keys.append(np.where(off, -1, at * m + at.transpose(0, 2, 1)).ravel())
+        keys.append(np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel())
     start, length = indptr[nodes], np.diff(indptr)[nodes]
     row = np.repeat(np.arange(m), length)
     entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
     col = pos[indices[entries]]
     entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
-    keys.append(row * m + col)
+    keys.append(col * m + row)
     keys = np.concatenate(keys)
     links = np.unique(keys[keys >= 0])
     slots = np.searchsorted(links, keys).astype(np.int32)
@@ -937,7 +937,8 @@ def assert_topology_matches_oracle(mesh):
     indptr, indices, slots = oracle_pattern(mesh, edges)
     want = {"interface_edges": edges, "edge_cell_index": edge_cells,
             "indptr": indptr, "indices": indices, "slots": slots}
-    want.update({f"schur[{k}]": v for k, v in oracle_schur(mesh, indptr, indices).items()})
+    nodes = mesh.schur["nodes"]  # the stored order, checked on its own by TestSkeletonOrder
+    want.update({f"schur[{k}]": v for k, v in oracle_schur(mesh, indptr, indices, nodes).items()})
     got = {name: getattr(mesh, name) for name in ("interface_edges", "edge_cell_index",
                                                   "indptr", "indices", "slots")}
     got.update({f"schur[{k}]": v for k, v in mesh.schur.items()})
