@@ -31,14 +31,15 @@ cell interiors condensed per kind: cells of one kind
 (``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
 so one sparse LU of one cell's interior block serves them all, and the only
 other factorization is that of the Schur complement on the free dofs of the
-cell skeleton (``MembraneMesh.skeleton``).  The same runs sum the kinds'
-Schur blocks and the matrix's skeleton entries into that complement, in the
-pattern the mesh stores (``MembraneMesh.schur``): every index set of
-the solver that the topology fixes is built with the mesh.  That pattern
-holds the skeleton in nested-dissection order and is laid out column by
-column, so the sum is the complement in CSC, as SuperLU takes it, factored
-in that order with no copy and no ordering of its own; the interior blocks
-are ordered by minimum degree.  Under the contract K~ is the matrix up to
+cell skeleton, the nodes on a cell boundary (``MembraneMesh.cell_skeleton``
+marks them).  The same runs sum the kinds' Schur blocks and the matrix's
+skeleton entries into that complement, in the pattern the mesh stores
+(``MembraneMesh.schur``): every index set of the solver that the topology
+fixes is built with the mesh.  That pattern holds the skeleton in
+nested-dissection order and is laid out column by column, so the sum is the
+complement in CSC, as SuperLU takes it, factored in that order with no copy
+and no ordering of its own; the interior blocks are ordered by minimum
+degree.  Under the contract K~ is the matrix up to
 rounding and one application solves the system.  The solve checks the true
 residual |b - K x| / |b| and refines with x += K~^-1 (b - K x) while it is
 above RTOL, and raises ``SolverDivergence`` if it still is after
@@ -130,23 +131,18 @@ class BilinearFormSpec:
 @dataclass
 class DiscreteSystem:
     """Assembled matrix and load; ``proto_tensor`` is the form's conductivity
-    per prototype of ``mesh``, evaluated once by assemble, and ``tensor``
-    gathers it per triangle on each use (``mesh`` is the mesh assembled on;
-    the matrix is in its pattern).  The solution is zero on ``fixed``, the
-    mesh's boundary nodes, and unknown on ``free``, the mesh's
-    ``free_nodes``.  ``solver`` holds the set-up ``solve`` builds on first
-    use; copies made by ``dataclasses.replace`` share it, and it is rebuilt
-    for a copy with another matrix or mesh."""
+    per prototype of ``mesh``, evaluated once by assemble (``mesh`` is the
+    mesh assembled on; the matrix is in its pattern).  The solution is zero
+    on ``fixed``, the mesh's boundary nodes, and unknown on ``free``, the
+    mesh's ``free_nodes``.  ``solver`` holds the set-up ``solve`` builds on
+    first use; copies made by ``dataclasses.replace`` share it, and it is
+    rebuilt for a copy with another matrix or mesh."""
 
     matrix: sp.csr_matrix
     load: np.ndarray
     mesh: MembraneMesh
     proto_tensor: np.ndarray
     solver: list = field(default_factory=list, repr=False)
-
-    @property
-    def tensor(self) -> np.ndarray:
-        return np.take(self.proto_tensor, self.mesh.tri_prototype, axis=0)
 
     @property
     def fixed(self) -> np.ndarray:
@@ -256,7 +252,7 @@ def _scatter_corners(mesh: MembraneMesh, loads) -> np.ndarray:
 def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
     """int f phi_i with f constant per triangle (centroid value)."""
     if callable(f):
-        fc = f(mesh.centroids)
+        fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
     else:
         fc = np.full(mesh.num_triangles, float(f))
     contrib = mesh.areas * fc / 3.0
@@ -326,17 +322,19 @@ class _Condensed:
     mesh's pattern).  The skeleton block of K~^-1 is the inverse of the
     Schur complement S = K_BB - sum over cells of K_BI E on the free
     skeleton dofs, summed run by run (``_add_runs``) in the mesh's pattern
-    ``MembraneMesh.schur``, a group of cells with as many skeleton nodes at
-    a time, into S's CSC data, and factored once, here, in the pattern's
-    node order.  The node sets the solve indexes by are kept as np.intp, so
-    indexing does not cast the int32 topology."""
+    ``MembraneMesh.schur``, cell by cell, each kind's block padded once to
+    the pattern's block width, into S's CSC data, and factored once, here,
+    in the pattern's node order.  The node sets the solve indexes by are
+    kept as np.intp, so indexing does not cast the int32 topology."""
 
     def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
         self.K, self.free, pattern = K, mesh.free_nodes.astype(np.intp), mesh.schur
         table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
         interior = (table >= 0) & ~skeleton
-        self.kinds, blocks = [], []
+        self.kinds = []
         labels, rank = np.unique(mesh.cell_kind, return_inverse=True)
+        w = skeleton.sum(axis=1).max(initial=0)  # the pattern's block width
+        blocks = np.zeros((len(labels), w, w))  # each kind's Schur block, padded with zeros
         for kind in range(len(labels)):
             cells = np.flatnonzero(rank == kind)
             inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
@@ -346,22 +344,16 @@ class _Condensed:
             lu = _factor(block[:ni, :ni].tocsc(), "MMD_AT_PLUS_A")
             K_IB = block[:ni, ni:].toarray()
             E = _solve(lu, K_IB)
-            blocks.append(-(K_IB.T @ E))
+            blocks[kind, :len(outer), :len(outer)] = -(K_IB.T @ E)
             members = table[cells].astype(np.intp)
             self.kinds.append((members[:, inner], members[:, outer], lu, E))
         self.skeleton = pattern["nodes"].astype(np.intp)
         indices, slots = pattern["indices"], pattern["slots"]
         data = np.zeros(len(indices) + 1)
-        order, width = rank[pattern["cells"]], [block.size for block in blocks]
-        start = 0  # each run of cells with blocks of one width: the kind of each in turn
-        for group in np.split(order, np.flatnonzero(np.diff(np.take(width, order))) + 1):
-            n = len(group) * width[group[0]]
-            if n:
-                _add_runs(data, slots[start:start + n], width[group[0]],
-                          lambda lo, hi, group=group: np.stack([blocks[r] for r in group[lo:hi]]))
-            start += n
-        entries = pattern["entries"]
-        _add_runs(data, slots[start:], 1, lambda lo, hi: K.data[entries[lo:hi]])
+        split, entries = len(rank) * w * w, pattern["entries"]
+        if w:  # else no cell has a skeleton node
+            _add_runs(data, slots[:split], w * w, lambda lo, hi: blocks[rank[lo:hi]])
+        _add_runs(data, slots[split:], 1, lambda lo, hi: K.data[entries[lo:hi]])
         S = sp.csc_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
         self.lu = _factor(S, "NATURAL")  # the pattern's node order is the nested dissection
 
@@ -447,8 +439,8 @@ def norms(sol: FemSolution) -> dict:
 def flux_pairing(sol: FemSolution, tensor: np.ndarray, fields) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
     for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
-    centroids, with A the per-triangle ``tensor`` (as
-    ``DiscreteSystem.tensor`` gathers it); the mesh's areas and the
+    centroids, with A the per-triangle ``tensor`` (``proto_tensor`` gathered
+    by ``MembraneMesh.tri_prototype``); the mesh's areas and the
     solution's ``p1_gradient`` are gathered once for all fields."""
     mesh = sol.mesh
     areas, g = mesh.areas, p1_gradient(mesh, sol.values)

@@ -63,7 +63,7 @@ def _runs(mesh, values: np.ndarray, proto_tensor: np.ndarray):
     for lo in range(0, mesh.num_triangles, ROW_RUN):
         tris = slice(lo, lo + ROW_RUN)
         areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
-        centroids = mesh.centroids[tris]
+        centroids = triangle_centroids(mesh.vertices, mesh.triangles[tris])
         g = p1_gradient(mesh, values, tris)
         flux = apply_tensor(np.take(proto_tensor, mesh.tri_prototype[tris], axis=0), g)
         yield (tris, areas, centroids, triangle_centroids(values, mesh.triangles[tris]), g, flux,

@@ -86,16 +86,16 @@ class MembraneMesh:
     The rest of the topology and the geometry are derived once, at
     construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
     minus_b), the edges of one MINUS triangle between MINUS interface nodes,
-    as their triangle runs (counterclockwise around each membrane), sorted;
-    ``edge_cell_index`` is the row of ``cells`` each edge belongs to, and
-    ``centroids`` (nt, 2) the physical centroids.  ``indptr`` and ``indices``
-    (int32) are the CSR pattern of the transmission form's matrix, and
-    ``slots`` (int32) the pattern position of every element entry: the 3 x 3
-    entries of each triangle, row-major, then the 4 x 4 entries of each
-    interface edge.  Each kind's first cell gives its edges and links (node
-    pairs) in table columns, the table maps them to every cell of the kind,
-    and one sort merges the links cells share; a cell that is no copy of its
-    kind's first cell raises ValueError.
+    as their triangle runs (counterclockwise around each membrane), sorted,
+    and ``edge_cell_index`` the row of ``cells`` each edge belongs to.
+    ``indptr`` and ``indices`` (int32) are the CSR pattern of the
+    transmission form's matrix, and ``slots`` (int32) the pattern position
+    of every element entry: the 3 x 3 entries of each triangle, row-major,
+    then the 4 x 4 entries of each interface edge.  Each kind's first cell
+    gives its edges and links (node pairs) in table columns, the table maps
+    them to every cell of the kind, and one sort merges the links cells
+    share; a cell that is no copy of its kind's first cell raises
+    ValueError.
 
     ``cell_kind`` (nc,) labels cells whose element matrices agree up to
     rounding (by default each cell is its own kind): cells of one kind have
@@ -105,26 +105,28 @@ class MembraneMesh:
     for the others: ``tri_prototype`` (nt,) gives each triangle's row of
     ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
     prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
-    ``fem.p1_gradient`` gather on each use.
+    ``fem.p1_gradient`` gather on each use.  The mesh stores no other
+    per-triangle floats: a reader of the centroids computes them
+    (``triangle_centroids``).
 
-    ``skeleton`` (sorted) holds the nodes on a cell boundary: those on the
-    mesh boundary, in no cell or in more than one; every other node is
-    interior to one cell.  ``cell_skeleton`` (nc, w) marks the table's
-    skeleton nodes, ``free_nodes`` every node off ``boundary_nodes``: the
-    dofs of every system on the mesh.
+    The skeleton is the nodes on a cell boundary: those on the mesh
+    boundary, in no cell or in more than one; every other node is interior
+    to one cell.  ``cell_skeleton`` (nc, w) marks the table's skeleton
+    nodes, ``free_nodes`` every node off ``boundary_nodes``: the dofs of
+    every system on the mesh.
 
     ``schur`` (int32 arrays) is where ``fem`` sums the Schur complement S of
     a matrix in the mesh's pattern on the free skeleton nodes: ``nodes``,
     those nodes in nested-dissection order along the lattice lines (see
     ``_dissection``), the order S is factored in; ``indptr`` and
     ``indices``, S's CSC pattern over them; ``entries``, the matrix entries
-    between two of them; ``cells``, the cells in the order their Schur
-    blocks are summed (by their count of skeleton nodes); and ``slots``, the
-    position in S's CSC data of each summand: the Schur block of each cell
-    of ``cells`` over its skeleton nodes in table column order, row-major,
-    then the ``entries``.  A summand in a boundary row or column goes to the
-    extra slot len(indices).  The keys are merged with each cell's columns
-    in its nodes' order, in which its keys come sorted.
+    between two of them; and ``slots``, the position in S's CSC data of
+    each summand: the Schur block of each cell in turn over its skeleton
+    nodes in table column order, padded to the widest cell's count of
+    skeleton nodes, row-major, then the ``entries``.  A summand in a
+    boundary or padded row or column goes to the extra slot len(indices).
+    The keys are merged with each cell's columns in its nodes' order, in
+    which its keys come sorted.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
@@ -143,7 +145,6 @@ class MembraneMesh:
     tri_local: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
-    centroids: np.ndarray = field(init=False, repr=False)
     prototypes: np.ndarray = field(init=False, repr=False)
     tri_prototype: np.ndarray = field(init=False, repr=False)
     proto_areas: np.ndarray = field(init=False, repr=False)
@@ -151,7 +152,6 @@ class MembraneMesh:
     indptr: np.ndarray = field(init=False, repr=False)
     indices: np.ndarray = field(init=False, repr=False)
     slots: np.ndarray = field(init=False, repr=False)
-    skeleton: np.ndarray = field(init=False, repr=False)
     cell_skeleton: np.ndarray = field(init=False, repr=False)
     free_nodes: np.ndarray = field(init=False, repr=False)
     schur: dict = field(init=False, repr=False)
@@ -171,17 +171,15 @@ class MembraneMesh:
         self.tri_local[tri_order] = (
             np.arange(self.num_triangles) - np.repeat(np.cumsum(tri_count) - tri_count, tri_count))
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
-        on[self.boundary_nodes] = True
-        self.skeleton = np.flatnonzero(on).astype(np.int32)
+        on[self.boundary_nodes] = True  # the skeleton
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices, dtype=np.int32),
                                     self.boundary_nodes)
         self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
         self._tile(on, tri_order, tri_count)
-        self.schur = self._schur_pattern()
+        self.schur = self._schur_pattern(on)
         self.ref_vertices = self.vertices
         self._take_prototypes(self.cell_kind)
-        self.centroids = triangle_centroids(self.vertices, self.triangles)
 
     def _take_prototypes(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
@@ -202,7 +200,7 @@ class MembraneMesh:
 
     def with_kinds(self, kind: np.ndarray, vertices: np.ndarray = None) -> "MembraneMesh":
         """A copy sharing the topology, with cell kinds ``kind`` (and nodes at
-        ``vertices``; ``centroids`` stay this mesh's)."""
+        ``vertices``)."""
         out = copy.copy(self)
         out.vertices = self.vertices if vertices is None else vertices
         out._take_prototypes(kind)
@@ -269,46 +267,39 @@ class MembraneMesh:
             edge_slots.append(np.take(per_cell, s.reshape(-1, 16), axis=1).reshape(-1, 16))
         self.slots[9 * len(tri):] = np.concatenate(edge_slots)[order].ravel()
 
-    def _schur_pattern(self) -> dict:
+    def _schur_pattern(self, on_skeleton: np.ndarray) -> dict:
         """The ``schur`` pattern of the free skeleton nodes (see the class
-        docstring)."""
+        docstring); ``on_skeleton`` marks the skeleton nodes."""
         table, on = self.cell_nodes, self.cell_skeleton
-        nodes = np.setdiff1d(self.skeleton, self.boundary_nodes, assume_unique=True)
+        nodes = np.setdiff1d(np.flatnonzero(on_skeleton), self.boundary_nodes, assume_unique=True)
         m = len(nodes)
         pos = np.full(self.num_vertices + 1, m, dtype=np.uint32 if m * m < 2**32 else np.int64)
         pos[nodes] = np.arange(m)  # position among ``nodes``; m for the others and absent ones
         nodes = nodes[_dissection(self.cells, table, on, pos, m)]
         pos[nodes] = np.arange(m)
         count = on.sum(axis=1)
-        cells = np.argsort(count, kind="stable")
-        keys, pairs, perms = [], [], []
-        for b in np.unique(count):  # per count b of skeleton nodes: each cell's b x b block
-            group = cells[count[cells] == b]
-            at = pos[table[group][on[group]]].reshape(len(group), b)
-            perms.append(np.argsort(at, axis=1, kind="stable"))  # each cell's nodes in order
-            at = np.take_along_axis(at, perms[-1], axis=1)  # so that each cell's keys are sorted
-            pairs.append((at < m)[:, :, None] & (at < m)[:, None, :])  # both nodes free
-            keys.append((at[:, :, None] * m + at[:, None, :])[pairs[-1]])  # column by column
+        at = np.full((len(table), count.max(initial=0)), m, dtype=pos.dtype)  # m pads
+        at[np.arange(at.shape[1]) < count[:, None]] = pos[table[on]]  # each cell's skeleton nodes
+        perm = np.argsort(at, axis=1, kind="stable")  # each cell's nodes in order
+        at = np.take_along_axis(at, perm, axis=1)  # so that each cell's keys are sorted
+        pair = (at < m)[:, :, None] & (at < m)[:, None, :]  # both nodes free
+        keys = [(at[:, :, None] * m + at[:, None, :])[pair]]  # column by column
         start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
         row = np.repeat(np.arange(m), length)  # the matrix entries between free skeleton nodes
         entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
         col = pos[self.indices[entries]]
         entries, row, col = entries[col < m], row[col < m], col[col < m]
         keys.append((col * m + row).astype(pos.dtype))
-        pairs.append(np.ones(len(entries), dtype=bool))
 
         links, at = _merged(keys)
-        slots = np.full(sum(p.size for p in pairs), len(links), dtype=np.int32)
-        slots[np.concatenate([p.ravel() for p in pairs])] = at
-        start = 0
-        for p, perm in zip(pairs, perms):  # each block back in table column order, row-major
-            block = slots[start:start + p.size].reshape(p.shape)
-            # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands
-            cell = np.arange(len(perm))[:, None, None]
-            block[cell, perm[:, None], perm[:, :, None]] = block.copy()
-            start += p.size
+        slots = np.full(pair.size + len(entries), len(links), dtype=np.int32)
+        slots[np.append(pair.ravel(), np.ones(len(entries), dtype=bool))] = at
+        block = slots[:pair.size].reshape(pair.shape)  # each block back in table column order
+        # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands
+        cell = np.arange(len(perm))[:, None, None]
+        block[cell, perm[:, None], perm[:, :, None]] = block.copy()
         return {name: a.astype(np.int32, copy=False) for name, a in (
-            ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
+            ("nodes", nodes), ("entries", entries), ("slots", slots),
             ("indices", links - links // max(m, 1) * m),
             ("indptr", np.searchsorted(links, np.arange(m + 1, dtype=links.dtype) * m)))}
 
@@ -687,16 +678,9 @@ class _Tiling:
         if (gap > STITCH_TOL).any():
             k = tuple(int(x) for x in lead[gap.argmax()])
             raise StitchFailure(f"the map moves a boundary node of cell {k} by {gap.max():.3g}")
-        offset = self.scale * (cells - lead[rank]).astype(float)
         at = (self.scale * moved)[rank]
-        at += offset[:, None]
-        out = self.mesh.with_kinds(kind, np.compress(self.new, at.reshape(-1, 2), axis=0))
-        # the prototypes' centroids, cell by cell, moved by the lattice offset
-        cent = triangle_centroids(out.vertices, out.triangles[out.prototypes])
-        cent = cent.reshape(-1, self.cell.num_triangles, 2)[rank]
-        cent += offset[:, None]
-        out.centroids = cent.reshape(-1, 2)
-        return out
+        at += (self.scale * (cells - lead[rank]).astype(float))[:, None]  # the lattice offsets
+        return self.mesh.with_kinds(kind, np.compress(self.new, at.reshape(-1, 2), axis=0))
 
 
 @functools.lru_cache(maxsize=4)

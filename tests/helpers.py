@@ -1,8 +1,8 @@
-"""Quantities only the tests read: per-triangle conductivities, a mesh with
-every cell its own kind, the fluxes of every cell of a corrector, the
-lattice shift of the Bernoulli field and map, the exact A0 of the
-periodic identity cell, and the LU fill of the skeleton's Schur complement
-in two orders."""
+"""Quantities only the tests read: per-triangle conductivities, a mesh's
+skeleton, a mesh with every cell its own kind, the fluxes of every cell of
+a corrector, the lattice shift of the Bernoulli field and map, the exact A0
+of the periodic identity cell, and the LU fill of the skeleton's Schur
+complement in two orders."""
 
 import time
 from dataclasses import dataclass
@@ -18,6 +18,14 @@ def form_tensor(form, mesh):
     """The per-triangle conductivity of ``form`` on ``mesh``: its
     ``proto_tensor`` gathered by the mesh's ``tri_prototype``."""
     return np.take(form.proto_tensor(mesh), mesh.tri_prototype, axis=0)
+
+
+def skeleton(mesh):
+    """The nodes on a cell boundary of ``mesh``, sorted: those on the mesh
+    boundary, in no cell or in more than one, counted in the cell table."""
+    on = np.bincount(mesh.cell_nodes[mesh.cell_nodes >= 0], minlength=mesh.num_vertices) != 1
+    on[mesh.boundary_nodes] = True
+    return np.flatnonzero(on)
 
 
 def cellwise(mesh):

@@ -27,6 +27,7 @@ from membrane_homog.fem import (
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import constant_field, hetero_form
 from membrane_homog.meshing import (
+    MembraneMesh,
     build_cell_mesh,
     build_square_mesh,
     build_truncated_mesh,
@@ -34,7 +35,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import cellwise, form_tensor, skeleton_fills
+from helpers import cellwise, form_tensor, skeleton, skeleton_fills
 from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
 
 SPEC = InterfaceSpec()
@@ -278,15 +279,19 @@ class TestLoadScatter:
         "f", [2.5, lambda pts: 1.0 + pts[:, 0] * pts[:, 1]], ids=["constant", "callable"]
     )
     def test_volume_load_bitwise(self, mesh, f):
-        # a triangle's centroid is its prototype's moved by the lattice offset
-        proto = mesh.prototypes[mesh.tri_prototype]
-        cells = mesh.cells[mesh.tri_cell_index]
-        shift = cells - cells[proto]
-        cent = mesh.vertices[mesh.triangles[proto]].mean(axis=1) + shift
+        # f at the centroid of each triangle's own nodes
+        cent = triangle_centroids(mesh.vertices, mesh.triangles)
         fc = f(cent) if callable(f) else np.full(mesh.num_triangles, f)
         areas = mesh.proto_areas[mesh.tri_prototype]
         contrib = np.repeat((areas * fc / 3.0)[:, None], 3, axis=1)
         assert volume_load(mesh, f).tobytes() == add_at_load(mesh, contrib).tobytes()
+
+    def test_volume_load_at_the_nodes_of_a_copy(self, mesh):
+        # a copy with its nodes moved evaluates f at its own centroids
+        moved, seen = 1.5 * mesh.vertices, []
+        copy = mesh.with_kinds(mesh.cell_kind, moved)
+        volume_load(copy, lambda pts: seen.append(pts) or pts[:, 0])
+        assert np.array_equal(seen[0], triangle_centroids(moved, mesh.triangles))
 
     def test_gradient_load_bitwise(self, mesh):
         assert len(mesh.prototypes) < mesh.num_triangles
@@ -384,8 +389,7 @@ class TestPerKindAssembly:
 
 class TestStoredArrays:
     """A mesh and a system keep per-triangle data only as int32 index arrays
-    and per-prototype values: the one per-triangle float array they store is
-    the mesh's ``centroids``."""
+    and per-prototype values: they store no per-triangle float array."""
 
     BUILDERS = {
         "cell": lambda cell: cell,
@@ -407,10 +411,9 @@ class TestStoredArrays:
         for owner in (mesh, system):
             for key, value in vars(owner).items():
                 if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-                    assert key == "centroids" or len(value) in (
-                        mesh.num_vertices, len(mesh.prototypes)), key
+                    assert len(value) in (mesh.num_vertices, len(mesh.prototypes)), key
         assert system.proto_tensor.shape == (len(mesh.prototypes), 2, 2)
-        assert np.array_equal(system.tensor,
+        assert np.array_equal(form_tensor(BilinearFormSpec(jump_weight=1.0), mesh),
                               np.take(system.proto_tensor, mesh.tri_prototype, axis=0))
 
 
@@ -552,8 +555,8 @@ class TestTwoLevelCG:
         mesh = system.mesh
         table = mesh.cell_nodes
         on_skeleton = np.zeros(mesh.num_vertices, dtype=bool)
-        on_skeleton[mesh.skeleton] = True
-        assert 0 < len(mesh.skeleton) < mesh.num_vertices
+        on_skeleton[skeleton(mesh)] = True
+        assert 0 < on_skeleton.sum() < mesh.num_vertices
         # each free dof is on the skeleton or interior to exactly one cell
         inside = (table >= 0) & ~on_skeleton[np.maximum(table, 0)]
         count = np.bincount(table[inside], minlength=mesh.num_vertices)
@@ -587,7 +590,7 @@ class TestTwoLevelCG:
         off = np.setdiff1d(np.arange(template.num_vertices), template.boundary_nodes)
         assert np.array_equal(template.free_nodes, off)
         # in the stored nested-dissection order, a permutation of the free skeleton
-        free = np.setdiff1d(template.skeleton, template.boundary_nodes)
+        free = np.setdiff1d(skeleton(template), template.boundary_nodes)
         assert np.array_equal(np.sort(nodes), free)
 
     SCHUR_CASES = {
@@ -618,6 +621,18 @@ class TestTwoLevelCG:
         ref = K[np.ix_(B, B)] - K[np.ix_(B, I)] @ np.linalg.solve(K[np.ix_(I, I)], K[np.ix_(I, B)])
         assert 0 < len(B) < len(mesh.free_nodes)
         assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_cells_without_skeleton_nodes(self, cell_h01):
+        # the unit cell with no boundary nodes: one cell, every node interior
+        # to it, so the Schur blocks have width 0 and S is empty
+        mesh = MembraneMesh(**{name: getattr(cell_h01, name) for name in (
+            "vertices", "triangles", "tri_region", "interface_pairs", "cells", "tri_cell_index",
+            "cell_nodes")}, boundary_nodes=np.zeros(0, dtype=np.int32))
+        assert not mesh.cell_skeleton.any() and len(mesh.schur["nodes"]) == 0
+        system = assemble(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0), f=1.0)
+        sol = solve(system)
+        assert sol.iterations == 1 and sol.residual <= RTOL
+        assert np.abs(sol.values - splu_values(system)).max() <= 1e-12
 
     def test_folded_periodic_cell_has_empty_schur_complement(self, monkeypatch):
         factored, factor = [], fem._factor
@@ -675,7 +690,7 @@ class TestSkeletonOrder:
                 interface_pairs=np.zeros((0, 2), dtype=np.int64),
                 boundary_nodes=np.zeros(0, dtype=np.int64)),
         }[name]()
-        nodes, free = mesh.schur["nodes"], np.setdiff1d(mesh.skeleton, mesh.boundary_nodes)
+        nodes, free = mesh.schur["nodes"], np.setdiff1d(skeleton(mesh), mesh.boundary_nodes)
         assert nodes.dtype == np.int32 and np.array_equal(np.sort(nodes), free)
         assert (len(nodes) > 0) == (name in ("cube", "eighth", "grid"))
 
@@ -803,6 +818,6 @@ class TestPairings:
     def test_linear_test_field_exact(self, cell_h01):
         # u = x1, psi = (x2, x1): integrand is linear, centroid rule exact
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
-        psi = cell_h01.centroids[:, ::-1]
+        psi = triangle_centroids(cell_h01.vertices, cell_h01.triangles)[:, ::-1]
         tensor = form_tensor(BilinearFormSpec(), cell_h01)
         assert abs(flux_pairing(sol, tensor, [psi])[0] - 0.5) < 1e-12

@@ -31,7 +31,7 @@ from helpers import cellwise
 SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
 INDEX_ARRAYS = ("triangles", "tri_cell_index", "tri_prototype", "cell_nodes", "free_nodes",
-                "boundary_nodes", "skeleton", "interface_pairs", "interface_edges",
+                "boundary_nodes", "interface_pairs", "interface_edges",
                 "edge_cell_index")
 
 
@@ -510,7 +510,7 @@ class TestTilingTemplate:
         b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
         assert b.triangles is a.triangles and b.slots is a.slots
         assert b.ref_vertices is a.ref_vertices
-        assert b.cell_nodes is a.cell_nodes and b.skeleton is a.skeleton
+        assert b.cell_nodes is a.cell_nodes
         assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
         assert b.schur is a.schur and cellwise(b).schur is a.schur
         for array in INDEX_ARRAYS:
@@ -548,8 +548,6 @@ class TestPrototypes:
         assert np.abs(mesh.areas - areas).max() <= 1e-13 * np.abs(areas).max()
         gathered = mesh.proto_grads[mesh.tri_prototype]
         assert np.abs(gathered - grads).max() <= 1e-13 * np.abs(grads).max()
-        cent = triangle_centroids(mesh.vertices, mesh.triangles)
-        assert np.abs(mesh.centroids - cent).max() <= 1e-14
 
     @pytest.mark.parametrize("build, tol", [
         (lambda cell: cell, 0.0),
@@ -902,19 +900,19 @@ def oracle_pattern(mesh, edges):
 def oracle_schur(mesh, indptr, indices, nodes):
     """The ``schur`` pattern of the free skeleton ``nodes`` in their given
     order, by a sort of every Schur-block and matrix-entry key, column-major
-    (column * m + row), and a search per key."""
+    (column * m + row), and a search per key; each cell's block is padded
+    to the widest, its padded keys read -1 as those off ``nodes`` do."""
     n, table, on = mesh.num_vertices, mesh.cell_nodes, mesh.cell_skeleton
     m = len(nodes)
     pos = np.full(n + 1, -1)
     pos[nodes] = np.arange(m)
-    count = on.sum(axis=1)
-    cells = np.argsort(count, kind="stable")
-    keys = []
-    for b in np.unique(count):
-        group = cells[count[cells] == b]
-        at = pos[table[group][on[group]]].reshape(len(group), b, 1)
-        off = (at < 0) | (at < 0).transpose(0, 2, 1)
-        keys.append(np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel())
+    width = on.sum(axis=1).max(initial=0)
+    at = np.full((len(table), width, 1), -1)
+    for c in range(len(table)):  # each cell's skeleton nodes in table column order
+        skel = pos[table[c][on[c]]]
+        at[c, :len(skel), 0] = skel
+    off = (at < 0) | (at < 0).transpose(0, 2, 1)
+    keys = [np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel()]
     start, length = indptr[nodes], np.diff(indptr)[nodes]
     row = np.repeat(np.arange(m), length)
     entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
@@ -926,7 +924,7 @@ def oracle_schur(mesh, indptr, indices, nodes):
     slots = np.searchsorted(links, keys).astype(np.int32)
     slots[keys < 0] = len(links)
     return {name: a.astype(np.int32, copy=False) for name, a in (
-        ("nodes", nodes), ("entries", entries), ("cells", cells), ("slots", slots),
+        ("nodes", nodes), ("entries", entries), ("slots", slots),
         ("indices", links % max(m, 1)), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
 
 
