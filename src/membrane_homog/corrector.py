@@ -214,16 +214,19 @@ def periodic_cell_solve(
     system = assemble(mesh, form, p=p)
 
     # fold periodic partners onto canonical representatives, one cell of every
-    # node (nothing reads its geometry); the nullspace is the global constants,
-    # so its one boundary node, node 0, is pinned, and the gauge is restored below
+    # node (nothing reads its geometry), and the cell's one matrix with them;
+    # the nullspace is the global constants, so its one boundary node, node 0,
+    # is pinned, and the gauge is restored below
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     cell = MembraneMesh(
         vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
         interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
         cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
-    K = system.matrix.tocoo()
+    (K,) = system.cell_matrices  # the cell table of the one cell is the node numbering
+    K = K.tocoo()
     folded = solve(replace(
-        system, matrix=sp.csr_matrix((K.data, (inv[K.row], inv[K.col])), shape=(len(reps),) * 2),
+        system, cell_matrices=(sp.csr_matrix((K.data, (inv[K.row], inv[K.col])),
+                                             shape=(len(reps),) * 2),),
         load=np.bincount(inv, weights=system.load), mesh=cell))
     values = folded.values[inv]
 

@@ -16,40 +16,45 @@ The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
 cell) and gathered per triangle where they are used, the loads one corner
-at a time; a system keeps its conductivity per prototype.  ``assemble`` sums
-the element matrices and the interface edges' jump matrices into the CSR
-pattern the mesh stores (``MembraneMesh.slots``) in runs of RUN entries, one
-``np.add.at`` per run, so no buffer grows with the mesh and a realization
-that only moves a tiling's nodes reuses its pattern.  That is exact under
-the workbench's contract on the conductivity, the paper's periodic medium:
-on a tiling it repeats from cell to cell in the reference coordinate, as
-both presets do, and on the square grid, whose cells are 16 x 16 blocks of
-squares, it is constant, as ``homogenize.homog_form``'s is.
+at a time; a system keeps its conductivity per prototype.  ``assemble``
+sums, per kind, the element matrices of the kind's first cell and the jump
+matrices of its interface edges into one sparse cell matrix over the
+columns of the cell table, through the links the mesh takes once per
+topology class (``MembraneMesh.links``).  The matrix of the system is the
+sum over the cells of their kind's matrix, each through its row of the
+table; no step of a solve assembles it, and ``DiscreteSystem.matrix`` does
+so only when read.  That is exact under the workbench's contract on the
+conductivity, the paper's periodic medium: on a tiling it repeats from cell
+to cell in the reference coordinate, as both presets do, and on the square
+grid, whose cells are 16 x 16 blocks of squares, it is constant, as
+``homogenize.homog_form``'s is.
 
-``solve`` applies, on the free dofs, the inverse of K~, the matrix with its
-cell interiors condensed per kind: cells of one kind
-(``MembraneMesh.cell_kind``) have the same element matrices up to rounding,
-so one sparse LU of one cell's interior block serves them all, and the only
-other factorization is that of the Schur complement on the free dofs of the
-cell skeleton, the nodes on a cell boundary (``MembraneMesh.cell_skeleton``
-marks them).  The same runs sum the kinds' Schur blocks and the matrix's
-skeleton entries into that complement, in the pattern the mesh stores
+``solve`` applies, on the free dofs, the inverse of K, condensed per kind:
+cells of one kind (``MembraneMesh.cell_kind``) share one cell matrix, so one
+sparse LU of its interior block serves them all, and the only other
+factorization is that of the Schur complement on the free dofs of the cell
+skeleton, the nodes on a cell boundary (``MembraneMesh.cell_skeleton``
+marks them).  Each kind's Schur block over its skeleton nodes, its skeleton
+block K_BB less the condensed interior, is summed cell by cell into that
+complement, in runs, in the pattern the mesh stores
 (``MembraneMesh.schur``): every index set of the solver that the topology
 fixes is built with the mesh.  That pattern holds the skeleton in
 nested-dissection order and is laid out column by column, so the sum is the
 complement in CSC, as SuperLU takes it, factored in that order with no copy
 and no ordering of its own; the interior blocks are ordered by minimum
-degree.  Under the contract K~ is the matrix up to
-rounding and one application solves the system.  The solve checks the true
-residual |b - K x| / |b| and refines with x += K~^-1 (b - K x) while it is
-above RTOL, and raises ``SolverDivergence`` if it still is after
-APPLICATIONS applications.  Both factors are SuperLU's complete LU
-(``splu``).  The set-up is built once per matrix: copies of a system that
-differ only in their load (``dataclasses.replace``) share it.
+degree.  One application solves the system up to rounding.  The solve
+checks the true residual |b - K x| / |b|, which it computes kind by kind
+through the cell table, and refines with x += K~^-1 (b - K x) while it is
+above RTOL, K~^-1 the condensed inverse, and raises ``SolverDivergence`` if
+it still is after APPLICATIONS applications.  Both factors are SuperLU's
+complete LU (``splu``).  The set-up is built once per set of cell
+matrices: copies of a system that differ only in their load
+(``dataclasses.replace``) share it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,7 +67,7 @@ from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
 
 RTOL = 1e-10  # relative residual |b - K x| / |b| a solve must reach
 APPLICATIONS = 3  # applications of K~^-1 a solve makes before it raises
-RUN = 2**14  # float entries in one run's buffer: the scatters go run by run
+RUN = 2**14  # float entries in one run's buffer: the Schur sum and the residual go run by run
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -100,8 +105,7 @@ class BilinearFormSpec:
     the prototypes' reference centroids only, so it must repeat from cell to
     cell: on a tiling in the reference coordinate, as both presets do, and
     on the square grid it must be constant, as ``homog_form``'s is (see the
-    module docstring).  ``solve`` still checks its answer against the
-    assembled matrix.
+    module docstring).
     """
 
     conductivity: Callable[[np.ndarray], np.ndarray] = identity_field
@@ -130,19 +134,42 @@ class BilinearFormSpec:
 
 @dataclass
 class DiscreteSystem:
-    """Assembled matrix and load; ``proto_tensor`` is the form's conductivity
-    per prototype of ``mesh``, evaluated once by assemble (``mesh`` is the
-    mesh assembled on; the matrix is in its pattern).  The solution is zero
-    on ``fixed``, the mesh's boundary nodes, and unknown on ``free``, the
-    mesh's ``free_nodes``.  ``solver`` holds the set-up ``solve`` builds on
-    first use; copies made by ``dataclasses.replace`` share it, and it is
-    rebuilt for a copy with another matrix or mesh."""
+    """The form's cell matrices and load on ``mesh`` (the mesh assembled
+    on); ``proto_tensor`` is the form's conductivity per prototype of
+    ``mesh``, evaluated once by assemble.  ``cell_matrices`` holds one
+    sparse matrix per kind of cell (``mesh.cell_kind``, labels in increasing
+    order), over the columns of the cell table: the matrix of every cell of
+    the kind, which the table maps to the cell's nodes.  The system's matrix
+    is their sum over the cells; ``matrix`` assembles it on first access,
+    and the solve never does.  The solution is zero on ``fixed``, the mesh's
+    boundary nodes, and unknown on ``free``, the mesh's ``free_nodes``.
+    ``solver`` holds the set-up ``solve`` builds on first use; copies made
+    by ``dataclasses.replace`` share it, and it is rebuilt for a copy with
+    other cell matrices or another mesh."""
 
-    matrix: sp.csr_matrix
+    cell_matrices: tuple
     load: np.ndarray
     mesh: MembraneMesh
     proto_tensor: np.ndarray
     solver: list = field(default_factory=list, repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The global matrix in CSR, the sum over the cells of their kind's
+        matrix: an entry for every node pair of a triangle or an interface
+        edge, and a zero diagonal entry for each node in no triangle;
+        assembled on first access and kept."""
+        mesh, nv = self.mesh, self.mesh.num_vertices
+        _, rank = np.unique(mesh.cell_kind, return_inverse=True)
+        lone = np.flatnonzero(np.bincount(mesh.triangles.ravel(), minlength=nv) == 0)
+        rows, cols, data = [lone], [lone], [np.zeros(len(lone))]
+        for kind, K in enumerate(self.cell_matrices):
+            K, nodes = K.tocoo(), mesh.cell_nodes[rank == kind]
+            rows.append(nodes[:, K.row].ravel())
+            cols.append(nodes[:, K.col].ravel())
+            data.append(np.tile(K.data, len(nodes)))
+        entries = (np.concatenate(rows), np.concatenate(cols))
+        return sp.csr_matrix((np.concatenate(data), entries), shape=(nv, nv))
 
     @property
     def fixed(self) -> np.ndarray:
@@ -170,30 +197,6 @@ class FemSolution:
     iterations: int = 0
     proto_tensor: np.ndarray = None
     residual: float = None
-
-
-def _add_runs(data: np.ndarray, slots: np.ndarray, width: int, entries) -> None:
-    """Sum into ``data`` the entries of consecutive elements, ``width`` each,
-    at ``slots`` (elements in turn): ``entries(lo, hi)`` gives those of
-    elements lo..hi-1 (fewer at the end), about RUN at a time.  Consecutive
-    ``np.add.at`` calls sum in one call's order, which is np.bincount's, and
-    make no np.intp copy of the int32 slots."""
-    step = max(1, RUN // width)
-    for lo in range(0, len(slots) // width, step):
-        np.add.at(data, slots[lo * width:(lo + step) * width], entries(lo, lo + step).ravel())
-
-
-def _scatter(mesh: MembraneMesh, tri_entries, edge_entries) -> sp.csr_matrix:
-    """The matrix, in the mesh's pattern, summing the element matrices as
-    ``MembraneMesh.slots`` orders them: the triangles' (3 x 3, from
-    ``tri_entries(lo, hi)``), then the interface edges' (4 x 4, from
-    ``edge_entries(lo, hi)``), run by run (``_add_runs``)."""
-    data = np.zeros(len(mesh.indices))
-    split = 9 * mesh.num_triangles
-    _add_runs(data, mesh.slots[:split], 9, tri_entries)
-    _add_runs(data, mesh.slots[split:], 16, edge_entries)
-    nv = mesh.num_vertices
-    return sp.csr_matrix((data, mesh.indices, mesh.indptr), shape=(nv, nv))
 
 
 def apply_tensor(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -274,26 +277,33 @@ def gradient_load(mesh: MembraneMesh, proto_tensor: np.ndarray, p: np.ndarray) -
 def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> DiscreteSystem:
     """Full transmission form with volume source f and/or corrector load p.
 
-    The element matrices are computed once per prototype of ``mesh``.
+    The element matrices are computed once per prototype of ``mesh``, and
+    each kind's cell matrix sums those of the kind's first cell, its
+    triangles' and its interface edges', through the cell's ``links``.
     """
     A = spec.proto_tensor(mesh)
     Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, A).reshape(-1, 9)
     if spec.mass_weight != 0.0:
         Ke += (spec.mass_weight * mesh.proto_areas)[:, None] * _MASS_BASE.ravel()
-
-    def edge_entries(lo, hi):
-        mats = jump_element_matrices(mesh.vertices, mesh.interface_edges[lo:hi])
-        mats *= spec.jump_weight
-        return mats
-
-    K = _scatter(mesh, lambda lo, hi: np.take(Ke, mesh.tri_prototype[lo:hi], axis=0),
-                 edge_entries)
+    _, first = np.unique(mesh.cell_kind, return_index=True)
+    w, matrices, start = mesh.cell_nodes.shape[1], [], 0
+    for cell in first:  # the kinds in turn, as their prototypes are
+        links = mesh.links[mesh.cell_links[cell]]
+        end = start + len(links.tri)
+        jump = jump_element_matrices(mesh.vertices, mesh.cell_nodes[cell][links.edge_columns])
+        jump *= spec.jump_weight
+        data = np.bincount(np.concatenate([links.tri.ravel(), links.edge.ravel()]),
+                           weights=np.concatenate([Ke[start:end].ravel(), jump.ravel()]),
+                           minlength=len(links.pairs))
+        indptr = np.searchsorted(links.pairs[:, 0], np.arange(w + 1))
+        matrices.append(sp.csr_matrix((data, links.pairs[:, 1], indptr), shape=(w, w)))
+        start = end
     b = np.zeros(mesh.num_vertices)
     if f is not None:
         b += volume_load(mesh, f)
     if p is not None:
         b += gradient_load(mesh, A, p)
-    return DiscreteSystem(matrix=K, load=b, mesh=mesh, proto_tensor=A)
+    return DiscreteSystem(cell_matrices=tuple(matrices), load=b, mesh=mesh, proto_tensor=A)
 
 
 def _factor(A: sp.csc_matrix, permc_spec: str):
@@ -312,78 +322,87 @@ def _solve(lu, b: np.ndarray) -> np.ndarray:
 
 
 class _Condensed:
-    """The residual of a matrix K on the free dofs, and the inverse of K~, K
-    with each cell's interior block and its coupling to the cell's skeleton
-    nodes replaced by those of the first cell of its kind.
+    """The residual of the matrix of the cell matrices ``matrices`` (one per
+    kind of ``mesh``, as ``DiscreteSystem.cell_matrices``) on the free dofs,
+    and the inverse of that matrix with its cell interiors condensed per
+    kind.
 
-    Per kind it keeps the cells' interior and skeleton nodes (rows of the
-    cell table, in the columns of the kind's first cell), the LU of that
-    cell's interior block A and E = A^-1 K_IB, both read from K (in the
-    mesh's pattern).  The skeleton block of K~^-1 is the inverse of the
-    Schur complement S = K_BB - sum over cells of K_BI E on the free
-    skeleton dofs, summed run by run (``_add_runs``) in the mesh's pattern
-    ``MembraneMesh.schur``, cell by cell, each kind's block padded once to
-    the pattern's block width, into S's CSC data, and factored once, here,
-    in the pattern's node order.  The node sets the solve indexes by are
-    kept as np.intp, so indexing does not cast the int32 topology."""
+    Per kind it keeps the cells' interior and skeleton nodes, interior first
+    (rows of the cell table, in those columns of the kind's first cell), the
+    kind's matrix over them, the LU of its interior block A and
+    E = A^-1 K_IB.  The skeleton block of the inverse is the inverse
+    of the Schur complement S, on the free skeleton dofs, of the sum over
+    the cells of their kind's Schur block K_BB - K_BI E: each kind's block
+    is padded once to the pattern's block width and summed cell by cell into
+    S's CSC data in the mesh's pattern ``MembraneMesh.schur``, about RUN
+    entries per ``np.add.at``, which sums in np.bincount's order and makes
+    no np.intp copy of the int32 slots; S is factored once, here, in the
+    pattern's node order.  The node sets the solve indexes by are kept as
+    np.intp, so indexing does not cast the int32 topology."""
 
-    def __init__(self, K: sp.csr_matrix, mesh: MembraneMesh):
-        self.K, self.free, pattern = K, mesh.free_nodes.astype(np.intp), mesh.schur
+    def __init__(self, matrices: tuple, mesh: MembraneMesh):
+        self.n, self.free, pattern = mesh.num_vertices, mesh.free_nodes.astype(np.intp), mesh.schur
         table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
         interior = (table >= 0) & ~skeleton
         self.kinds = []
-        labels, rank = np.unique(mesh.cell_kind, return_inverse=True)
+        _, rank = np.unique(mesh.cell_kind, return_inverse=True)
         w = skeleton.sum(axis=1).max(initial=0)  # the pattern's block width
-        blocks = np.zeros((len(labels), w, w))  # each kind's Schur block, padded with zeros
-        for kind in range(len(labels)):
+        blocks = np.zeros((len(matrices), w, w))  # each kind's Schur block, padded with zeros
+        for kind, K in enumerate(matrices):
             cells = np.flatnonzero(rank == kind)
             inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
-            rep = table[cells[0], np.concatenate([inner, outer])]
-            block = K[rep][:, rep]
-            ni = len(inner)
-            lu = _factor(block[:ni, :ni].tocsc(), "MMD_AT_PLUS_A")
-            K_IB = block[:ni, ni:].toarray()
+            ni, columns = len(inner), np.concatenate([inner, outer])
+            K = K[columns][:, columns]
+            lu = _factor(K[:ni, :ni].tocsc(), "MMD_AT_PLUS_A")
+            K_IB = K[:ni, ni:].toarray()
             E = _solve(lu, K_IB)
-            blocks[kind, :len(outer), :len(outer)] = -(K_IB.T @ E)
-            members = table[cells].astype(np.intp)
-            self.kinds.append((members[:, inner], members[:, outer], lu, E))
+            blocks[kind, :len(outer), :len(outer)] = K[ni:, ni:].toarray() - K_IB.T @ E
+            self.kinds.append((table[cells][:, columns].astype(np.intp), ni, K, lu, E))
         self.skeleton = pattern["nodes"].astype(np.intp)
-        indices, slots = pattern["indices"], pattern["slots"]
-        data = np.zeros(len(indices) + 1)
-        split, entries = len(rank) * w * w, pattern["entries"]
+        data, slots = np.zeros(len(pattern["indices"]) + 1), pattern["slots"]
         if w:  # else no cell has a skeleton node
-            _add_runs(data, slots[:split], w * w, lambda lo, hi: blocks[rank[lo:hi]])
-        _add_runs(data, slots[split:], 1, lambda lo, hi: K.data[entries[lo:hi]])
-        S = sp.csc_matrix((data[:-1], indices, pattern["indptr"]), shape=(len(self.skeleton),) * 2)
+            step = max(1, RUN // (w * w))  # cells per run
+            for lo in range(0, len(rank), step):
+                np.add.at(data, slots[lo * w * w:(lo + step) * w * w],
+                          blocks[rank[lo:lo + step]].ravel())
+        S = sp.csc_matrix((data[:-1], pattern["indices"], pattern["indptr"]),
+                          shape=(len(self.skeleton),) * 2)
         self.lu = _factor(S, "NATURAL")  # the pattern's node order is the nested dissection
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """b - K x on the free dofs, through the full matrix."""
-        u = np.zeros(self.K.shape[0])
+        """b - K x on the free dofs, kind by kind: each run of about RUN
+        entries gathers its cells' values through the cell table, multiplies
+        them by the kind's matrix and adds the products back."""
+        u, Ku = np.zeros(self.n), np.zeros(self.n)
         u[self.free] = x
-        return b - (self.K @ u)[self.free]
+        for nodes, ni, K, lu, E in self.kinds:
+            step = max(1, RUN // K.shape[0])  # cells per run
+            for lo in range(0, len(nodes), step):
+                run = nodes[lo:lo + step]
+                np.add.at(Ku, run.ravel(), (K @ u[run].T).T.ravel())
+        return b - Ku[self.free]
 
     def inverse(self, r: np.ndarray) -> np.ndarray:
         """K~^-1 r on the free dofs: interiors, skeleton, back to interiors."""
-        n = self.K.shape[0]
+        n = self.n
         g = np.zeros(n)
         g[self.free] = r
         interior = []
-        for inner, outer, lu, E in self.kinds:
-            r_inner = g[inner]
+        for nodes, ni, K, lu, E in self.kinds:
+            r_inner = g[nodes[:, :ni]]
             interior.append(_solve(lu, r_inner.T).T)
-            g -= np.bincount(outer.ravel(), weights=(r_inner @ E).ravel(), minlength=n)
+            g -= np.bincount(nodes[:, ni:].ravel(), weights=(r_inner @ E).ravel(), minlength=n)
         x = np.zeros(n)
         x[self.skeleton] = _solve(self.lu, g[self.skeleton])
-        for (inner, outer, lu, E), y in zip(self.kinds, interior):
-            x[inner] = y - x[outer] @ E.T
+        for (nodes, ni, K, lu, E), y in zip(self.kinds, interior):
+            x[nodes[:, :ni]] = y - x[nodes[:, ni:]] @ E.T
         return x[self.free]
 
 
 def _solver(system: DiscreteSystem) -> _Condensed:
-    """The condensed solver of the system's matrix and mesh, built once and
-    kept in ``system.solver``."""
-    parts = (system.matrix, system.mesh)
+    """The condensed solver of the system's cell matrices and mesh, built
+    once and kept in ``system.solver``."""
+    parts = (system.cell_matrices, system.mesh)
     if not system.solver or any(a is not b for a, b in zip(system.solver[0], parts)):
         system.solver[:] = [parts, _Condensed(*parts)]
     return system.solver[1]

@@ -9,14 +9,15 @@ because every deformation map fixes cell boundaries and carries one
 deformation on every cell it flags (``DeformationMap``).
 
 So a tiling's numbering, stitch, cells and cell table, interface edges,
-boundary, free nodes, skeleton and the patterns of the matrix and of its
-Schur complement on the skeleton, in the skeleton's elimination order,
-depend only on the cell mesh, the lattice block, its membrane mask and the
-scale: they are built once per process for each such configuration (a small
-cache, as is the cell mesh for each interface and h) and a realization only
-names the kind of each cell and moves the nodes to their deformed positions.
-Edges and patterns are tiled from the cell; ``fem`` builds no index set
-beyond the kinds' columns.
+boundary, free nodes, skeleton, the links of each cell's matrix and the
+pattern of the Schur complement on the skeleton, in the skeleton's
+elimination order, depend only on the cell mesh, the lattice block, its
+membrane mask and the scale: they are built once per process for each such
+configuration (a small cache, as is the cell mesh for each interface and h)
+and a realization only names the kind of each cell and moves the nodes to
+their deformed positions.  Edges and links are tiled from the cell; ``fem``
+builds no index set beyond the kinds' columns, and no global matrix on its
+solve path.
 
 Every mesh is a block of lattice cells, stated by its builder with each
 triangle's cell and each cell's nodes, and names the kind of each cell: a
@@ -48,12 +49,10 @@ RING_GRADING = 1.0  # radial step multiplier for the outer blended rings
 STITCH_TOL = 1e-12
 
 
-def _merged(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys of ``parts`` in increasing order and each key's
-    position (int32) among them, by one stable argsort: timsort merges the
-    sorted runs of keys emitted cell by cell.  ``parts`` is emptied."""
-    keys = np.concatenate(parts)
-    parts.clear()
+def _merged(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in increasing order and each key's position
+    (int32) among them, by one stable argsort: timsort merges the sorted
+    runs of keys emitted cell by cell."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.ones(len(keys), dtype=bool)  # each run's first key; bools, not np.diff's int64
@@ -62,6 +61,23 @@ def _merged(parts: list) -> tuple[np.ndarray, np.ndarray]:
     at = np.empty(len(order), dtype=np.int32)
     at[order] = np.cumsum(first, dtype=np.int32) - 1
     return keys, at
+
+
+@dataclass(eq=False)
+class CellLinks:
+    """The links of the cells of one topology class, in the columns of their
+    rows of the cell table: ``pairs`` (nl, 2), the (row, column) pairs of
+    the form's cell matrix, in row-major order, so the CSR order; ``tri``
+    (cell triangles, 9), the link of each entry of each triangle of the
+    cell, in the cell's triangle order, row-major; ``edge`` (cell edges,
+    16), that of each entry of each interface edge of the cell, over
+    (plus_a, plus_b, minus_a, minus_b); and ``edge_columns`` (cell edges,
+    4), those edges' columns.  Every array is int32."""
+
+    pairs: np.ndarray
+    tri: np.ndarray
+    edge: np.ndarray
+    edge_columns: np.ndarray
 
 
 @dataclass(eq=False)
@@ -87,18 +103,19 @@ class MembraneMesh:
     construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
     minus_b), the edges of one MINUS triangle between MINUS interface nodes,
     as their triangle runs (counterclockwise around each membrane), sorted,
-    and ``edge_cell_index`` the row of ``cells`` each edge belongs to.
-    ``indptr`` and ``indices`` (int32) are the CSR pattern of the
-    transmission form's matrix, and ``slots`` (int32) the pattern position
-    of every element entry: the 3 x 3 entries of each triangle, row-major,
-    then the 4 x 4 entries of each interface edge.  Each kind's first cell
-    gives its edges and links (node pairs) in table columns, the table maps
-    them to every cell of the kind, and one sort merges the links cells
-    share; a cell that is no copy of its kind's first cell raises
-    ValueError.
+    and ``edge_cell_index`` the row of ``cells`` each edge belongs to.  Each
+    kind's first cell gives its edges and its ``links`` (``CellLinks``: the
+    node pairs of the form's cell matrix) in table columns, and the table
+    maps them to every cell of the kind; ``cell_links`` (nc,) gives each
+    cell's row of ``links``.  The kinds the mesh is built with are the
+    topology classes of its cells, which every later set of kinds refines:
+    a cell that is no copy of its kind's first cell raises ValueError, and
+    so does a kind of ``with_kinds`` whose cells have other links.  The
+    mesh stores no pattern of the global matrix.
 
     ``cell_kind`` (nc,) labels cells whose element matrices agree up to
-    rounding (by default each cell is its own kind): cells of one kind have
+    rounding, so that ``fem`` gives them one cell matrix (by default each
+    cell is its own kind): cells of one kind have
     as many triangles, matched by ``tri_local`` (nt,), each triangle's rank
     among its cell's triangles.  ``prototypes`` are the triangles of each
     kind's first cell, in that cell's triangle order, whose geometry stands
@@ -116,17 +133,16 @@ class MembraneMesh:
     every system on the mesh.
 
     ``schur`` (int32 arrays) is where ``fem`` sums the Schur complement S of
-    a matrix in the mesh's pattern on the free skeleton nodes: ``nodes``,
-    those nodes in nested-dissection order along the lattice lines (see
+    the cells' matrices on the free skeleton nodes: ``nodes``, those nodes
+    in nested-dissection order along the lattice lines (see
     ``_dissection``), the order S is factored in; ``indptr`` and
-    ``indices``, S's CSC pattern over them; ``entries``, the matrix entries
-    between two of them; and ``slots``, the position in S's CSC data of
-    each summand: the Schur block of each cell in turn over its skeleton
-    nodes in table column order, padded to the widest cell's count of
-    skeleton nodes, row-major, then the ``entries``.  A summand in a
-    boundary or padded row or column goes to the extra slot len(indices).
-    The keys are merged with each cell's columns in its nodes' order, in
-    which its keys come sorted.
+    ``indices``, S's CSC pattern over them; and ``slots``, the position in
+    S's CSC data of each summand: the Schur block of each cell in turn over
+    its skeleton nodes in table column order, padded to the widest cell's
+    count of skeleton nodes, row-major.  A summand in a boundary or padded
+    row or column goes to the extra slot len(indices).  The keys are merged
+    with each cell's columns in its nodes' order, in which its keys come
+    sorted.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
@@ -149,9 +165,8 @@ class MembraneMesh:
     tri_prototype: np.ndarray = field(init=False, repr=False)
     proto_areas: np.ndarray = field(init=False, repr=False)
     proto_grads: np.ndarray = field(init=False, repr=False)
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
-    slots: np.ndarray = field(init=False, repr=False)
+    links: tuple = field(init=False, repr=False)
+    cell_links: np.ndarray = field(init=False, repr=False)
     cell_skeleton: np.ndarray = field(init=False, repr=False)
     free_nodes: np.ndarray = field(init=False, repr=False)
     schur: dict = field(init=False, repr=False)
@@ -184,8 +199,10 @@ class MembraneMesh:
     def _take_prototypes(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
         cell the prototypes, with their geometry."""
-        self.cell_kind = kind
         _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
+        if (self.cell_links != self.cell_links[first][rank]).any():
+            raise ValueError("a kind holds cells of other links than its first cell's")
+        self.cell_kind = kind
         on = np.flatnonzero(np.isin(self.tri_cell_index, first))  # the first cells' triangles
         self.prototypes = on[np.argsort(rank[self.tri_cell_index[on]], kind="stable")]
         kind_start = np.searchsorted(rank[self.tri_cell_index[self.prototypes]], rank)
@@ -207,17 +224,18 @@ class MembraneMesh:
         return out
 
     def _tile(self, on_skeleton: np.ndarray, tri_order: np.ndarray, count: np.ndarray) -> None:
-        """Tile ``interface_edges``, ``edge_cell_index``, ``indptr``, ``indices`` and
-        ``slots`` from each kind's first cell (see the class docstring); ``on_skeleton``
-        marks the skeleton nodes, ``tri_order`` lists the triangles cell by cell."""
+        """Tile ``interface_edges`` and ``edge_cell_index`` from each kind's
+        first cell and take its ``links`` (see the class docstring);
+        ``on_skeleton`` marks the skeleton nodes, ``tri_order`` lists the
+        triangles cell by cell."""
         table, tri, nv = self.cell_nodes, self.triangles, self.num_vertices
-        w, key = table.shape[1], np.uint32 if nv * nv < 2**32 else np.int64  # holds every key
+        w = table.shape[1]
         _, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
         if (count != count[first][rank]).any():
             raise ValueError("a cell has other triangles than the first cell of its kind")
         partner = np.full(nv + 1, -1)  # each MINUS node's PLUS partner; the last entry reads -1
         partner[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
-        kinds, keys, edges = [], [], [np.zeros((0, 5), dtype=np.int64)]
+        links, edges = [], [np.zeros((0, 5), dtype=np.int64)]
         for k, f in enumerate(first):
             members = np.flatnonzero(rank == k)
             tris = tri_order[(count.cumsum() - count)[members, None] + np.arange(count[f])]
@@ -237,14 +255,16 @@ class MembraneMesh:
             on = (n[inverse] == 1) & (pc[a] >= 0) & (pc[b] >= 0)
             ec = np.column_stack([pc[a[on]], pc[b[on]], a[on], b[on]])
             edges.append(np.dstack([rows[:, ec], members[:, None].repeat(len(ec), 1)]))
-            # the links of each cell in turn, in the order the kind's last cell numbers them
+            # the links: the column pairs of the triangles' and the edges' entries
             i = np.concatenate([np.repeat(tc, 3, axis=1).ravel(), np.repeat(ec, 4, axis=1).ravel()])
             j = np.concatenate([np.tile(tc, 3).ravel(), np.tile(ec, 4).ravel()])
-            rows = rows.astype(key)
-            _, at, inv = np.unique(rows[-1, i] * nv + rows[-1, j], return_index=True,
-                                   return_inverse=True)
-            kinds.append((members, tris, sum(map(len, keys)), len(at), *np.split(inv, [9 * len(tc)])))
-            keys.append((np.take(rows, i[at], axis=1) * nv + np.take(rows, j[at], axis=1)).ravel())
+            keys, link = np.unique(i * w + j, return_inverse=True)
+            link = link.astype(np.int32)
+            links.append(CellLinks(
+                pairs=np.column_stack([keys // w, keys % w]).astype(np.int32),
+                tri=link[:9 * len(tc)].reshape(-1, 9), edge=link[9 * len(tc):].reshape(-1, 16),
+                edge_columns=ec.astype(np.int32)))
+        self.links, self.cell_links = tuple(links), rank.astype(np.int32)
 
         e = np.concatenate([x.reshape(-1, 5) for x in edges])
         if (on_skeleton[e[:, 2]] & on_skeleton[e[:, 3]]).any():
@@ -252,20 +272,6 @@ class MembraneMesh:
         order = np.lexsort(e[:, 3::-1].T)
         self.interface_edges = e[order, :4].astype(np.int32)
         self.edge_cell_index = e[order, 4].astype(np.int32)
-        lone = np.flatnonzero(np.bincount(tri.ravel(), minlength=nv) == 0)  # nodes in no triangle
-        keys.append((lone * (nv + 1)).astype(key))  # each with itself, as the others are
-        links, at = _merged(keys)
-        self.indptr = np.searchsorted(links, np.arange(nv + 1, dtype=key) * nv).astype(np.int32)
-        self.indices = (links - links // nv * nv).astype(np.int32)
-        del links
-        self.slots = np.empty(9 * len(tri) + 16 * len(e), dtype=np.int32)
-        tri_slots = self.slots[:9 * len(tri)].reshape(-1, 9)
-        edge_slots = [np.zeros((0, 16), dtype=np.int32)]
-        for members, tris, start, n, t, s in kinds:
-            per_cell = at[start:start + len(members) * n].reshape(-1, n)
-            tri_slots[tris] = np.take(per_cell, t.reshape(-1, 9), axis=1)
-            edge_slots.append(np.take(per_cell, s.reshape(-1, 16), axis=1).reshape(-1, 16))
-        self.slots[9 * len(tri):] = np.concatenate(edge_slots)[order].ravel()
 
     def _schur_pattern(self, on_skeleton: np.ndarray) -> dict:
         """The ``schur`` pattern of the free skeleton nodes (see the class
@@ -283,23 +289,15 @@ class MembraneMesh:
         perm = np.argsort(at, axis=1, kind="stable")  # each cell's nodes in order
         at = np.take_along_axis(at, perm, axis=1)  # so that each cell's keys are sorted
         pair = (at < m)[:, :, None] & (at < m)[:, None, :]  # both nodes free
-        keys = [(at[:, :, None] * m + at[:, None, :])[pair]]  # column by column
-        start, length = self.indptr[nodes], np.diff(self.indptr)[nodes]
-        row = np.repeat(np.arange(m), length)  # the matrix entries between free skeleton nodes
-        entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
-        col = pos[self.indices[entries]]
-        entries, row, col = entries[col < m], row[col < m], col[col < m]
-        keys.append((col * m + row).astype(pos.dtype))
-
-        links, at = _merged(keys)
-        slots = np.full(pair.size + len(entries), len(links), dtype=np.int32)
-        slots[np.append(pair.ravel(), np.ones(len(entries), dtype=bool))] = at
-        block = slots[:pair.size].reshape(pair.shape)  # each block back in table column order
-        # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands
+        links, at = _merged((at[:, :, None] * m + at[:, None, :])[pair])  # column by column
+        slots = np.full(pair.shape, len(links), dtype=np.int32)
+        slots[pair] = at
+        # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands:
+        # each block back in table column order
         cell = np.arange(len(perm))[:, None, None]
-        block[cell, perm[:, None], perm[:, :, None]] = block.copy()
+        slots[cell, perm[:, None], perm[:, :, None]] = slots.copy()
         return {name: a.astype(np.int32, copy=False) for name, a in (
-            ("nodes", nodes), ("entries", entries), ("slots", slots),
+            ("nodes", nodes), ("slots", slots.ravel()),
             ("indices", links - links // max(m, 1) * m),
             ("indptr", np.searchsorted(links, np.arange(m + 1, dtype=links.dtype) * m)))}
 

@@ -120,7 +120,7 @@ def skeleton_fills(system):
     factored, factor = [], fem._factor
     fem._factor = lambda A, spec: factored.append(A) or factor(A, spec)
     try:
-        fem._Condensed(system.matrix, system.mesh)
+        fem._Condensed(system.cell_matrices, system.mesh)
     finally:
         fem._factor = factor
     S, order = factored[-1], np.argsort(system.mesh.schur["nodes"])

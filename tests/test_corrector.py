@@ -360,9 +360,14 @@ class TestFoldedCell:
         reps, inv = np.unique(periodic_representatives(cell), return_inverse=True)
         assert folded.num_vertices == len(reps)
         assert np.array_equal(skeleton(folded), [0]) and np.array_equal(system.fixed, [0])
-        # the folded matrix is in the folded mesh's pattern, which the solver reads
-        assert np.array_equal(system.matrix.indptr, folded.indptr)
-        assert np.array_equal(system.matrix.indices, folded.indices)
+        # the one cell matrix, folded, holds exactly the folded mesh's links, in
+        # the columns of its one table row: the node numbering
+        (K,) = system.cell_matrices
+        links = folded.links[folded.cell_links[0]]
+        assert np.array_equal(folded.cell_nodes, [np.arange(len(reps))])
+        assert K.shape == (len(reps),) * 2 and K.has_canonical_format
+        assert np.array_equal(np.repeat(np.arange(len(reps)), np.diff(K.indptr)), links.pairs[:, 0])
+        assert np.array_equal(K.indices, links.pairs[:, 1])
         assert corr.sol.iterations == 1 and corr.sol.mesh is cell
 
 

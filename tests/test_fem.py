@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import membrane_homog.corrector as corrector
 import membrane_homog.fem as fem
 import membrane_homog.meshing as meshing
-from membrane_homog.corrector import periodic_cell_solve
+from membrane_homog.corrector import periodic_cell_solve, periodic_representatives
 from membrane_homog.errors import NonEllipticField, SolverDivergence
 from membrane_homog.fem import (
     CONDUCTIVITY_PRESETS,
@@ -36,7 +37,8 @@ from membrane_homog.meshing import (
     triangle_geometry,
 )
 from helpers import cellwise, form_tensor, skeleton, skeleton_fills
-from test_mesh import INDEX_ARRAYS, folded_cell, mesh_from_tri_cell
+from test_mesh import (INDEX_ARRAYS, folded_cell, mesh_from_tri_cell, oracle_interface_edges,
+                       oracle_pattern)
 
 SPEC = InterfaceSpec()
 
@@ -70,12 +72,18 @@ def membrane_strip(length=1.0):
 
 def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
     """The matrix of the element matrices over the triangles (nt, 3, 3) and
-    the interface edges (ne, 4, 4), through assemble's scatter; a scalar is
-    broadcast to every element."""
-    nt, ne = mesh.num_triangles, len(mesh.interface_edges)
-    tri = np.broadcast_to(tri_mats, (nt, 3, 3)).reshape(nt, 9)
-    edge = np.broadcast_to(edge_mats, (ne, 4, 4)).reshape(ne, 16)
-    return fem._scatter(mesh, lambda lo, hi: tri[lo:hi], lambda lo, hi: edge[lo:hi])
+    the interface edges (ne, 4, 4), summed entry by entry from their node
+    pairs (``sp.coo_matrix``); a scalar is broadcast to every element."""
+    nt, ne, n = mesh.num_triangles, len(mesh.interface_edges), mesh.num_vertices
+    rows, cols, vals = [], [], []
+    for dofs, mats in ((mesh.triangles, np.broadcast_to(tri_mats, (nt, 3, 3))),
+                       (mesh.interface_edges, np.broadcast_to(edge_mats, (ne, 4, 4)))):
+        k = dofs.shape[1]
+        rows.append(np.repeat(dofs, k, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, k)).ravel())
+        vals.append(mats.ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(mesh, tensor):
@@ -168,25 +176,35 @@ class TestAssembly:
             assemble(cell_h01, BilinearFormSpec(conductivity=coupled))
 
 
-def dense_reference(mesh, spec):
-    """The form's matrix summed densely with np.add.at from element matrices
-    computed apart from assemble: einsum stiffness, P1 mass, edge jump."""
+def element_reference(mesh, spec):
+    """The form's matrix summed element by element (``scatter``) from
+    element matrices computed apart from assemble: einsum stiffness on the
+    prototypes' geometry, P1 mass, and each interface edge's jump at its own
+    length."""
     tensor = form_tensor(spec, mesh)
     grads = mesh.proto_grads[mesh.tri_prototype]
     Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, grads, tensor, grads)
     Me = mesh.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    edges = mesh.interface_edges
-    Je = fem.jump_element_matrices(mesh.vertices, edges)
-    K = np.zeros((mesh.num_vertices, mesh.num_vertices))
-    for dofs, mats in ((mesh.triangles, Ke + spec.mass_weight * Me),
-                       (edges, spec.jump_weight * Je)):
-        k = dofs.shape[1]
-        np.add.at(K, (np.repeat(dofs, k, axis=1), np.tile(dofs, (1, k))), mats.reshape(-1, k * k))
-    return K
+    Je = fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
+    return scatter(mesh, Ke + spec.mass_weight * Me, spec.jump_weight * Je)
+
+
+def folded_system(monkeypatch, h, conductivity=identity_field):
+    """The unit cell's mesh and the folded system ``periodic_cell_solve``
+    hands to the solve."""
+    systems = []
+    monkeypatch.setattr(corrector, "solve", lambda system: systems.append(system) or solve(system))
+    periodic_cell_solve([1.0, 0.0], SPEC, conductivity, h=h)
+    return build_cell_mesh(SPEC, h), systems[0]
 
 
 class TestPatternScatter:
-    """assemble sums the element matrices into the mesh's stored pattern."""
+    """The system's matrix, the cells' matrices scattered through the cell
+    table, is the element-by-element sum: the same values within rounding,
+    and the pattern of every node pair of a triangle or an interface edge,
+    with each node's diagonal."""
+
+    SPEC_ = BilinearFormSpec(conductivity=aniso_field, jump_weight=3.0, mass_weight=0.02)
 
     @pytest.fixture(scope="class")
     def meshes(self):
@@ -195,42 +213,67 @@ class TestPatternScatter:
             "truncated_bernoulli": build_truncated_mesh(cell, BernoulliCellwiseMap(5), 2),
             "tiled_quarter": tile_domain_mesh(cell, BernoulliCellwiseMap(5), 0.25, SPEC),
             "square": build_square_mesh(12),
+            "square128": build_square_mesh(128),
+            "square255": build_square_mesh(255),  # short blocks: four kinds
+            "cell": cell,
         }
 
-    @pytest.mark.parametrize("name", ["truncated_bernoulli", "tiled_quarter", "square"])
+    @staticmethod
+    def assert_matches(K, ref, mesh):
+        indptr, indices = oracle_pattern(mesh, oracle_interface_edges(mesh)[0])
+        assert K.nnz == len(indices) and K.has_canonical_format
+        assert np.array_equal(K.indptr, indptr) and np.array_equal(K.indices, indices)
+        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
+
+    @pytest.mark.parametrize("name", ["truncated_bernoulli", "tiled_quarter", "square",
+                                      "square128", "square255", "cell"])
     def test_matches_dense_add_at(self, meshes, name):
         mesh = meshes[name]
-        spec = BilinearFormSpec(conductivity=aniso_field, jump_weight=3.0, mass_weight=0.02)
-        K = assemble(mesh, spec).matrix
-        ref = dense_reference(mesh, spec)
-        assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
-        assert K.nnz == len(mesh.indices) and K.has_sorted_indices
+        self.assert_matches(assemble(mesh, self.SPEC_).matrix, element_reference(mesh, self.SPEC_),
+                            mesh)
+
+    def test_folded_cell_matches_the_folded_sum(self, monkeypatch):
+        # the periodic solve's matrix is the unit cell's element sum folded onto
+        # the representatives, in the pattern of the folded mesh
+        cell, system = folded_system(monkeypatch, 0.1, aniso_field)
+        reps, inv = np.unique(periodic_representatives(cell), return_inverse=True)
+        fold = sp.csr_matrix((np.ones(len(inv)), (np.arange(len(inv)), inv)))
+        form = BilinearFormSpec(conductivity=aniso_field, jump_weight=1.0)
+        ref = (fold.T @ element_reference(cell, form) @ fold).tocsr()
+        self.assert_matches(system.matrix, ref, system.mesh)
 
     def test_pattern_holds_exactly_the_coupled_pairs(self, meshes):
         mesh = meshes["truncated_bernoulli"]
-        ref = dense_reference(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0))
-        pattern = sp.csr_matrix((np.ones(len(mesh.indices)), mesh.indices, mesh.indptr))
+        spec = BilinearFormSpec(jump_weight=1.0, mass_weight=1.0)  # no entry cancels
+        ref = element_reference(mesh, spec).toarray()
+        K = assemble(mesh, spec).matrix
+        pattern = sp.csr_matrix((np.ones(K.nnz), K.indices, K.indptr), shape=K.shape)
         assert np.array_equal(pattern.toarray() != 0, ref != 0)
 
     @pytest.mark.parametrize("name", ["truncated_bernoulli", "square", "tiled_sixteenth"])
     def test_sums_in_bincount_order(self, meshes, name):
-        # the scatter's runs sum as one np.add.at over all the entries, and
-        # that is np.bincount's sum, bit for bit
-        if name == "tiled_sixteenth":  # 94,208 triangles: many runs
+        # the residual's runs add each cell's product, kind by kind and cell
+        # by cell, as one np.bincount over all the cells' entries does, bit
+        # for bit
+        if name == "tiled_sixteenth":  # 256 cells: many runs per kind
             mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(0), 1 / 16,
                                     SPEC)
-            assert 9 * mesh.num_triangles > 2 * fem.RUN and 16 * len(mesh.interface_edges) > fem.RUN
         else:
             mesh = meshes[name]
-        weights = np.random.default_rng(2).standard_normal(len(mesh.slots))
-        want = np.zeros(len(mesh.indices))
-        np.add.at(want, mesh.slots, weights)
-        assert want.tobytes() == np.bincount(
-            mesh.slots, weights=weights, minlength=len(mesh.indices)).tobytes()
-        split = 9 * mesh.num_triangles
-        tri, edge = weights[:split].reshape(-1, 9), weights[split:].reshape(-1, 16)
-        got = fem._scatter(mesh, lambda lo, hi: tri[lo:hi], lambda lo, hi: edge[lo:hi])
-        assert got.data.tobytes() == want.tobytes()
+        system = assemble(mesh, self.SPEC_)
+        solver = fem._Condensed(system.cell_matrices, mesh)
+        if name == "tiled_sixteenth":  # a kind of more than one run
+            assert max(nodes.size for nodes, *_ in solver.kinds) > fem.RUN
+        x = np.random.default_rng(2).standard_normal(len(mesh.free_nodes))
+        u = np.zeros(mesh.num_vertices)
+        u[mesh.free_nodes] = x
+        nodes = [nodes for nodes, *_ in solver.kinds]  # each kind's cells' nodes
+        products = [(K @ u[cells].T).T for cells, _, K, _, _ in solver.kinds]
+        want = np.bincount(np.concatenate([a.ravel() for a in nodes]),
+                           weights=np.concatenate([a.ravel() for a in products]),
+                           minlength=mesh.num_vertices)
+        got = -solver.residual(x, np.zeros(len(x)))
+        assert got.tobytes() == want[mesh.free_nodes].tobytes()
 
 
 class TestSymmetricEigenvalues:
@@ -310,21 +353,13 @@ def per_triangle_reference(mesh, spec, f, p):
     tensor = spec.conductivity(triangle_centroids(mesh.ref_vertices, mesh.triangles))
     Ke = np.einsum("t,tid,tdj,tkj->tik", areas, grads, tensor, grads)
     Ke += spec.mass_weight * areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    edges = mesh.interface_edges
-    Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, edges)
-    rows, cols, vals = [], [], []
-    for dofs, mats in ((mesh.triangles, Ke), (edges, Je)):
-        k = dofs.shape[1]
-        rows.append(np.repeat(dofs, k, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, k)).ravel())
-        vals.append(mats.ravel())
+    Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
     n = mesh.num_vertices
-    K = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), (n, n))
     fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
     b_f = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
     contrib = -np.einsum("t,tij,j,tki->tk", areas, tensor, p, grads)
     b_p = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(), minlength=n)
-    return K.tocsr(), b_f, b_p
+    return scatter(mesh, Ke, Je), b_f, b_p
 
 
 class TestPerKindAssembly:
@@ -542,6 +577,26 @@ class TestTwoLevelCG:
         sol = periodic_cell_solve([1.0, 0.3], SPEC, aniso_field, h=0.05).sol
         assert 1 <= sol.iterations <= 3 and sol.residual <= RTOL
 
+    @pytest.mark.parametrize("case", ["corrector", "hetero", "periodic"])
+    def test_solves_without_the_global_matrix(self, bernoulli_systems, monkeypatch, case):
+        # the same values, bit for bit, when reading the system's matrix raises
+        def run():
+            if case == "corrector":
+                return solve(replace(bernoulli_systems[1], solver=[])).values
+            if case == "periodic":
+                return periodic_cell_solve([1.0, 0.3], SPEC, aniso_field, h=0.1).sol.values
+            eps = 0.25
+            mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.1), BernoulliCellwiseMap(2), eps, SPEC)
+            return solve(assemble(mesh, hetero_form(eps), f=1.0)).values
+
+        want = run()
+
+        def refused(system):
+            raise AssertionError("the solve read the global matrix")
+
+        monkeypatch.setattr(fem.DiscreteSystem, "matrix", property(refused))
+        assert run().tobytes() == want.tobytes()
+
     def test_residual_is_relative_to_the_free_load(self, bernoulli_systems):
         system = bernoulli_systems[0]
         sol = solve(system)
@@ -610,10 +665,12 @@ class TestTwoLevelCG:
         system = assemble(build(cell_h01), form)
         if case == "cushions":  # cells with and without membranes, bumped or not
             assert set(system.mesh.cell_kind) == {0, 1, 2, 3}
-        mesh = cellwise(system.mesh) if per_cell else system.mesh
+        if per_cell:
+            system = assemble(cellwise(system.mesh), form)
+        mesh = system.mesh
         factored, factor = [], fem._factor
         monkeypatch.setattr(fem, "_factor", lambda A, spec: factored.append(A) or factor(A, spec))
-        fem._Condensed(system.matrix, mesh)
+        fem._Condensed(system.cell_matrices, mesh)
         S = factored[-1].toarray()  # S is factored last
         B = mesh.schur["nodes"]
         I = np.setdiff1d(mesh.free_nodes, B)

@@ -32,7 +32,7 @@ SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
 INDEX_ARRAYS = ("triangles", "tri_cell_index", "tri_prototype", "cell_nodes", "free_nodes",
                 "boundary_nodes", "interface_pairs", "interface_edges",
-                "edge_cell_index")
+                "edge_cell_index", "cell_links")
 
 
 def cell_tables(tri_cell, triangles, num_vertices):
@@ -508,7 +508,7 @@ class TestTilingTemplate:
     def test_realization_shares_the_template_topology(self, cell_h01):
         a = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
         b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
-        assert b.triangles is a.triangles and b.slots is a.slots
+        assert b.triangles is a.triangles and b.links is a.links
         assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes
         assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
@@ -877,8 +877,8 @@ def oracle_interface_edges(mesh):
 
 def oracle_pattern(mesh, edges):
     """CSR ``indptr`` and ``indices`` of the node pairs that share a triangle
-    or an interface edge (each node with itself), and the ``slots`` of the
-    element entries, by a sort of the pairs and a search per element entry."""
+    or an interface edge, and of each node with itself, by a sort of the
+    pairs."""
     nv = mesh.num_vertices
     t, e = mesh.triangles.astype(np.int64), edges.astype(np.int64)  # keys past 32 bits
     links = np.concatenate([edge_keys(t, nv)[2], *(
@@ -886,22 +886,54 @@ def oracle_pattern(mesh, edges):
         for i in range(4) for j in range(i + 1, 4))])
     links = np.unique(links)
     lo, hi, diag = links // nv, links % nv, np.arange(nv)
-    keys = np.sort(np.concatenate([lo * nv + hi, hi * nv + lo, diag * nv + diag]))
-    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv).astype(np.int32)
-    slots = np.empty(9 * len(t) + 16 * len(e), dtype=np.int32)
-    for elements, k, start in ((t, 3, 0), (e, 4, 9 * len(t))):
-        block = slots[start:start + k * k * len(elements)].reshape(-1, k, k)
-        for i in range(k):
-            for j in range(k):
-                block[:, i, j] = np.searchsorted(keys, elements[:, i] * nv + elements[:, j])
-    return indptr, (keys % nv).astype(np.int32), slots
+    keys = np.unique(np.concatenate([lo * nv + hi, hi * nv + lo, diag * nv + diag]))
+    indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
+    return indptr.astype(np.int32), (keys % nv).astype(np.int32)
 
 
-def oracle_schur(mesh, indptr, indices, nodes):
+def entry_pairs(nodes):
+    """The (row, column) node pairs of the entries of each element's matrix
+    over ``nodes`` (..., k), row-major: (..., k * k, 2)."""
+    k = nodes.shape[-1]
+    return np.stack([np.repeat(nodes, k, axis=-1), np.tile(nodes, k)], axis=-1)
+
+
+def assert_links_match_oracle(mesh, edges, edge_cells):
+    """Each cell's links, read through its row of the cell table, are the
+    node pairs of its own triangles' and interface edges' entries, one link
+    per distinct pair, and each entry's link is its pair: checked against
+    the cells' triangles in their order and the whole-mesh interface edges
+    ``edges`` of the cells ``edge_cells``."""
+    table, tri_cell = mesh.cell_nodes, mesh.tri_cell_index
+    order = np.argsort(tri_cell, kind="stable")  # each cell's triangles in turn
+    start = np.cumsum(np.bincount(tri_cell, minlength=len(table))) - np.bincount(tri_cell)
+    assert len(mesh.cell_links) == len(table) and len(mesh.links) == len(np.unique(mesh.cell_links))
+    got_edges, got_cells = [np.zeros((0, 4), dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    for k, links in enumerate(mesh.links):
+        pairs, w = links.pairs.astype(np.int64), table.shape[1]
+        assert all(a.dtype == np.int32 for a in vars(links).values())
+        assert (np.diff(pairs[:, 0] * w + pairs[:, 1]) > 0).all()  # distinct, row-major
+        used = np.concatenate([links.tri.ravel(), links.edge.ravel()])
+        assert np.array_equal(np.unique(used), np.arange(len(pairs)))  # every link an entry's
+        cells = np.flatnonzero(mesh.cell_links == k)
+        rows = table[cells]
+        tris = order[start[cells][:, None] + np.arange(len(links.tri))]
+        assert (np.bincount(tri_cell, minlength=len(table))[cells] == len(links.tri)).all()
+        assert np.array_equal(rows[:, pairs[links.tri]], entry_pairs(mesh.triangles[tris]))
+        ends = rows[:, links.edge_columns]  # (cells, edges, 4): each cell's edges
+        assert np.array_equal(rows[:, pairs[links.edge]], entry_pairs(ends))
+        got_edges.append(ends.reshape(-1, 4))
+        got_cells.append(np.repeat(cells, len(links.edge_columns)).astype(np.int32))
+    got_edges, got_cells = np.concatenate(got_edges), np.concatenate(got_cells)
+    at = np.lexsort(got_edges.T[::-1])
+    assert np.array_equal(got_edges[at], edges) and np.array_equal(got_cells[at], edge_cells)
+
+
+def oracle_schur(mesh, nodes):
     """The ``schur`` pattern of the free skeleton ``nodes`` in their given
-    order, by a sort of every Schur-block and matrix-entry key, column-major
-    (column * m + row), and a search per key; each cell's block is padded
-    to the widest, its padded keys read -1 as those off ``nodes`` do."""
+    order, by a sort of every Schur-block key, column-major (column * m +
+    row), and a search per key; each cell's block is padded to the widest,
+    its padded keys read -1 as those off ``nodes`` do."""
     n, table, on = mesh.num_vertices, mesh.cell_nodes, mesh.cell_skeleton
     m = len(nodes)
     pos = np.full(n + 1, -1)
@@ -912,37 +944,28 @@ def oracle_schur(mesh, indptr, indices, nodes):
         skel = pos[table[c][on[c]]]
         at[c, :len(skel), 0] = skel
     off = (at < 0) | (at < 0).transpose(0, 2, 1)
-    keys = [np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel()]
-    start, length = indptr[nodes], np.diff(indptr)[nodes]
-    row = np.repeat(np.arange(m), length)
-    entries = np.arange(len(row)) + np.repeat(start - (np.cumsum(length) - length), length)
-    col = pos[indices[entries]]
-    entries, row, col = entries[col >= 0], row[col >= 0], col[col >= 0]
-    keys.append(col * m + row)
-    keys = np.concatenate(keys)
+    keys = np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel()
     links = np.unique(keys[keys >= 0])
     slots = np.searchsorted(links, keys).astype(np.int32)
     slots[keys < 0] = len(links)
     return {name: a.astype(np.int32, copy=False) for name, a in (
-        ("nodes", nodes), ("entries", entries), ("slots", slots),
+        ("nodes", nodes), ("slots", slots),
         ("indices", links % max(m, 1)), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
 
 
 def assert_topology_matches_oracle(mesh):
-    """Every array the per-kind tiling builds equals the whole-mesh oracle's,
-    dtype included."""
+    """The interface edges, the cells' links and the Schur pattern the
+    per-kind tiling builds equal the whole-mesh oracle's, dtype included."""
     edges, edge_cells = oracle_interface_edges(mesh)
-    indptr, indices, slots = oracle_pattern(mesh, edges)
-    want = {"interface_edges": edges, "edge_cell_index": edge_cells,
-            "indptr": indptr, "indices": indices, "slots": slots}
+    for name, a in (("interface_edges", edges), ("edge_cell_index", edge_cells)):
+        got = getattr(mesh, name)
+        assert got.dtype == a.dtype and np.array_equal(got, a), name
+    assert_links_match_oracle(mesh, edges, edge_cells)
     nodes = mesh.schur["nodes"]  # the stored order, checked on its own by TestSkeletonOrder
-    want.update({f"schur[{k}]": v for k, v in oracle_schur(mesh, indptr, indices, nodes).items()})
-    got = {name: getattr(mesh, name) for name in ("interface_edges", "edge_cell_index",
-                                                  "indptr", "indices", "slots")}
-    got.update({f"schur[{k}]": v for k, v in mesh.schur.items()})
-    assert got.keys() == want.keys()
+    want = oracle_schur(mesh, nodes)
+    assert mesh.schur.keys() == want.keys()
     for name, a in want.items():
-        assert got[name].dtype == a.dtype and np.array_equal(got[name], a), name
+        assert mesh.schur[name].dtype == a.dtype and np.array_equal(mesh.schur[name], a), name
 
 
 def folded_cell(h):
@@ -1026,6 +1049,14 @@ class TestTopologyMatchesOracle:
         with pytest.raises(ValueError):
             rebuilt(template, cell_nodes=template.cell_nodes,
                     cell_kind=np.zeros(len(template.cells), dtype=np.int64))
+
+    def test_kinds_of_other_links_raise(self, cell_h01):
+        """A later set of kinds may refine the topology classes, not merge
+        them: one kind of membrane and cushion cells raises."""
+        mesh = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=3), 0.25, SPEC)
+        assert len(mesh.links) == 2 and len(cellwise(mesh).links) == 2
+        with pytest.raises(ValueError, match="other links"):
+            mesh.with_kinds(np.zeros(len(mesh.cells), dtype=np.int64))
 
     def test_other_triangle_counts_raise(self):
         """Two cells named one kind, the second with two triangles more
