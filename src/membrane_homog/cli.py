@@ -373,7 +373,7 @@ def cmd_effective(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     runs = _seed_runs(cfg, jobs)
     vs = volume_stats(cfg.make_map, cfg.seeds, cfg.interface)
     t = effective_tensor(runs, rho=vs["rho"], config_hash=cfg.hash(A0_KEYS), theta=vs["theta"])
-    verdict = ellipticity_check(t, 1.5, runs=runs)
+    verdict = ellipticity_check(t, runs=runs)
     write_effective_json(out.path("effective.json"), t)
     eig = verdict["eigenvalues"]
     print(f"effective: A0 eigenvalues [{eig[0]:.6g}, {eig[1]:.6g}] -> effective.json")
@@ -383,7 +383,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
     eff_path = os.path.join(out.out_dir, "effective.json")
     try:  # why: None reuses the stored tensor; a string recomputes it, noting a nonempty one
         t = read_effective_json(eff_path)
-        ellipticity_check(t, 1.5)
+        ellipticity_check(t)
         why = None if t.config_hash == cfg.hash(A0_KEYS) else "is for another config"
     except FileNotFoundError:
         why = ""

@@ -16,8 +16,8 @@ import numpy as np
 
 from .corrector import CorrectorConfig, energy_profile, solve_truncated
 from .errors import EllipticityViolation, InsufficientSamples
-from .fem import identity_field
-from .geometry import DeformationMap, InterfaceSpec, jacobian_det
+from .fem import BilinearFormSpec, identity_field
+from .geometry import CENTER, DeformationMap, InterfaceSpec, jacobian_det
 
 
 @dataclass
@@ -30,16 +30,16 @@ class EffectiveTensor:
     config_hash: str = ""
 
 
-def _disk_quadrature(center, radius):
-    """Tensor quadrature on a disk: Gauss-Legendre radially, trapezoid (exact
-    for periodic smooth integrands) angularly.  Returns points, weights."""
+def _disk_quadrature(radius):
+    """Tensor quadrature on the disk about CENTER: Gauss-Legendre radially, trapezoid
+    (exact for periodic smooth integrands) angularly.  Returns points, weights."""
     n_rad, n_ang = 32, 256
     x, w = np.polynomial.legendre.leggauss(n_rad)
     rho = 0.5 * radius * (x + 1.0)
     wr = 0.5 * radius * w * rho  # includes the polar Jacobian
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     wt = np.full(n_ang, 2.0 * np.pi / n_ang)
-    pts = center + np.stack(
+    pts = np.asarray(CENTER) + np.stack(
         [
             np.outer(rho, np.cos(theta)),
             np.outer(rho, np.sin(theta)),
@@ -71,7 +71,7 @@ def volume_stats(
     if not seeds:
         raise ValueError("need at least one seed")
     sq_pts, sq_w = _square_quadrature()
-    dk_pts, dk_w = _disk_quadrature(np.asarray(spec.center), spec.radius)
+    dk_pts, dk_w = _disk_quadrature(spec.radius)
     cell_vols = []
     minus_vols = []
     for s in seeds:
@@ -193,11 +193,11 @@ def energy_identity_residual(runs: list[EffectiveRun], t: EffectiveTensor, xi) -
     return abs(lhs - rhs)
 
 
-def ellipticity_check(t: EffectiveTensor, Lam: float, runs: list[EffectiveRun] = None) -> dict:
+def ellipticity_check(t: EffectiveTensor, runs: list[EffectiveRun] = None) -> dict:
     """Eigenvalue bounds, symmetry within the Monte-Carlo and mesh error and the
     energy-identity residuals for the canonical test directions; raises
-    EllipticityViolation on failure.  The lower bound is positivity, not the
-    conductivity's lam: the membranes can put A0 below it."""
+    EllipticityViolation on failure.  The bounds are positivity, not the
+    conductivity's lam (the membranes can put A0 below it), and its Lam."""
     sym_gap = float(np.abs(t.A0 - t.A0.T).max())
     eig = np.linalg.eigvalsh(0.5 * (t.A0 + t.A0.T))
     se = float(t.stderr.max())
@@ -210,8 +210,9 @@ def ellipticity_check(t: EffectiveTensor, Lam: float, runs: list[EffectiveRun] =
         raise EllipticityViolation(f"skew part {sym_gap:.6g} of A0 exceeds {skew_tol:.6g}")
     if eig.min() <= 0.0:
         raise EllipticityViolation(f"nonpositive eigenvalue {eig.min():.6g}")
-    if eig.max() > Lam + 3.0 * se:
-        raise EllipticityViolation(f"max eigenvalue {eig.max():.6g} exceeds {Lam} + 3*stderr")
+    if eig.max() > BilinearFormSpec.Lam + 3.0 * se:
+        raise EllipticityViolation(
+            f"max eigenvalue {eig.max():.6g} exceeds {BilinearFormSpec.Lam} + 3*stderr")
     if runs is not None:
         s = 1.0 / np.sqrt(2.0)
         residuals = {

@@ -18,7 +18,7 @@ class NonEllipticField(MembraneHomogError):
 
 
 class SolverDivergence(MembraneHomogError):
-    """Iterative solver exceeded its iteration budget."""
+    """The direct condensed solve's true residual stayed above fem.RTOL after fem.APPLICATIONS."""
 
 
 class InsufficientSamples(MembraneHomogError):

@@ -1,8 +1,8 @@
 """Unit-cell geometry and the family of cellwise deformation maps.
 
-The reference cell is Y = [0,1)^2 with a circular interface Gamma_0 strictly
-inside it.  Deformation maps fix every cell boundary, so the integer lattice
-of cells is preserved and cells can be deformed independently.
+The reference cell is Y = [0,1)^2 with a circular interface Gamma_0 about its
+center, strictly inside it.  Deformation maps fix every cell boundary, so the
+integer lattice of cells is preserved and cells can be deformed independently.
 """
 
 from __future__ import annotations
@@ -12,27 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CENTER = (0.5, 0.5)  # of the unit cell: the interface circle's and the bump's
+
 
 @dataclass(frozen=True)
 class InterfaceSpec:
-    """Circular interface in the unit cell; beta is its margin to the cell boundary."""
+    """Circular interface about CENTER; beta is its margin to the cell boundary."""
 
-    center: tuple[float, float] = (0.5, 0.5)
     radius: float = 0.25
 
     def __post_init__(self):
         if not 0.0 < self.radius < 0.5:
             raise ValueError(f"radius must be in (0, 0.5), got {self.radius}")
-        cx, cy = self.center
-        margin = min(cx, cy, 1.0 - cx, 1.0 - cy) - self.radius
-        if margin <= 0.0:
-            raise ValueError("interface closure must lie strictly inside the unit cell")
 
     @property
     def beta(self) -> float:
         """Distance from the interface to the cell boundary."""
-        cx, cy = self.center
-        return min(cx, cy, 1.0 - cx, 1.0 - cy) - self.radius
+        return 0.5 - self.radius
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -138,7 +134,7 @@ class ScalingMap(DeformationMap):
 class BumpMap(DeformationMap):
     """Cellwise bump: each cell k that carries it (``bumped``; here every
     cell) is deformed by the same compactly supported displacement
-    a * psi(2|y - c|) * e1 with c the cell center, the others keep the identity."""
+    a * psi(2|y - c|) * e1 with c the cell's CENTER, the others keep the identity."""
 
     DIRECTION = np.array([1.0, 0.0])  # e1
 
@@ -151,14 +147,14 @@ class BumpMap(DeformationMap):
         return np.ones(len(k), dtype=bool)
 
     def _displacement(self, local: np.ndarray) -> np.ndarray:
-        d = local - 0.5
+        d = local - CENTER
         s = np.linalg.norm(d, axis=-1)
         return self.amplitude * _bump_psi(2.0 * s)[..., None] * self.DIRECTION
 
     @classmethod
     def _unit_displacement_jacobian(cls, local: np.ndarray) -> np.ndarray:
         # grad eta / a = e1 (x) grad psi(2|y-c|);  grad psi(2s) = 2 psi'(2s) (y-c)/s
-        d = local - 0.5
+        d = local - CENTER
         s = np.linalg.norm(d, axis=-1)
         safe = np.where(s > 0.0, s, 1.0)
         g = 2.0 * _bump_psi_prime(2.0 * s)[..., None] * d / safe[..., None]

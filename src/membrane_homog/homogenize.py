@@ -87,9 +87,7 @@ def solve_hetero(
     cell = build_cell_mesh(spec, h_cell)
     mesh = tile_domain_mesh(cell, dmap, eps, spec, membranes=membranes)
     system = assemble(mesh, hetero_form(eps, conductivity), f=f)
-    sol, proto_tensor = solve(system), system.proto_tensor
-    del system  # and its solver's factorization, before the caller's post-processing
-    return replace(sol, proto_tensor=proto_tensor)
+    return replace(solve(system), proto_tensor=system.proto_tensor)
 
 
 def hetero_form(eps: float, conductivity=identity_field) -> BilinearFormSpec:

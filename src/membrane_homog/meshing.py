@@ -39,13 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshQualityFailure, StitchFailure
-from .geometry import DeformationMap, InterfaceSpec
+from .geometry import CENTER, DeformationMap, InterfaceSpec
 
 PLUS = 1
 MINUS = -1
 
 MIN_ANGLE_DEG = 20.0
-RING_GRADING = 1.0  # radial step multiplier for the outer blended rings
 STITCH_TOL = 1e-12
 
 
@@ -496,7 +495,7 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     if h <= 0.0:
         raise ValueError("h must be positive")
     r = spec.radius
-    c = np.asarray(spec.center)
+    c = np.asarray(CENTER)
     n_if = interface_node_count(r, h)
     h_t = 2.0 * np.pi * r / n_if
 
@@ -545,7 +544,7 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     # square's arclength spacing q*h_t at the boundary
     m_rings = max(
         2,
-        round(RING_GRADING * (0.5 - r) * np.log(q) / ((q - 1.0) * h_t)),
+        round((0.5 - r) * np.log(q) / ((q - 1.0) * h_t)),
         int(np.ceil(np.log(q) / np.log(2.0))),  # cap ring-to-ring growth
     )
     lams = (q ** (np.arange(m_rings + 1) / m_rings) - 1.0) / (q - 1.0)

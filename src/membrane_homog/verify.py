@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation
-from .geometry import DeformationMap, InterfaceSpec, jacobian_det
+from .geometry import CENTER, DeformationMap, InterfaceSpec, jacobian_det
 
 
 @dataclass
@@ -115,7 +115,7 @@ def surface_integral_crosscheck(dmap: DeformationMap, f, spec: InterfaceSpec = N
     n_formula, n_dense = 4096, 400000  # reference points, polyline chords
     if spec is None:
         spec = InterfaceSpec()
-    c = np.asarray(spec.center, dtype=float)
+    c = np.asarray(CENTER, dtype=float)
     r = spec.radius
 
     # pullback route: trapezoid in angle is spectrally accurate here

@@ -60,6 +60,37 @@ class TestExactA0:
         assert 3e-3 < errors[0] < 5e-3
         assert ((1.9 <= orders) & (orders <= 2.1)).all(), (errors, orders)
 
+    def test_bumped_cell_approaches_the_identity_cell_at_second_order(self):
+        """The bump moves the circle rigidly, so the bumped periodic cell has
+        the identity cell's exact A0: their difference is mesh artifact and
+        falls at an order near 2.  The bump keeps every boundary node, so the
+        periodic fold is the identity cell's."""
+        diffs, skews = bumped_minus_identity((0.05, 0.025, 0.0125))
+        orders = np.log2(diffs[:-1] / diffs[1:])
+        assert (diffs > 0.0).all() and (np.diff(diffs, axis=0) < 0.0).all(), diffs
+        assert ((1.6 <= orders) & (orders <= 2.2)).all(), (diffs, orders)
+        assert max(skews) < 1e-15, skews
+
+
+def bumped_minus_identity(hs):
+    """(A0_11, A0_22) of the periodic cell bumped by ``BumpMap(0.1)`` minus
+    those of the identity cell at each h of ``hs``, one row per h, and the
+    bumped cell's skew |A0_12 - A0_21| at each h."""
+    def a0(h):
+        return np.column_stack([periodic_cell_solve(p, SPEC, h=h).window_flux()
+                                for p in ([1, 0], [0, 1])])
+
+    diffs, skews = [], []
+    for h in hs:
+        cell = build_cell_mesh(SPEC, h)
+        bumped_cell = cell.with_kinds(cell.cell_kind, BumpMap(0.1).apply(cell.vertices))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(corrector, "build_cell_mesh", lambda *_: bumped_cell)
+            bumped = a0(h)
+        diffs.append(np.diag(bumped - a0(h)))
+        skews.append(abs(bumped[0, 1] - bumped[1, 0]))
+    return np.array(diffs), skews
+
 
 class TestTruncated:
     def test_zero_direction_gives_zero(self):

@@ -190,7 +190,7 @@ class TestEllipticity:
         cfg = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3, membranes=False)
         runs = corrector_runs(lambda s: IdentityMap(), [0, 1], cfg)
         t = effective_tensor(runs, rho=1.0)
-        verdict = ellipticity_check(t, 1.5)
+        verdict = ellipticity_check(t)
         assert np.abs(np.array(verdict["eigenvalues"]) - 1.0).max() < 1e-6
 
     def test_energy_identity_residual_small(self):
@@ -215,10 +215,10 @@ class TestEllipticity:
             N=4, rho=1.0, theta=0.2,
         )
         with pytest.raises(EllipticityViolation, match="skew"):
-            ellipticity_check(skew, 1.5)
+            ellipticity_check(skew)
         # a skew part within three standard errors passes
         skew.A0 = np.array([[0.77, 1e-5], [-1e-5, 0.77]])
-        assert ellipticity_check(skew, 1.5)["symmetry_gap"] == 2e-5
+        assert ellipticity_check(skew)["symmetry_gap"] == 2e-5
 
     def test_skew_gate_widens_for_few_seeds(self):
         # two seeds estimate the standard error from one degree of freedom; tiny
@@ -227,10 +227,10 @@ class TestEllipticity:
             A0=np.array([[0.77, 1e-3], [-1e-3, 0.77]]), stderr=np.full((2, 2), 2e-4),
             N=2, rho=1.0, theta=0.2,
         )
-        assert ellipticity_check(t, 1.5)["symmetry_gap"] == 2e-3
+        assert ellipticity_check(t)["symmetry_gap"] == 2e-3
         t.N = 16
         with pytest.raises(EllipticityViolation, match="skew"):
-            ellipticity_check(t, 1.5)
+            ellipticity_check(t)
 
     def test_deterministic_map_skew_is_mesh_asymmetry(self):
         # the bump map gives identical realizations (stderr 0) whose A0 keeps
@@ -239,10 +239,10 @@ class TestEllipticity:
         runs = corrector_runs(lambda s: BumpMap(amplitude=0.6), [0, 1], cfg, conductivity=aniso_field)
         t = effective_tensor(runs, rho=1.0)
         assert t.stderr.max() == 0.0 and 0.0 < np.abs(t.A0 - t.A0.T).max() < 1e-5
-        ellipticity_check(t, 1.5)
+        ellipticity_check(t)
         t.A0[0, 1] += 1e-3
         with pytest.raises(EllipticityViolation, match="skew"):
-            ellipticity_check(t, 1.5)
+            ellipticity_check(t)
 
     def test_rejects_non_spd(self):
         bad = EffectiveTensor(
@@ -251,14 +251,14 @@ class TestEllipticity:
             N=2, rho=1.0, theta=0.2,
         )
         with pytest.raises(EllipticityViolation):
-            ellipticity_check(bad, 1.5)
+            ellipticity_check(bad)
 
     def test_rejects_too_large(self):
         bad = EffectiveTensor(
             A0=3.0 * np.eye(2), stderr=np.zeros((2, 2)), N=2, rho=1.0, theta=0.2
         )
         with pytest.raises(EllipticityViolation):
-            ellipticity_check(bad, 1.5)
+            ellipticity_check(bad)
 
 
 class TestJsonRoundTrip:

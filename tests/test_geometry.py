@@ -36,10 +36,6 @@ class TestInterfaceSpec:
         with pytest.raises(ValueError):
             InterfaceSpec(radius=-0.1)
 
-    def test_rejects_interface_touching_boundary(self):
-        with pytest.raises(ValueError):
-            InterfaceSpec(center=(0.8, 0.5), radius=0.25)
-
 
 class TestApplyPhi:
     def test_identity(self):

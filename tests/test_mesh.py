@@ -351,12 +351,6 @@ class TestCellMesh:
             build_cell_mesh(InterfaceSpec(radius=radius), h)
         assert counts and all(n % 4 == 0 for n in counts)
 
-    def test_bad_grading_raises_quality_failure(self, monkeypatch):
-        monkeypatch.setattr(meshing, "RING_GRADING", 0.2)
-        build_cell_mesh.cache_clear()
-        with pytest.raises(MeshQualityFailure):
-            build_cell_mesh(SPEC, 0.05)
-
 
 def membrane_cells(n, beta):
     """Cells of the n x n grid that tiling gives a membrane, in lattice order."""

@@ -28,7 +28,7 @@ class SingularMatrix(MembraneHomogError):
 
 def dense_solve_oracle(system: DiscreteSystem) -> FemSolution:
     """Direct sparse LU on the free degrees of freedom, for cross-checking
-    the iterative solver on small systems."""
+    the condensed solve of ``fem.solve`` on small systems."""
     n = system.matrix.shape[0]
     if n > DENSE_DOF_LIMIT:
         raise ValueError(f"dense oracle limited to {DENSE_DOF_LIMIT} dof, got {n}")
