@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError
 from .fem import (
@@ -222,11 +221,14 @@ def periodic_cell_solve(
         vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
         interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
         cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
-    (K,) = system.cell_matrices  # the cell table of the one cell is the node numbering
-    K = K.tocoo()
+    # the cell tables of both meshes are their node numberings: each pair of the
+    # cell's links adds its entry to the folded pair of the folded links
+    (K,) = system.cell_matrices
+    (links,), (folded_links,) = mesh.links, cell.links
+    keys = folded_links.pairs.astype(np.int64) @ [len(reps), 1]
+    at = np.searchsorted(keys, inv[links.pairs].astype(np.int64) @ [len(reps), 1])
     folded = solve(replace(
-        system, cell_matrices=(sp.csr_matrix((K.data, (inv[K.row], inv[K.col])),
-                                             shape=(len(reps),) * 2),),
+        system, cell_matrices=(np.bincount(at, weights=K, minlength=len(keys)),),
         load=np.bincount(inv, weights=system.load), mesh=cell))
     values = folded.values[inv]
 

@@ -31,23 +31,26 @@ grid, whose cells are 16 x 16 blocks of squares, it is constant, as
 
 ``solve`` applies, on the free dofs, the inverse of K, condensed per kind:
 cells of one kind (``MembraneMesh.cell_kind``) share one cell matrix, so one
-sparse LU of its interior block serves them all, and the only other
-factorization is that of the Schur complement on the free dofs of the cell
+Cholesky factor of its interior block serves them all, and the only other
+factorization is that of the Schur complement S on the free dofs of the cell
 skeleton, the nodes on a cell boundary (``MembraneMesh.cell_skeleton``
 marks them).  Each kind's Schur block over its skeleton nodes, its skeleton
-block K_BB less the condensed interior, is summed cell by cell into that
-complement, in runs, in the pattern the mesh stores
-(``MembraneMesh.schur``): every index set of the solver that the topology
-fixes is built with the mesh.  That pattern holds the skeleton in
-nested-dissection order and is laid out column by column, so the sum is the
-complement in CSC, as SuperLU takes it, factored in that order with no copy
-and no ordering of its own; the interior blocks are ordered by minimum
-degree.  One application solves the system up to rounding.  The solve
-checks the true residual |b - K x| / |b|, which it computes kind by kind
-through the cell table, and refines with x += K~^-1 (b - K x) while it is
-above RTOL, K~^-1 the condensed inverse, and raises ``SolverDivergence`` if
-it still is after APPLICATIONS applications.  Both factors are SuperLU's
-complete LU (``splu``).  The set-up is built once per set of cell
+block K_BB less the condensed interior, is summed cell by cell into S, in
+runs.  Both factors are one routine's, ``_cholesky``: a multifrontal
+Cholesky (Duff and Reid, ACM TOMS 1983) with dense fronts on a nested
+dissection tree, whose symbolic structure (``meshing.Fronts``) the mesh
+builds once per topology: the skeleton's fronts in nested-dissection order
+along the lattice lines (``MembraneMesh.schur``), each topology class's
+interior by coordinate bisection (``CellLinks.interior``).  Per front it
+keeps C^-1, C the Cholesky factor of its pivot block F_JJ, and
+W^T = C^-1 F_Js, and extends F_ss - W W^T into its parent's front; fronts
+of one level and shape are factored and solved as one stack.  A pivot block
+that is not positive definite raises ``SolverDivergence``.  One application
+solves the system up to rounding.  The solve checks the true residual
+|b - K x| / |b|, which it computes kind by kind through the cell table, and
+refines with x += K~^-1 (b - K x) while it is above RTOL, K~^-1 the
+condensed inverse, and raises ``SolverDivergence`` if it still is after
+APPLICATIONS applications.  The set-up is built once per set of cell
 matrices: copies of a system that differ only in their load
 (``dataclasses.replace``) share it.
 """
@@ -59,15 +62,24 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, MembraneMesh, triangle_centroids
+from .meshing import MINUS, PLUS, Fronts, MembraneMesh, triangle_centroids
 
 RTOL = 1e-10  # relative residual |b - K x| / |b| a solve must reach
 APPLICATIONS = 3  # applications of K~^-1 a solve makes before it raises
 RUN = 2**14  # float entries in one run's buffer: the Schur sum and the residual go run by run
+FRONTS = 2**15  # float entries of the update matrices a factor stacks at once
+
+
+def __getattr__(name):
+    """``spla``, scipy.sparse.linalg, imported when first read: for the
+    benchmark's tracer only, which wraps it; no solve reads it."""
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def identity_field(points: np.ndarray) -> np.ndarray:
@@ -137,11 +149,12 @@ class DiscreteSystem:
     """The form's cell matrices and load on ``mesh`` (the mesh assembled
     on); ``proto_tensor`` is the form's conductivity per prototype of
     ``mesh``, evaluated once by assemble.  ``cell_matrices`` holds one
-    sparse matrix per kind of cell (``mesh.cell_kind``, labels in increasing
+    matrix per kind of cell (``mesh.cell_kind``, labels in increasing
     order), over the columns of the cell table: the matrix of every cell of
-    the kind, which the table maps to the cell's nodes.  The system's matrix
-    is their sum over the cells; ``matrix`` assembles it on first access,
-    and the solve never does.  The solution is zero on ``fixed``, the mesh's
+    the kind, which the table maps to the cell's nodes, as its entries at
+    the ``pairs`` of the kind's ``CellLinks``.  The system's matrix is their
+    sum over the cells; ``matrix`` assembles it on first access, and the
+    solve never does.  The solution is zero on ``fixed``, the mesh's
     boundary nodes, and unknown on ``free``, the mesh's ``free_nodes``.
     ``solver`` holds the set-up ``solve`` builds on first use; copies made
     by ``dataclasses.replace`` share it, and it is rebuilt for a copy with
@@ -154,22 +167,26 @@ class DiscreteSystem:
     solver: list = field(default_factory=list, repr=False)
 
     @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The global matrix in CSR, the sum over the cells of their kind's
-        matrix: an entry for every node pair of a triangle or an interface
-        edge, and a zero diagonal entry for each node in no triangle;
-        assembled on first access and kept."""
+    def matrix(self):
+        """The global matrix as a scipy CSR matrix, the sum over the cells
+        of their kind's matrix: an entry for every node pair of a triangle
+        or an interface edge, and a zero diagonal entry for each node in no
+        triangle; assembled on first access and kept.  For the benchmark and
+        the tests only, which count or check it: it imports scipy.sparse, and
+        no solve reads it."""
+        import scipy.sparse
+
         mesh, nv = self.mesh, self.mesh.num_vertices
-        _, rank = np.unique(mesh.cell_kind, return_inverse=True)
+        _, first, rank = np.unique(mesh.cell_kind, return_index=True, return_inverse=True)
         lone = np.flatnonzero(np.bincount(mesh.triangles.ravel(), minlength=nv) == 0)
         rows, cols, data = [lone], [lone], [np.zeros(len(lone))]
         for kind, K in enumerate(self.cell_matrices):
-            K, nodes = K.tocoo(), mesh.cell_nodes[rank == kind]
-            rows.append(nodes[:, K.row].ravel())
-            cols.append(nodes[:, K.col].ravel())
-            data.append(np.tile(K.data, len(nodes)))
+            pairs, nodes = mesh.links[mesh.cell_links[first[kind]]].pairs, mesh.cell_nodes[rank == kind]
+            rows.append(nodes[:, pairs[:, 0]].ravel())
+            cols.append(nodes[:, pairs[:, 1]].ravel())
+            data.append(np.tile(K, len(nodes)))
         entries = (np.concatenate(rows), np.concatenate(cols))
-        return sp.csr_matrix((np.concatenate(data), entries), shape=(nv, nv))
+        return scipy.sparse.csr_matrix((np.concatenate(data), entries), shape=(nv, nv))
 
     @property
     def fixed(self) -> np.ndarray:
@@ -286,17 +303,15 @@ def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> Disc
     if spec.mass_weight != 0.0:
         Ke += (spec.mass_weight * mesh.proto_areas)[:, None] * _MASS_BASE.ravel()
     _, first = np.unique(mesh.cell_kind, return_index=True)
-    w, matrices, start = mesh.cell_nodes.shape[1], [], 0
+    matrices, start = [], 0
     for cell in first:  # the kinds in turn, as their prototypes are
         links = mesh.links[mesh.cell_links[cell]]
         end = start + len(links.tri)
         jump = jump_element_matrices(mesh.vertices, mesh.cell_nodes[cell][links.edge_columns])
         jump *= spec.jump_weight
-        data = np.bincount(np.concatenate([links.tri.ravel(), links.edge.ravel()]),
-                           weights=np.concatenate([Ke[start:end].ravel(), jump.ravel()]),
-                           minlength=len(links.pairs))
-        indptr = np.searchsorted(links.pairs[:, 0], np.arange(w + 1))
-        matrices.append(sp.csr_matrix((data, links.pairs[:, 1], indptr), shape=(w, w)))
+        matrices.append(np.bincount(np.concatenate([links.tri.ravel(), links.edge.ravel()]),
+                                    weights=np.concatenate([Ke[start:end].ravel(), jump.ravel()]),
+                                    minlength=len(links.pairs)))
         start = end
     b = np.zeros(mesh.num_vertices)
     if f is not None:
@@ -306,19 +321,101 @@ def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> Disc
     return DiscreteSystem(cell_matrices=tuple(matrices), load=b, mesh=mesh, proto_tensor=A)
 
 
-def _factor(A: sp.csc_matrix, permc_spec: str):
-    """The complete sparse LU of a symmetric positive definite matrix, None
-    for an empty one: SuperLU with the column order ``permc_spec`` (as
-    ``splu`` names it) and no pivoting."""
-    if A.shape[0] == 0:
-        return None
-    return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+def _cholesky(fronts: Fronts, data: np.ndarray) -> np.ndarray:
+    """The Cholesky factor L L^T of the symmetric positive definite matrix
+    whose row blocks in ``fronts`` are ``data`` (``fronts.size`` entries and
+    the dropped summands' slot), computed batch by batch, in place.  Each
+    front adds its row block to its frontal matrix F, into which its
+    children have added their update matrices, factors its pivot block
+    F_JJ = C C^T and keeps C^-1 and W^T = C^-1 F_Js in its row block; its
+    update matrix F_ss - W W^T, made FRONTS entries at a time, goes to its
+    parent's frontal matrix, which is allocated, with its batch's, when the
+    first child sends one.  A front without children has no frontal matrix
+    beyond its row block.  Raises SolverDivergence where a pivot block is
+    not positive definite."""
+    frontal = {}
+    for b, batch in enumerate(fronts.batches):
+        (g, nj), ns = batch.rows.shape, batch.update.shape[1]
+        block, F = data[batch.lo:batch.hi].reshape(g, nj, nj + ns), frontal.pop(b, None)
+        if F is not None:
+            block += F[:, :nj]  # the frontal matrices' pivot rows
+        try:
+            C = np.linalg.cholesky(block[:, :, :nj].transpose(0, 2, 1))  # reads the upper half
+        except np.linalg.LinAlgError:
+            raise SolverDivergence("a pivot block of the factor is not positive definite") from None
+        block[:, :, :nj] = _lower_inverse(C)
+        block[:, :, nj:] = np.matmul(block[:, :, :nj], block[:, :, nj:])
+        if not ns:
+            continue
+        step = max(1, FRONTS // (ns * ns))  # fronts per update stack
+        ends = np.flatnonzero(np.diff(batch.parent, append=-2))  # each parent batch's last front
+        for first, last in zip(np.append(0, ends[:-1] + 1), ends + 1):
+            p = batch.parent[first]
+            if p not in frontal:
+                n = fronts.batches[p].rows.shape[1] + fronts.batches[p].update.shape[1]
+                frontal[p] = np.zeros((len(fronts.batches[p].rows), n, n))
+            target, n = frontal[p].reshape(-1), frontal[p].shape[1]
+            for lo in range(first, last, step):
+                run = slice(lo, min(lo + step, last))
+                U = np.matmul(block[run, :, nj:].transpose(0, 2, 1), block[run, :, nj:])
+                if F is None:
+                    np.negative(U, out=U)
+                else:
+                    np.subtract(F[run, nj:, nj:], U, out=U)
+                r = batch.relative[run]
+                start = (batch.at[run] * n * n)[:, None] + r * n  # each update row's place
+                np.add.at(target, (start[:, :, None] + r[:, None, :]).ravel(),
+                          U.ravel())  # 1-D: numpy's fast loop
+    return data
 
 
-def _solve(lu, b: np.ndarray) -> np.ndarray:
-    """lu^-1 b, for b (n,) or (n, k); an empty factor (None) keeps b."""
-    return b if lu is None else lu.solve(b)
+def _lower_inverse(C: np.ndarray) -> np.ndarray:
+    """The inverse of each lower-triangular matrix of a stack (g, n, n) with
+    a positive diagonal: row by row up to 8 x 8, else by halves,
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], the two halves
+    of every matrix inverted as one stack (the smaller padded with 1)."""
+    g, n, _ = C.shape
+    X = np.zeros_like(C)
+    if n <= 8:
+        for i in range(n):
+            X[:, i, i] = 1.0 / C[:, i, i]
+            X[:, i, :i] = np.einsum("gk,gkj->gj", C[:, i, :i], X[:, :i, :i]) * -X[:, i, i, None]
+        return X
+    top = n // 2
+    halves = np.zeros((2 * g, n - top, n - top))
+    halves[:g, :top, :top] = C[:, :top, :top]
+    halves[:g, top:, top:] = 1.0  # at most one entry, where n is odd
+    halves[g:] = C[:, top:, top:]
+    halves = _lower_inverse(halves)
+    X[:, :top, :top], X[:, top:, top:] = halves[:g, :top, :top], halves[g:]
+    X[:, top:, :top] = -np.matmul(halves[g:], C[:, top:, :top]) @ halves[:g, :top, :top]
+    return X
+
+
+def _cholesky_solve(fronts: Fronts, data: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 applied to each row of b (k, m), in elimination order, with
+    the factor ``data`` of ``_cholesky``, in place if b is C-contiguous, else
+    in a copy: L y = b batch by batch, deepest level first, then L^T x = y
+    in the reverse order."""
+    b = np.ascontiguousarray(b)
+    k, m = b.shape
+    rhs = (m * np.arange(k))[:, None, None]  # each row's start in b's data
+    for batch in fronts.batches:
+        (g, nj), rows, update = batch.rows.shape, batch.rows, batch.update
+        D = data[batch.lo:batch.hi].reshape(g, nj, -1)
+        y = np.matmul(b[:, rows].transpose(1, 0, 2), D[:, :, :nj].transpose(0, 2, 1))
+        b[:, rows] = y.transpose(1, 0, 2)
+        if update.shape[1]:
+            np.subtract.at(b.reshape(-1), (rhs + update).ravel(),
+                           np.matmul(y, D[:, :, nj:]).transpose(1, 0, 2).ravel())
+    for batch in reversed(fronts.batches):
+        (g, nj), rows, update = batch.rows.shape, batch.rows, batch.update
+        D = data[batch.lo:batch.hi].reshape(g, nj, -1)
+        y = b[:, rows].transpose(1, 0, 2)
+        if update.shape[1]:
+            y = y - np.matmul(b[:, update].transpose(1, 0, 2), D[:, :, nj:].transpose(0, 2, 1))
+        b[:, rows] = np.matmul(y, D[:, :, :nj]).transpose(1, 0, 2)
+    return b
 
 
 class _Condensed:
@@ -328,58 +425,64 @@ class _Condensed:
     kind.
 
     Per kind it keeps the cells' interior and skeleton nodes, interior first
-    (rows of the cell table, in those columns of the kind's first cell), the
-    kind's matrix over them, the LU of its interior block A and
-    E = A^-1 K_IB.  The skeleton block of the inverse is the inverse
-    of the Schur complement S, on the free skeleton dofs, of the sum over
-    the cells of their kind's Schur block K_BB - K_BI E: each kind's block
-    is padded once to the pattern's block width and summed cell by cell into
-    S's CSC data in the mesh's pattern ``MembraneMesh.schur``, about RUN
-    entries per ``np.add.at``, which sums in np.bincount's order and makes
-    no np.intp copy of the int32 slots; S is factored once, here, in the
-    pattern's node order.  The node sets the solve indexes by are kept as
-    np.intp, so indexing does not cast the int32 topology."""
+    (rows of the cell table, in those columns of the kind's ``CellLinks``:
+    its interior fronts' nodes, then ``outer``), the kind's matrix laid
+    out row by row (its links' ``band``: each row's place in those columns,
+    its entries and their columns), the Cholesky factor of its interior
+    block A and E = A^-1 K_IB.  The skeleton block of the inverse is the inverse of the
+    Schur complement S, on the free skeleton dofs, of the sum over the cells
+    of their kind's Schur block K_BB - K_BI E: each kind's block is padded
+    once to the widest cell's count of skeleton nodes and summed cell by
+    cell into the row blocks of the mesh's ``schur`` fronts, through their
+    slots, about RUN entries per ``np.add.at``, which sums in np.bincount's
+    order and makes no np.intp copy of the int32 slots; S is factored
+    once, here.  The node sets the solve indexes by are kept as np.intp, so
+    indexing does not cast the int32 topology."""
 
     def __init__(self, matrices: tuple, mesh: MembraneMesh):
-        self.n, self.free, pattern = mesh.num_vertices, mesh.free_nodes.astype(np.intp), mesh.schur
+        self.n, self.free, self.fronts = mesh.num_vertices, mesh.free_nodes.astype(np.intp), mesh.schur
         table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
-        interior = (table >= 0) & ~skeleton
         self.kinds = []
-        _, rank = np.unique(mesh.cell_kind, return_inverse=True)
-        w = skeleton.sum(axis=1).max(initial=0)  # the pattern's block width
+        _, first, rank = np.unique(mesh.cell_kind, return_index=True, return_inverse=True)
+        w = skeleton.sum(axis=1).max(initial=0)  # the widest block
         blocks = np.zeros((len(matrices), w, w))  # each kind's Schur block, padded with zeros
         for kind, K in enumerate(matrices):
-            cells = np.flatnonzero(rank == kind)
-            inner, outer = np.flatnonzero(interior[cells[0]]), np.flatnonzero(skeleton[cells[0]])
-            ni, columns = len(inner), np.concatenate([inner, outer])
-            K = K[columns][:, columns]
-            lu = _factor(K[:ni, :ni].tocsc(), "MMD_AT_PLUS_A")
-            K_IB = K[:ni, ni:].toarray()
-            E = _solve(lu, K_IB)
-            blocks[kind, :len(outer), :len(outer)] = K[ni:, ni:].toarray() - K_IB.T @ E
-            self.kinds.append((table[cells][:, columns].astype(np.intp), ni, K, lu, E))
-        self.skeleton = pattern["nodes"].astype(np.intp)
-        data, slots = np.zeros(len(pattern["indices"]) + 1), pattern["slots"]
+            links = mesh.links[mesh.cell_links[first[kind]]]
+            inner, ni, nb = links.interior, len(links.interior.nodes), len(links.outer)
+            factor = _cholesky(inner, np.bincount(inner.slots, weights=K, minlength=inner.size + 1))
+            coupled = np.bincount(links.coupling, weights=K, minlength=(ni + nb) * nb + 1)
+            K_IB = coupled[:ni * nb].reshape(ni, nb)
+            E = _cholesky_solve(inner, factor, K_IB.T.copy()).T
+            blocks[kind, :nb, :nb] = coupled[ni * nb:-1].reshape(nb, nb) - K_IB.T @ E
+            columns = np.concatenate([inner.nodes, links.outer])
+            at = np.zeros(table.shape[1], dtype=np.intp)  # each column's place in ``columns``
+            at[columns] = np.arange(len(columns))
+            pairs = np.append(links.pairs, [[0, 0]], axis=0)[links.band]  # (rows, longest row, 2)
+            self.kinds.append((table[rank == kind][:, columns].astype(np.intp), ni, at[pairs[:, 0, 0]],
+                               at[pairs[..., 1]], np.append(K, 0.0)[links.band], inner, factor, E))
+        self.skeleton = self.fronts.nodes.astype(np.intp)
+        data, slots = np.zeros(self.fronts.size + 1), self.fronts.slots
         if w:  # else no cell has a skeleton node
             step = max(1, RUN // (w * w))  # cells per run
             for lo in range(0, len(rank), step):
                 np.add.at(data, slots[lo * w * w:(lo + step) * w * w],
                           blocks[rank[lo:lo + step]].ravel())
-        S = sp.csc_matrix((data[:-1], pattern["indices"], pattern["indptr"]),
-                          shape=(len(self.skeleton),) * 2)
-        self.lu = _factor(S, "NATURAL")  # the pattern's node order is the nested dissection
+        self.factor = _cholesky(self.fronts, data)
 
     def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """b - K x on the free dofs, kind by kind: each run of about RUN
-        entries gathers its cells' values through the cell table, multiplies
-        them by the kind's matrix and adds the products back."""
+        node values gathers its cells' values through the cell table,
+        multiplies them row by row by the kind's matrix, its entries and
+        their columns laid out as its links' ``band``, and adds the products
+        back."""
         u, Ku = np.zeros(self.n), np.zeros(self.n)
         u[self.free] = x
-        for nodes, ni, K, lu, E in self.kinds:
-            step = max(1, RUN // K.shape[0])  # cells per run
+        for nodes, ni, rows, cols, values, *_ in self.kinds:
+            step = max(1, RUN // nodes.shape[1])  # cells per run
             for lo in range(0, len(nodes), step):
                 run = nodes[lo:lo + step]
-                np.add.at(Ku, run.ravel(), (K @ u[run].T).T.ravel())
+                products = np.einsum("rk,crk->cr", values, u[run][:, cols])  # (cells, rows)
+                np.add.at(Ku, run[:, rows].ravel(), products.ravel())
         return b - Ku[self.free]
 
     def inverse(self, r: np.ndarray) -> np.ndarray:
@@ -388,13 +491,13 @@ class _Condensed:
         g = np.zeros(n)
         g[self.free] = r
         interior = []
-        for nodes, ni, K, lu, E in self.kinds:
+        for nodes, ni, *_, inner, factor, E in self.kinds:
             r_inner = g[nodes[:, :ni]]
-            interior.append(_solve(lu, r_inner.T).T)
             g -= np.bincount(nodes[:, ni:].ravel(), weights=(r_inner @ E).ravel(), minlength=n)
+            interior.append(_cholesky_solve(inner, factor, r_inner))
         x = np.zeros(n)
-        x[self.skeleton] = _solve(self.lu, g[self.skeleton])
-        for (nodes, ni, K, lu, E), y in zip(self.kinds, interior):
+        x[self.skeleton] = _cholesky_solve(self.fronts, self.factor, g[self.skeleton][None])[0]
+        for (nodes, ni, *_, E), y in zip(self.kinds, interior):
             x[nodes[:, :ni]] = y - x[nodes[:, ni:]] @ E.T
         return x[self.free]
 

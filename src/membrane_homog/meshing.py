@@ -10,8 +10,8 @@ deformation on every cell it flags (``DeformationMap``).
 
 So a tiling's numbering, stitch, cells and cell table, interface edges,
 boundary, free nodes, skeleton, the links of each cell's matrix and the
-pattern of the Schur complement on the skeleton, in the skeleton's
-elimination order, depend only on the cell mesh, the lattice block, its
+symbolic factors (``Fronts``) of each cell's interior and of the Schur
+complement on the skeleton depend only on the cell mesh, the lattice block, its
 membrane mask and the scale: they are built once per process for each such
 configuration (a small cache, as is the cell mesh for each interface and h)
 and a realization only names the kind of each cell and moves the nodes to
@@ -35,6 +35,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,35 +49,172 @@ MIN_ANGLE_DEG = 20.0
 STITCH_TOL = 1e-12
 
 
-def _merged(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``keys`` in increasing order and each key's position
-    (int32) among them, by one stable argsort: timsort merges the sorted
-    runs of keys emitted cell by cell."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)  # each run's first key; bools, not np.diff's int64
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
-    at = np.empty(len(order), dtype=np.int32)
-    at[order] = np.cumsum(first, dtype=np.int32) - 1
-    return keys, at
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, sorted: one np.sort and the first of each run
+    (np.unique without an inverse takes far longer on large arrays)."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])[:len(keys)]]
+
+
+class Batch(NamedTuple):
+    """Fronts of one level and one shape, g of them: ``rows`` (g, nJ), each
+    front's pivots, the positions it eliminates; ``update`` (g, ns), the
+    later positions its pivots couple to in the factor, sorted; ``lo`` and
+    ``hi``, the slice of the factor's data that holds their row blocks, one
+    after the other; and where each front's update matrix goes: the batch
+    ``parent`` (-1 for none; nondecreasing) and the front ``at`` in it, at
+    ``relative`` (g, ns), each update's place among that front's pivots and
+    then its updates."""
+
+    rows: np.ndarray
+    update: np.ndarray
+    lo: int
+    hi: int
+    parent: np.ndarray
+    at: np.ndarray
+    relative: np.ndarray
+
+
+@dataclass(eq=False)
+class Fronts:
+    """The symbolic structure of a multifrontal Cholesky factor (Duff and
+    Reid, "The multifrontal solution of indefinite sparse symmetric linear
+    equations", ACM TOMS 1983) of a symmetric matrix in a nested-dissection
+    order, built once and shared by every matrix of its pattern.
+
+    ``nodes`` (m,) lists the caller's nodes in elimination order; a position
+    is a place in it.  A front eliminates a run of positions, its pivots, and
+    adds its update matrix to its parent, the front of its first update.
+    The factor keeps each front's row block, its pivot rows over its pivots
+    and then its updates, row-major, in one array of ``size`` entries, and
+    ``slots`` is the place there of each summand the builder lists, ``size``
+    for one in no row block (below the diagonal, in another front's
+    columns).  ``batches`` groups the fronts by level and shape (``Batch``),
+    deepest level first, so that a batch's fronts depend on earlier batches
+    only."""
+
+    nodes: np.ndarray
+    size: int
+    slots: np.ndarray
+    batches: tuple
+
+
+def _fronts(digits: list, level: np.ndarray, groups: np.ndarray) -> Fronts:
+    """The ``Fronts`` of a symmetric matrix on m nodes (0..m-1) from a
+    nested dissection: ``digits``, one int8 array per cut (0 left, 1 right,
+    2 separator, 0 once numbered), orders the nodes, those of equal digits
+    form a front, and ``level`` (m,) counts the cuts above each node's front.
+    The matrix is a sum of dense blocks, one per row of ``groups`` (ng, k),
+    over its nodes (m for none); the summands are the blocks' entries,
+    block by block, row-major.  A front's updates are the later nodes of the
+    groups its pivots are in and its children's updates past its pivots,
+    found level by level, deepest first."""
+    m, (ng, k) = len(level), groups.shape
+    order = np.lexsort(digits[::-1]) if digits else np.arange(m)
+    pos = np.full(m + 1, m, dtype=np.int64)  # each node's position; m for none
+    pos[order] = np.arange(m)
+    new = np.arange(m) == 0  # each front's first position
+    if digits:
+        d = np.stack(digits)[:, order]
+        new[1:] = (d[:, 1:] != d[:, :-1]).any(axis=0)
+    start = np.append(np.flatnonzero(new), m)  # front nf, none, starts and ends at m
+    end = np.append(start[1:], m)
+    front = np.append(np.cumsum(new) - 1, len(start) - 1)  # each position's front; nf for none
+    nf, lev = len(start) - 1, level[order][start[:-1]]
+    npiv = np.diff(start)
+    # each (front, group) incidence, and the positions of the group
+    P = pos[groups]
+    pair, incidence = np.unique(front[P] * ng + np.arange(ng)[:, None], return_inverse=True)
+    incidence = incidence.reshape(ng, k)
+    pf, near = pair // ng, P[pair % ng]  # each incidence's front and its group's positions
+    later = (near >= end[pf, None]) & (near < m)
+    keys = _distinct((pf[:, None] * m + near)[later])  # (front, later position) of each coupling
+    kl = lev[keys // m]
+    parent, found, pending = np.full(nf + 1, -1), [], {}  # parent[-1] stands for none
+    for t in np.flatnonzero(np.bincount(lev))[::-1]:
+        u = _distinct(np.concatenate([keys[kl == t], *pending.pop(t, [])]))
+        u = u[u % m >= end[u // m]]  # past the front's pivots
+        found.append(u)
+        f, p = u // m, u % m
+        head = np.flatnonzero(np.diff(f, prepend=-1))  # each front's first update
+        parent[f[head]] = front[p[head]]
+        up, at = parent[f] * m + p, lev[parent[f]]
+        for v in np.flatnonzero(np.bincount(at)):
+            pending.setdefault(v, []).append(up[at == v])
+    # the updates front by front: each front's are one sorted run of the levels' keys
+    u = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    f = u // m
+    update_ptr = np.append(0, np.cumsum(np.bincount(f, minlength=nf)))
+    head = np.flatnonzero(np.diff(f, prepend=-1))
+    first = np.zeros(nf, dtype=np.int64)
+    first[f[head]] = head
+    u[update_ptr[f] + np.arange(len(u)) - first[f]] = u.copy()  # now sorted
+    f, update = u // m, u % m
+    nup = np.diff(update_ptr)
+    q = parent[f]
+    relative = np.where(update < end[q], update - start[q],
+                        npiv[q] + np.searchsorted(u, q * m + update) - update_ptr[q])
+    # the batches, and the row blocks laid out batch by batch
+    group = np.lexsort((nup, npiv, -lev))
+    shape = np.stack([lev, npiv, nup])[:, group]
+    cut = np.append(np.flatnonzero(np.diff(shape, axis=1, prepend=-1).any(axis=0)), nf)
+    batch, at = np.full(nf + 1, -1), np.zeros(nf + 1, dtype=np.intp)  # each front's batch and place
+    batch[group] = np.repeat(np.arange(len(cut) - 1), np.diff(cut))
+    group = np.lexsort((batch[parent[:-1]], batch[:-1]))  # in a batch, by the parent's batch
+    at[group] = np.arange(nf) - np.repeat(cut[:-1], np.diff(cut))
+    width = np.append(npiv + nup, 0)
+    offset = np.zeros(nf + 1, dtype=np.int64)
+    offset[group] = np.cumsum((npiv * width[:-1])[group]) - (npiv * width[:-1])[group]
+    size = int((npiv * width[:-1]).sum())
+    batches = []
+    for i0, i1 in zip(cut[:-1], cut[1:]):
+        fs = group[i0:i1]
+        nj, ns = npiv[fs[0]], nup[fs[0]]
+        ups = update_ptr[fs][:, None] + np.arange(ns)
+        batches.append(Batch(start[fs][:, None] + np.arange(nj), update[ups], int(offset[fs[0]]),
+                             int(offset[fs[0]] + len(fs) * nj * (nj + ns)), batch[parent[fs]],
+                             at[parent[fs]], relative[ups]))
+    # each summand's place: a pivot row of its row's front, at a pivot or an
+    # update column of that front; -1 for a column before the front: dropped
+    column = np.where(near < end[pf, None], near - start[pf, None], -1)
+    column[later] = (np.append(npiv, 0)[pf, None] + np.searchsorted(u, pf[:, None] * m + near)
+                     - update_ptr[pf, None])[later]
+    F = front[P]
+    row = offset[F] + (P - start[F]) * width[F]  # each (group, row)'s place in the data
+    col = column[incidence]  # (group, row, column)
+    slots = np.where((P < m)[:, :, None] & (col >= 0), row[:, :, None] + col, size).ravel()
+    dtype = np.int32 if size < 2**31 else np.int64
+    return Fronts(nodes=order, size=size, slots=slots.astype(dtype), batches=tuple(batches))
 
 
 @dataclass(eq=False)
 class CellLinks:
     """The links of the cells of one topology class, in the columns of their
     rows of the cell table: ``pairs`` (nl, 2), the (row, column) pairs of
-    the form's cell matrix, in row-major order, so the CSR order; ``tri``
-    (cell triangles, 9), the link of each entry of each triangle of the
-    cell, in the cell's triangle order, row-major; ``edge`` (cell edges,
-    16), that of each entry of each interface edge of the cell, over
-    (plus_a, plus_b, minus_a, minus_b); and ``edge_columns`` (cell edges,
-    4), those edges' columns.  Every array is int32."""
+    the form's cell matrix, in row-major order; ``tri`` (cell triangles, 9),
+    the link of each entry of each triangle of the cell, in the cell's
+    triangle order, row-major; ``edge`` (cell edges, 16), that of each entry
+    of each interface edge of the cell, over (plus_a, plus_b, minus_a,
+    minus_b); ``edge_columns`` (cell edges, 4), those edges' columns; and
+    ``band`` (rows, longest row), the links of each row in turn, padded with
+    nl.  Every array is int32.
+
+    The cell's interior block is factored in ``interior``, the ``Fronts``
+    of a coordinate bisection (``_bisection``) whose nodes are the interior
+    columns in elimination order and whose slots take the pairs; ``outer``
+    holds the skeleton columns in table order, and ``coupling`` the place of
+    each pair in K_IB (interior rows in elimination order, outer columns,
+    row-major) followed by K_BB (outer x outer), past both for a pair in
+    neither."""
 
     pairs: np.ndarray
     tri: np.ndarray
     edge: np.ndarray
     edge_columns: np.ndarray
+    band: np.ndarray
+    outer: np.ndarray
+    interior: Fronts
+    coupling: np.ndarray
 
 
 @dataclass(eq=False)
@@ -131,17 +269,14 @@ class MembraneMesh:
     nodes, ``free_nodes`` every node off ``boundary_nodes``: the dofs of
     every system on the mesh.
 
-    ``schur`` (int32 arrays) is where ``fem`` sums the Schur complement S of
-    the cells' matrices on the free skeleton nodes: ``nodes``, those nodes
-    in nested-dissection order along the lattice lines (see
-    ``_dissection``), the order S is factored in; ``indptr`` and
-    ``indices``, S's CSC pattern over them; and ``slots``, the position in
-    S's CSC data of each summand: the Schur block of each cell in turn over
-    its skeleton nodes in table column order, padded to the widest cell's
-    count of skeleton nodes, row-major.  A summand in a boundary or padded
-    row or column goes to the extra slot len(indices).  The keys are merged
-    with each cell's columns in its nodes' order, in which its keys come
-    sorted.
+    ``schur`` is the ``Fronts`` of the Schur complement S of the cells'
+    matrices on the free skeleton nodes, in nested-dissection order along
+    the lattice lines (``_dissection``): ``schur.nodes`` are those nodes in
+    elimination order (int32), and its summands, which ``fem`` adds through
+    ``schur.slots``, are the Schur block of each cell in turn over its
+    skeleton nodes in table column order, padded to the widest cell's count
+    of skeleton nodes, row-major; a summand in a boundary or padded row or
+    column is dropped.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
@@ -168,7 +303,7 @@ class MembraneMesh:
     cell_links: np.ndarray = field(init=False, repr=False)
     cell_skeleton: np.ndarray = field(init=False, repr=False)
     free_nodes: np.ndarray = field(init=False, repr=False)
-    schur: dict = field(init=False, repr=False)
+    schur: Fronts = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("triangles", "interface_pairs", "boundary_nodes", "tri_cell_index",
@@ -191,7 +326,7 @@ class MembraneMesh:
                                     self.boundary_nodes)
         self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
         self._tile(on, tri_order, tri_count)
-        self.schur = self._schur_pattern(on)
+        self.schur = self._schur_fronts(on)
         self.ref_vertices = self.vertices
         self._take_prototypes(self.cell_kind)
 
@@ -259,10 +394,36 @@ class MembraneMesh:
             j = np.concatenate([np.tile(tc, 3).ravel(), np.tile(ec, 4).ravel()])
             keys, link = np.unique(i * w + j, return_inverse=True)
             link = link.astype(np.int32)
+            r, c = keys // w, keys % w
+            head = np.flatnonzero(np.diff(r, prepend=-1))  # each row's first link
+            length = np.diff(np.append(head, len(r)))
+            band = np.full((len(head), length.max(initial=0)), len(r))
+            band[np.repeat(np.arange(len(head)), length), np.arange(len(r)) - np.repeat(head, length)] = \
+                np.arange(len(r))
+            # the interior columns, factored in their own fronts, and the skeleton ones
+            skel = on_skeleton[row[valid]]
+            inner, outer = valid[~skel], valid[skel]
+            ni, nb = len(inner), len(outer)
+            local = np.full(w, ni)  # each column's place among the interior ones; ni for none
+            local[inner] = np.arange(ni)
+            pairs = np.column_stack([local[r], local[c]])
+            interior = _fronts(*_bisection(self.vertices[row[inner]], *pairs.T), pairs)
+            interior.slots = interior.slots.reshape(-1, 2, 2)[:, 0, 1].copy()  # each pair's own entry
+            elim = np.empty(ni + 1, dtype=np.int64)  # each interior column's elimination position
+            elim[interior.nodes] = np.arange(ni)
+            interior.nodes = inner[interior.nodes].astype(np.int32)
+            ob = np.full(w, nb)  # each column's place among the skeleton ones; nb for none
+            ob[outer] = np.arange(nb)
+            coupling = np.full(len(keys), (ni + nb) * nb, dtype=np.int64)
+            ib, bb = (local[r] < ni) & (ob[c] < nb), (ob[r] < nb) & (ob[c] < nb)
+            coupling[ib] = elim[local[r[ib]]] * nb + ob[c[ib]]
+            coupling[bb] = ni * nb + ob[r[bb]] * nb + ob[c[bb]]
             links.append(CellLinks(
-                pairs=np.column_stack([keys // w, keys % w]).astype(np.int32),
+                pairs=np.column_stack([r, c]).astype(np.int32),
                 tri=link[:9 * len(tc)].reshape(-1, 9), edge=link[9 * len(tc):].reshape(-1, 16),
-                edge_columns=ec.astype(np.int32)))
+                edge_columns=ec.astype(np.int32), band=band.astype(np.int32),
+                outer=outer.astype(np.int32),
+                interior=interior, coupling=coupling.astype(np.int32)))
         self.links, self.cell_links = tuple(links), rank.astype(np.int32)
 
         e = np.concatenate([x.reshape(-1, 5) for x in edges])
@@ -272,33 +433,20 @@ class MembraneMesh:
         self.interface_edges = e[order, :4].astype(np.int32)
         self.edge_cell_index = e[order, 4].astype(np.int32)
 
-    def _schur_pattern(self, on_skeleton: np.ndarray) -> dict:
-        """The ``schur`` pattern of the free skeleton nodes (see the class
+    def _schur_fronts(self, on_skeleton: np.ndarray) -> Fronts:
+        """The ``schur`` fronts of the free skeleton nodes (see the class
         docstring); ``on_skeleton`` marks the skeleton nodes."""
         table, on = self.cell_nodes, self.cell_skeleton
         nodes = np.setdiff1d(np.flatnonzero(on_skeleton), self.boundary_nodes, assume_unique=True)
         m = len(nodes)
-        pos = np.full(self.num_vertices + 1, m, dtype=np.uint32 if m * m < 2**32 else np.int64)
-        pos[nodes] = np.arange(m)  # position among ``nodes``; m for the others and absent ones
-        nodes = nodes[_dissection(self.cells, table, on, pos, m)]
-        pos[nodes] = np.arange(m)
+        pos = np.full(self.num_vertices + 1, m, dtype=np.int64)
+        pos[nodes] = np.arange(m)  # place among ``nodes``; m for the others and absent ones
         count = on.sum(axis=1)
-        at = np.full((len(table), count.max(initial=0)), m, dtype=pos.dtype)  # m pads
+        at = np.full((len(table), count.max(initial=0)), m, dtype=np.int64)  # m pads
         at[np.arange(at.shape[1]) < count[:, None]] = pos[table[on]]  # each cell's skeleton nodes
-        perm = np.argsort(at, axis=1, kind="stable")  # each cell's nodes in order
-        at = np.take_along_axis(at, perm, axis=1)  # so that each cell's keys are sorted
-        pair = (at < m)[:, :, None] & (at < m)[:, None, :]  # both nodes free
-        links, at = _merged((at[:, :, None] * m + at[:, None, :])[pair])  # column by column
-        slots = np.full(pair.shape, len(links), dtype=np.int32)
-        slots[pair] = at
-        # key [c, i, j] is row perm[c, j] and column perm[c, i] of cell c's summands:
-        # each block back in table column order
-        cell = np.arange(len(perm))[:, None, None]
-        slots[cell, perm[:, None], perm[:, :, None]] = slots.copy()
-        return {name: a.astype(np.int32, copy=False) for name, a in (
-            ("nodes", nodes), ("slots", slots.ravel()),
-            ("indices", links - links // max(m, 1) * m),
-            ("indptr", np.searchsorted(links, np.arange(m + 1, dtype=links.dtype) * m)))}
+        fronts = _fronts(*_dissection(self.cells, table, on, pos, m), at)
+        fronts.nodes = nodes[fronts.nodes].astype(np.int32)
+        return fronts
 
     @property
     def num_vertices(self) -> int:
@@ -330,18 +478,18 @@ class MembraneMesh:
 
 
 def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.ndarray,
-                m: int) -> np.ndarray:
-    """The nested-dissection order along the lattice lines (George, "Nested
+                m: int) -> tuple[list, np.ndarray]:
+    """The nested dissection along the lattice lines (George, "Nested
     dissection of a regular finite element mesh", SIAM J. Numer. Anal. 1973)
-    of the m nodes at ``pos`` (m for every other node), a permutation of
-    range(m).  Each node's box is the block of the ``cells`` whose rows of
-    the cell ``table`` hold it at a column ``on`` marks.  The block of all
-    cells is cut at the middle of its longer side (x on a tie); the nodes
-    whose box straddles the cut are numbered after those of both halves, and
-    each half is cut the same way until it is one cell wide.  The nodes of
-    one separator, or of one block, keep their given order."""
+    of the m nodes at ``pos`` (m for every other node), as ``_fronts`` takes
+    it: the digits and levels.  Each node's box is the block of the
+    ``cells`` whose rows of the cell ``table`` hold it at a column ``on``
+    marks.  The block of all cells is cut at the middle of its longer side
+    (x on a tie); the nodes whose box straddles the cut are its separator,
+    numbered after those of both halves, and each half is cut the same way
+    until it is one cell wide."""
     if not (m and len(cells)):
-        return np.arange(m)
+        return [], np.zeros(m, dtype=np.intp)
     rows, cols = np.nonzero(on)
     at, where = pos[table[rows, cols]], cells[rows]
     lo = np.full((m + 1, 2), np.iinfo(np.int64).max)  # each node's box; m takes the others
@@ -352,6 +500,7 @@ def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.nd
     b0 = np.repeat([cells.min(axis=0)], m, axis=0)  # each node's block: [b0, b1)
     b1 = np.repeat([cells.max(axis=0) + 1], m, axis=0)
     digits, cut = [], np.ones(m, dtype=bool)  # per cut: 0 left, 1 right, 2 separator
+    level = np.zeros(m, dtype=np.intp)
     while True:
         size = b1 - b0
         axis = (size[:, 1] > size[:, 0]).astype(np.intp)
@@ -367,7 +516,52 @@ def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.nd
         b0[r[down], axis[down]] = mid[down]
         b1[r[up], axis[up]] = mid[up]
         cut &= ~sep
-    return np.lexsort(digits[::-1]) if digits else r
+        level += cut
+    return digits, level
+
+
+LEAF = 64  # nodes of a block that coordinate bisection cuts no further
+
+
+def _bisection(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[list, np.ndarray]:
+    """The coordinate bisection of a graph on n nodes at ``points`` (n, 2)
+    with the edges i-j (a node n stands for none), as ``_fronts`` takes it:
+    the digits and levels.  A block of more than LEAF nodes is cut at the
+    median of its nodes along its longer side (x on a tie); its separator is
+    the nodes at or below the cut with a neighbour above it, numbered after
+    both halves.  A block that no cut divides is a leaf."""
+    n = len(points)
+    valid = (i < n) & (j < n)
+    i, j = i[valid], j[valid]
+    block, level = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    digits, cut = [], np.ones(n, dtype=bool)
+    while True:
+        nb = block.max(initial=-1) + 1
+        cut &= np.bincount(block[cut], minlength=nb)[block] > LEAF
+        if not cut.any():
+            break
+        lo = np.full((nb, 2), np.inf)
+        hi = np.full((nb, 2), -np.inf)
+        np.minimum.at(lo, block[cut], points[cut])
+        np.maximum.at(hi, block[cut], points[cut])
+        x = points[np.arange(n), (hi - lo).argmax(axis=1)[block]]
+        at = np.flatnonzero(cut)
+        at = at[np.lexsort((x[at], block[at]))]  # each block's nodes by x
+        count = np.bincount(block[at], minlength=nb)
+        median = np.zeros(nb)
+        median[count > 0] = x[at[(np.cumsum(count) - count + (count - 1) // 2)[count > 0]]]
+        right = cut & (x > median[block])
+        cut &= (np.bincount(block[right], minlength=nb) > 0)[block]  # else a leaf
+        right &= cut
+        e = cut[i] & cut[j] & (block[i] == block[j]) & (right[i] != right[j])
+        sep = np.zeros(n, dtype=bool)
+        sep[np.where(right[i[e]], j[e], i[e])] = True
+        digit = (np.where(sep, 2, right) * cut).astype(np.int8)
+        digits.append(digit)
+        block = np.unique(block * 3 + digit, return_inverse=True)[1].reshape(n)
+        cut &= ~sep
+        level += cut
+    return digits, level
 
 
 def triangle_geometry(v: np.ndarray, t: np.ndarray):

@@ -1,8 +1,8 @@
 """Quantities only the tests read: per-triangle conductivities, a mesh's
 skeleton, a mesh with every cell its own kind, the fluxes of every cell of
 a corrector, the lattice shift of the Bernoulli field and map, the exact A0
-of the periodic identity cell, and the LU fill of the skeleton's Schur
-complement in two orders."""
+of the periodic identity cell, the matrices the condensed solver factors,
+and the fill of the skeleton's Schur complement in two orders."""
 
 import time
 from dataclasses import dataclass
@@ -110,25 +110,60 @@ def trefftz_a0(modes):
     return float(flux), float(np.abs(M @ c - rhs).max())
 
 
-def skeleton_fills(system):
-    """The LU fill (L.nnz + U.nnz) and factor seconds of the Schur complement
-    S that ``fem._Condensed`` sums on the free skeleton of ``system``: under
-    ``"stored"``, S as the solver factors it, in the mesh's stored
-    nested-dissection order; under ``"mmd"``, S with its nodes sorted and its
-    zero entries dropped, in SuperLU's minimum-degree order of S + S^T
-    (``MMD_AT_PLUS_A``)."""
-    factored, factor = [], fem._factor
-    fem._factor = lambda A, spec: factored.append(A) or factor(A, spec)
+def factored(system):
+    """The fronts and the summed row blocks of each matrix ``fem._Condensed``
+    factors for ``system``, in turn: each kind's interior, then the Schur
+    complement S on the free skeleton."""
+    calls, cholesky = [], fem._cholesky
+    fem._cholesky = lambda fronts, data: calls.append((fronts, data.copy())) or cholesky(fronts, data)
     try:
         fem._Condensed(system.cell_matrices, system.mesh)
     finally:
-        fem._factor = factor
-    S, order = factored[-1], np.argsort(system.mesh.schur["nodes"])
-    ranked = S[order][:, order].tocsc()
+        fem._cholesky = cholesky
+    return calls
+
+
+def fronts_matrix(fronts, data):
+    """The symmetric matrix (scipy CSR, in elimination order) whose row
+    blocks in ``fronts`` are ``data``, as ``fem._cholesky`` takes them: each
+    front's pivot block in full and its pivot rows' update columns, mirrored
+    below the diagonal."""
+    import scipy.sparse as sp
+
+    rows, cols, values = [], [], []
+    for batch in fronts.batches:
+        (g, nj), columns = batch.rows.shape, np.concatenate([batch.rows, batch.update], axis=1)
+        r, c = np.broadcast_arrays(batch.rows[:, :, None], columns[:, None, :])
+        v = data[batch.lo:batch.hi].reshape(r.shape)
+        rows += [r.ravel(), c[:, :, nj:].ravel()]
+        cols += [c.ravel(), r[:, :, nj:].ravel()]
+        values += [v.ravel(), v[:, :, nj:].ravel()]
+    m = len(fronts.nodes)
+    return sp.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(m, m))
+
+
+def skeleton_fills(system):
+    """The factor entries and factor seconds of the Schur complement S that
+    ``fem._Condensed`` sums on the free skeleton of ``system``: under
+    ``"stored"``, the entries of the factor L the solver stores (each
+    front's pivot block's lower triangle and its pivot rows' update
+    columns), in the mesh's stored nested-dissection order; under
+    ``"mmd"``, L.nnz of SuperLU's complete LU of S with its nodes sorted and
+    its zero entries dropped, in the minimum-degree order of S + S^T
+    (``MMD_AT_PLUS_A``)."""
+    import scipy.sparse.linalg as spla
+
+    fronts, data = factored(system)[-1]
+    start = time.perf_counter()
+    fem._cholesky(fronts, data.copy())
+    stored = (sum(len(b.rows) * (b.rows.shape[1] * (b.rows.shape[1] + 1) // 2
+                                 + b.rows.shape[1] * b.update.shape[1]) for b in fronts.batches),
+              time.perf_counter() - start)
+    order = np.argsort(fronts.nodes)
+    ranked = fronts_matrix(fronts, data)[order][:, order].tocsc()
     ranked.eliminate_zeros()
-    out = {}
-    for name, A, spec in (("stored", S, "NATURAL"), ("mmd", ranked, "MMD_AT_PLUS_A")):
-        start = time.perf_counter()
-        lu = factor(A, spec)
-        out[name] = (lu.L.nnz + lu.U.nnz, time.perf_counter() - start)
-    return out
+    start = time.perf_counter()
+    lu = spla.splu(ranked, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return {"stored": stored, "mmd": (lu.L.nnz, time.perf_counter() - start)}

@@ -416,6 +416,23 @@ class TestOneTemplatePerRun:
         assert main(["homogenize", "--config", str(p), "--out", out, "--jobs", "2"]) == 0
         assert set(builds.read_text().split()) == {str(os.getpid())}
 
+    def test_no_command_imports_scipy(self, tmp_path):
+        # the five commands in one fresh process, each with --jobs 2: no scipy
+        # module is ever loaded (scipy is a test dependency only)
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        code = ("import sys; from membrane_homog.cli import main\n"
+                "for command in ('mesh', 'corrector', 'effective', 'homogenize', 'verify'):\n"
+                "    argv = [command, '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '2']\n"
+                "    assert main(argv) == 0, command\n"
+                "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[-2] == "[]", done.stdout
+
     def test_effective_pool_run_imports_no_scipy_special(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG)

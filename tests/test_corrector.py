@@ -396,9 +396,11 @@ class TestFoldedCell:
         (K,) = system.cell_matrices
         links = folded.links[folded.cell_links[0]]
         assert np.array_equal(folded.cell_nodes, [np.arange(len(reps))])
-        assert K.shape == (len(reps),) * 2 and K.has_canonical_format
-        assert np.array_equal(np.repeat(np.arange(len(reps)), np.diff(K.indptr)), links.pairs[:, 0])
-        assert np.array_equal(K.indices, links.pairs[:, 1])
+        assert K.shape == (len(links.pairs),)
+        M = system.matrix
+        assert M.shape == (len(reps),) * 2 and M.has_canonical_format
+        assert np.array_equal(np.repeat(np.arange(len(reps)), np.diff(M.indptr)), links.pairs[:, 0])
+        assert np.array_equal(M.indices, links.pairs[:, 1]) and np.array_equal(M.data, K)
         assert corr.sol.iterations == 1 and corr.sol.mesh is cell
 
 

@@ -36,7 +36,7 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import cellwise, form_tensor, skeleton, skeleton_fills
+from helpers import cellwise, factored, form_tensor, fronts_matrix, skeleton, skeleton_fills
 from test_mesh import (INDEX_ARRAYS, folded_cell, mesh_from_tri_cell, oracle_interface_edges,
                        oracle_pattern)
 
@@ -254,7 +254,8 @@ class TestPatternScatter:
     def test_sums_in_bincount_order(self, meshes, name):
         # the residual's runs add each cell's product, kind by kind and cell
         # by cell, as one np.bincount over all the cells' entries does, bit
-        # for bit
+        # for bit; each product is the kind's band of entries times the
+        # cell's values, row by row
         if name == "tiled_sixteenth":  # 256 cells: many runs per kind
             mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.05), BernoulliCellwiseMap(0), 1 / 16,
                                     SPEC)
@@ -267,8 +268,10 @@ class TestPatternScatter:
         x = np.random.default_rng(2).standard_normal(len(mesh.free_nodes))
         u = np.zeros(mesh.num_vertices)
         u[mesh.free_nodes] = x
-        nodes = [nodes for nodes, *_ in solver.kinds]  # each kind's cells' nodes
-        products = [(K @ u[cells].T).T for cells, _, K, _, _ in solver.kinds]
+        nodes, products = [], []  # each kind's cells' row nodes and products
+        for cells, _, rows, cols, values, *_ in solver.kinds:
+            nodes.append(cells[:, rows])
+            products.append(np.einsum("rk,crk->cr", values, u[cells][:, cols]))
         want = np.bincount(np.concatenate([a.ravel() for a in nodes]),
                            weights=np.concatenate([a.ravel() for a in products]),
                            minlength=mesh.num_vertices)
@@ -633,14 +636,16 @@ class TestTwoLevelCG:
         cell = build_cell_mesh(SPEC, 0.1)
         template = meshing.truncated_template(cell, 2).mesh
         pattern = template.schur
-        assert all(a.dtype == np.int32 for a in pattern.values())
+        assert pattern.nodes.dtype == pattern.slots.dtype == np.int32
         meshes = [build_truncated_mesh(cell, BernoulliCellwiseMap(seed), 2) for seed in (0, 1)]
         assert not np.array_equal(meshes[0].cell_kind, meshes[1].cell_kind)
-        assert all(mesh.schur is pattern for mesh in (*meshes, cellwise(meshes[0])))
+        # the skeleton's fronts and each topology class's interior fronts
+        assert all(mesh.schur is pattern and mesh.links is template.links
+                   for mesh in (*meshes, cellwise(meshes[0])))
         form = BilinearFormSpec(jump_weight=1.0, mass_weight=1e-3)
         for mesh in meshes:
             assert solve(assemble(mesh, form, p=[1.0, 0.0])).iterations == 1
-        nodes = pattern["nodes"]
+        nodes = pattern.nodes
         assert len(nodes) and not np.isin(nodes, template.boundary_nodes).any()
         off = np.setdiff1d(np.arange(template.num_vertices), template.boundary_nodes)
         assert np.array_equal(template.free_nodes, off)
@@ -658,7 +663,7 @@ class TestTwoLevelCG:
 
     @pytest.mark.parametrize("per_cell", [False, True], ids=["assembled", "cellwise"])
     @pytest.mark.parametrize("case", sorted(SCHUR_CASES))
-    def test_schur_complement(self, cell_h01, monkeypatch, case, per_cell):
+    def test_schur_complement(self, cell_h01, case, per_cell):
         # the S the set-up factors is K_BB - K_BI K_II^-1 K_IB on the free
         # skeleton dofs B, I the other free dofs
         build, form = self.SCHUR_CASES[case]
@@ -668,11 +673,8 @@ class TestTwoLevelCG:
         if per_cell:
             system = assemble(cellwise(system.mesh), form)
         mesh = system.mesh
-        factored, factor = [], fem._factor
-        monkeypatch.setattr(fem, "_factor", lambda A, spec: factored.append(A) or factor(A, spec))
-        fem._Condensed(system.cell_matrices, mesh)
-        S = factored[-1].toarray()  # S is factored last
-        B = mesh.schur["nodes"]
+        S = fronts_matrix(*factored(system)[-1]).toarray()  # S is factored last
+        B = mesh.schur.nodes
         I = np.setdiff1d(mesh.free_nodes, B)
         K = system.matrix.toarray()
         ref = K[np.ix_(B, B)] - K[np.ix_(B, I)] @ np.linalg.solve(K[np.ix_(I, I)], K[np.ix_(I, B)])
@@ -685,18 +687,19 @@ class TestTwoLevelCG:
         mesh = MembraneMesh(**{name: getattr(cell_h01, name) for name in (
             "vertices", "triangles", "tri_region", "interface_pairs", "cells", "tri_cell_index",
             "cell_nodes")}, boundary_nodes=np.zeros(0, dtype=np.int32))
-        assert not mesh.cell_skeleton.any() and len(mesh.schur["nodes"]) == 0
+        assert not mesh.cell_skeleton.any() and len(mesh.schur.nodes) == 0
         system = assemble(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0), f=1.0)
         sol = solve(system)
         assert sol.iterations == 1 and sol.residual <= RTOL
         assert np.abs(sol.values - splu_values(system)).max() <= 1e-12
 
     def test_folded_periodic_cell_has_empty_schur_complement(self, monkeypatch):
-        factored, factor = [], fem._factor
-        monkeypatch.setattr(fem, "_factor", lambda A, spec: factored.append(A) or factor(A, spec))
+        calls, cholesky = [], fem._cholesky
+        monkeypatch.setattr(fem, "_cholesky",
+                            lambda fronts, data: calls.append(fronts) or cholesky(fronts, data))
         periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)
-        interior, S = factored  # the one cell's interior, then S
-        assert S.shape == (0, 0) and interior.shape[0] > 0
+        interior, S = calls  # the one cell's interior, then S
+        assert len(S.nodes) == S.size == 0 and len(interior.nodes) > 0
 
     @staticmethod
     def scaled_inverse(monkeypatch, factor):
@@ -719,6 +722,33 @@ class TestTwoLevelCG:
         assert sol.residual <= RTOL
         assert np.abs(sol.values - splu_values(system)).max() <= 1e-8 * np.abs(sol.values).max()
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_singular_system_raises_solver_divergence(self, h):
+        # jump weight 0 and no mass: each membrane's disk floats, so K is
+        # singular; the solve raises SolverDivergence, from the factor or from
+        # the residual check, never numpy's LinAlgError or a RuntimeWarning
+        # (which this suite turns into errors)
+        cell = build_cell_mesh(SPEC, h)
+        for mesh in (cell, build_truncated_mesh(cell, BernoulliCellwiseMap(0), 2),
+                     tile_domain_mesh(cell, BernoulliCellwiseMap(0), 0.25, SPEC)):
+            with pytest.raises(SolverDivergence, match="not positive definite|after 3 applications"):
+                solve(assemble(mesh, BilinearFormSpec(), f=1.0))
+
+    @pytest.mark.parametrize("case", ["interior", "skeleton"])
+    def test_indefinite_pivot_block_raises_solver_divergence(self, monkeypatch, case):
+        # a negative mass below minus the lowest Dirichlet eigenvalue of one
+        # cell (about 2 pi^2 / 0.4^2 = 123 for the grid's 16 / 40 wide cells)
+        # makes the interior blocks indefinite; one between that and minus
+        # the square's (2 pi^2 = 19.7) leaves them definite and S indefinite
+        calls, cholesky = [], fem._cholesky
+        monkeypatch.setattr(fem, "_cholesky",
+                            lambda fronts, data: calls.append(fronts) or cholesky(fronts, data))
+        mass = {"interior": -2e3, "skeleton": -50.0}[case]
+        system = assemble(build_square_mesh(40), BilinearFormSpec(mass_weight=mass), f=1.0)
+        with pytest.raises(SolverDivergence, match="pivot block of the factor is not positive definite"):
+            solve(system)
+        assert (calls[-1] is system.mesh.schur) == (case == "skeleton")
+
     def test_diverges_after_three_applications(self, cell_h01, monkeypatch):
         # half the inverse halves the residual per application: 1/8 after 3
         system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
@@ -730,8 +760,8 @@ class TestTwoLevelCG:
 
 class TestSkeletonOrder:
     """The mesh stores its free skeleton nodes in nested-dissection order
-    along the lattice lines, which the skeleton LU takes as it stands; the
-    solves leave the stored pattern as they found it."""
+    along the lattice lines, the order of the skeleton's fronts; the solves
+    leave the stored fronts as they found them."""
 
     @pytest.mark.parametrize("name", ["cube", "eighth", "grid", "cell", "folded", "empty"])
     def test_nodes_permute_the_free_skeleton(self, cell_h01, name):
@@ -747,7 +777,7 @@ class TestSkeletonOrder:
                 interface_pairs=np.zeros((0, 2), dtype=np.int64),
                 boundary_nodes=np.zeros(0, dtype=np.int64)),
         }[name]()
-        nodes, free = mesh.schur["nodes"], np.setdiff1d(skeleton(mesh), mesh.boundary_nodes)
+        nodes, free = mesh.schur.nodes, np.setdiff1d(skeleton(mesh), mesh.boundary_nodes)
         assert nodes.dtype == np.int32 and np.array_equal(np.sort(nodes), free)
         assert (len(nodes) > 0) == (name in ("cube", "eighth", "grid"))
 
@@ -756,7 +786,7 @@ class TestSkeletonOrder:
         # into two columns of cells, each cut at y = 16; the halves of
         # y = 16 come before x = 16, left before right
         mesh = build_square_mesh(32)
-        x, y = (mesh.vertices[mesh.schur["nodes"]] * 32).T
+        x, y = (mesh.vertices[mesh.schur.nodes] * 32).T
         assert (y[:30] == 16).all() and (x[30:] == 16).all() and len(x) == 61
         assert (x[:15] < 16).all() and (x[15:30] > 16).all()
 
@@ -773,6 +803,7 @@ class TestSkeletonOrder:
         }[case]()
         fills = skeleton_fills(assemble(mesh, form))
         stored, mmd = fills["stored"][0], fills["mmd"][0]
+        # the factor's stored lower entries against SuperLU's minimum-degree L;
         # the grid's S keeps the entries that cancel to zero: at most 3 % more fill
         assert stored <= (1.03 if case == "grid128" else 1.0) * mmd, (stored, mmd)
 
@@ -784,10 +815,15 @@ class TestSkeletonOrder:
             "tiling": lambda: (tile_domain_mesh(cell_h01, BernoulliCellwiseMap(1), 0.25, SPEC),
                                hetero_form(0.25)),
         }[case]()
-        before = {name: a.copy() for name, a in mesh.schur.items()}
+        def arrays():
+            fronts = [mesh.schur, *(links.interior for links in mesh.links)]
+            return [a.copy() for f in fronts for a in (f.nodes, f.slots, *(x for b in f.batches
+                                                                          for x in b[:2] + b[4:]))]
+
+        before = arrays()
         first, second = (solve(assemble(mesh, form, f=1.0)) for _ in range(2))
         assert first.values.tobytes() == second.values.tobytes()
-        assert all(np.array_equal(mesh.schur[name], a) for name, a in before.items())
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(), before))
 
 
 class TestNorms:

@@ -905,7 +905,7 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
     got_edges, got_cells = [np.zeros((0, 4), dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     for k, links in enumerate(mesh.links):
         pairs, w = links.pairs.astype(np.int64), table.shape[1]
-        assert all(a.dtype == np.int32 for a in vars(links).values())
+        assert all(a.dtype == np.int32 for a in vars(links).values() if isinstance(a, np.ndarray))
         assert (np.diff(pairs[:, 0] * w + pairs[:, 1]) > 0).all()  # distinct, row-major
         used = np.concatenate([links.tri.ravel(), links.edge.ravel()])
         assert np.array_equal(np.unique(used), np.arange(len(pairs)))  # every link an entry's
@@ -917,49 +917,105 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
         ends = rows[:, links.edge_columns]  # (cells, edges, 4): each cell's edges
         assert np.array_equal(rows[:, pairs[links.edge]], entry_pairs(ends))
         got_edges.append(ends.reshape(-1, 4))
+        # the interior and skeleton columns, the interior's fronts, K_IB and K_BB, the band
+        first = table[cells[0]]
+        skel = np.flatnonzero(mesh.cell_skeleton[cells[0]])
+        inner = links.interior.nodes
+        assert np.array_equal(links.outer, skel)
+        assert np.array_equal(np.sort(np.concatenate([inner, skel])), np.flatnonzero(first >= 0))
+        assert_fronts_match_oracle(links.interior, pairs[:, 0], pairs[:, 1])
+        ni, nb = len(inner), len(skel)
+        ip, op = np.full(w, -1), np.full(w, -1)
+        ip[inner], op[skel] = np.arange(ni), np.arange(nb)
+        r, c = pairs.T
+        want = np.where((ip[r] >= 0) & (op[c] >= 0), ip[r] * nb + op[c], (ni + nb) * nb)
+        want = np.where((op[r] >= 0) & (op[c] >= 0), ni * nb + op[r] * nb + op[c], want)
+        assert np.array_equal(links.coupling, want)
+        band = links.band
+        assert np.array_equal(np.sort(band[band < len(pairs)]), np.arange(len(pairs)))
+        valid = band < len(pairs)
+        assert (valid[:, :-1] >= valid[:, 1:]).all()  # padded at the end
+        assert ((np.diff(band, axis=1) == 1) | ~valid[:, 1:]).all()  # each row's links in turn
+        head = pairs[band[:, 0], 0]
+        assert np.array_equal(head, np.unique(pairs[:, 0]))
+        assert ((band == len(pairs)) | (np.append(pairs[:, 0], -1)[band] == head[:, None])).all()
         got_cells.append(np.repeat(cells, len(links.edge_columns)).astype(np.int32))
     got_edges, got_cells = np.concatenate(got_edges), np.concatenate(got_cells)
     at = np.lexsort(got_edges.T[::-1])
     assert np.array_equal(got_edges[at], edges) and np.array_equal(got_cells[at], edge_cells)
 
 
-def oracle_schur(mesh, nodes):
-    """The ``schur`` pattern of the free skeleton ``nodes`` in their given
-    order, by a sort of every Schur-block key, column-major (column * m +
-    row), and a search per key; each cell's block is padded to the widest,
-    its padded keys read -1 as those off ``nodes`` do."""
-    n, table, on = mesh.num_vertices, mesh.cell_nodes, mesh.cell_skeleton
+def assert_fronts_match_oracle(fronts, rows, cols):
+    """``fronts`` against a dense boolean elimination of its summands' graph
+    in its node order: the fronts' pivots are runs that partition the
+    positions; each front's updates are the later positions its pivots'
+    columns of the filled matrix reach; each front sends its update matrix
+    to the front of its first update, at the places of its updates there,
+    and depends only on earlier batches; and each summand's slot is its
+    (row, column) place in its row's front's row block, ``size`` for one
+    below the diagonal in another front's columns.  ``rows`` and ``cols``
+    list the summands by node, -1 for none."""
+    nodes, size = fronts.nodes, fronts.size
     m = len(nodes)
-    pos = np.full(n + 1, -1)
-    pos[nodes] = np.arange(m)
-    width = on.sum(axis=1).max(initial=0)
-    at = np.full((len(table), width, 1), -1)
-    for c in range(len(table)):  # each cell's skeleton nodes in table column order
-        skel = pos[table[c][on[c]]]
-        at[c, :len(skel), 0] = skel
-    off = (at < 0) | (at < 0).transpose(0, 2, 1)
-    keys = np.where(off, -1, at.transpose(0, 2, 1) * m + at).ravel()
-    links = np.unique(keys[keys >= 0])
-    slots = np.searchsorted(links, keys).astype(np.int32)
-    slots[keys < 0] = len(links)
-    return {name: a.astype(np.int32, copy=False) for name, a in (
-        ("nodes", nodes), ("slots", slots),
-        ("indices", links % max(m, 1)), ("indptr", np.searchsorted(links, np.arange(m + 1) * m)))}
+    assert fronts.slots.dtype == (np.int32 if size < 2**31 else np.int64)
+    pos = np.full(max(nodes.max(initial=0), rows.max(initial=0), cols.max(initial=0)) + 2, -1)
+    pos[nodes] = np.arange(m)  # pos[-1] reads -1
+    a, b = pos[rows], pos[cols]
+    on = (a >= 0) & (b >= 0)
+    fill = np.zeros((m, m), dtype=bool)
+    fill[a[on], b[on]] = True
+    fill |= fill.T
+    for k in range(m):  # eliminating k joins its later neighbours
+        later = k + 1 + np.flatnonzero(fill[k, k + 1:])
+        fill[np.ix_(later, later)] = True
+    batch_of, front_of = np.full(m, -1), np.full(m, -1)
+    place = np.full((size, 2), -1)  # each data entry's (row, column) position
+    for i, batch in enumerate(fronts.batches):
+        (g, nj), ns = batch.rows.shape, batch.update.shape[1]
+        assert (np.diff(batch.rows, axis=1) == 1).all() and (batch_of[batch.rows] < 0).all()
+        batch_of[batch.rows], front_of[batch.rows] = i, np.arange(g)[:, None]
+        assert batch.hi - batch.lo == g * nj * (nj + ns)
+        columns = np.concatenate([batch.rows, batch.update], axis=1)
+        place[batch.lo:batch.hi] = np.stack(np.broadcast_arrays(
+            batch.rows[:, :, None], columns[:, None, :]), axis=-1).reshape(-1, 2)
+        for J, update in zip(batch.rows, batch.update):
+            want = np.flatnonzero(fill[J].any(axis=0))
+            assert np.array_equal(update, want[want > J[-1]])
+    assert (batch_of >= 0).all() and (place >= 0).all()
+    for i, batch in enumerate(fronts.batches):
+        for update, parent, at, relative in zip(batch.update, batch.parent, batch.at, batch.relative):
+            assert (batch_of[update] > i).all()
+            if len(update):
+                up = fronts.batches[parent]
+                assert (parent, at) == (batch_of[update[0]], front_of[update[0]])
+                assert np.array_equal(np.concatenate([up.rows[at], up.update[at]])[relative], update)
+            else:
+                assert parent == -1
+    kept = on.copy()
+    kept[on] = (front_of[a[on]] == front_of[b[on]]) & (batch_of[a[on]] == batch_of[b[on]]) | (a[on] < b[on])
+    assert (fronts.slots[~kept] == size).all()
+    assert np.array_equal(place[fronts.slots[kept]], np.column_stack([a[kept], b[kept]]))
 
 
 def assert_topology_matches_oracle(mesh):
-    """The interface edges, the cells' links and the Schur pattern the
-    per-kind tiling builds equal the whole-mesh oracle's, dtype included."""
+    """The interface edges, the cells' links and the fronts of the skeleton
+    the per-kind tiling builds equal the whole-mesh oracle's, dtype
+    included."""
     edges, edge_cells = oracle_interface_edges(mesh)
     for name, a in (("interface_edges", edges), ("edge_cell_index", edge_cells)):
         got = getattr(mesh, name)
         assert got.dtype == a.dtype and np.array_equal(got, a), name
     assert_links_match_oracle(mesh, edges, edge_cells)
-    nodes = mesh.schur["nodes"]  # the stored order, checked on its own by TestSkeletonOrder
-    want = oracle_schur(mesh, nodes)
-    assert mesh.schur.keys() == want.keys()
-    for name, a in want.items():
-        assert mesh.schur[name].dtype == a.dtype and np.array_equal(mesh.schur[name], a), name
+    # the skeleton's summands: each cell's Schur block over its skeleton
+    # nodes in table column order, padded to the widest, row-major
+    table, on = mesh.cell_nodes, mesh.cell_skeleton
+    width = on.sum(axis=1).max(initial=0)
+    at = np.full((len(table), width), -1)
+    for c in range(len(table)):
+        skel = table[c][on[c]]
+        at[c, :len(skel)] = skel
+    assert mesh.schur.nodes.dtype == np.int32  # the stored order, checked on its own by TestSkeletonOrder
+    assert_fronts_match_oracle(mesh.schur, np.repeat(at, width, axis=1).ravel(), np.tile(at, width).ravel())
 
 
 def folded_cell(h):
