@@ -12,7 +12,6 @@ import argparse
 import concurrent.futures
 import functools
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -161,11 +160,11 @@ class ExperimentConfig:
     def seeds(self) -> list:
         return list(range(self.seed, self.seed + self.num_seeds))
 
-    @property
-    def realizations(self) -> list:
-        """The seeds whose realizations differ: a deterministic map gives
-        every seed the realization of the first."""
-        return self.seeds if self.map == "bernoulli" else self.seeds[:1]
+    def realization(self, seed: int) -> int:
+        """The seed whose realization ``seed`` gets: itself under the
+        Bernoulli map, ``self.seed`` under a deterministic map, which gives
+        every seed the same realization."""
+        return seed if self.map == "bernoulli" else self.seed
 
     @property
     def interface(self) -> InterfaceSpec:
@@ -248,41 +247,40 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def resolve_jobs(args) -> int:
-    """Worker count from --jobs, else MEMBRANE_HOMOG_JOBS, else 1; clamped to
-    [1, os.cpu_count()]."""
-    jobs = args.jobs
-    env = os.environ.get("MEMBRANE_HOMOG_JOBS")
-    if jobs is None and env:
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"MEMBRANE_HOMOG_JOBS: cannot parse {env!r}") from exc
-    return min(max(1, jobs or 1), os.cpu_count() or 1)
+    """Worker count from --jobs (default 1), clamped to [1, os.cpu_count()]."""
+    return min(max(1, args.jobs or 1), os.cpu_count() or 1)
 
 
-def _run_tasks(worker, tasks, jobs):
-    """Map worker over keyed tasks; results returned in task order regardless
-    of worker count or completion order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _run_tasks(worker, keys, jobs, shared):
+    """``worker`` run once per distinct key of ``keys``, in order of first
+    appearance; the results by key.  With two or more workers and two or
+    more distinct keys the keys go to a pool of forked workers, and
+    ``shared()`` runs just before it forks, so they share what it builds."""
+    distinct = list(dict.fromkeys(keys))
+    if jobs <= 1 or len(distinct) <= 1:
+        return {key: worker(key) for key in distinct}
+    import multiprocessing
+
+    shared()
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+        return dict(zip(distinct, pool.map(worker, distinct)))
 
 
-def _corrector_task(task, profile: bool = False):
-    """One realization's sample (effective.EffectiveRun), reduced from its e1
-    and e2 correctors on its one mesh and matrix, with its energy profile
-    when ``profile`` is set."""
-    cfg, seed = task
+def _corrector_task(cfg: ExperimentConfig, seed: int, profile: bool = False):
+    """The sample (effective.EffectiveRun) of realization ``seed``, reduced
+    from its e1 and e2 correctors on its one mesh and matrix, with its
+    energy profile when ``profile`` is set."""
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     return corrector_runs(cfg.make_map, [seed], cfg.corrector_config(), conductivity,
                           profile=profile)[0]
 
 
-def _hetero_task(task):
-    """One heterogeneous solve and its error row against u0 (grid values and
-    pairings, computed once in the parent) and the tensor t."""
-    cfg, seed, eps, u0, t = task
+def _hetero_task(cfg: ExperimentConfig, u0, t, key):
+    """The heterogeneous solve of ``key``, (realization seed, eps), and its
+    error row against u0 (grid values and pairings, computed once in the
+    parent) and the tensor t."""
+    seed, eps = key
     conductivity = CONDUCTIVITY_PRESETS[cfg.conductivity]
     sol = solve_hetero(
         eps, cfg.make_map(seed), SOURCE_PRESETS[cfg.source], conductivity=conductivity,
@@ -332,27 +330,17 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     )
 
 
-def _per_seed(cfg: ExperimentConfig, results: list) -> list:
-    """Task results of ``cfg.realizations`` (one equal block per realization,
-    in its order) given to every seed of ``cfg.seeds``, in seed order: a
-    deterministic map's one realization serves each seed."""
-    k = len(results) // len(cfg.realizations)
-    blocks = itertools.cycle([results[i:i + k] for i in range(0, len(results), k)])
-    return [replace(r, seed=s) for s in cfg.seeds for r in next(blocks)]
-
-
 def _seed_runs(cfg: ExperimentConfig, jobs: int, profile: bool = False) -> list:
     """One corrector sample per seed, each distinct realization solved once,
     with its energy profile when ``profile`` is set (only ``corrector``
-    writes it).  When a pool runs two or more realizations, the truncated
-    cube's tiling template is built here, before the pool forks, and its
-    workers share it."""
-    tasks = [(cfg, s) for s in cfg.realizations]
-    if jobs > 1 and len(tasks) > 1:
-        c = cfg.corrector_config()
-        truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
-    return _per_seed(cfg, _run_tasks(functools.partial(_corrector_task, profile=profile), tasks,
-                                     jobs))
+    writes it).  A pool's workers share the truncated cube's tiling
+    template, built before it forks."""
+    c = cfg.corrector_config()
+    results = _run_tasks(
+        functools.partial(_corrector_task, cfg, profile=profile),
+        [cfg.realization(s) for s in cfg.seeds], jobs,
+        lambda: truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes))
+    return [replace(results[cfg.realization(s)], seed=s) for s in cfg.seeds]
 
 
 def cmd_corrector(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
@@ -395,11 +383,12 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
         cmd_effective(cfg, out, jobs)
         t = read_effective_json(eff_path)
     eps_sorted = sorted(cfg.eps, reverse=True)
-    if jobs > 1 and len(cfg.realizations) * len(eps_sorted) > 1:
-        build_cell_mesh(cfg.interface, cfg.h)  # before the pool forks: its workers share it
     u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
-    tasks = [(cfg, s, e, u0, t) for s in cfg.realizations for e in eps_sorted]
-    rows = _per_seed(cfg, _run_tasks(_hetero_task, tasks, jobs))
+    keys = [(cfg.realization(s), e) for s in cfg.seeds for e in eps_sorted]
+    results = _run_tasks(functools.partial(_hetero_task, cfg, u0, t), keys, jobs,
+                         lambda: build_cell_mesh(cfg.interface, cfg.h))  # a pool shares it
+    rows = [replace(results[(cfg.realization(s), e)], seed=s)
+            for s in cfg.seeds for e in eps_sorted]
     write_convergence_csv(out.path("convergence.csv"), rows)
 
     report = {"config_hash": cfg.hash(), "A0": t.A0.tolist(), "theta": t.theta}
@@ -410,7 +399,7 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
             rates[str(seed)] = {"rate": slope, "r_squared": r2}
         report["l2_rates"] = rates
     write_report_json(out.path("report.json"), report)
-    print(f"homogenize: {len(tasks)} solves, {len(rows)} rows -> convergence.csv, report.json")
+    print(f"homogenize: {len(results)} solves, {len(rows)} rows -> convergence.csv, report.json")
 
 
 def cmd_verify(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:

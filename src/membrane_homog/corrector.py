@@ -168,18 +168,18 @@ def solve_truncated(
     """Regularized correctors on one realization of the deformed truncated
     cube: jump weight 1, mass weight delta, zero Dirichlet data and, for each
     mean gradient p in ``loads``, the load -int A p . grad(phi).  The mesh and
-    the matrix are built once and shared by every load; each window is
+    the system are built once and solve every load in turn; each window is
     Q_m + center."""
     cell = build_cell_mesh(cfg.interface, cfg.h)
     mesh = build_truncated_mesh(cell, dmap, cfg.n, center=center, membranes=cfg.membranes)
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=cfg.delta)
     system = assemble(mesh, form)
     loads = [np.asarray(p, dtype=float) for p in loads]
-    proto_tensor = system.proto_tensor
-    sols = [
-        solve(replace(system, load=system.load + gradient_load(system.mesh, proto_tensor, p)))
-        for p in loads
-    ]
+    base, proto_tensor = system.load, system.proto_tensor
+    sols = []
+    for p in loads:
+        system.load = base + gradient_load(mesh, proto_tensor, p)
+        sols.append(solve(system))
     del system  # and its solver's factorization, before the post-processing
     sols = [replace(sol, proto_tensor=proto_tensor) for sol in sols]
     return _corrector_solutions(sols, loads, window_mask(mesh.cells, cfg.m), form)

@@ -50,15 +50,15 @@ solves the system up to rounding.  The solve checks the true residual
 |b - K x| / |b|, which it computes kind by kind through the cell table, and
 refines with x += K~^-1 (b - K x) while it is above RTOL, K~^-1 the
 condensed inverse, and raises ``SolverDivergence`` if it still is after
-APPLICATIONS applications.  The set-up is built once per set of cell
-matrices: copies of a system that differ only in their load
-(``dataclasses.replace``) share it.
+APPLICATIONS applications.  The set-up is built once per system object
+(``DiscreteSystem.solver``), so a driver with several loads sets each on
+its one system in turn.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -156,15 +156,18 @@ class DiscreteSystem:
     sum over the cells; ``matrix`` assembles it on first access, and the
     solve never does.  The solution is zero on ``fixed``, the mesh's
     boundary nodes, and unknown on ``free``, the mesh's ``free_nodes``.
-    ``solver`` holds the set-up ``solve`` builds on first use; copies made
-    by ``dataclasses.replace`` share it, and it is rebuilt for a copy with
-    other cell matrices or another mesh."""
+    ``solver`` is the set-up ``solve`` builds on first use and keeps with
+    the object; a copy (``dataclasses.replace``) builds its own."""
 
     cell_matrices: tuple
     load: np.ndarray
     mesh: MembraneMesh
     proto_tensor: np.ndarray
-    solver: list = field(default_factory=list, repr=False)
+
+    @functools.cached_property
+    def solver(self) -> _Condensed:
+        """The condensed solver of the cell matrices and the mesh."""
+        return _Condensed(self.cell_matrices, self.mesh)
 
     @functools.cached_property
     def matrix(self):
@@ -502,20 +505,11 @@ class _Condensed:
         return x[self.free]
 
 
-def _solver(system: DiscreteSystem) -> _Condensed:
-    """The condensed solver of the system's cell matrices and mesh, built
-    once and kept in ``system.solver``."""
-    parts = (system.cell_matrices, system.mesh)
-    if not system.solver or any(a is not b for a, b in zip(system.solver[0], parts)):
-        system.solver[:] = [parts, _Condensed(*parts)]
-    return system.solver[1]
-
-
 def solve(system: DiscreteSystem) -> FemSolution:
     """K~^-1 applied to the free load and refined with the true residual
     until it is within RTOL (see the module docstring)."""
     u = np.zeros(len(system.load))
-    solver = _solver(system)
+    solver = system.solver
     b = system.load[solver.free]
     norm = np.linalg.norm(b)
     if norm == 0.0:

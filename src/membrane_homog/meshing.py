@@ -223,7 +223,7 @@ class MembraneMesh:
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
-    by the realizations of a tiling.  ``interface_pairs`` rows are (plus
+    by every realization of a tiling.  ``interface_pairs`` rows are (plus
     node, minus node) with coincident coordinates.
 
     The builder states the mesh's lattice cells: ``cells`` (nc, 2), each

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import pickle
@@ -150,7 +151,7 @@ class TestPipeline:
         """A pooled corrector task returns its realization's sample, not its
         mesh and solutions."""
         cfg = ExperimentConfig(map="bernoulli", n=2, m=1, h=0.1)
-        assert len(pickle.dumps(cli._corrector_task((cfg, 0)))) < 4096
+        assert len(pickle.dumps(cli._corrector_task(cfg, 0))) < 4096
 
 
 class TestDeterminism:
@@ -179,15 +180,6 @@ class TestDeterminism:
             assert main(["corrector", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
         for name in ("flux.csv", "energy.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-    def test_env_jobs_override(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("MEMBRANE_HOMOG_JOBS", "2")
-        self.run(cfg_path, tmp_path / "a")
-        monkeypatch.delenv("MEMBRANE_HOMOG_JOBS")
-        self.run(cfg_path, tmp_path / "b")
-        assert (tmp_path / "a" / "convergence.csv").read_bytes() == (
-            tmp_path / "b" / "convergence.csv"
-        ).read_bytes()
 
     def test_seed_override_changes_hash(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "x")
@@ -371,6 +363,42 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
+SHARED = []  # what ``shared`` built in the parent; a forked worker sees it
+
+
+def _logged_square(log, key):
+    """A worker that appends its key to ``log`` (one line per run, from any
+    process) and returns the key squared and what ``shared`` built."""
+    with open(log, "a") as fh:
+        fh.write(f"{key}\n")
+    return key * key, list(SHARED)
+
+
+class TestTaskTable:
+    """``_run_tasks`` runs each distinct key once, serially or in a pool,
+    returns the results by key, and calls ``shared`` exactly when a pool
+    forks, before it does."""
+
+    @pytest.mark.parametrize("jobs, keys, forks", [
+        (1, [3, 1, 3, 2, 1], False), (1, [5, 5, 5], False), (2, [5, 5, 5], False),
+        (2, [3, 1, 3, 2, 1], True), (2, [4, 7], True),
+    ])
+    def test_each_distinct_key_runs_once(self, tmp_path, jobs, keys, forks):
+        SHARED.clear()
+        log = tmp_path / "runs"
+
+        def shared():
+            SHARED.append("template")
+
+        results = cli._run_tasks(functools.partial(_logged_square, log), keys, jobs, shared)
+        distinct = list(dict.fromkeys(keys))
+        assert sorted(log.read_text().split()) == sorted(str(k) for k in distinct)
+        assert list(results) == distinct
+        built = ["template"] if forks else []
+        assert SHARED == built
+        assert results == {k: (k * k, built) for k in distinct}
+
+
 class TestOneTemplatePerRun:
     """A pool running two or more realizations of one configuration shares
     the tiling template that its parent built before forking."""
@@ -433,6 +461,18 @@ class TestOneTemplatePerRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n")[-2] == "[]", done.stdout
 
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules load only when a command forks one
+        code = ("import sys, membrane_homog.cli\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[-2] == "[]", done.stdout
+
     def test_effective_pool_run_imports_no_scipy_special(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(BERNOULLI_CFG)
@@ -490,7 +530,7 @@ class TestProfileOnlyForCorrector:
         out = tmp_path / "run"
         for command in ("effective", "homogenize"):
             assert main([command, "--config", str(p), "--out", str(out), "--jobs", "1"]) == 0
-        assert cli._corrector_task((parse_config(str(p)), 0)).profile is None
+        assert cli._corrector_task(parse_config(str(p)), 0).profile is None
 
     def test_corrector_writes_the_library_profile(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -517,9 +557,9 @@ class TestHomogenizedSideOnce:
             paired.append(mesh)
             return runs(mesh, *args)
 
-        def measured_task(task):
+        def measured_task(*task):
             task_bytes.append(len(pickle.dumps(task)))
-            return hetero_task(task)
+            return hetero_task(*task)
 
         monkeypatch.setattr(homogenize, "_runs", counted_runs)
         monkeypatch.setattr(cli, "_hetero_task", measured_task)
@@ -705,18 +745,15 @@ class TestInputErrors:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "config error: num_seeds:" in capsys.readouterr().err
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("MEMBRANE_HOMOG_JOBS", raising=False)
+    def test_jobs_capped_at_cpu_count(self):
         cpus = os.cpu_count() or 1
         assert resolve_jobs(argparse.Namespace(jobs=100000)) == cpus
         assert resolve_jobs(argparse.Namespace(jobs=0)) == 1
-        monkeypatch.setenv("MEMBRANE_HOMOG_JOBS", "100000")
-        assert resolve_jobs(argparse.Namespace(jobs=None)) == cpus
 
 
 DEFAULTS = asdict(ExperimentConfig())
 KEYS = list(DEFAULTS)
-OTHER_KEYS = ["seeds", "realizations", "interface", "hash", "__class__", ""]  # attributes that are not keys
+OTHER_KEYS = ["seeds", "realization", "interface", "hash", "__class__", ""]  # attributes that are not keys
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3),

@@ -585,7 +585,7 @@ class TestTwoLevelCG:
         # the same values, bit for bit, when reading the system's matrix raises
         def run():
             if case == "corrector":
-                return solve(replace(bernoulli_systems[1], solver=[])).values
+                return solve(replace(bernoulli_systems[1])).values
             if case == "periodic":
                 return periodic_cell_solve([1.0, 0.3], SPEC, aniso_field, h=0.1).sol.values
             eps = 0.25
