@@ -9,13 +9,14 @@ deterministically so identical configs give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
 import json
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -247,24 +248,98 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def resolve_jobs(args) -> int:
-    """Worker count from --jobs (default 1), clamped to [1, os.cpu_count()]."""
-    return min(max(1, args.jobs or 1), os.cpu_count() or 1)
+    """Process count from --jobs (default 1), clamped to [1, the CPUs this
+    process may run on]."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(max(1, args.jobs or 1), cpus or 1)
 
 
-def _run_tasks(worker, keys, jobs, shared):
-    """``worker`` run once per distinct key of ``keys``, in order of first
-    appearance; the results by key.  With two or more workers and two or
-    more distinct keys the keys go to a pool of forked workers, and
-    ``shared()`` runs just before it forks, so they share what it builds."""
+def _deal(keys, shares, cost):
+    """``keys`` dealt, costliest first, each to the least-loaded of
+    ``shares`` lists; the first list gets the costliest key.  ``cost`` is a
+    key's cost, or None when all keys cost the same."""
+    dealt, loads = [[] for _ in range(shares)], [0] * shares
+    for key in sorted(keys, key=cost, reverse=True) if cost else keys:
+        i = loads.index(min(loads))
+        dealt[i].append(key)
+        loads[i] += cost(key) if cost else 1
+    return dealt
+
+
+def _run_tasks(worker, keys, jobs, shared, cost=None):
+    """``worker`` run once per distinct key of ``keys``; the results by key,
+    in order of first appearance.
+
+    With two or more jobs and distinct keys, ``shared()`` runs, and the keys
+    are dealt (``_deal``) into ``min(jobs, keys)`` shares: this process runs
+    the first, one forked child each of the others.  The children inherit
+    the worker and what ``shared`` built, so nothing is pickled on the way
+    in; their results come back through a pipe each (``_child``,
+    ``_received``).  On any failure every child is killed and reaped before
+    the exception propagates."""
     distinct = list(dict.fromkeys(keys))
-    if jobs <= 1 or len(distinct) <= 1:
+    shares = _deal(distinct, min(jobs, len(distinct)), cost)
+    if len(shares) <= 1:
         return {key: worker(key) for key in distinct}
-    import multiprocessing
-
     shared()
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("fork")) as pool:
-        return dict(zip(distinct, pool.map(worker, distinct)))
+    sys.stdout.flush()  # else each child writes the parent's buffered output again
+    sys.stderr.flush()
+    children = {}  # pid -> the read end of its result pipe, until reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(worker, share, w)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        results = {key: worker(key) for key in shares[0]}
+        for pid in list(children):
+            with children[pid] as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            results.update(_received(data, status))
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return {key: results[key] for key in distinct}
+
+
+def _child(worker, share, fd):
+    """A forked child of ``_run_tasks``: writes (True, results by key) of
+    ``share``, or (False, the exception a worker raised), pickled to ``fd``,
+    and exits without returning (status 0 once all of it is written)."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, {key: worker(key) for key in share}))
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc))
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _received(data: bytes, status: int) -> dict:
+    """The results a child of ``_run_tasks`` sent as ``data`` before it
+    ended with wait status ``status``; raises the exception it sent instead."""
+    if status:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+        raise MembraneHomogError(f"a worker process ended without its results ({how})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _corrector_task(cfg: ExperimentConfig, seed: int, profile: bool = False):
@@ -333,8 +408,8 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
 def _seed_runs(cfg: ExperimentConfig, jobs: int, profile: bool = False) -> list:
     """One corrector sample per seed, each distinct realization solved once,
     with its energy profile when ``profile`` is set (only ``corrector``
-    writes it).  A pool's workers share the truncated cube's tiling
-    template, built before it forks."""
+    writes it).  Forked children share the truncated cube's tiling
+    template, built before the fork."""
     c = cfg.corrector_config()
     results = _run_tasks(
         functools.partial(_corrector_task, cfg, profile=profile),
@@ -386,7 +461,8 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
     u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     keys = [(cfg.realization(s), e) for s in cfg.seeds for e in eps_sorted]
     results = _run_tasks(functools.partial(_hetero_task, cfg, u0, t), keys, jobs,
-                         lambda: build_cell_mesh(cfg.interface, cfg.h))  # a pool shares it
+                         lambda: build_cell_mesh(cfg.interface, cfg.h),  # children share it
+                         cost=lambda key: key[1] ** -2)  # the eps-domain's cell count
     rows = [replace(results[(cfg.realization(s), e)], seed=s)
             for s in cfg.seeds for e in eps_sorted]
     write_convergence_csv(out.path("convergence.csv"), rows)

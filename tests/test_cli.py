@@ -4,8 +4,10 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from membrane_homog.effective import (
     read_effective_json,
     volume_stats,
 )
-from membrane_homog.errors import ConfigError, SolverDivergence
+from membrane_homog.errors import ConfigError, MembraneHomogError, SolverDivergence
 from membrane_homog.fem import CONDUCTIVITY_PRESETS
 
 QUICK_CFG = """\
@@ -148,7 +150,7 @@ class TestPipeline:
         assert not os.path.exists(out)
 
     def test_corrector_task_returns_a_small_sample(self):
-        """A pooled corrector task returns its realization's sample, not its
+        """A corrector task returns its realization's sample, not its
         mesh and solutions."""
         cfg = ExperimentConfig(map="bernoulli", n=2, m=1, h=0.1)
         assert len(pickle.dumps(cli._corrector_task(cfg, 0))) < 4096
@@ -180,6 +182,17 @@ class TestDeterminism:
             assert main(["corrector", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
         for name in ("flux.csv", "energy.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_three_shares_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # --jobs 3 deals six keys to the parent and two children
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG.replace("eps = 1/4", "eps = 1/4, 1/8, 1/16"))
+        for jobs in ("1", "3"):
+            out = str(tmp_path / jobs)
+            assert main(["homogenize", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
+        for name in ("effective.json", "convergence.csv", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_seed_override_changes_hash(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "x")
@@ -363,21 +376,56 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
-SHARED = []  # what ``shared`` built in the parent; a forked worker sees it
+SHARED = []  # what ``shared`` built in the parent; a forked child sees it
+PARENT = os.getpid()  # the process that runs the tests
 
 
 def _logged_square(log, key):
-    """A worker that appends its key to ``log`` (one line per run, from any
-    process) and returns the key squared and what ``shared`` built."""
+    """A worker that appends its pid and key to ``log`` (one line per run,
+    from any process) and returns the key squared and what ``shared`` built."""
     with open(log, "a") as fh:
-        fh.write(f"{key}\n")
+        fh.write(f"{os.getpid()} {key}\n")
     return key * key, list(SHARED)
 
 
+def _runs(log):
+    """The keys each process ran, by pid, from a ``_logged_square`` log."""
+    runs = {}
+    for line in log.read_text().splitlines():
+        pid, key = line.split()
+        runs.setdefault(int(pid), []).append(int(key))
+    return runs
+
+
+def _dies_in_child(how, key):
+    """A worker that returns ``key`` in the parent and, in a forked child,
+    ends the child ``how`` without sending anything."""
+    if os.getpid() != PARENT:
+        if how == "SIGKILL":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3)
+    return key
+
+
+def _fails_in_parent(key):
+    """A worker that raises in the parent and, in a child, sleeps until killed."""
+    if os.getpid() == PARENT:
+        raise ValueError(f"parent share failed at {key}")
+    time.sleep(60)
+    return key
+
+
+def _diverges_in_child(key):
+    """A worker that returns ``key`` in the parent and raises SolverDivergence in a child."""
+    if os.getpid() != PARENT:
+        raise SolverDivergence(f"residual 1e-3 at key {key}")
+    return key
+
+
 class TestTaskTable:
-    """``_run_tasks`` runs each distinct key once, serially or in a pool,
-    returns the results by key, and calls ``shared`` exactly when a pool
-    forks, before it does."""
+    """``_run_tasks`` runs each distinct key once, in this process or in
+    forked children, returns the results by key, and calls ``shared``
+    exactly when it forks, before it does."""
 
     @pytest.mark.parametrize("jobs, keys, forks", [
         (1, [3, 1, 3, 2, 1], False), (1, [5, 5, 5], False), (2, [5, 5, 5], False),
@@ -392,21 +440,105 @@ class TestTaskTable:
 
         results = cli._run_tasks(functools.partial(_logged_square, log), keys, jobs, shared)
         distinct = list(dict.fromkeys(keys))
-        assert sorted(log.read_text().split()) == sorted(str(k) for k in distinct)
+        assert sorted(k for ks in _runs(log).values() for k in ks) == sorted(distinct)
         assert list(results) == distinct
         built = ["template"] if forks else []
         assert SHARED == built
         assert results == {k: (k * k, built) for k in distinct}
 
+    def test_costliest_key_runs_in_the_parent(self, tmp_path):
+        """Three shares of five keys of unequal cost: the costliest key is the
+        parent's whole share, and each next key goes to the least-loaded share."""
+        SHARED.clear()
+        log = tmp_path / "runs"
+        keys = [3, 1, 4, 5, 2, 4]
+        results = cli._run_tasks(functools.partial(_logged_square, log), keys, 3,
+                                 lambda: SHARED.append("mesh"), cost=lambda key: key)
+        runs = _runs(log)
+        assert runs.pop(PARENT) == [5]
+        assert sorted(runs.values()) == [[3, 2], [4, 1]]
+        assert list(results) == [3, 1, 4, 5, 2]
+        assert results == {k: (k * k, ["mesh"]) for k in keys}
+
+    @pytest.mark.parametrize("how, says", [("SIGKILL", "killed by SIGKILL"),
+                                           ("exit", "exit status 3")])
+    def test_child_ending_without_results_names_how(self, how, says):
+        with pytest.raises(MembraneHomogError, match=re.escape(
+                f"a worker process ended without its results ({says})")):
+            cli._run_tasks(functools.partial(_dies_in_child, how), [1, 2, 3], 2, lambda: None)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_failure_kills_and_reaps_every_child(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="parent share failed at 1"):
+            cli._run_tasks(_fails_in_parent, [1, 2, 3], 3, lambda: None)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_raises_in_the_parent(self):
+        with pytest.raises(SolverDivergence, match="^residual 1e-3 at key 2$"):
+            cli._run_tasks(_diverges_in_child, [1, 2], 2, lambda: None)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestChildFailures:
+    """A forked child's failure ends the CLI as the same failure in one
+    process would: exit 1, ``error: ...`` on stderr, the outputs removed and
+    no child left."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_killed_child_exits_1_and_removes_the_outputs(self, tmp_path, monkeypatch, capsys):
+        real = cli._hetero_task
+
+        def killed_in_child(*args):
+            if os.getpid() != PARENT:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_hetero_task", killed_in_child)
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
+        out = tmp_path / "o"
+        assert main(["homogenize", "--config", str(p), "--out", str(out), "--jobs", "2"]) == 1
+        assert capsys.readouterr().err == ("error: MembraneHomogError: a worker process ended "
+                                           "without its results (killed by SIGKILL)\n")
+        assert list(out.iterdir()) == []  # effective.json, written before the fork, too
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_divergence_reads_as_in_one_process(self, tmp_path, monkeypatch, capsys):
+        real = cli.corrector_runs
+
+        def diverges_at_seed_1(make_map, seeds, *args, **kwargs):
+            if seeds == [1]:  # with two jobs, seed 1 is the child's share
+                raise SolverDivergence("residual 1e-3 after 3 applications")
+            return real(make_map, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "corrector_runs", diverges_at_seed_1)
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        ended = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            ended.append((main(["effective", "--config", str(p), "--out", str(out),
+                                "--jobs", jobs]), capsys.readouterr().err))
+        assert ended == 2 * [(1, "error: SolverDivergence: residual 1e-3 after 3 applications\n")]
+
 
 class TestOneTemplatePerRun:
-    """A pool running two or more realizations of one configuration shares
-    the tiling template that its parent built before forking."""
+    """Forked children running two or more realizations of one configuration
+    share the tiling template that their parent built before forking."""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_parent_builds_the_template_once_and_workers_none(self, tmp_path, monkeypatch, jobs):
         if int(jobs) > (os.cpu_count() or 1):
-            pytest.skip("needs two CPUs for a pool")
+            pytest.skip("needs two CPUs to fork")
         builds = tmp_path / "builds"
         real = meshing._Tiling.__init__
 
@@ -424,9 +556,9 @@ class TestOneTemplatePerRun:
         assert builds.read_text().split() == [str(os.getpid())]
 
     def test_homogenize_parent_builds_the_cell_mesh(self, tmp_path, monkeypatch):
-        """A homogenize pool's workers share the cell mesh the parent built."""
+        """homogenize's forked children share the cell mesh the parent built."""
         if (os.cpu_count() or 1) < 2:
-            pytest.skip("needs two CPUs for a pool")
+            pytest.skip("needs two CPUs to fork")
         p = tmp_path / "exp.cfg"
         p.write_text(QUICK_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
         out = str(tmp_path / "o")
@@ -461,17 +593,40 @@ class TestOneTemplatePerRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n")[-2] == "[]", done.stdout
 
-    def test_import_loads_no_process_pool(self):
-        # the pool's modules load only when a command forks one
-        code = ("import sys, membrane_homog.cli\n"
-                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules])")
+    def test_import_loads_no_process_pool(self, tmp_path):
+        # effective and homogenize fork their children in one fresh process
+        # and load neither multiprocessing nor concurrent.futures
+        p = tmp_path / "exp.cfg"
+        p.write_text(BERNOULLI_CFG)
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from membrane_homog.cli import main\n"
+                "for command in ('effective', 'homogenize'):\n"
+                "    argv = [command, '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '2']\n"
+                "    assert main(argv) == 0, command\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path / "o")], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split("\n")[-2] == "[]", done.stdout
+
+    def test_children_do_not_repeat_the_parent_output(self, tmp_path):
+        # homogenize prints the recomputed tensor's line, block-buffered into
+        # a pipe, before it forks; the line is written once
+        p = tmp_path / "exp.cfg"
+        p.write_text(QUICK_CFG.replace("eps = 1/4", "eps = 1/4, 1/8"))
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from membrane_homog.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["homogenize", "--config", str(p), "--out", str(tmp_path / "o"), "--jobs", "2"]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("effective: A0") == 1, done.stdout
+        assert done.stdout.count("homogenize: 2 solves") == 1, done.stdout
 
     def test_effective_pool_run_imports_no_scipy_special(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -745,10 +900,17 @@ class TestInputErrors:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "config error: num_seeds:" in capsys.readouterr().err
 
-    def test_jobs_capped_at_cpu_count(self):
-        cpus = os.cpu_count() or 1
-        assert resolve_jobs(argparse.Namespace(jobs=100000)) == cpus
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        # the CPUs this process may run on, else the host's count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(argparse.Namespace(jobs=100000)) == 3
+        assert resolve_jobs(argparse.Namespace(jobs=2)) == 2
         assert resolve_jobs(argparse.Namespace(jobs=0)) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_jobs(argparse.Namespace(jobs=100000)) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_jobs(argparse.Namespace(jobs=100000)) == 1
 
 
 DEFAULTS = asdict(ExperimentConfig())
