@@ -266,22 +266,19 @@ def _deal(keys, shares, cost):
     return dealt
 
 
-def _run_tasks(worker, keys, jobs, shared, cost=None):
+def _run_tasks(worker, keys, jobs, cost=None):
     """``worker`` run once per distinct key of ``keys``; the results by key,
     in order of first appearance.
 
-    With two or more jobs and distinct keys, ``shared()`` runs, and the keys
-    are dealt (``_deal``) into ``min(jobs, keys)`` shares: this process runs
-    the first, one forked child each of the others.  The children inherit
-    the worker and what ``shared`` built, so nothing is pickled on the way
-    in; their results come back through a pipe each (``_child``,
-    ``_received``).  On any failure every child is killed and reaped before
-    the exception propagates."""
+    The keys are dealt (``_deal``) into ``min(jobs, keys)`` shares: this
+    process runs the first, one forked child each of the others (none with
+    one share).  The children inherit the worker and what the command built
+    before the call, so nothing is pickled on the way in; their results
+    come back through a pipe each (``_child``, ``_received``).  On any
+    failure every child is killed and reaped before the exception
+    propagates."""
     distinct = list(dict.fromkeys(keys))
     shares = _deal(distinct, min(jobs, len(distinct)), cost)
-    if len(shares) <= 1:
-        return {key: worker(key) for key in distinct}
-    shared()
     sys.stdout.flush()  # else each child writes the parent's buffered output again
     sys.stderr.flush()
     children = {}  # pid -> the read end of its result pipe, until reaped
@@ -361,7 +358,7 @@ def _hetero_task(cfg: ExperimentConfig, u0, t, key):
         eps, cfg.make_map(seed), SOURCE_PRESETS[cfg.source], conductivity=conductivity,
         spec=cfg.interface, h_cell=cfg.h,
     )
-    return error_suite(sol, u0, t.theta, eps, t.A0, seed=seed, conductivity=conductivity)
+    return error_suite(sol, u0, t.theta, eps, t.A0, seed=seed)
 
 
 class OutputTracker:
@@ -409,12 +406,11 @@ def _seed_runs(cfg: ExperimentConfig, jobs: int, profile: bool = False) -> list:
     """One corrector sample per seed, each distinct realization solved once,
     with its energy profile when ``profile`` is set (only ``corrector``
     writes it).  Forked children share the truncated cube's tiling
-    template, built before the fork."""
+    template, built here before the fork."""
     c = cfg.corrector_config()
-    results = _run_tasks(
-        functools.partial(_corrector_task, cfg, profile=profile),
-        [cfg.realization(s) for s in cfg.seeds], jobs,
-        lambda: truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes))
+    truncated_template(build_cell_mesh(c.interface, c.h), c.n, membranes=c.membranes)
+    results = _run_tasks(functools.partial(_corrector_task, cfg, profile=profile),
+                         [cfg.realization(s) for s in cfg.seeds], jobs)
     return [replace(results[cfg.realization(s)], seed=s) for s in cfg.seeds]
 
 
@@ -460,8 +456,8 @@ def cmd_homogenize(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None
     eps_sorted = sorted(cfg.eps, reverse=True)
     u0 = solve_homog(t.A0, SOURCE_PRESETS[cfg.source], m=cfg.homog_grid)
     keys = [(cfg.realization(s), e) for s in cfg.seeds for e in eps_sorted]
+    build_cell_mesh(cfg.interface, cfg.h)  # forked children share it
     results = _run_tasks(functools.partial(_hetero_task, cfg, u0, t), keys, jobs,
-                         lambda: build_cell_mesh(cfg.interface, cfg.h),  # children share it
                          cost=lambda key: key[1] ** -2)  # the eps-domain's cell count
     rows = [replace(results[(cfg.realization(s), e)], seed=s)
             for s in cfg.seeds for e in eps_sorted]

@@ -207,8 +207,8 @@ class DiscreteSystem:
 @dataclass
 class FemSolution:
     """Nodal values on ``mesh``; ``proto_tensor`` is the conductivity per
-    prototype of the system they solve (rows of ``mesh.prototypes``), when
-    the caller attached it.  A solve records its ``iterations``, the
+    prototype of the system they solve (rows of ``mesh.prototypes``), which
+    ``solve`` attaches.  A solve records its ``iterations``, the
     applications of K~^-1 it made, and its true relative ``residual``
     |b - K x| / |b| over the free dofs."""
 
@@ -513,7 +513,8 @@ def solve(system: DiscreteSystem) -> FemSolution:
     b = system.load[solver.free]
     norm = np.linalg.norm(b)
     if norm == 0.0:
-        return FemSolution(values=u, mesh=system.mesh, residual=0.0)
+        return FemSolution(values=u, mesh=system.mesh, proto_tensor=system.proto_tensor,
+                           residual=0.0)
     x, r = np.zeros(len(b)), b
     for applications in range(1, APPLICATIONS + 1):
         x += solver.inverse(r)
@@ -522,7 +523,7 @@ def solve(system: DiscreteSystem) -> FemSolution:
         if residual <= RTOL:
             u[solver.free] = x
             return FemSolution(values=u, mesh=system.mesh, iterations=applications,
-                               residual=residual)
+                               proto_tensor=system.proto_tensor, residual=residual)
     raise SolverDivergence(
         f"relative residual {residual:.3g} above {RTOL:g} after {APPLICATIONS} "
         "applications of the condensed inverse")

@@ -681,13 +681,11 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     """Unit-cell membrane mesh with the interface as duplicated-node polyline,
     built once per (spec, h) and process; its arrays are never mutated.
 
-    Requests with h > 0.25 are clamped to 0.25 (the coarsest valid size).
-    Raises MeshQualityFailure if the generated mesh has a minimum angle
-    below 20 degrees.
+    Raises ValueError for h outside (0, 0.25], and MeshQualityFailure if
+    the generated mesh has a minimum angle below 20 degrees.
     """
-    h = min(float(h), 0.25)
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h <= 0.25:
+        raise ValueError(f"h must be in (0, 0.25], got {h}")
     r = spec.radius
     c = np.asarray(CENTER)
     n_if = interface_node_count(r, h)
@@ -732,7 +730,6 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
     # --- PLUS (cell minus disk): rings blending the circle into the square ---
     dirs = _symmetric_directions(n_if)
     square = _symmetric_square_offsets(n_if)
-    # grade ring spacing from h_t at the circle to the square's 4/N spacing
     q = 2.0 / (np.pi * r)
     # geometric ring spacing: local size grows from h_t at the circle to the
     # square's arclength spacing q*h_t at the boundary

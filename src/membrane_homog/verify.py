@@ -13,16 +13,18 @@ from .errors import HypothesisViolation
 from .geometry import CENTER, DeformationMap, InterfaceSpec, jacobian_det
 
 
+D = 2  # the exponent d of the induction bounds: the dimension of the workbench
+
+
 @dataclass
 class InductionInstance:
     """Nondecreasing nonnegative sequence E_1 <= ... <= E_n with a top bound
     E_n <= C n^d and the one-step recursion
-    E_k <= C1 (E_{k+1} - E_k + (k+1)^d)."""
+    E_k <= C1 (E_{k+1} - E_k + (k+1)^d), for d = ``D``."""
 
     E: np.ndarray
     C: float
     C1: float
-    d: int = 2
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
@@ -32,7 +34,7 @@ class InductionInstance:
         return len(self.E)
 
     def validate(self) -> None:
-        E, n, d = self.E, self.n, self.d
+        E, n, d = self.E, self.n, D
         if n < 1:
             raise HypothesisViolation("empty sequence")
         if self.C <= 0.0 or self.C1 <= 0.0:
@@ -63,7 +65,7 @@ def backward_induction_bound(inst: InductionInstance) -> float:
     finitely many indices k <= k0 at which (C1 + 1/beta)(1 + 1/k)^d still
     exceeds C1 + 1.  Then C' = C2 (C3 + 1)."""
     inst.validate()
-    C, C1, d = inst.C, inst.C1, inst.d
+    C, C1, d = inst.C, inst.C1, D
     beta = max(2.0, C / C1)
     C2 = beta * C1
 
@@ -93,15 +95,14 @@ def random_induction_instance(rng: np.random.Generator) -> InductionInstance:
     is U_k = C1/(1+C1) (E_{k+1} + (k+1)^d); with probability 0.3 the entry is
     pinned at its cap min(E_{k+1}, U_k) to exercise near-equality."""
     n = int(rng.integers(3, 31))
-    d = 2
     C1 = float(rng.uniform(0.5, 5.0))
     C = float(rng.uniform(0.1, 3.0))
     E = np.zeros(n)
-    E[-1] = rng.uniform(0.0, C * n**d)
+    E[-1] = rng.uniform(0.0, C * n**D)
     for k in range(n - 1, 0, -1):
-        cap = min(E[k], C1 / (1.0 + C1) * (E[k] + (k + 1.0) ** d))
+        cap = min(E[k], C1 / (1.0 + C1) * (E[k] + (k + 1.0) ** D))
         E[k - 1] = cap if rng.uniform() < 0.3 else rng.uniform(0.0, cap)
-    inst = InductionInstance(E=E, C=C, C1=C1, d=d)
+    inst = InductionInstance(E=E, C=C, C1=C1)
     inst.validate()
     return inst
 

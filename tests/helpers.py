@@ -2,8 +2,10 @@
 skeleton, a mesh with every cell its own kind, the fluxes of every cell of
 a corrector, the lattice shift of the Bernoulli field and map, the exact A0
 of the periodic identity cell, the matrices the condensed solver factors,
-and the fill of the skeleton's Schur complement in two orders."""
+the fill of the skeleton's Schur complement in two orders, and the forks
+of a CLI run."""
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -167,3 +169,18 @@ def skeleton_fills(system):
     lu = spla.splu(ranked, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     return {"stored": stored, "mmd": (lu.L.nnz, time.perf_counter() - start)}
+
+
+def counted_forks(monkeypatch, cpus: int) -> list:
+    """Gives this process ``cpus`` CPUs (what ``--jobs`` is capped at) and
+    returns the list that each later ``os.fork`` call appends its caller's
+    pid to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks, real = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks

@@ -5,6 +5,7 @@ PASS/FAIL line with the measured quantities.  Run with `pytest -s` to see
 the lines for passing criteria as well.
 """
 
+import os
 import time
 
 import numpy as np
@@ -36,6 +37,8 @@ from membrane_homog.verify import (
     random_induction_instance,
     surface_integral_crosscheck,
 )
+
+from helpers import counted_forks
 
 SPEC = InterfaceSpec()
 EPS_SWEEP = (0.25, 0.125, 0.0625)
@@ -304,9 +307,10 @@ def test_criterion_10_surface_integrals():
     )
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, monkeypatch):
+    forks = counted_forks(monkeypatch, 2)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("map = identity\neps = 1/4\nnum_seeds = 2\nn = 2\nm = 1\nh = 0.1\n")
+    cfg.write_text("map = identity\neps = 1/4, 1/8\nnum_seeds = 2\nn = 2\nm = 1\nh = 0.1\n")
     outs = []
     for name, jobs in (("a", None), ("b", None), ("c", "2")):
         argv = ["homogenize", "--config", str(cfg), "--out", str(tmp_path / name)]
@@ -314,6 +318,8 @@ def test_criterion_11_determinism(tmp_path):
             argv += ["--jobs", jobs]
         assert main(argv) == 0
         outs.append(tmp_path / name)
+    # two eps values give --jobs 2 two distinct solves, so it forks one child
+    assert forks == [os.getpid()], forks
     same = all(
         (o / f).read_bytes() == (outs[0] / f).read_bytes()
         for o in outs[1:]

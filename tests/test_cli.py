@@ -31,6 +31,8 @@ from membrane_homog.effective import (
 from membrane_homog.errors import ConfigError, MembraneHomogError, SolverDivergence
 from membrane_homog.fem import CONDUCTIVITY_PRESETS
 
+from helpers import counted_forks
+
 QUICK_CFG = """\
 # quick smoke config
 map = identity
@@ -166,33 +168,32 @@ class TestDeterminism:
         for name in ("effective.json", "convergence.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_jobs_independent(self, cfg_path, tmp_path):
-        self.run(cfg_path, tmp_path / "a")
-        assert main([
-            "homogenize", "--config", cfg_path, "--out", str(tmp_path / "c"), "--jobs", "2",
-        ]) == 0
-        for name in ("effective.json", "convergence.csv", "report.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
-
-    def test_corrector_jobs_independent(self, tmp_path):
+    @pytest.mark.parametrize("command, map_kind, jobs", [
+        (command, map_kind, jobs) for command in ("corrector", "homogenize")
+        for map_kind in ("identity", "bernoulli") for jobs in (2, 3)])
+    def test_jobs_independent(self, tmp_path, monkeypatch, capsys, command, map_kind, jobs):
+        """``--jobs`` 2 and 3 write the bytes and print the lines of
+        ``--jobs 1``, and fork ``min(jobs, distinct keys) - 1`` children per
+        task table: a corrector table has a key per distinct realization,
+        homogenize's a key per (realization, eps) after its corrector table."""
+        forks = counted_forks(monkeypatch, 3)
         p = tmp_path / "exp.cfg"
-        p.write_text(BERNOULLI_CFG)
-        for jobs in ("1", "2"):
-            out = str(tmp_path / jobs)
-            assert main(["corrector", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
-        for name in ("flux.csv", "energy.csv"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-    def test_three_shares_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # --jobs 3 deals six keys to the parent and two children
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        p = tmp_path / "exp.cfg"
-        p.write_text(BERNOULLI_CFG.replace("eps = 1/4", "eps = 1/4, 1/8, 1/16"))
-        for jobs in ("1", "3"):
-            out = str(tmp_path / jobs)
-            assert main(["homogenize", "--config", str(p), "--out", out, "--jobs", jobs]) == 0
-        for name in ("effective.json", "convergence.csv", "report.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+        p.write_text(QUICK_CFG.replace("map = identity", f"map = {map_kind}")
+                     .replace("eps = 1/4", "eps = 1/4, 1/8"))
+        printed = {}
+        for j in (1, jobs):
+            out = str(tmp_path / str(j))
+            assert main([command, "--config", str(p), "--out", out, "--jobs", str(j)]) == 0
+            printed[j] = capsys.readouterr()
+        realizations = 2 if map_kind == "bernoulli" else 1
+        tables = [realizations] + ([2 * realizations] if command == "homogenize" else [])
+        assert forks == [PARENT] * sum(min(jobs, keys) - 1 for keys in tables)
+        assert printed[1] == printed[jobs]
+        one, many = tmp_path / "1", tmp_path / str(jobs)
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(many)) and names
+        for name in names:
+            assert (one / name).read_bytes() == (many / name).read_bytes()
 
     def test_seed_override_changes_hash(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "x")
@@ -376,13 +377,13 @@ class TestDistinctRealizations:
         assert stored["stderr"] == t.stderr.tolist()
 
 
-SHARED = []  # what ``shared`` built in the parent; a forked child sees it
+SHARED = []  # what the parent built before the call; a forked child sees it
 PARENT = os.getpid()  # the process that runs the tests
 
 
 def _logged_square(log, key):
     """A worker that appends its pid and key to ``log`` (one line per run,
-    from any process) and returns the key squared and what ``shared`` built."""
+    from any process) and returns the key squared and what the parent built."""
     with open(log, "a") as fh:
         fh.write(f"{os.getpid()} {key}\n")
     return key * key, list(SHARED)
@@ -424,36 +425,32 @@ def _diverges_in_child(key):
 
 class TestTaskTable:
     """``_run_tasks`` runs each distinct key once, in this process or in
-    forked children, returns the results by key, and calls ``shared``
-    exactly when it forks, before it does."""
+    forked children that see what this process built before the call,
+    forks only with two or more shares, and returns the results by key."""
 
     @pytest.mark.parametrize("jobs, keys, forks", [
         (1, [3, 1, 3, 2, 1], False), (1, [5, 5, 5], False), (2, [5, 5, 5], False),
         (2, [3, 1, 3, 2, 1], True), (2, [4, 7], True),
     ])
     def test_each_distinct_key_runs_once(self, tmp_path, jobs, keys, forks):
-        SHARED.clear()
+        SHARED[:] = ["template"]
         log = tmp_path / "runs"
-
-        def shared():
-            SHARED.append("template")
-
-        results = cli._run_tasks(functools.partial(_logged_square, log), keys, jobs, shared)
+        results = cli._run_tasks(functools.partial(_logged_square, log), keys, jobs)
         distinct = list(dict.fromkeys(keys))
-        assert sorted(k for ks in _runs(log).values() for k in ks) == sorted(distinct)
+        runs = _runs(log)
+        assert sorted(k for ks in runs.values() for k in ks) == sorted(distinct)
+        assert (set(runs) != {PARENT}) == forks
         assert list(results) == distinct
-        built = ["template"] if forks else []
-        assert SHARED == built
-        assert results == {k: (k * k, built) for k in distinct}
+        assert results == {k: (k * k, ["template"]) for k in distinct}
 
     def test_costliest_key_runs_in_the_parent(self, tmp_path):
         """Three shares of five keys of unequal cost: the costliest key is the
         parent's whole share, and each next key goes to the least-loaded share."""
-        SHARED.clear()
+        SHARED[:] = ["mesh"]
         log = tmp_path / "runs"
         keys = [3, 1, 4, 5, 2, 4]
         results = cli._run_tasks(functools.partial(_logged_square, log), keys, 3,
-                                 lambda: SHARED.append("mesh"), cost=lambda key: key)
+                                 cost=lambda key: key)
         runs = _runs(log)
         assert runs.pop(PARENT) == [5]
         assert sorted(runs.values()) == [[3, 2], [4, 1]]
@@ -465,21 +462,21 @@ class TestTaskTable:
     def test_child_ending_without_results_names_how(self, how, says):
         with pytest.raises(MembraneHomogError, match=re.escape(
                 f"a worker process ended without its results ({says})")):
-            cli._run_tasks(functools.partial(_dies_in_child, how), [1, 2, 3], 2, lambda: None)
+            cli._run_tasks(functools.partial(_dies_in_child, how), [1, 2, 3], 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_parent_failure_kills_and_reaps_every_child(self):
         start = time.monotonic()
         with pytest.raises(ValueError, match="parent share failed at 1"):
-            cli._run_tasks(_fails_in_parent, [1, 2, 3], 3, lambda: None)
+            cli._run_tasks(_fails_in_parent, [1, 2, 3], 3)
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_child_exception_raises_in_the_parent(self):
         with pytest.raises(SolverDivergence, match="^residual 1e-3 at key 2$"):
-            cli._run_tasks(_diverges_in_child, [1, 2], 2, lambda: None)
+            cli._run_tasks(_diverges_in_child, [1, 2], 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

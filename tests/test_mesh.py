@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,10 +324,11 @@ class TestCellMesh:
         assert np.array_equal(bottom, top)
         assert np.array_equal(left, bottom)
 
-    def test_coarse_h_clamped(self):
-        a = build_cell_mesh(SPEC, 0.7)
-        b = build_cell_mesh(SPEC, 0.25)
-        assert np.array_equal(a.vertices, b.vertices)
+    def test_h_outside_range_rejected(self):
+        # the config's range of h; 0.25 is the coarsest size that meshes
+        for h in (0.7, 0.25 + 1e-12, 0.0, -0.05):
+            with pytest.raises(ValueError, match=re.escape(f"h must be in (0, 0.25], got {h}")):
+                build_cell_mesh(SPEC, h)
 
     def test_interface_node_count_multiple_of_eight(self):
         for h in (0.25, 0.17, 0.1, 0.06, 0.05, 0.02, 0.0125):

@@ -12,6 +12,7 @@ from membrane_homog.fem import BilinearFormSpec, DiscreteSystem, FemSolution, as
 from membrane_homog.geometry import BumpMap, IdentityMap, ScalingMap
 from membrane_homog.meshing import build_square_mesh
 from membrane_homog.verify import (
+    D,
     InductionInstance,
     backward_induction_bound,
     random_induction_instance,
@@ -81,7 +82,7 @@ class TestBackwardInduction:
             inst.validate()  # generator soundness, re-checked here
             Cp = backward_induction_bound(inst)
             k = np.arange(1, inst.n + 1, dtype=float)
-            assert np.all(inst.E <= Cp * k**inst.d * (1.0 + 1e-12))
+            assert np.all(inst.E <= Cp * k**D * (1.0 + 1e-12))
 
     def test_rejects_decreasing(self):
         inst = InductionInstance(E=np.array([2.0, 1.0, 3.0]), C=1.0, C1=1.0)
@@ -104,7 +105,7 @@ class TestBackwardInduction:
         inst = random_induction_instance(np.random.default_rng(seed))
         Cp = backward_induction_bound(inst)
         k = np.arange(1, inst.n + 1, dtype=float)
-        assert np.all(inst.E <= Cp * k**inst.d * (1.0 + 1e-12))
+        assert np.all(inst.E <= Cp * k**D * (1.0 + 1e-12))
 
     def test_rejects_recursion_violation(self):
         # E_1 > C1 (E_2 - E_1 + 2^d) = 0.1 (0 + 4)
