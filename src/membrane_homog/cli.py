@@ -397,7 +397,7 @@ def cmd_mesh(cfg: ExperimentConfig, out: OutputTracker, jobs: int) -> None:
     mesh = build_cell_mesh(cfg.interface, cfg.h)
     export_mesh(mesh, out.path("mesh.txt"))
     print(
-        f"mesh: {mesh.num_vertices} vertices, {len(mesh.triangles)} triangles, "
+        f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
         f"min angle {mesh.min_angle_deg():.2f} deg"
     )
 

@@ -36,6 +36,7 @@ from .meshing import (
     build_truncated_mesh,
     first_coincident,
     triangle_centroids,
+    triangle_geometry,
 )
 
 
@@ -76,19 +77,22 @@ class CorrectorSolution:
     def cell_energy(self) -> np.ndarray:
         """(nc,) reference-configuration energy per cell: gradient, delta-mass
         and interface jump of the same nodal values at lattice coordinates,
-        where each triangle has its prototype's geometry; computed on first
-        use."""
-        mesh, values = self.mesh, self.sol.values
-        u = values[mesh.triangles]
-        ref = mesh.with_kinds(mesh.cell_kind, mesh.ref_vertices)
-        areas, gref = ref.areas, p1_gradient(ref, values)
-        e_grad = areas * (gref[:, 0] ** 2 + gref[:, 1] ** 2)
-        uc2 = (u**2).sum(axis=1) + u.sum(axis=1) ** 2
-        e_mass = self.mass_weight * areas * uc2 / 12.0  # exact P1 mass per triangle
+        where each triangle has its prototype's geometry, summed kind by kind
+        over runs of cells; computed on first use."""
+        mesh, values, nc = self.mesh, self.sol.values, len(self.mesh.cells)
         jump2 = edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
-        nc = len(mesh.cells)
-        return (np.bincount(mesh.tri_cell_index, weights=e_grad + e_mass, minlength=nc)
-                + np.bincount(mesh.edge_cell_index, weights=jump2, minlength=nc))
+        out = np.bincount(mesh.edge_cell_index, weights=jump2, minlength=nc).astype(float)
+        ref_areas, ref_grads = triangle_geometry(mesh.ref_vertices, mesh.prototypes)
+        for kind in mesh.kinds:
+            areas = ref_areas[kind.protos]
+            for cells, tri in mesh.runs(kind):
+                u = values[tri]
+                gref = p1_gradient(ref_grads[kind.protos], u)
+                e_grad = areas * (gref[..., 0] ** 2 + gref[..., 1] ** 2)
+                uc2 = (u**2).sum(axis=-1) + u.sum(axis=-1) ** 2
+                e_mass = self.mass_weight * areas * uc2 / 12.0  # exact P1 mass per triangle
+                out[cells] += (e_grad + e_mass).sum(axis=1)
+        return out
 
     def window_flux(self) -> np.ndarray:
         """Average of F_k^+ + F_k^- over the cells of the window, per unit
@@ -104,61 +108,43 @@ def window_mask(cells: np.ndarray, m: int) -> np.ndarray:
     return np.abs(cells + 0.5 - c).max(axis=1) <= m - 0.5 + 1e-9
 
 
-def flux_density(sol: FemSolution, p: np.ndarray, tris) -> tuple:
-    """p + grad w and A (p + grad w), physical configuration, on the
-    triangles ``tris`` (an index array or a slice) of the solution's mesh, A
-    its ``proto_tensor``."""
-    mesh = sol.mesh
-    g = p1_gradient(mesh, sol.values, tris) + p
-    return g, apply_tensor(np.take(sol.proto_tensor, mesh.tri_prototype[tris], axis=0), g)
-
-
-def side_sums(mesh: MembraneMesh, tris, cell: np.ndarray, count: int,
-              flux: np.ndarray) -> np.ndarray:
-    """(count, side MINUS/PLUS, 2) sums of |T| ``flux`` over the triangles
-    ``tris`` (an index array or a slice; rows of ``flux``), binned by side
-    and by ``cell``, each cell's row of the result, each bin summed in
-    triangle order."""
-    key = 2 * cell[mesh.tri_cell_index[tris]] + (mesh.tri_region[tris] == PLUS)
-    areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
-    return np.stack([
-        np.bincount(key, weights=areas * f, minlength=2 * count).reshape(count, 2) for f in flux.T
-    ], axis=-1)
-
-
 def _corrector_solutions(
     sols: list, loads: list, inside: np.ndarray, form: BilinearFormSpec
 ) -> list[CorrectorSolution]:
     """The solves of one mesh, one per mean gradient of ``loads``, each
     carrying the conductivity per prototype it was solved with, with their
     physical fluxes per window cell and window-energy form over the cells of
-    the mask ``inside``: only the window's triangles and interface edges are
-    read."""
-    mesh = sols[0].mesh
-    tri = np.flatnonzero(inside[mesh.tri_cell_index])
-    areas = np.take(mesh.proto_areas, mesh.tri_prototype[tri])
-    grads, fluxes = zip(*[flux_density(sol, p, tri) for sol, p in zip(sols, loads)])
-
-    # window mean per cell of int g_i . A g_j plus the weighted jump form of
-    # (w_i, w_j), physical configuration, with g_i = p_i + grad w_i, summed
-    # over the triangles and interface edges of the window's cells
+    the mask ``inside``: only the window's cells, kind by kind over runs
+    (``MembraneMesh.runs``), and their interface edges are read."""
+    mesh, count = sols[0].mesh, int(inside.sum())
+    rank = np.cumsum(inside) - 1  # each window cell's row among them
+    # per window cell and side int A g_i, and the window sum of int g_i . A g_j
+    # plus the jump form of (w_i, w_j), physical configuration, g_i = p_i + grad w_i
+    sides = np.zeros((len(sols), count, 2, 2))
+    energy = np.zeros((len(sols), len(sols)))
+    pairs = list(zip(*np.triu_indices(len(sols))))
+    for kind in mesh.kinds:
+        areas, plus = mesh.proto_areas[kind.protos], kind.links.region == PLUS
+        for cells, tri in mesh.runs(kind, inside):
+            g = [p1_gradient(mesh.proto_grads[kind.protos], sol.values[tri]) + p
+                 for sol, p in zip(sols, loads)]
+            flux = [apply_tensor(sol.proto_tensor[kind.protos], gi) for sol, gi in zip(sols, g)]
+            for i, j in pairs:
+                energy[i, j] += np.einsum("t,ct->", areas, g[i][..., 0] * flux[j][..., 0]
+                                          + g[i][..., 1] * flux[j][..., 1])
+            for i, f in enumerate(flux):  # MINUS, then PLUS
+                sides[i, rank[cells]] = np.stack(
+                    [np.einsum("t,ctd->cd", areas[on], f[:, on]) for on in (~plus, plus)], axis=1)
     edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
     jump = form.jump_weight * jump_element_matrices(mesh.vertices, edges)
     ends = [sol.values[edges] for sol in sols]
-    energy = np.zeros((len(sols), len(sols)))
-    for i, j in zip(*np.triu_indices(len(sols))):
-        gi, fj = grads[i], fluxes[j]
-        e_tri = areas @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
+    for i, j in pairs:
         e_jump = np.einsum("ei,eij,ej->", ends[i], jump, ends[j])
-        energy[i, j] = energy[j, i] = (e_tri + e_jump) / inside.sum()
-
-    rank = np.cumsum(inside) - 1  # each window cell's row among them
+        energy[i, j] = energy[j, i] = (energy[i, j] + e_jump) / count
     return [
-        CorrectorSolution(
-            sol=sol, p=p, window_sides=side_sums(mesh, tri, rank, int(inside.sum()), Ag),
-            window_energy=row, mass_weight=form.mass_weight,
-        )
-        for sol, p, Ag, row in zip(sols, loads, fluxes, energy)
+        CorrectorSolution(sol=sol, p=p, window_sides=side, window_energy=row,
+                          mass_weight=form.mass_weight)
+        for sol, p, side, row in zip(sols, loads, sides, energy)
     ]
 
 
@@ -218,14 +204,16 @@ def periodic_cell_solve(
     # the nullspace is the global constants, so its one boundary node, node 0,
     # is pinned, and the gauge is restored below
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
+    (links,) = mesh.links
+    tri = mesh.cell_nodes[0][links.corners]  # the unit cell's triangles: it is one cell
     cell = MembraneMesh(
-        vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
+        vertices=mesh.vertices[reps], triangles=inv[tri], tri_region=links.region,
         interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
-        cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
+        cells=mesh.cells, tri_cell_index=np.zeros(len(tri), dtype=np.int32),
+        cell_nodes=np.arange(len(reps))[None])
     # the cell tables of both meshes are their node numberings: each pair of the
     # cell's links adds its entry to the folded pair of the folded links
-    (K,) = system.cell_matrices
-    (links,), (folded_links,) = mesh.links, cell.links
+    (K,), (folded_links,) = system.cell_matrices, cell.links
     keys = folded_links.pairs.astype(np.int64) @ [len(reps), 1]
     at = np.searchsorted(keys, inv[links.pairs].astype(np.int64) @ [len(reps), 1])
     folded = solve(replace(
@@ -233,10 +221,10 @@ def periodic_cell_solve(
         load=np.bincount(inv, weights=system.load), mesh=cell))
     values = folded.values[inv]
 
-    # subtract the PLUS-region mean (area-weighted)
-    plus = mesh.tri_region == PLUS
-    uc = triangle_centroids(values, mesh.triangles)
-    mean = np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus])
+    # subtract the PLUS-region mean (area-weighted); the cell's triangles are its prototypes
+    plus, areas = links.region == PLUS, mesh.proto_areas
+    uc = triangle_centroids(values, tri)
+    mean = np.sum(areas[plus] * uc[plus]) / np.sum(areas[plus])
     values = values - mean
 
     sol = replace(folded, values=values, mesh=mesh)

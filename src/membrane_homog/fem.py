@@ -15,8 +15,10 @@ which pins its constants.
 The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
-cell) and gathered per triangle where they are used, the loads one corner
-at a time; a system keeps its conductivity per prototype.  ``assemble``
+cell); a system keeps its conductivity per prototype.  Every sum over the
+triangles goes kind by kind over runs of cells (``MembraneMesh.runs``), and
+the gradient load is one cell load per kind, added through the cell table.
+``assemble``
 sums, per kind, the element matrices of the kind's first cell and the jump
 matrices of its interface edges into one sparse cell matrix over the
 columns of the cell table, through the links the mesh takes once per
@@ -49,8 +51,16 @@ that is not positive definite raises ``SolverDivergence``.  One application
 solves the system up to rounding.  The solve checks the true residual
 |b - K x| / |b|, which it computes kind by kind through the cell table, and
 refines with x += K~^-1 (b - K x) while it is above RTOL, K~^-1 the
-condensed inverse, and raises ``SolverDivergence`` if it still is after
-APPLICATIONS applications.  The set-up is built once per system object
+condensed inverse.  If it still is after APPLICATIONS applications, x is
+accepted only if its cell-wise backward error max_i |b - K x|_i /
+(sum_c |K_c| |x| + |b|)_i, K_c the cell matrices (Arioli, Demmel and Duff,
+SIAM J. Matrix Anal. Appl. 1989), is at most BACKWARD and the last
+application moved x by at most SETTLED relative.  x then solves exactly a
+system whose every cell matrix entry and load entry moved by at most that
+fraction of itself; as sum_c |K_c| >= |K|, that error is at most the
+componentwise one of Oettli and Prager, which reads |K|.  A singular K has
+backward-stable answers of any size, whose corrections stay of the size of
+x.  Otherwise it raises ``SolverDivergence``.  The set-up is built once per system object
 (``DiscreteSystem.solver``), so a driver with several loads sets each on
 its one system in turn.
 """
@@ -64,11 +74,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonEllipticField, SolverDivergence
-from .meshing import MINUS, PLUS, Fronts, MembraneMesh, triangle_centroids
+from .meshing import MINUS, PLUS, RUN, Fronts, MembraneMesh, triangle_centroids
 
 RTOL = 1e-10  # relative residual |b - K x| / |b| a solve must reach
-APPLICATIONS = 3  # applications of K~^-1 a solve makes before it raises
-RUN = 2**14  # float entries in one run's buffer: the Schur sum and the residual go run by run
+APPLICATIONS = 3  # applications of K~^-1 a solve makes before it checks the backward error
+BACKWARD = 64 * 2.0**-53  # cell-wise backward error an answer past RTOL must reach
+SETTLED = 1e-6  # relative change of x in the last application an answer past RTOL may show
 FRONTS = 2**15  # float entries of the update matrices a factor stacks at once
 
 
@@ -130,7 +141,7 @@ class BilinearFormSpec:
         """The conductivity of each prototype of ``mesh`` (rows of its
         ``prototypes``): its value at the prototype's reference centroid,
         ellipticity checked by those sampled eigenvalues."""
-        ref = triangle_centroids(mesh.ref_vertices, mesh.triangles[mesh.prototypes])
+        ref = triangle_centroids(mesh.ref_vertices, mesh.prototypes)
         A = self.conductivity(ref)
         if np.abs(A[:, 0, 1] - A[:, 1, 0]).max() > 1e-12:
             raise NonEllipticField("conductivity not symmetric")
@@ -173,18 +184,15 @@ class DiscreteSystem:
     def matrix(self):
         """The global matrix as a scipy CSR matrix, the sum over the cells
         of their kind's matrix: an entry for every node pair of a triangle
-        or an interface edge, and a zero diagonal entry for each node in no
-        triangle; assembled on first access and kept.  For the benchmark and
+        or an interface edge; assembled on first access and kept.  For the benchmark and
         the tests only, which count or check it: it imports scipy.sparse, and
         no solve reads it."""
         import scipy.sparse
 
         mesh, nv = self.mesh, self.mesh.num_vertices
-        _, first, rank = np.unique(mesh.cell_kind, return_index=True, return_inverse=True)
-        lone = np.flatnonzero(np.bincount(mesh.triangles.ravel(), minlength=nv) == 0)
-        rows, cols, data = [lone], [lone], [np.zeros(len(lone))]
-        for kind, K in enumerate(self.cell_matrices):
-            pairs, nodes = mesh.links[mesh.cell_links[first[kind]]].pairs, mesh.cell_nodes[rank == kind]
+        rows, cols, data = [], [], []
+        for kind, K in zip(mesh.kinds, self.cell_matrices):
+            pairs, nodes = kind.links.pairs, mesh.cell_nodes[kind.cells]
             rows.append(nodes[:, pairs[:, 0]].ravel())
             cols.append(nodes[:, pairs[:, 1]].ravel())
             data.append(np.tile(K, len(nodes)))
@@ -209,20 +217,20 @@ class FemSolution:
     """Nodal values on ``mesh``; ``proto_tensor`` is the conductivity per
     prototype of the system they solve (rows of ``mesh.prototypes``), which
     ``solve`` attaches.  A solve records its ``iterations``, the
-    applications of K~^-1 it made, and its true relative ``residual``
-    |b - K x| / |b| over the free dofs."""
+    applications of K~^-1 it made, its true relative ``residual`` |b - K x|
+    / |b| over the free dofs and, past RTOL only, its ``backward_error``."""
 
     values: np.ndarray
     mesh: MembraneMesh
     iterations: int = 0
     proto_tensor: np.ndarray = None
     residual: float = None
+    backward_error: float = None
 
 
-def apply_tensor(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """A g for per-triangle 2x2 matrices A (nt, 2, 2) and vectors g (nt, 2),
-    or k vectors per triangle (nt, k, 2)."""
-    A = tensor if g.ndim == 2 else tensor[:, None]
+def apply_tensor(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A g for 2x2 matrices A (..., 2, 2) and vectors g (..., 2), the
+    leading axes broadcast against each other."""
     return np.stack([
         A[..., 0, 0] * g[..., 0] + A[..., 0, 1] * g[..., 1],
         A[..., 1, 0] * g[..., 0] + A[..., 1, 1] * g[..., 1],
@@ -233,7 +241,7 @@ def stiffness_elements(grads: np.ndarray, areas: np.ndarray, tensor: np.ndarray)
     """|T| grad(phi_i) . A grad(phi_j) (k, 3, 3) for triangles with basis
     gradients ``grads`` (k, 3, 2), ``areas`` (k,) and conductivity ``tensor``
     (k, 2, 2)."""
-    Ag = apply_tensor(tensor, grads)
+    Ag = apply_tensor(tensor[:, None], grads)
     Ke = grads[:, :, None, 0] * Ag[:, None, :, 0]
     Ke += grads[:, :, None, 1] * Ag[:, None, :, 1]
     Ke *= areas[:, None, None]
@@ -262,36 +270,39 @@ def edge_jump_energy(vertices: np.ndarray, edges: np.ndarray, values) -> np.ndar
     return np.einsum("ei,eij,ej->e", u, jump_element_matrices(vertices, edges), u)
 
 
-def _scatter_corners(mesh: MembraneMesh, loads) -> np.ndarray:
-    """The nodal vector of per-triangle corner ``loads``, one (nt,) array per
-    corner in turn, summed corner by corner with ``np.add.at``: no (3, nt)
-    buffer and no np.intp copy of the int32 corners."""
+def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
+    """int f phi_i with f constant per triangle (a number, or a function of
+    points evaluated at the centroids), kind by kind over runs of cells,
+    each run's corner loads added one corner at a time with ``np.add.at``."""
     b = np.zeros(mesh.num_vertices)
-    for corner, load in zip(mesh.triangles.T, loads):
-        np.add.at(b, corner, load)
+    for kind in mesh.kinds:
+        for _, tri in mesh.runs(kind):
+            fc = (f(triangle_centroids(mesh.vertices, tri.reshape(-1, 3))).reshape(tri.shape[:2])
+                  if callable(f) else float(f))
+            contrib = np.broadcast_to(mesh.proto_areas[kind.protos] * fc / 3.0, tri.shape[:2])
+            for corner in range(3):  # np.add.at broadcasts values wrongly: both flat
+                np.add.at(b, tri[:, :, corner].ravel(), contrib.ravel())
     return b
 
 
-def volume_load(mesh: MembraneMesh, f) -> np.ndarray:
-    """int f phi_i with f constant per triangle (centroid value)."""
-    if callable(f):
-        fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
-    else:
-        fc = np.full(mesh.num_triangles, float(f))
-    contrib = mesh.areas * fc / 3.0
-    return _scatter_corners(mesh, (contrib,) * 3)
-
-
 def gradient_load(mesh: MembraneMesh, proto_tensor: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """-int A p . grad(phi_i), the corrector load for mean gradient p,
-    computed on the prototypes and gathered per triangle one corner at a
-    time, with A the conductivity per prototype of ``mesh``
-    (``DiscreteSystem.proto_tensor``)."""
+    """-int A p . grad(phi_i), the corrector load for mean gradient p, with A
+    the conductivity per prototype of ``mesh`` (``DiscreteSystem.proto_tensor``):
+    every cell of a kind has the load of its prototypes, summed once in table
+    columns, and each run of the kind's cells adds it through its rows of the
+    cell table."""
     p = np.asarray(p, dtype=float)
     Ap = proto_tensor[:, :, 0] * p[0] + proto_tensor[:, :, 1] * p[1]
     a, g = mesh.proto_areas, mesh.proto_grads
     contrib = -((a * Ap[:, 0])[:, None] * g[:, :, 0] + (a * Ap[:, 1])[:, None] * g[:, :, 1])
-    return _scatter_corners(mesh, (np.take(c, mesh.tri_prototype) for c in contrib.T))
+    b = np.zeros(mesh.num_vertices)
+    for kind in mesh.kinds:
+        corners = kind.links.corners.T.ravel()  # corner-major
+        columns = np.flatnonzero(np.bincount(corners))  # not np.unique: it imports numpy.ma
+        load = np.bincount(corners, weights=contrib[kind.protos].T.ravel())[columns]
+        for cells, nodes in mesh.runs(kind, columns=columns):
+            np.add.at(b, nodes.ravel(), np.tile(load, len(cells)))
+    return b
 
 
 def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> DiscreteSystem:
@@ -305,17 +316,14 @@ def assemble(mesh: MembraneMesh, spec: BilinearFormSpec, f=None, p=None) -> Disc
     Ke = stiffness_elements(mesh.proto_grads, mesh.proto_areas, A).reshape(-1, 9)
     if spec.mass_weight != 0.0:
         Ke += (spec.mass_weight * mesh.proto_areas)[:, None] * _MASS_BASE.ravel()
-    _, first = np.unique(mesh.cell_kind, return_index=True)
-    matrices, start = [], 0
-    for cell in first:  # the kinds in turn, as their prototypes are
-        links = mesh.links[mesh.cell_links[cell]]
-        end = start + len(links.tri)
-        jump = jump_element_matrices(mesh.vertices, mesh.cell_nodes[cell][links.edge_columns])
-        jump *= spec.jump_weight
+    matrices = []
+    for kind in mesh.kinds:
+        links = kind.links
+        jump = spec.jump_weight * jump_element_matrices(
+            mesh.vertices, mesh.cell_nodes[kind.cells[0]][links.edge_columns])
         matrices.append(np.bincount(np.concatenate([links.tri.ravel(), links.edge.ravel()]),
-                                    weights=np.concatenate([Ke[start:end].ravel(), jump.ravel()]),
+                                    weights=np.concatenate([Ke[kind.protos].ravel(), jump.ravel()]),
                                     minlength=len(links.pairs)))
-        start = end
     b = np.zeros(mesh.num_vertices)
     if f is not None:
         b += volume_load(mesh, f)
@@ -446,22 +454,22 @@ class _Condensed:
         self.n, self.free, self.fronts = mesh.num_vertices, mesh.free_nodes.astype(np.intp), mesh.schur
         table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
         self.kinds = []
-        _, first, rank = np.unique(mesh.cell_kind, return_index=True, return_inverse=True)
+        _, rank = np.unique(mesh.cell_kind, return_inverse=True)  # each cell's kind
         w = skeleton.sum(axis=1).max(initial=0)  # the widest block
         blocks = np.zeros((len(matrices), w, w))  # each kind's Schur block, padded with zeros
-        for kind, K in enumerate(matrices):
-            links = mesh.links[mesh.cell_links[first[kind]]]
+        for k, (kind, K) in enumerate(zip(mesh.kinds, matrices)):
+            links = kind.links
             inner, ni, nb = links.interior, len(links.interior.nodes), len(links.outer)
             factor = _cholesky(inner, np.bincount(inner.slots, weights=K, minlength=inner.size + 1))
             coupled = np.bincount(links.coupling, weights=K, minlength=(ni + nb) * nb + 1)
             K_IB = coupled[:ni * nb].reshape(ni, nb)
             E = _cholesky_solve(inner, factor, K_IB.T.copy()).T
-            blocks[kind, :nb, :nb] = coupled[ni * nb:-1].reshape(nb, nb) - K_IB.T @ E
+            blocks[k, :nb, :nb] = coupled[ni * nb:-1].reshape(nb, nb) - K_IB.T @ E
             columns = np.concatenate([inner.nodes, links.outer])
             at = np.zeros(table.shape[1], dtype=np.intp)  # each column's place in ``columns``
             at[columns] = np.arange(len(columns))
             pairs = np.append(links.pairs, [[0, 0]], axis=0)[links.band]  # (rows, longest row, 2)
-            self.kinds.append((table[rank == kind][:, columns].astype(np.intp), ni, at[pairs[:, 0, 0]],
+            self.kinds.append((table[kind.cells][:, columns].astype(np.intp), ni, at[pairs[:, 0, 0]],
                                at[pairs[..., 1]], np.append(K, 0.0)[links.band], inner, factor, E))
         self.skeleton = self.fronts.nodes.astype(np.intp)
         data, slots = np.zeros(self.fronts.size + 1), self.fronts.slots
@@ -472,15 +480,17 @@ class _Condensed:
                           blocks[rank[lo:lo + step]].ravel())
         self.factor = _cholesky(self.fronts, data)
 
-    def residual(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, b: np.ndarray, absolute: bool = False) -> np.ndarray:
         """b - K x on the free dofs, kind by kind: each run of about RUN
         node values gathers its cells' values through the cell table,
         multiplies them row by row by the kind's matrix, its entries and
         their columns laid out as its links' ``band``, and adds the products
-        back."""
+        back; with ``absolute``, the same for the sum over the cells of
+        |K_c|, each cell matrix entry by entry."""
         u, Ku = np.zeros(self.n), np.zeros(self.n)
         u[self.free] = x
         for nodes, ni, rows, cols, values, *_ in self.kinds:
+            values = np.abs(values) if absolute else values
             step = max(1, RUN // nodes.shape[1])  # cells per run
             for lo in range(0, len(nodes), step):
                 run = nodes[lo:lo + step]
@@ -504,10 +514,19 @@ class _Condensed:
             x[nodes[:, :ni]] = y - x[nodes[:, ni:]] @ E.T
         return x[self.free]
 
+    def backward_error(self, x: np.ndarray, b: np.ndarray, r: np.ndarray) -> float:
+        """max_i |r_i| / (sum_c |K_c| |x| + |b|)_i over the free dofs, r =
+        b - K x: the cell-wise backward error of x (see the module
+        docstring), sum_c |K_c| |x| from a second ``residual`` pass (0 where
+        a row is all zero, as r is there)."""
+        scale = np.abs(b) - self.residual(np.abs(x), np.zeros(len(b)), absolute=True)
+        return float(np.max(np.abs(r) / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+
 
 def solve(system: DiscreteSystem) -> FemSolution:
     """K~^-1 applied to the free load and refined with the true residual
-    until it is within RTOL (see the module docstring)."""
+    until it is within RTOL, or else accepted by its backward error (see the
+    module docstring)."""
     u = np.zeros(len(system.load))
     solver = system.solver
     b = system.load[solver.free]
@@ -515,51 +534,63 @@ def solve(system: DiscreteSystem) -> FemSolution:
     if norm == 0.0:
         return FemSolution(values=u, mesh=system.mesh, proto_tensor=system.proto_tensor,
                            residual=0.0)
-    x, r = np.zeros(len(b)), b
+    x, r, backward = np.zeros(len(b)), b, None
     for applications in range(1, APPLICATIONS + 1):
-        x += solver.inverse(r)
+        dx = solver.inverse(r)
+        x += dx
         r = solver.residual(x, b)
         residual = float(np.linalg.norm(r) / norm)
         if residual <= RTOL:
-            u[solver.free] = x
-            return FemSolution(values=u, mesh=system.mesh, iterations=applications,
-                               proto_tensor=system.proto_tensor, residual=residual)
-    raise SolverDivergence(
-        f"relative residual {residual:.3g} above {RTOL:g} after {APPLICATIONS} "
-        "applications of the condensed inverse")
+            break
+    else:
+        backward = solver.backward_error(x, b, r)
+        change = float(np.abs(dx).max() / np.abs(x).max(initial=np.finfo(float).tiny))
+        if backward > BACKWARD or change > SETTLED:
+            raise SolverDivergence(
+                f"relative residual {residual:.3g} above {RTOL:g} after {APPLICATIONS} "
+                f"applications of the condensed inverse, backward error {backward:.3g} (at most "
+                f"{BACKWARD:.3g}), last change of x {change:.3g} (at most {SETTLED:g})")
+    u[solver.free] = x
+    return FemSolution(values=u, mesh=system.mesh, iterations=applications,
+                       proto_tensor=system.proto_tensor, residual=residual, backward_error=backward)
 
 
-def p1_gradient(mesh: MembraneMesh, values: np.ndarray, tris=slice(None)) -> np.ndarray:
-    """Piecewise-constant gradient on the triangles ``tris`` (an index array
-    or a slice; default all, (nt, 2)), from the prototypes' basis gradients."""
-    return np.einsum("tid,ti->td", np.take(mesh.proto_grads, mesh.tri_prototype[tris], axis=0),
-                     values[mesh.triangles[tris]])
+def p1_gradient(grads: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The piecewise-constant gradients (c, t, 2) of the nodal values u
+    (c, t, 3) at the corners of the t triangles of c cells of one kind, from
+    its prototypes' ``grads`` (t, 3, 2) copied per cell: a flat einsum."""
+    per_triangle = np.broadcast_to(grads, u.shape[:2] + grads.shape[1:]).reshape(-1, 3, 2)
+    return np.einsum("tid,ti->td", per_triangle, u.reshape(-1, 3)).reshape(u.shape[:2] + (2,))
 
 
 def norms(sol: FemSolution) -> dict:
     """W-norm components of the solution: gradient L2 per region and
-    interface jump L2."""
-    mesh = sol.mesh
-    areas, g = mesh.areas, p1_gradient(mesh, sol.values)
-    g2 = np.einsum("td,td->t", g, g)
-    plus = mesh.tri_region == PLUS
-    minus = mesh.tri_region == MINUS
-    out = {
-        "grad_plus_L2": float(np.sqrt(np.sum(areas[plus] * g2[plus]))),
-        "grad_minus_L2": float(np.sqrt(np.sum(areas[minus] * g2[minus]))),
-    }
+    interface jump L2, the gradients summed kind by kind over runs of
+    cells."""
+    mesh, squares = sol.mesh, {PLUS: 0.0, MINUS: 0.0}
+    for kind in mesh.kinds:
+        for _, tri in mesh.runs(kind):
+            g = p1_gradient(mesh.proto_grads[kind.protos], sol.values[tri])
+            g2 = mesh.proto_areas[kind.protos] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
+            for side in squares:
+                squares[side] += g2[:, kind.links.region == side].sum()
     jump2 = edge_jump_energy(mesh.vertices, mesh.interface_edges, sol.values).sum()
-    out["jump_L2_on_interface"] = float(np.sqrt(max(jump2, 0.0)))
-    return out
+    return {"grad_plus_L2": float(np.sqrt(squares[PLUS])),
+            "grad_minus_L2": float(np.sqrt(squares[MINUS])),
+            "jump_L2_on_interface": float(np.sqrt(max(jump2, 0.0)))}
 
 
-def flux_pairing(sol: FemSolution, tensor: np.ndarray, fields) -> list[float]:
+def flux_pairing(sol: FemSolution, proto_tensor: np.ndarray, fields) -> list[float]:
     """int_D (chi+ A grad(u+) + chi- A grad(u-)) . psi by centroid quadrature,
-    for each psi in ``fields``, the test field's vectors (nt, 2) at the mesh's
-    centroids, with A the per-triangle ``tensor`` (``proto_tensor`` gathered
-    by ``MembraneMesh.tri_prototype``); the mesh's areas and the
-    solution's ``p1_gradient`` are gathered once for all fields."""
-    mesh = sol.mesh
-    areas, g = mesh.areas, p1_gradient(mesh, sol.values)
-    flux = np.einsum("tij,tj->ti", tensor, g)
-    return [float(np.einsum("t,ti,ti->", areas, flux, psi)) for psi in fields]
+    for each psi in ``fields``, a function of points (n, 2) that gives the
+    test field's vectors (n, 2), with A the conductivity per prototype
+    ``proto_tensor``, kind by kind over runs of cells."""
+    mesh, total = sol.mesh, np.zeros(len(fields))
+    for kind in mesh.kinds:
+        for _, tri in mesh.runs(kind):
+            g = p1_gradient(mesh.proto_grads[kind.protos], sol.values[tri])
+            flux = apply_tensor(proto_tensor[kind.protos], g).reshape(-1, 2)
+            at = triangle_centroids(mesh.vertices, tri.reshape(-1, 3))
+            areas = np.tile(mesh.proto_areas[kind.protos], len(tri))
+            total += [np.einsum("t,ti,ti->", areas, flux, psi(at)) for psi in fields]
+    return [float(t) for t in total]

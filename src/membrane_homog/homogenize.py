@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DegenerateFit, MeshMismatch
 from .fem import (
-    RUN,
     BilinearFormSpec,
     FemSolution,
     apply_tensor,
@@ -30,9 +29,6 @@ from .meshing import (
     tile_domain_mesh,
     triangle_centroids,
 )
-
-
-ROW_RUN = RUN // 2  # triangles per run of an error row: each (t, 2) array of a run is RUN entries
 
 
 def bump_profile(pts: np.ndarray) -> np.ndarray:
@@ -54,20 +50,21 @@ def _test_field_values(pts: np.ndarray) -> tuple[tuple, tuple]:
 
 
 def _runs(mesh, values: np.ndarray, proto_tensor: np.ndarray):
-    """Each run of ``ROW_RUN`` triangles of ``mesh`` in turn: the run (a
-    slice), its areas and centroids, the centroid values and gradients of
-    the nodal ``values``, the flux A grad with A the conductivity per
-    prototype ``proto_tensor``, and the scalar and vector test fields at
-    the centroids.  Summing a term run by run, no buffer grows with the
-    mesh, and a mesh of one run gets the sums of one pass."""
-    for lo in range(0, mesh.num_triangles, ROW_RUN):
-        tris = slice(lo, lo + ROW_RUN)
-        areas = np.take(mesh.proto_areas, mesh.tri_prototype[tris])
-        centroids = triangle_centroids(mesh.vertices, mesh.triangles[tris])
-        g = p1_gradient(mesh, values, tris)
-        flux = apply_tensor(np.take(proto_tensor, mesh.tri_prototype[tris], axis=0), g)
-        yield (tris, areas, centroids, triangle_centroids(values, mesh.triangles[tris]), g, flux,
-               *_test_field_values(centroids))
+    """Each run of cells of ``mesh``, kind by kind (``MembraneMesh.runs``):
+    per triangle of the run, its region and area, its centroid, the
+    centroid value and gradient of the nodal ``values``, the flux A grad with
+    A the conductivity per prototype ``proto_tensor``, and the scalar and
+    vector test fields at the centroid.  Summing a term run by run, no
+    buffer grows with the mesh."""
+    for kind in mesh.kinds:
+        for cells, tri in mesh.runs(kind):
+            g = p1_gradient(mesh.proto_grads[kind.protos], values[tri])
+            centroids = triangle_centroids(mesh.vertices, tri).reshape(-1, 2)
+            yield (np.tile(kind.links.region, len(cells)),
+                   np.tile(mesh.proto_areas[kind.protos], len(cells)), centroids,
+                   triangle_centroids(values, tri).ravel(), g.reshape(-1, 2),
+                   apply_tensor(proto_tensor[kind.protos], g).reshape(-1, 2),
+                   *_test_field_values(centroids))
 
 
 def solve_hetero(
@@ -138,7 +135,7 @@ class HomogSolution:
 
 def solve_homog(A0: np.ndarray, f, m: int = 128) -> HomogSolution:
     """Constant-coefficient Dirichlet solve on the uniform fine grid, paired
-    once with the test fields, a run of ``ROW_RUN`` triangles at a time."""
+    once with the test fields, a run of cells at a time (``_runs``)."""
     mesh = build_square_mesh(m)
     system = assemble(mesh, homog_form(A0), f=f)
     # the system's tensor, as perfbench/selftest.py's stand-in solve attaches none
@@ -204,8 +201,8 @@ def error_suite(
     was solved with (ValueError otherwise).  u_eps's flux uses the tensor it
     carries; ``conductivity`` is evaluated only for a solution without one.
 
-    Every triangle sum is taken a run of ``ROW_RUN`` triangles at a time
-    (``_runs``) and the runs' sums are added in order."""
+    Every triangle sum is taken a run of cells at a time (``_runs``) and
+    the runs' sums are added in order."""
     if not np.array_equal(symmetric_part(A0), u0.A0):
         raise ValueError("A0 is not the tensor u0 was solved with")
     mesh, values = u_eps.mesh, u_eps.values
@@ -216,10 +213,9 @@ def error_suite(
     # l2 error squared, gradient L2 squared on PLUS and on MINUS, the flux
     # pairings with the vector test fields and u_eps's with the scalar ones
     total = np.zeros(3 + 3 + 4)
-    for tris, areas, centroids, ue_c, g, flux, scalars, vectors in _runs(mesh, values, proto):
+    for region, areas, centroids, ue_c, g, flux, scalars, vectors in _runs(mesh, values, proto):
         g2 = np.einsum("td,td->t", g, g)
-        plus = mesh.tri_region[tris] == PLUS
-        minus = mesh.tri_region[tris] == MINUS
+        plus, minus = region == PLUS, region == MINUS
         weight = areas[minus] * ue_c[minus]
         total += [
             np.sum(areas * (ue_c - grid_interpolate(u0, centroids)) ** 2),

@@ -19,14 +19,14 @@ their deformed positions.  Edges and links are tiled from the cell; ``fem``
 builds no index set beyond the kinds' columns, and no global matrix on its
 solve path.
 
-Every mesh is a block of lattice cells, stated by its builder with each
-triangle's cell and each cell's nodes, and names the kind of each cell: a
+Every mesh is a block of lattice cells and names the kind of each cell: a
 realization at most four (bumped or not, membrane or cushion), the square
-grid one per shape of block.  The cells of one kind are translates of each
-other (in a realization by construction), and the triangles of each kind's
-first cell are the mesh's prototypes: their areas and basis gradients are
-computed once and gathered per triangle where needed, and ``fem`` computes
-its element matrices and loads on them.
+grid one per shape of block.  The mesh is its cell table: each topology
+class's triangles are kept once, in table columns, and no array per
+triangle.  The triangles of each kind's first cell are the prototypes, whose
+geometry stands for the kind's other cells (translates in a realization),
+and every sum over the triangles goes kind by kind over runs of cells
+(``MembraneMesh.runs``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ MINUS = -1
 
 MIN_ANGLE_DEG = 20.0
 STITCH_TOL = 1e-12
+RUN = 2**14  # float entries of one run's buffers: every sum over cells or nodes goes run by run
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -189,15 +190,17 @@ def _fronts(digits: list, level: np.ndarray, groups: np.ndarray) -> Fronts:
 
 @dataclass(eq=False)
 class CellLinks:
-    """The links of the cells of one topology class, in the columns of their
-    rows of the cell table: ``pairs`` (nl, 2), the (row, column) pairs of
-    the form's cell matrix, in row-major order; ``tri`` (cell triangles, 9),
-    the link of each entry of each triangle of the cell, in the cell's
-    triangle order, row-major; ``edge`` (cell edges, 16), that of each entry
+    """The triangles and links of the cells of one topology class, in the
+    columns of their rows of the cell table: ``corners`` (cell triangles, 3)
+    and ``region`` (cell triangles,), the corners' columns and the region of
+    each triangle of the cell, in the cell's triangle order; ``pairs``
+    (nl, 2), the (row, column) pairs of the form's cell matrix, in row-major
+    order; ``tri`` (cell triangles, 9), the link of each entry of each
+    triangle, row-major; ``edge`` (cell edges, 16), that of each entry
     of each interface edge of the cell, over (plus_a, plus_b, minus_a,
     minus_b); ``edge_columns`` (cell edges, 4), those edges' columns; and
     ``band`` (rows, longest row), the links of each row in turn, padded with
-    nl.  Every array is int32.
+    nl.  Every index array is int32, ``region`` int8.
 
     The cell's interior block is factored in ``interior``, the ``Fronts``
     of a coordinate bisection (``_bisection``) whose nodes are the interior
@@ -207,6 +210,8 @@ class CellLinks:
     row-major) followed by K_BB (outer x outer), past both for a pair in
     neither."""
 
+    corners: np.ndarray
+    region: np.ndarray
     pairs: np.ndarray
     tri: np.ndarray
     edge: np.ndarray
@@ -217,51 +222,58 @@ class CellLinks:
     coupling: np.ndarray
 
 
+class Kind(NamedTuple):
+    """The cells of one kind: ``cells``, their rows of the table in
+    increasing order; ``links``, their class's ``CellLinks``; and ``protos``,
+    the slice of the prototypes that are the first cell's triangles."""
+
+    cells: np.ndarray
+    links: CellLinks
+    protos: slice
+
+
 @dataclass(eq=False)
 class MembraneMesh:
-    """Triangulation with region tags and duplicated interface nodes.
+    """Triangulation with region tags and duplicated interface nodes, kept as
+    its cell table.
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
     by every realization of a tiling.  ``interface_pairs`` rows are (plus
     node, minus node) with coincident coordinates.
 
-    The builder states the mesh's lattice cells: ``cells`` (nc, 2), each
-    (kx, ky), ``tri_cell_index`` (nt,) each triangle's row of ``cells``,
-    and the cell table ``cell_nodes`` (nc, w), each cell's nodes, -1 where
-    one is absent, in columns that match between cells of one kind.  An
-    index outside ``cells`` or a cell without a triangle raises ValueError.
-    Every index array is stored as int32: the constructor converts
-    ``triangles``, ``interface_pairs``, ``boundary_nodes``,
-    ``tri_cell_index`` and ``cell_nodes`` given in another width, and the
-    builders of large meshes (tilings, the square grid) build them so.
+    The builder states the ``triangles`` (nt, 3), their ``tri_region`` and
+    their ``tri_cell_index``, each one's row of the lattice ``cells``
+    (nc, 2), each (kx, ky), and the cell table ``cell_nodes`` (nc, w), each
+    cell's nodes, -1 where one is absent, in columns that match between
+    cells of one kind.  An index outside ``cells`` or a cell without a
+    triangle raises ValueError.  The mesh keeps none of these per-triangle
+    arrays: each topology class's ``CellLinks`` holds its cells' triangles.
+    Every index array is stored as int32 (the constructor converts
+    ``interface_pairs``, ``boundary_nodes`` and ``cell_nodes``).
 
     The rest of the topology and the geometry are derived once, at
     construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
     minus_b), the edges of one MINUS triangle between MINUS interface nodes,
     as their triangle runs (counterclockwise around each membrane), sorted,
     and ``edge_cell_index`` the row of ``cells`` each edge belongs to.  Each
-    kind's first cell gives its edges and its ``links`` (``CellLinks``: the
-    node pairs of the form's cell matrix) in table columns, and the table
-    maps them to every cell of the kind; ``cell_links`` (nc,) gives each
-    cell's row of ``links``.  The kinds the mesh is built with are the
-    topology classes of its cells, which every later set of kinds refines:
-    a cell that is no copy of its kind's first cell raises ValueError, and
-    so does a kind of ``with_kinds`` whose cells have other links.  The
-    mesh stores no pattern of the global matrix.
+    kind's first cell gives its triangles, its edges and its ``links``
+    (``CellLinks``: the triangles and the node pairs of the form's cell
+    matrix) in table columns, and the table maps them to every cell of the
+    kind; ``cell_links`` (nc,) gives each cell's row of ``links``.  The
+    kinds the mesh is built with are the topology classes of its cells,
+    which every later set of kinds refines: a cell that is no copy of its
+    kind's first cell raises ValueError, and so does a kind of
+    ``with_kinds`` whose cells have other links.  The mesh stores no pattern
+    of the global matrix.
 
     ``cell_kind`` (nc,) labels cells whose element matrices agree up to
     rounding, so that ``fem`` gives them one cell matrix (by default each
-    cell is its own kind): cells of one kind have
-    as many triangles, matched by ``tri_local`` (nt,), each triangle's rank
-    among its cell's triangles.  ``prototypes`` are the triangles of each
-    kind's first cell, in that cell's triangle order, whose geometry stands
-    for the others: ``tri_prototype`` (nt,) gives each triangle's row of
-    ``prototypes``, and ``proto_areas`` and ``proto_grads`` are the
-    prototypes' areas and P1 basis gradients, which ``areas`` (nt,) and
-    ``fem.p1_gradient`` gather on each use.  The mesh stores no other
-    per-triangle floats: a reader of the centroids computes them
-    (``triangle_centroids``).
+    cell is its own kind); ``kinds`` holds a ``Kind`` per label, in
+    increasing order.  ``prototypes`` (np, 3) are the nodes of the triangles
+    of each kind's first cell, kind by kind, whose geometry stands for the
+    others: ``proto_areas`` and ``proto_grads`` are their areas and P1 basis
+    gradients.
 
     The skeleton is the nodes on a cell boundary: those on the mesh
     boundary, in no cell or in more than one; every other node is interior
@@ -283,20 +295,19 @@ class MembraneMesh:
     """
 
     vertices: np.ndarray
-    triangles: np.ndarray
-    tri_region: np.ndarray
+    triangles: InitVar[np.ndarray]
+    tri_region: InitVar[np.ndarray]
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
     cells: np.ndarray = field(repr=False)
-    tri_cell_index: np.ndarray = field(repr=False)
+    tri_cell_index: InitVar[np.ndarray]
     cell_nodes: np.ndarray = field(repr=False)
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
-    tri_local: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
     edge_cell_index: np.ndarray = field(init=False, repr=False)
+    kinds: tuple = field(init=False, repr=False)
     prototypes: np.ndarray = field(init=False, repr=False)
-    tri_prototype: np.ndarray = field(init=False, repr=False)
     proto_areas: np.ndarray = field(init=False, repr=False)
     proto_grads: np.ndarray = field(init=False, repr=False)
     links: tuple = field(init=False, repr=False)
@@ -305,64 +316,74 @@ class MembraneMesh:
     free_nodes: np.ndarray = field(init=False, repr=False)
     schur: Fronts = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for name in ("triangles", "interface_pairs", "boundary_nodes", "tri_cell_index",
-                     "cell_nodes"):
+    def __post_init__(self, triangles, tri_region, tri_cell_index):
+        for name in ("interface_pairs", "boundary_nodes", "cell_nodes"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
-        index, nc = self.tri_cell_index, len(self.cells)
+        index, nc = np.asarray(tri_cell_index), len(self.cells)
         if ((index < 0) | (index >= nc)).any():
             raise ValueError("tri_cell_index names a row outside cells")
         tri_count = np.bincount(index, minlength=nc)
         if not tri_count.all():
             raise ValueError("a row of cells has no triangle")
-        tri_order = np.argsort(index, kind="stable")
-        self.tri_local = np.empty(self.num_triangles, dtype=np.int32)
-        self.tri_local[tri_order] = (
-            np.arange(self.num_triangles) - np.repeat(np.cumsum(tri_count) - tri_count, tri_count))
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True  # the skeleton
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices, dtype=np.int32),
                                     self.boundary_nodes)
         self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
-        self._tile(on, tri_order, tri_count)
+        self._tile(on, np.asarray(triangles), np.asarray(tri_region),
+                   np.argsort(index, kind="stable"), tri_count)
         self.schur = self._schur_fronts(on)
         self.ref_vertices = self.vertices
-        self._take_prototypes(self.cell_kind)
+        self._take_kinds(self.cell_kind)
 
-    def _take_prototypes(self, kind: np.ndarray) -> None:
+    def _take_kinds(self, kind: np.ndarray) -> None:
         """Make ``kind`` the cell kinds and the triangles of each kind's first
         cell the prototypes, with their geometry."""
         _, first, rank = np.unique(kind, return_index=True, return_inverse=True)
         if (self.cell_links != self.cell_links[first][rank]).any():
             raise ValueError("a kind holds cells of other links than its first cell's")
-        self.cell_kind = kind
-        on = np.flatnonzero(np.isin(self.tri_cell_index, first))  # the first cells' triangles
-        self.prototypes = on[np.argsort(rank[self.tri_cell_index[on]], kind="stable")]
-        kind_start = np.searchsorted(rank[self.tri_cell_index[self.prototypes]], rank)
-        self.tri_prototype = kind_start.astype(np.int32)[self.tri_cell_index]
-        self.tri_prototype += self.tri_local
-        self.proto_areas, self.proto_grads = triangle_geometry(
-            self.vertices, self.triangles[self.prototypes])
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.take(self.proto_areas, self.tri_prototype)
+        self.cell_kind, kinds, start = kind, [], 0
+        for k, f in enumerate(first):
+            links = self.links[self.cell_links[f]]
+            t = len(links.region)
+            kinds.append(Kind(np.flatnonzero(rank == k), links, slice(start, start + t)))
+            start += t
+        self.kinds = tuple(kinds)
+        self.prototypes = np.concatenate([np.zeros((0, 3), dtype=np.int32)] + [
+            self.cell_nodes[k.cells[0]][k.links.corners] for k in kinds])
+        self.proto_areas, self.proto_grads = triangle_geometry(self.vertices, self.prototypes)
 
     def with_kinds(self, kind: np.ndarray, vertices: np.ndarray = None) -> "MembraneMesh":
         """A copy sharing the topology, with cell kinds ``kind`` (and nodes at
         ``vertices``)."""
         out = copy.copy(self)
         out.vertices = self.vertices if vertices is None else vertices
-        out._take_prototypes(kind)
+        out._take_kinds(kind)
         return out
 
-    def _tile(self, on_skeleton: np.ndarray, tri_order: np.ndarray, count: np.ndarray) -> None:
-        """Tile ``interface_edges`` and ``edge_cell_index`` from each kind's
-        first cell and take its ``links`` (see the class docstring);
-        ``on_skeleton`` marks the skeleton nodes, ``tri_order`` lists the
-        triangles cell by cell."""
-        table, tri, nv = self.cell_nodes, self.triangles, self.num_vertices
+    def runs(self, kind: Kind, inside: np.ndarray = None, columns: np.ndarray = None):
+        """The cells of ``kind`` (those the mask ``inside`` marks, if given)
+        in runs of about RUN / 2 triangles, a run's vector per triangle about
+        RUN entries: each run's cells (rows of ``cells``, increasing) and
+        their nodes in the table ``columns``, by default their triangles'
+        nodes (cells, cell triangles, 3).  Every sum over the triangles goes
+        kind by kind through these runs."""
+        cells = kind.cells if inside is None else kind.cells[inside[kind.cells]]
+        columns = kind.links.corners if columns is None else columns
+        step = max(1, RUN // (2 * len(kind.links.region)))  # cells per run
+        for lo in range(0, len(cells), step):
+            run = cells[lo:lo + step]
+            yield run, self.cell_nodes[run][:, columns]
+
+    def _tile(self, on_skeleton: np.ndarray, tri: np.ndarray, tri_region: np.ndarray,
+              tri_order: np.ndarray, count: np.ndarray) -> None:
+        """Take each topology class's triangles ``tri`` and regions
+        ``tri_region`` from its first cell, with its ``links``, tile
+        ``interface_edges`` and ``edge_cell_index`` from it (see the class
+        docstring); ``on_skeleton`` marks the skeleton nodes, ``tri_order``
+        lists the triangles cell by cell and ``count`` counts each cell's."""
+        table, nv = self.cell_nodes, self.num_vertices
         w = table.shape[1]
         _, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
         if (count != count[first][rank]).any():
@@ -378,11 +399,11 @@ class MembraneMesh:
             col[row[valid]] = valid
             tc, pc = col[tri[tris[0]]], col[partner[row]]  # corners' and partners' columns
             if not (np.array_equal(np.take(tri, tris, axis=0), np.take(rows, tc, axis=1))
-                    and (np.take(self.tri_region, tris) == self.tri_region[tris[0]]).all()
+                    and (np.take(tri_region, tris) == tri_region[tris[0]]).all()
                     and np.array_equal(partner[rows], np.where(pc >= 0, rows[:, pc], -1))):
                 raise ValueError(f"a cell of kind {k} is no copy of cell {f} up to the numbering")
             # interface edges: edges of one MINUS triangle between nodes with PLUS partners
-            minus = tc[self.tri_region[tris[0]] == MINUS]
+            minus = tc[tri_region[tris[0]] == MINUS]
             a, b = minus.ravel(), minus[:, [1, 2, 0]].ravel()
             _, inverse, n = np.unique(np.minimum(a, b) * w + np.maximum(a, b),
                                       return_inverse=True, return_counts=True)
@@ -419,6 +440,7 @@ class MembraneMesh:
             coupling[ib] = elim[local[r[ib]]] * nb + ob[c[ib]]
             coupling[bb] = ni * nb + ob[r[bb]] * nb + ob[c[bb]]
             links.append(CellLinks(
+                corners=tc.astype(np.int32), region=tri_region[tris[0]].astype(np.int8),
                 pairs=np.column_stack([r, c]).astype(np.int32),
                 tri=link[:9 * len(tc)].reshape(-1, 9), edge=link[9 * len(tc):].reshape(-1, 16),
                 edge_columns=ec.astype(np.int32), band=band.astype(np.int32),
@@ -454,27 +476,20 @@ class MembraneMesh:
 
     @property
     def num_triangles(self) -> int:
-        return len(self.triangles)
+        return sum(len(kind.cells) * len(kind.links.region) for kind in self.kinds)
 
     def interface_edges_with_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Interface edges plus the lattice cell each edge belongs to."""
         return self.interface_edges, self.cells[self.edge_cell_index]
 
     def min_angle_deg(self) -> float:
-        v = self.vertices
-        t = self.triangles
-        angles = []
-        for i in range(3):
-            a = v[t[:, i]]
-            b = v[t[:, (i + 1) % 3]]
-            c = v[t[:, (i + 2) % 3]]
-            u1 = b - a
-            u2 = c - a
-            cosang = np.einsum("ij,ij->i", u1, u2) / (
-                np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1)
-            )
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        """The smallest angle of the prototypes, which stand for every
+        triangle of their kind, in degrees."""
+        v = self.vertices[self.prototypes]  # (prototypes, corner, 2)
+        u1, u2 = np.roll(v, -1, axis=1) - v, np.roll(v, 1, axis=1) - v
+        cosines = (u1 * u2).sum(axis=-1) / (
+            np.linalg.norm(u1, axis=-1) * np.linalg.norm(u2, axis=-1))
+        return float(np.degrees(np.arccos(np.clip(cosines.max(), -1.0, 1.0))))
 
 
 def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.ndarray,
@@ -581,11 +596,11 @@ def triangle_geometry(v: np.ndarray, t: np.ndarray):
 
 
 def triangle_centroids(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mean over each triangle of ``t`` of the nodal array ``v`` (points
-    (nv, 2) or values (nv,)); bitwise ``v[t].mean(axis=1)``, without the
-    (nt, 3, ...) gather."""
-    return (np.take(v, t[:, 0], axis=0) + np.take(v, t[:, 1], axis=0)
-            + np.take(v, t[:, 2], axis=0)) / 3.0
+    """Mean over each triangle of ``t`` (..., 3) of the nodal array ``v``
+    (points (nv, 2) or values (nv,)); bitwise ``v[t].mean(axis=-2)`` for
+    points, without the (..., 3, 2) gather."""
+    return (np.take(v, t[..., 0], axis=0) + np.take(v, t[..., 1], axis=0)
+            + np.take(v, t[..., 2], axis=0)) / 3.0
 
 
 def _reflect_quadrants(first: np.ndarray, n: int) -> np.ndarray:
@@ -803,7 +818,8 @@ class _Tiling:
     than STITCH_TOL) in the reference cell."""
 
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
-        nc, nv, nt = len(cells), cell.num_vertices, cell.num_triangles
+        nc, nv, (links,) = len(cells), cell.num_vertices, cell.links
+        tri = cell.cell_nodes[0][links.corners]  # the cell mesh's triangles: it is one cell
         plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
         self.cell, self.scale = cell, scale
         ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
@@ -837,12 +853,12 @@ class _Tiling:
         on_box = (np.abs(ref - box[0]) < 1e-12) | (np.abs(ref - box[1]) < 1e-12)
         self.mesh = MembraneMesh(
             vertices=ref,
-            triangles=np.take(merged, cell.triangles, axis=1).reshape(-1, 3),
-            tri_region=np.where(membrane[:, None], cell.tri_region, PLUS).reshape(-1).astype(np.int8),
+            triangles=np.take(merged, tri, axis=1).reshape(-1, 3),
+            tri_region=np.where(membrane[:, None], links.region, PLUS).reshape(-1).astype(np.int8),
             interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int32),
             cells=cells,
-            tri_cell_index=np.repeat(np.arange(nc, dtype=np.int32), nt),
+            tri_cell_index=np.repeat(np.arange(nc, dtype=np.int32), len(tri)),
             cell_nodes=gid,
             cell_kind=membrane.astype(np.int64),
         )
@@ -980,14 +996,17 @@ def build_square_mesh(m: int) -> MembraneMesh:
 
 def export_mesh(mesh: MembraneMesh, path) -> None:
     """Write the plain-text `membrane-mesh v1` format, coordinates by repr
-    (so they read back bit-exact)."""
+    (so they read back bit-exact), the triangles cell by cell in table
+    order, each cell's in its class's order."""
     lines = ["membrane-mesh v1"]
     lines.append(f"V {mesh.num_vertices}")
     for x, y in mesh.vertices:
         lines.append(f"{float(x)!r} {float(y)!r}")
     lines.append(f"T {mesh.num_triangles}")
-    for tri, reg, k in zip(mesh.triangles, mesh.tri_region, mesh.cells[mesh.tri_cell_index]):
-        lines.append(f"{tri[0]} {tri[1]} {tri[2]} {reg} {k[0]} {k[1]}")
+    for (kx, ky), row, k in zip(mesh.cells, mesh.cell_nodes, mesh.cell_links):
+        links = mesh.links[k]
+        for tri, reg in zip(row[links.corners], links.region):
+            lines.append(f"{tri[0]} {tri[1]} {tri[2]} {reg} {kx} {ky}")
     lines.append(f"IE {len(mesh.interface_pairs)}")
     for p, m in mesh.interface_pairs:
         lines.append(f"{p} {m}")

@@ -1,25 +1,104 @@
-"""Quantities only the tests read: per-triangle conductivities, a mesh's
-skeleton, a mesh with every cell its own kind, the fluxes of every cell of
-a corrector, the lattice shift of the Bernoulli field and map, the exact A0
-of the periodic identity cell, the matrices the condensed solver factors,
-the fill of the skeleton's Schur complement in two orders, and the forks
-of a CLI run."""
+"""Quantities only the tests read: a mesh's triangles as one flat list and
+its rows in the order the readers sum them, the arrays a mesh stores and
+their bytes, per-triangle conductivities, a mesh's skeleton, a mesh with
+every cell its own kind, the fluxes of every cell of a corrector, the
+lattice shift of the Bernoulli field and map, the exact A0 of the periodic
+identity cell, the matrices the condensed solver factors, the fill of the
+skeleton's Schur complement in two orders, and the forks of a CLI run."""
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 import membrane_homog.fem as fem
-from membrane_homog.corrector import flux_density, side_sums
+from membrane_homog.corrector import _corrector_solutions
 from membrane_homog.geometry import BernoulliCellwiseMap, BernoulliField
 
 
+class Flat(NamedTuple):
+    """A mesh's triangles as one list: ``triangles`` (nt, 3) their nodes,
+    ``region`` (nt,), ``cell`` (nt,) each one's row of the cell table,
+    ``local`` (nt,) its rank among its cell's triangles, ``prototype`` (nt,)
+    its row of the mesh's prototypes, and ``areas`` (nt,) its prototype's
+    area."""
+
+    triangles: np.ndarray
+    region: np.ndarray
+    cell: np.ndarray
+    local: np.ndarray
+    prototype: np.ndarray
+    areas: np.ndarray
+
+
+def flat_triangles(mesh):
+    """The triangles of ``mesh`` as one list, cell by cell in table order,
+    each cell's in its class's order (``CellLinks.corners``): on a tiling the
+    order it was built in."""
+    count = np.array([len(mesh.links[k].region) for k in mesh.cell_links], dtype=np.intp)
+    start, nt = np.cumsum(count) - count, int(count.sum())
+    tri, region = np.zeros((nt, 3), dtype=np.int32), np.zeros(nt, dtype=np.int8)
+    prototype = np.zeros(nt, dtype=np.intp)
+    for kind in mesh.kinds:
+        t = len(kind.links.region)
+        at = (start[kind.cells][:, None] + np.arange(t)).ravel()
+        tri[at] = mesh.cell_nodes[kind.cells][:, kind.links.corners].reshape(-1, 3)
+        region[at] = np.tile(kind.links.region, len(kind.cells))
+        prototype[at] = np.tile(np.arange(kind.protos.start, kind.protos.stop), len(kind.cells))
+    cell = np.repeat(np.arange(len(count), dtype=np.int32), count)
+    return Flat(tri, region, cell, np.arange(nt) - start[cell], prototype,
+                mesh.proto_areas[prototype])
+
+
+def flat_runs(mesh, inside=None):
+    """The rows of ``flat_triangles(mesh)`` in the order the readers sum
+    them: kind by kind, a run of cells at a time (``MembraneMesh.runs``,
+    over the cells the mask ``inside`` marks, if given), each run's rows as
+    (cells, cell triangles)."""
+    count = np.array([len(mesh.links[k].region) for k in mesh.cell_links], dtype=np.intp)
+    start = np.cumsum(count) - count
+    for kind in mesh.kinds:
+        for cells, _ in mesh.runs(kind, inside):
+            yield start[cells][:, None] + np.arange(len(kind.links.region))
+
+
+def stored_arrays(owner, path="mesh"):
+    """(path, array) of every array ``owner`` holds: its fields, recursively
+    through tuples, NamedTuples and dataclasses (links, kinds, fronts)."""
+    if isinstance(owner, np.ndarray):
+        yield path, owner
+    elif hasattr(owner, "_fields"):  # a NamedTuple: a kind or a batch of fronts
+        for key, value in zip(owner._fields, owner):
+            yield from stored_arrays(value, f"{path}.{key}")
+    elif isinstance(owner, tuple):
+        for i, item in enumerate(owner):
+            yield from stored_arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(owner):
+        for key, value in vars(owner).items():
+            yield from stored_arrays(value, f"{path}.{key}")
+
+
+def own_bytes(mesh) -> int:
+    """The bytes of the arrays ``mesh`` stores (``stored_arrays``: its own,
+    its links', its kinds' and its fronts'), each array counted once."""
+    return sum({id(a): a.nbytes for _, a in stored_arrays(mesh)}.values())
+
+
 def form_tensor(form, mesh):
-    """The per-triangle conductivity of ``form`` on ``mesh``: its
-    ``proto_tensor`` gathered by the mesh's ``tri_prototype``."""
-    return np.take(form.proto_tensor(mesh), mesh.tri_prototype, axis=0)
+    """The per-triangle conductivity of ``form`` on ``mesh``, in the order of
+    ``flat_triangles``: its ``proto_tensor`` gathered by each triangle's
+    prototype."""
+    return np.take(form.proto_tensor(mesh), flat_triangles(mesh).prototype, axis=0)
+
+
+def flat_gradient(mesh, values, flat=None):
+    """The P1 gradient (nt, 2) of the nodal ``values`` on each triangle of
+    ``flat_triangles``, from its prototype's basis gradients."""
+    flat = flat_triangles(mesh) if flat is None else flat
+    return np.einsum("tid,ti->td", mesh.proto_grads[flat.prototype], values[flat.triangles])
 
 
 def skeleton(mesh):
@@ -38,9 +117,8 @@ def cellwise(mesh):
 def cell_sides(corr):
     """(nc, side MINUS/PLUS, 2) int over Phi(Y_k^-) and Phi(Y_k^+) of A (p +
     grad w) of the corrector ``corr``, every cell."""
-    mesh, every = corr.mesh, slice(None)
-    return side_sums(mesh, every, np.arange(len(mesh.cells)), len(mesh.cells),
-                     flux_density(corr.sol, corr.p, every)[1])
+    every = np.ones(len(corr.mesh.cells), dtype=bool)
+    return _corrector_solutions([corr.sol], [corr.p], every, fem.BilinearFormSpec())[0].window_sides
 
 
 def flux_plus(corr):

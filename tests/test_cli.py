@@ -31,7 +31,7 @@ from membrane_homog.effective import (
 from membrane_homog.errors import ConfigError, MembraneHomogError, SolverDivergence
 from membrane_homog.fem import CONDUCTIVITY_PRESETS
 
-from helpers import counted_forks
+from helpers import counted_forks, flat_triangles
 
 QUICK_CFG = """\
 # quick smoke config
@@ -129,7 +129,7 @@ class TestPipeline:
         p.write_text(QUICK_CFG.replace("h = 0.1", f"h = {h}"))
         cfg = parse_config(str(p))
         mesh = meshing.build_cell_mesh(cfg.interface, cfg.h)
-        corners = mesh.vertices[mesh.triangles]
+        corners = mesh.vertices[flat_triangles(mesh).triangles]
         u, v = np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
         cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
         angle = np.degrees(np.arctan2(np.abs(cross), (u * v).sum(axis=2))).min()

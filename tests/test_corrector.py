@@ -22,7 +22,8 @@ from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
-from helpers import ShiftedMap, flux_minus, flux_plus, skeleton, trefftz_a0
+from helpers import (ShiftedMap, flat_gradient, flat_runs, flat_triangles, flux_minus, flux_plus,
+                     skeleton, trefftz_a0)
 
 SPEC = InterfaceSpec()
 
@@ -185,9 +186,9 @@ class TestTruncated:
 class TestPeriodic:
     def test_plus_mean_zero(self):
         corr = periodic_cell_solve([1, 0], SPEC, h=0.1)
-        areas = corr.mesh.areas
-        plus = corr.mesh.tri_region == 1
-        uc = corr.sol.values[corr.mesh.triangles].mean(axis=1)
+        flat = flat_triangles(corr.mesh)
+        areas, plus = flat.areas, flat.region == 1
+        uc = corr.sol.values[flat.triangles].mean(axis=1)
         mean = np.sum(areas[plus] * uc[plus]) / np.sum(areas[plus])
         assert abs(mean) < 1e-12
 
@@ -311,29 +312,34 @@ class TestPeriodicFoldMatchesLoop:
 
 def whole_mesh_window_energy(corrs, m) -> np.ndarray:
     """The window-energy form of solves of one mesh, from gradients and
-    fluxes over every triangle restricted to the window Q_m (jump weight 1)."""
-    mesh = corrs[0].mesh
+    fluxes over every triangle of the flat list, restricted to the window
+    Q_m and summed run by run in the readers' order (``flat_runs``), and
+    the jump form of its interface edges (jump weight 1)."""
+    mesh, flat = corrs[0].mesh, flat_triangles(corrs[0].mesh)
     inside = window_mask(mesh.cells, m)
-    tensor = np.take(corrs[0].sol.proto_tensor, mesh.tri_prototype, axis=0)
-    grads = [fem.p1_gradient(mesh, c.sol.values) + c.p for c in corrs]
+    tensor = np.take(corrs[0].sol.proto_tensor, flat.prototype, axis=0)
+    grads = [flat_gradient(mesh, c.sol.values, flat) + c.p for c in corrs]
     fluxes = [fem.apply_tensor(tensor, g) for g in grads]
-    tri = np.flatnonzero(inside[mesh.tri_cell_index])
     edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
     jump = 1.0 * fem.jump_element_matrices(mesh.vertices, edges)
-    energy = np.zeros((len(corrs), len(corrs)))
-    for i, j in zip(*np.triu_indices(len(corrs))):
-        gi, fj = grads[i][tri], fluxes[j][tri]
-        e_tri = mesh.areas[tri] @ (gi[:, 0] * fj[:, 0] + gi[:, 1] * fj[:, 1])
+    energy, pairs = np.zeros((len(corrs), len(corrs))), list(zip(*np.triu_indices(len(corrs))))
+    for at in flat_runs(mesh, inside):
+        for i, j in pairs:
+            gi, fj = grads[i][at], fluxes[j][at]
+            energy[i, j] += np.einsum("t,ct->", flat.areas[at[0]],
+                                      gi[..., 0] * fj[..., 0] + gi[..., 1] * fj[..., 1])
+    for i, j in pairs:
         e_jump = np.einsum("ei,eij,ej->", corrs[i].sol.values[edges], jump,
                            corrs[j].sol.values[edges])
-        energy[i, j] = energy[j, i] = (e_tri + e_jump) / inside.sum()
+        energy[i, j] = energy[j, i] = (energy[i, j] + e_jump) / inside.sum()
     return energy
 
 
 class TestWindowOnly:
     """A sample reads only its window's triangles and interface edges, and
-    equals bit for bit the reduction of every cell restricted to the window;
-    the fluxes of every cell are computed on first use."""
+    equals bit for bit the reduction of every cell restricted to the window,
+    summed in the readers' order; the fluxes of every cell are computed on
+    first use."""
 
     @pytest.mark.parametrize("dmap, conductivity, center", [
         (IdentityMap(), "identity", (0, 0)),
@@ -444,9 +450,10 @@ def pinned_periodic_values(p, spec, conductivity, h):
     )
     assert info == 0
     values = P @ x
-    plus = mesh.tri_region == meshing.PLUS
-    uc = values[mesh.triangles].mean(axis=1)
-    return values - np.sum(mesh.areas[plus] * uc[plus]) / np.sum(mesh.areas[plus]), len(iterations)
+    flat = flat_triangles(mesh)
+    plus = flat.region == meshing.PLUS
+    uc = values[flat.triangles].mean(axis=1)
+    return values - np.sum(flat.areas[plus] * uc[plus]) / np.sum(flat.areas[plus]), len(iterations)
 
 
 class TestCsv:

@@ -25,11 +25,10 @@ from membrane_homog.fem import (
     aniso_field,
     edge_jump_energy,
     identity_field,
-    p1_gradient,
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 
-from helpers import form_tensor
+from helpers import flat_gradient, flat_triangles, form_tensor
 
 SPEC = InterfaceSpec()
 QUICK = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3)
@@ -148,14 +147,14 @@ def window_energy(corr, partner, form, xi, m) -> float:
     w_xi is the linear combination xi_1 w_e1 + xi_2 w_e2, walked again on the
     mesh of the two solves, over the window Q_m."""
     xi = np.asarray(xi, dtype=float)
-    mesh = corr.mesh
+    mesh, flat = corr.mesh, flat_triangles(corr.mesh)
     values = xi[0] * corr.sol.values + xi[1] * partner.sol.values
     tensor = form_tensor(form, mesh)
-    g = p1_gradient(mesh, values) + xi
-    e_tri = mesh.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
+    g = flat_gradient(mesh, values, flat) + xi
+    e_tri = flat.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
     e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
     nc = len(mesh.cells)
-    per_cell = (np.bincount(mesh.tri_cell_index, weights=e_tri, minlength=nc)
+    per_cell = (np.bincount(flat.cell, weights=e_tri, minlength=nc)
                 + np.bincount(mesh.edge_cell_index, weights=e_jump, minlength=nc))
     inside = window_mask(mesh.cells, m)
     return float(per_cell[inside].sum() / inside.sum())

@@ -20,7 +20,6 @@ from membrane_homog.fem import (
     gradient_load,
     identity_field,
     norms,
-    p1_gradient,
     solve,
     sym2_eigenvalues,
     volume_load,
@@ -36,7 +35,8 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import cellwise, factored, form_tensor, fronts_matrix, skeleton, skeleton_fills
+from helpers import (cellwise, factored, flat_gradient, flat_runs, flat_triangles, form_tensor,
+                     fronts_matrix, skeleton, skeleton_fills)
 from test_mesh import (INDEX_ARRAYS, folded_cell, mesh_from_tri_cell, oracle_interface_edges,
                        oracle_pattern)
 
@@ -76,7 +76,7 @@ def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
     pairs (``sp.coo_matrix``); a scalar is broadcast to every element."""
     nt, ne, n = mesh.num_triangles, len(mesh.interface_edges), mesh.num_vertices
     rows, cols, vals = [], [], []
-    for dofs, mats in ((mesh.triangles, np.broadcast_to(tri_mats, (nt, 3, 3))),
+    for dofs, mats in ((flat_triangles(mesh).triangles, np.broadcast_to(tri_mats, (nt, 3, 3))),
                        (mesh.interface_edges, np.broadcast_to(edge_mats, (ne, 4, 4)))):
         k = dofs.shape[1]
         rows.append(np.repeat(dofs, k, axis=1).ravel())
@@ -87,12 +87,12 @@ def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
 
 
 def assemble_stiffness(mesh, tensor):
-    grads = mesh.proto_grads[mesh.tri_prototype]
-    return scatter(mesh, fem.stiffness_elements(grads, mesh.areas, tensor))
+    flat = flat_triangles(mesh)
+    return scatter(mesh, fem.stiffness_elements(mesh.proto_grads[flat.prototype], flat.areas, tensor))
 
 
 def assemble_mass(mesh):
-    return scatter(mesh, mesh.areas[:, None, None] * fem._MASS_BASE)
+    return scatter(mesh, flat_triangles(mesh).areas[:, None, None] * fem._MASS_BASE)
 
 
 def assemble_jump(mesh):
@@ -143,8 +143,8 @@ class TestAssembly:
         b = gradient_load(cell_h01, tensor, p)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(cell_h01.num_vertices)
-        g = p1_gradient(cell_h01, v)
-        direct = -np.einsum("t,tij,j,ti->", cell_h01.areas, tensor, p, g)
+        g = flat_gradient(cell_h01, v)
+        direct = -np.einsum("t,tij,j,ti->", flat_triangles(cell_h01).areas, tensor, p, g)
         assert abs(b @ v - direct) < 1e-12
 
     def test_rejects_nonelliptic_field(self, cell_h01):
@@ -181,10 +181,10 @@ def element_reference(mesh, spec):
     element matrices computed apart from assemble: einsum stiffness on the
     prototypes' geometry, P1 mass, and each interface edge's jump at its own
     length."""
-    tensor = form_tensor(spec, mesh)
-    grads = mesh.proto_grads[mesh.tri_prototype]
-    Ke = np.einsum("t,tid,tdj,tkj->tik", mesh.areas, grads, tensor, grads)
-    Me = mesh.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    tensor, flat = form_tensor(spec, mesh), flat_triangles(mesh)
+    grads = mesh.proto_grads[flat.prototype]
+    Ke = np.einsum("t,tid,tdj,tkj->tik", flat.areas, grads, tensor, grads)
+    Me = flat.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
     Je = fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
     return scatter(mesh, Ke + spec.mass_weight * Me, spec.jump_weight * Je)
 
@@ -304,18 +304,37 @@ class TestSymmetricEigenvalues:
 
 
 def add_at_load(mesh, contrib):
-    """Reference scatter of per-triangle corner loads (nt, 3): one np.add.at
-    pass per corner."""
-    b = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(b, mesh.triangles[:, i], contrib[:, i])
+    """Reference scatter of per-triangle corner loads (nt, 3), rows of
+    ``flat_triangles``: one np.add.at pass per corner, run by run in the
+    readers' order (``flat_runs``)."""
+    b, tri = np.zeros(mesh.num_vertices), flat_triangles(mesh).triangles
+    for at in flat_runs(mesh):
+        for i in range(3):
+            np.add.at(b, tri[at, i].ravel(), contrib[at, i].ravel())
+    return b
+
+
+def cell_by_cell_load(mesh, contrib):
+    """Reference scatter of per-triangle corner loads (nt, 3), rows of
+    ``flat_triangles``, summed per cell first: each cell's corner loads node
+    by node, one corner at a time, then added to its nodes cell by cell,
+    run by run in the readers' order (``flat_runs``)."""
+    b, tri = np.zeros(mesh.num_vertices), flat_triangles(mesh).triangles
+    for at in flat_runs(mesh):
+        for rows in at:  # one cell's triangles
+            nodes, place = np.unique(tri[rows], return_inverse=True)
+            load = np.zeros(len(nodes))
+            np.add.at(load, place.reshape(-1, 3).T.ravel(), contrib[rows].T.ravel())
+            b[nodes] += load
     return b
 
 
 class TestLoadScatter:
     """The loads are bitwise a per-corner np.add.at of corner loads computed
     on the prototypes (areas, gradients, conductivity) and gathered per
-    triangle."""
+    triangle of the flat list, in the readers' order: the volume load run
+    by run, the gradient load summed per cell first (one cell load per kind,
+    added through the cell table)."""
 
     @pytest.fixture(scope="class")
     def mesh(self):
@@ -326,18 +345,20 @@ class TestLoadScatter:
     )
     def test_volume_load_bitwise(self, mesh, f):
         # f at the centroid of each triangle's own nodes
-        cent = triangle_centroids(mesh.vertices, mesh.triangles)
+        flat = flat_triangles(mesh)
+        cent = triangle_centroids(mesh.vertices, flat.triangles)
         fc = f(cent) if callable(f) else np.full(mesh.num_triangles, f)
-        areas = mesh.proto_areas[mesh.tri_prototype]
-        contrib = np.repeat((areas * fc / 3.0)[:, None], 3, axis=1)
+        contrib = np.repeat((flat.areas * fc / 3.0)[:, None], 3, axis=1)
         assert volume_load(mesh, f).tobytes() == add_at_load(mesh, contrib).tobytes()
 
     def test_volume_load_at_the_nodes_of_a_copy(self, mesh):
-        # a copy with its nodes moved evaluates f at its own centroids
+        # a copy with its nodes moved evaluates f at its own centroids, run by run
         moved, seen = 1.5 * mesh.vertices, []
         copy = mesh.with_kinds(mesh.cell_kind, moved)
         volume_load(copy, lambda pts: seen.append(pts) or pts[:, 0])
-        assert np.array_equal(seen[0], triangle_centroids(moved, mesh.triangles))
+        order = np.concatenate([at.ravel() for at in flat_runs(mesh)])
+        want = triangle_centroids(moved, flat_triangles(mesh).triangles[order])
+        assert np.array_equal(np.concatenate(seen), want)
 
     def test_gradient_load_bitwise(self, mesh):
         assert len(mesh.prototypes) < mesh.num_triangles
@@ -346,22 +367,32 @@ class TestLoadScatter:
         Ap = np.einsum("tij,j->ti", tensor, p)
         contrib = -np.einsum("t,ti,tji->tj", mesh.proto_areas, Ap, mesh.proto_grads)
         assert (gradient_load(mesh, tensor, p).tobytes()
-                == add_at_load(mesh, contrib[mesh.tri_prototype]).tobytes())
+                == cell_by_cell_load(mesh, contrib[flat_triangles(mesh).prototype]).tobytes())
+
+    def test_loads_bitwise_on_a_tiling(self):
+        # most triangles of a tiling differ from their prototypes in the last
+        # bits of their areas, so a load from each triangle's own geometry fails
+        mesh = tile_domain_mesh(build_cell_mesh(SPEC, 0.1), BernoulliCellwiseMap(3), 1 / 16, SPEC)
+        flat = flat_triangles(mesh)
+        assert (triangle_geometry(mesh.vertices, flat.triangles)[0] != flat.areas).mean() > 0.5
+        self.test_volume_load_bitwise(mesh, lambda pts: 1.0 + pts[:, 0] * pts[:, 1])
+        self.test_gradient_load_bitwise(mesh)
 
 
 def per_triangle_reference(mesh, spec, f, p):
     """The form's matrix, the volume load of f and the gradient load of p,
     from the geometry and the conductivity of every triangle on its own."""
-    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
-    tensor = spec.conductivity(triangle_centroids(mesh.ref_vertices, mesh.triangles))
+    tri = flat_triangles(mesh).triangles
+    areas, grads = triangle_geometry(mesh.vertices, tri)
+    tensor = spec.conductivity(triangle_centroids(mesh.ref_vertices, tri))
     Ke = np.einsum("t,tid,tdj,tkj->tik", areas, grads, tensor, grads)
     Ke += spec.mass_weight * areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
     Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
     n = mesh.num_vertices
-    fc = f(triangle_centroids(mesh.vertices, mesh.triangles))
-    b_f = np.bincount(mesh.triangles.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
+    fc = f(triangle_centroids(mesh.vertices, tri))
+    b_f = np.bincount(tri.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
     contrib = -np.einsum("t,tij,j,tki->tk", areas, tensor, p, grads)
-    b_p = np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(), minlength=n)
+    b_p = np.bincount(tri.ravel(), weights=contrib.ravel(), minlength=n)
     return scatter(mesh, Ke, Je), b_f, b_p
 
 
@@ -446,13 +477,14 @@ class TestStoredArrays:
         assert system.mesh is mesh
         for array in INDEX_ARRAYS:
             assert getattr(mesh, array).dtype == np.int32, array
+        assert all(links.corners.dtype == np.int32 for links in mesh.links)
         for owner in (mesh, system):
             for key, value in vars(owner).items():
                 if isinstance(value, np.ndarray) and value.dtype.kind == "f":
                     assert len(value) in (mesh.num_vertices, len(mesh.prototypes)), key
         assert system.proto_tensor.shape == (len(mesh.prototypes), 2, 2)
         assert np.array_equal(form_tensor(BilinearFormSpec(jump_weight=1.0), mesh),
-                              np.take(system.proto_tensor, mesh.tri_prototype, axis=0))
+                              np.take(system.proto_tensor, flat_triangles(mesh).prototype, axis=0))
 
 
 class TestSolve:
@@ -624,8 +656,9 @@ class TestTwoLevelCG:
         # every triangle of an interior node lies in that node's cell
         owner = np.full(mesh.num_vertices, -1)
         owner[table[inside]] = np.nonzero(inside)[0]
-        tri_owner = owner[mesh.triangles]
-        tri_cell = np.broadcast_to(mesh.tri_cell_index[:, None], tri_owner.shape)
+        flat = flat_triangles(mesh)
+        tri_owner = owner[flat.triangles]
+        tri_cell = np.broadcast_to(flat.cell[:, None], tri_owner.shape)
         corner = tri_owner >= 0
         assert np.array_equal(tri_owner[corner], tri_cell[corner])
 
@@ -684,9 +717,11 @@ class TestTwoLevelCG:
     def test_cells_without_skeleton_nodes(self, cell_h01):
         # the unit cell with no boundary nodes: one cell, every node interior
         # to it, so the Schur blocks have width 0 and S is empty
+        flat = flat_triangles(cell_h01)
         mesh = MembraneMesh(**{name: getattr(cell_h01, name) for name in (
-            "vertices", "triangles", "tri_region", "interface_pairs", "cells", "tri_cell_index",
-            "cell_nodes")}, boundary_nodes=np.zeros(0, dtype=np.int32))
+            "vertices", "interface_pairs", "cells", "cell_nodes")}, triangles=flat.triangles,
+            tri_region=flat.region, tri_cell_index=flat.cell,
+            boundary_nodes=np.zeros(0, dtype=np.int32))
         assert not mesh.cell_skeleton.any() and len(mesh.schur.nodes) == 0
         system = assemble(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0), f=1.0)
         sol = solve(system)
@@ -748,6 +783,56 @@ class TestTwoLevelCG:
         with pytest.raises(SolverDivergence, match="pivot block of the factor is not positive definite"):
             solve(system)
         assert (calls[-1] is system.mesh.schur) == (case == "skeleton")
+
+    def test_rounding_floor_past_rtol_accepted_by_backward_error(self, cell_h01, monkeypatch):
+        # an RTOL below the rounding floor of the residual: the applications
+        # run out above it, and the answer is accepted by its cell-wise
+        # backward error, which the solution records
+        system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
+        want = solve(replace(system))
+        assert want.residual <= RTOL and want.backward_error is None
+        monkeypatch.setattr(fem, "RTOL", 1e-20)
+        sol = solve(replace(system))
+        assert sol.iterations == fem.APPLICATIONS and sol.residual > fem.RTOL
+        assert 0.0 < sol.backward_error <= fem.BACKWARD == 64 * 2.0**-53
+        assert np.abs(sol.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+    def test_backward_error_reads_the_cells_absolute_matrices(self):
+        # the second residual pass sums |K_c| |x| over the cell matrices K_c:
+        # sum_c |K_c| exceeds |K| where neighbouring cells add entries of
+        # opposite sign (here a mass of 100 against the stiffness across some
+        # cell sides), so the error is the cell-wise one, not Oettli-Prager's
+        mesh = build_truncated_mesh(build_cell_mesh(SPEC, 0.1), BernoulliCellwiseMap(3), 2)
+        system = assemble(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=100.0), f=1.0)
+        rows, cols, data = [], [], []
+        for kind, K in zip(mesh.kinds, system.cell_matrices):
+            nodes = mesh.cell_nodes[kind.cells]
+            rows.append(nodes[:, kind.links.pairs[:, 0]].ravel())
+            cols.append(nodes[:, kind.links.pairs[:, 1]].ravel())
+            data.append(np.tile(np.abs(K), len(nodes)))
+        nv, free = mesh.num_vertices, system.free
+        cell_sum = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                                 shape=(nv, nv))[free][:, free]
+        x = np.random.default_rng(0).random(len(free))
+        want = cell_sum @ x
+        got = -system.solver.residual(x, np.zeros(len(free)), absolute=True)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+        assert (want > (1.0 + 1e-9) * (abs(system.matrix)[free][:, free] @ x)).any()
+
+    def test_wrong_inverse_raises_past_rtol(self, cell_h01, monkeypatch):
+        # half the inverse in the first application and nothing after: x stops
+        # changing at half the answer, so its backward error alone rejects it
+        system = assemble(cell_h01, BilinearFormSpec(jump_weight=1.0), f=1.0)
+        calls, inverse = [], fem._Condensed.inverse
+
+        def wrong(self, r):
+            calls.append(r)
+            return 0.5 * inverse(self, r) if len(calls) == 1 else np.zeros_like(r)
+
+        monkeypatch.setattr(fem._Condensed, "inverse", wrong)
+        with pytest.raises(SolverDivergence, match=r"backward error 0\.\d+ .* last change of x 0 "):
+            solve(system)
+        assert len(calls) == fem.APPLICATIONS
 
     def test_diverges_after_three_applications(self, cell_h01, monkeypatch):
         # half the inverse halves the residual per application: 1/8 after 3
@@ -837,9 +922,9 @@ class TestNorms:
     def test_linear_field(self, cell_h01):
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
         rec = norms(sol)
-        areas = cell_h01.areas
-        a_plus = areas[cell_h01.tri_region == 1].sum()
-        a_minus = areas[cell_h01.tri_region == -1].sum()
+        flat = flat_triangles(cell_h01)
+        a_plus = flat.areas[flat.region == 1].sum()
+        a_minus = flat.areas[flat.region == -1].sum()
         assert abs(rec["grad_plus_L2"] - np.sqrt(a_plus)) < 1e-12
         assert abs(rec["grad_minus_L2"] - np.sqrt(a_minus)) < 1e-12
         assert rec["jump_L2_on_interface"] < 1e-13
@@ -851,7 +936,8 @@ class TestNorms:
         # per-triangle gradient recomputed through an explicit 2x2 solve
         total = {1: 0.0, -1: 0.0}
         v = cell_h01.vertices
-        for tri, reg in zip(cell_h01.triangles, cell_h01.tri_region):
+        flat = flat_triangles(cell_h01)
+        for tri, reg in zip(flat.triangles, flat.region):
             B = np.array([v[tri[1]] - v[tri[0]], v[tri[2]] - v[tri[0]]])
             rhs = np.array([u[tri[1]] - u[tri[0]], u[tri[2]] - u[tri[0]]])
             g = np.linalg.solve(B, rhs)
@@ -897,20 +983,20 @@ class TestEnergyAndCoercivity:
 class TestPairings:
     def test_zero_solution(self, cell_h01):
         sol = fem.FemSolution(values=np.zeros(cell_h01.num_vertices), mesh=cell_h01)
-        tensor = form_tensor(BilinearFormSpec(), cell_h01)
-        psi = np.column_stack([np.ones(cell_h01.num_triangles), np.zeros(cell_h01.num_triangles)])
+        tensor = BilinearFormSpec().proto_tensor(cell_h01)
+        psi = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
         val = flux_pairing(sol, tensor, [psi])[0]
         assert val == 0.0
 
     def test_unit_gradient_unit_domain(self):
         mesh = build_square_mesh(8)
         sol = fem.FemSolution(values=mesh.vertices[:, 0].copy(), mesh=mesh)
-        psi = np.column_stack([np.ones(mesh.num_triangles), np.zeros(mesh.num_triangles)])
-        assert abs(flux_pairing(sol, form_tensor(BilinearFormSpec(), mesh), [psi])[0] - 1.0) < 1e-12
+        psi = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
+        assert abs(flux_pairing(sol, BilinearFormSpec().proto_tensor(mesh), [psi])[0] - 1.0) < 1e-12
 
     def test_linear_test_field_exact(self, cell_h01):
         # u = x1, psi = (x2, x1): integrand is linear, centroid rule exact
         sol = fem.FemSolution(values=cell_h01.vertices[:, 0].copy(), mesh=cell_h01)
-        psi = triangle_centroids(cell_h01.vertices, cell_h01.triangles)[:, ::-1]
-        tensor = form_tensor(BilinearFormSpec(), cell_h01)
+        psi = lambda p: p[:, ::-1]
+        tensor = BilinearFormSpec().proto_tensor(cell_h01)
         assert abs(flux_pairing(sol, tensor, [psi])[0] - 0.5) < 1e-12

@@ -6,13 +6,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import membrane_homog.homogenize as homogenize
+import membrane_homog.meshing as meshing
 from membrane_homog.errors import DegenerateFit, MeshMismatch
 from membrane_homog.fem import (
     BilinearFormSpec,
     aniso_field,
     assemble,
-    flux_pairing,
     norms,
     solve,
 )
@@ -35,7 +34,7 @@ from membrane_homog.homogenize import (
 )
 from membrane_homog.meshing import MINUS, build_square_mesh
 
-from helpers import form_tensor, skeleton
+from helpers import flat_gradient, flat_runs, flat_triangles, form_tensor, skeleton
 
 SPEC = InterfaceSpec()
 
@@ -188,57 +187,75 @@ class TestErrorSuite:
 
     def test_equals_old_route(self):
         """Every field equals, bitwise, the row computed the old way: the
-        heterogeneous tensor evaluated again and u0 paired on its grid mesh."""
+        heterogeneous tensor evaluated again, u0 paired on its grid mesh, and
+        every sum over the flat list of triangles, run by run in the
+        readers' order (``flat_runs``)."""
         eps, m, theta = 0.25, 32, 0.2
         A0 = np.array([[0.8, 0.01], [0.01, 0.77]])
         f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
         ue = solve_hetero(eps, BernoulliCellwiseMap(0), f, conductivity=aniso_field, h_cell=0.1)
         u0 = solve_homog(A0, f, m=m)
-        assert ue.mesh.num_triangles <= homogenize.ROW_RUN  # one run: one pass's sums
         row = error_suite(ue, u0, theta, eps, A0, seed=0, conductivity=aniso_field)
 
         grid = solve(assemble(build_square_mesh(m), homog_form(A0), f=f))
         assert np.array_equal(grid.values, u0.values)
-        mesh, gm = ue.mesh, grid.mesh
-        cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        ue_c = ue.values[mesh.triangles].mean(axis=1)
-        c0 = gm.vertices[gm.triangles].mean(axis=1)
-        u0_c = grid.values[gm.triangles].mean(axis=1)
-        minus = mesh.tri_region == MINUS
         rec = norms(ue)
-        flux = np.abs(np.subtract(
-            flux_pairing(ue, form_tensor(hetero_form(eps, aniso_field), mesh),
-                         [psi(cent) for psi in VECTOR_TEST_FIELDS]),
-            flux_pairing(grid, form_tensor(homog_form(A0), gm),
-                         [psi(c0) for psi in VECTOR_TEST_FIELDS]),
-        ))
-        ue_pair = [float(np.sum(mesh.areas[minus] * ue_c[minus] * phi(cent)[minus]))
-                   for phi in SCALAR_TEST_FIELDS]
-        u0_pair = [float(np.sum(gm.areas * u0_c * phi(c0))) for phi in SCALAR_TEST_FIELDS]
+
+        def run_sums(sol, form, *terms):
+            """Each of ``terms``, a function of one run's areas, MINUS mask,
+            centroids, centroid values, gradients and fluxes, summed run by
+            run over the flat list."""
+            mesh, flat = sol.mesh, flat_triangles(sol.mesh)
+            g = flat_gradient(mesh, sol.values, flat)
+            flux = np.einsum("tij,tj->ti", form_tensor(form, mesh), g)
+            total = np.zeros(len(terms))
+            for at in flat_runs(mesh):
+                at = at.ravel()
+                tri = flat.triangles[at]
+                run = (flat.areas[at], flat.region[at] == MINUS, mesh.vertices[tri].mean(axis=1),
+                       sol.values[tri].mean(axis=1), g[at], flux[at])
+                total += [term(*run) for term in terms]
+            return total
+
+        pair_flux = [lambda a, mi, c, u, g, fl, psi=psi: np.einsum("t,ti,ti->", a, fl, psi(c))
+                     for psi in VECTOR_TEST_FIELDS]
+        g2 = lambda g: np.einsum("td,td->t", g, g)
+        ue_sums = run_sums(
+            ue, hetero_form(eps, aniso_field),
+            lambda a, mi, c, u, g, fl: np.sum(a * (u - grid_interpolate(u0, c)) ** 2),
+            lambda a, mi, c, u, g, fl: np.sum(a[~mi] * g2(g)[~mi]),
+            lambda a, mi, c, u, g, fl: np.sum(a[mi] * g2(g)[mi]),
+            *pair_flux,
+            *[lambda a, mi, c, u, g, fl, phi=phi: np.sum(a[mi] * u[mi] * phi(c)[mi])
+              for phi in SCALAR_TEST_FIELDS])
+        u0_sums = run_sums(
+            grid, homog_form(A0), *pair_flux,
+            *[lambda a, mi, c, u, g, fl, phi=phi: np.sum(a * u * phi(c)) for phi in SCALAR_TEST_FIELDS])
+        l2, grad_plus, grad_minus = np.sqrt(ue_sums[:3])
         expected = ErrorRow(
-            eps=eps, seed=0,
-            l2_error=float(np.sqrt(np.sum(mesh.areas * (ue_c - grid_interpolate(u0, cent)) ** 2))),
+            eps=eps, seed=0, l2_error=float(l2),
             jump_l2=rec["jump_L2_on_interface"],
             jump_over_sqrt_eps=rec["jump_L2_on_interface"] / np.sqrt(eps),
-            flux_residuals=flux,
-            mass_residuals=np.abs(np.array(ue_pair) - theta * np.array(u0_pair)),
-            grad_plus=rec["grad_plus_L2"], grad_minus=rec["grad_minus_L2"],
+            flux_residuals=np.abs(ue_sums[3:6] - u0_sums[:3]),
+            mass_residuals=np.abs(ue_sums[6:] - theta * u0_sums[3:]),
+            grad_plus=float(grad_plus), grad_minus=float(grad_minus),
         )
         for fld in fields(ErrorRow):
             assert np.array_equal(getattr(row, fld.name), getattr(expected, fld.name)), fld.name
+        assert np.isclose(row.grad_plus, rec["grad_plus_L2"], rtol=1e-13, atol=0.0)
+        assert np.isclose(row.grad_minus, rec["grad_minus_L2"], rtol=1e-13, atol=0.0)
 
     def test_runs_of_triangles_sum_to_the_one_pass_row(self, monkeypatch):
-        """A mesh of one run gets the one-pass row (see test_equals_old_route);
-        runs of a few triangles, the last one short, move it at rounding
-        level only."""
+        """Runs of one cell each move the row at rounding level only against
+        the runs of many cells (see test_equals_old_route)."""
         eps, A0 = 0.125, np.array([[0.8, 0.01], [0.01, 0.77]])
         f = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1]
         ue = solve_hetero(eps, BernoulliCellwiseMap(2), f, conductivity=aniso_field, h_cell=0.1)
         u0 = solve_homog(A0, f, m=32)
-        assert ue.mesh.num_triangles <= homogenize.ROW_RUN
+        assert max(len(list(ue.mesh.runs(kind))) for kind in ue.mesh.kinds) == 1
         whole = error_suite(ue, u0, 0.2, eps, A0)
-        monkeypatch.setattr(homogenize, "ROW_RUN", 97)
-        assert ue.mesh.num_triangles % 97
+        monkeypatch.setattr(meshing, "RUN", 97)
+        assert all(len(list(ue.mesh.runs(kind))) == len(kind.cells) for kind in ue.mesh.kinds)
         runs = error_suite(ue, u0, 0.2, eps, A0)
         for fld in fields(ErrorRow):
             a, b = getattr(whole, fld.name), getattr(runs, fld.name)

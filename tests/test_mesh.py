@@ -27,13 +27,12 @@ from membrane_homog.meshing import (
     tile_domain_mesh,
     triangle_centroids,
 )
-from helpers import cellwise
+from helpers import cellwise, flat_triangles
 
 SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
-INDEX_ARRAYS = ("triangles", "tri_cell_index", "tri_prototype", "cell_nodes", "free_nodes",
-                "boundary_nodes", "interface_pairs", "interface_edges",
-                "edge_cell_index", "cell_links")
+INDEX_ARRAYS = ("prototypes", "cell_nodes", "free_nodes", "boundary_nodes", "interface_pairs",
+                "interface_edges", "edge_cell_index", "cell_links")
 
 
 def cell_tables(tri_cell, triangles, num_vertices):
@@ -79,18 +78,23 @@ def assert_cells_match_oracle(mesh, tri_cell, tiled=False):
     from ``tri_cell``, each triangle's cell from a source other than the
     mesh, dtype included.  A tiling's table lists each cell's nodes in the
     columns of its cell mesh's nodes, so there each row's nodes are compared."""
-    for name, want in cell_tables(tri_cell, mesh.triangles, mesh.num_vertices).items():
-        got = getattr(mesh, name)
+    flat = flat_triangles(mesh)
+    for name, want in cell_tables(tri_cell, flat.triangles, mesh.num_vertices).items():
+        got = flat.cell if name == "tri_cell_index" else getattr(mesh, name)
         if name == "cell_nodes" and tiled:
             got = sorted_rows(got)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def grid_tri_cell(m):
-    """Each triangle's cell in ``build_square_mesh(m)``: square (i, j), the
-    triangles 2 * (i * m + j) and the next, lies in (i // 16, j // 16)."""
+    """Each triangle's cell in ``build_square_mesh(m)``, in the order of
+    ``flat_triangles``: square (i, j), the triangles 2 * (i * m + j) and the
+    next as the builder lists them, lies in (i // 16, j // 16), and the
+    cells' triangles come cell by cell in lattice order, each cell's in the
+    builder's order."""
     i, j = np.divmod(np.arange(m * m), m)
-    return np.repeat(np.column_stack([i, j]) // meshing.GRID_BLOCK, 2, axis=0)
+    cells = np.repeat(np.column_stack([i, j]) // meshing.GRID_BLOCK, 2, axis=0)
+    return cells[np.lexsort(cells.T[::-1])]
 
 
 def block_tri_cell(cell, xs, ys):
@@ -110,8 +114,8 @@ def scanned_topology(mesh, tri_cell):
     row = {k: i for i, k in enumerate(cells)}
     tri_index = [row[tuple(k)] for k in tri_cell.tolist()]
     m2p = {m: p for p, m in mesh.interface_pairs.tolist()}
-    count, oriented = {}, {}
-    for tri, reg, k in zip(mesh.triangles.tolist(), mesh.tri_region, tri_cell.tolist()):
+    count, oriented, flat = {}, {}, flat_triangles(mesh)
+    for tri, reg, k in zip(flat.triangles.tolist(), flat.region, tri_cell.tolist()):
         if reg != MINUS:
             continue
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -132,7 +136,7 @@ def looped_tiling(cell, dmap, cells, membrane, scale):
     in order of first appearance, shared boundary nodes matched by rounded
     coordinates, MINUS nodes of membrane-less cells merged into their PLUS
     copies."""
-    boundary = set(cell.boundary_nodes.tolist())
+    boundary, flat = set(cell.boundary_nodes.tolist()), flat_triangles(cell)
     m2p = {m: p for p, m in cell.interface_pairs.tolist()}
     verts, refs, shared, tris, regions, tri_cells, pairs = [], [], {}, [], [], [], []
     for k, has in zip(cells, membrane):
@@ -153,7 +157,7 @@ def looped_tiling(cell, dmap, cells, membrane, scale):
             refs.append(ref[v])
         for m, p in m2p.items():
             gid.setdefault(m, gid[p])
-        for tri, reg in zip(cell.triangles.tolist(), cell.tri_region.tolist()):
+        for tri, reg in zip(flat.triangles.tolist(), flat.region.tolist()):
             tris.append([gid[a] for a in tri])
             regions.append(reg if has else PLUS)
             tri_cells.append(k)
@@ -187,8 +191,11 @@ def realize_ulps(mesh, cell, dmap, scale):
 def assert_tiling_matches_loop(mesh, reference):
     """Every array bitwise the loop's, but the vertices: those within ULPS,
     as the loop maps every node and a realization every kind's first cell."""
+    flat = flat_triangles(mesh)
+    stated = {"tri_cell": mesh.cells[flat.cell], "triangles": flat.triangles,
+              "tri_region": flat.region}
     for name, want in reference.items():
-        got = mesh.cells[mesh.tri_cell_index] if name == "tri_cell" else getattr(mesh, name)
+        got = stated[name] if name in stated else getattr(mesh, name)
         assert got.shape == want.shape, name
         if name == "vertices":
             assert ulps_apart(got, want) <= ULPS
@@ -199,7 +206,7 @@ def assert_tiling_matches_loop(mesh, reference):
 def assert_topology_matches_scan(mesh, tri_cell):
     cells, tri_index, edges, edge_cells = scanned_topology(mesh, tri_cell)
     assert np.array_equal(mesh.cells, cells)
-    assert np.array_equal(mesh.tri_cell_index, tri_index)
+    assert np.array_equal(flat_triangles(mesh).cell, tri_index)
     assert np.array_equal(mesh.interface_edges, edges)
     stored_edges, stored_cells = mesh.interface_edges_with_cells()
     assert np.array_equal(stored_edges, edges)
@@ -213,8 +220,8 @@ def looped_conformity(mesh):
     minus_iface = set(mesh.interface_pairs[:, 1].tolist())
     plus_iface = set(mesh.interface_pairs[:, 0].tolist())
     boundary = set(mesh.boundary_nodes.tolist())
-    edges = {}
-    for tri, reg in zip(mesh.triangles, mesh.tri_region):
+    edges, flat = {}, flat_triangles(mesh)
+    for tri, reg in zip(flat.triangles, flat.region):
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (min(int(a), int(b)), max(int(a), int(b)))
             edges.setdefault(key, []).append(int(reg))
@@ -249,9 +256,9 @@ def quality_report(mesh):
     An empty mesh raises ValueError."""
     if mesh.num_triangles == 0:
         raise ValueError("empty mesh")
-    issues = looped_conformity(mesh)[1]
-    if mesh.areas.min() <= 0.0:
-        issues.append(f"nonpositive triangle area {mesh.areas.min():.3e}")
+    issues, areas = looped_conformity(mesh)[1], flat_triangles(mesh).areas
+    if areas.min() <= 0.0:
+        issues.append(f"nonpositive triangle area {areas.min():.3e}")
     if mesh.min_angle_deg() < meshing.MIN_ANGLE_DEG:
         issues.append(f"min angle {mesh.min_angle_deg():.2f} deg")
     if pairing_gap(mesh) > 1e-12:
@@ -264,9 +271,10 @@ def rebuilt(mesh, tri_cell=None, **changes):
     ``changes``, its cell arrays derived from ``tri_cell`` (by default each
     triangle's cell in ``mesh``): unless ``changes`` name them, with its own
     cell table and every cell its own kind."""
-    args = {name: getattr(mesh, name) for name in (
-        "vertices", "triangles", "tri_region", "interface_pairs", "boundary_nodes")}
-    return mesh_from_tri_cell(mesh.cells[mesh.tri_cell_index] if tri_cell is None else tri_cell,
+    flat = flat_triangles(mesh)
+    args = {name: getattr(mesh, name) for name in ("vertices", "interface_pairs", "boundary_nodes")}
+    args.update(triangles=flat.triangles, tri_region=flat.region)
+    return mesh_from_tri_cell(mesh.cells[flat.cell] if tri_cell is None else tri_cell,
                               **{**args, **changes})
 
 
@@ -286,11 +294,12 @@ class TestCellMesh:
     @pytest.mark.parametrize("h", [0.25, 0.1, 0.05])
     def test_total_area_is_one(self, h):
         mesh = build_cell_mesh(SPEC, h)
-        assert abs(mesh.areas.sum() - 1.0) < 1e-12
+        assert abs(flat_triangles(mesh).areas.sum() - 1.0) < 1e-12
 
     def test_minus_area_approximates_disk(self):
         mesh = build_cell_mesh(SPEC, 0.05)
-        a_minus = mesh.areas[mesh.tri_region == MINUS].sum()
+        flat = flat_triangles(mesh)
+        a_minus = flat.areas[flat.region == MINUS].sum()
         assert abs(a_minus - np.pi * SPEC.radius**2) < 2e-3
 
     def test_interface_edge_count_matches_node_count(self, cell_h01):
@@ -375,8 +384,9 @@ class TestTiledDomain:
     def test_identity_quarter_eps(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC)
         assert quality_report(mesh) == []
-        assert abs(mesh.areas.sum() - 1.0) < 1e-12
-        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index[mesh.tri_region == MINUS]].tolist()))
+        flat = flat_triangles(mesh)
+        assert abs(flat.areas.sum() - 1.0) < 1e-12
+        cells = set(map(tuple, mesh.cells[flat.cell[flat.region == MINUS]].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
         n_if = len(cell_h01.interface_pairs)
         assert len(mesh.interface_pairs) == 4 * n_if
@@ -384,34 +394,36 @@ class TestTiledDomain:
     def test_half_eps_has_no_membranes(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.5, SPEC)
         assert len(mesh.interface_pairs) == 0
-        assert (mesh.tri_region == PLUS).all()
-        assert abs(mesh.areas.sum() - 1.0) < 1e-12
+        flat = flat_triangles(mesh)
+        assert (flat.region == PLUS).all()
+        assert abs(flat.areas.sum() - 1.0) < 1e-12
 
     def test_deformed_tiling_conforms(self, cell_h01):
         dmap = BernoulliCellwiseMap(seed=42)
         mesh = tile_domain_mesh(cell_h01, dmap, 0.125, SPEC)
         assert quality_report(mesh) == []
-        assert abs(mesh.areas.sum() - 1.0) < 1e-10
+        assert abs(flat_triangles(mesh).areas.sum() - 1.0) < 1e-10
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
         assert len(mesh.interface_pairs) == 0
-        assert (mesh.tri_region == PLUS).all()
+        assert (flat_triangles(mesh).region == PLUS).all()
 
     def test_seed_changes_only_flipped_cells(self, cell_h01):
         a = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 0.125, SPEC)
         b = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 0.125, SPEC)
         bits_a = BernoulliCellwiseMap(seed=1).field
         bits_b = BernoulliCellwiseMap(seed=2).field
-        kx, ky = a.cells[a.tri_cell_index].T
+        fa, fb = flat_triangles(a), flat_triangles(b)
+        kx, ky = a.cells[fa.cell].T
         same = bits_a.bits(kx, ky) == bits_b.bits(kx, ky)
         # triangle connectivity is shared; vertex positions agree within ULPS
         # on cells whose Bernoulli bits agree (each seed places them from its
         # own first cell of their kind)
-        assert np.array_equal(a.triangles, b.triangles)
-        nodes = a.triangles[same]
+        assert np.array_equal(fa.triangles, fb.triangles)
+        nodes = fa.triangles[same]
         assert ulps_apart(b.vertices[nodes], a.vertices[nodes]) <= ULPS
-        assert not np.array_equal(a.vertices[a.triangles[~same]], b.vertices[b.triangles[~same]])
+        assert not np.array_equal(a.vertices[fa.triangles[~same]], b.vertices[fb.triangles[~same]])
 
     def test_rejects_non_integer_reciprocal_eps(self, cell_h01):
         with pytest.raises(ValueError):
@@ -430,20 +442,22 @@ class TestTiledDomain:
 class TestTruncatedMesh:
     def test_single_cell_halfwidth(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, IdentityMap(), 1)
-        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index].tolist()))
+        flat = flat_triangles(mesh)
+        cells = set(map(tuple, mesh.cells[flat.cell].tolist()))
         assert cells == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
         assert len(mesh.interface_pairs) == 4 * len(cell_h01.interface_pairs)
-        assert abs(mesh.areas.sum() - 4.0) < 1e-12
+        assert abs(flat.areas.sum() - 4.0) < 1e-12
 
     def test_deformed_area_preserved(self, cell_h01):
         """Each cell maps onto itself, so mesh area equals the cube area."""
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=7), 4)
-        assert abs(mesh.areas.sum() - 64.0) < 1e-10
+        assert abs(flat_triangles(mesh).areas.sum() - 64.0) < 1e-10
         assert quality_report(mesh) == []
 
     def test_all_cells_carry_membranes(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, IdentityMap(), 2)
-        cells = set(map(tuple, mesh.cells[mesh.tri_cell_index[mesh.tri_region == MINUS]].tolist()))
+        flat = flat_triangles(mesh)
+        cells = set(map(tuple, mesh.cells[flat.cell[flat.region == MINUS]].tolist()))
         assert len(cells) == 16
 
     def test_boundary_nodes_on_cube(self, cell_h01):
@@ -483,6 +497,10 @@ class TestTilingTemplate:
             got, want = getattr(warm, name), getattr(cold, name)
             if isinstance(want, np.ndarray):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            elif name == "kinds":
+                assert len(got) == len(want) and all(
+                    g.cells.tobytes() == w.cells.tobytes() and g.links is w.links
+                    and g.protos == w.protos for g, w in zip(got, want))
             else:
                 assert got == want, name
         assert assemble(warm, form).matrix.data.tobytes() == cold_matrix.data.tobytes()
@@ -504,13 +522,13 @@ class TestTilingTemplate:
     def test_realization_shares_the_template_topology(self, cell_h01):
         a = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=1), 2)
         b = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=2), 2)
-        assert b.triangles is a.triangles and b.links is a.links
+        assert b.links is a.links  # every class's triangles and links
         assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes
         assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
         assert b.schur is a.schur and cellwise(b).schur is a.schur
         for array in INDEX_ARRAYS:
-            if array != "tri_prototype":  # each set of kinds numbers its own prototypes
+            if array != "prototypes":  # each set of kinds takes its own prototypes
                 assert getattr(b, array) is getattr(a, array), array
                 assert getattr(cellwise(a), array) is getattr(a, array), array
         assert not np.array_equal(a.vertices, b.vertices)
@@ -531,18 +549,19 @@ class TestPrototypes:
     ], ids=["truncated", "tiled"])
     def test_first_cell_of_each_kind(self, cell_h01, build):
         mesh = build(cell_h01)
+        flat = flat_triangles(mesh)
         nt = cell_h01.num_triangles
         _, first = np.unique(mesh.cell_kind, return_index=True)
-        assert np.array_equal(mesh.prototypes, (first[:, None] * nt + np.arange(nt)).ravel())
+        at = (first[:, None] * nt + np.arange(nt)).ravel()  # the first cells' triangles
+        assert np.array_equal(mesh.prototypes, flat.triangles[at])
         # each triangle's prototype is the same local triangle of a cell of its kind
-        proto = mesh.prototypes[mesh.tri_prototype]
+        proto = at[flat.prototype]
         assert np.array_equal(proto % nt, np.arange(mesh.num_triangles) % nt)
-        assert np.array_equal(mesh.cell_kind[mesh.tri_cell_index[proto]],
-                              mesh.cell_kind[mesh.tri_cell_index])
-        areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
-        assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
-        assert np.abs(mesh.areas - areas).max() <= 1e-13 * np.abs(areas).max()
-        gathered = mesh.proto_grads[mesh.tri_prototype]
+        assert np.array_equal(mesh.cell_kind[flat.cell[proto]], mesh.cell_kind[flat.cell])
+        areas, grads = meshing.triangle_geometry(mesh.vertices, flat.triangles)
+        assert np.array_equal(flat.areas, mesh.proto_areas[flat.prototype])
+        assert np.abs(flat.areas - areas).max() <= 1e-13 * np.abs(areas).max()
+        gathered = mesh.proto_grads[flat.prototype]
         assert np.abs(gathered - grads).max() <= 1e-13 * np.abs(grads).max()
 
     @pytest.mark.parametrize("build, tol", [
@@ -555,23 +574,24 @@ class TestPrototypes:
     ], ids=["cell", "square128", "square100", "template", "realization", "cellwise"])
     def test_prototypes_are_each_kinds_first_cell(self, cell_h01, build, tol):
         mesh = build(cell_h01)
+        flat = flat_triangles(mesh)
         # the triangles of each kind's first cell, kinds in label order, in triangle order
         _, first = np.unique(mesh.cell_kind, return_index=True)
-        expect = np.concatenate([np.flatnonzero(mesh.tri_cell_index == c) for c in first])
-        assert np.array_equal(mesh.prototypes, expect)
+        expect = np.concatenate([np.flatnonzero(flat.cell == c) for c in first])
+        assert np.array_equal(mesh.prototypes, flat.triangles[expect])
         # each triangle's prototype is the triangle of the same rank in its kind's first cell
-        proto = mesh.prototypes[mesh.tri_prototype]
-        kind = mesh.cell_kind[mesh.tri_cell_index]
-        assert np.array_equal(mesh.cell_kind[mesh.tri_cell_index[proto]], kind)
-        assert np.array_equal(mesh.tri_local[proto], mesh.tri_local)
+        proto = expect[flat.prototype]
+        kind = mesh.cell_kind[flat.cell]
+        assert np.array_equal(mesh.cell_kind[flat.cell[proto]], kind)
+        assert np.array_equal(flat.local[proto], flat.local)
         for c in range(len(mesh.cells)):
-            assert np.array_equal(mesh.tri_local[mesh.tri_cell_index == c],
-                                  np.arange(np.count_nonzero(mesh.tri_cell_index == c)))
+            assert np.array_equal(flat.local[flat.cell == c],
+                                  np.arange(np.count_nonzero(flat.cell == c)))
         # the gathered geometry: the prototypes', within tol of every triangle's own
-        areas, grads = meshing.triangle_geometry(mesh.vertices, mesh.triangles)
-        assert np.array_equal(mesh.areas, mesh.proto_areas[mesh.tri_prototype])
-        assert np.abs(mesh.areas - areas).max() <= tol * np.abs(areas).max()
-        gathered = mesh.proto_grads[mesh.tri_prototype]
+        areas, grads = meshing.triangle_geometry(mesh.vertices, flat.triangles)
+        assert np.array_equal(flat.areas, mesh.proto_areas[flat.prototype])
+        assert np.abs(flat.areas - areas).max() <= tol * np.abs(areas).max()
+        gathered = mesh.proto_grads[flat.prototype]
         assert np.abs(gathered - grads).max() <= tol * np.abs(grads).max()
 
     def test_square_grid_has_a_prototype_per_block_shape(self):
@@ -618,7 +638,7 @@ class TestSquareMesh:
         mesh = build_square_mesh(8)
         assert mesh.num_triangles == 128
         assert mesh.num_vertices == 81
-        assert abs(mesh.areas.sum() - 1.0) < 1e-14
+        assert abs(flat_triangles(mesh).areas.sum() - 1.0) < 1e-14
         assert len(mesh.boundary_nodes) == 32
         assert quality_report(mesh) == []
         assert len(mesh.cells) == 1  # one block: GRID_BLOCK = 16 squares a side
@@ -635,9 +655,9 @@ class TestTriangleCentroids:
     def test_equals_mean(self, build):
         mesh = build()
         values = np.random.default_rng(0).standard_normal(mesh.num_vertices)
+        tri = flat_triangles(mesh).triangles
         for v in (mesh.vertices, mesh.ref_vertices, values):
-            assert np.array_equal(triangle_centroids(v, mesh.triangles),
-                                  v[mesh.triangles].mean(axis=1))
+            assert np.array_equal(triangle_centroids(v, tri), v[tri].mean(axis=1))
 
 
 class TestTilingMatchesLoop:
@@ -666,13 +686,13 @@ REPORT_MESHES = ("cell", "cell_h025", "tiled_identity", "tiled_bernoulli", "tile
 @pytest.fixture(scope="module")
 def report_meshes(cell_h01):
     """The meshes the tests build, conforming and not."""
-    cell = cell_h01
-    plus = np.flatnonzero(cell.tri_region == PLUS)
-    retargeted = cell.triangles.copy()
-    retargeted[plus[-1], 0] = cell.triangles[plus[-1] - 2, 0]
-    flipped = cell.tri_region.copy()
+    cell, flat = cell_h01, flat_triangles(cell_h01)
+    plus = np.flatnonzero(flat.region == PLUS)
+    retargeted = flat.triangles.copy()
+    retargeted[plus[-1], 0] = flat.triangles[plus[-1] - 2, 0]
+    flipped = flat.region.copy()
     flipped[plus[len(plus) // 2]] = MINUS
-    doubled = np.concatenate([cell.triangles, cell.triangles[:3]])
+    doubled = np.concatenate([flat.triangles, flat.triangles[:3]])
     return {
         "cell": cell,
         "cell_h025": build_cell_mesh(SPEC, 0.25),
@@ -684,7 +704,7 @@ def report_meshes(cell_h01):
         "retargeted_vertex": rebuilt(cell, triangles=retargeted),
         "flipped_region": rebuilt(cell, tri_region=flipped),
         "doubled_triangles": rebuilt(
-            cell, triangles=doubled, tri_region=np.concatenate([cell.tri_region, cell.tri_region[:3]]),
+            cell, triangles=doubled, tri_region=np.concatenate([flat.region, flat.region[:3]]),
             tri_cell=np.zeros((len(doubled), 2), dtype=np.int64),
         ),
     }
@@ -751,9 +771,10 @@ class TestExportImport:
         start = lines.index(f"T {mesh.num_triangles}") + 1
         rows = np.array([line.split() for line in lines[start:start + mesh.num_triangles]],
                         dtype=np.int64)
-        assert np.array_equal(rows[:, :3], mesh.triangles)
-        assert np.array_equal(rows[:, 3], mesh.tri_region)
-        assert np.array_equal(rows[:, 4:], mesh.cells[mesh.tri_cell_index])
+        flat = flat_triangles(mesh)
+        assert np.array_equal(rows[:, :3], flat.triangles)
+        assert np.array_equal(rows[:, 3], flat.region)
+        assert np.array_equal(rows[:, 4:], mesh.cells[flat.cell])
         assert np.array_equal(rows[:, 4:], tri_cell(cell_h01))
 
 
@@ -768,13 +789,14 @@ class TestReportFaultDetection:
         assert pairing_gap(mesh) > 1e-7
 
     def test_flags_nonconforming_triangle(self, cell_h01):
-        tris = cell_h01.triangles.copy()
+        flat = flat_triangles(cell_h01)
+        tris = flat.triangles.copy()
         # retarget one vertex of an interior PLUS triangle, leaving a hole
-        idx = int(np.flatnonzero(cell_h01.tri_region == PLUS)[-1])
-        tris[idx, 0] = cell_h01.triangles[idx - 2, 0]
+        idx = int(np.flatnonzero(flat.region == PLUS)[-1])
+        tris[idx, 0] = flat.triangles[idx - 2, 0]
         mesh = rebuilt(cell_h01, triangles=tris)
         assert quality_report(mesh)
-        assert not looped_conformity(mesh)[0] or mesh.areas.min() <= 0.0
+        assert not looped_conformity(mesh)[0] or flat_triangles(mesh).areas.min() <= 0.0
 
     def test_rejects_empty_mesh(self):
         empty = mesh_from_tri_cell(
@@ -859,16 +881,16 @@ def oracle_interface_edges(mesh):
     boundary edges of the MINUS region (edges of exactly one MINUS triangle)
     whose ends are both MINUS interface nodes, oriented as their MINUS
     triangle traverses them, sorted."""
-    minus_tri = np.flatnonzero(mesh.tri_region == MINUS)
-    nv = mesh.num_vertices
-    a, b, keys = edge_keys(mesh.triangles[minus_tri], nv)
+    flat, nv = flat_triangles(mesh), mesh.num_vertices
+    minus_tri = np.flatnonzero(flat.region == MINUS)
+    a, b, keys = edge_keys(flat.triangles[minus_tri], nv)
     _, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
     m2p = np.full(nv, -1, dtype=np.int64)
     m2p[mesh.interface_pairs[:, 1]] = mesh.interface_pairs[:, 0]
     on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
     rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int32)
     order = np.lexsort(rows.T[::-1])
-    return rows[order], mesh.tri_cell_index[minus_tri[on // 3][order]].astype(np.int32)
+    return rows[order], flat.cell[minus_tri[on // 3][order]].astype(np.int32)
 
 
 def oracle_pattern(mesh, edges):
@@ -876,7 +898,7 @@ def oracle_pattern(mesh, edges):
     or an interface edge, and of each node with itself, by a sort of the
     pairs."""
     nv = mesh.num_vertices
-    t, e = mesh.triangles.astype(np.int64), edges.astype(np.int64)  # keys past 32 bits
+    t, e = flat_triangles(mesh).triangles.astype(np.int64), edges.astype(np.int64)  # keys past 32 bits
     links = np.concatenate([edge_keys(t, nv)[2], *(
         np.minimum(e[:, i], e[:, j]) * nv + np.maximum(e[:, i], e[:, j])
         for i in range(4) for j in range(i + 1, 4))])
@@ -900,14 +922,15 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
     per distinct pair, and each entry's link is its pair: checked against
     the cells' triangles in their order and the whole-mesh interface edges
     ``edges`` of the cells ``edge_cells``."""
-    table, tri_cell = mesh.cell_nodes, mesh.tri_cell_index
+    table, tri_cell = mesh.cell_nodes, flat_triangles(mesh).cell
     order = np.argsort(tri_cell, kind="stable")  # each cell's triangles in turn
     start = np.cumsum(np.bincount(tri_cell, minlength=len(table))) - np.bincount(tri_cell)
     assert len(mesh.cell_links) == len(table) and len(mesh.links) == len(np.unique(mesh.cell_links))
     got_edges, got_cells = [np.zeros((0, 4), dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     for k, links in enumerate(mesh.links):
         pairs, w = links.pairs.astype(np.int64), table.shape[1]
-        assert all(a.dtype == np.int32 for a in vars(links).values() if isinstance(a, np.ndarray))
+        assert all(a.dtype == (np.int8 if name == "region" else np.int32)
+                   for name, a in vars(links).items() if isinstance(a, np.ndarray))
         assert (np.diff(pairs[:, 0] * w + pairs[:, 1]) > 0).all()  # distinct, row-major
         used = np.concatenate([links.tri.ravel(), links.edge.ravel()])
         assert np.array_equal(np.unique(used), np.arange(len(pairs)))  # every link an entry's
@@ -915,7 +938,7 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
         rows = table[cells]
         tris = order[start[cells][:, None] + np.arange(len(links.tri))]
         assert (np.bincount(tri_cell, minlength=len(table))[cells] == len(links.tri)).all()
-        assert np.array_equal(rows[:, pairs[links.tri]], entry_pairs(mesh.triangles[tris]))
+        assert np.array_equal(rows[:, pairs[links.tri]], entry_pairs(flat_triangles(mesh).triangles[tris]))
         ends = rows[:, links.edge_columns]  # (cells, edges, 4): each cell's edges
         assert np.array_equal(rows[:, pairs[links.edge]], entry_pairs(ends))
         got_edges.append(ends.reshape(-1, 4))
@@ -1028,10 +1051,11 @@ def folded_cell(h):
 
     mesh = build_cell_mesh(SPEC, h)
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
+    flat = flat_triangles(mesh)
     return MembraneMesh(
-        vertices=mesh.vertices[reps], triangles=inv[mesh.triangles], tri_region=mesh.tri_region,
+        vertices=mesh.vertices[reps], triangles=inv[flat.triangles], tri_region=flat.region,
         interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
-        cells=mesh.cells, tri_cell_index=mesh.tri_cell_index, cell_nodes=np.arange(len(reps))[None])
+        cells=mesh.cells, tri_cell_index=flat.cell, cell_nodes=np.arange(len(reps))[None])
 
 
 class TestTopologyMatchesOracle:
@@ -1132,8 +1156,8 @@ class TestTopologyMatchesOracle:
         the same nodes, regions and partners, but not its first cell's
         triangles."""
         template = meshing._template(cell_h01, (0, 0), 2, math.inf, 0.5).mesh
-        triangles = template.triangles.copy()
-        last = template.tri_cell_index == len(template.cells) - 1
+        flat = flat_triangles(template)
+        triangles, last = flat.triangles.copy(), flat.cell == len(template.cells) - 1
         triangles[last] = triangles[last][:, [1, 2, 0]]
         with pytest.raises(ValueError):
             rebuilt(template, triangles=triangles, cell_nodes=template.cell_nodes,
