@@ -200,17 +200,17 @@ def periodic_cell_solve(
     system = assemble(mesh, form, p=p)
 
     # fold periodic partners onto canonical representatives, one cell of every
-    # node (nothing reads its geometry), and the cell's one matrix with them;
+    # node, whose table is the numbering, so its triangles are its corners
+    # (nothing reads its geometry), and the cell's one matrix with them;
     # the nullspace is the global constants, so its one boundary node, node 0,
     # is pinned, and the gauge is restored below
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     (links,) = mesh.links
     tri = mesh.cell_nodes[0][links.corners]  # the unit cell's triangles: it is one cell
     cell = MembraneMesh(
-        vertices=mesh.vertices[reps], triangles=inv[tri], tri_region=links.region,
-        interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
-        cells=mesh.cells, tri_cell_index=np.zeros(len(tri), dtype=np.int32),
-        cell_nodes=np.arange(len(reps))[None])
+        vertices=mesh.vertices[reps], interface_pairs=inv[mesh.interface_pairs],
+        boundary_nodes=np.zeros(1, dtype=np.int64), cells=mesh.cells,
+        cell_nodes=np.arange(len(reps))[None], kind_triangles=[(inv[tri], links.region)])
     # the cell tables of both meshes are their node numberings: each pair of the
     # cell's links adds its entry to the folded pair of the folded links
     (K,), (folded_links,) = system.cell_matrices, cell.links

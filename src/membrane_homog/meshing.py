@@ -21,12 +21,12 @@ solve path.
 
 Every mesh is a block of lattice cells and names the kind of each cell: a
 realization at most four (bumped or not, membrane or cushion), the square
-grid one per shape of block.  The mesh is its cell table: each topology
-class's triangles are kept once, in table columns, and no array per
-triangle.  The triangles of each kind's first cell are the prototypes, whose
-geometry stands for the kind's other cells (translates in a realization),
-and every sum over the triangles goes kind by kind over runs of cells
-(``MembraneMesh.runs``).
+grid one per shape of block.  The mesh is its cell table: each builder
+states each kind's triangles once, in table columns, as the mesh keeps
+them, and no builder makes an array per triangle.  The triangles of each
+kind's first cell are the prototypes, whose geometry stands for the kind's
+other cells (translates in a realization), and every sum over the
+triangles goes kind by kind over runs of cells (``MembraneMesh.runs``).
 """
 
 from __future__ import annotations
@@ -242,30 +242,29 @@ class MembraneMesh:
     by every realization of a tiling.  ``interface_pairs`` rows are (plus
     node, minus node) with coincident coordinates.
 
-    The builder states the ``triangles`` (nt, 3), their ``tri_region`` and
-    their ``tri_cell_index``, each one's row of the lattice ``cells``
-    (nc, 2), each (kx, ky), and the cell table ``cell_nodes`` (nc, w), each
-    cell's nodes, -1 where one is absent, in columns that match between
-    cells of one kind.  An index outside ``cells`` or a cell without a
-    triangle raises ValueError.  The mesh keeps none of these per-triangle
-    arrays: each topology class's ``CellLinks`` holds its cells' triangles.
-    Every index array is stored as int32 (the constructor converts
-    ``interface_pairs``, ``boundary_nodes`` and ``cell_nodes``).
+    The builder states the lattice ``cells`` (nc, 2), each (kx, ky), the
+    cell table ``cell_nodes`` (nc, w), each cell's nodes, -1 where one is
+    absent, in columns that match between cells of one kind, and
+    ``kind_triangles``: for each label of ``cell_kind`` in increasing order,
+    that kind's triangles in table columns, a pair (corners (t, 3), regions
+    (t,)), which its ``CellLinks`` keeps.  A kind that states no triangle, a
+    corner column absent in one of the kind's cells and a cell whose
+    interface partners are not its kind's first cell's raise ValueError
+    naming the kind.  Every index array is stored as int32 (the constructor
+    converts ``interface_pairs``, ``boundary_nodes`` and ``cell_nodes``).
 
     The rest of the topology and the geometry are derived once, at
     construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
     minus_b), the edges of one MINUS triangle between MINUS interface nodes,
     as their triangle runs (counterclockwise around each membrane), sorted,
     and ``edge_cell_index`` the row of ``cells`` each edge belongs to.  Each
-    kind's first cell gives its triangles, its edges and its ``links``
-    (``CellLinks``: the triangles and the node pairs of the form's cell
-    matrix) in table columns, and the table maps them to every cell of the
-    kind; ``cell_links`` (nc,) gives each cell's row of ``links``.  The
-    kinds the mesh is built with are the topology classes of its cells,
-    which every later set of kinds refines: a cell that is no copy of its
-    kind's first cell raises ValueError, and so does a kind of
-    ``with_kinds`` whose cells have other links.  The mesh stores no pattern
-    of the global matrix.
+    kind's first cell gives its edges and its ``links`` (``CellLinks``: the
+    triangles and the node pairs of the form's cell matrix) in table
+    columns, and the table maps them to every cell of the kind;
+    ``cell_links`` (nc,) gives each cell's row of ``links``.  The kinds the
+    mesh is built with are its topology classes, which every later set of
+    kinds refines: a kind of ``with_kinds`` whose cells have other links
+    raises ValueError.  The mesh stores no pattern of the global matrix.
 
     ``cell_kind`` (nc,) labels cells whose element matrices agree up to
     rounding, so that ``fem`` gives them one cell matrix (by default each
@@ -295,13 +294,11 @@ class MembraneMesh:
     """
 
     vertices: np.ndarray
-    triangles: InitVar[np.ndarray]
-    tri_region: InitVar[np.ndarray]
     interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
     cells: np.ndarray = field(repr=False)
-    tri_cell_index: InitVar[np.ndarray]
     cell_nodes: np.ndarray = field(repr=False)
+    kind_triangles: InitVar[list]
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
     interface_edges: np.ndarray = field(init=False, repr=False)
@@ -316,23 +313,16 @@ class MembraneMesh:
     free_nodes: np.ndarray = field(init=False, repr=False)
     schur: Fronts = field(init=False, repr=False)
 
-    def __post_init__(self, triangles, tri_region, tri_cell_index):
+    def __post_init__(self, kind_triangles):
         for name in ("interface_pairs", "boundary_nodes", "cell_nodes"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
-        index, nc = np.asarray(tri_cell_index), len(self.cells)
-        if ((index < 0) | (index >= nc)).any():
-            raise ValueError("tri_cell_index names a row outside cells")
-        tri_count = np.bincount(index, minlength=nc)
-        if not tri_count.all():
-            raise ValueError("a row of cells has no triangle")
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True  # the skeleton
         self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices, dtype=np.int32),
                                     self.boundary_nodes)
-        self.cell_kind = np.arange(nc) if self.cell_kind is None else self.cell_kind
-        self._tile(on, np.asarray(triangles), np.asarray(tri_region),
-                   np.argsort(index, kind="stable"), tri_count)
+        self.cell_kind = np.arange(len(self.cells)) if self.cell_kind is None else self.cell_kind
+        self._tile(on, kind_triangles)
         self.schur = self._schur_fronts(on)
         self.ref_vertices = self.vertices
         self._take_kinds(self.cell_kind)
@@ -376,34 +366,33 @@ class MembraneMesh:
             run = cells[lo:lo + step]
             yield run, self.cell_nodes[run][:, columns]
 
-    def _tile(self, on_skeleton: np.ndarray, tri: np.ndarray, tri_region: np.ndarray,
-              tri_order: np.ndarray, count: np.ndarray) -> None:
-        """Take each topology class's triangles ``tri`` and regions
-        ``tri_region`` from its first cell, with its ``links``, tile
-        ``interface_edges`` and ``edge_cell_index`` from it (see the class
-        docstring); ``on_skeleton`` marks the skeleton nodes, ``tri_order``
-        lists the triangles cell by cell and ``count`` counts each cell's."""
+    def _tile(self, on_skeleton: np.ndarray, kind_triangles) -> None:
+        """Take each topology class's triangles from ``kind_triangles``, with
+        its ``links``, and tile ``interface_edges`` and ``edge_cell_index``
+        from its first cell (see the class docstring); ``on_skeleton`` marks
+        the skeleton nodes."""
         table, nv = self.cell_nodes, self.num_vertices
         w = table.shape[1]
-        _, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
-        if (count != count[first][rank]).any():
-            raise ValueError("a cell has other triangles than the first cell of its kind")
+        label, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
         partner = np.full(nv + 1, -1)  # each MINUS node's PLUS partner; the last entry reads -1
         partner[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
         links, edges = [], [np.zeros((0, 5), dtype=np.int64)]
-        for k, f in enumerate(first):
+        for k, (f, (tc, region)) in enumerate(zip(first, kind_triangles, strict=True)):
             members = np.flatnonzero(rank == k)
-            tris = tri_order[(count.cumsum() - count)[members, None] + np.arange(count[f])]
             rows, row = table[members], table[f]
             valid, col = np.flatnonzero(row >= 0), np.full(nv + 1, -1)  # each node's column
             col[row[valid]] = valid
-            tc, pc = col[tri[tris[0]]], col[partner[row]]  # corners' and partners' columns
-            if not (np.array_equal(np.take(tri, tris, axis=0), np.take(rows, tc, axis=1))
-                    and (np.take(tri_region, tris) == tri_region[tris[0]]).all()
-                    and np.array_equal(partner[rows], np.where(pc >= 0, rows[:, pc], -1))):
-                raise ValueError(f"a cell of kind {k} is no copy of cell {f} up to the numbering")
+            tc, region = np.asarray(tc), np.asarray(region)
+            pc = col[partner[row]]  # each column's partner's column
+            if not len(tc):
+                raise ValueError(f"kind {label[k]} states no triangle")
+            if (rows < 0).any(axis=0)[tc].any():
+                raise ValueError(f"a corner column of kind {label[k]} is absent in a cell of it")
+            if not np.array_equal(partner[rows], np.where(pc >= 0, rows[:, pc], -1)):
+                raise ValueError(f"a cell of kind {label[k]} has other interface partners "
+                                 f"than cell {f}")
             # interface edges: edges of one MINUS triangle between nodes with PLUS partners
-            minus = tc[tri_region[tris[0]] == MINUS]
+            minus = tc[region == MINUS]
             a, b = minus.ravel(), minus[:, [1, 2, 0]].ravel()
             _, inverse, n = np.unique(np.minimum(a, b) * w + np.maximum(a, b),
                                       return_inverse=True, return_counts=True)
@@ -440,7 +429,7 @@ class MembraneMesh:
             coupling[ib] = elim[local[r[ib]]] * nb + ob[c[ib]]
             coupling[bb] = ni * nb + ob[r[bb]] * nb + ob[c[bb]]
             links.append(CellLinks(
-                corners=tc.astype(np.int32), region=tri_region[tris[0]].astype(np.int8),
+                corners=tc.astype(np.int32), region=region.astype(np.int8),
                 pairs=np.column_stack([r, c]).astype(np.int32),
                 tri=link[:9 * len(tc)].reshape(-1, 9), edge=link[9 * len(tc):].reshape(-1, 16),
                 edge_columns=ec.astype(np.int32), band=band.astype(np.int32),
@@ -781,13 +770,11 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
 
     mesh = MembraneMesh(
         vertices=vertices,
-        triangles=triangles,
-        tri_region=tri_region,
         interface_pairs=np.column_stack([plus_ids[0], minus_interface]),
         boundary_nodes=plus_ids[-1],
-        cells=np.zeros((1, 2), dtype=np.int64),  # one cell: every triangle and node
-        tri_cell_index=np.zeros(len(triangles), dtype=np.int32),
+        cells=np.zeros((1, 2), dtype=np.int64),  # one cell of every node: the corners are nodes
         cell_nodes=np.arange(len(vertices), dtype=np.int32)[None],
+        kind_triangles=[(triangles, tri_region)],
     )
     angle = mesh.min_angle_deg()
     if angle < MIN_ANGLE_DEG:
@@ -819,7 +806,6 @@ class _Tiling:
 
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
         nc, nv, (links,) = len(cells), cell.num_vertices, cell.links
-        tri = cell.cell_nodes[0][links.corners]  # the cell mesh's triangles: it is one cell
         plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
         self.cell, self.scale = cell, scale
         ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
@@ -843,8 +829,13 @@ class _Tiling:
         gid[self.new] = np.arange(np.count_nonzero(self.new))
         gid[shared] = gid[owner]
         gid = gid.reshape(nc, nv)  # the cell table: -1 at the merged MINUS nodes
-        merged = gid.copy()
-        merged[np.ix_(~membrane, minus)] = gid[np.ix_(~membrane, plus)]
+        # the triangles of kinds 0 (cushion) and 1 (membrane): the cell mesh's table
+        # is its node numbering, so its links' columns are local nodes, and a
+        # cushion's triangles take each MINUS node's PLUS partner, all PLUS
+        fold = np.arange(nv)
+        fold[minus] = plus
+        states = [(fold[links.corners], np.full_like(links.region, PLUS)),
+                  (links.corners, links.region)]
 
         self.membrane = membrane
         pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
@@ -853,13 +844,11 @@ class _Tiling:
         on_box = (np.abs(ref - box[0]) < 1e-12) | (np.abs(ref - box[1]) < 1e-12)
         self.mesh = MembraneMesh(
             vertices=ref,
-            triangles=np.take(merged, tri, axis=1).reshape(-1, 3),
-            tri_region=np.where(membrane[:, None], links.region, PLUS).reshape(-1).astype(np.int8),
             interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int32),
             cells=cells,
-            tri_cell_index=np.repeat(np.arange(nc, dtype=np.int32), len(tri)),
             cell_nodes=gid,
+            kind_triangles=[states[k] for k in (0, 1) if (membrane == k).any()],
             cell_kind=membrane.astype(np.int64),
         )
 
@@ -972,25 +961,27 @@ def build_square_mesh(m: int) -> MembraneMesh:
     # each block's table: its rectangle of nodes in node order, -1 after
     at = np.arange((min(m, GRID_BLOCK) + 1) ** 2)
     table = (lo[:, :1] + at // size[:, 1:]) * (m + 1) + lo[:, 1:] + at % size[:, 1:]
-    block = np.arange(m, dtype=np.int32) // GRID_BLOCK  # the block of each row (column) of squares
+    kind = 2 * short[:, 0] + short[:, 1]
+    # each kind's squares in row-major order: square (i, j) of a block of sx x sy
+    # nodes has the columns a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
+    kind_triangles = []
+    for sx, sy in size[np.unique(kind, return_index=True)[1]]:
+        a = (np.arange(sx - 1)[:, None] * sy + np.arange(sy - 1)).ravel()
+        b, c, d = a + sy, a + sy + 1, a + 1
+        kind_triangles.append((np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3),
+                               np.full(2 * len(a), PLUS, dtype=np.int8)))
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
-    # square (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1), d = (i, j+1)
-    a = (np.arange(m, dtype=np.int32)[:, None] * (m + 1) + np.arange(m, dtype=np.int32)).ravel()
-    b, c, d = a + m + 1, a + m + 2, a + 1
-    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     on_bd = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     return MembraneMesh(
         vertices=verts,
-        triangles=triangles,
-        tri_region=np.full(len(triangles), PLUS, dtype=np.int8),
         interface_pairs=np.zeros((0, 2), dtype=np.int32),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int32),
         cells=cells,
-        tri_cell_index=np.repeat((block[:, None] * blocks + block).ravel(), 2),
         cell_nodes=np.where(at < size.prod(axis=1, keepdims=True), table, -1),
-        cell_kind=2 * short[:, 0] + short[:, 1],
+        kind_triangles=kind_triangles,
+        cell_kind=kind,
     )
 
 

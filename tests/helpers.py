@@ -1,10 +1,11 @@
 """Quantities only the tests read: a mesh's triangles as one flat list and
-its rows in the order the readers sum them, the arrays a mesh stores and
-their bytes, per-triangle conductivities, a mesh's skeleton, a mesh with
-every cell its own kind, the fluxes of every cell of a corrector, the
-lattice shift of the Bernoulli field and map, the exact A0 of the periodic
-identity cell, the matrices the condensed solver factors, the fill of the
-skeleton's Schur complement in two orders, and the forks of a CLI run."""
+its rows in the order the readers sum them, a mesh built from such a list,
+the arrays a mesh stores and their bytes, per-triangle conductivities, a
+mesh's skeleton, a mesh with every cell its own kind, the fluxes of every
+cell of a corrector, the lattice shift of the Bernoulli field and map, the
+exact A0 of the periodic identity cell, the matrices the condensed solver
+factors, the fill of the skeleton's Schur complement in two orders, and the
+forks of a CLI run."""
 
 import dataclasses
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import membrane_homog.fem as fem
 from membrane_homog.corrector import _corrector_solutions
 from membrane_homog.geometry import BernoulliCellwiseMap, BernoulliField
+from membrane_homog.meshing import MembraneMesh
 
 
 class Flat(NamedTuple):
@@ -51,6 +53,23 @@ def flat_triangles(mesh):
     cell = np.repeat(np.arange(len(count), dtype=np.int32), count)
     return Flat(tri, region, cell, np.arange(nt) - start[cell], prototype,
                 mesh.proto_areas[prototype])
+
+
+def mesh_from_flat(triangles, tri_region, tri_cell_index, **arrays):
+    """The ``MembraneMesh`` of ``arrays`` whose triangles are the flat list
+    ``triangles`` (nt, 3), with ``tri_region`` (nt,) and ``tri_cell_index``
+    (nt,), each one's row of ``arrays["cells"]``: every cell its own kind,
+    which states the triangles of its row in their order, their nodes as
+    columns of its row of ``arrays["cell_nodes"]``."""
+    triangles, tri_region = np.asarray(triangles), np.asarray(tri_region)
+    kind_triangles = []
+    for c, row in enumerate(np.asarray(arrays["cell_nodes"])):
+        column = np.full(len(arrays["vertices"]), -1)
+        column[row[row >= 0]] = np.flatnonzero(row >= 0)
+        mine = np.asarray(tri_cell_index) == c
+        kind_triangles.append((column[triangles[mine]], tri_region[mine]))
+        assert (kind_triangles[-1][0] >= 0).all(), f"a triangle of cell {c} has a node off its row"
+    return MembraneMesh(**arrays, kind_triangles=kind_triangles)
 
 
 def flat_runs(mesh, inside=None):

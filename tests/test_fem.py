@@ -27,7 +27,6 @@ from membrane_homog.fem import (
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.homogenize import constant_field, hetero_form
 from membrane_homog.meshing import (
-    MembraneMesh,
     build_cell_mesh,
     build_square_mesh,
     build_truncated_mesh,
@@ -36,7 +35,7 @@ from membrane_homog.meshing import (
     triangle_geometry,
 )
 from helpers import (cellwise, factored, flat_gradient, flat_runs, flat_triangles, form_tensor,
-                     fronts_matrix, skeleton, skeleton_fills)
+                     fronts_matrix, mesh_from_flat, skeleton, skeleton_fills)
 from test_mesh import (INDEX_ARRAYS, folded_cell, mesh_from_tri_cell, oracle_interface_edges,
                        oracle_pattern)
 
@@ -718,7 +717,7 @@ class TestTwoLevelCG:
         # the unit cell with no boundary nodes: one cell, every node interior
         # to it, so the Schur blocks have width 0 and S is empty
         flat = flat_triangles(cell_h01)
-        mesh = MembraneMesh(**{name: getattr(cell_h01, name) for name in (
+        mesh = mesh_from_flat(**{name: getattr(cell_h01, name) for name in (
             "vertices", "interface_pairs", "cells", "cell_nodes")}, triangles=flat.triangles,
             tri_region=flat.region, tri_cell_index=flat.cell,
             boundary_nodes=np.zeros(0, dtype=np.int32))

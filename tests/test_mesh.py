@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -27,7 +26,7 @@ from membrane_homog.meshing import (
     tile_domain_mesh,
     triangle_centroids,
 )
-from helpers import cellwise, flat_triangles
+from helpers import cellwise, flat_triangles, mesh_from_flat
 
 SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
@@ -57,11 +56,11 @@ def cell_tables(tri_cell, triangles, num_vertices):
 
 
 def mesh_from_tri_cell(tri_cell, **arrays):
-    """The MembraneMesh of ``arrays`` with its cell arrays derived from each
-    triangle's lattice cell by ``cell_tables``; a cell array among ``arrays``
-    replaces the derived one."""
+    """The MembraneMesh of ``arrays`` (a flat triangle list, ``mesh_from_flat``)
+    with its cell arrays derived from each triangle's lattice cell by
+    ``cell_tables``; a cell array among ``arrays`` replaces the derived one."""
     cells = cell_tables(tri_cell, arrays["triangles"], len(arrays["vertices"]))
-    return MembraneMesh(**{**cells, **arrays})
+    return mesh_from_flat(**{**cells, **arrays})
 
 
 def sorted_rows(table):
@@ -270,7 +269,7 @@ def rebuilt(mesh, tri_cell=None, **changes):
     """A mesh built afresh from the given mesh's arrays, some replaced by
     ``changes``, its cell arrays derived from ``tri_cell`` (by default each
     triangle's cell in ``mesh``): unless ``changes`` name them, with its own
-    cell table and every cell its own kind."""
+    cell table; every cell its own kind (``mesh_from_flat``)."""
     flat = flat_triangles(mesh)
     args = {name: getattr(mesh, name) for name in ("vertices", "interface_pairs", "boundary_nodes")}
     args.update(triangles=flat.triangles, tri_region=flat.region)
@@ -1043,6 +1042,16 @@ def assert_topology_matches_oracle(mesh):
     assert_fronts_match_oracle(mesh.schur, np.repeat(at, width, axis=1).ravel(), np.tile(at, width).ravel())
 
 
+def restated(mesh, **changes):
+    """A mesh built afresh from the cell table, kinds and triangles the
+    given mesh was built with (each topology class's ``CellLinks``), some
+    replaced by ``changes``."""
+    args = {name: getattr(mesh, name) for name in (
+        "vertices", "interface_pairs", "boundary_nodes", "cells", "cell_nodes", "cell_kind")}
+    args["kind_triangles"] = [(links.corners, links.region) for links in mesh.links]
+    return MembraneMesh(**{**args, **changes})
+
+
 def folded_cell(h):
     """The unit cell with opposite boundary nodes identified, as
     ``periodic_cell_solve`` folds it: one cell of every node, node 0 its one
@@ -1052,7 +1061,7 @@ def folded_cell(h):
     mesh = build_cell_mesh(SPEC, h)
     reps, inv = np.unique(periodic_representatives(mesh), return_inverse=True)
     flat = flat_triangles(mesh)
-    return MembraneMesh(
+    return mesh_from_flat(
         vertices=mesh.vertices[reps], triangles=inv[flat.triangles], tri_region=flat.region,
         interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
         cells=mesh.cells, tri_cell_index=flat.cell, cell_nodes=np.arange(len(reps))[None])
@@ -1103,13 +1112,10 @@ class TestTopologyMatchesOracle:
         packed first."""
         assert_cells_match_oracle(build_square_mesh(m), grid_tri_cell(m))
 
-    def test_triangle_outside_cells_raises(self, cell_h01):
-        for index in (-1, 1):
-            with pytest.raises(ValueError, match="outside cells"):
-                rebuilt(cell_h01, tri_cell_index=np.full(cell_h01.num_triangles, index))
-
     def test_cell_without_triangles_raises(self, cell_h01):
-        with pytest.raises(ValueError, match="no triangle"):
+        """A second cell, its own kind, whose row of the table states no
+        node and no triangle."""
+        with pytest.raises(ValueError, match="kind 1 states no triangle"):
             rebuilt(cell_h01, cells=np.array([[0, 0], [1, 0]]),
                     cell_nodes=np.vstack([cell_h01.cell_nodes, np.full_like(cell_h01.cell_nodes, -1)]))
 
@@ -1118,13 +1124,28 @@ class TestTopologyMatchesOracle:
         assert len(np.unique(mesh.cell_kind)) == len(mesh.cells) == 16
 
     def test_kinds_the_topology_breaks_raise(self, cell_h01):
-        """Membrane and cushion cells named one kind: the cushion cells'
-        triangles do not take the membrane cell's MINUS nodes."""
+        """Membrane and cushion cells stated as one kind with the membrane
+        cell's triangles: the cushion cells have no MINUS nodes, so a corner
+        column is absent in them."""
         template = meshing._template(cell_h01, (0, 0), 4, SPEC.beta, 0.25).mesh
-        rebuilt(template, cell_nodes=template.cell_nodes, cell_kind=template.cell_kind)  # valid
-        with pytest.raises(ValueError):
-            rebuilt(template, cell_nodes=template.cell_nodes,
-                    cell_kind=np.zeros(len(template.cells), dtype=np.int64))
+        assert set(template.cell_kind) == {0, 1}
+        restated(template)  # valid
+        with pytest.raises(ValueError, match="corner column of kind 0 is absent"):
+            restated(template, cell_kind=np.zeros(len(template.cells), dtype=np.int64),
+                     kind_triangles=[(template.links[1].corners, template.links[1].region)])
+
+    def test_other_interface_partners_raise(self, cell_h01):
+        """One cell of a 2 x 2 template, all one kind, whose MINUS nodes of
+        two interface pairs are swapped in its row of the table: the same
+        nodes and triangle columns, but other partners than the first cell."""
+        template = meshing._template(cell_h01, (0, 0), 2, 0.0, 1.0).mesh
+        minus_a, minus_b = cell_h01.interface_pairs[:2, 1]  # table columns are the cell's nodes
+        table = template.cell_nodes.copy()
+        table[-1, [minus_a, minus_b]] = table[-1, [minus_b, minus_a]]
+        assert len(template.links) == 1
+        restated(template, cell_nodes=template.cell_nodes)  # valid
+        with pytest.raises(ValueError, match="kind 1 has other interface partners"):
+            restated(template, cell_nodes=table)
 
     def test_kinds_of_other_links_raise(self, cell_h01):
         """A later set of kinds may refine the topology classes, not merge
@@ -1134,31 +1155,29 @@ class TestTopologyMatchesOracle:
         with pytest.raises(ValueError, match="other links"):
             mesh.with_kinds(np.zeros(len(mesh.cells), dtype=np.int64))
 
-    def test_other_triangle_counts_raise(self):
-        """Two cells named one kind, the second with two triangles more
-        after a translate of the first's two: the corners of those agree,
-        the counts do not."""
-        vertices = np.array([[0, 0], [1, 0], [1, 1], [0, 1],
-                             [4, 0], [5, 0], [5, 1], [4, 1], [6, 0], [6, 1]], dtype=float)
-        args = dict(
-            vertices=vertices,
-            triangles=np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7], [5, 8, 9], [5, 9, 6]]),
-            tri_region=np.full(6, PLUS, dtype=np.int8),
-            interface_pairs=np.zeros((0, 2), dtype=np.int64),
-            boundary_nodes=np.array([0, 4]))
-        tri_cell = np.array([[0, 0]] * 2 + [[1, 0]] * 4)
-        mesh_from_tri_cell(tri_cell, **args)  # valid: each cell its own kind
-        with pytest.raises(ValueError, match="other triangles"):
-            mesh_from_tri_cell(tri_cell, **args, cell_kind=np.zeros(2, dtype=np.int64))
 
-    def test_corners_out_of_turn_raise(self, cell_h01):
-        """One cell of a kind lists its triangles' corners in another turn:
-        the same nodes, regions and partners, but not its first cell's
-        triangles."""
-        template = meshing._template(cell_h01, (0, 0), 2, math.inf, 0.5).mesh
-        flat = flat_triangles(template)
-        triangles, last = flat.triangles.copy(), flat.cell == len(template.cells) - 1
-        triangles[last] = triangles[last][:, [1, 2, 0]]
-        with pytest.raises(ValueError):
-            rebuilt(template, triangles=triangles, cell_nodes=template.cell_nodes,
-                    cell_kind=template.cell_kind)
+class TestBuildersStateKinds:
+    """Each builder states each kind's triangles once, in table columns: no
+    argument of a ``MembraneMesh`` construction has a row per triangle."""
+
+    def test_no_argument_has_a_row_per_triangle(self, monkeypatch):
+        import membrane_homog.corrector as corrector
+
+        built = []
+
+        class Recording(MembraneMesh):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append((self.num_triangles, kwargs))
+
+        monkeypatch.setattr(meshing, "MembraneMesh", Recording)
+        monkeypatch.setattr(corrector, "MembraneMesh", Recording)
+        cell = build_cell_mesh.__wrapped__(SPEC, 0.05)  # built afresh, past the cache
+        build_truncated_mesh(cell, BernoulliCellwiseMap(0), 8)
+        tile_domain_mesh(cell, BernoulliCellwiseMap(0), 1 / 16, SPEC)
+        build_square_mesh(255)
+        corrector.periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)  # the folded cell
+        assert len(built) == 5
+        for nt, kwargs in built:
+            rows = {name: len(value) for name, value in kwargs.items() if value is not None}
+            assert nt > 0 and nt not in rows.values(), (nt, rows)
