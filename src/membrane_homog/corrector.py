@@ -79,11 +79,12 @@ class CorrectorSolution:
         and interface jump of the same nodal values at lattice coordinates,
         where each triangle has its prototype's geometry, summed kind by kind
         over runs of cells; computed on first use."""
-        mesh, values, nc = self.mesh, self.sol.values, len(self.mesh.cells)
-        jump2 = edge_jump_energy(mesh.ref_vertices, mesh.interface_edges, values)
-        out = np.bincount(mesh.edge_cell_index, weights=jump2, minlength=nc).astype(float)
+        mesh, values, out = self.mesh, self.sol.values, np.zeros(len(self.mesh.cells))
         ref_areas, ref_grads = triangle_geometry(mesh.ref_vertices, mesh.prototypes)
         for kind in mesh.kinds:
+            for cells, ends in mesh.runs(kind, columns=kind.links.edge_columns):
+                jump2 = edge_jump_energy(mesh.ref_vertices, ends.reshape(-1, 4), values)
+                out[cells] += jump2.reshape(len(cells), -1).sum(axis=1)
             areas = ref_areas[kind.protos]
             for cells, tri in mesh.runs(kind):
                 u = values[tri]
@@ -135,7 +136,9 @@ def _corrector_solutions(
             for i, f in enumerate(flux):  # MINUS, then PLUS
                 sides[i, rank[cells]] = np.stack(
                     [np.einsum("t,ctd->cd", areas[on], f[:, on]) for on in (~plus, plus)], axis=1)
-    edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
+    edges = np.concatenate([np.zeros((0, 4), dtype=np.int32)] + [
+        ends.reshape(-1, 4) for kind in mesh.kinds
+        for _, ends in mesh.runs(kind, inside, columns=kind.links.edge_columns)])
     jump = form.jump_weight * jump_element_matrices(mesh.vertices, edges)
     ends = [sol.values[edges] for sol in sols]
     for i, j in pairs:
@@ -161,10 +164,9 @@ def solve_truncated(
     form = BilinearFormSpec(conductivity=conductivity, jump_weight=1.0, mass_weight=cfg.delta)
     system = assemble(mesh, form)
     loads = [np.asarray(p, dtype=float) for p in loads]
-    base, proto_tensor = system.load, system.proto_tensor
-    sols = []
+    proto_tensor, sols = system.proto_tensor, []
     for p in loads:
-        system.load = base + gradient_load(mesh, proto_tensor, p)
+        system.load = gradient_load(mesh, proto_tensor, p)
         sols.append(solve(system))
     del system  # and its solver's factorization, before the post-processing
     # solve attaches the tensor; perfbench/selftest.py's stand-in solve does not
@@ -200,7 +202,7 @@ def periodic_cell_solve(
     system = assemble(mesh, form, p=p)
 
     # fold periodic partners onto canonical representatives, one cell of every
-    # node, whose table is the numbering, so its triangles are its corners
+    # node, whose table is the numbering, so its triangles and pairs are its columns
     # (nothing reads its geometry), and the cell's one matrix with them;
     # the nullspace is the global constants, so its one boundary node, node 0,
     # is pinned, and the gauge is restored below
@@ -208,9 +210,9 @@ def periodic_cell_solve(
     (links,) = mesh.links
     tri = mesh.cell_nodes[0][links.corners]  # the unit cell's triangles: it is one cell
     cell = MembraneMesh(
-        vertices=mesh.vertices[reps], interface_pairs=inv[mesh.interface_pairs],
-        boundary_nodes=np.zeros(1, dtype=np.int64), cells=mesh.cells,
-        cell_nodes=np.arange(len(reps))[None], kind_triangles=[(inv[tri], links.region)])
+        vertices=mesh.vertices[reps], boundary_nodes=np.zeros(1, dtype=np.int64), cells=mesh.cells,
+        cell_nodes=np.arange(len(reps))[None],
+        kind_triangles=[(inv[tri], links.region, inv[links.interface])])
     # the cell tables of both meshes are their node numberings: each pair of the
     # cell's links adds its entry to the folded pair of the folded links
     (K,), (folded_links,) = system.cell_matrices, cell.links

@@ -16,11 +16,11 @@ The kinds of cell define the assembly.  The conductivity, the stiffness and
 mass element matrices and the gradient load are computed once per prototype
 triangle (``MembraneMesh.prototypes``: the triangles of each kind's first
 cell); a system keeps its conductivity per prototype.  Every sum over the
-triangles goes kind by kind over runs of cells (``MembraneMesh.runs``), and
-the gradient load is one cell load per kind, added through the cell table.
-``assemble``
-sums, per kind, the element matrices of the kind's first cell and the jump
-matrices of its interface edges into one sparse cell matrix over the
+triangles or the interface edges goes kind by kind over runs of cells
+(``MembraneMesh.runs``), and the gradient load is one cell load per kind,
+added through the cell table.  ``assemble`` sums, per kind, the element
+matrices of the kind's first cell and the jump matrices of its interface
+edges (``CellLinks.edge_columns``) into one sparse cell matrix over the
 columns of the cell table, through the links the mesh takes once per
 topology class (``MembraneMesh.links``).  The matrix of the system is the
 sum over the cells of their kind's matrix, each through its row of the
@@ -35,10 +35,10 @@ grid, whose cells are 16 x 16 blocks of squares, it is constant, as
 cells of one kind (``MembraneMesh.cell_kind``) share one cell matrix, so one
 Cholesky factor of its interior block serves them all, and the only other
 factorization is that of the Schur complement S on the free dofs of the cell
-skeleton, the nodes on a cell boundary (``MembraneMesh.cell_skeleton``
-marks them).  Each kind's Schur block over its skeleton nodes, its skeleton
-block K_BB less the condensed interior, is summed cell by cell into S, in
-runs.  Both factors are one routine's, ``_cholesky``: a multifrontal
+skeleton, the nodes on a cell boundary (each class's ``CellLinks.outer``
+holds their columns).  Each kind's Schur block over its skeleton nodes, its
+skeleton block K_BB less the condensed interior, is summed cell by cell into
+S, in runs.  Both factors are one routine's, ``_cholesky``: a multifrontal
 Cholesky (Duff and Reid, ACM TOMS 1983) with dense fronts on a nested
 dissection tree, whose symbolic structure (``meshing.Fronts``) the mesh
 builds once per topology: the skeleton's fronts in nested-dissection order
@@ -452,10 +452,9 @@ class _Condensed:
 
     def __init__(self, matrices: tuple, mesh: MembraneMesh):
         self.n, self.free, self.fronts = mesh.num_vertices, mesh.free_nodes.astype(np.intp), mesh.schur
-        table, skeleton = mesh.cell_nodes, mesh.cell_skeleton
-        self.kinds = []
+        table, self.kinds = mesh.cell_nodes, []
         _, rank = np.unique(mesh.cell_kind, return_inverse=True)  # each cell's kind
-        w = skeleton.sum(axis=1).max(initial=0)  # the widest block
+        w = max([len(links.outer) for links in mesh.links], default=0)  # the widest block
         blocks = np.zeros((len(matrices), w, w))  # each kind's Schur block, padded with zeros
         for k, (kind, K) in enumerate(zip(mesh.kinds, matrices)):
             links = kind.links
@@ -565,16 +564,17 @@ def p1_gradient(grads: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def norms(sol: FemSolution) -> dict:
     """W-norm components of the solution: gradient L2 per region and
-    interface jump L2, the gradients summed kind by kind over runs of
-    cells."""
-    mesh, squares = sol.mesh, {PLUS: 0.0, MINUS: 0.0}
+    interface jump L2, the gradients and the jumps summed kind by kind over
+    runs of cells."""
+    mesh, squares, jump2 = sol.mesh, {PLUS: 0.0, MINUS: 0.0}, 0.0
     for kind in mesh.kinds:
         for _, tri in mesh.runs(kind):
             g = p1_gradient(mesh.proto_grads[kind.protos], sol.values[tri])
             g2 = mesh.proto_areas[kind.protos] * (g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1])
             for side in squares:
                 squares[side] += g2[:, kind.links.region == side].sum()
-    jump2 = edge_jump_energy(mesh.vertices, mesh.interface_edges, sol.values).sum()
+        for _, ends in mesh.runs(kind, columns=kind.links.edge_columns):
+            jump2 += edge_jump_energy(mesh.vertices, ends.reshape(-1, 4), sol.values).sum()
     return {"grad_plus_L2": float(np.sqrt(squares[PLUS])),
             "grad_minus_L2": float(np.sqrt(squares[MINUS])),
             "jump_L2_on_interface": float(np.sqrt(max(jump2, 0.0)))}

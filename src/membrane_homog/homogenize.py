@@ -201,8 +201,9 @@ def error_suite(
     was solved with (ValueError otherwise).  u_eps's flux uses the tensor it
     carries; ``conductivity`` is evaluated only for a solution without one.
 
-    Every triangle sum is taken a run of cells at a time (``_runs``) and
-    the runs' sums are added in order."""
+    Every triangle sum is taken a run of cells at a time (``_runs``), the
+    jump one through their interface edges' columns (``MembraneMesh.runs``),
+    and the runs' sums are added in order."""
     if not np.array_equal(symmetric_part(A0), u0.A0):
         raise ValueError("A0 is not the tensor u0 was solved with")
     mesh, values = u_eps.mesh, u_eps.values
@@ -224,7 +225,9 @@ def error_suite(
             *[np.sum(weight * phi[minus]) for phi in scalars],
         ]
     l2, grad_plus, grad_minus = np.sqrt(total[:3])
-    jump2 = edge_jump_energy(mesh.vertices, mesh.interface_edges, values).sum()
+    jump2 = sum(edge_jump_energy(mesh.vertices, ends.reshape(-1, 4), values).sum()
+                for kind in mesh.kinds
+                for _, ends in mesh.runs(kind, columns=kind.links.edge_columns))
     jump = float(np.sqrt(max(jump2, 0.0)))
 
     return ErrorRow(

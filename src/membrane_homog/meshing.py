@@ -8,25 +8,27 @@ deforms one cell per kind and moves it to the kind's other cells, which works
 because every deformation map fixes cell boundaries and carries one
 deformation on every cell it flags (``DeformationMap``).
 
-So a tiling's numbering, stitch, cells and cell table, interface edges,
-boundary, free nodes, skeleton, the links of each cell's matrix and the
-symbolic factors (``Fronts``) of each cell's interior and of the Schur
-complement on the skeleton depend only on the cell mesh, the lattice block, its
-membrane mask and the scale: they are built once per process for each such
-configuration (a small cache, as is the cell mesh for each interface and h)
-and a realization only names the kind of each cell and moves the nodes to
-their deformed positions.  Edges and links are tiled from the cell; ``fem``
-builds no index set beyond the kinds' columns, and no global matrix on its
-solve path.
+So a tiling's numbering, stitch, cells and cell table, boundary, free
+nodes, the links of each cell's matrix and the symbolic factors (``Fronts``)
+of each cell's interior and of the Schur complement on the skeleton depend
+only on the cell mesh, the lattice block, its membrane mask and the scale:
+they are built once per process for each such configuration (a small cache,
+as is the cell mesh for each interface and h) and a realization only names
+the kind of each cell and moves the nodes to their deformed positions.
+``fem`` builds no index set beyond the kinds' columns, and no global matrix
+on its solve path.
 
 Every mesh is a block of lattice cells and names the kind of each cell: a
 realization at most four (bumped or not, membrane or cushion), the square
 grid one per shape of block.  The mesh is its cell table: each builder
-states each kind's triangles once, in table columns, as the mesh keeps
-them, and no builder makes an array per triangle.  The triangles of each
-kind's first cell are the prototypes, whose geometry stands for the kind's
-other cells (translates in a realization), and every sum over the
-triangles goes kind by kind over runs of cells (``MembraneMesh.runs``).
+states each kind's triangles and interface node pairs once, in table
+columns, as the mesh keeps them, and the mesh derives each kind's interface
+edges, links and skeleton columns from its first cell, in the same columns.
+No builder makes, and no mesh keeps, an array per triangle or per
+interface pair or edge.  The triangles of each kind's first cell are the
+prototypes, whose geometry stands for the kind's other cells (translates in
+a realization), and every sum over the triangles or the interface edges
+goes kind by kind over runs of cells (``MembraneMesh.runs``).
 """
 
 from __future__ import annotations
@@ -182,10 +184,12 @@ def _fronts(digits: list, level: np.ndarray, groups: np.ndarray) -> Fronts:
                      - update_ptr[pf, None])[later]
     F = front[P]
     row = offset[F] + (P - start[F]) * width[F]  # each (group, row)'s place in the data
-    col = column[incidence]  # (group, row, column)
-    slots = np.where((P < m)[:, :, None] & (col >= 0), row[:, :, None] + col, size).ravel()
     dtype = np.int32 if size < 2**31 else np.int64
-    return Fronts(nodes=order, size=size, slots=slots.astype(dtype), batches=tuple(batches))
+    slots = column.astype(dtype)[incidence]  # (group, row, column), in place from here
+    dropped = (slots < 0) | (P == m)[:, :, None]
+    slots += row[:, :, None]
+    slots[dropped] = size
+    return Fronts(nodes=order, size=size, slots=slots.ravel(), batches=tuple(batches))
 
 
 @dataclass(eq=False)
@@ -198,7 +202,9 @@ class CellLinks:
     order; ``tri`` (cell triangles, 9), the link of each entry of each
     triangle, row-major; ``edge`` (cell edges, 16), that of each entry
     of each interface edge of the cell, over (plus_a, plus_b, minus_a,
-    minus_b); ``edge_columns`` (cell edges, 4), those edges' columns; and
+    minus_b); ``edge_columns`` (cell edges, 4), those edges' columns;
+    ``interface`` (cell pairs, 2), the (PLUS, MINUS) columns of each
+    interface node pair of the cell, as its builder stated them; and
     ``band`` (rows, longest row), the links of each row in turn, padded with
     nl.  Every index array is int32, ``region`` int8.
 
@@ -216,6 +222,7 @@ class CellLinks:
     tri: np.ndarray
     edge: np.ndarray
     edge_columns: np.ndarray
+    interface: np.ndarray
     band: np.ndarray
     outer: np.ndarray
     interior: Fronts
@@ -239,29 +246,28 @@ class MembraneMesh:
 
     ``vertices`` are physical coordinates; ``ref_vertices`` are the matching
     reference-lattice coordinates: the vertices the mesh was built with, kept
-    by every realization of a tiling.  ``interface_pairs`` rows are (plus
-    node, minus node) with coincident coordinates.
+    by every realization of a tiling.
 
     The builder states the lattice ``cells`` (nc, 2), each (kx, ky), the
     cell table ``cell_nodes`` (nc, w), each cell's nodes, -1 where one is
     absent, in columns that match between cells of one kind, and
     ``kind_triangles``: for each label of ``cell_kind`` in increasing order,
-    that kind's triangles in table columns, a pair (corners (t, 3), regions
-    (t,)), which its ``CellLinks`` keeps.  A kind that states no triangle, a
-    corner column absent in one of the kind's cells and a cell whose
-    interface partners are not its kind's first cell's raise ValueError
-    naming the kind.  Every index array is stored as int32 (the constructor
-    converts ``interface_pairs``, ``boundary_nodes`` and ``cell_nodes``).
+    that kind's triangles and interface node pairs in table columns, a
+    triple (corners (t, 3), regions (t,), pairs (q, 2)), each pair a PLUS
+    and a MINUS column whose nodes coincide (none, (0, 2), for a kind
+    without a membrane), which its ``CellLinks`` keeps.  A kind that states
+    no triangle, and a corner or partner column absent in one of the kind's
+    cells, raise ValueError naming the kind.  Every index array is stored as
+    int32 (the constructor converts ``boundary_nodes`` and ``cell_nodes``).
 
     The rest of the topology and the geometry are derived once, at
-    construction: ``interface_edges`` holds rows (plus_a, plus_b, minus_a,
-    minus_b), the edges of one MINUS triangle between MINUS interface nodes,
-    as their triangle runs (counterclockwise around each membrane), sorted,
-    and ``edge_cell_index`` the row of ``cells`` each edge belongs to.  Each
-    kind's first cell gives its edges and its ``links`` (``CellLinks``: the
-    triangles and the node pairs of the form's cell matrix) in table
-    columns, and the table maps them to every cell of the kind;
-    ``cell_links`` (nc,) gives each cell's row of ``links``.  The kinds the
+    construction.  Each kind's first cell gives its interface edges and its
+    ``links`` (``CellLinks``: the triangles, the interface pairs and edges
+    and the node pairs of the form's cell matrix) in table columns, and the
+    table maps them to every cell of the kind; an interface edge is an edge
+    of one MINUS triangle between columns with PLUS partners, as its
+    triangle runs (counterclockwise around each membrane).  ``cell_links``
+    (nc,) gives each cell's row of ``links``.  The kinds the
     mesh is built with are its topology classes, which every later set of
     kinds refines: a kind of ``with_kinds`` whose cells have other links
     raises ValueError.  The mesh stores no pattern of the global matrix.
@@ -276,49 +282,44 @@ class MembraneMesh:
 
     The skeleton is the nodes on a cell boundary: those on the mesh
     boundary, in no cell or in more than one; every other node is interior
-    to one cell.  ``cell_skeleton`` (nc, w) marks the table's skeleton
-    nodes, ``free_nodes`` every node off ``boundary_nodes``: the dofs of
-    every system on the mesh.
+    to one cell.  Each class's ``CellLinks.outer`` holds the columns of its
+    first cell's skeleton nodes, which stand for every cell of the class.
+    ``free_nodes`` is every node off ``boundary_nodes``: the dofs of every
+    system on the mesh.
 
     ``schur`` is the ``Fronts`` of the Schur complement S of the cells'
     matrices on the free skeleton nodes, in nested-dissection order along
     the lattice lines (``_dissection``): ``schur.nodes`` are those nodes in
     elimination order (int32), and its summands, which ``fem`` adds through
     ``schur.slots``, are the Schur block of each cell in turn over its
-    skeleton nodes in table column order, padded to the widest cell's count
-    of skeleton nodes, row-major; a summand in a boundary or padded row or
-    column is dropped.
+    class's ``outer`` columns, padded to the widest class's count, row-major;
+    a summand in a boundary or padded row or column is dropped.
 
     The arrays are never mutated after construction; a realization of a
     tiling, and a copy with other kinds, shares them with the tiling's mesh.
     """
 
     vertices: np.ndarray
-    interface_pairs: np.ndarray
     boundary_nodes: np.ndarray
     cells: np.ndarray = field(repr=False)
     cell_nodes: np.ndarray = field(repr=False)
     kind_triangles: InitVar[list]
     cell_kind: np.ndarray = field(default=None, repr=False)
     ref_vertices: np.ndarray = field(init=False, repr=False)
-    interface_edges: np.ndarray = field(init=False, repr=False)
-    edge_cell_index: np.ndarray = field(init=False, repr=False)
     kinds: tuple = field(init=False, repr=False)
     prototypes: np.ndarray = field(init=False, repr=False)
     proto_areas: np.ndarray = field(init=False, repr=False)
     proto_grads: np.ndarray = field(init=False, repr=False)
     links: tuple = field(init=False, repr=False)
     cell_links: np.ndarray = field(init=False, repr=False)
-    cell_skeleton: np.ndarray = field(init=False, repr=False)
     free_nodes: np.ndarray = field(init=False, repr=False)
     schur: Fronts = field(init=False, repr=False)
 
     def __post_init__(self, kind_triangles):
-        for name in ("interface_pairs", "boundary_nodes", "cell_nodes"):
+        for name in ("boundary_nodes", "cell_nodes"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
         on = np.bincount(self.cell_nodes[self.cell_nodes >= 0], minlength=self.num_vertices) != 1
         on[self.boundary_nodes] = True  # the skeleton
-        self.cell_skeleton = np.append(on, False)[self.cell_nodes]  # absent nodes (-1) read False
         self.free_nodes = np.delete(np.arange(self.num_vertices, dtype=np.int32),
                                     self.boundary_nodes)
         self.cell_kind = np.arange(len(self.cells)) if self.cell_kind is None else self.cell_kind
@@ -357,7 +358,8 @@ class MembraneMesh:
         in runs of about RUN / 2 triangles, a run's vector per triangle about
         RUN entries: each run's cells (rows of ``cells``, increasing) and
         their nodes in the table ``columns``, by default their triangles'
-        nodes (cells, cell triangles, 3).  Every sum over the triangles goes
+        nodes (cells, cell triangles, 3).  Every sum over the triangles, and
+        over the interface edges (``columns=kind.links.edge_columns``), goes
         kind by kind through these runs."""
         cells = kind.cells if inside is None else kind.cells[inside[kind.cells]]
         columns = kind.links.corners if columns is None else columns
@@ -367,38 +369,33 @@ class MembraneMesh:
             yield run, self.cell_nodes[run][:, columns]
 
     def _tile(self, on_skeleton: np.ndarray, kind_triangles) -> None:
-        """Take each topology class's triangles from ``kind_triangles``, with
-        its ``links``, and tile ``interface_edges`` and ``edge_cell_index``
-        from its first cell (see the class docstring); ``on_skeleton`` marks
-        the skeleton nodes."""
-        table, nv = self.cell_nodes, self.num_vertices
-        w = table.shape[1]
+        """Take each topology class's triangles and interface pairs from
+        ``kind_triangles``, with its interface edges and ``links`` (see the
+        class docstring); ``on_skeleton`` marks the skeleton nodes."""
+        table, w = self.cell_nodes, self.cell_nodes.shape[1]
         label, first, rank = np.unique(self.cell_kind, return_index=True, return_inverse=True)
-        partner = np.full(nv + 1, -1)  # each MINUS node's PLUS partner; the last entry reads -1
-        partner[self.interface_pairs[:, 1]] = self.interface_pairs[:, 0]
-        links, edges = [], [np.zeros((0, 5), dtype=np.int64)]
-        for k, (f, (tc, region)) in enumerate(zip(first, kind_triangles, strict=True)):
-            members = np.flatnonzero(rank == k)
-            rows, row = table[members], table[f]
-            valid, col = np.flatnonzero(row >= 0), np.full(nv + 1, -1)  # each node's column
-            col[row[valid]] = valid
-            tc, region = np.asarray(tc), np.asarray(region)
-            pc = col[partner[row]]  # each column's partner's column
+        links = []
+        for k, (f, (tc, region, interface)) in enumerate(zip(first, kind_triangles, strict=True)):
+            row, valid = table[f], np.flatnonzero(table[f] >= 0)
+            tc, region, interface = np.asarray(tc), np.asarray(region), np.asarray(interface)
             if not len(tc):
                 raise ValueError(f"kind {label[k]} states no triangle")
-            if (rows < 0).any(axis=0)[tc].any():
+            absent = (table[rank == k] < 0).any(axis=0)  # columns absent in a cell of the kind
+            if absent[tc].any():
                 raise ValueError(f"a corner column of kind {label[k]} is absent in a cell of it")
-            if not np.array_equal(partner[rows], np.where(pc >= 0, rows[:, pc], -1)):
-                raise ValueError(f"a cell of kind {label[k]} has other interface partners "
-                                 f"than cell {f}")
-            # interface edges: edges of one MINUS triangle between nodes with PLUS partners
+            if absent[interface].any():
+                raise ValueError(f"a partner column of kind {label[k]} is absent in a cell of it")
+            pc = np.full(w, -1)  # each MINUS column's PLUS partner's column
+            pc[interface[:, 1]] = interface[:, 0]
+            # interface edges: edges of one MINUS triangle between columns with PLUS partners
             minus = tc[region == MINUS]
             a, b = minus.ravel(), minus[:, [1, 2, 0]].ravel()
             _, inverse, n = np.unique(np.minimum(a, b) * w + np.maximum(a, b),
                                       return_inverse=True, return_counts=True)
             on = (n[inverse] == 1) & (pc[a] >= 0) & (pc[b] >= 0)
             ec = np.column_stack([pc[a[on]], pc[b[on]], a[on], b[on]])
-            edges.append(np.dstack([rows[:, ec], members[:, None].repeat(len(ec), 1)]))
+            if (on_skeleton[row[ec[:, 2]]] & on_skeleton[row[ec[:, 3]]]).any():
+                raise ValueError("an interface edge lies on the cell skeleton")
             # the links: the column pairs of the triangles' and the edges' entries
             i = np.concatenate([np.repeat(tc, 3, axis=1).ravel(), np.repeat(ec, 4, axis=1).ravel()])
             j = np.concatenate([np.tile(tc, 3).ravel(), np.tile(ec, 4).ravel()])
@@ -432,30 +429,23 @@ class MembraneMesh:
                 corners=tc.astype(np.int32), region=region.astype(np.int8),
                 pairs=np.column_stack([r, c]).astype(np.int32),
                 tri=link[:9 * len(tc)].reshape(-1, 9), edge=link[9 * len(tc):].reshape(-1, 16),
-                edge_columns=ec.astype(np.int32), band=band.astype(np.int32),
-                outer=outer.astype(np.int32),
+                edge_columns=ec.astype(np.int32), interface=interface.astype(np.int32),
+                band=band.astype(np.int32), outer=outer.astype(np.int32),
                 interior=interior, coupling=coupling.astype(np.int32)))
         self.links, self.cell_links = tuple(links), rank.astype(np.int32)
-
-        e = np.concatenate([x.reshape(-1, 5) for x in edges])
-        if (on_skeleton[e[:, 2]] & on_skeleton[e[:, 3]]).any():
-            raise ValueError("an interface edge lies on the cell skeleton")
-        order = np.lexsort(e[:, 3::-1].T)
-        self.interface_edges = e[order, :4].astype(np.int32)
-        self.edge_cell_index = e[order, 4].astype(np.int32)
 
     def _schur_fronts(self, on_skeleton: np.ndarray) -> Fronts:
         """The ``schur`` fronts of the free skeleton nodes (see the class
         docstring); ``on_skeleton`` marks the skeleton nodes."""
-        table, on = self.cell_nodes, self.cell_skeleton
         nodes = np.setdiff1d(np.flatnonzero(on_skeleton), self.boundary_nodes, assume_unique=True)
         m = len(nodes)
         pos = np.full(self.num_vertices + 1, m, dtype=np.int64)
         pos[nodes] = np.arange(m)  # place among ``nodes``; m for the others and absent ones
-        count = on.sum(axis=1)
-        at = np.full((len(table), count.max(initial=0)), m, dtype=np.int64)  # m pads
-        at[np.arange(at.shape[1]) < count[:, None]] = pos[table[on]]  # each cell's skeleton nodes
-        fronts = _fronts(*_dissection(self.cells, table, on, pos, m), at)
+        at = np.full((len(self.cells), max([len(x.outer) for x in self.links], default=0)), m)
+        for k, links in enumerate(self.links):  # each cell's skeleton nodes; m pads
+            cells = np.flatnonzero(self.cell_links == k)
+            at[cells, :len(links.outer)] = pos[self.cell_nodes[cells[:, None], links.outer]]
+        fronts = _fronts(*_dissection(self.cells, at, m), at)
         fronts.nodes = nodes[fronts.nodes].astype(np.int32)
         return fronts
 
@@ -468,8 +458,14 @@ class MembraneMesh:
         return sum(len(kind.cells) * len(kind.links.region) for kind in self.kinds)
 
     def interface_edges_with_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interface edges plus the lattice cell each edge belongs to."""
-        return self.interface_edges, self.cells[self.edge_cell_index]
+        """The interface edges, rows (plus_a, plus_b, minus_a, minus_b), and
+        the lattice cell of each, built on call: kind by kind, each cell's in
+        its class's order."""
+        edges, cells = [np.zeros((0, 4), dtype=np.int32)], [np.zeros((0, 2), dtype=np.int64)]
+        for kind in self.kinds:
+            edges.append(self.cell_nodes[kind.cells][:, kind.links.edge_columns].reshape(-1, 4))
+            cells.append(np.repeat(self.cells[kind.cells], len(kind.links.edge_columns), axis=0))
+        return np.concatenate(edges), np.concatenate(cells)
 
     def min_angle_deg(self) -> float:
         """The smallest angle of the prototypes, which stand for every
@@ -481,25 +477,23 @@ class MembraneMesh:
         return float(np.degrees(np.arccos(np.clip(cosines.max(), -1.0, 1.0))))
 
 
-def _dissection(cells: np.ndarray, table: np.ndarray, on: np.ndarray, pos: np.ndarray,
-                m: int) -> tuple[list, np.ndarray]:
+def _dissection(cells: np.ndarray, at: np.ndarray, m: int) -> tuple[list, np.ndarray]:
     """The nested dissection along the lattice lines (George, "Nested
     dissection of a regular finite element mesh", SIAM J. Numer. Anal. 1973)
-    of the m nodes at ``pos`` (m for every other node), as ``_fronts`` takes
-    it: the digits and levels.  Each node's box is the block of the
-    ``cells`` whose rows of the cell ``table`` hold it at a column ``on``
-    marks.  The block of all cells is cut at the middle of its longer side
-    (x on a tie); the nodes whose box straddles the cut are its separator,
-    numbered after those of both halves, and each half is cut the same way
-    until it is one cell wide."""
+    of m nodes, as ``_fronts`` takes it: the digits and levels.  ``at``
+    (cells, k) holds the nodes of each of the ``cells`` (m for none), and
+    each node's box is the block of the cells that hold it.  The block of
+    all cells is cut at the middle of its longer side (x on a tie); the
+    nodes whose box straddles the cut are its separator, numbered after
+    those of both halves, and each half is cut the same way until it is one
+    cell wide."""
     if not (m and len(cells)):
         return [], np.zeros(m, dtype=np.intp)
-    rows, cols = np.nonzero(on)
-    at, where = pos[table[rows, cols]], cells[rows]
+    where = np.repeat(cells, at.shape[1], axis=0)
     lo = np.full((m + 1, 2), np.iinfo(np.int64).max)  # each node's box; m takes the others
     hi = np.full((m + 1, 2), np.iinfo(np.int64).min)
-    np.minimum.at(lo, at, where)
-    np.maximum.at(hi, at, where)
+    np.minimum.at(lo, at.ravel(), where)
+    np.maximum.at(hi, at.ravel(), where)
     lo, hi, r = lo[:m], hi[:m], np.arange(m)
     b0 = np.repeat([cells.min(axis=0)], m, axis=0)  # each node's block: [b0, b1)
     b1 = np.repeat([cells.max(axis=0) + 1], m, axis=0)
@@ -770,11 +764,10 @@ def build_cell_mesh(spec: InterfaceSpec, h: float) -> MembraneMesh:
 
     mesh = MembraneMesh(
         vertices=vertices,
-        interface_pairs=np.column_stack([plus_ids[0], minus_interface]),
         boundary_nodes=plus_ids[-1],
-        cells=np.zeros((1, 2), dtype=np.int64),  # one cell of every node: the corners are nodes
+        cells=np.zeros((1, 2), dtype=np.int64),  # one cell of every node: the columns are nodes
         cell_nodes=np.arange(len(vertices), dtype=np.int32)[None],
-        kind_triangles=[(triangles, tri_region)],
+        kind_triangles=[(triangles, tri_region, np.column_stack([plus_ids[0], minus_interface]))],
     )
     angle = mesh.min_angle_deg()
     if angle < MIN_ANGLE_DEG:
@@ -806,7 +799,7 @@ class _Tiling:
 
     def __init__(self, cell: MembraneMesh, cells: np.ndarray, membrane: np.ndarray, scale: float):
         nc, nv, (links,) = len(cells), cell.num_vertices, cell.links
-        plus, minus = cell.interface_pairs[:, 0], cell.interface_pairs[:, 1]
+        plus, minus = links.interface.T  # the cell mesh's table is its numbering: columns are nodes
         self.cell, self.scale = cell, scale
         ref = (cell.vertices[None, :, :] + cells[:, None, :].astype(float)).reshape(-1, 2)
 
@@ -829,22 +822,19 @@ class _Tiling:
         gid[self.new] = np.arange(np.count_nonzero(self.new))
         gid[shared] = gid[owner]
         gid = gid.reshape(nc, nv)  # the cell table: -1 at the merged MINUS nodes
-        # the triangles of kinds 0 (cushion) and 1 (membrane): the cell mesh's table
-        # is its node numbering, so its links' columns are local nodes, and a
-        # cushion's triangles take each MINUS node's PLUS partner, all PLUS
+        # kinds 0 (cushion) and 1 (membrane): a cushion's triangles take each
+        # MINUS node's PLUS partner, all PLUS, and it has no interface pairs
         fold = np.arange(nv)
         fold[minus] = plus
-        states = [(fold[links.corners], np.full_like(links.region, PLUS)),
-                  (links.corners, links.region)]
+        states = [(fold[links.corners], np.full_like(links.region, PLUS), links.interface[:0]),
+                  (links.corners, links.region, links.interface)]
 
         self.membrane = membrane
-        pairs = np.stack([gid[membrane][:, plus], gid[membrane][:, minus]], axis=-1)
         ref = np.compress(self.new, ref, axis=0)  # as ref[self.new], but faster
         box = np.stack([cells.min(axis=0), cells.max(axis=0) + 1])  # lower and upper corner
         on_box = (np.abs(ref - box[0]) < 1e-12) | (np.abs(ref - box[1]) < 1e-12)
         self.mesh = MembraneMesh(
             vertices=ref,
-            interface_pairs=pairs.reshape(-1, 2),
             boundary_nodes=np.flatnonzero(on_box[:, 0] | on_box[:, 1]).astype(np.int32),
             cells=cells,
             cell_nodes=gid,
@@ -969,14 +959,14 @@ def build_square_mesh(m: int) -> MembraneMesh:
         a = (np.arange(sx - 1)[:, None] * sy + np.arange(sy - 1)).ravel()
         b, c, d = a + sy, a + sy + 1, a + 1
         kind_triangles.append((np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3),
-                               np.full(2 * len(a), PLUS, dtype=np.int8)))
+                               np.full(2 * len(a), PLUS, dtype=np.int8),
+                               np.zeros((0, 2), dtype=np.int32)))
     t = np.linspace(0.0, 1.0, m + 1)
     gx, gy = np.meshgrid(t, t, indexing="ij")
     verts = np.column_stack([gx.ravel(), gy.ravel()])
     on_bd = ((verts == 0.0) | (verts == 1.0)).any(axis=1)
     return MembraneMesh(
         vertices=verts,
-        interface_pairs=np.zeros((0, 2), dtype=np.int32),
         boundary_nodes=np.flatnonzero(on_bd).astype(np.int32),
         cells=cells,
         cell_nodes=np.where(at < size.prod(axis=1, keepdims=True), table, -1),
@@ -987,8 +977,8 @@ def build_square_mesh(m: int) -> MembraneMesh:
 
 def export_mesh(mesh: MembraneMesh, path) -> None:
     """Write the plain-text `membrane-mesh v1` format, coordinates by repr
-    (so they read back bit-exact), the triangles cell by cell in table
-    order, each cell's in its class's order."""
+    (so they read back bit-exact), the triangles and the interface pairs
+    cell by cell in table order, each cell's in its class's order."""
     lines = ["membrane-mesh v1"]
     lines.append(f"V {mesh.num_vertices}")
     for x, y in mesh.vertices:
@@ -998,9 +988,10 @@ def export_mesh(mesh: MembraneMesh, path) -> None:
         links = mesh.links[k]
         for tri, reg in zip(row[links.corners], links.region):
             lines.append(f"{tri[0]} {tri[1]} {tri[2]} {reg} {kx} {ky}")
-    lines.append(f"IE {len(mesh.interface_pairs)}")
-    for p, m in mesh.interface_pairs:
-        lines.append(f"{p} {m}")
+    lines.append(f"IE {sum(len(kind.cells) * len(kind.links.interface) for kind in mesh.kinds)}")
+    for row, k in zip(mesh.cell_nodes, mesh.cell_links):
+        for p, m in row[mesh.links[k].interface]:
+            lines.append(f"{p} {m}")
     lines.append(f"B {len(mesh.boundary_nodes)}")
     for b in mesh.boundary_nodes:
         lines.append(f"{b}")

@@ -1,5 +1,6 @@
-"""Quantities only the tests read: a mesh's triangles as one flat list and
-its rows in the order the readers sum them, a mesh built from such a list,
+"""Quantities only the tests read: a mesh's triangles, its interface pairs
+and its interface edges as flat lists and their rows in the order the
+readers sum them, a mesh built from such lists,
 the arrays a mesh stores and their bytes, per-triangle conductivities, a
 mesh's skeleton, a mesh with every cell its own kind, the fluxes of every
 cell of a corrector, the lattice shift of the Bernoulli field and map, the
@@ -55,21 +56,58 @@ def flat_triangles(mesh):
                 mesh.proto_areas[prototype])
 
 
-def mesh_from_flat(triangles, tri_region, tri_cell_index, **arrays):
+def mesh_from_flat(triangles, tri_region, tri_cell_index, interface_pairs, **arrays):
     """The ``MembraneMesh`` of ``arrays`` whose triangles are the flat list
     ``triangles`` (nt, 3), with ``tri_region`` (nt,) and ``tri_cell_index``
-    (nt,), each one's row of ``arrays["cells"]``: every cell its own kind,
-    which states the triangles of its row in their order, their nodes as
-    columns of its row of ``arrays["cell_nodes"]``."""
+    (nt,), each one's row of ``arrays["cells"]``, and whose interface pairs
+    are the (PLUS, MINUS) node pairs ``interface_pairs`` (np, 2): every cell
+    its own kind, which states the triangles of its row and the pairs whose
+    nodes its row holds, each in their order, their nodes as columns of its
+    row of ``arrays["cell_nodes"]``."""
     triangles, tri_region = np.asarray(triangles), np.asarray(tri_region)
+    interface_pairs = np.asarray(interface_pairs, dtype=np.int64).reshape(-1, 2)
     kind_triangles = []
     for c, row in enumerate(np.asarray(arrays["cell_nodes"])):
         column = np.full(len(arrays["vertices"]), -1)
         column[row[row >= 0]] = np.flatnonzero(row >= 0)
-        mine = np.asarray(tri_cell_index) == c
-        kind_triangles.append((column[triangles[mine]], tri_region[mine]))
+        mine, pairs = np.asarray(tri_cell_index) == c, column[interface_pairs]
+        kind_triangles.append((column[triangles[mine]], tri_region[mine],
+                               pairs[(pairs >= 0).all(axis=1)]))
         assert (kind_triangles[-1][0] >= 0).all(), f"a triangle of cell {c} has a node off its row"
+    assert sum(len(pairs) for *_, pairs in kind_triangles) == len(interface_pairs), \
+        "an interface pair is in no cell's row, or in more than one"
     return MembraneMesh(**arrays, kind_triangles=kind_triangles)
+
+
+class Interface(NamedTuple):
+    """A mesh's interface as flat lists: ``pairs`` (np, 2), its (PLUS,
+    MINUS) node pairs; ``edges`` (ne, 4), its interface edges (plus_a,
+    plus_b, minus_a, minus_b), sorted; and ``edge_cell_index`` (ne,), each
+    edge's row of the cell table."""
+
+    pairs: np.ndarray
+    edges: np.ndarray
+    edge_cell_index: np.ndarray
+
+
+def flat_interface(mesh):
+    """The ``Interface`` of ``mesh``, from each class's ``CellLinks`` through
+    the cell table: the pairs cell by cell in table order, each cell's in its
+    class's order (on a tiling, the order of the cell mesh's pairs in each
+    membrane cell in turn), and the edges in lexicographic order."""
+    pairs, pair_cells = [np.zeros((0, 2), dtype=np.int32)], [np.zeros(0, dtype=np.intp)]
+    edges, edge_cells = [np.zeros((0, 4), dtype=np.int32)], [np.zeros(0, dtype=np.intp)]
+    for k, links in enumerate(mesh.links):
+        cells = np.flatnonzero(mesh.cell_links == k)
+        rows = mesh.cell_nodes[cells]
+        pairs.append(rows[:, links.interface].reshape(-1, 2))
+        pair_cells.append(np.repeat(cells, len(links.interface)))
+        edges.append(rows[:, links.edge_columns].reshape(-1, 4))
+        edge_cells.append(np.repeat(cells, len(links.edge_columns)))
+    pairs = np.concatenate(pairs)[np.argsort(np.concatenate(pair_cells), kind="stable")]
+    edges, edge_cells = np.concatenate(edges), np.concatenate(edge_cells)
+    order = np.lexsort(edges.T[::-1])
+    return Interface(pairs, edges[order], edge_cells[order].astype(np.int32))
 
 
 def flat_runs(mesh, inside=None):
@@ -82,6 +120,21 @@ def flat_runs(mesh, inside=None):
     for kind in mesh.kinds:
         for cells, _ in mesh.runs(kind, inside):
             yield start[cells][:, None] + np.arange(len(kind.links.region))
+
+
+def flat_edge_runs(mesh, inside=None):
+    """The rows of ``flat_interface(mesh).edges`` in the order the readers
+    sum them: kind by kind, a run of cells at a time (``MembraneMesh.runs``
+    over the table columns of the kind's edges, over the cells the mask
+    ``inside`` marks, if given), each run's rows as (cells, cell edges),
+    each cell's in its class's order."""
+    edges, nv = flat_interface(mesh).edges, mesh.num_vertices
+    keys = edges[:, 2].astype(np.int64) * nv + edges[:, 3]  # each directed MINUS edge is one row
+    order = np.argsort(keys)
+    for kind in mesh.kinds:
+        for _, ends in mesh.runs(kind, inside, columns=kind.links.edge_columns):
+            at = ends[..., 2].astype(np.int64) * nv + ends[..., 3]
+            yield order[np.searchsorted(keys[order], at)]
 
 
 def stored_arrays(owner, path="mesh"):

@@ -1,5 +1,6 @@
 import argparse
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -137,6 +138,19 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert out == (f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
                        f"min angle {angle:.2f} deg\n")
+
+    @pytest.mark.parametrize("h, digest", [
+        (0.05, "e836ef6ac65294b5cc8fd8431f9429716ee84c42f0f708146854c99f4a684e5b"),
+        (0.1, "1602b112e4a562493a8b1a01416feb4a3b827ef2e958625446e2cfe4b29046ad"),
+    ])
+    def test_mesh_writes_pinned_bytes(self, tmp_path, h, digest):
+        """The mesh command at the default radius writes these mesh.txt
+        bytes: the coordinates, the triangle rows and the interface pair
+        rows, each in its export order."""
+        p = tmp_path / "mesh.cfg"
+        p.write_text(f"h = {h}\n")
+        assert main(["mesh", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert hashlib.sha256((tmp_path / "o" / "mesh.txt").read_bytes()).hexdigest() == digest
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

@@ -22,8 +22,8 @@ from membrane_homog.fem import CONDUCTIVITY_PRESETS, BilinearFormSpec
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 from membrane_homog.meshing import build_cell_mesh
 
-from helpers import (ShiftedMap, flat_gradient, flat_runs, flat_triangles, flux_minus, flux_plus,
-                     skeleton, trefftz_a0)
+from helpers import (ShiftedMap, flat_edge_runs, flat_gradient, flat_interface, flat_runs,
+                     flat_triangles, flux_minus, flux_plus, skeleton, trefftz_a0)
 
 SPEC = InterfaceSpec()
 
@@ -314,13 +314,17 @@ def whole_mesh_window_energy(corrs, m) -> np.ndarray:
     """The window-energy form of solves of one mesh, from gradients and
     fluxes over every triangle of the flat list, restricted to the window
     Q_m and summed run by run in the readers' order (``flat_runs``), and
-    the jump form of its interface edges (jump weight 1)."""
+    the jump form (jump weight 1) of the interface edges of the flat list
+    whose cell is in the window, in the readers' order (``flat_edge_runs``)."""
     mesh, flat = corrs[0].mesh, flat_triangles(corrs[0].mesh)
     inside = window_mask(mesh.cells, m)
     tensor = np.take(corrs[0].sol.proto_tensor, flat.prototype, axis=0)
     grads = [flat_gradient(mesh, c.sol.values, flat) + c.p for c in corrs]
     fluxes = [fem.apply_tensor(tensor, g) for g in grads]
-    edges = mesh.interface_edges[inside[mesh.edge_cell_index]]
+    interface = flat_interface(mesh)
+    rows = np.concatenate([np.zeros(0, dtype=np.intp)]
+                          + [at.ravel() for at in flat_edge_runs(mesh)])
+    edges = interface.edges[rows[inside[interface.edge_cell_index[rows]]]]
     jump = 1.0 * fem.jump_element_matrices(mesh.vertices, edges)
     energy, pairs = np.zeros((len(corrs), len(corrs))), list(zip(*np.triu_indices(len(corrs))))
     for at in flat_runs(mesh, inside):

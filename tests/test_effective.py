@@ -28,7 +28,7 @@ from membrane_homog.fem import (
 )
 from membrane_homog.geometry import BernoulliCellwiseMap, BumpMap, IdentityMap, InterfaceSpec
 
-from helpers import flat_gradient, flat_triangles, form_tensor
+from helpers import flat_gradient, flat_interface, flat_triangles, form_tensor
 
 SPEC = InterfaceSpec()
 QUICK = CorrectorConfig(n=2, m=1, h=0.1, delta=1e-3)
@@ -152,10 +152,11 @@ def window_energy(corr, partner, form, xi, m) -> float:
     tensor = form_tensor(form, mesh)
     g = flat_gradient(mesh, values, flat) + xi
     e_tri = flat.areas * np.einsum("ti,tij,tj->t", g, tensor, g)
-    e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, mesh.interface_edges, values)
+    interface = flat_interface(mesh)
+    e_jump = form.jump_weight * edge_jump_energy(mesh.vertices, interface.edges, values)
     nc = len(mesh.cells)
     per_cell = (np.bincount(flat.cell, weights=e_tri, minlength=nc)
-                + np.bincount(mesh.edge_cell_index, weights=e_jump, minlength=nc))
+                + np.bincount(interface.edge_cell_index, weights=e_jump, minlength=nc))
     inside = window_mask(mesh.cells, m)
     return float(per_cell[inside].sum() / inside.sum())
 

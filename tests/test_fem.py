@@ -34,8 +34,8 @@ from membrane_homog.meshing import (
     triangle_centroids,
     triangle_geometry,
 )
-from helpers import (cellwise, factored, flat_gradient, flat_runs, flat_triangles, form_tensor,
-                     fronts_matrix, mesh_from_flat, skeleton, skeleton_fills)
+from helpers import (cellwise, factored, flat_gradient, flat_interface, flat_runs, flat_triangles,
+                     form_tensor, fronts_matrix, mesh_from_flat, skeleton, skeleton_fills)
 from test_mesh import (INDEX_ARRAYS, folded_cell, mesh_from_tri_cell, oracle_interface_edges,
                        oracle_pattern)
 
@@ -73,10 +73,11 @@ def scatter(mesh, tri_mats=0.0, edge_mats=0.0):
     """The matrix of the element matrices over the triangles (nt, 3, 3) and
     the interface edges (ne, 4, 4), summed entry by entry from their node
     pairs (``sp.coo_matrix``); a scalar is broadcast to every element."""
-    nt, ne, n = mesh.num_triangles, len(mesh.interface_edges), mesh.num_vertices
+    edges = flat_interface(mesh).edges
+    nt, ne, n = mesh.num_triangles, len(edges), mesh.num_vertices
     rows, cols, vals = [], [], []
     for dofs, mats in ((flat_triangles(mesh).triangles, np.broadcast_to(tri_mats, (nt, 3, 3))),
-                       (mesh.interface_edges, np.broadcast_to(edge_mats, (ne, 4, 4)))):
+                       (edges, np.broadcast_to(edge_mats, (ne, 4, 4)))):
         k = dofs.shape[1]
         rows.append(np.repeat(dofs, k, axis=1).ravel())
         cols.append(np.tile(dofs, (1, k)).ravel())
@@ -95,7 +96,8 @@ def assemble_mass(mesh):
 
 
 def assemble_jump(mesh):
-    return scatter(mesh, edge_mats=fem.jump_element_matrices(mesh.vertices, mesh.interface_edges))
+    edges = flat_interface(mesh).edges
+    return scatter(mesh, edge_mats=fem.jump_element_matrices(mesh.vertices, edges))
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +186,7 @@ def element_reference(mesh, spec):
     grads = mesh.proto_grads[flat.prototype]
     Ke = np.einsum("t,tid,tdj,tkj->tik", flat.areas, grads, tensor, grads)
     Me = flat.areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Je = fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
+    Je = fem.jump_element_matrices(mesh.vertices, flat_interface(mesh).edges)
     return scatter(mesh, Ke + spec.mass_weight * Me, spec.jump_weight * Je)
 
 
@@ -386,7 +388,7 @@ def per_triangle_reference(mesh, spec, f, p):
     tensor = spec.conductivity(triangle_centroids(mesh.ref_vertices, tri))
     Ke = np.einsum("t,tid,tdj,tkj->tik", areas, grads, tensor, grads)
     Ke += spec.mass_weight * areas[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, mesh.interface_edges)
+    Je = spec.jump_weight * fem.jump_element_matrices(mesh.vertices, flat_interface(mesh).edges)
     n = mesh.num_vertices
     fc = f(triangle_centroids(mesh.vertices, tri))
     b_f = np.bincount(tri.ravel(), weights=np.repeat(areas * fc / 3.0, 3), minlength=n)
@@ -476,7 +478,7 @@ class TestStoredArrays:
         assert system.mesh is mesh
         for array in INDEX_ARRAYS:
             assert getattr(mesh, array).dtype == np.int32, array
-        assert all(links.corners.dtype == np.int32 for links in mesh.links)
+        assert all(links.corners.dtype == links.interface.dtype == np.int32 for links in mesh.links)
         for owner in (mesh, system):
             for key, value in vars(owner).items():
                 if isinstance(value, np.ndarray) and value.dtype.kind == "f":
@@ -718,10 +720,11 @@ class TestTwoLevelCG:
         # to it, so the Schur blocks have width 0 and S is empty
         flat = flat_triangles(cell_h01)
         mesh = mesh_from_flat(**{name: getattr(cell_h01, name) for name in (
-            "vertices", "interface_pairs", "cells", "cell_nodes")}, triangles=flat.triangles,
+            "vertices", "cells", "cell_nodes")}, triangles=flat.triangles,
             tri_region=flat.region, tri_cell_index=flat.cell,
+            interface_pairs=flat_interface(cell_h01).pairs,
             boundary_nodes=np.zeros(0, dtype=np.int32))
-        assert not mesh.cell_skeleton.any() and len(mesh.schur.nodes) == 0
+        assert len(skeleton(mesh)) == len(mesh.links[0].outer) == len(mesh.schur.nodes) == 0
         system = assemble(mesh, BilinearFormSpec(jump_weight=1.0, mass_weight=1.0), f=1.0)
         sol = solve(system)
         assert sol.iterations == 1 and sol.residual <= RTOL

@@ -67,7 +67,7 @@ class TestSolveHetero:
         sol = solve_hetero(0.5, IdentityMap(), f=1.0, h_cell=0.1)
         plain = solve(assemble(sol.mesh, BilinearFormSpec(), f=1.0))
         assert np.abs(sol.values - plain.values).max() < 1e-10
-        assert len(sol.mesh.interface_pairs) == 0
+        assert all(len(kind.links.interface) == 0 for kind in sol.mesh.kinds)
 
     def test_membrane_run_has_positive_jump(self):
         from membrane_homog.fem import norms

@@ -26,12 +26,12 @@ from membrane_homog.meshing import (
     tile_domain_mesh,
     triangle_centroids,
 )
-from helpers import cellwise, flat_triangles, mesh_from_flat
+from helpers import (cellwise, flat_interface, flat_triangles, mesh_from_flat, skeleton,
+                     stored_arrays)
 
 SPEC = InterfaceSpec()
 # the index arrays a mesh stores as int32
-INDEX_ARRAYS = ("prototypes", "cell_nodes", "free_nodes", "boundary_nodes", "interface_pairs",
-                "interface_edges", "edge_cell_index", "cell_links")
+INDEX_ARRAYS = ("prototypes", "cell_nodes", "free_nodes", "boundary_nodes", "cell_links")
 
 
 def cell_tables(tri_cell, triangles, num_vertices):
@@ -112,7 +112,7 @@ def scanned_topology(mesh, tri_cell):
     cells = sorted(set(map(tuple, tri_cell.tolist())))
     row = {k: i for i, k in enumerate(cells)}
     tri_index = [row[tuple(k)] for k in tri_cell.tolist()]
-    m2p = {m: p for p, m in mesh.interface_pairs.tolist()}
+    m2p = {m: p for p, m in flat_interface(mesh).pairs.tolist()}
     count, oriented, flat = {}, {}, flat_triangles(mesh)
     for tri, reg, k in zip(flat.triangles.tolist(), flat.region, tri_cell.tolist()):
         if reg != MINUS:
@@ -136,7 +136,8 @@ def looped_tiling(cell, dmap, cells, membrane, scale):
     coordinates, MINUS nodes of membrane-less cells merged into their PLUS
     copies."""
     boundary, flat = set(cell.boundary_nodes.tolist()), flat_triangles(cell)
-    m2p = {m: p for p, m in cell.interface_pairs.tolist()}
+    cell_pairs = flat_interface(cell).pairs.tolist()
+    m2p = {m: p for p, m in cell_pairs}
     verts, refs, shared, tris, regions, tri_cells, pairs = [], [], {}, [], [], [], []
     for k, has in zip(cells, membrane):
         ref = cell.vertices + np.array(k, dtype=float)
@@ -161,7 +162,7 @@ def looped_tiling(cell, dmap, cells, membrane, scale):
             regions.append(reg if has else PLUS)
             tri_cells.append(k)
         if has:
-            pairs += [(gid[p], gid[m]) for p, m in cell.interface_pairs.tolist()]
+            pairs += [(gid[p], gid[m]) for p, m in cell_pairs]
     return {
         "vertices": np.array(verts), "ref_vertices": np.array(refs),
         "triangles": np.array(tris), "tri_region": np.array(regions),
@@ -192,7 +193,7 @@ def assert_tiling_matches_loop(mesh, reference):
     as the loop maps every node and a realization every kind's first cell."""
     flat = flat_triangles(mesh)
     stated = {"tri_cell": mesh.cells[flat.cell], "triangles": flat.triangles,
-              "tri_region": flat.region}
+              "tri_region": flat.region, "interface_pairs": flat_interface(mesh).pairs}
     for name, want in reference.items():
         got = stated[name] if name in stated else getattr(mesh, name)
         assert got.shape == want.shape, name
@@ -206,18 +207,21 @@ def assert_topology_matches_scan(mesh, tri_cell):
     cells, tri_index, edges, edge_cells = scanned_topology(mesh, tri_cell)
     assert np.array_equal(mesh.cells, cells)
     assert np.array_equal(flat_triangles(mesh).cell, tri_index)
-    assert np.array_equal(mesh.interface_edges, edges)
-    stored_edges, stored_cells = mesh.interface_edges_with_cells()
-    assert np.array_equal(stored_edges, edges)
-    assert np.array_equal(stored_cells, edge_cells)
-    assert np.array_equal(mesh.cells[mesh.edge_cell_index], edge_cells)
+    interface = flat_interface(mesh)
+    assert np.array_equal(interface.edges, edges)
+    assert np.array_equal(mesh.cells[interface.edge_cell_index], edge_cells)
+    built_edges, built_cells = mesh.interface_edges_with_cells()  # kind by kind
+    order = np.lexsort(built_edges.T[::-1])
+    assert np.array_equal(built_edges[order], edges)
+    assert np.array_equal(built_cells[order], edge_cells)
 
 
 def looped_conformity(mesh):
     """Reference conformity check by a loop over the triangles with a
     tuple-keyed edge dict: (conforming, issues in order of first appearance)."""
-    minus_iface = set(mesh.interface_pairs[:, 1].tolist())
-    plus_iface = set(mesh.interface_pairs[:, 0].tolist())
+    pairs = flat_interface(mesh).pairs
+    minus_iface = set(pairs[:, 1].tolist())
+    plus_iface = set(pairs[:, 0].tolist())
     boundary = set(mesh.boundary_nodes.tolist())
     edges, flat = {}, flat_triangles(mesh)
     for tri, reg in zip(flat.triangles, flat.region):
@@ -244,7 +248,7 @@ def looped_conformity(mesh):
 def pairing_gap(mesh):
     """The largest coordinate difference between the two nodes of an
     interface pair, 0 without pairs."""
-    p = mesh.interface_pairs
+    p = flat_interface(mesh).pairs
     return float(np.abs(mesh.vertices[p[:, 0]] - mesh.vertices[p[:, 1]]).max(initial=0.0))
 
 
@@ -271,8 +275,9 @@ def rebuilt(mesh, tri_cell=None, **changes):
     triangle's cell in ``mesh``): unless ``changes`` name them, with its own
     cell table; every cell its own kind (``mesh_from_flat``)."""
     flat = flat_triangles(mesh)
-    args = {name: getattr(mesh, name) for name in ("vertices", "interface_pairs", "boundary_nodes")}
-    args.update(triangles=flat.triangles, tri_region=flat.region)
+    args = {name: getattr(mesh, name) for name in ("vertices", "boundary_nodes")}
+    args.update(triangles=flat.triangles, tri_region=flat.region,
+                interface_pairs=flat_interface(mesh).pairs)
     return mesh_from_tri_cell(mesh.cells[flat.cell] if tri_cell is None else tri_cell,
                               **{**args, **changes})
 
@@ -302,14 +307,14 @@ class TestCellMesh:
         assert abs(a_minus - np.pi * SPEC.radius**2) < 2e-3
 
     def test_interface_edge_count_matches_node_count(self, cell_h01):
-        edges = cell_h01.interface_edges
-        assert len(edges) == len(cell_h01.interface_pairs)
+        _, edges, _ = interface = flat_interface(cell_h01)
+        assert len(edges) == len(interface.pairs)
         # closed polyline: each minus node appears once as source, once as target
         assert sorted(edges[:, 2]) == sorted(edges[:, 3])
 
     def test_interface_nodes_lie_on_circle(self, cell_h01):
         for col in (0, 1):
-            pts = cell_h01.vertices[cell_h01.interface_pairs[:, col]]
+            pts = cell_h01.vertices[flat_interface(cell_h01).pairs[:, col]]
             rad = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5)
             assert np.abs(rad - SPEC.radius).max() < 1e-12
 
@@ -387,12 +392,12 @@ class TestTiledDomain:
         assert abs(flat.areas.sum() - 1.0) < 1e-12
         cells = set(map(tuple, mesh.cells[flat.cell[flat.region == MINUS]].tolist()))
         assert cells == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        n_if = len(cell_h01.interface_pairs)
-        assert len(mesh.interface_pairs) == 4 * n_if
+        n_if = len(flat_interface(cell_h01).pairs)
+        assert len(flat_interface(mesh).pairs) == 4 * n_if
 
     def test_half_eps_has_no_membranes(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.5, SPEC)
-        assert len(mesh.interface_pairs) == 0
+        assert len(flat_interface(mesh).pairs) == 0
         flat = flat_triangles(mesh)
         assert (flat.region == PLUS).all()
         assert abs(flat.areas.sum() - 1.0) < 1e-12
@@ -405,7 +410,7 @@ class TestTiledDomain:
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
-        assert len(mesh.interface_pairs) == 0
+        assert len(flat_interface(mesh).pairs) == 0
         assert (flat_triangles(mesh).region == PLUS).all()
 
     def test_seed_changes_only_flipped_cells(self, cell_h01):
@@ -444,7 +449,7 @@ class TestTruncatedMesh:
         flat = flat_triangles(mesh)
         cells = set(map(tuple, mesh.cells[flat.cell].tolist()))
         assert cells == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
-        assert len(mesh.interface_pairs) == 4 * len(cell_h01.interface_pairs)
+        assert len(flat_interface(mesh).pairs) == 4 * len(flat_interface(cell_h01).pairs)
         assert abs(flat.areas.sum() - 4.0) < 1e-12
 
     def test_deformed_area_preserved(self, cell_h01):
@@ -524,7 +529,7 @@ class TestTilingTemplate:
         assert b.links is a.links  # every class's triangles and links
         assert b.ref_vertices is a.ref_vertices
         assert b.cell_nodes is a.cell_nodes
-        assert b.cell_skeleton is a.cell_skeleton and b.free_nodes is a.free_nodes
+        assert b.free_nodes is a.free_nodes
         assert b.schur is a.schur and cellwise(b).schur is a.schur
         for array in INDEX_ARRAYS:
             if array != "prototypes":  # each set of kinds takes its own prototypes
@@ -732,18 +737,18 @@ class TestStoredTopology:
 
     def test_bernoulli_truncated_cube(self, cell_h01):
         mesh = build_truncated_mesh(cell_h01, BernoulliCellwiseMap(seed=4), 2, center=(1, -1))
-        assert len(mesh.interface_edges) == 16 * len(cell_h01.interface_pairs)
+        assert len(flat_interface(mesh).edges) == 16 * len(flat_interface(cell_h01).pairs)
         assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(-1, 3), range(-3, 1)))
 
     def test_tiled_domain_with_cushion_cells(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, BernoulliCellwiseMap(seed=8), 0.125, SPEC)
         assert len(mesh.cells) == 64
-        assert len(mesh.interface_edges) == 36 * len(cell_h01.interface_pairs)
+        assert len(flat_interface(mesh).edges) == 36 * len(flat_interface(cell_h01).pairs)
         assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(8), range(8)))
 
     def test_membranes_off(self, cell_h01):
         mesh = tile_domain_mesh(cell_h01, IdentityMap(), 0.25, SPEC, membranes=False)
-        assert mesh.interface_edges.shape == (0, 4)
+        assert flat_interface(mesh).edges.shape == (0, 4)
         assert_topology_matches_scan(mesh, block_tri_cell(cell_h01, range(4), range(4)))
 
 
@@ -782,7 +787,7 @@ class TestReportFaultDetection:
 
     def test_flags_broken_pairing(self, cell_h01):
         vertices = cell_h01.vertices.copy()
-        vertices[cell_h01.interface_pairs[0, 1]] += 1e-6
+        vertices[flat_interface(cell_h01).pairs[0, 1]] += 1e-6
         mesh = rebuilt(cell_h01, vertices=vertices)
         assert any(i.startswith("interface pairing gap") for i in quality_report(mesh))
         assert pairing_gap(mesh) > 1e-7
@@ -884,8 +889,8 @@ def oracle_interface_edges(mesh):
     minus_tri = np.flatnonzero(flat.region == MINUS)
     a, b, keys = edge_keys(flat.triangles[minus_tri], nv)
     _, inverse, count = np.unique(keys, return_inverse=True, return_counts=True)
-    m2p = np.full(nv, -1, dtype=np.int64)
-    m2p[mesh.interface_pairs[:, 1]] = mesh.interface_pairs[:, 0]
+    m2p, pairs = np.full(nv, -1, dtype=np.int64), flat_interface(mesh).pairs
+    m2p[pairs[:, 1]] = pairs[:, 0]
     on = np.flatnonzero((count[inverse] == 1) & (m2p[a] >= 0) & (m2p[b] >= 0))
     rows = np.column_stack([m2p[a[on]], m2p[b[on]], a[on], b[on]]).astype(np.int32)
     order = np.lexsort(rows.T[::-1])
@@ -921,7 +926,7 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
     per distinct pair, and each entry's link is its pair: checked against
     the cells' triangles in their order and the whole-mesh interface edges
     ``edges`` of the cells ``edge_cells``."""
-    table, tri_cell = mesh.cell_nodes, flat_triangles(mesh).cell
+    table, tri_cell, on = mesh.cell_nodes, flat_triangles(mesh).cell, skeleton(mesh)
     order = np.argsort(tri_cell, kind="stable")  # each cell's triangles in turn
     start = np.cumsum(np.bincount(tri_cell, minlength=len(table))) - np.bincount(tri_cell)
     assert len(mesh.cell_links) == len(table) and len(mesh.links) == len(np.unique(mesh.cell_links))
@@ -943,7 +948,7 @@ def assert_links_match_oracle(mesh, edges, edge_cells):
         got_edges.append(ends.reshape(-1, 4))
         # the interior and skeleton columns, the interior's fronts, K_IB and K_BB, the band
         first = table[cells[0]]
-        skel = np.flatnonzero(mesh.cell_skeleton[cells[0]])
+        skel = np.flatnonzero(np.isin(first, on))
         inner = links.interior.nodes
         assert np.array_equal(links.outer, skel)
         assert np.array_equal(np.sort(np.concatenate([inner, skel])), np.flatnonzero(first >= 0))
@@ -1026,13 +1031,15 @@ def assert_topology_matches_oracle(mesh):
     the per-kind tiling builds equal the whole-mesh oracle's, dtype
     included."""
     edges, edge_cells = oracle_interface_edges(mesh)
-    for name, a in (("interface_edges", edges), ("edge_cell_index", edge_cells)):
-        got = getattr(mesh, name)
+    interface = flat_interface(mesh)
+    for name, a in (("edges", edges), ("edge_cell_index", edge_cells)):
+        got = getattr(interface, name)
         assert got.dtype == a.dtype and np.array_equal(got, a), name
     assert_links_match_oracle(mesh, edges, edge_cells)
     # the skeleton's summands: each cell's Schur block over its skeleton
     # nodes in table column order, padded to the widest, row-major
-    table, on = mesh.cell_nodes, mesh.cell_skeleton
+    table = mesh.cell_nodes
+    on = np.isin(table, skeleton(mesh))  # absent nodes (-1) read False
     width = on.sum(axis=1).max(initial=0)
     at = np.full((len(table), width), -1)
     for c in range(len(table)):
@@ -1047,8 +1054,9 @@ def restated(mesh, **changes):
     given mesh was built with (each topology class's ``CellLinks``), some
     replaced by ``changes``."""
     args = {name: getattr(mesh, name) for name in (
-        "vertices", "interface_pairs", "boundary_nodes", "cells", "cell_nodes", "cell_kind")}
-    args["kind_triangles"] = [(links.corners, links.region) for links in mesh.links]
+        "vertices", "boundary_nodes", "cells", "cell_nodes", "cell_kind")}
+    args["kind_triangles"] = [(links.corners, links.region, links.interface)
+                              for links in mesh.links]
     return MembraneMesh(**{**args, **changes})
 
 
@@ -1063,7 +1071,7 @@ def folded_cell(h):
     flat = flat_triangles(mesh)
     return mesh_from_flat(
         vertices=mesh.vertices[reps], triangles=inv[flat.triangles], tri_region=flat.region,
-        interface_pairs=inv[mesh.interface_pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
+        interface_pairs=inv[flat_interface(mesh).pairs], boundary_nodes=np.zeros(1, dtype=np.int64),
         cells=mesh.cells, tri_cell_index=flat.cell, cell_nodes=np.arange(len(reps))[None])
 
 
@@ -1132,20 +1140,19 @@ class TestTopologyMatchesOracle:
         restated(template)  # valid
         with pytest.raises(ValueError, match="corner column of kind 0 is absent"):
             restated(template, cell_kind=np.zeros(len(template.cells), dtype=np.int64),
-                     kind_triangles=[(template.links[1].corners, template.links[1].region)])
+                     kind_triangles=[(template.links[1].corners, template.links[1].region,
+                                      template.links[1].interface)])
 
-    def test_other_interface_partners_raise(self, cell_h01):
-        """One cell of a 2 x 2 template, all one kind, whose MINUS nodes of
-        two interface pairs are swapped in its row of the table: the same
-        nodes and triangle columns, but other partners than the first cell."""
-        template = meshing._template(cell_h01, (0, 0), 2, 0.0, 1.0).mesh
-        minus_a, minus_b = cell_h01.interface_pairs[:2, 1]  # table columns are the cell's nodes
-        table = template.cell_nodes.copy()
-        table[-1, [minus_a, minus_b]] = table[-1, [minus_b, minus_a]]
-        assert len(template.links) == 1
-        restated(template, cell_nodes=template.cell_nodes)  # valid
-        with pytest.raises(ValueError, match="kind 1 has other interface partners"):
-            restated(template, cell_nodes=table)
+    def test_absent_partner_columns_raise(self, cell_h01):
+        """Membrane and cushion cells stated as one kind with the cushion
+        cell's triangles, which use no MINUS column, and the membrane cell's
+        interface pairs: the MINUS columns are absent in the cushion cells."""
+        template = meshing._template(cell_h01, (0, 0), 4, SPEC.beta, 0.25).mesh
+        cushion, membrane = template.links
+        restated(template)  # valid
+        with pytest.raises(ValueError, match="partner column of kind 0 is absent"):
+            restated(template, cell_kind=np.zeros(len(template.cells), dtype=np.int64),
+                     kind_triangles=[(cushion.corners, cushion.region, membrane.interface)])
 
     def test_kinds_of_other_links_raise(self, cell_h01):
         """A later set of kinds may refine the topology classes, not merge
@@ -1157,8 +1164,13 @@ class TestTopologyMatchesOracle:
 
 
 class TestBuildersStateKinds:
-    """Each builder states each kind's triangles once, in table columns: no
-    argument of a ``MembraneMesh`` construction has a row per triangle."""
+    """Each builder states each kind's triangles and interface pairs once, in
+    table columns: no argument of a ``MembraneMesh`` construction has a row
+    per triangle, and on a mesh of more than one cell no argument and no
+    array the mesh stores outside its classes' links has a row per
+    triangle, per interface pair or per interface edge.  (On one cell a
+    class's arrays are the cell's, and the cell mesh's boundary ring has as
+    many nodes as its interface.)"""
 
     def test_no_argument_has_a_row_per_triangle(self, monkeypatch):
         import membrane_homog.corrector as corrector
@@ -1168,8 +1180,9 @@ class TestBuildersStateKinds:
         class Recording(MembraneMesh):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
-                built.append((self.num_triangles, kwargs))
+                built.append((self, kwargs))
 
+        build_cell_mesh(SPEC, 0.1)  # cached before recording: the folded cell below is its fold
         monkeypatch.setattr(meshing, "MembraneMesh", Recording)
         monkeypatch.setattr(corrector, "MembraneMesh", Recording)
         cell = build_cell_mesh.__wrapped__(SPEC, 0.05)  # built afresh, past the cache
@@ -1178,6 +1191,14 @@ class TestBuildersStateKinds:
         build_square_mesh(255)
         corrector.periodic_cell_solve([1.0, 0.0], SPEC, h=0.1)  # the folded cell
         assert len(built) == 5
-        for nt, kwargs in built:
+        for mesh, kwargs in built:
+            nt, interface = mesh.num_triangles, flat_interface(mesh)
             rows = {name: len(value) for name, value in kwargs.items() if value is not None}
             assert nt > 0 and nt not in rows.values(), (nt, rows)
+            if len(mesh.cells) > 1:
+                rows.update((path, len(a)) for path, a in stored_arrays(mesh)
+                            if ".links" not in path and a.ndim)
+                counts = {nt, len(interface.pairs), len(interface.edges)} - {0}
+                assert not counts & set(rows.values()), (counts, rows)
+        assert sum(len(mesh.cells) > 1 and len(flat_interface(mesh).pairs) > 0
+                   for mesh, _ in built) == 2  # the cube and the tiling
